@@ -1,6 +1,6 @@
 //! The adaptive-replanning driver behind `repro adapt`, plus the shared
-//! delta-replan microbenchmark workload (`repro bench` reuses it for its
-//! `replan_full`/`replan_delta` rows).
+//! delta-replan microbenchmark workload ([`replan_workload`], which the
+//! `perfbench` adapt workload also times).
 //!
 //! The driver stages a production-shaped loop over one app:
 //!

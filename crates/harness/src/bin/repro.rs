@@ -17,8 +17,6 @@
 //! repro replay k.itrace           # re-simulate a recorded artifact
 //! repro replay k.itrace --stream  # same result, bounded memory
 //! repro ingest perf.txt           # lift a perf-script LBR dump to .itrace
-//! repro bench                     # quick engine bench vs committed history
-//! repro bench --check             # same, failing on a >20% throughput drop
 //! repro adapt kafka --window 50000 # adaptive replanning with mid-run swaps
 //! repro adapt kafka --check       # assert delta speedup + MPKI convergence
 //! repro adapt kafka --drift       # same, over a mid-trace request-mix drift
@@ -47,7 +45,6 @@ fn main() -> ExitCode {
     }
     match args[0].as_str() {
         "adapt" => return run_adapt_cmd(&args[1..]),
-        "bench" => return run_bench(&args[1..]),
         "record" => return run_record(&args[1..]),
         "plan" => return run_plan(&args[1..]),
         "replay" => return run_replay(&args[1..]),
@@ -285,136 +282,6 @@ fn run_explain(app: &str, scale: Scale, top_n: usize) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Throughput rows the `--check` floor gate watches: the tentpole metrics.
-/// The remaining rows are printed for context but a dip there never fails
-/// the gate (baseline/hw throughput is not what this PR series optimizes).
-/// `replan_delta` only gates against history entries that carry the row —
-/// older entries predate it and show "(no committed reference)".
-const GATED_ROWS: [&str; 5] =
-    ["injected", "injected_replay", "stream_replay", "replan_delta", "scenario_replay"];
-
-/// A measured row may drop this fraction below the committed value before
-/// `--check` fails. Wide enough to absorb shared-runner noise on a
-/// best-of-reps measurement, narrow enough to catch a real fast-path
-/// regression (the rework's wins were 2–6x).
-const FLOOR_FRACTION: f64 = 0.20;
-
-/// `repro bench`: run the engine throughput benchmark (quick sizing by
-/// default) and print each row's blocks/sec next to the *latest*
-/// matching-sizing entry of the ordered measurement history committed in
-/// `BENCH_engine.json`, so a regression is visible without reading JSON.
-/// `--check` turns a >20% drop on the injected rows into a failing exit
-/// code — the CI throughput-floor gate.
-fn run_bench(args: &[String]) -> ExitCode {
-    let mut quick = true;
-    let mut check = false;
-    let mut baseline = PathBuf::from("BENCH_engine.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--full" => quick = false,
-            "--check" => check = true,
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => baseline = PathBuf::from(p),
-                    None => return fail("--baseline needs a JSON file path"),
-                }
-            }
-            other => return fail(&format!("unknown bench flag `{other}`")),
-        }
-        i += 1;
-    }
-
-    let sizing = if quick { "quick" } else { "full" };
-    eprintln!("measuring engine throughput ({sizing} sizing) ...");
-    let bench = ispy_harness::enginebench::run_engine_bench(quick);
-    println!(
-        "engine bench: {} / {} events / best of {} reps (first rep discarded)",
-        bench.app, bench.events, bench.reps
-    );
-
-    let doc = match ispy_harness::enginebench::load_history(&baseline) {
-        Ok(doc) => Some(doc),
-        Err(e) => {
-            eprintln!("note: {e}");
-            None
-        }
-    };
-    let committed = doc.as_ref().and_then(|d| ispy_harness::enginebench::latest_entry(d, quick));
-    // Name the entry every comparison below is against, so a breach report
-    // says exactly which committed measurement it was judged by.
-    let reference_name = committed
-        .map(|entry| {
-            let label = entry.get("label").and_then(|l| l.as_str()).unwrap_or("?");
-            format!("`{label}` ({sizing} sizing)")
-        })
-        .unwrap_or_else(|| "(none)".to_string());
-    if committed.is_some() {
-        println!("committed reference: {reference_name} in {}", baseline.display());
-    }
-
-    let mut floor_breaches = Vec::new();
-    for row in &bench.rows {
-        let rss = match row.peak_rss_bytes {
-            Some(_) => {
-                format!("   peak RSS {}", ispy_harness::rss::format_bytes(row.peak_rss_bytes))
-            }
-            None => String::new(),
-        };
-        let reference = committed.and_then(|e| ispy_harness::enginebench::entry_row(e, row.name));
-        match reference {
-            Some(reference) if reference > 0.0 => {
-                let delta = (row.blocks_per_sec - reference) / reference * 100.0;
-                println!(
-                    "  {:<16} {:>12.0} {}   committed {:>12.0}   {:>+7.1}%{rss}",
-                    row.name,
-                    row.blocks_per_sec,
-                    row.unit(),
-                    reference,
-                    delta
-                );
-                if GATED_ROWS.contains(&row.name) && delta < -100.0 * FLOOR_FRACTION {
-                    floor_breaches.push(format!(
-                        "{}: {:.0} {} is {:.1}% below committed {:.0} from {reference_name}",
-                        row.name,
-                        row.blocks_per_sec,
-                        row.unit(),
-                        -delta,
-                        reference
-                    ));
-                }
-            }
-            _ => println!(
-                "  {:<16} {:>12.0} {}   (no committed reference){rss}",
-                row.name,
-                row.blocks_per_sec,
-                row.unit()
-            ),
-        }
-    }
-
-    if check {
-        if committed.is_none() {
-            return fail(&format!(
-                "--check needs a committed {sizing}-sizing entry in {}",
-                baseline.display()
-            ));
-        }
-        if !floor_breaches.is_empty() {
-            for b in &floor_breaches {
-                eprintln!("throughput floor breached: {b}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "throughput floor ok: gated rows within {:.0}% of {reference_name} values",
-            100.0 * FLOOR_FRACTION
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 /// Delta replans must beat a from-scratch plan by at least this factor for
@@ -703,7 +570,6 @@ fn usage() {
     eprintln!("       repro plan <app> [--quick | --test-scale] [-o FILE.iplan]");
     eprintln!("       repro replay <FILE.itrace> [--plan FILE.iplan] [--stream]");
     eprintln!("       repro ingest <perf-script.txt> [-o FILE.itrace]");
-    eprintln!("       repro bench [--full] [--check] [--baseline BENCH_engine.json]");
     eprintln!("       repro adapt <app> [--quick | --test-scale] [--window N] [--epochs N]");
     eprintln!("                   [--check] [--drift] [--json FILE.adapt.json]");
     eprintln!("       repro scenario <steady|diurnal|burst|storm> [--quick | --test-scale]");

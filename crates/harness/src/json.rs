@@ -1,29 +1,24 @@
-//! A minimal JSON document model — just enough to read and append to the
-//! committed benchmark history (`BENCH_engine.json`) without external
-//! dependencies.
+//! A minimal JSON document model for the harness's machine-readable
+//! reports (`repro scenario --json`, `repro adapt --json`), without
+//! external dependencies.
 //!
-//! The repo's other JSON producers ([`Table::to_json`](crate::report::Table),
-//! telemetry) only *write*, with hand-built strings; the bench history is the
-//! first file we must read back, merge, and re-emit. This module keeps that
-//! honest: objects preserve insertion order so a parse → edit → serialize
-//! round trip only changes what was edited.
-//!
-//! Scope: the full JSON grammar minus two corners we never produce — no
-//! `\uXXXX` escapes beyond ASCII and no exponent canonicalization (numbers
-//! round-trip through `f64`, with integers up to 2^53 printed exactly).
+//! Objects keep insertion order and [`Json::to_pretty`] is deterministic, so
+//! two runs of equal scale emit byte-identical files (CI `cmp`s them).
+//! Numbers are `f64`: whole numbers below 9e15 print as integers,
+//! everything else with two decimals.
 
 use std::fmt::Write as _;
 
-/// A parsed JSON value. Object members keep their source order.
+/// A JSON value. Object members keep their insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (integers survive exactly up to 2^53).
+    /// Any number (see [`Json::to_pretty`] for the output format).
     Num(f64),
-    /// A string (unescaped).
+    /// A string (escaped on output).
     Str(String),
     /// An array.
     Arr(Vec<Json>),
@@ -32,225 +27,14 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parses a JSON document, rejecting trailing garbage.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Member lookup on an object; `None` for other variants or missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Mutable member lookup on an object.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
-        match self {
-            Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Sets `key` on an object, replacing an existing member in place or
-    /// appending a new one. No-op on non-objects.
-    pub fn set(&mut self, key: &str, value: Json) {
-        if let Json::Obj(members) = self {
-            match members.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v = value,
-                None => members.push((key.to_string(), value)),
-            }
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Serializes with two-space indentation and a trailing newline, matching
-    /// the style of the repo's other committed JSON artifacts.
+    /// the style of the repo's other committed JSON artifacts. Whole numbers
+    /// below 9e15 print as integers, every other number with two decimals.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         write_value(&mut out, self, 0);
         out.push('\n');
         out
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(&b) = bytes.get(*pos) {
-        if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", b as char))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(bytes.get(*pos), Some(b) if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-    text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number `{text}` at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = bytes.get(*pos).ok_or("unterminated escape")?;
-                out.push(match esc {
-                    b'"' => '"',
-                    b'\\' => '\\',
-                    b'/' => '/',
-                    b'n' => '\n',
-                    b't' => '\t',
-                    b'r' => '\r',
-                    b'b' => '\u{8}',
-                    b'f' => '\u{c}',
-                    other => return Err(format!("unsupported escape `\\{}`", *other as char)),
-                });
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input came from a &str, so
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        members.push((key, parse_value(bytes, pos)?));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-        }
     }
 }
 
@@ -326,50 +110,72 @@ fn write_string(out: &mut String, s: &str) {
 mod tests {
     use super::*;
 
+    fn obj(members: &[(&str, Json)]) -> Json {
+        Json::Obj(members.iter().map(|(k, v)| (k.to_string(), v.clone())).collect())
+    }
+
     #[test]
-    fn round_trips_the_bench_history_shape() {
-        let text = concat!(
-            "{\n  \"bench\": \"engine\",\n  \"events\": 200000,\n",
-            "  \"history\": [\n    {\n      \"label\": \"pre\",\n",
-            "      \"blocks_per_sec\": {\n        \"baseline\": 5320311\n      }\n",
-            "    }\n  ]\n}\n"
-        );
-        let doc = Json::parse(text).unwrap();
-        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("engine"));
-        assert_eq!(doc.get("events").and_then(Json::as_f64), Some(200_000.0));
-        let history = doc.get("history").and_then(Json::as_arr).unwrap();
-        assert_eq!(history.len(), 1);
+    fn escapes_strings_and_prints_literals() {
+        let doc = Json::Arr(vec![
+            Json::Bool(true),
+            Json::Bool(false),
+            Json::Null,
+            Json::Str("q\"b\\n\nt\tr\r".into()),
+            Json::Str("\u{1}\u{1f}é".into()),
+        ]);
         assert_eq!(
-            history[0].get("blocks_per_sec").and_then(|b| b.get("baseline")).and_then(Json::as_f64),
-            Some(5_320_311.0)
+            doc.to_pretty(),
+            concat!(
+                "[\n  true,\n  false,\n  null,\n",
+                "  \"q\\\"b\\\\n\\nt\\tr\\r\",\n",
+                "  \"\\u0001\\u001fé\"\n]\n"
+            )
         );
-        // Parse → serialize is the identity on documents we emit ourselves.
-        assert_eq!(doc.to_pretty(), text);
+        // Keys go through the same escaping as values.
+        assert_eq!(obj(&[("a\"b", Json::Null)]).to_pretty(), "{\n  \"a\\\"b\": null\n}\n");
     }
 
     #[test]
-    fn parses_escapes_literals_and_nesting() {
-        let doc = Json::parse(r#"{"a": [true, false, null, -1.5, "x\n\"y\""], "b": {}}"#).unwrap();
-        let a = doc.get("a").and_then(Json::as_arr).unwrap();
-        assert_eq!(a[0].as_bool(), Some(true));
-        assert_eq!(a[3].as_f64(), Some(-1.5));
-        assert_eq!(a[4].as_str(), Some("x\n\"y\""));
-        assert_eq!(doc.get("b"), Some(&Json::Obj(Vec::new())));
+    fn empty_containers_print_inline() {
+        assert_eq!(Json::Arr(Vec::new()).to_pretty(), "[]\n");
+        assert_eq!(Json::Obj(Vec::new()).to_pretty(), "{}\n");
+        let doc = obj(&[("rows", Json::Arr(Vec::new())), ("meta", Json::Obj(Vec::new()))]);
+        assert_eq!(doc.to_pretty(), "{\n  \"rows\": [],\n  \"meta\": {}\n}\n");
     }
 
     #[test]
-    fn set_replaces_in_place_and_appends() {
-        let mut doc = Json::parse(r#"{"a": 1, "b": 2}"#).unwrap();
-        doc.set("a", Json::Num(9.0));
-        doc.set("c", Json::Str("new".into()));
-        assert_eq!(doc.to_pretty(), "{\n  \"a\": 9,\n  \"b\": 2,\n  \"c\": \"new\"\n}\n");
+    fn nests_with_two_space_indent_in_insertion_order() {
+        let doc = obj(&[
+            ("bench", Json::Str("engine".into())),
+            (
+                "history",
+                Json::Arr(vec![obj(&[
+                    ("label", Json::Str("pre".into())),
+                    ("rows", obj(&[("z", Json::Num(2.0)), ("a", Json::Num(1.0))])),
+                ])]),
+            ),
+        ]);
+        assert_eq!(
+            doc.to_pretty(),
+            concat!(
+                "{\n  \"bench\": \"engine\",\n  \"history\": [\n    {\n",
+                "      \"label\": \"pre\",\n      \"rows\": {\n",
+                "        \"z\": 2,\n        \"a\": 1\n      }\n",
+                "    }\n  ]\n}\n"
+            )
+        );
     }
 
     #[test]
-    fn rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-        assert!(Json::parse("nul").is_err());
+    fn integers_print_exactly_and_fractions_with_two_decimals() {
+        let nums = [0.0, -3.0, 5_320_311.0, 8_999_999_999_999_998.0, 1.5, -0.125, 2.0 / 3.0, 1e16];
+        let doc = Json::Arr(nums.iter().map(|&n| Json::Num(n)).collect());
+        assert_eq!(
+            doc.to_pretty(),
+            concat!(
+                "[\n  0,\n  -3,\n  5320311,\n  8999999999999998,\n",
+                "  1.50,\n  -0.12,\n  0.67,\n  10000000000000000.00\n]\n"
+            )
+        );
     }
 }

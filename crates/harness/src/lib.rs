@@ -22,7 +22,6 @@
 
 pub mod adapt;
 pub mod cache;
-pub mod enginebench;
 pub mod explain;
 pub mod figures;
 pub mod fleet;

@@ -1,7 +1,7 @@
 //! Peak-resident-set measurement via `/proc`, dependency-free.
 //!
-//! The streaming engine's whole point is bounded memory, so the bench
-//! reports peak RSS next to blocks/sec. Linux exposes exactly the two
+//! The streaming engine's whole point is bounded memory, so the benchmark
+//! reports peak RSS next to throughput. Linux exposes exactly the two
 //! hooks needed and nothing else is required:
 //!
 //! * `VmHWM` in `/proc/self/status` — the process's resident-set
@@ -11,10 +11,11 @@
 //!
 //! Both are best-effort: on non-Linux hosts (or a locked-down `/proc`)
 //! [`peak_rss_bytes`] returns `None` and [`reset_peak_rss`] is a no-op, and
-//! callers print `-` instead of a number. Measurements are process-wide:
+//! callers report no number. Measurements are process-wide:
 //! a reading covers everything live in the process, not just the code
 //! under test — reset immediately before the region of interest and keep
-//! the region free of unrelated allocation.
+//! the region free of unrelated allocation. (That is why the live-reading
+//! test sits alone in its own test binary, `tests/rss_live.rs`.)
 
 /// The process's peak resident set in bytes since start (or since the last
 /// [`reset_peak_rss`]), if the platform exposes it.
@@ -38,21 +39,6 @@ fn parse_vm_hwm(status: &str) -> Option<u64> {
     Some(kib * 1024)
 }
 
-/// Formats a byte count for human output: `-` when unknown, otherwise the
-/// largest binary unit that keeps three significant digits.
-pub fn format_bytes(bytes: Option<u64>) -> String {
-    let Some(b) = bytes else {
-        return "-".to_string();
-    };
-    if b >= 1 << 30 {
-        format!("{:.2} GiB", b as f64 / (1u64 << 30) as f64)
-    } else if b >= 1 << 20 {
-        format!("{:.1} MiB", b as f64 / (1u64 << 20) as f64)
-    } else {
-        format!("{} KiB", b >> 10)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,23 +49,5 @@ mod tests {
         assert_eq!(parse_vm_hwm(status), Some(98_304 * 1024));
         assert_eq!(parse_vm_hwm("Name:\trepro\n"), None);
         assert_eq!(parse_vm_hwm("VmHWM:\tgarbage kB\n"), None);
-    }
-
-    #[test]
-    fn formats_bytes_at_every_magnitude() {
-        assert_eq!(format_bytes(None), "-");
-        assert_eq!(format_bytes(Some(512 * 1024)), "512 KiB");
-        assert_eq!(format_bytes(Some(3 * 1024 * 1024 + 512 * 1024)), "3.5 MiB");
-        assert_eq!(format_bytes(Some(2 * 1024 * 1024 * 1024)), "2.00 GiB");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn live_reading_is_sane() {
-        let peak = peak_rss_bytes().expect("linux exposes VmHWM");
-        assert!(peak > 1024 * 1024, "a test process surely holds >1 MiB, got {peak}");
-        reset_peak_rss();
-        let after = peak_rss_bytes().expect("still readable after reset");
-        assert!(after <= peak, "reset cannot raise the high-water mark");
     }
 }

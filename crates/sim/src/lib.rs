@@ -49,7 +49,7 @@ pub use hierarchy::{Hierarchy, ResidencyLevel};
 pub use lbr::{BloomSig, CountingBloom, Lbr};
 pub use metrics::SimResult;
 pub use outcome::{InjectionOutcome, OutcomeLedger};
-pub use replay::{replay_bytes, replay_file, replay_file_streaming, replay_stream, ReplayOutcome};
+pub use replay::{replay_file_streaming, replay_stream, ReplayOutcome};
 pub use shard::{
     simulate_sharded, simulate_sharded_source, GenWindows, ShardConfig, SliceWindows,
     WindowedBlockSource,

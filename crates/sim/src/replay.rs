@@ -10,7 +10,7 @@
 //! # Examples
 //!
 //! ```
-//! use ispy_sim::{replay, run, RunOptions, SimConfig};
+//! use ispy_sim::{replay_stream, run, RunOptions, SimConfig};
 //! use ispy_trace::{apps, artifact};
 //!
 //! let model = apps::kafka().scaled_down(20);
@@ -20,16 +20,16 @@
 //!
 //! let live = run(&program, &trace, &SimConfig::default(), RunOptions::default());
 //! let replayed =
-//!     replay::replay_bytes(&bytes, &SimConfig::default(), RunOptions::default()).unwrap();
+//!     replay_stream(bytes.as_slice(), &SimConfig::default(), RunOptions::default()).unwrap();
 //! assert_eq!(replayed.name, "kafka");
 //! assert_eq!(replayed.result, live);
 //! ```
 
 use crate::config::SimConfig;
-use crate::engine::{run, run_streaming, RunOptions};
+use crate::engine::{run_streaming, RunOptions};
 use crate::metrics::SimResult;
 use ispy_artifact::ArtifactError;
-use ispy_trace::artifact::{open_recording_stream, read_recording, recording_from_bytes};
+use ispy_trace::artifact::open_recording_stream;
 use std::io::Read;
 use std::path::Path;
 
@@ -44,49 +44,10 @@ pub struct ReplayOutcome {
     pub result: SimResult,
 }
 
-/// Replays a serialized recording through the simulator.
-///
-/// # Errors
-///
-/// Any [`ArtifactError`] from decoding the recording.
-pub fn replay_bytes(
-    bytes: &[u8],
-    cfg: &SimConfig,
-    opts: RunOptions<'_>,
-) -> Result<ReplayOutcome, ArtifactError> {
-    let (program, trace) = recording_from_bytes(bytes)?;
-    let result = run(&program, &trace, cfg, opts);
-    Ok(ReplayOutcome {
-        name: program.name().to_string(),
-        trace_name: trace.name().to_string(),
-        result,
-    })
-}
-
-/// Replays a `.itrace` file through the simulator.
-///
-/// # Errors
-///
-/// [`ArtifactError::Io`] on filesystem failure, otherwise as
-/// [`replay_bytes`].
-pub fn replay_file(
-    path: &Path,
-    cfg: &SimConfig,
-    opts: RunOptions<'_>,
-) -> Result<ReplayOutcome, ArtifactError> {
-    let (program, trace) = read_recording(path)?;
-    let result = run(&program, &trace, cfg, opts);
-    Ok(ReplayOutcome {
-        name: program.name().to_string(),
-        trace_name: trace.name().to_string(),
-        result,
-    })
-}
-
 /// Replays a recording off a byte stream without materializing the trace:
 /// the program sections decode up front, the event sections decode chunk by
-/// chunk straight into [`run_streaming`]. Byte-identical to [`replay_bytes`]
-/// on the same input, in bounded memory on input of any size.
+/// chunk straight into [`run_streaming`]. Byte-identical to [`run`](crate::run)
+/// over the decoded recording, in bounded memory on input of any size.
 ///
 /// # Errors
 ///
@@ -122,8 +83,9 @@ pub fn replay_file_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run;
     use ispy_trace::apps;
-    use ispy_trace::artifact::{recording_to_bytes, write_recording};
+    use ispy_trace::artifact::{recording_from_bytes, recording_to_bytes, write_recording};
 
     fn recording() -> (ispy_trace::Program, ispy_trace::Trace) {
         let model = apps::tomcat().scaled_down(30);
@@ -137,8 +99,8 @@ mod tests {
         let (program, trace) = recording();
         let cfg = SimConfig::default();
         let live = run(&program, &trace, &cfg, RunOptions::default());
-        let out = replay_bytes(&recording_to_bytes(&program, &trace), &cfg, RunOptions::default())
-            .unwrap();
+        let bytes = recording_to_bytes(&program, &trace);
+        let out = replay_stream(bytes.as_slice(), &cfg, RunOptions::default()).unwrap();
         assert_eq!(out.name, program.name());
         assert_eq!(out.trace_name, trace.name());
         assert_eq!(out.result, live);
@@ -153,10 +115,10 @@ mod tests {
         let path = dir.join("tomcat.itrace");
         write_recording(&program, &trace, &path).unwrap();
         let cfg = SimConfig::default();
-        let out = replay_file(&path, &cfg, RunOptions::default()).unwrap();
+        let out = replay_file_streaming(&path, &cfg, RunOptions::default()).unwrap();
+        assert_eq!(out.name, program.name());
+        assert_eq!(out.trace_name, trace.name());
         assert_eq!(out.result, run(&program, &trace, &cfg, RunOptions::default()));
-        let streamed = replay_file_streaming(&path, &cfg, RunOptions::default()).unwrap();
-        assert_eq!(streamed, out);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -165,9 +127,12 @@ mod tests {
         let (program, trace) = recording();
         let cfg = SimConfig::default();
         let bytes = recording_to_bytes(&program, &trace);
-        let buffered = replay_bytes(&bytes, &cfg, RunOptions::default()).unwrap();
+        let (decoded, decoded_trace) = recording_from_bytes(&bytes).unwrap();
+        let buffered = run(&decoded, &decoded_trace, &cfg, RunOptions::default());
         let streamed = replay_stream(bytes.as_slice(), &cfg, RunOptions::default()).unwrap();
-        assert_eq!(streamed, buffered);
+        assert_eq!(streamed.name, decoded.name());
+        assert_eq!(streamed.trace_name, decoded_trace.name());
+        assert_eq!(streamed.result, buffered);
     }
 
     #[test]
@@ -184,8 +149,8 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_are_a_typed_error() {
-        let err = replay_bytes(
-            b"definitely not an artifact container",
+        let err = replay_stream(
+            &b"definitely not an artifact container"[..],
             &SimConfig::default(),
             RunOptions::default(),
         )

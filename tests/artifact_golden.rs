@@ -4,7 +4,7 @@
 
 use ispy_harness::cache::ArtifactCache;
 use ispy_harness::{figures, metrics, Scale, Session};
-use ispy_sim::{replay_bytes, run, RunOptions, SimConfig};
+use ispy_sim::{replay_stream, run, RunOptions, SimConfig};
 use ispy_trace::apps;
 
 /// For every one of the nine applications, replaying through the `.itrace`
@@ -21,7 +21,7 @@ fn record_replay_is_byte_identical_for_all_nine_apps() {
         let trace = program.record_trace(model.default_input(), scale.events);
         let live = run(&program, &trace, &cfg, RunOptions::default());
         let bytes = ispy_trace::artifact::recording_to_bytes(&program, &trace);
-        let replayed = replay_bytes(&bytes, &cfg, RunOptions::default()).unwrap();
+        let replayed = replay_stream(bytes.as_slice(), &cfg, RunOptions::default()).unwrap();
         assert_eq!(replayed.name, name);
         assert_eq!(replayed.result, live, "replay diverged for {name}");
         assert_eq!(

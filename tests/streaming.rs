@@ -7,8 +7,8 @@
 
 use ispy_artifact::ArtifactError;
 use ispy_sim::{
-    replay_bytes, replay_stream, run, run_streaming, simulate_sharded, simulate_sharded_source,
-    GenWindows, RunOptions, ShardConfig, SimConfig,
+    replay_stream, run, run_streaming, simulate_sharded, simulate_sharded_source, GenWindows,
+    RunOptions, ShardConfig, SimConfig,
 };
 use ispy_trace::artifact::{open_recording_stream, recording_to_bytes, RecordingWriter};
 use ispy_trace::{apps, AppModel, BlockSource, TraceBlocks, Walker, WalkerSource};
@@ -149,7 +149,7 @@ fn truncation_is_always_a_typed_error() {
     let model = apps::drupal();
     let (program, trace) = workload(&model);
     let bytes = recording_to_bytes(&program, &trace);
-    let whole = replay_bytes(&bytes, &SimConfig::default(), RunOptions::default()).unwrap();
+    let whole = run(&program, &trace, &SimConfig::default(), RunOptions::default());
     for keep_fraction in [30, 60, 90, 99] {
         let cut = bytes.len() * keep_fraction / 100;
         let err = replay_stream(&bytes[..cut], &SimConfig::default(), RunOptions::default())
@@ -166,7 +166,8 @@ fn truncation_is_always_a_typed_error() {
     }
     // And the untruncated stream still replays to the reference result.
     let streamed = replay_stream(&bytes[..], &SimConfig::default(), RunOptions::default()).unwrap();
-    assert_eq!(streamed, whole);
+    assert_eq!(streamed.name, program.name());
+    assert_eq!(streamed.result, whole);
 }
 
 /// The generator source really is the trace: a streamed record through
