@@ -8,8 +8,12 @@ use crate::window::{
     find_candidates, select_covering_sites, SelectedSite, SelectionPolicy, SiteCandidate,
 };
 use ispy_isa::{ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
-use ispy_profile::{scan_joint, ContentHasher, JointCounts, JointQuery, Profile, ProfileDelta};
+use ispy_profile::scan::MAX_CANDIDATES;
+use ispy_profile::{
+    scan_joint, ContentHasher, JointCounts, JointQuery, LineMissStats, Profile, ProfileDelta,
+};
 use ispy_trace::{BlockId, Line, Program, Trace};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -117,6 +121,13 @@ type WindowKey = (u32, u32, usize);
 /// entry instead of serving a stale one.
 type CandidateKey = (u64, u32, WindowKey);
 
+/// Identity of one line's ranked miss history: the dynamic CFG (by content
+/// digest), the trace length and LBR depth that set each block's base
+/// rate, and the line's stats digest (which also fixes its dominant
+/// block). No config field enters the ranking, so every config point of a
+/// sweep shares one entry per line.
+type RankKey = (u64, usize, usize, u64);
+
 /// Identity of one joint-scan query. The target positions are derived from
 /// the target block over the (fixed) trace, so the block id stands in for
 /// them; everything else is the query verbatim, plus the LBR depth the scan
@@ -137,6 +148,9 @@ struct JointKey {
 /// * per-target window candidates, keyed by (dynamic-CFG digest, target
 ///   block, window parameters) — content-addressed, so the cache stays
 ///   valid when the profile evolves,
+/// * per-line ranked miss history (the predictor pool's lift-ordered
+///   tail), keyed by a config-independent line content key (dynamic-CFG
+///   digest, trace length, LBR depth, line-stats digest),
 /// * joint LBR statistics per (site, target, horizon, LBR depth,
 ///   candidates) query — the linear trace scans feeding
 ///   [`crate::context::discover_multi`],
@@ -164,6 +178,7 @@ struct JointKey {
 pub struct PlannerBaseline {
     positions: Mutex<HashMap<u32, Arc<Vec<u32>>>>,
     candidates: Mutex<HashMap<CandidateKey, Arc<Vec<SiteCandidate>>>>,
+    ranked: Mutex<HashMap<RankKey, Arc<Vec<BlockId>>>>,
     joint: Mutex<HashMap<JointKey, Arc<JointCounts>>>,
     line_memo: Mutex<HashMap<u64, (u64, Arc<LineOutcome>)>>,
 }
@@ -228,27 +243,6 @@ impl PlannerBaseline {
         self.line_memo.lock().expect("memo lock").len()
     }
 
-    /// Trace positions for each of `blocks`, filling any uncached ones in
-    /// one shared pass over the trace (mirrors `Planner::fill_positions`).
-    fn positions_for(&self, planner: &Planner, blocks: &[BlockId]) -> HashMap<u32, Arc<Vec<u32>>> {
-        let mut cache = self.positions.lock().expect("positions lock");
-        let missing: std::collections::HashSet<u32> =
-            blocks.iter().map(|b| b.0).filter(|b| !cache.contains_key(b)).collect();
-        if !missing.is_empty() {
-            let mut fresh: HashMap<u32, Vec<u32>> =
-                missing.iter().map(|&b| (b, Vec::new())).collect();
-            for (idx, block) in planner.trace.iter().enumerate() {
-                if let Some(v) = fresh.get_mut(&block.0) {
-                    v.push(idx as u32);
-                }
-            }
-            for (b, v) in fresh {
-                cache.insert(b, Arc::new(v));
-            }
-        }
-        blocks.iter().map(|b| (b.0, Arc::clone(&cache[&b.0]))).collect()
-    }
-
     /// Answers `queries` (targets given as blocks) from the joint cache,
     /// scanning the trace once for whatever subset is uncached.
     fn resolve_joint(
@@ -272,8 +266,15 @@ impl PlannerBaseline {
         let missing: Vec<usize> =
             (0..queries.len()).filter(|&i| !cache.contains_key(&keys[i])).collect();
         if !missing.is_empty() {
-            let blocks: Vec<BlockId> = missing.iter().map(|&i| targets[i]).collect();
-            let positions = self.positions_for(planner, &blocks);
+            let mut positions = self.positions.lock().expect("positions lock");
+            let uncached: Vec<BlockId> = missing
+                .iter()
+                .map(|&i| targets[i])
+                .filter(|b| !positions.contains_key(&b.0))
+                .collect();
+            for (b, v) in trace_positions(planner.trace, &uncached) {
+                positions.insert(b, Arc::new(v));
+            }
             let subset: Vec<JointQuery> = missing
                 .iter()
                 .map(|&i| {
@@ -289,6 +290,27 @@ impl PlannerBaseline {
         }
         keys.iter().map(|k| Arc::clone(&cache[k])).collect()
     }
+}
+
+/// Ascending trace positions of each distinct block in `blocks` (the joint
+/// queries' targets), from one pass over `trace`.
+fn trace_positions(trace: &Trace, blocks: &[BlockId]) -> HashMap<u32, Vec<u32>> {
+    // `slot[b]`: 1 + the index of `b`'s list in `lists` (0 = not asked for),
+    // so the pass costs one array read per trace event.
+    let mut slot = vec![0usize; blocks.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
+    let mut lists: Vec<(u32, Vec<u32>)> = Vec::new();
+    for b in blocks {
+        if slot[b.index()] == 0 {
+            lists.push((b.0, Vec::new()));
+            slot[b.index()] = lists.len();
+        }
+    }
+    for (idx, block) in trace.iter().enumerate() {
+        if let Some(&s) = slot.get(block.index()).filter(|&&s| s != 0) {
+            lists[s - 1].1.push(idx as u32);
+        }
+    }
+    lists.into_iter().collect()
 }
 
 /// Pass-3 grouping key: (site block, sorted context-block ids).
@@ -310,7 +332,6 @@ struct LineMeta {
 /// One miss line's planning state between passes.
 struct Pending {
     site: SelectedSite,
-    line: Line,
     /// Index of this entry's query in the joint scan, if one was issued.
     query: Option<usize>,
     /// Predictor candidates the query covered.
@@ -379,21 +400,19 @@ impl<'a> Planner<'a> {
         &self.cfg
     }
 
-    /// Predictor-candidate pool for one (site, target): the site's dynamic
-    /// predecessors (Fig. 6's path-into-the-site blocks) plus miss-history
-    /// blocks ranked by lift over their base rate.
-    fn predictor_candidates(
-        &self,
-        line_stats: &ispy_profile::LineMissStats,
-        site_block: BlockId,
-        target_block: BlockId,
-    ) -> Vec<BlockId> {
+    /// The miss-history half of a line's predictor pool: blocks present in
+    /// the line's miss histories, minus `target_block`, that pass the
+    /// presence and lift floors, ordered by lift over their base rate
+    /// (descending, ties by block id). Depends on the profile alone, so it
+    /// is computed once per line and shared by all of the line's sites.
+    fn ranked_history(&self, line_stats: &LineMissStats, target_block: BlockId) -> Vec<BlockId> {
         let trace_len = self.profile.trace_len.max(1) as f64;
         let depth = self.profile.lbr_depth as f64;
-        let mut scored: Vec<(f64, f64, BlockId)> = line_stats
-            .ranked_predictors(&[site_block, target_block])
-            .into_iter()
-            .filter_map(|(b, pres)| {
+        let mut scored: Vec<(f64, BlockId)> = line_stats
+            .history_presence
+            .iter()
+            .filter(|&(&b, _)| b != target_block)
+            .filter_map(|(&b, &pres)| {
                 let frac = pres as f64 / line_stats.count as f64;
                 // Keep even low-presence candidates: each may predict only
                 // its own calling context's share of the instances
@@ -404,53 +423,45 @@ impl<'a> Planner<'a> {
                 let expected =
                     (self.profile.cfg.exec_count(b) as f64 * depth / trace_len).clamp(1e-9, 1.0);
                 let lift = frac / expected;
-                (lift >= 1.2).then_some((lift, frac, b))
+                (lift >= 1.2).then_some((lift, b))
             })
             .collect();
+        // NaN lifts fail the floor above, so this order is total.
         scored.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.2 .0.cmp(&b.2 .0))
+            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1 .0.cmp(&b.1 .0))
         });
+        scored.into_iter().map(|(_, b)| b).collect()
+    }
+
+    /// Predictor-candidate pool for one (site, target): the site's dynamic
+    /// predecessors (Fig. 6's path-into-the-site blocks) plus the line's
+    /// `ranked` miss history ([`Planner::ranked_history`]), capped at
+    /// `ctx_candidates`.
+    fn predictor_candidates(
+        &self,
+        ranked: &[BlockId],
+        site_block: BlockId,
+        target_block: BlockId,
+    ) -> Vec<BlockId> {
         // Blocks on the paths *into the site* are the strongest
         // discriminators: at run time the LBR provably contains the site's
         // recent predecessors.
-        let mut predictors: Vec<BlockId> = Vec::new();
-        let push = |b: BlockId, out: &mut Vec<BlockId>| {
-            if b != site_block && b != target_block && !out.contains(&b) {
-                out.push(b);
+        let dyncfg = &self.profile.cfg;
+        let site_preds = dyncfg.preds(site_block);
+        let into_site = site_preds.iter().take(3).chain(
+            site_preds.first().into_iter().flat_map(|&(top, _)| dyncfg.preds(top).iter().take(2)),
+        );
+        let cap = self.cfg.ctx_candidates.min(MAX_CANDIDATES);
+        let mut predictors: Vec<BlockId> = Vec::with_capacity(cap);
+        for b in into_site.map(|&(p, _)| p).chain(ranked.iter().copied()) {
+            if predictors.len() == cap {
+                break;
             }
-        };
-        let site_preds = self.profile.cfg.preds(site_block);
-        for &(p, _) in site_preds.iter().take(3) {
-            push(p, &mut predictors);
-        }
-        if let Some(&(top_pred, _)) = site_preds.first() {
-            for &(pp, _) in self.profile.cfg.preds(top_pred).iter().take(2) {
-                push(pp, &mut predictors);
+            if b != site_block && b != target_block && !predictors.contains(&b) {
+                predictors.push(b);
             }
         }
-        for (_, _, b) in scored {
-            push(b, &mut predictors);
-        }
-        predictors.truncate(self.cfg.ctx_candidates.min(ispy_profile::scan::MAX_CANDIDATES));
         predictors
-    }
-
-    /// Fills each query's target positions with its miss block's trace
-    /// positions, in one pass over the trace.
-    fn fill_positions(&self, queries: &mut [JointQuery], targets: &[BlockId]) {
-        let needed: std::collections::HashSet<u32> = targets.iter().map(|b| b.0).collect();
-        let mut positions: std::collections::HashMap<u32, Vec<u32>> =
-            needed.iter().map(|&b| (b, Vec::new())).collect();
-        for (idx, block) in self.trace.iter().enumerate() {
-            if let Some(v) = positions.get_mut(&block.0) {
-                v.push(idx as u32);
-            }
-        }
-        for (q, target) in queries.iter_mut().zip(targets) {
-            q.target_positions = positions[&target.0].clone();
-        }
     }
 
     /// Runs the analysis and produces the plan.
@@ -476,7 +487,10 @@ impl<'a> Planner<'a> {
     ) -> Vec<Arc<JointCounts>> {
         match baseline {
             None => {
-                self.fill_positions(queries, targets);
+                let positions = trace_positions(self.trace, targets);
+                for (q, target) in queries.iter_mut().zip(targets) {
+                    q.target_positions = positions[&target.0].clone();
+                }
                 scan_joint(self.trace, self.profile.lbr_depth, queries)
                     .into_iter()
                     .map(Arc::new)
@@ -499,7 +513,9 @@ impl<'a> Planner<'a> {
         struct FreshLine {
             line: Line,
             digest: u64,
+            rank_key: RankKey,
             target_block: BlockId,
+            ranked: OnceCell<Arc<Vec<BlockId>>>,
             entries: Vec<Pending>,
             spares: Vec<SiteCandidate>,
             retry: Vec<Pending>,
@@ -535,11 +551,15 @@ impl<'a> Planner<'a> {
             }
             stats.target_lines += 1;
             let mut digest = 0;
+            let mut rank_key: RankKey = (0, 0, 0, 0);
             if let Some(b) = baseline {
+                let line_digest = self.profile.misses.line_digest(line).expect("listed line");
+                rank_key =
+                    (dyncfg_digest, self.profile.trace_len, self.profile.lbr_depth, line_digest);
                 let mut h = ContentHasher::new();
                 h.write_u64(base_digest);
                 h.write_u64(line.raw());
-                h.write_u64(line_stats.content_digest());
+                h.write_u64(line_digest);
                 digest = h.finish();
                 if let Some(outcome) = b.memo_lookup(line.raw(), digest) {
                     memo_hits += 1;
@@ -570,14 +590,14 @@ impl<'a> Planner<'a> {
                 continue;
             };
             let candidates = match baseline {
-                Some(b) => b.candidates_for(self, dyncfg_digest, target_block).as_ref().clone(),
-                None => find_candidates(
+                Some(b) => b.candidates_for(self, dyncfg_digest, target_block),
+                None => Arc::new(find_candidates(
                     &self.profile.cfg,
                     target_block,
                     self.cfg.min_prefetch_cycles,
                     self.cfg.max_prefetch_cycles,
                     self.cfg.max_search_nodes,
-                ),
+                )),
             };
             // Coverage- and precision-driven multi-site selection: a miss
             // reached over several paths gets one prefetch per covering
@@ -619,19 +639,22 @@ impl<'a> Planner<'a> {
             let spares: Vec<SiteCandidate> =
                 candidates.iter().filter(|c| !chosen_blocks.contains(&c.block)).copied().collect();
             let mut entries: Vec<Pending> = Vec::new();
+            let ranked = OnceCell::new();
 
             for site in sites {
                 let mut entry = Pending {
                     site,
-                    line,
                     query: None,
                     candidates: Vec::new(),
                     ctxs: Vec::new(),
                     dropped: false,
                 };
                 if self.cfg.conditional && self.cfg.ctx_size > 0 {
+                    let history = ranked.get_or_init(|| {
+                        self.line_ranking(baseline, rank_key, line_stats, target_block)
+                    });
                     let predictors =
-                        self.predictor_candidates(line_stats, site.cand.block, target_block);
+                        self.predictor_candidates(history, site.cand.block, target_block);
                     if !predictors.is_empty() {
                         // Label horizon: how far ahead "reaching the target"
                         // still counts. The max prefetch distance expressed
@@ -662,7 +685,9 @@ impl<'a> Planner<'a> {
             fresh.push(FreshLine {
                 line,
                 digest,
+                rank_key,
                 target_block,
+                ranked,
                 entries,
                 spares,
                 retry: Vec::new(),
@@ -718,19 +743,6 @@ impl<'a> Planner<'a> {
                     // (almost) all of its coverage while raising accuracy.
                     entry.ctxs = ctxs;
                 }
-                if entry.dropped && std::env::var_os("ISPY_DEBUG").is_some() {
-                    eprintln!(
-                        "DROP site={} line={} prec={:.3} pres={:.2} uncond={:.3} cands={:?} occ={:?} hits={:?}",
-                        entry.site.cand.block,
-                        entry.line,
-                        entry.site.precision,
-                        entry.site.presence_frac,
-                        unconditional,
-                        entry.candidates,
-                        counts.occurrences,
-                        counts.hits,
-                    );
-                }
             }
         }
 
@@ -773,8 +785,10 @@ impl<'a> Planner<'a> {
                     if precision < self.cfg.min_conditional_precision {
                         continue;
                     }
-                    let predictors =
-                        self.predictor_candidates(line_stats, cand.block, target_block);
+                    let history = fl.ranked.get_or_init(|| {
+                        self.line_ranking(baseline, fl.rank_key, line_stats, target_block)
+                    });
+                    let predictors = self.predictor_candidates(history, cand.block, target_block);
                     if predictors.is_empty() {
                         continue;
                     }
@@ -795,7 +809,6 @@ impl<'a> Planner<'a> {
                     retry_targets.push(target_block);
                     fl.retry.push(Pending {
                         site,
-                        line,
                         query: Some(retry_queries.len() - 1),
                         candidates: predictors,
                         ctxs: Vec::new(),
@@ -984,6 +997,24 @@ impl<'a> Planner<'a> {
         Plan { injections, stats, context_details, provenance }
     }
 
+    /// One line's ranked history, through `baseline`'s cache (one entry
+    /// per distinct line content, `key`) if there is one.
+    fn line_ranking(
+        &self,
+        baseline: Option<&PlannerBaseline>,
+        key: RankKey,
+        line_stats: &LineMissStats,
+        target_block: BlockId,
+    ) -> Arc<Vec<BlockId>> {
+        let rank = || Arc::new(self.ranked_history(line_stats, target_block));
+        match baseline {
+            Some(b) => {
+                Arc::clone(b.ranked.lock().expect("ranked lock").entry(key).or_insert_with(rank))
+            }
+            None => rank(),
+        }
+    }
+
     /// Config+profile-shape digest shared by every line digest of one plan:
     /// the dynamic CFG, the trace dimensions, and the full [`IspyConfig`].
     fn base_digest(&self, dyncfg_digest: u64) -> u64 {
@@ -1170,13 +1201,15 @@ mod tests {
     fn baseline_replanning_matches_fresh_plans() {
         // One shared baseline across every config variant of one app must
         // reproduce each fresh plan exactly — injections AND stats — even
-        // though candidates, positions, and joint counts come from caches
-        // warmed by *other* variants.
+        // though candidates, positions, ranked histories, and joint counts
+        // come from caches warmed by *other* variants. Both orders run on a
+        // fresh baseline, so each cache is filled first by a different
+        // variant (e.g. the ranked histories by the 8- and by the
+        // 6-candidate configs).
         let model = apps::cassandra().scaled_down(30);
         let program = model.generate();
         let trace = program.record_trace(model.default_input(), 25_000);
         let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
-        let baseline = PlannerBaseline::new();
         let variants = vec![
             IspyConfig::default(),
             IspyConfig::conditional_only(),
@@ -1188,15 +1221,67 @@ mod tests {
             IspyConfig::default().with_distances(27, 120),
             IspyConfig::default().with_coalesce_bits(4),
         ];
-        for cfg in variants {
-            let planner = Planner::new(&program, &trace, &prof, cfg.clone());
-            let fresh = planner.plan();
-            let reused = planner.plan_with_baseline(&baseline);
-            assert_eq!(fresh.injections, reused.injections, "cfg {cfg:?}");
-            assert_eq!(fresh.stats, reused.stats, "cfg {cfg:?}");
-            assert_eq!(fresh.context_details, reused.context_details, "cfg {cfg:?}");
-            assert_eq!(fresh.provenance, reused.provenance, "cfg {cfg:?}");
+        let fresh: Vec<Plan> = variants
+            .iter()
+            .map(|cfg| Planner::new(&program, &trace, &prof, cfg.clone()).plan())
+            .collect();
+        for reversed in [false, true] {
+            let mut order: Vec<(&IspyConfig, &Plan)> = variants.iter().zip(&fresh).collect();
+            if reversed {
+                order.reverse();
+            }
+            let baseline = PlannerBaseline::new();
+            for (cfg, fresh) in order {
+                let planner = Planner::new(&program, &trace, &prof, cfg.clone());
+                let reused = planner.plan_with_baseline(&baseline);
+                assert_eq!(fresh.injections, reused.injections, "cfg {cfg:?}, reversed {reversed}");
+                assert_eq!(fresh.stats, reused.stats, "cfg {cfg:?}, reversed {reversed}");
+                assert_eq!(
+                    fresh.context_details, reused.context_details,
+                    "cfg {cfg:?}, reversed {reversed}"
+                );
+                assert_eq!(fresh.provenance, reused.provenance, "cfg {cfg:?}, reversed {reversed}");
+            }
         }
+    }
+
+    #[test]
+    fn ranked_history_order_and_exclusion() {
+        let model = apps::cassandra().scaled_down(30);
+        let program = model.generate();
+        let trace = program.record_trace(model.default_input(), 20_000);
+        let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
+        let planner = Planner::new(&program, &trace, &prof, IspyConfig::default());
+        let (trace_len, depth) = (prof.trace_len as f64, prof.lbr_depth as f64);
+        let frac = |s: &LineMissStats, b: BlockId| s.history_presence[&b] as f64 / s.count as f64;
+        let lift = |s: &LineMissStats, b: BlockId| {
+            let base = prof.cfg.exec_count(b) as f64 * depth / trace_len;
+            frac(s, b) / base.clamp(1e-9, 1.0)
+        };
+        let mut ranked_total = 0;
+        for (_, s) in prof.misses.lines_by_count().into_iter().take(60) {
+            let target = s.dominant_block().expect("a missed line has a block");
+            let ranked = planner.ranked_history(s, target);
+            assert!(!ranked.contains(&target), "the miss block is never its own predictor");
+            // Exactly the history blocks passing the presence and lift floors...
+            let mut kept: Vec<u32> = s
+                .history_presence
+                .keys()
+                .filter(|&&b| b != target && frac(s, b) >= 0.05 && lift(s, b) >= 1.2)
+                .map(|b| b.0)
+                .collect();
+            let mut got: Vec<u32> = ranked.iter().map(|b| b.0).collect();
+            kept.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, kept);
+            // ...by descending lift, ties by ascending block id.
+            for w in ranked.windows(2) {
+                let (a, b) = (lift(s, w[0]), lift(s, w[1]));
+                assert!(a > b || (a == b && w[0].0 < w[1].0), "{w:?}: lifts {a} then {b}");
+            }
+            ranked_total += ranked.len();
+        }
+        assert!(ranked_total > 0);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::digest::ContentHasher;
 use ispy_trace::{BlockId, Line};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Everything the profiler learned about one missing I-cache line.
 #[derive(Debug, Clone, Default)]
@@ -23,19 +24,6 @@ impl LineMissStats {
     /// The block that most often triggers this miss.
     pub fn dominant_block(&self) -> Option<BlockId> {
         self.at_blocks.iter().max_by_key(|&(b, &c)| (c, std::cmp::Reverse(b.0))).map(|(&b, _)| b)
-    }
-
-    /// History blocks ranked by presence frequency (descending), excluding
-    /// any block in `exclude`.
-    pub fn ranked_predictors(&self, exclude: &[BlockId]) -> Vec<(BlockId, u64)> {
-        let mut v: Vec<(BlockId, u64)> = self
-            .history_presence
-            .iter()
-            .filter(|(b, _)| !exclude.contains(b))
-            .map(|(&b, &c)| (b, c))
-            .collect();
-        v.sort_by_key(|&(b, c)| (std::cmp::Reverse(c), b));
-        v
     }
 
     /// First sampled miss at or after trace position `idx`, if any.
@@ -75,10 +63,28 @@ impl LineMissStats {
     }
 }
 
+/// One line's stats plus a lazily computed
+/// [`LineMissStats::content_digest`]. Every mutation of `stats` goes through
+/// a [`MissProfile`] method that resets `digest`, so a cached digest always
+/// matches the stats beside it.
+#[derive(Debug, Clone, Default)]
+struct LineEntry {
+    stats: LineMissStats,
+    digest: OnceLock<u64>,
+}
+
+impl LineEntry {
+    /// The stats, for mutation: drops the cached digest.
+    fn stats_mut(&mut self) -> &mut LineMissStats {
+        self.digest.take();
+        &mut self.stats
+    }
+}
+
 /// All missing lines observed by a profiling pass.
 #[derive(Debug, Clone, Default)]
 pub struct MissProfile {
-    by_line: HashMap<u64, LineMissStats>,
+    by_line: HashMap<u64, LineEntry>,
     total: u64,
 }
 
@@ -91,7 +97,7 @@ impl MissProfile {
     /// Records one sampled miss of `line` at `block`, trace position `idx`,
     /// with the 32-deep history window `history`.
     pub fn record(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
-        let stats = self.by_line.entry(line.raw()).or_default();
+        let stats = self.by_line.entry(line.raw()).or_default().stats_mut();
         stats.count += 1;
         *stats.at_blocks.entry(block).or_insert(0) += 1;
         // Presence, not multiplicity: each distinct block counts once per
@@ -126,8 +132,10 @@ impl MissProfile {
     /// ```
     pub fn insert_line(&mut self, line: Line, stats: LineMissStats) {
         self.total += stats.count;
-        if let Some(old) = self.by_line.insert(line.raw(), stats) {
-            self.total -= old.count;
+        if let Some(old) =
+            self.by_line.insert(line.raw(), LineEntry { stats, digest: OnceLock::new() })
+        {
+            self.total -= old.stats.count;
         }
     }
 
@@ -137,7 +145,7 @@ impl MissProfile {
     /// the profile an in-order recording would have built (positions are
     /// documented ascending, and the planner's byte-equality depends on it).
     pub fn fold_sample(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
-        let stats = self.by_line.entry(line.raw()).or_default();
+        let stats = self.by_line.entry(line.raw()).or_default().stats_mut();
         stats.count += 1;
         *stats.at_blocks.entry(block).or_insert(0) += 1;
         let mut seen = Vec::with_capacity(history.len());
@@ -168,7 +176,8 @@ impl MissProfile {
     /// trace position, or underflowing block/history counts) — removing
     /// phantom samples would silently corrupt the profile.
     pub fn unfold_sample(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
-        let stats = self.by_line.get_mut(&line.raw()).expect("unfold of an unknown line");
+        let stats =
+            self.by_line.get_mut(&line.raw()).expect("unfold of an unknown line").stats_mut();
         let at = stats.positions.partition_point(|&p| p < idx);
         assert!(
             stats.positions.get(at) == Some(&idx),
@@ -201,7 +210,15 @@ impl MissProfile {
 
     /// Stats for `line`, if it ever missed.
     pub fn line(&self, line: Line) -> Option<&LineMissStats> {
-        self.by_line.get(&line.raw())
+        self.by_line.get(&line.raw()).map(|e| &e.stats)
+    }
+
+    /// [`LineMissStats::content_digest`] of `line`'s stats, computed at most
+    /// once per mutation of the line (the planner's per-line memo key), or
+    /// `None` if the line never missed.
+    pub fn line_digest(&self, line: Line) -> Option<u64> {
+        let e = self.by_line.get(&line.raw())?;
+        Some(*e.digest.get_or_init(|| e.stats.content_digest()))
     }
 
     /// Total sampled misses.
@@ -217,14 +234,14 @@ impl MissProfile {
     /// Missing lines ordered by miss count, heaviest first.
     pub fn lines_by_count(&self) -> Vec<(Line, &LineMissStats)> {
         let mut v: Vec<(Line, &LineMissStats)> =
-            self.by_line.iter().map(|(&raw, s)| (Line::new(raw), s)).collect();
+            self.by_line.iter().map(|(&raw, e)| (Line::new(raw), &e.stats)).collect();
         v.sort_by_key(|&(l, s)| (std::cmp::Reverse(s.count), l));
         v
     }
 
     /// Iterates all `(line, stats)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (Line, &LineMissStats)> {
-        self.by_line.iter().map(|(&raw, s)| (Line::new(raw), s))
+        self.by_line.iter().map(|(&raw, e)| (Line::new(raw), &e.stats))
     }
 }
 
@@ -261,20 +278,6 @@ mod tests {
         mp.record(l, b(2), 1, &[]);
         mp.record(l, b(2), 2, &[]);
         assert_eq!(mp.line(l).unwrap().dominant_block(), Some(b(2)));
-    }
-
-    #[test]
-    fn ranked_predictors_order_and_exclusion() {
-        let mut mp = MissProfile::new();
-        let l = Line::new(7);
-        mp.record(l, b(9), 0, &[b(1), b(2)]);
-        mp.record(l, b(9), 1, &[b(2)]);
-        mp.record(l, b(9), 2, &[b(2), b(3)]);
-        let s = mp.line(l).unwrap();
-        let ranked = s.ranked_predictors(&[]);
-        assert_eq!(ranked[0], (b(2), 3));
-        let without = s.ranked_predictors(&[b(2)]);
-        assert!(without.iter().all(|&(blk, _)| blk != b(2)));
     }
 
     #[test]
@@ -378,5 +381,42 @@ mod tests {
         d.record(l, b(1), 0, &[b(3), b(4)]);
         d.record(l, b(2), 2, &[b(4)]);
         assert_ne!(a.line(l).unwrap().content_digest(), d.line(l).unwrap().content_digest());
+    }
+
+    #[test]
+    fn line_digest_tracks_every_mutation() {
+        fn check(mp: &MissProfile, l: Line) {
+            let fresh = mp.line(l).unwrap().content_digest();
+            // Twice: the first call fills the cache, the second reads it.
+            assert_eq!(mp.line_digest(l), Some(fresh));
+            assert_eq!(mp.line_digest(l), Some(fresh));
+        }
+        let l = Line::new(9);
+        let mut mp = MissProfile::new();
+        assert_eq!(mp.line_digest(l), None);
+        mp.record(l, b(1), 4, &[b(2), b(3)]);
+        check(&mp, l);
+        mp.record(l, b(1), 8, &[b(3)]);
+        check(&mp, l);
+        mp.fold_sample(l, b(4), 6, &[b(2)]);
+        check(&mp, l);
+        mp.unfold_sample(l, b(1), 4, &[b(2), b(3)]);
+        check(&mp, l);
+        let copy = mp.clone();
+        check(&copy, l);
+        mp.record(l, b(5), 12, &[]);
+        check(&mp, l);
+        check(&copy, l);
+        assert_ne!(mp.line_digest(l), copy.line_digest(l));
+        let installed = LineMissStats {
+            count: 1,
+            at_blocks: [(b(7), 1)].into_iter().collect(),
+            positions: vec![3],
+            ..Default::default()
+        };
+        mp.insert_line(l, installed);
+        check(&mp, l);
+        mp.unfold_sample(l, b(7), 3, &[]);
+        assert_eq!(mp.line_digest(l), None);
     }
 }

@@ -13,8 +13,6 @@
 //! so `count(S) = Σ_{M ⊇ S} count(M)`.
 
 use ispy_trace::{BlockId, Trace};
-use std::collections::HashMap;
-use std::collections::VecDeque;
 
 /// Maximum number of candidate predictor blocks per query (masks are `u16`
 /// indices into dense arrays, so 8 keeps them tiny).
@@ -34,14 +32,6 @@ pub struct JointQuery {
     pub candidates: Vec<BlockId>,
     /// Look-ahead horizon in block events.
     pub horizon_blocks: u32,
-}
-
-impl JointQuery {
-    /// First target position at or after `idx`, if any.
-    fn next_target_at_or_after(&self, idx: u32) -> Option<u32> {
-        let i = self.target_positions.partition_point(|&p| p < idx);
-        self.target_positions.get(i).copied()
-    }
 }
 
 /// Dense per-mask counts answering a [`JointQuery`].
@@ -118,42 +108,50 @@ pub fn scan_joint(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Ve
     let mut results: Vec<JointCounts> =
         queries.iter().map(|q| JointCounts::new(q.candidates.len())).collect();
 
-    // Group queries by site for O(1) dispatch per trace event.
-    let mut by_site: HashMap<BlockId, Vec<usize>> = HashMap::new();
+    // Only sites and candidates are ever looked up, so dense per-block
+    // arrays sized by the largest of those ids suffice; trace blocks beyond
+    // them are skipped.
+    let size = queries
+        .iter()
+        .flat_map(|q| std::iter::once(q.site).chain(q.candidates.iter().copied()))
+        .map(|b| b.index() + 1)
+        .max()
+        .unwrap_or(0);
+    // Queries by site, for O(1) dispatch per trace event.
+    let mut by_site: Vec<Vec<usize>> = vec![Vec::new(); size];
     for (i, q) in queries.iter().enumerate() {
-        by_site.entry(q.site).or_default().push(i);
+        by_site[q.site.index()].push(i);
     }
-
-    // Rolling presence window with multiplicity counts.
-    let mut window: VecDeque<BlockId> = VecDeque::with_capacity(lbr_depth + 1);
-    let mut present: HashMap<BlockId, u32> = HashMap::new();
+    // `last[b]`: 1 + the most recent position of `b` so far (0 = never).
+    // `b` is in the LBR window at position `idx` iff it occurred within the
+    // last `lbr_depth` events, the current one included.
+    let mut last: Vec<usize> = vec![0; size];
+    // Per-query cursor into `target_positions`: site occurrences arrive in
+    // trace order, so each query's next target only ever moves forward.
+    let mut cursor: Vec<usize> = vec![0; queries.len()];
 
     for (idx, block) in trace.iter().enumerate() {
-        window.push_back(block);
-        *present.entry(block).or_insert(0) += 1;
-        if window.len() > lbr_depth {
-            let old = window.pop_front().expect("non-empty");
-            if let Some(c) = present.get_mut(&old) {
-                *c -= 1;
-                if *c == 0 {
-                    present.remove(&old);
-                }
-            }
+        let b = block.index();
+        if b >= size {
+            continue;
         }
-
-        let Some(query_ids) = by_site.get(&block) else { continue };
-        for &qi in query_ids {
+        last[b] = idx + 1;
+        for &qi in &by_site[b] {
             let q = &queries[qi];
             let mut mask = 0u16;
             for (ci, cand) in q.candidates.iter().enumerate() {
-                if present.contains_key(cand) {
+                let seen = last[cand.index()];
+                if seen != 0 && idx + 1 - seen < lbr_depth {
                     mask |= 1 << ci;
                 }
             }
             results[qi].occurrences[mask as usize] += 1;
-            let hit = q
-                .next_target_at_or_after(idx as u32 + 1)
-                .is_some_and(|pos| pos - idx as u32 <= q.horizon_blocks);
+            let targets = &q.target_positions;
+            let c = &mut cursor[qi];
+            while *c < targets.len() && targets[*c] as usize <= idx {
+                *c += 1;
+            }
+            let hit = targets.get(*c).is_some_and(|&pos| pos - idx as u32 <= q.horizon_blocks);
             if hit {
                 results[qi].hits[mask as usize] += 1;
             }
@@ -270,6 +268,86 @@ mod tests {
         assert_eq!(res.len(), 2);
         assert_eq!(res[1].total_occurrences(), 1);
         assert_eq!(res[1].occurrences.len(), 1); // empty candidate set -> one mask
+    }
+
+    /// The definition, computed the slow way: the window is a trace slice,
+    /// presence a linear search of it, the next target a linear search of
+    /// the positions.
+    fn naive_scan(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Vec<JointCounts> {
+        let blocks = trace.blocks();
+        let mut results: Vec<JointCounts> =
+            queries.iter().map(|q| JointCounts::new(q.candidates.len())).collect();
+        for (idx, &block) in blocks.iter().enumerate() {
+            let window = &blocks[idx + 1 - lbr_depth.min(idx + 1)..=idx];
+            for (q, res) in queries.iter().zip(&mut results) {
+                if q.site != block {
+                    continue;
+                }
+                let mut mask = 0usize;
+                for (ci, cand) in q.candidates.iter().enumerate() {
+                    if window.contains(cand) {
+                        mask |= 1 << ci;
+                    }
+                }
+                res.occurrences[mask] += 1;
+                let next = q.target_positions.iter().find(|&&p| p as usize > idx);
+                if next.is_some_and(|&p| p as usize - idx <= q.horizon_blocks as usize) {
+                    res.hits[mask] += 1;
+                }
+            }
+        }
+        results
+    }
+
+    #[test]
+    fn dense_scan_matches_naive_reference() {
+        use ispy_trace::rng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(0x5CA7);
+        for round in 0..200 {
+            // A small alphabet repeats blocks inside every window.
+            let alphabet = 2 + rng.below(10) as u32;
+            let len = rng.below(300) as usize;
+            let trace =
+                Trace::new("t", (0..len).map(|_| b(rng.below(alphabet.into()) as u32)).collect());
+            let mut queries = Vec::new();
+            for _ in 0..1 + rng.below(6) {
+                // Ids at or past `alphabet` never occur in the trace; 1000
+                // also lies past every id that does.
+                let pick = |rng: &mut Pcg32| match rng.below(8) {
+                    0 => b(alphabet + rng.below(3) as u32),
+                    1 => b(1000),
+                    _ => b(rng.below(alphabet.into()) as u32),
+                };
+                let site = pick(&mut rng);
+                let candidates =
+                    (0..rng.below(MAX_CANDIDATES as u64 + 1)).map(|_| pick(&mut rng)).collect();
+                let horizon = rng.below(12) as u32;
+                let mut targets: Vec<u32> = (0..len as u32).filter(|_| rng.chance(0.1)).collect();
+                // Targets exactly at (and one past) the horizon of some site
+                // occurrences.
+                for (idx, blk) in trace.iter().enumerate() {
+                    if blk == site && rng.chance(0.3) {
+                        targets.push(idx as u32 + horizon);
+                        targets.push(idx as u32 + horizon + 1);
+                    }
+                }
+                targets.sort_unstable();
+                targets.dedup();
+                queries.push(JointQuery {
+                    site,
+                    target_positions: targets,
+                    candidates,
+                    horizon_blocks: horizon,
+                });
+            }
+            for depth in [0usize, 1, 2, 5, 32] {
+                assert_eq!(
+                    scan_joint(&trace, depth, &queries),
+                    naive_scan(&trace, depth, &queries),
+                    "round {round}, depth {depth}"
+                );
+            }
+        }
     }
 
     #[test]
