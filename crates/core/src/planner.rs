@@ -64,15 +64,6 @@ impl PlanStats {
         self.ops_plain + self.ops_cond + self.ops_coalesced + self.ops_cond_coalesced
     }
 
-    /// Mean predictor blocks per adopted context.
-    pub fn avg_ctx_blocks(&self) -> f64 {
-        if self.contexts_adopted == 0 {
-            0.0
-        } else {
-            self.context_blocks_total as f64 / self.contexts_adopted as f64
-        }
-    }
-
     /// Miss coverage of the plan at the planning level: covered / targeted.
     pub fn planned_coverage(&self) -> f64 {
         if self.target_lines == 0 {
@@ -236,11 +227,6 @@ impl PlannerBaseline {
         for l in lines {
             cache.remove(&l.raw());
         }
-    }
-
-    /// Number of memoized per-line outcomes (diagnostics).
-    pub fn memo_len(&self) -> usize {
-        self.line_memo.lock().expect("memo lock").len()
     }
 
     /// Answers `queries` (targets given as blocks) from the joint cache,
@@ -1366,7 +1352,6 @@ mod tests {
             lines_per_op_hist: vec![5, 3, 2, 0, 0, 0, 0, 0, 0],
             ..Default::default()
         };
-        assert!((stats.avg_ctx_blocks() - 3.0).abs() < 1e-12);
         assert!((stats.planned_coverage() - 0.8).abs() < 1e-12);
         // Multi-line ops: 3 two-line + 2 three-line; below 4 lines = all 5.
         assert!((stats.coalesced_fraction_below(4) - 1.0).abs() < 1e-12);

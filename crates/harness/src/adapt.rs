@@ -36,8 +36,7 @@ use ispy_trace::{AppModel, BlockSource, Program, Trace};
 use std::time::Instant;
 
 /// Warmup blocks replayed (unobserved) ahead of each profiled window, so
-/// the window's samples reflect warm caches and a full LBR history — same
-/// default as the sharded replayer's `warmup_blocks`.
+/// the window's samples reflect warm caches and a full LBR history.
 const PROFILE_WARMUP: usize = 8_192;
 
 /// One window of the adaptive run next to its oracle target.
@@ -362,9 +361,8 @@ fn adapt_over(
                 }
                 let t0 = Instant::now();
                 // Warm the profiling replay with the trace slice preceding
-                // the window (the same idiom as the sharded replayer's
-                // warmup), so window-start cache and history state matches
-                // continuous profiling.
+                // the window, so window-start cache and history state
+                // matches continuous profiling.
                 let start = k * window;
                 let warmup = &rep_ref.blocks()[start.saturating_sub(PROFILE_WARMUP)..start];
                 let delta = window_delta(

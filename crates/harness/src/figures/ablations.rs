@@ -29,7 +29,7 @@ pub fn replacement(session: &Session) -> Table {
         let ctx = &session.apps()[i];
         let c = session.comparison(i);
         let cfg = SimConfig { prefetch_insert: PRIOS[pi], ..SimConfig::default() };
-        let r = ctx.simulate_compiled(&cfg, &c.ispy_compiled);
+        let r = ctx.simulate(&cfg, Some(&c.ispy_compiled));
         r.speedup_over(&c.baseline)
     });
     for (i, ctx) in session.apps().iter().enumerate() {
@@ -68,7 +68,8 @@ pub fn sampling(session: &Session) -> Table {
         let scfg = SimConfig::default();
         let prof = profile(&ctx.program, &ctx.trace, &scfg, SampleRate::every(PERIODS[si]));
         let plan = Planner::new(&ctx.program, &ctx.trace, &prof, IspyConfig::default()).plan();
-        let r = ctx.simulate(&scfg, Some(&plan.injections));
+        let compiled = plan.injections.compile(ctx.program.num_blocks());
+        let r = ctx.simulate(&scfg, Some(&compiled));
         (r.mpki_reduction_vs(&c.baseline), r.fraction_of_ideal(&c.baseline, &c.ideal))
     });
     for (si, period) in PERIODS.iter().enumerate() {
@@ -109,7 +110,8 @@ pub fn bloom_k(session: &Session) -> Table {
             IspyConfig::default().with_hash(hash),
         )
         .plan_with_baseline(session.planner_baseline(i));
-        let r = ctx.simulate(&SimConfig::default().with_hash(hash), Some(&plan.injections));
+        let compiled = plan.injections.compile(ctx.program.num_blocks());
+        let r = ctx.simulate(&SimConfig::default().with_hash(hash), Some(&compiled));
         let sup = if r.pf_ops_executed == 0 {
             0.0
         } else {

@@ -34,7 +34,8 @@ pub fn run(session: &Session) -> Table {
             AsmDbConfig::default().with_fanout_threshold(THRESHOLDS[ti]),
         )
         .plan();
-        let r = ctx.simulate(&SimConfig::default(), Some(&plan.injections));
+        let compiled = plan.injections.compile(ctx.program.num_blocks());
+        let r = ctx.simulate(&SimConfig::default(), Some(&compiled));
         (r.mpki_reduction_vs(&c.baseline), r.accuracy(), r.fraction_of_ideal(&c.baseline, &c.ideal))
     });
     for (ti, &th) in THRESHOLDS.iter().enumerate() {

@@ -24,7 +24,8 @@ pub fn run(session: &Session) -> Table {
         let ctx = &session.apps()[i];
         let c = session.comparison(i);
         let plan = SpatialPlanner::new(&ctx.program, &ctx.profile, MODES[mi]).plan();
-        let r = ctx.simulate(&SimConfig::default(), Some(&plan.injections));
+        let compiled = plan.injections.compile(ctx.program.num_blocks());
+        let r = ctx.simulate(&SimConfig::default(), Some(&compiled));
         r.speedup_over(&c.baseline)
     });
     let mut gains = Vec::new();

@@ -42,8 +42,8 @@ pub fn run(session: &Session) -> Table {
         let ideal = ctx.simulate_variant(k, events, &SimConfig::ideal(), None);
         // The plans were lowered once with the comparison; every drift cell
         // replays the compiled form instead of re-lowering the BTree map.
-        let asmdb = ctx.simulate_variant_compiled(k, events, &scfg, &c.asmdb_compiled);
-        let ispy = ctx.simulate_variant_compiled(k, events, &scfg, &c.ispy_compiled);
+        let asmdb = ctx.simulate_variant(k, events, &scfg, Some(&c.asmdb_compiled));
+        let ispy = ctx.simulate_variant(k, events, &scfg, Some(&c.ispy_compiled));
         (asmdb.fraction_of_ideal(&base, &ideal), ispy.fraction_of_ideal(&base, &ideal))
     });
     let mut worst_ispy: f64 = 1.0;

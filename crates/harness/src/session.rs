@@ -3,6 +3,7 @@
 use ispy_baselines::asmdb::{AsmDbConfig, AsmDbPlanner};
 use ispy_core::planner::Plan;
 use ispy_core::{IspyConfig, Planner, PlannerBaseline};
+use ispy_isa::CompiledInjections;
 use ispy_profile::{profile, Profile, SampleRate};
 use ispy_sim::{run, OutcomeLedger, RunOptions, SimConfig, SimResult};
 use ispy_trace::{apps, AppModel, InputSpec, Program, Trace};
@@ -102,62 +103,25 @@ impl AppContext {
         self.model.name()
     }
 
-    /// Runs the prepared trace under `cfg` with optional injections.
-    pub fn simulate(
-        &self,
-        cfg: &SimConfig,
-        injections: Option<&ispy_isa::InjectionMap>,
-    ) -> SimResult {
-        run(&self.program, &self.trace, cfg, RunOptions { injections, ..Default::default() })
-    }
-
-    /// Runs the prepared trace under `cfg` replaying a pre-lowered plan.
-    /// Sweeps that evaluate one plan under many configurations compile it
-    /// once (see [`ispy_isa::InjectionMap::compile`]) and use this, skipping
-    /// the per-run lowering that [`AppContext::simulate`] performs.
-    pub fn simulate_compiled(
-        &self,
-        cfg: &SimConfig,
-        compiled: &ispy_isa::CompiledInjections,
-    ) -> SimResult {
-        run(
-            &self.program,
-            &self.trace,
-            cfg,
-            RunOptions { compiled: Some(compiled), ..Default::default() },
-        )
+    /// Runs the prepared trace under `cfg` with an optional injection plan,
+    /// lowered beforehand (see [`ispy_isa::InjectionMap::compile`]) so sweeps
+    /// that evaluate one plan under many configurations lower it once.
+    pub fn simulate(&self, cfg: &SimConfig, plan: Option<&CompiledInjections>) -> SimResult {
+        run(&self.program, &self.trace, cfg, RunOptions { compiled: plan, ..Default::default() })
     }
 
     /// Records a trace of input variant `k` (0 = the profiled input) and
-    /// runs it with optional injections — the Fig. 16 drift experiment.
+    /// runs it with an optional lowered plan — the Fig. 16 drift experiment.
     pub fn simulate_variant(
         &self,
         k: usize,
         events: usize,
         cfg: &SimConfig,
-        injections: Option<&ispy_isa::InjectionMap>,
+        plan: Option<&CompiledInjections>,
     ) -> SimResult {
         let input: InputSpec = self.model.input_variant(k);
         let trace = self.program.record_trace(input, events);
-        run(&self.program, &trace, cfg, RunOptions { injections, ..Default::default() })
-    }
-
-    /// [`AppContext::simulate_variant`] with a pre-lowered plan.
-    pub fn simulate_variant_compiled(
-        &self,
-        k: usize,
-        events: usize,
-        cfg: &SimConfig,
-        compiled: &ispy_isa::CompiledInjections,
-    ) -> SimResult {
-        let input: InputSpec = self.model.input_variant(k);
-        let trace = self.program.record_trace(input, events);
-        run(
-            &self.program,
-            &trace,
-            cfg,
-            RunOptions { compiled: Some(compiled), ..Default::default() },
-        )
+        run(&self.program, &trace, cfg, RunOptions { compiled: plan, ..Default::default() })
     }
 }
 
@@ -174,13 +138,13 @@ pub struct Comparison {
     pub asmdb_plan: Plan,
     /// AsmDB plan lowered once for replay; sweeps that re-simulate the plan
     /// (drift inputs, policy ablations) share this instead of re-lowering.
-    pub asmdb_compiled: ispy_isa::CompiledInjections,
+    pub asmdb_compiled: CompiledInjections,
     /// I-SPY result (conditional + coalescing).
     pub ispy: SimResult,
     /// I-SPY plan.
     pub ispy_plan: Plan,
     /// I-SPY plan lowered once for replay (see `asmdb_compiled`).
-    pub ispy_compiled: ispy_isa::CompiledInjections,
+    pub ispy_compiled: CompiledInjections,
     /// Per-injection runtime outcomes for the I-SPY run, indexed by the
     /// provenance ids in [`Plan::provenance`].
     pub ispy_outcomes: OutcomeLedger,
@@ -294,7 +258,7 @@ impl Session {
             }
         };
         let asmdb_compiled = asmdb_plan.injections.compile(ctx.program.num_blocks());
-        let asmdb = ctx.simulate_compiled(&scfg, &asmdb_compiled);
+        let asmdb = ctx.simulate(&scfg, Some(&asmdb_compiled));
         let ispy_plan = match self.cache.as_ref().and_then(|c| c.load_plan(ctx.name(), "ispy")) {
             Some(plan) => plan,
             None => {
@@ -340,7 +304,8 @@ impl Session {
         let ctx = &self.apps[i];
         let plan = Planner::new(&ctx.program, &ctx.trace, &ctx.profile, cfg)
             .plan_with_baseline(&self.baselines[i]);
-        let result = ctx.simulate(&SimConfig::default(), Some(&plan.injections));
+        let compiled = plan.injections.compile(ctx.program.num_blocks());
+        let result = ctx.simulate(&SimConfig::default(), Some(&compiled));
         (plan, result)
     }
 
@@ -415,12 +380,20 @@ mod tests {
         let scfg = SimConfig::default();
         // The cached comparison results were produced from the compiled
         // plans; replaying the raw maps must give byte-identical results.
-        assert_eq!(ctx.simulate(&scfg, Some(&c.asmdb_plan.injections)), c.asmdb);
-        assert_eq!(ctx.simulate(&scfg, Some(&c.ispy_plan.injections)), c.ispy);
+        let via_map = |trace: &Trace, map| {
+            run(
+                &ctx.program,
+                trace,
+                &scfg,
+                RunOptions { injections: Some(map), ..Default::default() },
+            )
+        };
+        assert_eq!(via_map(&ctx.trace, &c.asmdb_plan.injections), c.asmdb);
+        assert_eq!(via_map(&ctx.trace, &c.ispy_plan.injections), c.ispy);
         // And a drift-input replay agrees between the two forms too.
-        let via_map = ctx.simulate_variant(1, 10_000, &scfg, Some(&c.ispy_plan.injections));
-        let via_compiled = ctx.simulate_variant_compiled(1, 10_000, &scfg, &c.ispy_compiled);
-        assert_eq!(via_map, via_compiled);
+        let drift = ctx.program.record_trace(ctx.model.input_variant(1), 10_000);
+        let via_compiled = ctx.simulate_variant(1, 10_000, &scfg, Some(&c.ispy_compiled));
+        assert_eq!(via_map(&drift, &c.ispy_plan.injections), via_compiled);
     }
 
     #[test]

@@ -73,28 +73,8 @@ where
     par_collect_with(threads(), n, f)
 }
 
-/// [`par_collect`] with an explicit worker count instead of the process-wide
-/// budget. The simulator's time-sliced shard replay uses this so a caller's
-/// `ShardConfig::shards` choice maps to exactly that many workers (bounded
-/// by the item count) without disturbing the global `--jobs` setting.
-///
-/// Output is identical for any `max_workers` value — results are collected
-/// by item index, like every fan-out in this crate.
-///
-/// # Examples
-///
-/// ```
-/// let squares = ispy_parallel::par_collect_bounded(2, 4, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9]);
-/// ```
-pub fn par_collect_bounded<R, F>(max_workers: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_collect_with(max_workers.max(1), n, f)
-}
-
+/// [`par_collect`] with an explicit worker count (clamped to the item
+/// count; `0` or `1` runs serially).
 fn par_collect_with<R, F>(workers: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -229,10 +209,10 @@ mod tests {
     fn bounded_matches_unbounded() {
         let a = par_collect(37, |i| i * 7);
         for workers in [1, 2, 4, 8, 64] {
-            assert_eq!(par_collect_bounded(workers, 37, |i| i * 7), a);
+            assert_eq!(par_collect_with(workers, 37, |i| i * 7), a);
         }
         // A zero request degrades to one worker rather than deadlocking.
-        assert_eq!(par_collect_bounded(0, 3, |i| i), vec![0, 1, 2]);
+        assert_eq!(par_collect_with(0, 3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]

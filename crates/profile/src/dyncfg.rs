@@ -3,7 +3,6 @@
 use crate::digest::ContentHasher;
 use ispy_trace::BlockId;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// A dynamic CFG: blocks weighted by execution count, edges weighted by
 /// taken-branch count, and per-block average cycle costs.
@@ -108,38 +107,6 @@ impl DynCfg {
     pub fn live_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.exec.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(i, _)| BlockId(i as u32))
     }
-
-    /// Renders the subgraph around `center` (its predecessors up to `depth`)
-    /// in Graphviz dot format — used by the Fig. 2 walkthrough.
-    pub fn to_dot(&self, center: BlockId, depth: usize) -> String {
-        let mut nodes = vec![center];
-        let mut frontier = vec![center];
-        for _ in 0..depth {
-            let mut next = Vec::new();
-            for &b in &frontier {
-                for &(p, _) in self.preds(b) {
-                    if !nodes.contains(&p) {
-                        nodes.push(p);
-                        next.push(p);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        let mut out = String::from("digraph dyncfg {\n");
-        for &n in &nodes {
-            let _ = writeln!(out, "  {} [label=\"{} x{}\"];", n.0, n, self.exec_count(n));
-        }
-        for &n in &nodes {
-            for &(p, w) in self.preds(n) {
-                if nodes.contains(&p) {
-                    let _ = writeln!(out, "  {} -> {} [label=\"{}\"];", p.0, n.0, w);
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -181,15 +148,6 @@ mod tests {
         let g = DynCfg::new(vec![1, 0, 2], vec![1.0; 3], &HashMap::new());
         let live: Vec<_> = g.live_blocks().map(|b| b.0).collect();
         assert_eq!(live, vec![0, 2]);
-    }
-
-    #[test]
-    fn dot_contains_nodes_and_edges() {
-        let g = simple();
-        let dot = g.to_dot(BlockId(3), 2);
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("1 -> 3"));
-        assert!(dot.contains("0 -> 1"));
     }
 
     #[test]

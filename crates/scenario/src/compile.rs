@@ -16,7 +16,7 @@
 //!    tenant's walker swaps in when the stream crosses a phase boundary.
 
 use crate::model::{temper, Arrival, Scenario};
-use crate::source::{ScenarioSource, ScenarioWindows};
+use crate::source::ScenarioSource;
 use ispy_sim::SwitchSchedule;
 use ispy_trace::program::{BlockExit, FuncId, Function};
 use ispy_trace::{Addr, BasicBlock, BlockId, Program, LINE_BYTES};
@@ -160,12 +160,6 @@ impl CompiledScenario {
     /// event 0.
     pub fn source(&self) -> ScenarioSource<'_> {
         ScenarioSource::new(self)
-    }
-
-    /// A windowed view for sharded replay, checkpointing the generator
-    /// every `stride` events.
-    pub fn windows(&self, stride: u64) -> ScenarioWindows<'_> {
-        ScenarioWindows::new(self, stride)
     }
 
     /// `(first_block, num_blocks)` of each tenant in the merged program.

@@ -19,12 +19,10 @@
 //!    materializes the tenant-switch/phase
 //!    [`SwitchSchedule`](ispy_sim::SwitchSchedule), and derives per-phase
 //!    request-mix tables.
-//! 3. [`ScenarioSource`] / [`ScenarioWindows`] — stream the interleaved
-//!    block trace through the simulator's
-//!    [`BlockSource`](ispy_trace::BlockSource) and
-//!    [`WindowedBlockSource`](ispy_sim::WindowedBlockSource) protocols, so
-//!    `run_streaming` and `simulate_sharded_source` replay scenarios
-//!    unchanged, serial == sharded, byte-for-byte.
+//! 3. [`ScenarioSource`] — streams the interleaved block trace through the
+//!    simulator's [`BlockSource`](ispy_trace::BlockSource) protocol, so
+//!    `run_streaming` replays scenarios unchanged, in bounded memory, and
+//!    byte-for-byte equal to `run` over the drained trace.
 //!
 //! # Examples
 //!
@@ -56,4 +54,4 @@ pub mod source;
 
 pub use compile::CompiledScenario;
 pub use model::{Arrival, PhaseSpec, Scenario, TenantSpec};
-pub use source::{ScenarioSource, ScenarioWindows};
+pub use source::ScenarioSource;

@@ -238,13 +238,6 @@ impl Scenario {
         self
     }
 
-    /// Replaces the context-switch interference model.
-    #[must_use]
-    pub fn with_effect(mut self, effect: SwitchEffect) -> Self {
-        self.effect = effect;
-        self
-    }
-
     /// Checks structural validity; compile panics on the same conditions.
     ///
     /// # Errors

@@ -6,9 +6,8 @@
 //!
 //! The determinism contract matches [`WalkerSource`](ispy_trace::WalkerSource):
 //! the concatenated block sequence is independent of how pulls are sized,
-//! cloning checkpoints the generator mid-stream, and [`ScenarioWindows`]
-//! exposes the same trace to the sharded replayer — so serial and sharded
-//! scenario replay are byte-identical.
+//! and cloning checkpoints the generator mid-stream — so a streamed scenario
+//! replays byte-identically to the same stream drained into a trace.
 //!
 //! Two properties make the interleaving faithful to a real co-located core:
 //!
@@ -23,7 +22,6 @@
 
 use crate::compile::CompiledScenario;
 use ispy_artifact::ArtifactError;
-use ispy_sim::WindowedBlockSource;
 use ispy_trace::source::DEFAULT_CHUNK_EVENTS;
 use ispy_trace::{BlockId, BlockSource, InputSpec, Walker};
 
@@ -58,8 +56,6 @@ pub struct ScenarioSource<'s> {
     walkers: Vec<Walker<'s>>,
     /// Next trace-event index to produce.
     pos: u64,
-    /// One past the last event this source will yield.
-    end: u64,
     /// Cursor into `schedule().switches()`: first entry not yet applied.
     cur_switch: usize,
     /// Cursor into `schedule().phases()`: first entry not yet applied.
@@ -100,7 +96,6 @@ impl<'s> ScenarioSource<'s> {
             sc,
             walkers,
             pos: 0,
-            end: sc.total_events(),
             cur_switch: 0,
             cur_phase: 0,
             cur_tenant: 0,
@@ -111,37 +106,14 @@ impl<'s> ScenarioSource<'s> {
 
     /// Events this source will still yield.
     pub fn remaining(&self) -> u64 {
-        self.end - self.pos
-    }
-
-    /// The trace-event index of the next block produced.
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Advances the stream by `n` events without exposing them — the
-    /// fast-forward used to open shard windows from a checkpoint. Walker
-    /// state, switch cursors, and phase-mix swaps all advance exactly as if
-    /// the events had been pulled.
-    pub fn skip(&mut self, mut n: u64) {
-        while n > 0 && self.pos < self.end {
-            let take = n.min(self.chunk as u64) as usize;
-            let produced = self.fill(take);
-            n -= produced as u64;
-        }
-        self.buf.clear();
-    }
-
-    /// Caps the source at `len` more events (clamped to what remains).
-    pub fn truncate(&mut self, len: u64) {
-        self.end = self.end.min(self.pos.saturating_add(len));
+        self.sc.total_events() - self.pos
     }
 
     /// Produces up to `budget` events into `buf`, honoring every switch and
-    /// phase boundary it crosses; returns the number produced.
-    fn fill(&mut self, budget: usize) -> usize {
+    /// phase boundary it crosses.
+    fn fill(&mut self, budget: usize) {
         self.buf.clear();
-        let budget = (budget as u64).min(self.end - self.pos) as usize;
+        let budget = (budget as u64).min(self.remaining()) as usize;
         let switches = self.sc.schedule().switches();
         let phases = self.sc.schedule().phases();
         while self.buf.len() < budget {
@@ -158,7 +130,7 @@ impl<'s> ScenarioSource<'s> {
                 self.cur_switch += 1;
             }
             // Run the scheduled tenant up to the next boundary (or budget).
-            let mut stop = self.end;
+            let mut stop = self.sc.total_events();
             if let Some(&(at, _)) = phases.get(self.cur_phase) {
                 stop = stop.min(at);
             }
@@ -172,13 +144,12 @@ impl<'s> ScenarioSource<'s> {
             self.buf.extend(w.by_ref().take(take).map(|b| BlockId(b.0 + off)));
             self.pos += take as u64;
         }
-        budget
     }
 }
 
 impl BlockSource for ScenarioSource<'_> {
     fn next_chunk(&mut self) -> Result<Option<&[BlockId]>, ArtifactError> {
-        if self.pos >= self.end {
+        if self.remaining() == 0 {
             return Ok(None);
         }
         self.fill(self.chunk);
@@ -187,74 +158,6 @@ impl BlockSource for ScenarioSource<'_> {
 
     fn len_hint(&self) -> Option<u64> {
         Some(self.remaining())
-    }
-}
-
-/// A [`WindowedBlockSource`] over a compiled scenario, for sharded replay.
-///
-/// Construction makes one bounded-memory pass over the trace, checkpointing
-/// the generator every `stride` events (clone of the per-tenant walker
-/// states — a few hundred bytes per tenant). Opening a window clones the
-/// nearest checkpoint at or before the window start and fast-forwards the
-/// remainder, so shards never re-generate more than one stride of events
-/// and any shard count yields the identical block sequence.
-///
-/// # Examples
-///
-/// ```
-/// use ispy_scenario::Scenario;
-/// use ispy_sim::WindowedBlockSource;
-/// use ispy_trace::BlockSource;
-///
-/// let c = Scenario::preset("steady").unwrap().scaled_down(20).compile(4_000);
-/// let w = c.windows(1_000);
-/// let mut win = w.open_window(1_000, 500);
-/// assert_eq!(win.len_hint(), Some(500));
-/// ```
-#[derive(Debug)]
-pub struct ScenarioWindows<'s> {
-    checkpoints: Vec<ScenarioSource<'s>>,
-    stride: u64,
-    total: u64,
-}
-
-impl<'s> ScenarioWindows<'s> {
-    /// Builds the checkpoint index with one pass over the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    pub fn new(sc: &'s CompiledScenario, stride: u64) -> Self {
-        assert!(stride > 0, "checkpoint stride must be positive");
-        let total = sc.total_events();
-        let mut src = sc.source();
-        let mut checkpoints = vec![src.clone()];
-        let mut at = stride;
-        while at < total {
-            src.skip(stride);
-            checkpoints.push(src.clone());
-            at += stride;
-        }
-        ScenarioWindows { checkpoints, stride, total }
-    }
-}
-
-impl<'s> WindowedBlockSource for ScenarioWindows<'s> {
-    type Window<'a>
-        = ScenarioSource<'s>
-    where
-        Self: 'a;
-
-    fn open_window(&self, start: u64, len: u64) -> ScenarioSource<'s> {
-        let k = ((start / self.stride) as usize).min(self.checkpoints.len() - 1);
-        let mut src = self.checkpoints[k].clone();
-        src.skip(start - src.position());
-        src.truncate(len);
-        src
-    }
-
-    fn total_events(&self) -> u64 {
-        self.total
     }
 }
 
@@ -301,34 +204,6 @@ mod tests {
             let want = c.tenant_of_event(e as u64);
             assert_eq!(c.tenant_of_block(*b), want, "event {e} came from the wrong tenant");
         }
-    }
-
-    #[test]
-    fn windows_reassemble_the_serial_stream() {
-        let c = Scenario::preset("burst").unwrap().scaled_down(20).compile(16_000);
-        let reference = drain(c.source());
-        for (stride, window) in [(4_000, 4_000), (4_000, 1_000), (1_000, 3_000), (16_000, 5_000)] {
-            let w = c.windows(stride);
-            assert_eq!(w.total_events(), 16_000);
-            let mut got = Vec::new();
-            let mut start = 0;
-            while start < 16_000 {
-                let len = window.min(16_000 - start);
-                got.extend(drain(w.open_window(start, len)));
-                start += len;
-            }
-            assert_eq!(got, reference, "stride {stride} window {window}");
-        }
-    }
-
-    #[test]
-    fn skip_matches_pulling_and_discarding() {
-        let c = Scenario::preset("steady").unwrap().scaled_down(20).compile(9_000);
-        let reference = drain(c.source());
-        let mut src = c.source();
-        src.skip(4_321);
-        assert_eq!(src.position(), 4_321);
-        assert_eq!(drain(src), &reference[4_321..]);
     }
 
     #[test]

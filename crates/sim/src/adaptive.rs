@@ -5,13 +5,12 @@
 //! I-SPY deployment would redeploy injections as fresh profiles stream in.
 //! Two pieces make that deterministic and cheap:
 //!
-//! * [`AdaptiveEngine`] wraps the replay engine with
-//!   [`swap_plan`](AdaptiveEngine::swap_plan): a new [`InjectionMap`] is
-//!   compiled, its provenance ids rebased into a fresh generation range
-//!   (see [`CompiledInjections::rebase_provenance`]), and installed at a
-//!   **swap barrier** — between `replay` calls, i.e. at a block boundary.
-//!   The result depends only on *which block index* the swap lands on,
-//!   never on wall-clock timing, and prefetches issued under the old plan
+//! * A private hot-swapping engine wraps the replay engine: a new
+//!   [`InjectionMap`] is compiled, its provenance ids rebased into a fresh
+//!   generation range (see [`CompiledInjections::rebase_provenance`]), and
+//!   installed at a **swap barrier** — between replay calls, i.e. at a block
+//!   boundary. The result depends only on *which block index* the swap lands
+//!   on, never on wall-clock timing, and prefetches issued under the old plan
 //!   stay in flight and drain under their old (disjoint) provenance ids.
 //! * [`run_adaptive`] drives a [`WindowedBlockSource`] window by window,
 //!   running the caller's replanning closure for window `k` on a helper
@@ -26,12 +25,69 @@ use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
-use crate::shard::WindowedBlockSource;
 use ispy_artifact::ArtifactError;
 use ispy_isa::{CompiledInjections, InjectionMap};
-use ispy_trace::{BlockId, BlockSource, Program};
+use ispy_trace::{BlockId, BlockSource, Program, Trace, TraceBlocks};
 use std::ops::Range;
 use std::sync::Arc;
+
+/// A trace that can hand out independent [`BlockSource`]s over arbitrary
+/// `[start, start + len)` event ranges — what [`run_adaptive`] reads its
+/// windows from.
+///
+/// Implementors must be deterministic: every `open_window(s, l)` call yields
+/// the same block sequence, and that sequence equals the corresponding range
+/// of the full trace.
+pub trait WindowedBlockSource {
+    /// The per-window stream type. Generic over `'a` so slice-backed
+    /// implementations can borrow from `self`.
+    type Window<'a>: BlockSource
+    where
+        Self: 'a;
+
+    /// Opens a fresh stream over events `start .. min(start + len, total)`.
+    fn open_window(&self, start: u64, len: u64) -> Self::Window<'_>;
+
+    /// Total events in the trace this source represents.
+    fn total_events(&self) -> u64;
+}
+
+/// [`WindowedBlockSource`] over a materialized block slice: windows are
+/// plain subslice borrows.
+#[derive(Debug, Clone, Copy)]
+pub struct SliceWindows<'t> {
+    blocks: &'t [BlockId],
+}
+
+impl<'t> SliceWindows<'t> {
+    /// Windows over `blocks`.
+    pub fn new(blocks: &'t [BlockId]) -> Self {
+        SliceWindows { blocks }
+    }
+
+    /// Windows over a [`Trace`]'s events.
+    pub fn of_trace(trace: &'t Trace) -> Self {
+        Self::new(trace.blocks())
+    }
+}
+
+impl WindowedBlockSource for SliceWindows<'_> {
+    type Window<'a>
+        = TraceBlocks<'a>
+    where
+        Self: 'a;
+
+    fn open_window(&self, start: u64, len: u64) -> TraceBlocks<'_> {
+        let n = self.blocks.len();
+        let s = (start.min(n as u64)) as usize;
+        let e = ((start + len).min(n as u64)) as usize;
+        TraceBlocks::new(&self.blocks[s..e])
+    }
+
+    fn total_events(&self) -> u64 {
+        self.blocks.len() as u64
+    }
+}
 
 /// A replay engine whose injection plan can be replaced between blocks.
 ///
@@ -39,7 +95,7 @@ use std::sync::Arc;
 /// past every earlier generation's, so an attached [`OutcomeLedger`] keeps
 /// one row per (generation, injection) and in-flight prefetches crossing a
 /// swap attribute to the generation that issued them.
-pub struct AdaptiveEngine<'p, 'o> {
+struct AdaptiveEngine<'p, 'o> {
     program: &'p Program,
     eng: Engine<'o>,
     /// Absolute trace position of the next replayed block.
@@ -54,7 +110,7 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
     /// The in-flight arenas are sized for the program up front even when
     /// `initial` is empty, so later [`swap_plan`](Self::swap_plan)s run at
     /// full speed.
-    pub fn new(
+    fn new(
         program: &'p Program,
         cfg: &SimConfig,
         initial: &InjectionMap,
@@ -71,7 +127,7 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
     }
 
     /// Replays the next `blocks` of the trace under the current plan.
-    pub fn replay(&mut self, blocks: &[BlockId]) {
+    fn replay(&mut self, blocks: &[BlockId]) {
         self.eng.replay(blocks, self.idx);
         self.idx += blocks.len();
     }
@@ -89,7 +145,7 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
     /// `u32` (see [`rebase_provenance`]).
     ///
     /// [`rebase_provenance`]: ispy_isa::CompiledInjections::rebase_provenance
-    pub fn swap_plan(&mut self, plan: &InjectionMap) -> Range<u32> {
+    fn swap_plan(&mut self, plan: &InjectionMap) -> Range<u32> {
         let mut compiled = if plan.is_empty() {
             CompiledInjections::default()
         } else {
@@ -102,19 +158,9 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
         start..self.id_base
     }
 
-    /// Blocks replayed so far (the absolute position of the swap barrier).
-    pub fn blocks_replayed(&self) -> usize {
-        self.idx
-    }
-
     /// The counters accumulated so far across every generation.
-    pub fn result_so_far(&self) -> SimResult {
+    fn result_so_far(&self) -> SimResult {
         self.eng.result_so_far()
-    }
-
-    /// A copy of the attached ledger's current state (None when detached).
-    pub fn ledger_snapshot(&self) -> Option<OutcomeLedger> {
-        self.eng.ledger_snapshot()
     }
 }
 
@@ -232,7 +278,6 @@ where
 mod tests {
     use super::*;
     use crate::engine::{run, RunOptions, SimObserver};
-    use crate::shard::SliceWindows;
     use ispy_isa::{PrefetchOp, ProvenanceId};
     use ispy_trace::{apps, Line, Trace};
 

@@ -762,9 +762,8 @@ fn block_metas(
 
 /// The whole simulated machine plus replay bookkeeping, packaged so the
 /// loop can be driven over arbitrary trace windows — [`run`] replays the
-/// full trace in one call; the sharded replay
-/// ([`simulate_sharded`](crate::shard::simulate_sharded)) replays a warmup
-/// slice, snapshots, then replays its window.
+/// full trace in one call; [`run_streaming`] and the adaptive driver
+/// ([`run_adaptive`](crate::run_adaptive)) replay it chunk by chunk.
 pub(crate) struct Engine<'o> {
     hier: Hierarchy,
     lbr: Lbr,
@@ -924,10 +923,8 @@ impl<'o> Engine<'o> {
     }
 
     /// Positions the schedule cursors for a replay window starting at trace
-    /// position `idx0`: entries strictly before `idx0` are skipped (a
-    /// sharded window does not re-apply boundaries from before its warmup,
-    /// mirroring how warmup itself approximates earlier history), entries at
-    /// or after it are pending. Idempotent across the contiguous replay
+    /// position `idx0`: entries strictly before `idx0` are skipped, entries
+    /// at or after it are pending. Idempotent across the contiguous replay
     /// calls of a streamed run.
     fn sync_boundaries(&mut self, idx0: usize) {
         let sched = self.sched.as_ref().expect("caller checked sched presence");
@@ -993,17 +990,12 @@ impl<'o> Engine<'o> {
     }
 
     /// The counters so far, with the running cycle count folded in — what
-    /// [`run`] returns at the end, and what the sharded replay snapshots
-    /// around its warmup.
+    /// [`run`] returns at the end, and what the adaptive driver snapshots
+    /// around each window.
     pub(crate) fn result_so_far(&self) -> SimResult {
         let mut m = self.m;
         m.cycles = self.cycle;
         m
-    }
-
-    /// A copy of the attached ledger's current state (None when detached).
-    pub(crate) fn ledger_snapshot(&self) -> Option<OutcomeLedger> {
-        self.attr.ledger.as_deref().cloned()
     }
 
     /// Installs a new compiled plan at a deterministic barrier: the swap
@@ -1388,40 +1380,35 @@ impl<'o> Engine<'o> {
 /// let result = run(&program, &trace, &SimConfig::default(), RunOptions::default());
 /// assert_eq!(result.blocks, 5_000);
 /// ```
-pub fn run(
-    program: &Program,
-    trace: &Trace,
-    cfg: &SimConfig,
-    mut opts: RunOptions<'_>,
-) -> SimResult {
-    // Lower the injection plan into its dense compiled form unless the
-    // caller already did (sweeps reuse one compiled plan across many runs).
-    let injections = lower_plan(program, &opts);
-    let mut eng = Engine::new(
-        program,
-        cfg,
-        injections,
-        opts.observer.take(),
-        opts.hw_prefetcher.take(),
-        opts.outcomes.take(),
-        opts.reference_loop,
-        false,
-    );
+pub fn run(program: &Program, trace: &Trace, cfg: &SimConfig, opts: RunOptions<'_>) -> SimResult {
+    let mut eng = engine_for(program, cfg, opts);
     eng.replay(trace.blocks(), 0);
     eng.result_so_far()
 }
 
-/// Resolves a run's plan into the shared handle the engine holds: the
-/// pre-compiled plan if given (cloned once — a memcpy of the dense tables,
-/// negligible next to a replay), the lowered map otherwise.
-fn lower_plan(program: &Program, opts: &RunOptions<'_>) -> Arc<CompiledInjections> {
-    match opts.compiled {
+/// Builds the engine a static run replays through, attaching `opts`. The
+/// plan is lowered into its dense compiled form unless the caller already
+/// did (sweeps reuse one compiled plan across many runs); a pre-compiled
+/// plan is cloned once — a memcpy of the dense tables, negligible next to a
+/// replay.
+fn engine_for<'o>(program: &Program, cfg: &SimConfig, opts: RunOptions<'o>) -> Engine<'o> {
+    let injections = match opts.compiled {
         Some(c) => Arc::new(c.clone()),
         None => match opts.injections {
             Some(map) if !map.is_empty() => Arc::new(map.compile(program.num_blocks())),
             _ => Arc::new(CompiledInjections::default()),
         },
-    }
+    };
+    Engine::new(
+        program,
+        cfg,
+        injections,
+        opts.observer,
+        opts.hw_prefetcher,
+        opts.outcomes,
+        opts.reference_loop,
+        false,
+    )
 }
 
 /// Replays a [`BlockSource`] through the simulated machine, chunk by chunk.
@@ -1465,19 +1452,9 @@ pub fn run_streaming<S: BlockSource + ?Sized>(
     program: &Program,
     source: &mut S,
     cfg: &SimConfig,
-    mut opts: RunOptions<'_>,
+    opts: RunOptions<'_>,
 ) -> Result<SimResult, ArtifactError> {
-    let injections = lower_plan(program, &opts);
-    let mut eng = Engine::new(
-        program,
-        cfg,
-        injections,
-        opts.observer.take(),
-        opts.hw_prefetcher.take(),
-        opts.outcomes.take(),
-        opts.reference_loop,
-        false,
-    );
+    let mut eng = engine_for(program, cfg, opts);
     let mut idx0 = 0usize;
     while let Some(chunk) = source.next_chunk()? {
         eng.replay(chunk, idx0);

@@ -37,10 +37,9 @@ pub mod lbr;
 pub mod metrics;
 pub mod outcome;
 pub mod replay;
-pub mod shard;
 pub mod switch;
 
-pub use adaptive::{run_adaptive, AdaptiveEngine, AdaptiveRun};
+pub use adaptive::{run_adaptive, AdaptiveRun, SliceWindows, WindowedBlockSource};
 pub use cache::{Cache, CacheParams, InsertPriority};
 pub use config::{Latencies, SimConfig};
 pub use engine::{run, run_streaming, HwPrefetcher, NoopObserver, RunOptions, SimObserver};
@@ -50,8 +49,4 @@ pub use lbr::{BloomSig, CountingBloom, Lbr};
 pub use metrics::SimResult;
 pub use outcome::{InjectionOutcome, OutcomeLedger};
 pub use replay::{replay_file_streaming, replay_stream, ReplayOutcome};
-pub use shard::{
-    simulate_sharded, simulate_sharded_source, GenWindows, ShardConfig, SliceWindows,
-    WindowedBlockSource,
-};
 pub use switch::{SwitchEffect, SwitchSchedule};

@@ -61,14 +61,15 @@ pub struct SimResult {
 
 impl SimResult {
     /// Counter-wise difference `self − earlier`, where `earlier` is a
-    /// snapshot taken earlier in the same run. Every counter is monotone
-    /// during replay, which is what makes the sharded replay's
-    /// record-then-subtract warmup accounting exact; callers must uphold
-    /// that `earlier` really is an earlier snapshot.
+    /// snapshot taken earlier in the same run — how
+    /// [`run_adaptive`](crate::run_adaptive) reports each window's share of
+    /// the counters. Every counter is monotone during replay, so the
+    /// difference is exact; callers must uphold that `earlier` really is an
+    /// earlier snapshot.
     #[must_use]
     pub fn delta_since(&self, earlier: &SimResult) -> SimResult {
         // Exhaustive field list (no `..`): adding a counter to SimResult
-        // without teaching the shard stitch-up about it must not compile.
+        // without teaching the per-window deltas about it must not compile.
         SimResult {
             cycles: self.cycles - earlier.cycles,
             instrs: self.instrs - earlier.instrs,
@@ -91,8 +92,9 @@ impl SimResult {
         }
     }
 
-    /// Adds every counter of `other` into `self` — the shard stitch-up's
-    /// elementwise sum over per-window deltas.
+    /// Adds every counter of `other` into `self` — summing
+    /// [`AdaptiveRun::windows`](crate::AdaptiveRun::windows) this way gives
+    /// back the run's total.
     pub fn accumulate(&mut self, other: &SimResult) {
         *self = SimResult {
             cycles: self.cycles + other.cycles,
@@ -175,15 +177,6 @@ impl SimResult {
         }
     }
 
-    /// Miss coverage relative to a no-prefetch baseline: the fraction of the
-    /// baseline's misses this run eliminated.
-    pub fn coverage_vs(&self, baseline: &SimResult) -> f64 {
-        if baseline.i_misses == 0 {
-            return 0.0;
-        }
-        1.0 - (self.i_misses as f64 / baseline.i_misses as f64).min(1.0)
-    }
-
     /// MPKI reduction relative to a baseline (0..1).
     pub fn mpki_reduction_vs(&self, baseline: &SimResult) -> f64 {
         if baseline.mpki() <= 0.0 {
@@ -200,17 +193,6 @@ impl SimResult {
             0.0
         } else {
             self.pf_ops_executed as f64 / self.base_instrs as f64
-        }
-    }
-
-    /// Rate at which fired conditional checks were false positives: the op
-    /// fired, issued lines, and those lines went unused. Approximated as
-    /// unused evictions over issued lines.
-    pub fn waste_rate(&self) -> f64 {
-        if self.pf_lines_issued == 0 {
-            0.0
-        } else {
-            self.pf_evicted_unused as f64 / self.pf_lines_issued as f64
         }
     }
 }
@@ -273,7 +255,6 @@ mod tests {
     fn coverage_and_mpki_reduction() {
         let base = SimResult { i_misses: 100, base_instrs: 2000, ..Default::default() };
         let better = SimResult { i_misses: 5, base_instrs: 2000, ..Default::default() };
-        assert!((better.coverage_vs(&base) - 0.95).abs() < 1e-12);
         assert!((better.mpki_reduction_vs(&base) - 0.95).abs() < 1e-12);
     }
 
@@ -323,7 +304,6 @@ mod tests {
         assert_eq!(z.accuracy(), 0.0);
         assert_eq!(z.frontend_bound(), 0.0);
         assert_eq!(z.dynamic_increase(), 0.0);
-        assert_eq!(z.waste_rate(), 0.0);
         assert_eq!(z.speedup_over(&z), 0.0);
     }
 }

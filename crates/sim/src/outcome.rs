@@ -103,25 +103,6 @@ impl OutcomeLedger {
         self.per_injection.iter().map(&field).sum::<u64>() + field(&self.untracked)
     }
 
-    /// Bucket-wise difference `self − earlier`, where `earlier` is a
-    /// snapshot of this ledger from earlier in the same run (its table is a
-    /// prefix, since the table only grows). Used by the sharded replay to
-    /// subtract warmup-window events.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &OutcomeLedger) -> OutcomeLedger {
-        debug_assert!(earlier.per_injection.len() <= self.per_injection.len());
-        let per_injection = self
-            .per_injection
-            .iter()
-            .enumerate()
-            .map(|(i, o)| {
-                let before = earlier.per_injection.get(i).copied().unwrap_or_default();
-                o.delta_since(&before)
-            })
-            .collect();
-        OutcomeLedger { per_injection, untracked: self.untracked.delta_since(&earlier.untracked) }
-    }
-
     /// Folds the per-injection buckets into `groups` aggregate buckets via
     /// `group_of` (provenance index → group index; out-of-range groups are
     /// dropped). The untracked bucket belongs to no group and is excluded.
@@ -154,39 +135,9 @@ impl OutcomeLedger {
         }
         out
     }
-
-    /// Adds every bucket of `other` into `self`, growing the table as
-    /// needed — the shard stitch-up's merge over per-window ledger deltas.
-    pub fn merge_add(&mut self, other: &OutcomeLedger) {
-        if other.per_injection.len() > self.per_injection.len() {
-            self.per_injection.resize(other.per_injection.len(), InjectionOutcome::default());
-        }
-        for (mine, theirs) in self.per_injection.iter_mut().zip(&other.per_injection) {
-            mine.accumulate(theirs);
-        }
-        self.untracked.accumulate(&other.untracked);
-    }
 }
 
 impl InjectionOutcome {
-    /// Counter-wise difference `self − earlier` (see
-    /// [`OutcomeLedger::delta_since`]).
-    #[must_use]
-    pub fn delta_since(&self, earlier: &InjectionOutcome) -> InjectionOutcome {
-        // Exhaustive field list: a new counter must be wired in here to
-        // compile, keeping the shard stitch-up honest.
-        InjectionOutcome {
-            executed: self.executed - earlier.executed,
-            fired: self.fired - earlier.fired,
-            suppressed: self.suppressed - earlier.suppressed,
-            lines_issued: self.lines_issued - earlier.lines_issued,
-            lines_resident: self.lines_resident - earlier.lines_resident,
-            useful: self.useful - earlier.useful,
-            late: self.late - earlier.late,
-            evicted_unused: self.evicted_unused - earlier.evicted_unused,
-        }
-    }
-
     /// Adds every counter of `other` into `self`.
     pub fn accumulate(&mut self, other: &InjectionOutcome) {
         *self = InjectionOutcome {
@@ -221,29 +172,6 @@ mod tests {
         assert_eq!(l.per_injection[4].useful, 7);
         l.outcome_mut(None).late = 2;
         assert_eq!(l.untracked.late, 2);
-    }
-
-    #[test]
-    fn ledger_delta_and_merge_roundtrip() {
-        let mut early = OutcomeLedger::with_capacity(1);
-        early.per_injection[0].fired = 2;
-        early.untracked.lines_issued = 1;
-        let mut late = early.clone();
-        late.outcome_mut(Some(ProvenanceId(2))).useful = 5; // table grew
-        late.per_injection[0].fired = 7;
-        late.untracked.lines_issued = 4;
-        let delta = late.delta_since(&early);
-        assert_eq!(delta.per_injection.len(), 3);
-        assert_eq!(delta.per_injection[0].fired, 5);
-        assert_eq!(delta.per_injection[2].useful, 5);
-        assert_eq!(delta.untracked.lines_issued, 3);
-        let mut rebuilt = early.clone();
-        rebuilt.merge_add(&delta);
-        assert_eq!(rebuilt, late);
-        // Merging in the other direction grows the shorter table.
-        let mut short = OutcomeLedger::default();
-        short.merge_add(&delta);
-        assert_eq!(short, delta);
     }
 
     #[test]

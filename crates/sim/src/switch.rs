@@ -7,7 +7,7 @@
 //! that change what it executes. A [`SwitchSchedule`] carries both kinds of
 //! boundary as *event indices* into the replayed block stream, so the same
 //! schedule applies identically to a materialized trace, a streamed source,
-//! and every window of a sharded replay — deterministically, independent of
+//! and every window of an adaptive run — deterministically, independent of
 //! chunking.
 //!
 //! The engine consumes the schedule through

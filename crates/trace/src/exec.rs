@@ -130,8 +130,8 @@ fn mix(a: u64, b: u64) -> u64 {
 /// Implements [`Iterator`] yielding one [`BlockId`] per executed basic block.
 /// The walker is `Clone`, and a clone resumes from exactly the same machine
 /// state — cloning at block `n` and continuing yields the same suffix as the
-/// original. Streaming replay leans on this to checkpoint generator state at
-/// shard-window boundaries instead of materializing the trace.
+/// original, so a clone checkpoints a generated stream (scenario sources
+/// clone their per-tenant walkers) without materializing the trace.
 ///
 /// # Examples
 ///

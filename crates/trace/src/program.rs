@@ -292,11 +292,6 @@ impl Program {
         self.text_bytes
     }
 
-    /// Sum of static instruction counts over all blocks.
-    pub fn total_static_instrs(&self) -> u64 {
-        self.blocks.iter().map(|b| u64::from(b.instrs())).sum()
-    }
-
     /// Lowest block start address (base of text).
     pub fn text_base(&self) -> Addr {
         self.blocks.iter().map(|b| b.start()).min().unwrap_or(Addr::new(0))
@@ -466,10 +461,5 @@ mod tests {
             p.validate(),
             Err(ValidateProgramError::FuncOutOfRange { callee: 9, .. })
         ));
-    }
-
-    #[test]
-    fn total_static_instrs_sums_blocks() {
-        assert_eq!(tiny_program().total_static_instrs(), 8 + 8 + 8 + 12);
     }
 }

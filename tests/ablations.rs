@@ -81,6 +81,7 @@ fn sampled_profiles_still_work() {
     let c = s.comparison(0);
     let sampled = profile(&ctx.program, &ctx.trace, &SimConfig::default(), SampleRate::every(10));
     let plan = Planner::new(&ctx.program, &ctx.trace, &sampled, IspyConfig::default()).plan();
-    let r = ctx.simulate(&SimConfig::default(), Some(&plan.injections));
+    let compiled = plan.injections.compile(ctx.program.num_blocks());
+    let r = ctx.simulate(&SimConfig::default(), Some(&compiled));
     assert!(r.cycles < c.baseline.cycles, "sampled plan must still help");
 }

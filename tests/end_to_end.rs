@@ -74,7 +74,7 @@ fn drifted_input_still_benefits() {
     let scfg = ispy_sim::SimConfig::default();
     let events = 40_000;
     let base = ctx.simulate_variant(2, events, &scfg, None);
-    let with = ctx.simulate_variant(2, events, &scfg, Some(&c.ispy_plan.injections));
+    let with = ctx.simulate_variant(2, events, &scfg, Some(&c.ispy_compiled));
     assert!(
         with.cycles < base.cycles,
         "drifted input must still speed up: {} vs {}",

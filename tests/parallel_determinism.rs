@@ -1,17 +1,17 @@
 //! The harness's parallelism guarantee: every figure driver produces
 //! byte-identical tables with 1 thread and with many, because fan-outs
 //! collect rows in sweep order and every cached artifact (comparisons,
-//! planner baselines) is deterministic regardless of fill order. The same
-//! contract extends *inside* a single simulation: the sharded replay's
-//! result must not depend on its shard count.
+//! planner baselines) is deterministic regardless of fill order. A single
+//! simulation is sequential by construction; its determinism contract is
+//! that streaming a trace in chunks of any size replays exactly like `run`
+//! over the materialized trace — pinned here for a generated scenario
+//! stream with a plan and an outcome ledger attached, the chunked replays
+//! running concurrently on worker threads.
 
 use ispy_harness::workload::miss_derived_plan;
 use ispy_harness::{figures, Scale, Session, Table};
 use ispy_scenario::{Scenario, ScenarioSource};
-use ispy_sim::{
-    run_streaming, simulate_sharded, simulate_sharded_source, OutcomeLedger, RunOptions,
-    ShardConfig, SimConfig,
-};
+use ispy_sim::{run, run_streaming, OutcomeLedger, RunOptions, SimConfig};
 use ispy_telemetry::{Telemetry, TimingMode};
 use ispy_trace::{apps, BlockId, BlockSource, Trace};
 use std::sync::Arc;
@@ -50,40 +50,6 @@ fn every_figure_is_identical_serial_vs_parallel() {
     assert_eq!(serial_tele, parallel_tele, "telemetry must not depend on thread count");
 }
 
-#[test]
-fn sharded_replay_is_identical_across_shard_counts() {
-    // Intra-trace parallelism: one trace, one plan, one window/warmup shape
-    // — sweeping only the worker count must reproduce the same SimResult
-    // and the same per-injection OutcomeLedger byte for byte, because each
-    // window's replay depends only on its trace slice and the stitch-up
-    // sums deltas in window order.
-    let model = apps::cassandra().scaled_down(20);
-    let program = model.generate();
-    let trace = program.record_trace(model.default_input(), 30_000);
-    let cfg = SimConfig::default();
-    let plan = miss_derived_plan(&program, &trace, &cfg);
-    let base = ShardConfig { window_blocks: 4_096, warmup_blocks: 2_048, shards: 1 };
-
-    let mut reference_ledger = OutcomeLedger::default();
-    let reference =
-        simulate_sharded(&program, &trace, &cfg, Some(&plan), &base, Some(&mut reference_ledger));
-    assert!(reference.pf_ops_fired > 0, "plan must actually exercise the engine");
-
-    for shards in [2, 4, 8] {
-        let mut ledger = OutcomeLedger::default();
-        let got = simulate_sharded(
-            &program,
-            &trace,
-            &cfg,
-            Some(&plan),
-            &ShardConfig { shards, ..base },
-            Some(&mut ledger),
-        );
-        assert_eq!(got, reference, "SimResult diverged at shards={shards}");
-        assert_eq!(ledger, reference_ledger, "OutcomeLedger diverged at shards={shards}");
-    }
-}
-
 const SCENARIO_EVENTS: u64 = 30_000;
 
 /// Compiles the burst preset at test scale — the multi-tenant, multi-phase
@@ -103,11 +69,12 @@ fn drain(src: &mut ScenarioSource<'_>) -> Vec<BlockId> {
 
 #[test]
 fn scenario_replay_is_identical_serial_vs_sharded() {
-    // The scenario engine's determinism contract crosses the shard seam:
-    // replaying the generated stream serially (one `run_streaming` pass)
-    // and through the sharded runner fed by `ScenarioWindows` must agree.
-    // Exact byte-equality holds for whole-window, zero-warmup configs (one
-    // window = one serial replay), for any worker count.
+    // The scenario engine's determinism contract with a plan and an outcome
+    // ledger attached: one serial `run` over the drained stream is the
+    // reference, and replaying the generated stream in shards of any pull
+    // size — each shard size replayed on its own worker thread — must
+    // reproduce it byte for byte, counters and per-injection attribution
+    // alike.
     let sc = burst_scenario();
     let cfg = SimConfig::default();
 
@@ -117,55 +84,37 @@ fn scenario_replay_is_identical_serial_vs_sharded() {
     let plan = miss_derived_plan(sc.program(), &trace, &cfg);
 
     let mut reference_ledger = OutcomeLedger::default();
-    let mut serial_src = sc.source();
-    let reference = run_streaming(
+    let reference = run(
         sc.program(),
-        &mut serial_src,
+        &trace,
         &cfg,
         RunOptions {
             injections: Some(&plan),
             outcomes: Some(&mut reference_ledger),
             ..Default::default()
         },
-    )
-    .expect("scenario sources cannot fail");
+    );
     assert!(reference.pf_ops_fired > 0, "plan must actually exercise the engine");
 
-    let windows = sc.windows(4_096);
-    let whole =
-        ShardConfig { window_blocks: SCENARIO_EVENTS as usize, warmup_blocks: 0, shards: 1 };
-    for shards in [1, 2, 4] {
+    let shard_sizes = [1usize, 7, 4_096, SCENARIO_EVENTS as usize];
+    let replays = ispy_parallel::par_map(&shard_sizes, |&chunk| {
         let mut ledger = OutcomeLedger::default();
-        let got = simulate_sharded_source(
+        let got = run_streaming(
             sc.program(),
-            &windows,
+            &mut ScenarioSource::with_chunk(&sc, chunk),
             &cfg,
-            Some(&plan),
-            &ShardConfig { shards, ..whole },
-            Some(&mut ledger),
+            RunOptions {
+                injections: Some(&plan),
+                outcomes: Some(&mut ledger),
+                ..Default::default()
+            },
         )
         .expect("scenario sources cannot fail");
-        assert_eq!(got, reference, "SimResult diverged from serial at shards={shards}");
-        assert_eq!(ledger, reference_ledger, "OutcomeLedger diverged at shards={shards}");
-    }
-
-    // Windowed sharded configs approximate (warmup rebuilds state), but must
-    // still be invariant in the shard count among themselves.
-    let windowed = ShardConfig { window_blocks: 4_096, warmup_blocks: 2_048, shards: 1 };
-    let windowed_ref =
-        simulate_sharded_source(sc.program(), &windows, &cfg, Some(&plan), &windowed, None)
-            .expect("scenario sources cannot fail");
-    for shards in [2, 4] {
-        let got = simulate_sharded_source(
-            sc.program(),
-            &windows,
-            &cfg,
-            Some(&plan),
-            &ShardConfig { shards, ..windowed },
-            None,
-        )
-        .expect("scenario sources cannot fail");
-        assert_eq!(got, windowed_ref, "windowed replay diverged at shards={shards}");
+        (got, ledger)
+    });
+    for (chunk, (got, ledger)) in shard_sizes.iter().zip(replays) {
+        assert_eq!(got, reference, "SimResult diverged from serial at shard size {chunk}");
+        assert_eq!(ledger, reference_ledger, "OutcomeLedger diverged at shard size {chunk}");
     }
 }
 

@@ -1,15 +1,11 @@
 //! Streaming-engine equivalence: `run_streaming` over any [`BlockSource`]
 //! must be *byte-identical* to `run` over the materialized prefix — for
-//! every app model, every chunk size, every source kind (slice, generator,
-//! `.itrace` decoder), and for sharded replay carved from a re-generatable
-//! source. A truncated or corrupted stream must surface a typed
-//! [`ArtifactError`], never a partial `SimResult`.
+//! every app model, every chunk size, and every source kind (slice,
+//! generator, `.itrace` decoder). A truncated or corrupted stream must
+//! surface a typed [`ArtifactError`], never a partial `SimResult`.
 
 use ispy_artifact::ArtifactError;
-use ispy_sim::{
-    replay_stream, run, run_streaming, simulate_sharded, simulate_sharded_source, GenWindows,
-    RunOptions, ShardConfig, SimConfig,
-};
+use ispy_sim::{replay_stream, run, run_streaming, RunOptions, SimConfig};
 use ispy_trace::artifact::{open_recording_stream, recording_to_bytes, RecordingWriter};
 use ispy_trace::{apps, AppModel, BlockSource, TraceBlocks, Walker, WalkerSource};
 
@@ -118,28 +114,6 @@ fn injected_streaming_matches_injected_run() {
     )
     .unwrap();
     assert_eq!(streamed, reference);
-}
-
-/// Sharded replay carved from a re-generated source equals sharded replay
-/// over the materialized trace, for multiple shard counts.
-#[test]
-fn sharded_from_generator_equals_sharded_from_trace() {
-    let cfg = SimConfig::default();
-    let model = apps::kafka();
-    let scaled = model.clone().scaled_down(30);
-    let (program, trace) = workload(&model);
-    for shards in [1usize, 2, 4] {
-        let shard = ShardConfig { window_blocks: 2_048, warmup_blocks: 512, shards };
-        let materialized = simulate_sharded(&program, &trace, &cfg, None, &shard, None);
-        let gen = GenWindows::for_shards(
-            Walker::new(&program, scaled.default_input()),
-            EVENTS as u64,
-            &shard,
-        );
-        let regenerated =
-            simulate_sharded_source(&program, &gen, &cfg, None, &shard, None).unwrap();
-        assert_eq!(regenerated, materialized, "shards={shards}");
-    }
 }
 
 /// Cutting the stream anywhere inside the event payload yields a typed
