@@ -87,7 +87,7 @@ impl Ord for Node {
 /// let mut edges = HashMap::new();
 /// edges.insert((0, 1), 10);
 /// edges.insert((1, 2), 10);
-/// let cfg = DynCfg::new(vec![10, 10, 10], vec![10.0, 10.0, 10.0], &edges);
+/// let cfg = DynCfg::new(vec![10, 10, 10], vec![10.0, 10.0, 10.0], edges);
 /// let sites = find_candidates(&cfg, BlockId(2), 15, 100, 64);
 /// assert_eq!(sites.len(), 1);
 /// assert_eq!(sites[0].block, BlockId(0));
@@ -282,7 +282,7 @@ mod tests {
         for i in 0..n - 1 {
             edges.insert((i, i + 1), 100);
         }
-        DynCfg::new(vec![100; n as usize], vec![cycles; n as usize], &edges)
+        DynCfg::new(vec![100; n as usize], vec![cycles; n as usize], edges)
     }
 
     #[test]
@@ -310,7 +310,7 @@ mod tests {
         edges.insert((0, 2), 25);
         edges.insert((1, 3), 75);
         edges.insert((2, 3), 25);
-        let cfg = DynCfg::new(vec![100, 75, 25, 100], vec![20.0; 4], &edges);
+        let cfg = DynCfg::new(vec![100, 75, 25, 100], vec![20.0; 4], edges);
         let sites = find_candidates(&cfg, BlockId(3), 10, 100, 1024);
         let s0 = sites.iter().find(|s| s.block == BlockId(0)).unwrap();
         // Both paths lead to 3, but max-path probability is via block 1.
@@ -325,7 +325,7 @@ mod tests {
         let mut edges = HashMap::new();
         edges.insert((0, 1), 10);
         edges.insert((0, 2), 90);
-        let cfg = DynCfg::new(vec![100, 10, 90], vec![30.0; 3], &edges);
+        let cfg = DynCfg::new(vec![100, 10, 90], vec![30.0; 3], edges);
         let sites = find_candidates(&cfg, BlockId(1), 10, 100, 64);
         let s = sites.iter().find(|s| s.block == BlockId(0)).unwrap();
         assert!((s.fanout() - 0.9).abs() < 1e-9);
@@ -434,7 +434,7 @@ mod tests {
         edges.insert((0, 1), 90);
         edges.insert((1, 0), 80);
         edges.insert((1, 2), 10);
-        let cfg = DynCfg::new(vec![90, 90, 10], vec![15.0; 3], &edges);
+        let cfg = DynCfg::new(vec![90, 90, 10], vec![15.0; 3], edges);
         let sites = find_candidates(&cfg, BlockId(2), 10, 200, 4096);
         assert!(!sites.is_empty());
     }

@@ -31,7 +31,7 @@ use ispy_core::planner::Plan;
 use ispy_core::{IspyConfig, Planner, PlannerBaseline};
 use ispy_profile::{DynCfg, LineMissStats, MissProfile, Profile};
 use ispy_trace::{BlockId, Line, Program, Trace};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// What one app's merge did — reported by `repro fleet merge` and asserted
 /// by the consensus tests.
@@ -216,8 +216,7 @@ impl ConsensusBuilder {
                 .map(|(&e, &cw)| if e == 0 { 0.0 } else { cw / e as f64 })
                 .collect()
         };
-        let edges: HashMap<(u32, u32), u64> = self.edges.into_iter().collect();
-        let cfg = DynCfg::new(self.exec, avg_cycles, &edges);
+        let cfg = DynCfg::new(self.exec, avg_cycles, self.edges);
 
         let line_needed = votes_needed(self.cfg.line_vote, self.members);
         let mut misses = MissProfile::new();
@@ -230,31 +229,28 @@ impl ConsensusBuilder {
             stats.lines_kept += 1;
             stats.total_misses += la.count;
             let ctx_needed = votes_needed(self.cfg.ctx_vote, la.votes);
-            let mut history_presence = HashMap::new();
+            la.positions.sort_unstable();
+            let mut line = LineMissStats {
+                count: la.count,
+                at_blocks: la.at_blocks.into_iter().map(|(b, c)| (BlockId(b), c)).collect(),
+                positions: la.positions,
+                ..Default::default()
+            };
             for (b, (votes, count)) in la.history {
                 if votes >= ctx_needed {
-                    history_presence.insert(BlockId(b), count);
+                    line.history_presence.insert(BlockId(b), count);
                 } else {
                     stats.predictors_dropped += 1;
                 }
             }
-            la.positions.sort_unstable();
-            misses.insert_line(
-                Line::new(raw),
-                LineMissStats {
-                    count: la.count,
-                    at_blocks: la.at_blocks.into_iter().map(|(b, c)| (BlockId(b), c)).collect(),
-                    history_presence,
-                    positions: la.positions,
-                },
-            );
+            misses.insert_line(Line::new(raw), line);
         }
 
         let trace_len = usize::try_from(self.trace_len).map_err(|_| FleetError::Incompatible {
             app: self.app.clone(),
             reason: "merged trace length overflows usize".to_string(),
         })?;
-        let profile = Profile { cfg, misses, trace_len, lbr_depth: self.lbr_depth };
+        let profile = Profile { cfg, misses, trace_len, lbr_depth: self.lbr_depth, replays: None };
         let tele = ispy_telemetry::global();
         tele.add("fleet.merge.members", self.members);
         tele.add("fleet.merge.lines_kept", stats.lines_kept as u64);
@@ -386,9 +382,7 @@ mod tests {
     /// sampled positions — the smallest member that exercises the
     /// `positions.len() == count` codec invariant.
     fn one_line_member(count: u64) -> Profile {
-        let mut edges = HashMap::new();
-        edges.insert((0u32, 1u32), 4u64);
-        let cfg = DynCfg::new(vec![8, 8], vec![1.0, 1.0], &edges);
+        let cfg = DynCfg::new(vec![8, 8], vec![1.0, 1.0], [((0, 1), 4)]);
         let mut misses = MissProfile::new();
         misses.insert_line(
             Line::new(0x40),
@@ -399,7 +393,7 @@ mod tests {
                 positions: (0..count).map(|i| (i as u32) * 2 + 1).collect(),
             },
         );
-        Profile { cfg, misses, trace_len: 50, lbr_depth: 8 }
+        Profile { cfg, misses, trace_len: 50, lbr_depth: 8, replays: None }
     }
 
     /// Weight replication: folding a member with weight `w` must scale the

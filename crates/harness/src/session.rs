@@ -244,8 +244,12 @@ impl Session {
     fn compute_comparison(&self, i: usize) -> Comparison {
         let ctx = &self.apps[i];
         let scfg = SimConfig::default();
-        let baseline = ctx.simulate(&scfg, None);
-        let ideal = ctx.simulate(&SimConfig::ideal(), None);
+        // A fresh profile carries its own baseline and ideal replays of
+        // this trace; a cached one does not, so replay them.
+        let (baseline, ideal) = match ctx.profile.replays {
+            Some(r) => (r.baseline, r.ideal),
+            None => (ctx.simulate(&scfg, None), ctx.simulate(&SimConfig::ideal(), None)),
+        };
         let asmdb_plan = match self.cache.as_ref().and_then(|c| c.load_plan(ctx.name(), "asmdb")) {
             Some(plan) => plan,
             None => {

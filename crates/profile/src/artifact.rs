@@ -33,7 +33,6 @@ use crate::dyncfg::DynCfg;
 use crate::miss::{LineMissStats, MissProfile};
 use ispy_artifact::{ArtifactError, ArtifactKind, ArtifactReader, ArtifactWriter};
 use ispy_trace::{BlockId, Line};
-use std::collections::HashMap;
 use std::path::Path;
 
 /// Label, trace length, LBR depth, block count.
@@ -231,16 +230,18 @@ pub fn profile_from_bytes(bytes: &[u8]) -> Result<(String, Profile), ArtifactErr
 
     let mut edges_sec = r.require_section(SEC_CFG_EDGES)?;
     let n_edges: usize = narrow(edges_sec.take_varint()?, "edge count")?;
-    let mut edges: HashMap<(u32, u32), u64> = HashMap::with_capacity(n_edges.min(1 << 22));
+    let mut edges: Vec<((u32, u32), u64)> = Vec::with_capacity(n_edges.min(1 << 22));
     for _ in 0..n_edges {
         let from = in_range(edges_sec.take_delta()?, "edge source")?;
         let to = in_range(edges_sec.take_varint()?, "edge target")?;
-        let weight = edges_sec.take_varint()?;
-        if edges.insert((from, to), weight).is_some() {
-            return Err(ArtifactError::malformed("edge", format!("duplicate edge {from}->{to}")));
-        }
+        edges.push(((from, to), edges_sec.take_varint()?));
     }
     edges_sec.finish()?;
+    edges.sort_unstable_by_key(|&(e, _)| e);
+    if let Some(w) = edges.windows(2).find(|w| w[0].0 == w[1].0) {
+        let (from, to) = w[0].0;
+        return Err(ArtifactError::malformed("edge", format!("duplicate edge {from}->{to}")));
+    }
 
     let mut misses_sec = r.require_section(SEC_MISSES)?;
     let n_lines: usize = narrow(misses_sec.take_varint()?, "miss line count")?;
@@ -279,8 +280,13 @@ pub fn profile_from_bytes(bytes: &[u8]) -> Result<(String, Profile), ArtifactErr
     }
     misses_sec.finish()?;
 
-    let profile =
-        Profile { cfg: DynCfg::new(exec, avg_cycles, &edges), misses, trace_len, lbr_depth };
+    let profile = Profile {
+        cfg: DynCfg::new(exec, avg_cycles, edges),
+        misses,
+        trace_len,
+        lbr_depth,
+        replays: None,
+    };
     Ok((label, profile))
 }
 
@@ -355,13 +361,12 @@ mod tests {
         // corrupting any byte is caught by CRC, so construct a tiny profile
         // whose edges reference out-of-range blocks directly.
         bytes.clear();
-        let mut edges = HashMap::new();
-        edges.insert((0u32, 1u32), 5u64);
         let small = Profile {
-            cfg: DynCfg::new(vec![1, 1], vec![1.0, 1.0], &edges),
+            cfg: DynCfg::new(vec![1, 1], vec![1.0, 1.0], [((0, 1), 5)]),
             misses: MissProfile::new(),
             trace_len: 2,
             lbr_depth: 32,
+            replays: None,
         };
         let good = profile_to_bytes("small", &small);
         // Decode, then re-encode a hostile variant by writing sections with

@@ -1,10 +1,9 @@
 //! The profiling pass: replay under observation, splice LBR + PEBS views.
 
 use crate::dyncfg::DynCfg;
-use crate::miss::MissProfile;
-use ispy_sim::{run, RunOptions, SimConfig, SimObserver};
+use crate::miss::{LineMissStats, MissProfile};
+use ispy_sim::{run, FxHashMap, RunOptions, SimConfig, SimObserver, SimResult};
 use ispy_trace::{BlockId, Line, Program, Trace};
-use std::collections::{HashMap, VecDeque};
 
 /// PEBS-style sampling rate: record every `n`-th miss.
 ///
@@ -56,56 +55,243 @@ pub struct Profile {
     pub trace_len: usize,
     /// LBR depth used for history snapshots.
     pub lbr_depth: usize,
+    /// The results of the profiling pass's own two replays, so a
+    /// comparison over the same trace need not replay them again. Set only
+    /// by a fresh [`profile`] call under `SimConfig::default()`; `None` for
+    /// a profile decoded from an artifact, merged from a fleet, or
+    /// materialized from deltas.
+    pub replays: Option<ProfileReplays>,
 }
 
-/// The observer that does the work.
-struct Collector {
-    lbr_depth: usize,
-    sample_period: u32,
-    sample_tick: u32,
-    window: VecDeque<BlockId>,
-    window_vec: Vec<BlockId>,
-    exec: Vec<u64>,
-    cycles_sum: Vec<u64>,
-    edges: HashMap<(u32, u32), u64>,
-    misses: MissProfile,
-    prev: Option<(BlockId, u64)>,
-    last_cycle: u64,
+/// The [`SimResult`]s of the profiled trace on the baseline machine
+/// (`SimConfig::default()`) and on its ideal-I-cache twin
+/// (`SimConfig::ideal()`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProfileReplays {
+    /// No prefetching.
+    pub baseline: SimResult,
+    /// Ideal I-cache (never misses).
+    pub ideal: SimResult,
 }
 
-impl Collector {
-    fn new(num_blocks: usize, lbr_depth: usize, rate: SampleRate) -> Self {
-        Collector {
-            lbr_depth,
-            sample_period: rate.period(),
-            sample_tick: 0,
-            window: VecDeque::with_capacity(lbr_depth + 1),
-            window_vec: Vec::with_capacity(lbr_depth),
-            exec: vec![0; num_blocks],
-            cycles_sum: vec![0; num_blocks],
-            edges: HashMap::new(),
-            misses: MissProfile::new(),
-            prev: None,
-            last_cycle: 0,
+/// Block entries the collector's LBR stream buffers before it aggregates
+/// the pending samples (1 MiB of block ids). The bound keeps the
+/// profiler's memory flat however long the trace.
+const BUFFER_ENTRIES: usize = 1 << 18;
+
+/// Miss samples the collector buffers before it aggregates them.
+const BUFFER_SAMPLES: usize = 1 << 16;
+
+/// One buffered miss sample; its LBR window is the `depth` stream entries
+/// before `end`.
+struct Sample {
+    line: u64,
+    idx: u32,
+    block: BlockId,
+    end: u32,
+}
+
+/// Dynamic-edge counts in per-predecessor successor lists. A block has few
+/// distinct successors, so a short scan replaces a hash per edge.
+#[derive(Debug, Clone)]
+pub(crate) struct EdgeTally {
+    succs: Vec<Vec<(u32, u64)>>,
+}
+
+impl EdgeTally {
+    pub(crate) fn new(num_blocks: usize) -> Self {
+        EdgeTally { succs: vec![Vec::new(); num_blocks] }
+    }
+
+    #[inline]
+    pub(crate) fn add(&mut self, from: BlockId, to: BlockId, n: u64) {
+        let succs = &mut self.succs[from.index()];
+        match succs.iter_mut().find(|e| e.0 == to.0) {
+            Some(e) => e.1 += n,
+            None => succs.push((to.0, n)),
+        }
+    }
+
+    /// Number of distinct edges.
+    pub(crate) fn len(&self) -> usize {
+        self.succs.iter().map(Vec::len).sum()
+    }
+
+    /// `((from, to), count)` for every edge, by ascending `from`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ((u32, u32), u64)> + '_ {
+        self.succs
+            .iter()
+            .enumerate()
+            .flat_map(|(from, succs)| succs.iter().map(move |&(to, n)| ((from as u32, to), n)))
+    }
+}
+
+/// Dense per-block counters with a list of the blocks they touched, so one
+/// line's samples aggregate without a map update per sample.
+struct BlockTally {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+    /// Per-block epoch of the last sample that counted the block.
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl BlockTally {
+    fn new(num_blocks: usize) -> Self {
+        BlockTally {
+            counts: vec![0; num_blocks],
+            touched: Vec::new(),
+            stamps: vec![0; num_blocks],
+            epoch: 0,
+        }
+    }
+
+    #[inline]
+    fn bump(&mut self, block: BlockId) {
+        let c = &mut self.counts[block.index()];
+        if *c == 0 {
+            self.touched.push(block.0);
+        }
+        *c += 1;
+    }
+
+    /// Counts each distinct block of one sample's `window` once: presence,
+    /// not multiplicity (the Bloom filter tests presence only).
+    fn bump_distinct(&mut self, window: &[BlockId]) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        for &b in window {
+            let stamp = &mut self.stamps[b.index()];
+            if *stamp != self.epoch {
+                *stamp = self.epoch;
+                self.bump(b);
+            }
+        }
+    }
+
+    /// Adds the counts into `map` and resets them.
+    fn drain_into(&mut self, map: &mut FxHashMap<BlockId, u64>) {
+        // A line's first flush sizes its map once; reserving on later
+        // flushes would over-allocate, as most blocks are already present.
+        if map.is_empty() {
+            map.reserve(self.touched.len());
+        }
+        for b in self.touched.drain(..) {
+            let c = std::mem::take(&mut self.counts[b as usize]);
+            *map.entry(BlockId(b)).or_insert(0) += u64::from(c);
         }
     }
 }
 
+/// The observer of the profiling replay: block counts, edges, and a
+/// bounded buffer of miss samples aggregated one line at a time.
+///
+/// The buffer keeps the stream of blocks entered rather than a copy of
+/// each sample's window: misses cluster, so consecutive windows overlap
+/// and the stream is a fraction of their total length.
+struct Collector {
+    depth: usize,
+    sample_period: u32,
+    sample_tick: u32,
+    exec: Vec<u64>,
+    edges: EdgeTally,
+    prev: Option<BlockId>,
+    /// Blocks entered, oldest first: at least the last `depth`, and every
+    /// block a pending sample's window needs.
+    stream: Vec<BlockId>,
+    samples: Vec<Sample>,
+    buffer_entries: usize,
+    buffer_samples: usize,
+    at: BlockTally,
+    presence: BlockTally,
+    lines: FxHashMap<u64, LineMissStats>,
+}
+
+impl Collector {
+    fn new(num_blocks: usize, lbr_depth: usize, rate: SampleRate) -> Self {
+        Self::with_buffer(num_blocks, lbr_depth, rate, BUFFER_ENTRIES, BUFFER_SAMPLES)
+    }
+
+    fn with_buffer(
+        num_blocks: usize,
+        lbr_depth: usize,
+        rate: SampleRate,
+        buffer_entries: usize,
+        buffer_samples: usize,
+    ) -> Self {
+        assert!(buffer_entries > lbr_depth, "the buffer must hold an LBR window");
+        Collector {
+            depth: lbr_depth,
+            sample_period: rate.period(),
+            sample_tick: 0,
+            exec: vec![0; num_blocks],
+            edges: EdgeTally::new(num_blocks),
+            prev: None,
+            stream: Vec::new(),
+            samples: Vec::new(),
+            buffer_entries,
+            buffer_samples,
+            at: BlockTally::new(num_blocks),
+            presence: BlockTally::new(num_blocks),
+            lines: FxHashMap::default(),
+        }
+    }
+
+    /// Aggregates the buffered samples and empties the buffer, keeping the
+    /// stream's last `depth` blocks for the samples to come. Samples are
+    /// sorted by (line, arrival), and each line's group is folded with one
+    /// map update per distinct block.
+    fn flush(&mut self) {
+        self.samples.sort_unstable_by_key(|s| (s.line, s.idx));
+        for group in self.samples.chunk_by(|a, b| a.line == b.line) {
+            let stats = self.lines.entry(group[0].line).or_default();
+            stats.count += group.len() as u64;
+            stats.positions.reserve(group.len());
+            for s in group {
+                let end = s.end as usize;
+                self.at.bump(s.block);
+                self.presence.bump_distinct(&self.stream[end.saturating_sub(self.depth)..end]);
+                // Arrival order is trace order, so positions stay ascending.
+                stats.positions.push(s.idx);
+            }
+            self.at.drain_into(&mut stats.at_blocks);
+            self.presence.drain_into(&mut stats.history_presence);
+        }
+        self.samples.clear();
+        let stale = self.stream.len().saturating_sub(self.depth);
+        self.stream.drain(..stale);
+    }
+
+    /// Flushes what is buffered and returns the block counts, edges and
+    /// miss profile.
+    fn finish(mut self) -> (Vec<u64>, EdgeTally, MissProfile) {
+        self.flush();
+        let mut misses = MissProfile::new();
+        for (line, stats) in self.lines {
+            misses.insert_line(Line::new(line), stats);
+        }
+        (self.exec, self.edges, misses)
+    }
+}
+
 impl SimObserver for Collector {
-    fn block_entered(&mut self, _idx: usize, block: BlockId, cycle: u64) {
+    fn block_entered(&mut self, _idx: usize, block: BlockId, _cycle: u64) {
         self.exec[block.index()] += 1;
-        if let Some((prev, prev_cycle)) = self.prev {
-            *self.edges.entry((prev.0, block.0)).or_insert(0) += 1;
-            // The cycles "charged" to the previous block: delta between
-            // consecutive block entries, like LBR cycle counts.
-            self.cycles_sum[prev.index()] += cycle - prev_cycle;
+        if let Some(prev) = self.prev {
+            self.edges.add(prev, block, 1);
         }
-        self.prev = Some((block, cycle));
-        self.last_cycle = cycle;
-        self.window.push_back(block);
-        if self.window.len() > self.lbr_depth {
-            self.window.pop_front();
+        self.prev = Some(block);
+        // With no sample pending only the last `depth` blocks are needed,
+        // and a flush just trims the stream to them.
+        if self.stream.len() == self.buffer_entries
+            || (self.samples.is_empty() && self.stream.len() >= 2 * self.depth.max(1))
+        {
+            self.flush();
         }
+        self.stream.push(block);
     }
 
     fn icache_miss(&mut self, idx: usize, block: BlockId, line: Line, _cycle: u64) {
@@ -114,17 +300,83 @@ impl SimObserver for Collector {
             return;
         }
         self.sample_tick = 0;
-        self.window_vec.clear();
-        self.window_vec.extend(self.window.iter().copied());
-        self.misses.record(line, block, idx as u32, &self.window_vec);
+        if self.samples.len() == self.buffer_samples {
+            self.flush();
+        }
+        let end = self.stream.len() as u32;
+        self.samples.push(Sample { line: line.raw(), idx: idx as u32, block, end });
     }
+}
+
+/// Cycle-splice observer for the ideal-I-cache replay: sums the cycles
+/// between consecutive block entries, like LBR cycle counts, charging each
+/// to the earlier block. Blocks entered below replay index `skip` (warmup)
+/// are not charged.
+struct CycleCollector {
+    cycles_sum: Vec<u64>,
+    skip: usize,
+    prev: Option<(BlockId, u64, usize)>,
+}
+
+impl SimObserver for CycleCollector {
+    fn block_entered(&mut self, idx: usize, block: BlockId, cycle: u64) {
+        if let Some((prev, prev_cycle, prev_idx)) = self.prev {
+            if prev_idx >= self.skip {
+                self.cycles_sum[prev.index()] += cycle - prev_cycle;
+            }
+        }
+        self.prev = Some((block, cycle, idx));
+    }
+}
+
+/// Replays `trace` on the ideal-I-cache twin of `sim_cfg` and returns the
+/// per-block cycle sums of the events from replay index `skip` on, with
+/// the replay's result.
+///
+/// Prefetch distances must be measured in the cycles the program takes
+/// once its instruction misses are covered — the front-end stalls the
+/// prefetches will remove must not count toward the distance, or every
+/// window estimate is inflated by exactly the stalls being eliminated
+/// (sites end up too close and prefetches arrive late). This mirrors the
+/// paper's use of LBR cycle counts from production machines, where the
+/// profiled binary already runs with prefetching largely effective.
+pub(crate) fn ideal_cycles(
+    program: &Program,
+    trace: &Trace,
+    sim_cfg: &SimConfig,
+    skip: usize,
+) -> (Vec<u64>, SimResult) {
+    let mut cycles = CycleCollector { cycles_sum: vec![0; program.num_blocks()], skip, prev: None };
+    let ideal_cfg = SimConfig { ideal_icache: true, ..sim_cfg.clone() };
+    let result = run(
+        program,
+        trace,
+        &ideal_cfg,
+        RunOptions { observer: Some(&mut cycles), ..Default::default() },
+    );
+    // Close the last block's cycle interval with the final cycle count.
+    if let Some((last, entered, last_idx)) = cycles.prev {
+        if last_idx >= skip {
+            cycles.cycles_sum[last.index()] += result.cycles.saturating_sub(entered);
+        }
+    }
+    (cycles.cycles_sum, result)
+}
+
+/// Per-block average cycles per execution from raw sums.
+pub(crate) fn avg_cycles(exec: &[u64], cycles_sum: &[u64]) -> Vec<f64> {
+    exec.iter()
+        .zip(cycles_sum)
+        .map(|(&n, &sum)| if n == 0 { 0.0 } else { sum as f64 / n as f64 })
+        .collect()
 }
 
 /// Runs the profiling replay and assembles the [`Profile`].
 ///
 /// The replay uses the *baseline* machine (no injections, no prefetcher):
 /// profiles are collected on the unmodified binary, exactly as in the
-/// paper's usage model.
+/// paper's usage model. A second replay under an ideal I-cache measures
+/// the per-block cycle costs (see the `profile.ideal_replay` span).
 ///
 /// # Examples
 ///
@@ -138,65 +390,41 @@ impl SimObserver for Collector {
 /// let trace = program.record_trace(model.default_input(), 10_000);
 /// let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
 /// assert_eq!(prof.trace_len, 10_000);
+/// assert!(prof.replays.is_some());
 /// ```
 pub fn profile(program: &Program, trace: &Trace, sim_cfg: &SimConfig, rate: SampleRate) -> Profile {
     let tele = ispy_telemetry::global();
     let _profile_span = tele.span("profile.collect");
     let mut collector = Collector::new(program.num_blocks(), sim_cfg.lbr_depth, rate);
-    {
+    let (baseline, (exec, edges, misses)) = {
         let _span = tele.span("profile.observe_replay");
-        run(
+        let result = run(
             program,
             trace,
             sim_cfg,
             RunOptions { observer: Some(&mut collector), ..Default::default() },
         );
-    }
-
-    // Second pass under an ideal I-cache for the per-block *cycle* costs.
-    //
-    // Prefetch distances must be measured in the cycles the program takes
-    // once its instruction misses are covered — the front-end stalls the
-    // prefetches will remove must not count toward the distance, or every
-    // window estimate is inflated by exactly the stalls being eliminated
-    // (sites end up too close and prefetches arrive late). This mirrors the
-    // paper's use of LBR cycle counts from production machines, where the
-    // profiled binary already runs with prefetching largely effective.
-    let mut cycles_collector =
-        Collector::new(program.num_blocks(), sim_cfg.lbr_depth, SampleRate::EXACT);
-    let ideal_cfg = SimConfig { ideal_icache: true, ..sim_cfg.clone() };
-    let ideal_result = {
-        let _span = tele.span("profile.ideal_replay");
-        run(
-            program,
-            trace,
-            &ideal_cfg,
-            RunOptions { observer: Some(&mut cycles_collector), ..Default::default() },
-        )
+        (result, collector.finish())
     };
-    // Close the last block's cycle interval with the final cycle count.
-    if let Some((last, entered)) = cycles_collector.prev {
-        cycles_collector.cycles_sum[last.index()] += ideal_result.cycles.saturating_sub(entered);
-    }
-    let avg_cycles: Vec<f64> = cycles_collector
-        .exec
-        .iter()
-        .zip(&cycles_collector.cycles_sum)
-        .map(|(&n, &sum)| if n == 0 { 0.0 } else { sum as f64 / n as f64 })
-        .collect();
+    let (cycles_sum, ideal) = {
+        let _span = tele.span("profile.ideal_replay");
+        ideal_cycles(program, trace, sim_cfg, 0)
+    };
 
     // Miss-attribution and CFG-size accounting for the observability layer.
     tele.add("profile.runs", 1);
-    tele.add("profile.misses_recorded", collector.misses.total_misses());
-    tele.add("profile.lines_missing", collector.misses.iter().count() as u64);
-    tele.add("profile.cfg_edges", collector.edges.len() as u64);
+    tele.add("profile.misses_recorded", misses.total_misses());
+    tele.add("profile.lines_missing", misses.num_lines() as u64);
+    tele.add("profile.cfg_edges", edges.len() as u64);
 
     let _cfg_span = tele.span("profile.cfg_build");
+    let avg = avg_cycles(&exec, &cycles_sum);
     Profile {
-        cfg: DynCfg::new(collector.exec, avg_cycles, &collector.edges),
-        misses: collector.misses,
+        cfg: DynCfg::new(exec, avg, edges.iter()),
+        misses,
         trace_len: trace.len(),
         lbr_depth: sim_cfg.lbr_depth,
+        replays: (*sim_cfg == SimConfig::default()).then_some(ProfileReplays { baseline, ideal }),
     }
 }
 
@@ -212,8 +440,6 @@ mod tests {
         let p = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
         (program, trace, p)
     }
-
-    use ispy_trace::Program;
 
     #[test]
     fn exec_counts_match_trace() {
@@ -263,6 +489,84 @@ mod tests {
         // At least some blocks have a measurable cost.
         let any_positive = p.cfg.live_blocks().any(|b| p.cfg.avg_cycles(b) > 0.5);
         assert!(any_positive);
+    }
+
+    /// The reference collector: every sample's window copied and recorded
+    /// through [`MissProfile::record`], one map update per block.
+    struct Reference {
+        depth: usize,
+        period: u32,
+        tick: u32,
+        window: std::collections::VecDeque<BlockId>,
+        misses: MissProfile,
+    }
+
+    impl SimObserver for Reference {
+        fn block_entered(&mut self, _idx: usize, block: BlockId, _cycle: u64) {
+            self.window.push_back(block);
+            if self.window.len() > self.depth {
+                self.window.pop_front();
+            }
+        }
+
+        fn icache_miss(&mut self, idx: usize, block: BlockId, line: Line, _cycle: u64) {
+            self.tick += 1;
+            if self.tick < self.period {
+                return;
+            }
+            self.tick = 0;
+            let history: Vec<BlockId> = self.window.iter().copied().collect();
+            self.misses.record(line, block, idx as u32, &history);
+        }
+    }
+
+    #[test]
+    fn batched_aggregation_matches_per_sample_record() {
+        let model = apps::kafka().scaled_down(30);
+        let program = model.generate();
+        let trace = program.record_trace(model.default_input(), 20_000);
+        let cfg = SimConfig::default();
+        let n = program.num_blocks();
+        // (period, buffer entries, buffer samples): tiny buffers flush
+        // hundreds of times, mid-window and mid-line.
+        for (rate, entries, samples) in
+            [(1, BUFFER_ENTRIES, BUFFER_SAMPLES), (1, 100, 7), (3, 65, 1), (5, 1_000, 64)]
+        {
+            let rate = SampleRate::every(rate);
+            let mut reference = Reference {
+                depth: cfg.lbr_depth,
+                period: rate.period(),
+                tick: 0,
+                window: Default::default(),
+                misses: MissProfile::new(),
+            };
+            run(
+                &program,
+                &trace,
+                &cfg,
+                RunOptions { observer: Some(&mut reference), ..Default::default() },
+            );
+            let mut batched = Collector::with_buffer(n, cfg.lbr_depth, rate, entries, samples);
+            run(
+                &program,
+                &trace,
+                &cfg,
+                RunOptions { observer: Some(&mut batched), ..Default::default() },
+            );
+            let (_, _, got) = batched.finish();
+            let want = reference.misses;
+            assert!(want.total_misses() > 100);
+            assert_eq!(got.total_misses(), want.total_misses());
+            assert_eq!(got.num_lines(), want.num_lines());
+            for (line, w) in want.iter() {
+                let g = got.line(line).expect("line missing from the batched profile");
+                assert_eq!(g.count, w.count, "count of {line}");
+                assert_eq!(g.at_blocks, w.at_blocks, "at_blocks of {line}");
+                assert_eq!(g.history_presence, w.history_presence, "presence of {line}");
+                assert_eq!(g.positions, w.positions, "positions of {line}");
+                assert_eq!(got.line_digest(line), want.line_digest(line));
+            }
+        }
     }
 
     #[test]

@@ -21,13 +21,12 @@
 //!   as the offline [`profile`](crate::profile) pass), and the accumulator
 //!   folds window after window into a live profile.
 
-use crate::collect::{Profile, SampleRate};
+use crate::collect::{avg_cycles, ideal_cycles, EdgeTally, Profile, SampleRate};
 use crate::digest::ContentHasher;
 use crate::dyncfg::DynCfg;
 use crate::miss::MissProfile;
 use ispy_sim::{run, RunOptions, SimConfig, SimObserver};
 use ispy_trace::{BlockId, Line, Program, Trace};
-use std::collections::HashMap;
 
 /// One sampled I-cache miss, carried in raw form so it can be folded into —
 /// and removed from — a [`MissProfile`] exactly.
@@ -134,7 +133,7 @@ pub struct ProfileAccumulator {
     events: u64,
     exec: Vec<u64>,
     cycles_sum: Vec<u64>,
-    edges: HashMap<(u32, u32), u64>,
+    edges: EdgeTally,
     misses: MissProfile,
 }
 
@@ -147,7 +146,7 @@ impl ProfileAccumulator {
             events: 0,
             exec: vec![0; num_blocks],
             cycles_sum: vec![0; num_blocks],
-            edges: HashMap::new(),
+            edges: EdgeTally::new(num_blocks),
             misses: MissProfile::new(),
         }
     }
@@ -164,8 +163,8 @@ impl ProfileAccumulator {
         for &(b, n) in &delta.exec {
             self.exec[b.index()] += n;
         }
-        for &(e, n) in &delta.edges {
-            *self.edges.entry(e).or_insert(0) += n;
+        for &((from, to), n) in &delta.edges {
+            self.edges.add(BlockId(from), BlockId(to), n);
         }
         for &(b, n) in &delta.cycles {
             self.cycles_sum[b.index()] += n;
@@ -186,17 +185,13 @@ impl ProfileAccumulator {
     /// block average cycles from the raw sums and builds the weighted CFG.
     /// O(accumulated state), not O(trace) — the trace is never replayed.
     pub fn profile(&self) -> Profile {
-        let avg_cycles: Vec<f64> = self
-            .exec
-            .iter()
-            .zip(&self.cycles_sum)
-            .map(|(&n, &sum)| if n == 0 { 0.0 } else { sum as f64 / n as f64 })
-            .collect();
+        let avg = avg_cycles(&self.exec, &self.cycles_sum);
         Profile {
-            cfg: DynCfg::new(self.exec.clone(), avg_cycles, &self.edges),
+            cfg: DynCfg::new(self.exec.clone(), avg, self.edges.iter()),
             misses: self.misses.clone(),
             trace_len: self.events as usize,
             lbr_depth: self.lbr_depth,
+            replays: None,
         }
     }
 }
@@ -213,22 +208,22 @@ struct DeltaCollector {
     idx0: u64,
     skip: usize,
     exec: Vec<u64>,
-    edges: HashMap<(u32, u32), u64>,
+    edges: EdgeTally,
     samples: Vec<MissSample>,
-    prev: Option<(BlockId, u64)>,
+    prev: Option<BlockId>,
 }
 
 impl SimObserver for DeltaCollector {
-    fn block_entered(&mut self, idx: usize, block: BlockId, cycle: u64) {
+    fn block_entered(&mut self, idx: usize, block: BlockId, _cycle: u64) {
         if idx >= self.skip {
             self.exec[block.index()] += 1;
-            if let Some((prev, _)) = self.prev {
+            if let Some(prev) = self.prev {
                 // With warmup this includes the warmup→window boundary edge,
                 // exactly as a continuous profile would count it.
-                *self.edges.entry((prev.0, block.0)).or_insert(0) += 1;
+                self.edges.add(prev, block, 1);
             }
         }
-        self.prev = Some((block, cycle));
+        self.prev = Some(block);
         self.window.push_back(block);
         if self.window.len() > self.lbr_depth {
             self.window.pop_front();
@@ -251,29 +246,6 @@ impl SimObserver for DeltaCollector {
             history: self.window.iter().copied().collect(),
         });
     }
-}
-
-/// Cycle-splice observer for the ideal-I-cache pass (mirrors the offline
-/// profiler's second replay: distances must be measured in covered-miss
-/// cycles, not front-end-stalled ones). Warmup residency (a block entered
-/// below `skip`) is discarded.
-struct CycleCollector {
-    cycles_sum: Vec<u64>,
-    skip: usize,
-    prev: Option<(BlockId, u64, usize)>,
-}
-
-impl SimObserver for CycleCollector {
-    fn block_entered(&mut self, idx: usize, block: BlockId, cycle: u64) {
-        if let Some((prev, prev_cycle, prev_idx)) = self.prev {
-            if prev_idx >= self.skip {
-                self.cycles_sum[prev.index()] += cycle - prev_cycle;
-            }
-        }
-        self.prev = Some((block, cycle, idx));
-    }
-
-    fn icache_miss(&mut self, _idx: usize, _block: BlockId, _line: Line, _cycle: u64) {}
 }
 
 /// Profiles one window of a trace and returns its [`ProfileDelta`].
@@ -316,7 +288,7 @@ pub fn window_delta(
         idx0,
         skip,
         exec: vec![0; program.num_blocks()],
-        edges: HashMap::new(),
+        edges: EdgeTally::new(program.num_blocks()),
         samples: Vec::new(),
         prev: None,
     };
@@ -327,19 +299,7 @@ pub fn window_delta(
         RunOptions { observer: Some(&mut collector), ..Default::default() },
     );
 
-    let mut cycles = CycleCollector { cycles_sum: vec![0; program.num_blocks()], skip, prev: None };
-    let ideal_cfg = SimConfig { ideal_icache: true, ..sim_cfg.clone() };
-    let ideal_result = run(
-        program,
-        &trace,
-        &ideal_cfg,
-        RunOptions { observer: Some(&mut cycles), ..Default::default() },
-    );
-    if let Some((last, entered, last_idx)) = cycles.prev {
-        if last_idx >= skip {
-            cycles.cycles_sum[last.index()] += ideal_result.cycles.saturating_sub(entered);
-        }
-    }
+    let (cycles_sum, _) = ideal_cycles(program, &trace, sim_cfg, skip);
 
     let mut exec: Vec<(BlockId, u64)> = collector
         .exec
@@ -349,10 +309,9 @@ pub fn window_delta(
         .map(|(i, &n)| (BlockId(i as u32), n))
         .collect();
     exec.sort_unstable_by_key(|&(b, _)| b);
-    let mut edges: Vec<((u32, u32), u64)> = collector.edges.iter().map(|(&e, &n)| (e, n)).collect();
+    let mut edges: Vec<((u32, u32), u64)> = collector.edges.iter().collect();
     edges.sort_unstable();
-    let mut cycle_rows: Vec<(BlockId, u64)> = cycles
-        .cycles_sum
+    let mut cycle_rows: Vec<(BlockId, u64)> = cycles_sum
         .iter()
         .enumerate()
         .filter(|&(_, &n)| n > 0)

@@ -2,7 +2,6 @@
 
 use crate::digest::ContentHasher;
 use ispy_trace::BlockId;
-use std::collections::HashMap;
 
 /// A dynamic CFG: blocks weighted by execution count, edges weighted by
 /// taken-branch count, and per-block average cycle costs.
@@ -18,19 +17,24 @@ pub struct DynCfg {
 }
 
 impl DynCfg {
-    /// Assembles a CFG from per-block execution counts, edge counts, and
-    /// average per-execution cycle costs.
+    /// Assembles a CFG from per-block execution counts, average
+    /// per-execution cycle costs, and `((from, to), taken count)` edges,
+    /// each edge at most once and in any order.
     ///
     /// # Panics
     ///
     /// Panics if `exec` and `avg_cycles` lengths disagree or an edge names a
     /// block out of range.
-    pub fn new(exec: Vec<u64>, avg_cycles: Vec<f64>, edges: &HashMap<(u32, u32), u64>) -> Self {
+    pub fn new(
+        exec: Vec<u64>,
+        avg_cycles: Vec<f64>,
+        edges: impl IntoIterator<Item = ((u32, u32), u64)>,
+    ) -> Self {
         assert_eq!(exec.len(), avg_cycles.len(), "parallel arrays");
         let n = exec.len();
         let mut succs = vec![Vec::new(); n];
         let mut preds = vec![Vec::new(); n];
-        for (&(from, to), &w) in edges {
+        for ((from, to), w) in edges {
             assert!((from as usize) < n && (to as usize) < n, "edge out of range");
             succs[from as usize].push((BlockId(to), w));
             preds[to as usize].push((BlockId(from), w));
@@ -115,12 +119,8 @@ mod tests {
 
     fn simple() -> DynCfg {
         // 0 -> 1 (30), 0 -> 2 (10), 1 -> 3 (30), 2 -> 3 (10)
-        let mut edges = HashMap::new();
-        edges.insert((0, 1), 30);
-        edges.insert((0, 2), 10);
-        edges.insert((1, 3), 30);
-        edges.insert((2, 3), 10);
-        DynCfg::new(vec![40, 30, 10, 40], vec![4.0, 5.0, 6.0, 7.0], &edges)
+        let edges = [((0, 1), 30), ((0, 2), 10), ((1, 3), 30), ((2, 3), 10)];
+        DynCfg::new(vec![40, 30, 10, 40], vec![4.0, 5.0, 6.0, 7.0], edges)
     }
 
     #[test]
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn live_blocks_skips_unexecuted() {
-        let g = DynCfg::new(vec![1, 0, 2], vec![1.0; 3], &HashMap::new());
+        let g = DynCfg::new(vec![1, 0, 2], vec![1.0; 3], []);
         let live: Vec<_> = g.live_blocks().map(|b| b.0).collect();
         assert_eq!(live, vec![0, 2]);
     }
@@ -153,21 +153,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "edge out of range")]
     fn bad_edge_panics() {
-        let mut edges = HashMap::new();
-        edges.insert((0, 9), 1);
-        let _ = DynCfg::new(vec![1, 1], vec![1.0, 1.0], &edges);
+        let _ = DynCfg::new(vec![1, 1], vec![1.0, 1.0], [((0, 9), 1)]);
     }
 
     #[test]
     fn content_digest_tracks_observable_state() {
         let g = simple();
         assert_eq!(g.content_digest(), simple().content_digest());
-        let mut edges = HashMap::new();
-        edges.insert((0, 1), 30);
-        edges.insert((0, 2), 10);
-        edges.insert((1, 3), 30);
-        edges.insert((2, 3), 11); // one edge weight differs
-        let h = DynCfg::new(vec![40, 30, 10, 40], vec![4.0, 5.0, 6.0, 7.0], &edges);
+        // One edge weight differs.
+        let edges = [((0, 1), 30), ((0, 2), 10), ((1, 3), 30), ((2, 3), 11)];
+        let h = DynCfg::new(vec![40, 30, 10, 40], vec![4.0, 5.0, 6.0, 7.0], edges);
         assert_ne!(g.content_digest(), h.content_digest());
     }
 }

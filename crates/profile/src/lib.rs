@@ -45,7 +45,7 @@ pub mod dyncfg;
 pub mod miss;
 pub mod scan;
 
-pub use collect::{profile, Profile, SampleRate};
+pub use collect::{profile, Profile, ProfileReplays, SampleRate};
 pub use delta::{window_delta, MissSample, ProfileAccumulator, ProfileDelta};
 pub use digest::ContentHasher;
 pub use dyncfg::DynCfg;

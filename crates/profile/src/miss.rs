@@ -1,8 +1,8 @@
 //! Per-missing-line statistics (the PEBS side of the profile).
 
 use crate::digest::ContentHasher;
+use ispy_sim::FxHashMap;
 use ispy_trace::{BlockId, Line};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Everything the profiler learned about one missing I-cache line.
@@ -12,10 +12,10 @@ pub struct LineMissStats {
     pub count: u64,
     /// Blocks that were executing when the line missed, with counts.
     /// (A line can miss from several blocks when blocks share a line.)
-    pub at_blocks: HashMap<BlockId, u64>,
+    pub at_blocks: FxHashMap<BlockId, u64>,
     /// For each block, how many sampled misses had it in the 32-deep
     /// history window — the raw material for predictor-block mining.
-    pub history_presence: HashMap<BlockId, u64>,
+    pub history_presence: FxHashMap<BlockId, u64>,
     /// Trace positions (block indices) of the sampled misses, ascending.
     pub positions: Vec<u32>,
 }
@@ -84,7 +84,7 @@ impl LineEntry {
 /// All missing lines observed by a profiling pass.
 #[derive(Debug, Clone, Default)]
 pub struct MissProfile {
-    by_line: HashMap<u64, LineEntry>,
+    by_line: FxHashMap<u64, LineEntry>,
     total: u64,
 }
 
@@ -97,27 +97,32 @@ impl MissProfile {
     /// Records one sampled miss of `line` at `block`, trace position `idx`,
     /// with the 32-deep history window `history`.
     pub fn record(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
+        self.add_sample(line, block, history).positions.push(idx);
+    }
+
+    /// Counts one sample of `line` at `block` with `history` into the
+    /// line's stats (everything but its position) and returns the stats.
+    fn add_sample(
+        &mut self,
+        line: Line,
+        block: BlockId,
+        history: &[BlockId],
+    ) -> &mut LineMissStats {
+        self.total += 1;
         let stats = self.by_line.entry(line.raw()).or_default().stats_mut();
         stats.count += 1;
         *stats.at_blocks.entry(block).or_insert(0) += 1;
-        // Presence, not multiplicity: each distinct block counts once per
-        // sample (the Bloom filter tests presence only).
-        let mut seen = Vec::with_capacity(history.len());
-        for &h in history {
-            if !seen.contains(&h) {
-                seen.push(h);
-                *stats.history_presence.entry(h).or_insert(0) += 1;
-            }
+        for h in distinct(history) {
+            *stats.history_presence.entry(h).or_insert(0) += 1;
         }
-        stats.positions.push(idx);
-        self.total += 1;
+        stats
     }
 
     /// Installs fully-formed stats for `line`, replacing any existing entry
-    /// — the exact-reconstruction entry point used by the artifact decoder
-    /// and by the fleet consensus merge (the incremental
-    /// [`MissProfile::record`] path cannot rebuild presorted stats
-    /// verbatim).
+    /// — the exact-reconstruction entry point used by the artifact decoder,
+    /// the fleet consensus merge and the profiling pass's batched collector
+    /// (the incremental [`MissProfile::record`] path cannot rebuild
+    /// presorted stats verbatim).
     ///
     /// # Examples
     ///
@@ -145,16 +150,7 @@ impl MissProfile {
     /// the profile an in-order recording would have built (positions are
     /// documented ascending, and the planner's byte-equality depends on it).
     pub fn fold_sample(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
-        let stats = self.by_line.entry(line.raw()).or_default().stats_mut();
-        stats.count += 1;
-        *stats.at_blocks.entry(block).or_insert(0) += 1;
-        let mut seen = Vec::with_capacity(history.len());
-        for &h in history {
-            if !seen.contains(&h) {
-                seen.push(h);
-                *stats.history_presence.entry(h).or_insert(0) += 1;
-            }
-        }
+        let stats = self.add_sample(line, block, history);
         match stats.positions.last() {
             Some(&last) if last > idx => {
                 let at = stats.positions.partition_point(|&p| p < idx);
@@ -162,7 +158,6 @@ impl MissProfile {
             }
             _ => stats.positions.push(idx),
         }
-        self.total += 1;
     }
 
     /// Removes one previously-folded (or recorded) sample — the exact
@@ -190,16 +185,12 @@ impl MissProfile {
         if *bc == 0 {
             stats.at_blocks.remove(&block);
         }
-        let mut seen = Vec::with_capacity(history.len());
-        for &h in history {
-            if !seen.contains(&h) {
-                seen.push(h);
-                let hc =
-                    stats.history_presence.get_mut(&h).expect("unfold underflows history presence");
-                *hc -= 1;
-                if *hc == 0 {
-                    stats.history_presence.remove(&h);
-                }
+        for h in distinct(history) {
+            let hc =
+                stats.history_presence.get_mut(&h).expect("unfold underflows history presence");
+            *hc -= 1;
+            if *hc == 0 {
+                stats.history_presence.remove(&h);
             }
         }
         if stats.count == 0 {
@@ -243,6 +234,12 @@ impl MissProfile {
     pub fn iter(&self) -> impl Iterator<Item = (Line, &LineMissStats)> {
         self.by_line.iter().map(|(&raw, e)| (Line::new(raw), &e.stats))
     }
+}
+
+/// The distinct blocks of one sample's `history`, each once: presence, not
+/// multiplicity (the Bloom filter tests presence only).
+fn distinct(history: &[BlockId]) -> impl Iterator<Item = BlockId> + '_ {
+    history.iter().enumerate().filter(|&(i, h)| !history[..i].contains(h)).map(|(_, &h)| h)
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 //! (record → artifact bytes → replay) must be byte-identical to the
 //! in-memory pipeline, per app and per rendered figure table.
 
+use ispy_core::artifact::plan_to_bytes;
 use ispy_harness::cache::ArtifactCache;
 use ispy_harness::{figures, metrics, Scale, Session};
 use ispy_sim::{replay_stream, run, RunOptions, SimConfig};
@@ -61,6 +62,37 @@ fn figures_from_cached_artifacts_are_byte_identical() {
         assert!(cache.profile_path(app).exists(), "missing .iprof for {app}");
         assert!(cache.plan_path(app, "ispy").exists(), "missing ispy .iplan for {app}");
         assert!(cache.plan_path(app, "asmdb").exists(), "missing asmdb .iplan for {app}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A session whose profiles come from the artifact cache replays the
+/// baseline and ideal arms itself; a fresh session takes them from its
+/// profiles. Both must return the same comparison.
+#[test]
+fn cached_and_uncached_sessions_return_equal_comparisons() {
+    let scale = Scale::test();
+    let models = || vec![apps::drupal(), apps::tomcat()];
+    let dir = std::env::temp_dir().join("ispy-artifact-golden-comparison");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let fresh = Session::with_apps(scale, models());
+    // The cold session stores its artifacts; the warm one loads them.
+    drop(Session::with_cache(scale, models(), ArtifactCache::new(&dir, scale)));
+    let warm = Session::with_cache(scale, models(), ArtifactCache::new(&dir, scale));
+    for i in 0..fresh.apps().len() {
+        let name = fresh.apps()[i].name();
+        assert!(fresh.apps()[i].profile.replays.is_some(), "{name}: fresh profile lacks replays");
+        assert!(warm.apps()[i].profile.replays.is_none(), "{name}: cached profile has replays");
+        let (a, b) = (fresh.comparison(i), warm.comparison(i));
+        assert_eq!(a.baseline, b.baseline, "{name} baseline");
+        assert_eq!(a.ideal, b.ideal, "{name} ideal");
+        assert_eq!(a.asmdb, b.asmdb, "{name} asmdb");
+        assert_eq!(a.ispy, b.ispy, "{name} ispy");
+        assert_eq!(a.ispy_outcomes, b.ispy_outcomes, "{name} ledger");
+        for (pa, pb) in [(&a.asmdb_plan, &b.asmdb_plan), (&a.ispy_plan, &b.ispy_plan)] {
+            assert_eq!(plan_to_bytes(name, pa), plan_to_bytes(name, pb), "{name} plan");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,7 +10,6 @@ use ispy_harness::{PlanService, Scale};
 use ispy_profile::{profile, DynCfg, LineMissStats, MissProfile, Profile, SampleRate};
 use ispy_sim::SimConfig;
 use ispy_trace::{apps, BlockId, Line};
-use std::collections::HashMap;
 use std::path::Path;
 
 /// Per-machine member profiles of one binary under drifted inputs — the
@@ -107,9 +106,7 @@ fn single_profile_fleet_is_byte_identical_to_direct_plan() {
 /// A tiny hand-built member: two blocks, one edge, and the given miss
 /// lines, each with predictor blocks from `history`.
 fn synthetic_member(lines: &[(u64, &[u32])]) -> Profile {
-    let mut edges = HashMap::new();
-    edges.insert((0u32, 1u32), 10u64);
-    let cfg = DynCfg::new(vec![10, 10], vec![2.0, 3.0], &edges);
+    let cfg = DynCfg::new(vec![10, 10], vec![2.0, 3.0], [((0, 1), 10)]);
     let mut misses = MissProfile::new();
     for &(raw, predictors) in lines {
         misses.insert_line(
@@ -122,7 +119,7 @@ fn synthetic_member(lines: &[(u64, &[u32])]) -> Profile {
             },
         );
     }
-    Profile { cfg, misses, trace_len: 100, lbr_depth: 8 }
+    Profile { cfg, misses, trace_len: 100, lbr_depth: 8, replays: None }
 }
 
 /// Vote semantics: a line observed by a minority of members is dropped; a
