@@ -4,8 +4,6 @@
 //!   state-of-the-art software prefetcher in the paper's evaluation:
 //!   link-time injection of *unconditional, single-line* code prefetches at
 //!   predecessors whose fan-out is below a threshold (§II-C, Fig. 3).
-//! * [`nextline`] — classic hardware next-line / next-N-line instruction
-//!   prefetchers (§VIII "Hardware prefetching").
 //! * [`spatial`] — the Contiguous-8 vs Non-contiguous-8 study behind §II-D's
 //!   coalescing motivation (Fig. 5).
 //! * [`ideal`] — the no-miss ideal cache upper bound.
@@ -31,12 +29,8 @@
 
 pub mod asmdb;
 pub mod ideal;
-pub mod nextline;
 pub mod spatial;
-pub mod stream;
 
 pub use asmdb::{AsmDbConfig, AsmDbPlanner};
 pub use ideal::ideal_result;
-pub use nextline::NextNLine;
 pub use spatial::{SpatialMode, SpatialPlanner};
-pub use stream::{RdipLite, StreamPrefetcher};

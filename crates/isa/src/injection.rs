@@ -205,10 +205,6 @@ pub struct CompiledInjections {
     starts: Vec<u32>,
     ops: Vec<PrefetchOp>,
     ids: Vec<Option<ProvenanceId>>,
-    /// The injection-skip index: bit `b` set iff block `b` has ops. The
-    /// replay engine tests this one word per event to batch over runs of
-    /// injection-free blocks without touching the offset table at all.
-    site_bits: Vec<u64>,
     /// Branch-free lowering of `ops`, index-aligned with `ops`/`ids`.
     compiled: Vec<CompiledOp>,
     /// Every op's target lines, flattened base-first; a [`CompiledOp`]
@@ -324,7 +320,6 @@ impl CompiledInjections {
         let mut starts = vec![0u32; limit + 1];
         let mut ops = Vec::with_capacity(total);
         let mut ids = Vec::with_capacity(total);
-        let mut site_bits = vec![0u64; limit.div_ceil(64)];
         let mut compiled = Vec::with_capacity(total);
         let mut lines = Vec::with_capacity(total);
         let mut next = 0usize;
@@ -332,9 +327,6 @@ impl CompiledInjections {
             let b = site.index();
             for slot in &mut starts[next..=b] {
                 *slot = ops.len() as u32;
-            }
-            if !s.ops.is_empty() {
-                site_bits[b >> 6] |= 1 << (b & 63);
             }
             for (op, id) in s.ops.iter().zip(&s.ids) {
                 compiled.push(lower_op(op, *id, &mut lines));
@@ -347,7 +339,7 @@ impl CompiledInjections {
             *slot = ops.len() as u32;
         }
         assert!(u32::try_from(lines.len()).is_ok(), "injection map too large to compile");
-        CompiledInjections { starts, ops, ids, site_bits, compiled, lines }
+        CompiledInjections { starts, ops, ids, compiled, lines }
     }
 
     /// The ops injected at `site` (empty for sites out of range).
@@ -373,18 +365,6 @@ impl CompiledInjections {
         }
         let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
         (&self.ops[lo..hi], &self.ids[lo..hi])
-    }
-
-    /// Whether any ops are injected at `site` — one word test against the
-    /// skip index, cheaper than [`CompiledInjections::site`] when the answer
-    /// is usually "no" (the replay engine's per-event case).
-    #[inline]
-    pub fn has_ops(&self, site: BlockId) -> bool {
-        let b = site.index();
-        match self.site_bits.get(b >> 6) {
-            Some(&word) => word >> (b & 63) & 1 != 0,
-            None => false,
-        }
     }
 
     /// The branch-free lowered ops at `site` (empty for sites out of range),
@@ -602,25 +582,6 @@ mod tests {
         assert_eq!(c.ops_at(BlockId(20)).len(), 1);
         assert!(c.ops_at(BlockId(3)).is_empty());
         assert!(c.ops_at(BlockId(21)).is_empty());
-    }
-
-    #[test]
-    fn skip_index_matches_site_table() {
-        let mut m = InjectionMap::new();
-        m.push(BlockId(0), plain(1));
-        m.push(BlockId(63), plain(2));
-        m.push(BlockId(64), plain(3));
-        m.push(BlockId(200), plain(4));
-        let c = m.compile(128);
-        for b in 0..260u32 {
-            assert_eq!(
-                c.has_ops(BlockId(b)),
-                !c.ops_at(BlockId(b)).is_empty(),
-                "skip index diverges at B{b}"
-            );
-        }
-        assert!(!c.has_ops(BlockId(1_000_000)));
-        assert!(!CompiledInjections::default().has_ops(BlockId(0)));
     }
 
     #[test]

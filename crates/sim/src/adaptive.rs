@@ -122,7 +122,7 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
             initial.compile(program.num_blocks())
         };
         let id_base = compiled.rebase_provenance(0);
-        let eng = Engine::new(program, cfg, Arc::new(compiled), None, None, outcomes, false, true);
+        let eng = Engine::new(program, cfg, Arc::new(compiled), None, outcomes, true);
         AdaptiveEngine { program, eng, idx: 0, id_base }
     }
 
@@ -154,7 +154,7 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
         let span = compiled.rebase_provenance(self.id_base);
         let start = self.id_base;
         self.id_base = start.checked_add(span).expect("provenance id space exhausted");
-        self.eng.swap_plan(self.program, Arc::new(compiled));
+        self.eng.swap_plan(Arc::new(compiled));
         start..self.id_base
     }
 

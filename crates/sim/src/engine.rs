@@ -24,14 +24,10 @@
 //!
 //! ## Hot-path structure
 //!
-//! The loop is organised around three observations about injected replay
+//! Every block takes the same step (`Engine::step`) and every injected op
+//! the same loop, organised around two observations about injected replay
 //! (see DESIGN.md "Engine internals"):
 //!
-//! * **Injection-skip index** — most blocks carry no ops, and while nothing
-//!   is in flight an op-free block cannot interact with the prefetch
-//!   machinery at all. The compiled plan's per-block bitmap lets the loop
-//!   batch whole runs of such blocks through a lean step that skips the
-//!   completion drain, the op dispatch, and the in-flight probes.
 //! * **Branch-free op execution** — [`CompiledOp`](ispy_isa::CompiledOp)s
 //!   carry the condition as
 //!   a raw bitmask (`bits & !runtime == 0`, `0` for unconditional ops) and
@@ -86,19 +82,6 @@ pub trait SimObserver {
     }
 }
 
-/// An observer that ignores every event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl SimObserver for NoopObserver {}
-
-/// A hardware prefetcher hook (used by the next-line baselines).
-pub trait HwPrefetcher {
-    /// Called on every demand instruction fetch; push lines to prefetch into
-    /// `out`.
-    fn on_fetch(&mut self, line: Line, was_miss: bool, out: &mut Vec<Line>);
-}
-
 /// Optional attachments for a run.
 #[derive(Default)]
 pub struct RunOptions<'a> {
@@ -109,20 +92,11 @@ pub struct RunOptions<'a> {
     /// plan across many configurations (the figure sweeps) compile once and
     /// pass it here to skip the per-run lowering.
     pub compiled: Option<&'a CompiledInjections>,
-    /// A hardware prefetcher observing the fetch stream.
-    pub hw_prefetcher: Option<&'a mut dyn HwPrefetcher>,
     /// An observer receiving replay events.
     pub observer: Option<&'a mut dyn SimObserver>,
     /// Collects per-injection outcome counts, bucketed by the provenance ids
     /// the injection map carries.
     pub outcomes: Option<&'a mut OutcomeLedger>,
-    /// Validation knob: route every block through the full per-block step
-    /// and every injected op through the plain per-op loop, disabling both
-    /// the injection-skip fast path and the site-group accounting fast path.
-    /// Results must be bit-identical either way (the `engine_fastpath` suite
-    /// asserts it); the flag exists so that equivalence is testable from
-    /// outside the crate.
-    pub reference_loop: bool,
 }
 
 /// Vacant-slot sentinel in the in-flight arena. A real completion cycle can
@@ -183,8 +157,8 @@ struct InflightArena {
     entries: usize,
     /// Same-completion scratch group reused across drains.
     scratch: Vec<(u64, u64)>,
-    /// Total lines currently in flight (dense + far); the loop's "anything
-    /// pending?" probe is a zero test on this.
+    /// Total lines currently in flight (dense + far); the probes answer
+    /// "not in flight" from a zero test on this.
     live: usize,
     /// Lane entries whose line is no longer (or differently) in flight.
     /// Tracked so the lanes can be rebuilt before stale entries dominate:
@@ -209,11 +183,6 @@ impl InflightArena {
             live: 0,
             stale: 0,
         }
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     fn insert(&mut self, line: Line, completion: u64, tag: Option<ProvenanceId>) {
@@ -577,56 +546,9 @@ fn hot_ops(injections: &CompiledInjections, shadow_limit: u64) -> Vec<HotOp> {
         .collect()
 }
 
-/// `site_groups` start sentinel in [`BlockMeta`]: the site fast check does
-/// not apply at this block (not every op shadow-batchable).
-const SITE_NO_FAST: u32 = u32::MAX;
-
-/// One condition-group of a site's ops: every op at the site sharing one
-/// condition mask, with their shadow cover pairs merged. Grouping matters
-/// because a block's ops either all see the same runtime hash — so ops with
-/// equal masks fire or suppress *together* — and without a ledger only the
-/// totals are observable, letting the engine account a whole group in one
-/// compare instead of walking its ops.
-///
-/// A site with more than one group additionally stores a *union summary* as
-/// its first entry: the OR of the groups' condition masks, their combined
-/// op/line totals, and their merged cover pairs. The union mask passing the
-/// subset test implies every group's mask passes (each is a subset of the
-/// OR), and the union cover being shadow-resident implies every group's
-/// cover is, so the steady state — all groups fire, every target line
-/// resident — settles the whole site in one compare without visiting the
-/// per-group entries at all. A single-group site's one entry *is* its union.
-#[derive(Clone, Copy)]
-struct SiteGroup {
-    /// The group's shared condition mask.
-    ctx: u64,
-    /// Op count in the group.
-    n: u32,
-    /// Sum of the ops' target-line counts.
-    lines: u32,
-    /// Range into the engine's flat merged `(word, mask)` pair store.
-    pairs: (u32, u32),
-    /// Range into the engine's flat per-group op-index store, so a group
-    /// that does need issuing walks only its own ops. Issue order across
-    /// groups then differs from op order, which is unobservable without a
-    /// ledger: the hierarchy is read-only during op execution, completed
-    /// prefetches drain in `(completion, line)` order regardless of
-    /// insertion order, and a line targeted twice in one block issues once
-    /// and counts once resident under any ordering.
-    ops: (u32, u32),
-}
-
 /// Per-block facts the replay loop consults on every event, precomputed once
 /// per run so the hot loop never re-derives line spans from byte addresses
 /// or re-hashes block addresses into Bloom positions.
-///
-/// The site fast-path aggregates ride along in the same struct — the meta is
-/// the one scattered per-block load the loop already pays, so folding a whole
-/// site's op list into it makes the steady-state check (all ops fire, every
-/// target line shadow-resident) free of further table lookups: when every op
-/// at the site is batchable, the union of their condition bits passes, and
-/// the union of their shadow masks is covered, the per-op loop's outcome is
-/// fully determined without walking the ops.
 #[derive(Clone, Copy)]
 struct BlockMeta {
     start: Addr,
@@ -636,128 +558,24 @@ struct BlockMeta {
     data_accesses: u32,
     /// The block address's Bloom signature under the run's hash config.
     sig: BloomSig,
-    /// Range into the engine's flat [`SiteGroup`] store, or
-    /// `(SITE_NO_FAST, _)` when the fast check is disabled at this site.
-    site_groups: (u32, u32),
 }
 
-/// The flat site tables [`block_metas`] builds alongside the metas: the
-/// [`SiteGroup`] store, its cover-pair pool, and its member-op pool.
-type SiteTables = (Vec<BlockMeta>, Vec<SiteGroup>, Vec<(u32, u64)>, Vec<u32>);
-
-/// Per-site scratch accumulator for one distinct ctx mask: the mask, op and
-/// line counts, merged `(word, mask)` cover pairs, and member op indices.
-type GroupAcc = (u64, u32, u32, Vec<(u32, u64)>, Vec<u32>);
-
-fn block_metas(
-    program: &Program,
-    lbr: &Lbr,
-    injections: &CompiledInjections,
-    hot_ops: &[HotOp],
-) -> SiteTables {
-    let mut groups: Vec<SiteGroup> = Vec::new();
-    let mut pairs: Vec<(u32, u64)> = Vec::new();
-    let mut group_ops: Vec<u32> = Vec::new();
-    let mut acc: Vec<GroupAcc> = Vec::new();
-    let metas = program
+fn block_metas(program: &Program, lbr: &Lbr) -> Vec<BlockMeta> {
+    program
         .blocks()
         .iter()
-        .enumerate()
-        .map(|(site, b)| {
+        .map(|b| {
             let first_line = b.first_line().raw();
-            let mut meta = BlockMeta {
+            BlockMeta {
                 start: b.start(),
                 first_line,
                 last_line: first_line + b.line_count() - 1,
                 instrs: u64::from(b.instrs()),
                 data_accesses: u32::from(b.data_accesses()),
                 sig: lbr.sig_of(b.start()),
-                site_groups: (SITE_NO_FAST, 0),
-            };
-            let range = injections.site_range(BlockId(site as u32));
-            if range.is_empty() {
-                meta.site_groups = (0, 0); // no ops: trivially fast (never consulted)
-                return meta;
             }
-            let mut used = 0usize;
-            for (i, op) in hot_ops[range.clone()].iter().enumerate() {
-                if op.words[1] == NO_BATCH {
-                    return meta; // fast check disabled at this site
-                }
-                let slot = match acc[..used].iter().position(|a| a.0 == op.ctx_bits) {
-                    Some(i) => i,
-                    None => {
-                        if used == acc.len() {
-                            acc.push((0, 0, 0, Vec::new(), Vec::new()));
-                        }
-                        let a = &mut acc[used];
-                        a.0 = op.ctx_bits;
-                        a.1 = 0;
-                        a.2 = 0;
-                        a.3.clear();
-                        a.4.clear();
-                        used += 1;
-                        used - 1
-                    }
-                };
-                let a = &mut acc[slot];
-                a.1 += 1;
-                a.2 += op.masks[0].count_ones() + op.masks[1].count_ones();
-                a.4.push((range.start + i) as u32);
-                for k in 0..2 {
-                    if op.masks[k] == 0 {
-                        continue;
-                    }
-                    match a.3.iter_mut().find(|(w, _)| *w == op.words[k]) {
-                        Some((_, m)) => *m |= op.masks[k],
-                        None => a.3.push((op.words[k], op.masks[k])),
-                    }
-                }
-            }
-            let gstart = groups.len() as u32;
-            if used > 1 {
-                // Union summary entry: OR of masks, merged pairs, totals.
-                let mut union: Vec<(u32, u64)> = Vec::new();
-                let (mut ctx, mut n, mut lines) = (0u64, 0u32, 0u32);
-                for a in &acc[..used] {
-                    ctx |= a.0;
-                    n += a.1;
-                    lines += a.2;
-                    for &(w, m) in &a.3 {
-                        match union.iter_mut().find(|(uw, _)| *uw == w) {
-                            Some((_, um)) => *um |= m,
-                            None => union.push((w, m)),
-                        }
-                    }
-                }
-                let pstart = pairs.len() as u32;
-                pairs.extend_from_slice(&union);
-                groups.push(SiteGroup {
-                    ctx,
-                    n,
-                    lines,
-                    pairs: (pstart, pairs.len() as u32),
-                    ops: (0, 0), // never walked: issuing falls to the groups
-                });
-            }
-            for a in &acc[..used] {
-                let pstart = pairs.len() as u32;
-                pairs.extend_from_slice(&a.3);
-                let ostart = group_ops.len() as u32;
-                group_ops.extend_from_slice(&a.4);
-                groups.push(SiteGroup {
-                    ctx: a.0,
-                    n: a.1,
-                    lines: a.2,
-                    pairs: (pstart, pairs.len() as u32),
-                    ops: (ostart, group_ops.len() as u32),
-                });
-            }
-            meta.site_groups = (gstart, groups.len() as u32);
-            meta
         })
-        .collect();
-    (metas, groups, pairs, group_ops)
+        .collect()
 }
 
 /// The whole simulated machine plus replay bookkeeping, packaged so the
@@ -771,7 +589,6 @@ pub(crate) struct Engine<'o> {
     attr: Attribution<'o>,
     m: SimResult,
     cycle: u64,
-    hw_out: Vec<Line>,
     data_lines: u64,
     /// `data_lines − 1` when the data footprint is a power of two (every
     /// bundled app model), letting the data side reduce addresses with an
@@ -784,24 +601,12 @@ pub(crate) struct Engine<'o> {
     ideal_icache: bool,
     metas: Vec<BlockMeta>,
     hot_ops: Vec<HotOp>,
-    /// Flat storage for every site's condition groups, indexed by the
-    /// `site_groups` range in its [`BlockMeta`].
-    site_groups: Vec<SiteGroup>,
-    /// Flat storage for the groups' merged `(shadow word, mask)` cover pairs.
-    site_pairs: Vec<(u32, u64)>,
-    /// Flat storage for the groups' member op indices into the hot-op table.
-    site_group_ops: Vec<u32>,
     /// The installed compiled plan. Shared (not borrowed) so a run can
     /// install a *new* plan mid-replay ([`Engine::swap_plan`]) while callers
     /// of the old one keep their handle; static runs wrap their plan once at
     /// the entry point.
     injections: Arc<CompiledInjections>,
     observer: Option<&'o mut dyn SimObserver>,
-    hw: Option<&'o mut dyn HwPrefetcher>,
-    /// Whether injection-free runs may take the lean step: no observer (it
-    /// expects per-block callbacks), no hardware prefetcher (it watches
-    /// every fetch), and the validation knob not set.
-    fast_ok: bool,
     /// The run's tenant-switch/phase schedule, if any.
     sched: Option<Arc<SwitchSchedule>>,
     /// Cursor into the schedule's switch list: next entry to fire.
@@ -820,22 +625,18 @@ impl<'o> Engine<'o> {
     /// in later, and the arena limits are fixed at construction (an
     /// undersized arena is still *correct*: lines spill to the hash-map
     /// side, just slower).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         program: &Program,
         cfg: &SimConfig,
         injections: Arc<CompiledInjections>,
         observer: Option<&'o mut dyn SimObserver>,
-        hw: Option<&'o mut dyn HwPrefetcher>,
         ledger: Option<&'o mut OutcomeLedger>,
-        reference_loop: bool,
         force_arena: bool,
     ) -> Self {
         let mut hier = Hierarchy::new(cfg);
         let lbr = Lbr::new(cfg.lbr_depth, cfg.hash);
-        // Shadow the code-line range (plus slack for next-line prefetchers
-        // past the last block); prefetches of lines beyond it use the scan
-        // path.
+        // Shadow the code-line range plus one shadow word of slack past the
+        // last block; prefetches of lines beyond it use the scan path.
         let max_code_line = program
             .blocks()
             .iter()
@@ -844,16 +645,14 @@ impl<'o> Engine<'o> {
             .unwrap_or(0);
         hier.enable_l1i_shadow(max_code_line + 65);
         hier.enable_data_shadow(DATA_LINE_BASE, program.data_footprint_lines());
-        // Prefetches only exist with an injection plan or a hardware
-        // prefetcher; plain baseline runs skip the arena allocations.
-        let want_arena = force_arena || !injections.is_empty() || hw.is_some();
+        // Prefetches only exist with an injection plan; plain baseline runs
+        // skip the arena allocations.
+        let want_arena = force_arena || !injections.is_empty();
         let arena_limit = if want_arena { (max_code_line + 65).min(ARENA_LINE_CAP) } else { 0 };
         let owner_limit = if want_arena && ledger.is_some() { arena_limit } else { 0 };
         let tagged = ledger.is_some();
-        let fast_ok = !reference_loop && observer.is_none() && hw.is_none();
         let hot_ops = hot_ops(&injections, hier.l1i_shadow_limit());
-        let (metas, site_groups, site_pairs, site_group_ops) =
-            block_metas(program, &lbr, &injections, &hot_ops);
+        let metas = block_metas(program, &lbr);
         let data_lines = program.data_footprint_lines();
         Engine {
             hier,
@@ -862,7 +661,6 @@ impl<'o> Engine<'o> {
             attr: Attribution { ledger, owner: OwnerArena::new(owner_limit) },
             m: SimResult::default(),
             cycle: 0,
-            hw_out: Vec::new(),
             data_lines,
             data_mask: if data_lines.is_power_of_two() { data_lines - 1 } else { 0 },
             stream_counter: 0,
@@ -872,13 +670,8 @@ impl<'o> Engine<'o> {
             ideal_icache: cfg.ideal_icache,
             metas,
             hot_ops,
-            site_groups,
-            site_pairs,
-            site_group_ops,
             injections,
             observer,
-            hw,
-            fast_ok,
             sched: cfg.schedule.clone(),
             next_switch: 0,
             next_phase: 0,
@@ -892,33 +685,8 @@ impl<'o> Engine<'o> {
         if self.sched.is_some() {
             self.sync_boundaries(idx0);
         }
-        let n = blocks.len();
-        let mut i = 0;
-        while i < n {
-            if self.fast_ok
-                && self.inflight.is_empty()
-                && !self.injections.has_ops(blocks[i])
-                && ((idx0 + i) as u64) < self.next_boundary
-            {
-                // A run of injection-free blocks with nothing in flight:
-                // nothing can complete, fire, or be probed, so batch the
-                // whole span through the lean step. The skip index keeps
-                // this scan one bit test per block. The span is capped at
-                // the next schedule boundary, whose block takes the full
-                // step (where the boundary fires).
-                let lim = (self.next_boundary - idx0 as u64).min(n as u64) as usize;
-                let mut j = i + 1;
-                while j < lim && !self.injections.has_ops(blocks[j]) {
-                    j += 1;
-                }
-                for &b in &blocks[i..j] {
-                    self.step_lean(b);
-                }
-                i = j;
-            } else {
-                self.step_full(idx0 + i, blocks[i]);
-                i += 1;
-            }
+        for (i, &b) in blocks.iter().enumerate() {
+            self.step(idx0 + i, b);
         }
     }
 
@@ -1005,69 +773,21 @@ impl<'o> Engine<'o> {
     /// `[a..b]` then `[b..c]` around a swap equals any other chunking with
     /// the swap at `b`).
     ///
-    /// All per-plan derived state (the hot-op table, the per-block metas
-    /// with their site fast-path aggregates) is rebuilt from the new plan;
-    /// everything microarchitectural (caches, LBR, cycle count, in-flight
+    /// The per-plan derived state (the hot-op table) is rebuilt from the new
+    /// plan; everything microarchitectural (caches, LBR, cycle count, in-flight
     /// prefetches) carries over untouched. In particular, prefetches issued
     /// under the *old* plan stay in flight and complete, attribute, and
     /// drain under their old provenance ids — callers that swap between
     /// attributed plans rebase the new plan's ids into a fresh range first
     /// (see [`CompiledInjections::rebase_provenance`]) so the generations'
     /// ledger rows never collide.
-    pub(crate) fn swap_plan(&mut self, program: &Program, injections: Arc<CompiledInjections>) {
+    pub(crate) fn swap_plan(&mut self, injections: Arc<CompiledInjections>) {
         self.hot_ops = hot_ops(&injections, self.hier.l1i_shadow_limit());
-        let (metas, site_groups, site_pairs, site_group_ops) =
-            block_metas(program, &self.lbr, &injections, &self.hot_ops);
-        self.metas = metas;
-        self.site_groups = site_groups;
-        self.site_pairs = site_pairs;
-        self.site_group_ops = site_group_ops;
         self.injections = injections;
     }
 
-    /// One block event through the lean path. Caller guarantees: no ops at
-    /// the block, nothing in flight, no observer, no hardware prefetcher.
-    /// Under those facts this is step-for-step identical to
-    /// [`Engine::step_full`] — the drain has nothing to drain, the op loop
-    /// nothing to execute, and the in-flight probes nothing to find.
-    fn step_lean(&mut self, block_id: BlockId) {
-        let meta = self.metas[block_id.index()];
-        self.m.blocks += 1;
-        self.lbr.push_sig(meta.start, meta.sig);
-        if self.ideal_icache {
-            self.m.i_accesses += meta.last_line - meta.first_line + 1;
-        } else {
-            for raw in meta.first_line..=meta.last_line {
-                let line = Line::new(raw);
-                self.m.i_accesses += 1;
-                if let Some(was_untouched) = self.hier.fetch_instr_hit(line) {
-                    if was_untouched {
-                        self.m.pf_useful += 1;
-                        let owner = self.attr.settle(line);
-                        self.attr.note(owner, |o| o.useful += 1);
-                    }
-                } else {
-                    self.m.i_misses += 1;
-                    let out = self.hier.fetch_instr_miss(line);
-                    if let Some(evicted) = out.evicted_untouched {
-                        self.m.pf_evicted_unused += 1;
-                        let owner = self.attr.settle(evicted);
-                        self.attr.note(owner, |o| o.evicted_unused += 1);
-                    }
-                    let stall = u64::from(out.extra_cycles);
-                    self.m.i_stall_cycles += stall;
-                    self.cycle += stall;
-                }
-            }
-        }
-        self.data_side(block_id, &meta);
-        self.m.base_instrs += meta.instrs;
-        self.m.instrs += meta.instrs;
-        self.cycle += meta.instrs.div_ceil(self.issue_width);
-    }
-
-    /// One block event through the full path.
-    fn step_full(&mut self, idx: usize, block_id: BlockId) {
+    /// One block event at trace position `idx`.
+    fn step(&mut self, idx: usize, block_id: BlockId) {
         if idx as u64 >= self.next_boundary {
             self.cross_boundary(idx);
         }
@@ -1085,7 +805,7 @@ impl<'o> Engine<'o> {
         self.drain_completed();
 
         // 3. Execute injected prefetch ops.
-        let ops_issued = self.exec_ops(block_id, &meta);
+        let ops_issued = self.exec_ops(block_id);
 
         // 4. Fetch the block's instruction lines.
         if self.ideal_icache {
@@ -1102,7 +822,6 @@ impl<'o> Engine<'o> {
                         let owner = self.attr.settle(line);
                         self.attr.note(owner, |o| o.useful += 1);
                     }
-                    self.hw_hook(line, false);
                     continue;
                 }
                 // Miss path.
@@ -1134,7 +853,6 @@ impl<'o> Engine<'o> {
                 };
                 self.m.i_stall_cycles += stall;
                 self.cycle += stall;
-                self.hw_hook(line, true);
             }
         }
 
@@ -1161,7 +879,7 @@ impl<'o> Engine<'o> {
     }
 
     /// Executes the compiled ops at `block_id`; returns how many there were.
-    fn exec_ops(&mut self, block_id: BlockId, meta: &BlockMeta) -> u64 {
+    fn exec_ops(&mut self, block_id: BlockId) -> u64 {
         let range = self.injections.site_range(block_id);
         if range.is_empty() {
             return 0;
@@ -1171,82 +889,8 @@ impl<'o> Engine<'o> {
         // configuration never touches provenance ids or outcome buckets.
         if self.attr.enabled() {
             self.exec_op_range::<true>(range);
-        } else if !self.fast_ok {
-            // Reference loop (or observer/hw run): keep the plain per-op
-            // walk so `reference_loop: true` really is the unoptimized
-            // baseline the fast-path equivalence suite compares against.
-            self.exec_op_range::<false>(range);
         } else {
-            // Site fast path: walk the site's condition groups instead of
-            // its ops. Each group fires or suppresses wholesale (its ops
-            // share one mask), a firing group whose merged cover pairs are
-            // all shadow-resident issues nothing and accounts in one
-            // compare, and only a firing group with at least one line to
-            // issue walks its own ops. Issue order across groups differs
-            // from op order, which is unobservable here (see
-            // [`SiteGroup::ops`]); the ledger path keeps the per-op loop —
-            // it attributes per op.
-            let (gs, ge) = meta.site_groups;
-            if gs == SITE_NO_FAST {
-                self.exec_op_range::<false>(range);
-                return n;
-            }
-            self.m.pf_ops_executed += n;
-            let not_runtime = !self.lbr.runtime_hash();
-            // Steady-state check against the site's union entry: all groups
-            // fire and every target line is shadow-resident — one compare
-            // plus a couple of word tests settles the whole site.
-            let u = self.site_groups[gs as usize];
-            let single = ge == gs + 1;
-            if u.ctx & not_runtime == 0 {
-                let (s, e) = u.pairs;
-                if self.site_pairs[s as usize..e as usize]
-                    .iter()
-                    .all(|&(w, m)| self.hier.l1i_shadow_word(w) & m == m)
-                {
-                    self.m.pf_ops_fired += u64::from(u.n);
-                    self.m.pf_lines_resident += u64::from(u.lines);
-                    return n;
-                }
-            } else if single {
-                self.m.pf_ops_suppressed += u64::from(u.n);
-                return n;
-            }
-            // Mixed outcome: walk the per-group entries (for a single-group
-            // site that *is* the union entry).
-            let (mut fired, mut suppressed, mut resident) = (0u64, 0u64, 0u64);
-            for gi in if single { gs } else { gs + 1 }..ge {
-                let g = self.site_groups[gi as usize];
-                if g.ctx & not_runtime != 0 {
-                    suppressed += u64::from(g.n);
-                    continue;
-                }
-                fired += u64::from(g.n);
-                let (s, e) = g.pairs;
-                if self.site_pairs[s as usize..e as usize]
-                    .iter()
-                    .all(|&(w, m)| self.hier.l1i_shadow_word(w) & m == m)
-                {
-                    resident += u64::from(g.lines);
-                    continue;
-                }
-                let (os, oe) = g.ops;
-                for k in os..oe {
-                    let i = self.site_group_ops[k as usize] as usize;
-                    let op = self.hot_ops[i];
-                    if self.hier.l1i_shadow_covers(op.words, op.masks) {
-                        resident += u64::from(op.masks[0].count_ones() + op.masks[1].count_ones());
-                    } else {
-                        let inj = Arc::clone(&self.injections);
-                        for &line in inj.op_lines(&inj.compiled_ops()[i]) {
-                            self.issue_prefetch(line, None);
-                        }
-                    }
-                }
-            }
-            self.m.pf_ops_fired += fired;
-            self.m.pf_ops_suppressed += suppressed;
-            self.m.pf_lines_resident += resident;
+            self.exec_op_range::<false>(range);
         }
         n
     }
@@ -1311,21 +955,6 @@ impl<'o> Engine<'o> {
         self.inflight.insert(line, self.cycle + u64::from(latency), tag);
         self.m.pf_lines_issued += 1;
         self.attr.note(tag, |o| o.lines_issued += 1);
-    }
-
-    /// Invokes the hardware prefetcher, if any, and issues its requests
-    /// (never attributed to a planned injection — they carry no provenance).
-    fn hw_hook(&mut self, line: Line, was_miss: bool) {
-        if let Some(hw) = self.hw.as_deref_mut() {
-            hw.on_fetch(line, was_miss, &mut self.hw_out);
-        }
-        if !self.hw_out.is_empty() {
-            let mut out = std::mem::take(&mut self.hw_out);
-            for line in out.drain(..) {
-                self.issue_prefetch(line, None);
-            }
-            self.hw_out = out;
-        }
     }
 
     /// Reduces `x` into the data footprint: a mask when the footprint is a
@@ -1399,16 +1028,7 @@ fn engine_for<'o>(program: &Program, cfg: &SimConfig, opts: RunOptions<'o>) -> E
             _ => Arc::new(CompiledInjections::default()),
         },
     };
-    Engine::new(
-        program,
-        cfg,
-        injections,
-        opts.observer,
-        opts.hw_prefetcher,
-        opts.outcomes,
-        opts.reference_loop,
-        false,
-    )
+    Engine::new(program, cfg, injections, opts.observer, opts.outcomes, false)
 }
 
 /// Replays a [`BlockSource`] through the simulated machine, chunk by chunk.
@@ -1417,8 +1037,7 @@ fn engine_for<'o>(program: &Program, cfg: &SimConfig, opts: RunOptions<'o>) -> E
 /// semantics are chunk-agnostic (each internal replay call continues from
 /// the machine state the previous one left), so the result is byte-identical
 /// to materializing the source into a `Vec` and calling [`run`] — for any
-/// source and any chunking. The injected fast path (skip index, arena
-/// in-flight, hot ops) is reused unchanged. Peak memory is one chunk plus
+/// source and any chunking. Peak memory is one chunk plus
 /// the fixed machine state, which is what removes the RAM ceiling on trace
 /// length.
 ///
@@ -1543,16 +1162,10 @@ mod tests {
         assert_eq!(obs.misses as u64, r.i_misses);
     }
 
-    #[test]
-    fn plain_injection_reduces_misses_on_repeating_pattern() {
-        // Inject, at every block, a prefetch of the line that block's
-        // successor misses — here simply prefetch every block's own next
-        // lines far in advance via a map built from a profiling pass.
-        let (p, t) = small_app();
-        let base = run(&p, &t, &SimConfig::default(), RunOptions::default());
-
-        // Build a crude plan: for each observed miss, inject a plain
-        // prefetch 8 dynamic blocks earlier.
+    /// A crude miss-driven plan: for each distinct (site, line) miss, a plain
+    /// prefetch of the line 8 dynamic blocks earlier. `traced` tags each op
+    /// with its own provenance id; otherwise the ops are untagged.
+    fn lookahead_plan(p: &Program, t: &Trace, traced: bool) -> (InjectionMap, u32) {
         struct Rec {
             events: Vec<(usize, Line)>,
         }
@@ -1563,21 +1176,36 @@ mod tests {
         }
         let mut rec = Rec { events: Vec::new() };
         run(
-            &p,
-            &t,
+            p,
+            t,
             &SimConfig::default(),
             RunOptions { observer: Some(&mut rec), ..Default::default() },
         );
         let mut map = InjectionMap::new();
         let mut seen = std::collections::HashSet::new();
+        let mut next_id = 0u32;
         for (idx, line) in rec.events {
             if idx >= 8 {
                 let site = t.blocks()[idx - 8];
                 if seen.insert((site, line)) {
-                    map.push(site, PrefetchOp::Plain { target: line });
+                    let op = PrefetchOp::Plain { target: line };
+                    if traced {
+                        map.push_traced(site, op, ProvenanceId(next_id));
+                    } else {
+                        map.push(site, op);
+                    }
+                    next_id += 1;
                 }
             }
         }
+        (map, next_id)
+    }
+
+    #[test]
+    fn plain_injection_reduces_misses_on_repeating_pattern() {
+        let (p, t) = small_app();
+        let base = run(&p, &t, &SimConfig::default(), RunOptions::default());
+        let (map, _) = lookahead_plan(&p, &t, false);
         let with = run(
             &p,
             &t,
@@ -1660,29 +1288,6 @@ mod tests {
         );
         // Base + 8 extra lines, issued at least once (the first execution).
         assert!(r.pf_lines_issued >= 9);
-    }
-
-    #[test]
-    fn hw_prefetcher_hook_is_invoked() {
-        struct NextLine;
-        impl HwPrefetcher for NextLine {
-            fn on_fetch(&mut self, line: Line, was_miss: bool, out: &mut Vec<Line>) {
-                if was_miss {
-                    out.push(line.offset(1));
-                }
-            }
-        }
-        let (p, t) = small_app();
-        let base = run(&p, &t, &SimConfig::default(), RunOptions::default());
-        let mut hw = NextLine;
-        let r = run(
-            &p,
-            &t,
-            &SimConfig::default(),
-            RunOptions { hw_prefetcher: Some(&mut hw), ..Default::default() },
-        );
-        assert!(r.pf_lines_issued > 0);
-        assert!(r.i_misses < base.i_misses, "next-line should help sequential code");
     }
 
     #[test]
@@ -1778,43 +1383,12 @@ mod tests {
     #[test]
     fn outcome_ledger_matches_aggregate_counters() {
         use crate::outcome::OutcomeLedger;
-        use ispy_isa::ProvenanceId;
-        // Build a miss-driven plan as in plain_injection_reduces_misses, but
-        // tag every op with a provenance id and check the ledger's totals
-        // reconcile exactly with the aggregate SimResult counters.
+        // Tag every op of the miss-driven plan with a provenance id and check
+        // the ledger's totals reconcile exactly with the aggregate SimResult
+        // counters.
         let (p, t) = small_app();
-        struct Rec {
-            events: Vec<(usize, Line)>,
-        }
-        impl SimObserver for Rec {
-            fn icache_miss(&mut self, idx: usize, _b: BlockId, line: Line, _c: u64) {
-                self.events.push((idx, line));
-            }
-        }
-        let mut rec = Rec { events: Vec::new() };
-        run(
-            &p,
-            &t,
-            &SimConfig::default(),
-            RunOptions { observer: Some(&mut rec), ..Default::default() },
-        );
-        let mut map = InjectionMap::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut next_id = 0u32;
-        for (idx, line) in rec.events {
-            if idx >= 8 {
-                let site = t.blocks()[idx - 8];
-                if seen.insert((site, line)) {
-                    map.push_traced(
-                        site,
-                        PrefetchOp::Plain { target: line },
-                        ProvenanceId(next_id),
-                    );
-                    next_id += 1;
-                }
-            }
-        }
-        let mut ledger = OutcomeLedger::with_capacity(next_id as usize);
+        let (map, num_ids) = lookahead_plan(&p, &t, true);
+        let mut ledger = OutcomeLedger::with_capacity(num_ids as usize);
         let r = run(
             &p,
             &t,
@@ -1825,7 +1399,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(ledger.per_injection.len(), next_id as usize);
+        assert_eq!(ledger.per_injection.len(), num_ids as usize);
         assert_eq!(ledger.total(|o| o.executed), r.pf_ops_executed);
         assert_eq!(ledger.total(|o| o.fired), r.pf_ops_fired);
         assert_eq!(ledger.total(|o| o.suppressed), r.pf_ops_suppressed);
@@ -1843,30 +1417,24 @@ mod tests {
     }
 
     #[test]
-    fn ledger_routes_hw_prefetches_to_untracked() {
+    fn ledger_routes_untagged_ops_to_untracked() {
         use crate::outcome::OutcomeLedger;
-        struct NextLine;
-        impl HwPrefetcher for NextLine {
-            fn on_fetch(&mut self, line: Line, was_miss: bool, out: &mut Vec<Line>) {
-                if was_miss {
-                    out.push(line.offset(1));
-                }
-            }
-        }
         let (p, t) = small_app();
-        let mut hw = NextLine;
+        let (map, _) = lookahead_plan(&p, &t, false);
         let mut ledger = OutcomeLedger::default();
         let r = run(
             &p,
             &t,
             &SimConfig::default(),
             RunOptions {
-                hw_prefetcher: Some(&mut hw),
+                injections: Some(&map),
                 outcomes: Some(&mut ledger),
                 ..Default::default()
             },
         );
         assert!(ledger.per_injection.is_empty());
+        assert!(r.pf_useful > 0, "the plan must prefetch something useful");
+        assert_eq!(ledger.untracked.executed, r.pf_ops_executed);
         assert_eq!(ledger.untracked.lines_issued, r.pf_lines_issued);
         assert_eq!(ledger.untracked.useful, r.pf_useful);
     }
@@ -1887,46 +1455,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_loop_matches_fast_path() {
-        use crate::outcome::OutcomeLedger;
-        let (p, t) = small_app();
-        // A sparse plan leaves long injection-free runs for the skip index.
-        let mut map = InjectionMap::new();
-        for (n, idx) in (0..t.blocks().len()).step_by(701).enumerate() {
-            map.push_traced(
-                t.blocks()[idx],
-                PrefetchOp::Plain { target: Line::new(0x5000 + n as u64) },
-                ispy_isa::ProvenanceId(n as u32),
-            );
-        }
-        let mut fast_ledger = OutcomeLedger::default();
-        let fast = run(
-            &p,
-            &t,
-            &SimConfig::default(),
-            RunOptions {
-                injections: Some(&map),
-                outcomes: Some(&mut fast_ledger),
-                ..Default::default()
-            },
-        );
-        let mut ref_ledger = OutcomeLedger::default();
-        let reference = run(
-            &p,
-            &t,
-            &SimConfig::default(),
-            RunOptions {
-                injections: Some(&map),
-                outcomes: Some(&mut ref_ledger),
-                reference_loop: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(fast, reference);
-        assert_eq!(fast_ledger, ref_ledger);
-    }
-
-    #[test]
     fn inflight_stale_heap_stays_bounded() {
         // A line demanded before its prefetch completes leaves a stale lane
         // entry behind; compaction must keep the queue proportional to the
@@ -1937,7 +1465,7 @@ mod tests {
             inf.insert(line, i + 1_000, None);
             inf.remove(line); // demand hit while in flight
         }
-        assert!(inf.is_empty());
+        assert_eq!(inf.live, 0);
         assert!(
             inf.entries < 2 * INFLIGHT_COMPACT_MIN,
             "stale entries must be compacted away, lanes hold {}",
@@ -1961,7 +1489,7 @@ mod tests {
         inf.drain_completed(u64::MAX, |line, _| drained.push(line.raw()));
         let expected: Vec<u64> = (0..200u64).filter(|i| i % 2 == 1).rev().collect();
         assert_eq!(drained, expected, "completion order must survive compaction");
-        assert!(inf.is_empty());
+        assert_eq!(inf.live, 0);
     }
 
     #[test]
@@ -1998,7 +1526,7 @@ mod tests {
             }
             assert_eq!(dense.get(line), far.get(line));
             assert_eq!(dense.tag(line), far.tag(line));
-            assert_eq!(dense.is_empty(), far.is_empty());
+            assert_eq!(dense.live, far.live);
         }
     }
 
@@ -2124,33 +1652,5 @@ mod tests {
         // Each boundary fires at exactly its scheduled event index.
         assert_eq!(obs.switches[0].0 as u64, n / 4);
         assert_eq!(obs.phases[0].0 as u64, n / 3);
-    }
-
-    #[test]
-    fn reference_loop_matches_fast_path_under_schedule() {
-        use crate::switch::{SwitchEffect, SwitchSchedule};
-        use std::sync::Arc;
-        let (p, t) = small_app();
-        let n = t.blocks().len() as u64;
-        let mut map = InjectionMap::new();
-        for (k, idx) in (0..t.blocks().len()).step_by(701).enumerate() {
-            map.push(t.blocks()[idx], PrefetchOp::Plain { target: Line::new(0x5000 + k as u64) });
-        }
-        let cfg = SimConfig {
-            schedule: Some(Arc::new(SwitchSchedule::new(
-                (1..16).map(|k| (k * n / 16, (k % 3) as u32)).collect(),
-                vec![(n / 2, 1)],
-                SwitchEffect::Thrash { l1i_pct: 70, l2_pct: 30 },
-            ))),
-            ..SimConfig::default()
-        };
-        let fast = run(&p, &t, &cfg, RunOptions { injections: Some(&map), ..Default::default() });
-        let reference = run(
-            &p,
-            &t,
-            &cfg,
-            RunOptions { injections: Some(&map), reference_loop: true, ..Default::default() },
-        );
-        assert_eq!(fast, reference, "lean batching must stop exactly at boundaries");
     }
 }

@@ -42,7 +42,7 @@ pub mod switch;
 pub use adaptive::{run_adaptive, AdaptiveRun, SliceWindows, WindowedBlockSource};
 pub use cache::{Cache, CacheParams, InsertPriority};
 pub use config::{Latencies, SimConfig};
-pub use engine::{run, run_streaming, HwPrefetcher, NoopObserver, RunOptions, SimObserver};
+pub use engine::{run, run_streaming, RunOptions, SimObserver};
 pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use hierarchy::{Hierarchy, ResidencyLevel};
 pub use lbr::{BloomSig, CountingBloom, Lbr};

@@ -5,8 +5,8 @@
 //! useful/late counts; a production deployment additionally needs to answer
 //! "what did *this* injection buy?". Attaching an [`OutcomeLedger`] to
 //! [`RunOptions`](crate::RunOptions) makes the engine bucket each event by
-//! the provenance id carried on the executing op (hardware-prefetcher lines
-//! and untagged ops land in [`OutcomeLedger::untracked`]).
+//! the provenance id carried on the executing op (untagged ops land in
+//! [`OutcomeLedger::untracked`]).
 
 use ispy_isa::ProvenanceId;
 
@@ -50,8 +50,8 @@ pub struct InjectionOutcome {
 /// Outcome counts for a whole run, indexed by [`ProvenanceId`].
 ///
 /// Index `k` of [`OutcomeLedger::per_injection`] holds the outcome of the
-/// injection with provenance id `k`; events with no id (hand-built maps,
-/// hardware prefetcher lines) accumulate in [`OutcomeLedger::untracked`].
+/// injection with provenance id `k`; events with no id (ops from hand-built
+/// maps) accumulate in [`OutcomeLedger::untracked`].
 ///
 /// # Examples
 ///
@@ -61,7 +61,7 @@ pub struct InjectionOutcome {
 ///
 /// let mut ledger = OutcomeLedger::with_capacity(2);
 /// ledger.outcome_mut(Some(ProvenanceId(1))).fired += 1;
-/// ledger.outcome_mut(None).lines_issued += 1; // hardware prefetch
+/// ledger.outcome_mut(None).lines_issued += 1; // an untagged op
 /// assert_eq!(ledger.per_injection[1].fired, 1);
 /// assert_eq!(ledger.untracked.lines_issued, 1);
 /// ```

@@ -11,7 +11,8 @@
 //! `0x<from>/0x<to>/...` (any trailing `/`-separated flag fields are
 //! ignored), in retirement order. Comment lines (`#`) and tokens that are
 //! not branch entries are skipped; a dump with no branch entries at all is
-//! an error.
+//! an error, as is an entry whose address leaves no room for a 4 KiB block
+//! below `u64::MAX`.
 //!
 //! The lift necessarily reconstructs structure the text does not carry:
 //!
@@ -52,12 +53,18 @@ const MAX_BLOCK_BYTES: u64 = 4096;
 /// Estimated bytes per instruction when lifting counts from spans.
 const BYTES_PER_INSTR: u64 = 4;
 
+/// Highest branch address the lift accepts: a block inferred at or below it
+/// (at most [`MAX_BLOCK_BYTES`], plus the branch instruction's bytes) ends
+/// without overflowing the address space.
+const MAX_ADDR: u64 = u64::MAX - MAX_BLOCK_BYTES - BYTES_PER_INSTR;
+
 /// Why a perf-script dump could not be ingested.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
     /// The dump contained no parsable branch entries.
     NoBranches,
-    /// A token looked like a branch entry but had an unparsable address.
+    /// A token looked like a branch entry but had an unparsable address, or
+    /// one too close to the top of the address space to hold a block.
     BadAddress {
         /// 1-based line number in the input.
         line: usize,
@@ -97,7 +104,8 @@ fn parse_entry(token: &str) -> Option<Result<(u64, u64), ()>> {
 /// # Errors
 ///
 /// [`IngestError::NoBranches`] for an empty dump,
-/// [`IngestError::BadAddress`] for a malformed branch entry.
+/// [`IngestError::BadAddress`] for a malformed branch entry or one whose
+/// addresses leave no room below `u64::MAX` for a maximal block.
 pub fn parse_perf_script(input: &str) -> Result<(Program, Trace), IngestError> {
     // Pass 1: collect the raw (from, to) pairs in retirement order.
     let mut branches: Vec<(u64, u64)> = Vec::new();
@@ -108,8 +116,8 @@ pub fn parse_perf_script(input: &str) -> Result<(Program, Trace), IngestError> {
         }
         for token in line.split_whitespace() {
             match parse_entry(token) {
-                Some(Ok(pair)) => branches.push(pair),
-                Some(Err(())) => {
+                Some(Ok((from, to))) if from.max(to) <= MAX_ADDR => branches.push((from, to)),
+                Some(_) => {
                     return Err(IngestError::BadAddress {
                         line: line_no + 1,
                         token: token.to_string(),
@@ -249,6 +257,25 @@ mod tests {
         let err = parse_perf_script("0x10/0x20/P\n0xZZ/0x30/P").unwrap_err();
         assert!(matches!(err, IngestError::BadAddress { line: 2, .. }));
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn source_at_the_top_of_the_address_space_is_rejected() {
+        let err = parse_perf_script("0x10/0x20/P\n0xffffffffffffffff/0x10/P").unwrap_err();
+        assert!(matches!(err, IngestError::BadAddress { line: 2, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn target_at_the_top_of_the_address_space_is_rejected() {
+        let err = parse_perf_script("0x10/0xfffffffffffffff0/P").unwrap_err();
+        assert_eq!(
+            err,
+            IngestError::BadAddress { line: 1, token: "0x10/0xfffffffffffffff0/P".into() }
+        );
+        // The highest accepted address still lifts to a valid program.
+        let top = format!("0x10/{MAX_ADDR:#x}/P {:#x}/0x10/P", MAX_ADDR - 1);
+        let (program, _) = parse_perf_script(&top).unwrap();
+        program.validate().unwrap();
     }
 
     #[test]

@@ -112,6 +112,80 @@ fn wrong_kind_is_rejected_across_codecs() {
     assert!(ispy_core::artifact::plan_from_bytes(&tb).is_err());
 }
 
+/// Branch entries near the top of the address space. They lift to a valid
+/// block, but flipping one bit of either address's `d` digit turns it into an
+/// `f`, which puts the address in the last 4 KiB below `u64::MAX`. There an
+/// unchecked lift would overflow the block's end (the target) or the
+/// branch's end (the source).
+const EDGE_ENTRIES: &str =
+    "0x400000/0xffffffffffffdffa/P/-/-/1 0xffffffffffffdffc/0x400000/M/-/-/2";
+
+/// A perf-script brstack dump of the sample recording's first transitions,
+/// four entries per line under a comment and a perf header line, ending with
+/// [`EDGE_ENTRIES`].
+fn sample_dump() -> String {
+    let (program, trace) = sample_recording();
+    let mut dump = String::from("# perf script -F brstack\nswapper 0 [000] 12.5: branches:\n");
+    for (k, pair) in trace.blocks()[..400].windows(2).enumerate() {
+        let from = program.block(pair[0]).end().raw() - 4;
+        let to = program.block(pair[1]).start().raw();
+        dump.push_str(&format!("{from:#x}/{to:#x}/P/-/-/{}", k % 7 + 1));
+        dump.push(if k % 4 == 3 { '\n' } else { ' ' });
+    }
+    dump.push('\n');
+    dump.push_str(EDGE_ENTRIES);
+    dump.push('\n');
+    dump
+}
+
+/// Parses a mutated dump: it must either lift to a valid program or return a
+/// typed error — a panic fails the test.
+fn assert_ingest_is_typed(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    match ingest::parse_perf_script(&text) {
+        Ok((program, trace)) => {
+            program.validate().unwrap();
+            assert!(trace.blocks().iter().all(|b| b.index() < program.num_blocks()));
+        }
+        Err(ingest::IngestError::NoBranches | ingest::IngestError::BadAddress { .. }) => {}
+    }
+}
+
+#[test]
+fn seeded_random_bit_flips_in_perf_dumps_never_panic() {
+    let dump = sample_dump();
+    ingest::parse_perf_script(&dump).unwrap().0.validate().unwrap();
+    let bytes = dump.into_bytes();
+    let mut state = 0xB125_u64;
+    for _ in 0..500 {
+        let mut corrupt = bytes.clone();
+        let bit = (next(&mut state) as usize) % (corrupt.len() * 8);
+        corrupt[bit / 8] ^= 1 << (bit % 8);
+        assert_ingest_is_typed(&corrupt);
+    }
+}
+
+#[test]
+fn every_bit_flip_of_the_edge_entries_is_typed() {
+    let bytes = sample_dump().into_bytes();
+    let edge = bytes.len() - EDGE_ENTRIES.len() - 1;
+    for bit in edge * 8..bytes.len() * 8 {
+        let mut corrupt = bytes.clone();
+        corrupt[bit / 8] ^= 1 << (bit % 8);
+        assert_ingest_is_typed(&corrupt);
+    }
+}
+
+#[test]
+fn seeded_random_truncations_of_perf_dumps_never_panic() {
+    let bytes = sample_dump().into_bytes();
+    let mut state = 0x7A11_u64;
+    for _ in 0..200 {
+        let cut = (next(&mut state) as usize) % bytes.len();
+        assert_ingest_is_typed(&bytes[..cut]);
+    }
+}
+
 #[test]
 fn ingested_dump_replays_through_the_artifact_path() {
     let dump = "# synthetic perf script -F brstack dump\n\

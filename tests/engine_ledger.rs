@@ -1,8 +1,8 @@
-//! Fast-path equivalence: the engine's optimized replay (injection-skip
-//! span batching, site-group wholesale accounting, presence shadows, arena
-//! in-flight state) must be *bit-identical* to the unoptimized reference
-//! loop (`RunOptions { reference_loop: true }`) — same `SimResult`, same
-//! `OutcomeLedger` — on every plan, not just the ones the golden test pins.
+//! Outcome-ledger exactness: attaching an `OutcomeLedger` must never change
+//! the replay, and the ledger must account for every prefetch event the
+//! aggregate counters see — its totals equal the `pf_*` counters of the
+//! `SimResult`, and every injection's executions split exactly into fired
+//! and suppressed ones.
 //!
 //! The plans here are generated from a seeded RNG so the suite explores op
 //! kinds, condition masks, coalesce masks, and site placements the
@@ -10,8 +10,12 @@
 
 use ispy_harness::workload::miss_derived_plan;
 use ispy_isa::{CoalesceMask, InjectionMap, PrefetchOp, ProvenanceId};
-use ispy_sim::{run, OutcomeLedger, RunOptions, SimConfig};
+use ispy_sim::{
+    run, InjectionOutcome, OutcomeLedger, RunOptions, SimConfig, SimResult, SwitchEffect,
+    SwitchSchedule,
+};
 use ispy_trace::{apps, BlockId, Line, Program, Trace};
+use std::sync::Arc;
 
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
@@ -50,59 +54,53 @@ fn random_plan(program: &Program, cfg: &SimConfig, seed: u64, num_ops: u32) -> I
     map
 }
 
-/// Runs `plan` through both loops, with and without a ledger, asserting
-/// bit-identical results everywhere.
-fn assert_equivalent(program: &Program, trace: &Trace, cfg: &SimConfig, plan: &InjectionMap) {
-    // Throughput configuration (no ledger).
-    let fast =
+/// Runs `plan` with and without a ledger and asserts the ledger is exact.
+/// Returns the (ledger-free) result so callers can check the plan did
+/// something.
+fn assert_ledger_exact(
+    program: &Program,
+    trace: &Trace,
+    cfg: &SimConfig,
+    plan: &InjectionMap,
+) -> SimResult {
+    let plain =
         run(program, trace, cfg, RunOptions { injections: Some(plan), ..Default::default() });
-    let reference = run(
+    let mut ledger = OutcomeLedger::default();
+    let attributed = run(
         program,
         trace,
         cfg,
-        RunOptions { injections: Some(plan), reference_loop: true, ..Default::default() },
+        RunOptions { injections: Some(plan), outcomes: Some(&mut ledger), ..Default::default() },
     );
-    assert_eq!(fast, reference, "SimResult diverged between fast path and reference loop");
+    assert_eq!(plain, attributed, "attaching a ledger changed the SimResult");
 
-    // Attributed configuration (ledger attached).
-    let mut fast_ledger = OutcomeLedger::default();
-    let fast_attr = run(
-        program,
-        trace,
-        cfg,
-        RunOptions {
-            injections: Some(plan),
-            outcomes: Some(&mut fast_ledger),
-            ..Default::default()
-        },
-    );
-    let mut ref_ledger = OutcomeLedger::default();
-    let ref_attr = run(
-        program,
-        trace,
-        cfg,
-        RunOptions {
-            injections: Some(plan),
-            outcomes: Some(&mut ref_ledger),
-            reference_loop: true,
-            ..Default::default()
-        },
-    );
-    assert_eq!(fast_attr, ref_attr, "attributed SimResult diverged");
-    assert_eq!(fast_ledger, ref_ledger, "OutcomeLedger diverged");
-    // The ledger never changes the counters themselves.
-    assert_eq!(fast, fast_attr, "attaching a ledger changed the SimResult");
+    let r = &attributed;
+    assert_eq!(ledger.total(|o| o.executed), r.pf_ops_executed, "executed");
+    assert_eq!(ledger.total(|o| o.fired), r.pf_ops_fired, "fired");
+    assert_eq!(ledger.total(|o| o.suppressed), r.pf_ops_suppressed, "suppressed");
+    assert_eq!(ledger.total(|o| o.lines_issued), r.pf_lines_issued, "lines_issued");
+    assert_eq!(ledger.total(|o| o.lines_resident), r.pf_lines_resident, "lines_resident");
+    assert_eq!(ledger.total(|o| o.useful), r.pf_useful, "useful");
+    assert_eq!(ledger.total(|o| o.late), r.pf_late, "late");
+    assert_eq!(ledger.total(|o| o.evicted_unused), r.pf_evicted_unused, "evicted_unused");
+    // Every op in these plans is tagged, so nothing is untracked.
+    assert_eq!(ledger.untracked, InjectionOutcome::default());
+    for (id, o) in ledger.per_injection.iter().enumerate() {
+        assert_eq!(o.executed, o.fired + o.suppressed, "injection {id}");
+    }
+    plain
 }
 
 #[test]
-fn random_plans_are_bit_identical_across_loops() {
+fn random_plans_keep_the_ledger_exact() {
     let model = apps::cassandra().scaled_down(30);
     let program = model.generate();
     let trace = program.record_trace(model.default_input(), 12_000);
     let cfg = SimConfig::default();
     for seed in [1u64, 7, 42, 0xC0FFEE] {
         let plan = random_plan(&program, &cfg, seed, 400);
-        assert_equivalent(&program, &trace, &cfg, &plan);
+        let r = assert_ledger_exact(&program, &trace, &cfg, &plan);
+        assert!(r.pf_ops_fired > 0 && r.pf_ops_suppressed > 0, "seed {seed}: {r:?}");
     }
 }
 
@@ -116,33 +114,41 @@ fn random_plans_hold_on_a_second_app_shape() {
     let cfg = SimConfig::default();
     for seed in [3u64, 0xBEEF] {
         let plan = random_plan(&program, &cfg, seed, 250);
-        assert_equivalent(&program, &trace, &cfg, &plan);
+        assert_ledger_exact(&program, &trace, &cfg, &plan);
     }
 }
 
 #[test]
-fn miss_derived_plan_is_bit_identical_across_loops() {
+fn miss_derived_plan_keeps_the_ledger_exact() {
     // The benchmark's own workload: realistic miss-driven placements with
-    // every op kind, the densest exercise of the site-group fast path.
+    // every op kind, so some prefetches are useful.
     let model = apps::cassandra().scaled_down(20);
     let program = model.generate();
     let trace = program.record_trace(model.default_input(), 20_000);
     let cfg = SimConfig::default();
     let plan = miss_derived_plan(&program, &trace, &cfg);
     assert!(plan.num_ops() > 100, "workload plan unexpectedly small");
-    assert_equivalent(&program, &trace, &cfg, &plan);
+    let r = assert_ledger_exact(&program, &trace, &cfg, &plan);
+    assert!(r.pf_useful > 0, "{r:?}");
 }
 
 #[test]
-fn baseline_without_injections_is_bit_identical_across_loops() {
-    // No plan at all: pins the lean-span batching (injection-skip index)
-    // against the full per-block step.
+fn thrash_schedule_keeps_the_ledger_exact() {
+    // Tenant switches evict untouched prefetches outside the fetch path;
+    // the ledger must charge those evictions too.
     let model = apps::cassandra().scaled_down(30);
     let program = model.generate();
     let trace = program.record_trace(model.default_input(), 12_000);
-    let cfg = SimConfig::default();
-    let fast = run(&program, &trace, &cfg, RunOptions::default());
-    let reference =
-        run(&program, &trace, &cfg, RunOptions { reference_loop: true, ..Default::default() });
-    assert_eq!(fast, reference);
+    let n = trace.blocks().len() as u64;
+    let cfg = SimConfig {
+        schedule: Some(Arc::new(SwitchSchedule::new(
+            (1..16).map(|k| (k * n / 16, (k % 3) as u32)).collect(),
+            vec![(n / 2, 1)],
+            SwitchEffect::Thrash { l1i_pct: 70, l2_pct: 30 },
+        ))),
+        ..SimConfig::default()
+    };
+    let plan = miss_derived_plan(&program, &trace, &cfg);
+    let r = assert_ledger_exact(&program, &trace, &cfg, &plan);
+    assert!(r.pf_evicted_unused > 0, "{r:?}");
 }

@@ -2,10 +2,10 @@
 
 use ispy_baselines::asmdb::{AsmDbConfig, AsmDbPlanner};
 use ispy_baselines::spatial::{SpatialMode, SpatialPlanner};
-use ispy_core::{IspyConfig, Planner};
+use ispy_core::{IspyConfig, Plan, Planner};
 use ispy_harness::{Scale, Session};
 use ispy_isa::PrefetchOp;
-use ispy_trace::apps;
+use ispy_trace::{apps, BlockId, Program};
 use std::collections::HashSet;
 
 fn session() -> Session {
@@ -32,6 +32,42 @@ fn ops_are_well_formed() {
                 }
             }
         }
+    }
+}
+
+/// Every adopted context names 1..=`ctx_size` distinct predictor blocks, none
+/// of them the injection site, and the site carries a conditional op whose
+/// hash is exactly the context hash of those blocks' start addresses.
+fn assert_contexts_fit(program: &Program, plan: &Plan, cfg: &IspyConfig) {
+    assert!(!plan.context_details.is_empty(), "plan adopted no contexts");
+    for (site, blocks) in &plan.context_details {
+        assert!(
+            (1..=cfg.ctx_size).contains(&blocks.len()),
+            "site {site}: {} predictor blocks, ctx_size {}",
+            blocks.len(),
+            cfg.ctx_size
+        );
+        let distinct: HashSet<BlockId> = blocks.iter().copied().collect();
+        assert_eq!(distinct.len(), blocks.len(), "site {site}: repeated predictor block");
+        assert!(!distinct.contains(site), "site {site} predicts itself");
+        let hash = cfg.hash.context_hash(blocks.iter().map(|&b| program.block(b).start()));
+        assert!(
+            plan.injections.ops_at(*site).iter().any(|op| op.condition() == Some(hash)),
+            "site {site} has no conditional op with its context's hash"
+        );
+    }
+}
+
+#[test]
+fn contexts_fit_the_context_size() {
+    let s = session();
+    let default = IspyConfig::default();
+    assert_eq!(default.ctx_size, 4, "the paper's context size");
+    let narrow = IspyConfig::default().with_ctx_size(2);
+    for (i, ctx) in s.apps().iter().enumerate() {
+        assert_contexts_fit(&ctx.program, &s.comparison(i).ispy_plan, &default);
+        let plan = Planner::new(&ctx.program, &ctx.trace, &ctx.profile, narrow.clone()).plan();
+        assert_contexts_fit(&ctx.program, &plan, &narrow);
     }
 }
 
