@@ -1,4 +1,4 @@
-//! The sectioned container: header, framing, checksums, strict parse.
+//! The sectioned container format: header layout, framing, artifact kinds.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -15,13 +15,12 @@
 //! Each section is `(u32 id, u64 payload length, payload bytes, u32 CRC-32)`
 //! where the CRC covers the id and length fields *and* the payload, so a bit
 //! flip anywhere in the file — header, framing, payload, or a checksum
-//! itself — is guaranteed to surface as a typed error.
-
-use std::path::Path;
+//! itself — is guaranteed to surface as a typed error. Sections are written
+//! and read by [`StreamWriter`](crate::StreamWriter) and
+//! [`StreamReader`](crate::StreamReader).
 
 use crate::crc::crc32;
 use crate::error::ArtifactError;
-use crate::section::{SectionReader, SectionWriter};
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"ISPYART\0";
@@ -32,16 +31,12 @@ pub const FORMAT_VERSION: u16 = 1;
 /// Fixed header length in bytes.
 pub(crate) const HEADER_LEN: usize = 20;
 
-/// Per-section framing overhead: id (4) + length (8) + CRC (4).
-const SECTION_OVERHEAD: usize = 16;
-
 /// Refuse to allocate payloads beyond this — a corrupt length field must not
 /// become an OOM.
 pub(crate) const MAX_SECTION_LEN: u64 = 1 << 30;
 
 /// Serializes the fixed 20-byte header (magic, version, kind, section count,
-/// header CRC). Shared by the buffered and streaming writers so both produce
-/// bit-identical headers.
+/// header CRC).
 pub(crate) fn encode_header(kind: ArtifactKind, section_count: u32) -> [u8; HEADER_LEN] {
     let mut out = [0u8; HEADER_LEN];
     out[..8].copy_from_slice(&MAGIC);
@@ -54,8 +49,7 @@ pub(crate) fn encode_header(kind: ArtifactKind, section_count: u32) -> [u8; HEAD
 }
 
 /// Validates a 20-byte header against `expected` and returns the declared
-/// section count. Shared by the buffered and streaming readers so both
-/// enforce identical checks.
+/// section count.
 pub(crate) fn parse_header(
     header: &[u8; HEADER_LEN],
     expected: ArtifactKind,
@@ -121,229 +115,77 @@ impl ArtifactKind {
     }
 }
 
-/// Assembles an artifact: open sections with [`ArtifactWriter::section`],
-/// fill them, attach with [`ArtifactWriter::finish_section`], then serialize.
-#[derive(Debug, Clone)]
-pub struct ArtifactWriter {
-    kind: ArtifactKind,
-    sections: Vec<(u32, Vec<u8>)>,
-}
-
-impl ArtifactWriter {
-    /// Starts an empty artifact of the given kind.
-    pub fn new(kind: ArtifactKind) -> Self {
-        ArtifactWriter { kind, sections: Vec::new() }
-    }
-
-    /// Opens a payload builder for section `id`.
-    pub fn section(&self, id: u32) -> SectionWriter {
-        SectionWriter::new(id)
-    }
-
-    /// Attaches a finished section. Section ids must be unique per artifact;
-    /// attaching a duplicate is a programming error and panics.
-    pub fn finish_section(&mut self, section: SectionWriter) {
-        let (id, payload) = section.into_parts();
-        assert!(
-            self.sections.iter().all(|(existing, _)| *existing != id),
-            "section {id} attached twice"
-        );
-        self.sections.push((id, payload));
-    }
-
-    /// Serializes the artifact to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let body_len: usize =
-            self.sections.iter().map(|(_, p)| p.len() + SECTION_OVERHEAD).sum::<usize>();
-        let mut out = Vec::with_capacity(HEADER_LEN + body_len);
-        out.extend_from_slice(&encode_header(self.kind, self.sections.len() as u32));
-        for (id, payload) in &self.sections {
-            let frame_start = out.len();
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(payload);
-            let section_crc = crc32(&out[frame_start..]);
-            out.extend_from_slice(&section_crc.to_le_bytes());
-        }
-        out
-    }
-
-    /// Serializes and writes the artifact to `path`, creating parent
-    /// directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] on any filesystem failure.
-    pub fn write_to(&self, path: &Path) -> Result<(), ArtifactError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| ArtifactError::io(path, e))?;
-            }
-        }
-        std::fs::write(path, self.to_bytes()).map_err(|e| ArtifactError::io(path, e))
-    }
-}
-
-/// A fully validated artifact: header checked, every section checksummed.
-///
-/// Construction performs the whole structural validation up front, so
-/// [`ArtifactReader::section`] cannot fail on corruption — only payload-level
-/// codec errors remain for the caller.
-#[derive(Debug, Clone)]
-pub struct ArtifactReader {
-    kind: ArtifactKind,
-    data: Vec<u8>,
-    sections: Vec<(u32, std::ops::Range<usize>)>,
-}
-
-impl ArtifactReader {
-    /// Parses and validates an artifact, checking it is of `expected` kind.
-    ///
-    /// # Errors
-    ///
-    /// Every structural defect maps to a typed [`ArtifactError`]: bad magic,
-    /// future version, wrong/unknown kind, checksum mismatches, truncation,
-    /// duplicate sections, oversized sections, trailing bytes.
-    pub fn from_bytes(bytes: &[u8], expected: ArtifactKind) -> Result<Self, ArtifactError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ArtifactError::Truncated { context: "header" });
-        }
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&bytes[..HEADER_LEN]);
-        let count = parse_header(&header, expected)?;
-        let kind = expected;
-
-        let mut sections: Vec<(u32, std::ops::Range<usize>)> = Vec::with_capacity(count as usize);
-        let mut pos = HEADER_LEN;
-        for _ in 0..count {
-            if bytes.len() - pos < 12 {
-                return Err(ArtifactError::Truncated { context: "section frame" });
-            }
-            let id =
-                u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-            let mut len_raw = [0u8; 8];
-            len_raw.copy_from_slice(&bytes[pos + 4..pos + 12]);
-            let len = u64::from_le_bytes(len_raw);
-            if len > MAX_SECTION_LEN {
-                return Err(ArtifactError::SectionTooLarge { id, len });
-            }
-            let len = len as usize;
-            if bytes.len() - pos < 12 + len + 4 {
-                return Err(ArtifactError::Truncated { context: "section payload" });
-            }
-            let payload_start = pos + 12;
-            let payload_end = payload_start + len;
-            let stored_crc = u32::from_le_bytes([
-                bytes[payload_end],
-                bytes[payload_end + 1],
-                bytes[payload_end + 2],
-                bytes[payload_end + 3],
-            ]);
-            if crc32(&bytes[pos..payload_end]) != stored_crc {
-                return Err(ArtifactError::SectionChecksum { id });
-            }
-            if sections.iter().any(|(existing, _)| *existing == id) {
-                return Err(ArtifactError::DuplicateSection { id });
-            }
-            sections.push((id, payload_start..payload_end));
-            pos = payload_end + 4;
-        }
-        if pos != bytes.len() {
-            return Err(ArtifactError::TrailingBytes);
-        }
-        Ok(ArtifactReader { kind, data: bytes.to_vec(), sections })
-    }
-
-    /// Reads and validates an artifact file.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] on filesystem failure, otherwise the same
-    /// conditions as [`ArtifactReader::from_bytes`].
-    pub fn read_from(path: &Path, expected: ArtifactKind) -> Result<Self, ArtifactError> {
-        let bytes = std::fs::read(path).map_err(|e| ArtifactError::io(path, e))?;
-        Self::from_bytes(&bytes, expected)
-    }
-
-    /// The artifact's kind.
-    pub fn kind(&self) -> ArtifactKind {
-        self.kind
-    }
-
-    /// Ids of all sections, in file order.
-    pub fn section_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.sections.iter().map(|(id, _)| *id)
-    }
-
-    /// Opens a cursor over section `id`, if present.
-    pub fn section(&self, id: u32) -> Option<SectionReader<'_>> {
-        self.sections
-            .iter()
-            .find(|(existing, _)| *existing == id)
-            .map(|(_, range)| SectionReader::new(id, &self.data[range.clone()]))
-    }
-
-    /// Opens a cursor over section `id`, erroring if absent.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::MissingSection`] when the artifact lacks the section.
-    pub fn require_section(&self, id: u32) -> Result<SectionReader<'_>, ArtifactError> {
-        self.section(id).ok_or(ArtifactError::MissingSection { id })
-    }
-}
-
+/// Conformance of the format's rules, checked through the one IO pair.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::section::{SectionReader, SectionWriter};
+    use crate::stream::{encode_to_vec, StreamReader, StreamWriter};
 
     fn sample_artifact() -> Vec<u8> {
-        let mut w = ArtifactWriter::new(ArtifactKind::Profile);
-        let mut meta = w.section(1);
+        let mut meta = SectionWriter::new(1);
         meta.put_str("wordpress");
         meta.put_varint(123_456);
-        w.finish_section(meta);
-        let mut stats = w.section(2);
+        let mut stats = SectionWriter::new(2);
         for (i, v) in [1.5f64, -0.0, f64::INFINITY].iter().enumerate() {
             stats.put_delta(i as u64 * 1000);
             stats.put_f64(*v);
         }
-        w.finish_section(stats);
-        w.to_bytes()
+        encode_to_vec(ArtifactKind::Profile, [meta, stats])
+    }
+
+    /// Walks every section of `bytes` to the end, returning `(id, payload)`
+    /// pairs: the full strict parse.
+    fn read_all(bytes: &[u8], kind: ArtifactKind) -> Result<Vec<(u32, Vec<u8>)>, ArtifactError> {
+        let mut r = StreamReader::new(bytes, kind)?;
+        let mut sections = Vec::new();
+        while let Some((id, _)) = r.next_section()? {
+            sections.push((id, r.take_payload()?));
+        }
+        r.finish()?;
+        Ok(sections)
+    }
+
+    /// `bytes` with the header's 16-bit field at `at` set to `value` and the
+    /// header CRC re-sealed, so the field check (not the CRC) fires.
+    fn reseal(mut bytes: Vec<u8>, at: usize, value: u16) -> Vec<u8> {
+        bytes[at..at + 2].copy_from_slice(&value.to_le_bytes());
+        let crc = crc32(&bytes[..16]).to_le_bytes();
+        bytes[16..20].copy_from_slice(&crc);
+        bytes
     }
 
     #[test]
     fn multi_section_round_trip() {
         let bytes = sample_artifact();
-        let r = ArtifactReader::from_bytes(&bytes, ArtifactKind::Profile).unwrap();
-        assert_eq!(r.kind(), ArtifactKind::Profile);
-        assert_eq!(r.section_ids().collect::<Vec<_>>(), vec![1, 2]);
-        let mut meta = r.require_section(1).unwrap();
+        let mut r = StreamReader::new(bytes.as_slice(), ArtifactKind::Profile).unwrap();
+        let payload = r.expect_section(1).unwrap();
+        let mut meta = SectionReader::new(1, &payload);
         assert_eq!(meta.take_str().unwrap(), "wordpress");
         assert_eq!(meta.take_varint().unwrap(), 123_456);
         meta.finish().unwrap();
-        let mut stats = r.section(2).unwrap();
+        let payload = r.expect_section(2).unwrap();
+        let mut stats = SectionReader::new(2, &payload);
         for (i, v) in [1.5f64, -0.0, f64::INFINITY].iter().enumerate() {
             assert_eq!(stats.take_delta().unwrap(), i as u64 * 1000);
             assert_eq!(stats.take_f64().unwrap().to_bits(), v.to_bits());
         }
         stats.finish().unwrap();
-        assert!(r.section(9).is_none());
-        assert_eq!(r.require_section(9).unwrap_err(), ArtifactError::MissingSection { id: 9 });
+        assert_eq!(r.expect_section(9).unwrap_err(), ArtifactError::MissingSection { id: 9 });
     }
 
     #[test]
     fn empty_artifact_round_trips() {
-        let bytes = ArtifactWriter::new(ArtifactKind::Plan).to_bytes();
-        let r = ArtifactReader::from_bytes(&bytes, ArtifactKind::Plan).unwrap();
-        assert_eq!(r.section_ids().count(), 0);
+        let bytes = encode_to_vec(ArtifactKind::Plan, []);
+        assert_eq!(bytes.len(), HEADER_LEN);
+        assert!(read_all(&bytes, ArtifactKind::Plan).unwrap().is_empty());
     }
 
     #[test]
     fn wrong_kind_is_rejected() {
         let bytes = sample_artifact();
         assert_eq!(
-            ArtifactReader::from_bytes(&bytes, ArtifactKind::Trace).unwrap_err(),
+            read_all(&bytes, ArtifactKind::Trace).unwrap_err(),
             ArtifactError::WrongKind {
                 expected: ArtifactKind::Trace.raw(),
                 found: ArtifactKind::Profile.raw()
@@ -355,35 +197,23 @@ mod tests {
     fn bad_magic_is_rejected() {
         let mut bytes = sample_artifact();
         bytes[0] = b'X';
-        assert_eq!(
-            ArtifactReader::from_bytes(&bytes, ArtifactKind::Profile).unwrap_err(),
-            ArtifactError::BadMagic
-        );
+        assert_eq!(read_all(&bytes, ArtifactKind::Profile).unwrap_err(), ArtifactError::BadMagic);
     }
 
     #[test]
     fn future_version_is_rejected() {
-        let mut bytes = sample_artifact();
-        bytes[8] = 0xFF;
-        bytes[9] = 0x7F;
-        // Re-seal the header so the version check (not the CRC) fires.
-        let crc = crate::crc::crc32(&bytes[..16]).to_le_bytes();
-        bytes[16..20].copy_from_slice(&crc);
+        let bytes = reseal(sample_artifact(), 8, 0x7FFF);
         assert_eq!(
-            ArtifactReader::from_bytes(&bytes, ArtifactKind::Profile).unwrap_err(),
+            read_all(&bytes, ArtifactKind::Profile).unwrap_err(),
             ArtifactError::UnsupportedVersion { found: 0x7FFF, supported: FORMAT_VERSION }
         );
     }
 
     #[test]
     fn unknown_kind_is_rejected() {
-        let mut bytes = sample_artifact();
-        bytes[10] = 42;
-        bytes[11] = 0;
-        let crc = crate::crc::crc32(&bytes[..16]).to_le_bytes();
-        bytes[16..20].copy_from_slice(&crc);
+        let bytes = reseal(sample_artifact(), 10, 42);
         assert_eq!(
-            ArtifactReader::from_bytes(&bytes, ArtifactKind::Profile).unwrap_err(),
+            read_all(&bytes, ArtifactKind::Profile).unwrap_err(),
             ArtifactError::UnknownKind { found: 42 }
         );
     }
@@ -391,10 +221,11 @@ mod tests {
     #[test]
     fn oversized_section_length_is_rejected_without_allocating() {
         let mut bytes = sample_artifact();
-        // Corrupt section 1's length field to an absurd value.
+        // Corrupt section 1's length field to an absurd value: the reader
+        // must refuse it before sizing any buffer from it.
         bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(
-            ArtifactReader::from_bytes(&bytes, ArtifactKind::Profile).unwrap_err(),
+            read_all(&bytes, ArtifactKind::Profile).unwrap_err(),
             ArtifactError::SectionTooLarge { id: 1, len: u64::MAX }
         );
     }
@@ -403,18 +234,14 @@ mod tests {
     fn duplicate_section_is_rejected() {
         // Hand-build a file with section 5 twice: serialize one section, then
         // splice a copy of its frame and patch the header count.
-        let mut w = ArtifactWriter::new(ArtifactKind::Trace);
-        let mut s = w.section(5);
+        let mut s = SectionWriter::new(5);
         s.put_varint(7);
-        w.finish_section(s);
-        let mut bytes = w.to_bytes();
+        let mut bytes = encode_to_vec(ArtifactKind::Trace, [s]);
         let frame = bytes[HEADER_LEN..].to_vec();
         bytes.extend_from_slice(&frame);
-        bytes[12..16].copy_from_slice(&2u32.to_le_bytes());
-        let crc = crate::crc::crc32(&bytes[..16]).to_le_bytes();
-        bytes[16..20].copy_from_slice(&crc);
+        bytes[..HEADER_LEN].copy_from_slice(&encode_header(ArtifactKind::Trace, 2));
         assert_eq!(
-            ArtifactReader::from_bytes(&bytes, ArtifactKind::Trace).unwrap_err(),
+            read_all(&bytes, ArtifactKind::Trace).unwrap_err(),
             ArtifactError::DuplicateSection { id: 5 }
         );
     }
@@ -424,7 +251,7 @@ mod tests {
         let mut bytes = sample_artifact();
         bytes.push(0);
         assert_eq!(
-            ArtifactReader::from_bytes(&bytes, ArtifactKind::Profile).unwrap_err(),
+            read_all(&bytes, ArtifactKind::Profile).unwrap_err(),
             ArtifactError::TrailingBytes
         );
     }
@@ -433,7 +260,7 @@ mod tests {
     fn every_truncation_point_errors() {
         let bytes = sample_artifact();
         for cut in 0..bytes.len() {
-            let result = ArtifactReader::from_bytes(&bytes[..cut], ArtifactKind::Profile);
+            let result = read_all(&bytes[..cut], ArtifactKind::Profile);
             assert!(result.is_err(), "prefix of {cut} bytes decoded successfully");
         }
     }
@@ -448,7 +275,7 @@ mod tests {
             for bit in 0..8 {
                 let mut corrupt = bytes.clone();
                 corrupt[byte_idx] ^= 1 << bit;
-                let result = ArtifactReader::from_bytes(&corrupt, ArtifactKind::Profile);
+                let result = read_all(&corrupt, ArtifactKind::Profile);
                 assert!(
                     result.is_err(),
                     "bit {bit} of byte {byte_idx} flipped but the artifact still decoded"
@@ -461,16 +288,17 @@ mod tests {
     fn file_round_trip_and_io_errors() {
         let dir = std::env::temp_dir().join(format!("ispy-artifact-test-{}", std::process::id()));
         let path = dir.join("nested").join("sample.iprof");
-        let mut w = ArtifactWriter::new(ArtifactKind::Profile);
-        let mut s = w.section(1);
+        let mut w = StreamWriter::create(&path, ArtifactKind::Profile).unwrap();
+        let mut s = SectionWriter::new(1);
         s.put_str("roundtrip");
-        w.finish_section(s);
-        w.write_to(&path).unwrap();
-        let r = ArtifactReader::read_from(&path, ArtifactKind::Profile).unwrap();
-        assert_eq!(r.require_section(1).unwrap().take_str().unwrap(), "roundtrip");
+        w.write_section(s).unwrap();
+        w.finish().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let sections = read_all(&bytes, ArtifactKind::Profile).unwrap();
+        assert_eq!(SectionReader::new(1, &sections[0].1).take_str().unwrap(), "roundtrip");
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(matches!(
-            ArtifactReader::read_from(&path, ArtifactKind::Profile),
+            StreamReader::open(&path, ArtifactKind::Profile),
             Err(ArtifactError::Io { .. })
         ));
     }

@@ -22,22 +22,31 @@
 //! surface as typed [`ArtifactError`]s — never panics. See
 //! `docs/ARTIFACTS.md` in the repository root for the format specification.
 //!
+//! Every codec writes through [`StreamWriter`] and reads through
+//! [`StreamReader`], section by section in file order, so artifact size is
+//! never capped by host RAM. The reader's [`StreamReader::finish`] verifies
+//! whatever tail a decoder did not read.
+//!
 //! # Examples
 //!
 //! ```
-//! use ispy_artifact::{ArtifactKind, ArtifactReader, ArtifactWriter};
+//! use std::io::Cursor;
+//! use ispy_artifact::{ArtifactKind, SectionReader, SectionWriter, StreamReader, StreamWriter};
 //!
-//! let mut w = ArtifactWriter::new(ArtifactKind::Trace);
-//! let mut s = w.section(7);
+//! let mut w = StreamWriter::new(Cursor::new(Vec::new()), ArtifactKind::Trace).unwrap();
+//! let mut s = SectionWriter::new(1);
 //! s.put_varint(1_000_000);
 //! s.put_f64(2.5);
-//! w.finish_section(s);
-//! let bytes = w.to_bytes();
+//! w.write_section(s).unwrap();
+//! let bytes = w.finish().unwrap().into_inner();
 //!
-//! let r = ArtifactReader::from_bytes(&bytes, ArtifactKind::Trace).unwrap();
-//! let mut s = r.section(7).unwrap();
+//! let mut r = StreamReader::new(bytes.as_slice(), ArtifactKind::Trace).unwrap();
+//! let payload = r.expect_section(1).unwrap();
+//! let mut s = SectionReader::new(1, &payload);
 //! assert_eq!(s.take_varint().unwrap(), 1_000_000);
 //! assert_eq!(s.take_f64().unwrap(), 2.5);
+//! s.finish().unwrap();
+//! r.finish().unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,7 +59,7 @@ pub mod section;
 pub mod stream;
 pub mod varint;
 
-pub use container::{ArtifactKind, ArtifactReader, ArtifactWriter, FORMAT_VERSION, MAGIC};
+pub use container::{ArtifactKind, FORMAT_VERSION, MAGIC};
 pub use error::ArtifactError;
 pub use section::{SectionReader, SectionWriter};
-pub use stream::{StreamReader, StreamWriter};
+pub use stream::{encode_to_vec, StreamReader, StreamWriter};

@@ -1,10 +1,6 @@
-//! Incremental container IO: the same on-disk format as
-//! [`container`](crate::container), produced and consumed without ever
-//! holding the whole artifact in memory.
-//!
-//! [`ArtifactWriter`](crate::ArtifactWriter) /
-//! [`ArtifactReader`](crate::ArtifactReader) buffer the entire file, which
-//! caps artifact size by host RAM. The streaming pair here lifts that cap:
+//! Container IO: the writer and reader every artifact codec goes through,
+//! producing and consuming the format of [`container`](crate::container)
+//! without ever holding the whole artifact in memory.
 //!
 //! * [`StreamWriter`] frames sections straight to any `Write + Seek` sink.
 //!   Only one section is in memory at a time (the section count is unknown
@@ -14,19 +10,13 @@
 //!   handing payload bytes out in caller-sized chunks while folding them
 //!   into an incremental CRC that is verified at the section boundary.
 //!
-//! Both ends speak the exact format of the buffered pair: a file written by
-//! [`StreamWriter`] parses under the strict [`ArtifactReader`] and vice
-//! versa (the unit tests pin this both ways).
-//!
-//! **Validation timing differs from the buffered reader.** `ArtifactReader`
-//! validates the whole file up front; `StreamReader` can only validate what
-//! it has seen, so corruption and truncation surface as typed errors *during
+//! **Validation is incremental.** The reader can only validate what it has
+//! seen, so corruption and truncation surface as typed errors *during
 //! iteration* — a section's checksum mismatch is reported when its last
-//! payload byte has been read, and a missing tail is reported by
+//! payload byte has been read, and a damaged or missing tail is reported by
 //! [`StreamReader::finish`]. Callers must therefore treat any decoded data
-//! as provisional until the section (or the whole stream) has been verified.
-//!
-//! [`ArtifactReader`]: crate::ArtifactReader
+//! as provisional until the section (or the whole stream) has been
+//! verified; every codec ends its decode with `finish`.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
@@ -59,7 +49,7 @@ fn read_exact_ctx<R: Read>(
 /// Writes an artifact section by section to a seekable sink.
 ///
 /// The header is written immediately with a section count of zero, so a
-/// writer that crashes mid-stream leaves a file the strict reader rejects
+/// writer that crashes mid-stream leaves a file the reader rejects
 /// (`TrailingBytes`) rather than silently truncated data. [`finish`]
 /// seeks back and patches the true count in; only then is the file valid.
 ///
@@ -69,22 +59,24 @@ fn read_exact_ctx<R: Read>(
 ///
 /// ```
 /// use std::io::Cursor;
-/// use ispy_artifact::{ArtifactKind, ArtifactReader, SectionWriter};
-/// use ispy_artifact::stream::StreamWriter;
+/// use ispy_artifact::{ArtifactKind, SectionReader, SectionWriter, StreamReader, StreamWriter};
 ///
 /// let mut w = StreamWriter::new(Cursor::new(Vec::new()), ArtifactKind::Trace).unwrap();
-/// let mut s = SectionWriter::new(7);
+/// let mut s = SectionWriter::new(1);
 /// s.put_varint(42);
 /// w.write_section(s).unwrap();
 /// let bytes = w.finish().unwrap().into_inner();
 ///
-/// // The strict buffered reader accepts the streamed file.
-/// let r = ArtifactReader::from_bytes(&bytes, ArtifactKind::Trace).unwrap();
-/// assert_eq!(r.section(7).unwrap().take_varint().unwrap(), 42);
+/// let mut r = StreamReader::new(bytes.as_slice(), ArtifactKind::Trace).unwrap();
+/// let payload = r.expect_section(1).unwrap();
+/// assert_eq!(SectionReader::new(1, &payload).take_varint().unwrap(), 42);
+/// r.finish().unwrap();
 /// ```
 #[derive(Debug)]
 pub struct StreamWriter<W: Write + Seek> {
     sink: W,
+    /// Sink position of the header, where `finish` patches the count.
+    start: u64,
     kind: ArtifactKind,
     count: u32,
     seen: Vec<u32>,
@@ -96,27 +88,17 @@ impl<W: Write + Seek> StreamWriter<W> {
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Io`] if the sink rejects the header write.
+    /// [`ArtifactError::Io`] if the sink cannot report its position or
+    /// rejects the header write.
     pub fn new(mut sink: W, kind: ArtifactKind) -> Result<Self, ArtifactError> {
+        let start = sink.stream_position().map_err(io_stream)?;
         sink.write_all(&encode_header(kind, 0)).map_err(io_stream)?;
-        Ok(StreamWriter { sink, kind, count: 0, seen: Vec::new() })
-    }
-
-    /// The artifact kind being written.
-    pub fn kind(&self) -> ArtifactKind {
-        self.kind
-    }
-
-    /// Sections written so far.
-    pub fn sections_written(&self) -> u32 {
-        self.count
+        Ok(StreamWriter { sink, start, kind, count: 0, seen: Vec::new() })
     }
 
     /// Frames a finished section straight to the sink. Section ids must be
     /// unique per artifact; writing a duplicate is a programming error and
-    /// panics (mirroring [`ArtifactWriter::finish_section`]).
-    ///
-    /// [`ArtifactWriter::finish_section`]: crate::ArtifactWriter::finish_section
+    /// panics.
     ///
     /// # Errors
     ///
@@ -149,14 +131,15 @@ impl<W: Write + Seek> StreamWriter<W> {
     }
 
     /// Seeks back to patch the true section count into the header, flushes,
-    /// and returns the sink. The artifact is only valid after this.
+    /// and returns the sink. The artifact is only valid after this. The sink
+    /// is left positioned just past the header.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::Io`] if seeking, the header rewrite, or the flush
     /// fails.
     pub fn finish(mut self) -> Result<W, ArtifactError> {
-        self.sink.seek(SeekFrom::Start(0)).map_err(io_stream)?;
+        self.sink.seek(SeekFrom::Start(self.start)).map_err(io_stream)?;
         self.sink.write_all(&encode_header(self.kind, self.count)).map_err(io_stream)?;
         self.sink.flush().map_err(io_stream)?;
         Ok(self.sink)
@@ -181,6 +164,20 @@ impl StreamWriter<std::io::BufWriter<std::fs::File>> {
     }
 }
 
+/// Encodes `sections`, in order, as a complete in-memory artifact through a
+/// [`StreamWriter`] on a `Cursor<Vec<u8>>`.
+pub fn encode_to_vec(
+    kind: ArtifactKind,
+    sections: impl IntoIterator<Item = SectionWriter>,
+) -> Vec<u8> {
+    const IN_MEMORY: &str = "an in-memory sink cannot fail";
+    let mut w = StreamWriter::new(std::io::Cursor::new(Vec::new()), kind).expect(IN_MEMORY);
+    for s in sections {
+        w.write_section(s).expect(IN_MEMORY);
+    }
+    w.finish().expect(IN_MEMORY).into_inner()
+}
+
 /// The section currently being streamed out of a [`StreamReader`].
 #[derive(Debug)]
 struct CurrentSection {
@@ -191,29 +188,30 @@ struct CurrentSection {
 
 /// Reads an artifact section by section off any byte stream.
 ///
-/// The header is validated up front (same checks as the buffered reader);
-/// sections are then walked in file order with [`next_section`] /
-/// [`read_chunk`]. Each section's CRC is verified when its last payload byte
-/// is consumed, and [`finish`] drains + verifies everything left, so a
-/// caller that runs the reader to completion gets exactly the integrity
-/// guarantees of [`ArtifactReader`](crate::ArtifactReader) — just delivered
-/// incrementally.
+/// The header is validated up front; sections are then walked in file order
+/// with [`next_section`] / [`read_chunk`] (or [`expect_section`] when the
+/// codec knows which section comes next). Each section's CRC is verified
+/// when its last payload byte is consumed, and [`finish`] drains + verifies
+/// everything left, so a caller that runs the reader to completion has
+/// checked every byte of the file: framing, checksums, duplicate sections
+/// and trailing bytes.
 ///
 /// [`next_section`]: StreamReader::next_section
 /// [`read_chunk`]: StreamReader::read_chunk
+/// [`expect_section`]: StreamReader::expect_section
 /// [`finish`]: StreamReader::finish
 ///
 /// # Examples
 ///
 /// ```
-/// use ispy_artifact::{ArtifactKind, ArtifactWriter};
-/// use ispy_artifact::stream::StreamReader;
+/// use std::io::Cursor;
+/// use ispy_artifact::{ArtifactKind, SectionWriter, StreamReader, StreamWriter};
 ///
-/// let mut w = ArtifactWriter::new(ArtifactKind::Plan);
-/// let mut s = w.section(3);
+/// let mut w = StreamWriter::new(Cursor::new(Vec::new()), ArtifactKind::Plan).unwrap();
+/// let mut s = SectionWriter::new(3);
 /// s.put_str("hello");
-/// w.finish_section(s);
-/// let bytes = w.to_bytes();
+/// w.write_section(s).unwrap();
+/// let bytes = w.finish().unwrap().into_inner();
 ///
 /// let mut r = StreamReader::new(bytes.as_slice(), ArtifactKind::Plan).unwrap();
 /// let (id, len) = r.next_section().unwrap().unwrap();
@@ -226,7 +224,6 @@ struct CurrentSection {
 #[derive(Debug)]
 pub struct StreamReader<R: Read> {
     source: R,
-    kind: ArtifactKind,
     declared: u32,
     consumed: u32,
     seen: Vec<u32>,
@@ -239,32 +236,13 @@ impl<R: Read> StreamReader<R> {
     ///
     /// # Errors
     ///
-    /// The same header-level conditions as
-    /// [`ArtifactReader::from_bytes`](crate::ArtifactReader::from_bytes):
-    /// bad magic, future version, wrong/unknown kind, header checksum,
-    /// truncation — plus [`ArtifactError::Io`] on read failure.
+    /// Bad magic, future version, wrong/unknown kind, header checksum,
+    /// truncation, or [`ArtifactError::Io`] on read failure.
     pub fn new(mut source: R, expected: ArtifactKind) -> Result<Self, ArtifactError> {
         let mut header = [0u8; HEADER_LEN];
         read_exact_ctx(&mut source, &mut header, "header")?;
         let declared = parse_header(&header, expected)?;
-        Ok(StreamReader {
-            source,
-            kind: expected,
-            declared,
-            consumed: 0,
-            seen: Vec::new(),
-            current: None,
-        })
-    }
-
-    /// The artifact's kind.
-    pub fn kind(&self) -> ArtifactKind {
-        self.kind
-    }
-
-    /// Sections the header declares.
-    pub fn sections_declared(&self) -> u32 {
-        self.declared
+        Ok(StreamReader { source, declared, consumed: 0, seen: Vec::new(), current: None })
     }
 
     /// Advances to the next section, returning its `(id, payload length)`,
@@ -351,6 +329,30 @@ impl<R: Read> StreamReader<R> {
         Ok(buf)
     }
 
+    /// Advances to the next section and returns its whole payload, which
+    /// must be section `id`: codecs read their sections in the order their
+    /// writers emit them.
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError::MissingSection`] if the stream ends first,
+    /// [`ArtifactError::Malformed`] (`"section order"`) if another section
+    /// comes next, or any condition of [`next_section`] /
+    /// [`take_payload`].
+    ///
+    /// [`next_section`]: StreamReader::next_section
+    /// [`take_payload`]: StreamReader::take_payload
+    pub fn expect_section(&mut self, id: u32) -> Result<Vec<u8>, ArtifactError> {
+        match self.next_section()? {
+            Some((found, _)) if found == id => self.take_payload(),
+            Some((found, _)) => Err(ArtifactError::malformed(
+                "section order",
+                format!("expected section {id}, found {found}"),
+            )),
+            None => Err(ArtifactError::MissingSection { id }),
+        }
+    }
+
     /// Drains and verifies every remaining section, then checks the stream
     /// ends exactly at the last declared section. Returns the source.
     ///
@@ -408,7 +410,6 @@ impl StreamReader<std::io::BufReader<std::fs::File>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::{ArtifactReader, ArtifactWriter};
     use std::io::Cursor;
 
     fn streamed_sample() -> Vec<u8> {
@@ -427,43 +428,73 @@ mod tests {
     }
 
     #[test]
-    fn streamed_file_parses_under_the_strict_buffered_reader() {
+    fn sections_read_back_in_file_order() {
         let bytes = streamed_sample();
-        let r = ArtifactReader::from_bytes(&bytes, ArtifactKind::Trace).unwrap();
-        assert_eq!(r.section_ids().collect::<Vec<_>>(), vec![1, 2, 3]);
-        let mut meta = r.require_section(1).unwrap();
+        let mut r = StreamReader::new(bytes.as_slice(), ArtifactKind::Trace).unwrap();
+        let meta = r.expect_section(1).unwrap();
+        let mut meta = crate::section::SectionReader::new(1, &meta);
         assert_eq!(meta.take_str().unwrap(), "cassandra");
         assert_eq!(meta.take_varint().unwrap(), 99);
         meta.finish().unwrap();
+        // Asking for a section other than the next one is a typed error.
+        assert!(matches!(
+            r.expect_section(3).unwrap_err(),
+            ArtifactError::Malformed { context: "section order", .. }
+        ));
+        assert!(r.expect_section(3).unwrap().is_empty());
+        assert_eq!(r.expect_section(4).unwrap_err(), ArtifactError::MissingSection { id: 4 });
     }
 
     #[test]
-    fn streamed_bytes_match_buffered_writer_exactly() {
-        let fill = |id: u32| {
+    fn streamed_bytes_follow_the_documented_layout() {
+        // Header, then per section: id, length, payload, CRC of all three.
+        let mut sw = StreamWriter::new(Cursor::new(Vec::new()), ArtifactKind::Profile).unwrap();
+        let mut want = encode_header(ArtifactKind::Profile, 3).to_vec();
+        for id in 1u32..=3 {
             let mut s = SectionWriter::new(id);
             s.put_str("x");
             s.put_varint(u64::from(id) * 1000);
-            s
-        };
-        let mut bw = ArtifactWriter::new(ArtifactKind::Profile);
-        let mut sw = StreamWriter::new(Cursor::new(Vec::new()), ArtifactKind::Profile).unwrap();
-        for id in 1u32..=3 {
-            bw.finish_section(fill(id));
-            sw.write_section(fill(id)).unwrap();
+            let (_, payload) = s.clone().into_parts();
+            sw.write_section(s).unwrap();
+            let frame_start = want.len();
+            want.extend_from_slice(&id.to_le_bytes());
+            want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            want.extend_from_slice(&payload);
+            let crc = crate::crc::crc32(&want[frame_start..]);
+            want.extend_from_slice(&crc.to_le_bytes());
         }
-        assert_eq!(sw.finish().unwrap().into_inner(), bw.to_bytes());
+        assert_eq!(sw.finish().unwrap().into_inner(), want);
+    }
+
+    #[test]
+    fn artifact_after_a_prefix_reads_back_from_its_offset() {
+        // `new` writes the header at the sink's current position, so
+        // `finish` must patch it there, not at offset 0.
+        let prefix = b"not an artifact".to_vec();
+        let mut sink = Cursor::new(prefix.clone());
+        sink.set_position(prefix.len() as u64);
+        let mut w = StreamWriter::new(sink, ArtifactKind::Trace).unwrap();
+        let mut s = SectionWriter::new(1);
+        s.put_str("offset");
+        w.write_section(s).unwrap();
+        let bytes = w.finish().unwrap().into_inner();
+        assert_eq!(bytes[..prefix.len()], prefix[..], "the prefix must survive");
+        let mut r = StreamReader::new(&bytes[prefix.len()..], ArtifactKind::Trace).unwrap();
+        let payload = r.expect_section(1).unwrap();
+        assert_eq!(crate::section::SectionReader::new(1, &payload).take_str().unwrap(), "offset");
+        r.finish().unwrap();
     }
 
     #[test]
     fn buffered_file_streams_back_chunk_by_chunk() {
-        let mut w = ArtifactWriter::new(ArtifactKind::Plan);
-        let mut s = w.section(9);
+        let mut w = StreamWriter::new(Cursor::new(Vec::new()), ArtifactKind::Plan).unwrap();
+        let mut s = SectionWriter::new(9);
         let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         for &b in &payload {
             s.put_u8(b);
         }
-        w.finish_section(s);
-        let bytes = w.to_bytes();
+        w.write_section(s).unwrap();
+        let bytes = w.finish().unwrap().into_inner();
 
         for chunk in [1usize, 7, 4096, 1 << 20] {
             let mut r = StreamReader::new(bytes.as_slice(), ArtifactKind::Plan).unwrap();
@@ -545,30 +576,8 @@ mod tests {
     }
 
     #[test]
-    fn header_level_rejections_match_the_buffered_reader() {
-        let bytes = streamed_sample();
-        assert_eq!(
-            StreamReader::new(bytes.as_slice(), ArtifactKind::Profile).unwrap_err(),
-            ArtifactError::WrongKind {
-                expected: ArtifactKind::Profile.raw(),
-                found: ArtifactKind::Trace.raw()
-            }
-        );
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert_eq!(
-            StreamReader::new(bad.as_slice(), ArtifactKind::Trace).unwrap_err(),
-            ArtifactError::BadMagic
-        );
-        assert_eq!(
-            StreamReader::new(&bytes[..10], ArtifactKind::Trace).unwrap_err(),
-            ArtifactError::Truncated { context: "header" }
-        );
-    }
-
-    #[test]
     fn duplicate_section_id_is_rejected_mid_stream() {
-        // Hand-splice a duplicate frame, as the container tests do.
+        // Hand-splice a copy of the only frame and patch the header count.
         let mut w = StreamWriter::new(Cursor::new(Vec::new()), ArtifactKind::Trace).unwrap();
         let mut s = SectionWriter::new(5);
         s.put_varint(7);
@@ -591,10 +600,6 @@ mod tests {
         s.put_varint(1);
         w.write_section(s).unwrap();
         let bytes = w.sink.into_inner();
-        assert_eq!(
-            ArtifactReader::from_bytes(&bytes, ArtifactKind::Trace).unwrap_err(),
-            ArtifactError::TrailingBytes
-        );
         let r = StreamReader::new(bytes.as_slice(), ArtifactKind::Trace).unwrap();
         assert_eq!(r.finish().unwrap_err(), ArtifactError::TrailingBytes);
     }

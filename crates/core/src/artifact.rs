@@ -32,8 +32,9 @@
 
 use crate::planner::{Plan, PlanStats};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
-use ispy_artifact::{ArtifactError, ArtifactKind, ArtifactReader, ArtifactWriter};
-use ispy_artifact::{SectionReader, SectionWriter};
+use ispy_artifact::{
+    encode_to_vec, ArtifactError, ArtifactKind, SectionReader, SectionWriter, StreamReader,
+};
 use ispy_isa::{CoalesceMask, ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
 use ispy_trace::{BlockId, Line};
 use std::path::Path;
@@ -148,13 +149,10 @@ fn take_op(s: &mut SectionReader<'_>) -> Result<PrefetchOp, ArtifactError> {
 
 /// Serializes a plan to artifact bytes under an app `label`.
 pub fn plan_to_bytes(label: &str, plan: &Plan) -> Vec<u8> {
-    let mut w = ArtifactWriter::new(ArtifactKind::Plan);
-
-    let mut meta = w.section(SEC_META);
+    let mut meta = SectionWriter::new(SEC_META);
     meta.put_str(label);
-    w.finish_section(meta);
 
-    let mut inj = w.section(SEC_INJECTIONS);
+    let mut inj = SectionWriter::new(SEC_INJECTIONS);
     inj.put_varint(plan.injections.num_sites() as u64);
     for (site, ops) in plan.injections.iter() {
         inj.put_delta(u64::from(site.0));
@@ -165,10 +163,9 @@ pub fn plan_to_bytes(label: &str, plan: &Plan) -> Vec<u8> {
             inj.put_opt_varint(id.map(|i| u64::from(i.0)));
         }
     }
-    w.finish_section(inj);
 
     let st = &plan.stats;
-    let mut stats = w.section(SEC_STATS);
+    let mut stats = SectionWriter::new(SEC_STATS);
     for v in [st.target_lines, st.covered_lines, st.uncovered_lines, st.sites] {
         stats.put_varint(v as u64);
     }
@@ -188,9 +185,8 @@ pub fn plan_to_bytes(label: &str, plan: &Plan) -> Vec<u8> {
     for v in [st.lines_no_candidates, st.lines_no_sites, st.entries_dropped] {
         stats.put_varint(v as u64);
     }
-    w.finish_section(stats);
 
-    let mut ctx = w.section(SEC_CONTEXT_DETAILS);
+    let mut ctx = SectionWriter::new(SEC_CONTEXT_DETAILS);
     ctx.put_varint(plan.context_details.len() as u64);
     for (site, blocks) in &plan.context_details {
         ctx.put_varint(u64::from(site.0));
@@ -199,9 +195,8 @@ pub fn plan_to_bytes(label: &str, plan: &Plan) -> Vec<u8> {
             ctx.put_varint(u64::from(b.0));
         }
     }
-    w.finish_section(ctx);
 
-    let mut prov = w.section(SEC_PROVENANCE);
+    let mut prov = SectionWriter::new(SEC_PROVENANCE);
     prov.put_varint(plan.provenance.len() as u64);
     for rec in &plan.provenance {
         prov.put_varint(u64::from(rec.id.0));
@@ -232,9 +227,8 @@ pub fn plan_to_bytes(label: &str, plan: &Plan) -> Vec<u8> {
             prov.put_opt_varint(l.ctx_support);
         }
     }
-    w.finish_section(prov);
 
-    w.to_bytes()
+    encode_to_vec(ArtifactKind::Plan, [meta, inj, stats, ctx, prov])
 }
 
 /// Writes a plan to `path` (conventionally `*.iplan`).
@@ -260,13 +254,15 @@ fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, ArtifactErro
 /// Typed [`ArtifactError`] on any container- or payload-level defect; hash
 /// and mask widths are validated before the panicking constructors run.
 pub fn plan_from_bytes(bytes: &[u8]) -> Result<(String, Plan), ArtifactError> {
-    let r = ArtifactReader::from_bytes(bytes, ArtifactKind::Plan)?;
+    let mut r = StreamReader::new(bytes, ArtifactKind::Plan)?;
 
-    let mut meta = r.require_section(SEC_META)?;
+    let payload = r.expect_section(SEC_META)?;
+    let mut meta = SectionReader::new(SEC_META, &payload);
     let label = meta.take_str()?;
     meta.finish()?;
 
-    let mut inj = r.require_section(SEC_INJECTIONS)?;
+    let payload = r.expect_section(SEC_INJECTIONS)?;
+    let mut inj = SectionReader::new(SEC_INJECTIONS, &payload);
     let num_sites: usize = narrow(inj.take_varint()?, "site count")?;
     let mut injections = InjectionMap::new();
     for _ in 0..num_sites {
@@ -285,7 +281,8 @@ pub fn plan_from_bytes(bytes: &[u8]) -> Result<(String, Plan), ArtifactError> {
     }
     inj.finish()?;
 
-    let mut s = r.require_section(SEC_STATS)?;
+    let payload = r.expect_section(SEC_STATS)?;
+    let mut s = SectionReader::new(SEC_STATS, &payload);
     let mut stats = PlanStats {
         target_lines: narrow(s.take_varint()?, "target lines")?,
         covered_lines: narrow(s.take_varint()?, "covered lines")?,
@@ -312,7 +309,8 @@ pub fn plan_from_bytes(bytes: &[u8]) -> Result<(String, Plan), ArtifactError> {
     stats.entries_dropped = narrow(s.take_varint()?, "entries dropped")?;
     s.finish()?;
 
-    let mut ctx = r.require_section(SEC_CONTEXT_DETAILS)?;
+    let payload = r.expect_section(SEC_CONTEXT_DETAILS)?;
+    let mut ctx = SectionReader::new(SEC_CONTEXT_DETAILS, &payload);
     let n_ctx: usize = narrow(ctx.take_varint()?, "context detail count")?;
     let mut context_details = Vec::with_capacity(n_ctx.min(1 << 20));
     for _ in 0..n_ctx {
@@ -326,7 +324,8 @@ pub fn plan_from_bytes(bytes: &[u8]) -> Result<(String, Plan), ArtifactError> {
     }
     ctx.finish()?;
 
-    let mut prov = r.require_section(SEC_PROVENANCE)?;
+    let payload = r.expect_section(SEC_PROVENANCE)?;
+    let mut prov = SectionReader::new(SEC_PROVENANCE, &payload);
     let n_recs: usize = narrow(prov.take_varint()?, "provenance count")?;
     let mut provenance = Vec::with_capacity(n_recs.min(1 << 20));
     for _ in 0..n_recs {
@@ -375,6 +374,7 @@ pub fn plan_from_bytes(bytes: &[u8]) -> Result<(String, Plan), ArtifactError> {
         });
     }
     prov.finish()?;
+    r.finish()?;
 
     Ok((label, Plan { injections, stats, context_details, provenance }))
 }
@@ -473,11 +473,9 @@ mod tests {
 
     #[test]
     fn hostile_width_is_malformed_not_panic() {
-        let mut w = ArtifactWriter::new(ArtifactKind::Plan);
-        let mut meta = w.section(SEC_META);
+        let mut meta = SectionWriter::new(SEC_META);
         meta.put_str("x");
-        w.finish_section(meta);
-        let mut inj = w.section(SEC_INJECTIONS);
+        let mut inj = SectionWriter::new(SEC_INJECTIONS);
         inj.put_varint(1); // one site
         inj.put_delta(0);
         inj.put_varint(1); // one op
@@ -486,20 +484,17 @@ mod tests {
         inj.put_varint(1); // ctx bits
         inj.put_u8(65); // hostile width
         inj.put_opt_varint(None);
-        w.finish_section(inj);
         assert!(matches!(
-            plan_from_bytes(&w.to_bytes()),
+            plan_from_bytes(&encode_to_vec(ArtifactKind::Plan, [meta, inj])),
             Err(ArtifactError::Malformed { context: "context hash", .. })
         ));
     }
 
     #[test]
     fn bits_wider_than_declared_width_are_malformed() {
-        let mut w = ArtifactWriter::new(ArtifactKind::Plan);
-        let mut meta = w.section(SEC_META);
+        let mut meta = SectionWriter::new(SEC_META);
         meta.put_str("x");
-        w.finish_section(meta);
-        let mut inj = w.section(SEC_INJECTIONS);
+        let mut inj = SectionWriter::new(SEC_INJECTIONS);
         inj.put_varint(1);
         inj.put_delta(0);
         inj.put_varint(1);
@@ -508,18 +503,16 @@ mod tests {
         inj.put_varint(0x1FF); // 9 bits...
         inj.put_u8(8); // ...declared as 8 wide
         inj.put_opt_varint(None);
-        w.finish_section(inj);
         assert!(matches!(
-            plan_from_bytes(&w.to_bytes()),
+            plan_from_bytes(&encode_to_vec(ArtifactKind::Plan, [meta, inj])),
             Err(ArtifactError::Malformed { context: "coalesce mask", .. })
         ));
     }
 
     #[test]
     fn missing_section_is_typed() {
-        let w = ArtifactWriter::new(ArtifactKind::Plan);
         assert!(matches!(
-            plan_from_bytes(&w.to_bytes()),
+            plan_from_bytes(&encode_to_vec(ArtifactKind::Plan, [])),
             Err(ArtifactError::MissingSection { id: SEC_META })
         ));
     }

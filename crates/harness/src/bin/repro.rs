@@ -11,8 +11,8 @@
 //! repro fig17 --apps wordpress    # run on a subset of the applications
 //! repro explain wordpress --quick # why/what-did-it-buy audit per injection
 //! repro record kafka -o k.itrace  # record an execution to an artifact
-//! repro record kafka --stream --events 100000000 -o k.itrace
-//!                                 # stream-record without materializing
+//! repro record kafka --events 100000000 -o k.itrace
+//!                                 # any length: recording never materializes
 //! repro plan kafka -o k.iplan     # plan injections, save with provenance
 //! repro replay k.itrace           # re-simulate a recorded artifact
 //! repro replay k.itrace --stream  # same result, bounded memory
@@ -565,7 +565,7 @@ fn usage() {
     eprintln!("             [--quick | --test-scale] [--json DIR] [--metrics DIR]");
     eprintln!("             [--cache[=DIR]] [--jobs N] [--apps a,b,c]");
     eprintln!("       repro explain <app> [--quick | --test-scale] [--top N] [--jobs N]");
-    eprintln!("       repro record <app> [--quick | --test-scale] [--stream] [--events N]");
+    eprintln!("       repro record <app> [--quick | --test-scale] [--events N]");
     eprintln!("                   [-o FILE.itrace]");
     eprintln!("       repro plan <app> [--quick | --test-scale] [-o FILE.iplan]");
     eprintln!("       repro replay <FILE.itrace> [--plan FILE.iplan] [--stream]");
@@ -585,27 +585,19 @@ struct ArtifactArgs {
     positional: Vec<String>,
     scale: Scale,
     out: Option<PathBuf>,
-    /// `--stream`: bounded-memory path (streamed record / streamed replay).
-    stream: bool,
     /// `--events N`: explicit event count, overriding the scale's default.
     events: Option<u64>,
 }
 
 /// Parses the scale/output flags shared by the artifact subcommands.
 fn parse_artifact_args(args: &[String]) -> Result<ArtifactArgs, String> {
-    let mut parsed = ArtifactArgs {
-        positional: Vec::new(),
-        scale: Scale::full(),
-        out: None,
-        stream: false,
-        events: None,
-    };
+    let mut parsed =
+        ArtifactArgs { positional: Vec::new(), scale: Scale::full(), out: None, events: None };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => parsed.scale = Scale::quick(),
             "--test-scale" => parsed.scale = Scale::test(),
-            "--stream" => parsed.stream = true,
             "--events" => {
                 i += 1;
                 match args.get(i).and_then(|n| n.parse::<u64>().ok()) {
@@ -637,10 +629,10 @@ fn fail(msg: &str) -> ExitCode {
 
 /// `repro record <app>`: record an execution and store it as `.itrace`.
 ///
-/// With `--stream` the trace never exists in memory: the generator feeds a
+/// The trace never exists in memory: the generator feeds a
 /// [`RecordingWriter`](ispy_trace::artifact::RecordingWriter) chunk by
 /// chunk, so `--events` can exceed RAM (the 100M-block CI gate records this
-/// way under a ulimit).
+/// way).
 fn run_record(args: &[String]) -> ExitCode {
     let parsed = match parse_artifact_args(args) {
         Ok(p) => p,
@@ -656,46 +648,32 @@ fn run_record(args: &[String]) -> ExitCode {
     let program = model.generate();
     let events = parsed.events.unwrap_or(parsed.scale.events as u64);
     let path = parsed.out.unwrap_or_else(|| PathBuf::from(format!("{app}.itrace")));
-    let written = if parsed.stream {
-        let walker = ispy_trace::Walker::new(&program, model.default_input());
-        let mut source = ispy_trace::WalkerSource::new(walker, events);
-        let mut writer =
-            match ispy_trace::artifact::RecordingWriter::create(&path, &program, program.name()) {
-                Ok(w) => w,
-                Err(e) => return fail(&e.to_string()),
-            };
-        loop {
-            use ispy_trace::BlockSource;
-            match source.next_chunk() {
-                Ok(Some(chunk)) => {
-                    if let Err(e) = writer.push(chunk) {
-                        return fail(&e.to_string());
-                    }
+    let walker = ispy_trace::Walker::new(&program, model.default_input());
+    let mut source = ispy_trace::WalkerSource::new(walker, events);
+    let mut writer =
+        match ispy_trace::artifact::RecordingWriter::create(&path, &program, program.name()) {
+            Ok(w) => w,
+            Err(e) => return fail(&e.to_string()),
+        };
+    loop {
+        use ispy_trace::BlockSource;
+        match source.next_chunk() {
+            Ok(Some(chunk)) => {
+                if let Err(e) = writer.push(chunk) {
+                    return fail(&e.to_string());
                 }
-                Ok(None) => break,
-                Err(e) => return fail(&e.to_string()),
             }
+            Ok(None) => break,
+            Err(e) => return fail(&e.to_string()),
         }
-        let written = writer.events_written();
-        if let Err(e) = writer.finish() {
-            return fail(&e.to_string());
-        }
-        written
-    } else {
-        if events > usize::MAX as u64 {
-            return fail("--events too large to materialize; use --stream");
-        }
-        let trace = program.record_trace(model.default_input(), events as usize);
-        if let Err(e) = ispy_trace::artifact::write_recording(&program, &trace, &path) {
-            return fail(&e.to_string());
-        }
-        trace.len() as u64
-    };
+    }
+    let written = writer.events_written();
+    if let Err(e) = writer.finish() {
+        return fail(&e.to_string());
+    }
     eprintln!(
-        "recorded {app}: {} blocks, {} events{} -> {}",
+        "recorded {app}: {} blocks, {written} events -> {}",
         program.num_blocks(),
-        written,
-        if parsed.stream { " (streamed)" } else { "" },
         path.display()
     );
     ExitCode::SUCCESS

@@ -31,7 +31,9 @@
 use crate::collect::Profile;
 use crate::dyncfg::DynCfg;
 use crate::miss::{LineMissStats, MissProfile};
-use ispy_artifact::{ArtifactError, ArtifactKind, ArtifactReader, ArtifactWriter};
+use ispy_artifact::{
+    encode_to_vec, ArtifactError, ArtifactKind, SectionReader, SectionWriter, StreamReader,
+};
 use ispy_trace::{BlockId, Line};
 use std::path::Path;
 
@@ -49,26 +51,22 @@ const SEC_MISSES: u32 = 5;
 /// Serializes a profile to artifact bytes under an app `label`.
 pub fn profile_to_bytes(label: &str, profile: &Profile) -> Vec<u8> {
     let n = profile.cfg.num_blocks();
-    let mut w = ArtifactWriter::new(ArtifactKind::Profile);
 
-    let mut meta = w.section(SEC_META);
+    let mut meta = SectionWriter::new(SEC_META);
     meta.put_str(label);
     meta.put_varint(profile.trace_len as u64);
     meta.put_varint(profile.lbr_depth as u64);
     meta.put_varint(n as u64);
-    w.finish_section(meta);
 
-    let mut exec = w.section(SEC_CFG_EXEC);
+    let mut exec = SectionWriter::new(SEC_CFG_EXEC);
     for i in 0..n {
         exec.put_varint(profile.cfg.exec_count(BlockId(i as u32)));
     }
-    w.finish_section(exec);
 
-    let mut cycles = w.section(SEC_CFG_CYCLES);
+    let mut cycles = SectionWriter::new(SEC_CFG_CYCLES);
     for i in 0..n {
         cycles.put_f64(profile.cfg.avg_cycles(BlockId(i as u32)));
     }
-    w.finish_section(cycles);
 
     let mut all_edges: Vec<(u32, u32, u64)> = Vec::new();
     for i in 0..n {
@@ -77,19 +75,18 @@ pub fn profile_to_bytes(label: &str, profile: &Profile) -> Vec<u8> {
         }
     }
     all_edges.sort_unstable();
-    let mut edges = w.section(SEC_CFG_EDGES);
+    let mut edges = SectionWriter::new(SEC_CFG_EDGES);
     edges.put_varint(all_edges.len() as u64);
     for (from, to, weight) in all_edges {
         edges.put_delta(u64::from(from));
         edges.put_varint(u64::from(to));
         edges.put_varint(weight);
     }
-    w.finish_section(edges);
 
     let mut by_line: Vec<(u64, &LineMissStats)> =
         profile.misses.iter().map(|(l, s)| (l.raw(), s)).collect();
     by_line.sort_unstable_by_key(|&(raw, _)| raw);
-    let mut misses = w.section(SEC_MISSES);
+    let mut misses = SectionWriter::new(SEC_MISSES);
     misses.put_varint(by_line.len() as u64);
     for (raw, stats) in by_line {
         misses.put_delta(raw);
@@ -116,9 +113,8 @@ pub fn profile_to_bytes(label: &str, profile: &Profile) -> Vec<u8> {
             prev = p;
         }
     }
-    w.finish_section(misses);
 
-    w.to_bytes()
+    encode_to_vec(ArtifactKind::Profile, [meta, exec, cycles, edges, misses])
 }
 
 /// Writes a profile to `path` (conventionally `*.iprof`).
@@ -149,8 +145,8 @@ pub struct ProfileMeta {
 
 /// Decodes only the metadata section of a profile artifact.
 ///
-/// The container's section CRCs are still verified (corruption is detected),
-/// but the CFG and miss sections are never parsed — this is what lets
+/// Every section's CRC is still verified (corruption anywhere in the file is
+/// detected), but the CFG and miss sections are never parsed — this is what lets
 /// `repro fleet ingest` classify thousands of artifacts in bounded time.
 ///
 /// # Errors
@@ -174,8 +170,16 @@ pub struct ProfileMeta {
 /// assert_eq!(meta.trace_len, 4_000);
 /// ```
 pub fn peek_profile_meta(bytes: &[u8]) -> Result<ProfileMeta, ArtifactError> {
-    let r = ArtifactReader::from_bytes(bytes, ArtifactKind::Profile)?;
-    let mut meta = r.require_section(SEC_META)?;
+    let mut r = StreamReader::new(bytes, ArtifactKind::Profile)?;
+    let meta = take_meta(&mut r)?;
+    r.finish()?;
+    Ok(meta)
+}
+
+/// Reads and decodes the leading metadata section.
+fn take_meta(r: &mut StreamReader<&[u8]>) -> Result<ProfileMeta, ArtifactError> {
+    let payload = r.expect_section(SEC_META)?;
+    let mut meta = SectionReader::new(SEC_META, &payload);
     let label = meta.take_str()?;
     let trace_len: usize = narrow(meta.take_varint()?, "trace length")?;
     let lbr_depth: usize = narrow(meta.take_varint()?, "lbr depth")?;
@@ -197,23 +201,19 @@ fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, ArtifactErro
 /// ids and edge endpoints are range-checked before the (panicking)
 /// [`DynCfg`] constructor runs.
 pub fn profile_from_bytes(bytes: &[u8]) -> Result<(String, Profile), ArtifactError> {
-    let r = ArtifactReader::from_bytes(bytes, ArtifactKind::Profile)?;
+    let mut r = StreamReader::new(bytes, ArtifactKind::Profile)?;
+    let ProfileMeta { label, trace_len, lbr_depth, num_blocks } = take_meta(&mut r)?;
 
-    let mut meta = r.require_section(SEC_META)?;
-    let label = meta.take_str()?;
-    let trace_len: usize = narrow(meta.take_varint()?, "trace length")?;
-    let lbr_depth: usize = narrow(meta.take_varint()?, "lbr depth")?;
-    let num_blocks: usize = narrow(meta.take_varint()?, "block count")?;
-    meta.finish()?;
-
-    let mut exec_sec = r.require_section(SEC_CFG_EXEC)?;
+    let payload = r.expect_section(SEC_CFG_EXEC)?;
+    let mut exec_sec = SectionReader::new(SEC_CFG_EXEC, &payload);
     let mut exec = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         exec.push(exec_sec.take_varint()?);
     }
     exec_sec.finish()?;
 
-    let mut cycles_sec = r.require_section(SEC_CFG_CYCLES)?;
+    let payload = r.expect_section(SEC_CFG_CYCLES)?;
+    let mut cycles_sec = SectionReader::new(SEC_CFG_CYCLES, &payload);
     let mut avg_cycles = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         avg_cycles.push(cycles_sec.take_f64()?);
@@ -228,7 +228,8 @@ pub fn profile_from_bytes(bytes: &[u8]) -> Result<(String, Profile), ArtifactErr
         }
     };
 
-    let mut edges_sec = r.require_section(SEC_CFG_EDGES)?;
+    let payload = r.expect_section(SEC_CFG_EDGES)?;
+    let mut edges_sec = SectionReader::new(SEC_CFG_EDGES, &payload);
     let n_edges: usize = narrow(edges_sec.take_varint()?, "edge count")?;
     let mut edges: Vec<((u32, u32), u64)> = Vec::with_capacity(n_edges.min(1 << 22));
     for _ in 0..n_edges {
@@ -243,7 +244,8 @@ pub fn profile_from_bytes(bytes: &[u8]) -> Result<(String, Profile), ArtifactErr
         return Err(ArtifactError::malformed("edge", format!("duplicate edge {from}->{to}")));
     }
 
-    let mut misses_sec = r.require_section(SEC_MISSES)?;
+    let payload = r.expect_section(SEC_MISSES)?;
+    let mut misses_sec = SectionReader::new(SEC_MISSES, &payload);
     let n_lines: usize = narrow(misses_sec.take_varint()?, "miss line count")?;
     let mut misses = MissProfile::new();
     let mut prev_line = 0u64;
@@ -279,6 +281,7 @@ pub fn profile_from_bytes(bytes: &[u8]) -> Result<(String, Profile), ArtifactErr
         misses.insert_line(Line::new(raw), stats);
     }
     misses_sec.finish()?;
+    r.finish()?;
 
     let profile = Profile {
         cfg: DynCfg::new(exec, avg_cycles, edges),
@@ -353,59 +356,36 @@ mod tests {
 
     #[test]
     fn out_of_range_edge_is_malformed_not_panic() {
-        let (name, prof) = sample();
-        let mut bytes = profile_to_bytes(&name, &prof);
-        // Shrink the declared block count so every edge/id check trips.
-        // Find META (section 1) and patch its block-count varint is fiddly;
-        // instead rebuild with a lying META via the public API surface:
-        // corrupting any byte is caught by CRC, so construct a tiny profile
-        // whose edges reference out-of-range blocks directly.
-        bytes.clear();
-        let small = Profile {
-            cfg: DynCfg::new(vec![1, 1], vec![1.0, 1.0], [((0, 1), 5)]),
-            misses: MissProfile::new(),
-            trace_len: 2,
-            lbr_depth: 32,
-            replays: None,
-        };
-        let good = profile_to_bytes("small", &small);
-        // Decode, then re-encode a hostile variant by writing sections with
-        // a block count of 1 but an edge to block 1.
-        let r = ArtifactReader::from_bytes(&good, ArtifactKind::Profile).unwrap();
-        drop(r);
-        let mut w = ArtifactWriter::new(ArtifactKind::Profile);
-        let mut meta = w.section(SEC_META);
+        // A hostile profile that declares one block but has an edge to
+        // block 1: the decoder must reject it before `DynCfg::new` panics.
+        let mut meta = SectionWriter::new(SEC_META);
         meta.put_str("small");
         meta.put_varint(2);
         meta.put_varint(32);
         meta.put_varint(1); // one block...
-        w.finish_section(meta);
-        let mut exec = w.section(SEC_CFG_EXEC);
+        let mut exec = SectionWriter::new(SEC_CFG_EXEC);
         exec.put_varint(1);
-        w.finish_section(exec);
-        let mut cycles = w.section(SEC_CFG_CYCLES);
+        let mut cycles = SectionWriter::new(SEC_CFG_CYCLES);
         cycles.put_f64(1.0);
-        w.finish_section(cycles);
-        let mut e = w.section(SEC_CFG_EDGES);
+        let mut e = SectionWriter::new(SEC_CFG_EDGES);
         e.put_varint(1);
         e.put_delta(0);
         e.put_varint(1); // ...but an edge to block 1.
         e.put_varint(5);
-        w.finish_section(e);
-        let mut m = w.section(SEC_MISSES);
+        let mut m = SectionWriter::new(SEC_MISSES);
         m.put_varint(0);
-        w.finish_section(m);
+        let bytes = encode_to_vec(ArtifactKind::Profile, [meta, exec, cycles, e, m]);
         assert!(matches!(
-            profile_from_bytes(&w.to_bytes()),
+            profile_from_bytes(&bytes),
             Err(ArtifactError::Malformed { context: "edge target", .. })
         ));
     }
 
     #[test]
     fn missing_section_is_typed() {
-        let w = ArtifactWriter::new(ArtifactKind::Profile);
+        let bytes = encode_to_vec(ArtifactKind::Profile, []);
         assert!(matches!(
-            profile_from_bytes(&w.to_bytes()),
+            profile_from_bytes(&bytes),
             Err(ArtifactError::MissingSection { id: SEC_META })
         ));
     }

@@ -155,10 +155,6 @@ impl BlockSource for ScenarioSource<'_> {
         self.fill(self.chunk);
         Ok(Some(&self.buf))
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.remaining())
-    }
 }
 
 #[cfg(test)]

@@ -12,13 +12,12 @@
 //! crate stays dependency-free; this module owns the mapping between
 //! [`Program`]/[`Trace`] and container sections.
 //!
-//! Two trace encodings share the container. The **monolithic** form
-//! ([`recording_to_bytes`]) stores all events in one section — simplest,
-//! but writing it requires the whole trace in memory. The **framed** form
-//! ([`RecordingWriter`]) splits events into fixed-size frame sections, each
-//! an independent delta stream, so arbitrarily long traces are written and
-//! read ([`open_recording_stream`]) in bounded memory. Both decoders accept
-//! both forms; see `docs/STREAMING.md` for the framing contract.
+//! The trace has one encoding, the **framed** form: [`RecordingWriter`]
+//! splits events into fixed-size frame sections, each an independent delta
+//! stream, so arbitrarily long traces are written and read
+//! ([`open_recording_stream`]) in bounded memory. Every other entry point
+//! is a thin wrapper over those two; see `docs/STREAMING.md` for the
+//! framing contract.
 //!
 //! # Examples
 //!
@@ -40,8 +39,7 @@ use crate::program::{BlockExit, FuncId, Function, Program};
 use crate::source::BlockSource;
 use crate::trace::Trace;
 use ispy_artifact::{
-    varint, ArtifactError, ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader,
-    SectionWriter, StreamReader, StreamWriter,
+    ArtifactError, ArtifactKind, SectionReader, SectionWriter, StreamReader, StreamWriter,
 };
 use std::io::{Read, Seek, Write};
 use std::path::Path;
@@ -58,11 +56,7 @@ const SEC_FUNCS: u32 = 4;
 const SEC_OWNER: u32 = 5;
 /// Request paths: one function sequence per request type.
 const SEC_REQUEST_PATHS: u32 = 6;
-/// The dynamic trace, monolithic form: name plus the full block-event
-/// sequence (delta stream). Written by [`recording_to_bytes`].
-const SEC_TRACE: u32 = 7;
-/// The dynamic trace, framed form: just the trace name. The events follow
-/// as frame sections. Written by [`RecordingWriter`].
+/// The dynamic trace's name. The events follow as frame sections.
 const SEC_TRACE_HEAD: u32 = 8;
 /// First frame-section id; frame `i` is `SEC_FRAME_BASE + i`. Each frame is
 /// an independent delta stream (base restarts at 0) of consecutive events,
@@ -78,9 +72,7 @@ const EXIT_BRANCH: u8 = 0;
 const EXIT_CALL: u8 = 1;
 const EXIT_RETURN: u8 = 2;
 
-/// Builds the six program sections (ids 1–6, in id order). Shared by the
-/// buffered and streaming writers so both forms carry bit-identical program
-/// payloads.
+/// Builds the six program sections (ids 1–6, in id order).
 fn program_sections(program: &Program) -> Vec<SectionWriter> {
     let mut meta = SectionWriter::new(SEC_META);
     meta.put_str(program.name());
@@ -144,33 +136,25 @@ fn program_sections(program: &Program) -> Vec<SectionWriter> {
     vec![meta, blocks, exits, funcs, owner, paths]
 }
 
-/// Serializes a recording to artifact bytes (monolithic trace section).
+/// Serializes a recording to artifact bytes through [`RecordingWriter`].
 pub fn recording_to_bytes(program: &Program, trace: &Trace) -> Vec<u8> {
-    let mut w = ArtifactWriter::new(ArtifactKind::Trace);
-    for s in program_sections(program) {
-        w.finish_section(s);
-    }
-
-    let mut events = w.section(SEC_TRACE);
-    events.put_str(trace.name());
-    events.put_varint(trace.len() as u64);
-    for b in trace.iter() {
-        events.put_delta(u64::from(b.0));
-    }
-    w.finish_section(events);
-
-    w.to_bytes()
+    const IN_MEMORY: &str = "an in-memory sink cannot fail";
+    let sink = std::io::Cursor::new(Vec::new());
+    let mut w = RecordingWriter::new(sink, program, trace.name()).expect(IN_MEMORY);
+    w.push(trace.blocks()).expect(IN_MEMORY);
+    w.finish().expect(IN_MEMORY).into_inner()
 }
 
-/// Writes a recording to `path` (conventionally `*.itrace`).
+/// Writes a recording to `path` (conventionally `*.itrace`) through
+/// [`RecordingWriter`].
 ///
 /// # Errors
 ///
 /// [`ArtifactError::Io`] on filesystem failure.
 pub fn write_recording(program: &Program, trace: &Trace, path: &Path) -> Result<(), ArtifactError> {
-    std::fs::create_dir_all(path.parent().unwrap_or_else(|| Path::new(".")))
-        .map_err(|e| ArtifactError::io(path, e))?;
-    std::fs::write(path, recording_to_bytes(program, trace)).map_err(|e| ArtifactError::io(path, e))
+    let mut w = RecordingWriter::create(path, program, trace.name())?;
+    w.push(trace.blocks())?;
+    w.finish().map(drop)
 }
 
 /// Checked narrowing with a typed error instead of a panicking cast.
@@ -187,13 +171,11 @@ fn in_range_block(raw: u64, num_blocks: u64, what: &'static str) -> Result<Block
     }
 }
 
-/// Decodes the six program sections through `section` (a lookup from id to
-/// payload cursor). Shared by the buffered and streaming readers.
-fn decode_program<'a, F>(mut section: F) -> Result<Program, ArtifactError>
-where
-    F: FnMut(u32) -> Result<SectionReader<'a>, ArtifactError>,
-{
-    let mut meta = section(SEC_META)?;
+/// Reads and decodes the six program sections, which lead the file in id
+/// order.
+fn decode_program<R: Read>(r: &mut StreamReader<R>) -> Result<Program, ArtifactError> {
+    let payload = r.expect_section(SEC_META)?;
+    let mut meta = SectionReader::new(SEC_META, &payload);
     let name = meta.take_str()?;
     let data_footprint_lines = meta.take_varint()?;
     let branch_determinism = meta.take_f64()?;
@@ -211,7 +193,8 @@ where
         return Err(ArtifactError::malformed("program meta", "zero footprint or variants"));
     }
 
-    let mut blocks_sec = section(SEC_BLOCKS)?;
+    let payload = r.expect_section(SEC_BLOCKS)?;
+    let mut blocks_sec = SectionReader::new(SEC_BLOCKS, &payload);
     let mut blocks = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         let start = blocks_sec.take_delta()?;
@@ -236,7 +219,8 @@ where
         }
     };
 
-    let mut exits_sec = section(SEC_EXITS)?;
+    let payload = r.expect_section(SEC_EXITS)?;
+    let mut exits_sec = SectionReader::new(SEC_EXITS, &payload);
     let mut exits = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         exits.push(match exits_sec.take_u8()? {
@@ -260,7 +244,8 @@ where
     }
     exits_sec.finish()?;
 
-    let mut funcs_sec = section(SEC_FUNCS)?;
+    let payload = r.expect_section(SEC_FUNCS)?;
+    let mut funcs_sec = SectionReader::new(SEC_FUNCS, &payload);
     let mut funcs = Vec::with_capacity(num_funcs);
     for _ in 0..num_funcs {
         let entry = in_blocks(funcs_sec.take_varint()?, "function entry")?;
@@ -273,14 +258,16 @@ where
     }
     funcs_sec.finish()?;
 
-    let mut owner_sec = section(SEC_OWNER)?;
+    let payload = r.expect_section(SEC_OWNER)?;
+    let mut owner_sec = SectionReader::new(SEC_OWNER, &payload);
     let mut owner = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         owner.push(in_funcs(owner_sec.take_delta()?, "block owner")?);
     }
     owner_sec.finish()?;
 
-    let mut paths_sec = section(SEC_REQUEST_PATHS)?;
+    let payload = r.expect_section(SEC_REQUEST_PATHS)?;
+    let mut paths_sec = SectionReader::new(SEC_REQUEST_PATHS, &payload);
     let n_paths: usize = narrow(paths_sec.take_varint()?, "request path count")?;
     let mut request_paths = Vec::with_capacity(n_paths.min(1 << 16));
     for _ in 0..n_paths {
@@ -303,60 +290,41 @@ where
     Ok(program)
 }
 
-/// Decodes a recording from artifact bytes.
+/// Decodes a recording from artifact bytes by draining
+/// [`open_recording_stream`].
 ///
-/// Accepts both trace forms: the monolithic `SEC_TRACE` section written by
-/// [`recording_to_bytes`] and the framed form written by
-/// [`RecordingWriter`]. The decoder is strict: every id is range-checked
-/// before any container type is constructed (their constructors panic on bad
-/// input, and corrupt bytes must never panic), and the reconstructed program
-/// must pass [`Program::validate`].
+/// The decoder is strict: every id is range-checked before any container
+/// type is constructed (their constructors panic on bad input, and corrupt
+/// bytes must never panic), and the reconstructed program must pass
+/// [`Program::validate`].
 ///
 /// # Errors
 ///
 /// Any container-level defect or payload-level inconsistency maps to a
 /// typed [`ArtifactError`].
 pub fn recording_from_bytes(bytes: &[u8]) -> Result<(Program, Trace), ArtifactError> {
-    let r = ArtifactReader::from_bytes(bytes, ArtifactKind::Trace)?;
-    let program = decode_program(|id| r.require_section(id))?;
-    let num_blocks = program.num_blocks() as u64;
-
-    let (trace_name, events) = if let Some(mut events_sec) = r.section(SEC_TRACE) {
-        let trace_name = events_sec.take_str()?;
-        let n_events: usize = narrow(events_sec.take_varint()?, "trace length")?;
-        let mut events = Vec::with_capacity(n_events.min(1 << 24));
-        for _ in 0..n_events {
-            events.push(in_range_block(events_sec.take_delta()?, num_blocks, "trace event")?);
-        }
-        events_sec.finish()?;
-        (trace_name, events)
-    } else {
-        let mut head = r.require_section(SEC_TRACE_HEAD)?;
-        let trace_name = head.take_str()?;
-        head.finish()?;
-        let mut events = Vec::new();
-        let mut frame = 0u32;
-        while let Some(mut sec) = r.section(SEC_FRAME_BASE + frame) {
-            while sec.remaining() > 0 {
-                events.push(in_range_block(sec.take_delta()?, num_blocks, "trace event")?);
-            }
-            frame += 1;
-        }
-        (trace_name, events)
-    };
-
-    Ok((program, Trace::new(trace_name, events)))
+    materialize(open_recording_stream(bytes)?)
 }
 
-/// Reads a recording from `path`.
+/// Reads a recording from `path` by draining [`open_recording_file`].
 ///
 /// # Errors
 ///
 /// [`ArtifactError::Io`] on filesystem failure, otherwise as
 /// [`recording_from_bytes`].
 pub fn read_recording(path: &Path) -> Result<(Program, Trace), ArtifactError> {
-    let bytes = std::fs::read(path).map_err(|e| ArtifactError::io(path, e))?;
-    recording_from_bytes(&bytes)
+    materialize(open_recording_file(path)?)
+}
+
+/// Materializes an opened recording's event stream into a [`Trace`].
+fn materialize<R: Read>(
+    (program, mut stream): (Program, TraceEventStream<R>),
+) -> Result<(Program, Trace), ArtifactError> {
+    let mut events = Vec::new();
+    while let Some(chunk) = stream.next_chunk()? {
+        events.extend_from_slice(chunk);
+    }
+    Ok((program, Trace::new(stream.name, events)))
 }
 
 /// Streams a recording to disk frame by frame, in bounded memory.
@@ -366,7 +334,7 @@ pub fn read_recording(path: &Path) -> Result<(Program, Trace), ArtifactError> {
 /// events pushed via [`push`](RecordingWriter::push) are buffered into
 /// [`FRAME_EVENTS`]-sized frame sections and flushed as they fill, so peak
 /// memory is one frame regardless of trace length. The resulting file reads
-/// back through [`read_recording`] *and* [`open_recording_stream`].
+/// back through [`open_recording_stream`] (and the wrappers over it).
 ///
 /// # Examples
 ///
@@ -496,46 +464,18 @@ impl RecordingWriter<std::io::BufWriter<std::fs::File>> {
     }
 }
 
-/// Bytes pulled off the source per refill in the monolithic-section decode
-/// path (the framed path reads whole frames instead).
-const RAW_CHUNK: usize = 64 * 1024;
-
-/// Upper bound on a trace name's encoded length — names are human-scale
-/// strings; a longer prefix means a corrupt or hostile file.
-const MAX_NAME_LEN: u64 = 1 << 20;
-
-/// Decode state specific to the two on-disk trace forms.
-#[derive(Debug)]
-enum StreamForm {
-    /// Monolithic [`SEC_TRACE`]: one continuous delta stream with a known
-    /// event count, decoded through a carry buffer so varints may span
-    /// refill boundaries.
-    Monolithic { raw: Vec<u8>, raw_pos: usize, last: u64, remaining_events: u64 },
-    /// Framed [`SEC_TRACE_HEAD`] + frame sections: each frame is decoded
-    /// whole (bounded by [`FRAME_EVENTS`]).
-    Framed { next_frame: u32 },
-}
-
-/// A [`BlockSource`] that decodes an `.itrace` event stream chunk by chunk.
+/// A [`BlockSource`] that decodes an `.itrace` event stream frame by frame.
 ///
-/// Obtained from [`open_recording_stream`]; handles both trace forms. Peak
-/// memory is one decode buffer regardless of file size.
-///
-/// **Integrity timing:** each frame section is CRC-verified before any of
-/// its events are handed out; the monolithic form's single CRC only
-/// resolves at end of section, so its events are provisional until the
-/// stream finishes (any corruption still surfaces as a typed error before
-/// the final chunk is delivered — a consumer that runs to completion can
-/// never mistake a corrupt file for a clean one).
+/// Obtained from [`open_recording_stream`]. Peak memory is one frame
+/// regardless of file size, and each frame section is CRC-verified before
+/// any of its events are handed out.
 #[derive(Debug)]
 pub struct TraceEventStream<R: Read> {
     reader: StreamReader<R>,
     num_blocks: u64,
     name: String,
-    form: StreamForm,
+    next_frame: u32,
     out: Vec<BlockId>,
-    chunk_events: usize,
-    done: bool,
 }
 
 impl<R: Read> TraceEventStream<R> {
@@ -543,162 +483,31 @@ impl<R: Read> TraceEventStream<R> {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Overrides the events-per-chunk target of the monolithic decode path
-    /// (frames always decode whole). For tests and tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn set_chunk_events(&mut self, n: usize) {
-        assert!(n > 0, "chunk size must be positive");
-        self.chunk_events = n;
-    }
-
-    /// Ensures the carry buffer holds at least `want` undecoded bytes, or
-    /// as many as the section has left.
-    fn refill(
-        reader: &mut StreamReader<R>,
-        raw: &mut Vec<u8>,
-        raw_pos: &mut usize,
-        want: usize,
-    ) -> Result<(), ArtifactError> {
-        while raw.len() - *raw_pos < want {
-            if *raw_pos > 0 {
-                raw.drain(..*raw_pos);
-                *raw_pos = 0;
-            }
-            let old_len = raw.len();
-            raw.resize(old_len + RAW_CHUNK, 0);
-            let n = reader.read_chunk(&mut raw[old_len..])?;
-            raw.truncate(old_len + n);
-            if n == 0 {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes a length-prefixed string from the carry buffer.
-    fn take_str_buffered(
-        reader: &mut StreamReader<R>,
-        raw: &mut Vec<u8>,
-        raw_pos: &mut usize,
-    ) -> Result<String, ArtifactError> {
-        Self::refill(reader, raw, raw_pos, 10)?;
-        let (len, n) = varint::take_u64(&raw[*raw_pos..])?;
-        *raw_pos += n;
-        if len > MAX_NAME_LEN {
-            return Err(ArtifactError::malformed(
-                "trace name",
-                format!("implausible length {len}"),
-            ));
-        }
-        Self::refill(reader, raw, raw_pos, len as usize)?;
-        if (raw.len() - *raw_pos) < len as usize {
-            return Err(ArtifactError::Truncated { context: "string" });
-        }
-        let bytes = &raw[*raw_pos..*raw_pos + len as usize];
-        let s = String::from_utf8(bytes.to_vec())
-            .map_err(|e| ArtifactError::malformed("string", e.to_string()))?;
-        *raw_pos += len as usize;
-        Ok(s)
-    }
-
-    /// Fills `out` with up to `chunk_events` events of the monolithic form.
-    fn next_monolithic(&mut self) -> Result<Option<&[BlockId]>, ArtifactError> {
-        let StreamForm::Monolithic { raw, raw_pos, last, remaining_events } = &mut self.form else {
-            unreachable!("monolithic decode on framed stream")
-        };
-        if *remaining_events == 0 {
-            // Declared events all delivered: the payload must be exactly
-            // consumed and no sections may follow.
-            Self::refill(&mut self.reader, raw, raw_pos, 1)?;
-            if raw.len() - *raw_pos != 0 {
-                return Err(ArtifactError::malformed(
-                    "trace",
-                    "bytes remain after the declared events",
-                ));
-            }
-            if self.reader.next_section()?.is_some() {
-                return Err(ArtifactError::malformed(
-                    "section order",
-                    "unexpected section after the trace events",
-                ));
-            }
-            self.done = true;
-            return Ok(None);
-        }
-        let want = u64::min(self.chunk_events as u64, *remaining_events) as usize;
-        self.out.clear();
-        while self.out.len() < want {
-            // A varint is at most 10 bytes: with that much buffered (or the
-            // section exhausted) a decode failure is real, not a boundary
-            // artifact.
-            Self::refill(&mut self.reader, raw, raw_pos, 10)?;
-            let (d, n) = varint::take_i64(&raw[*raw_pos..])?;
-            *raw_pos += n;
-            *last = last.wrapping_add(d as u64);
-            self.out.push(in_range_block(*last, self.num_blocks, "trace event")?);
-        }
-        *remaining_events -= self.out.len() as u64;
-        Ok(Some(&self.out))
-    }
-
-    /// Decodes the next frame section whole.
-    fn next_framed(&mut self) -> Result<Option<&[BlockId]>, ArtifactError> {
-        let StreamForm::Framed { next_frame } = &mut self.form else {
-            unreachable!("framed decode on monolithic stream")
-        };
-        loop {
-            match self.reader.next_section()? {
-                None => {
-                    self.done = true;
-                    return Ok(None);
-                }
-                Some((id, _)) if id == SEC_FRAME_BASE + *next_frame => {
-                    *next_frame += 1;
-                    let payload = self.reader.take_payload()?;
-                    let mut sec = SectionReader::new(id, &payload);
-                    self.out.clear();
-                    while sec.remaining() > 0 {
-                        let v = sec.take_delta()?;
-                        self.out.push(in_range_block(v, self.num_blocks, "trace event")?);
-                    }
-                    if !self.out.is_empty() {
-                        return Ok(Some(&self.out));
-                    }
-                    // Tolerate (skip) an empty frame a foreign writer made.
-                }
-                Some((id, _)) => {
-                    return Err(ArtifactError::malformed(
-                        "section order",
-                        format!(
-                            "expected frame {}, found section {id}",
-                            SEC_FRAME_BASE + *next_frame
-                        ),
-                    ));
-                }
-            }
-        }
-    }
 }
 
 impl<R: Read> BlockSource for TraceEventStream<R> {
     fn next_chunk(&mut self) -> Result<Option<&[BlockId]>, ArtifactError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.form {
-            StreamForm::Monolithic { .. } => self.next_monolithic(),
-            StreamForm::Framed { .. } => self.next_framed(),
-        }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        match &self.form {
-            StreamForm::Monolithic { remaining_events, .. } => Some(*remaining_events),
-            StreamForm::Framed { .. } => None,
+        loop {
+            let Some((id, _)) = self.reader.next_section()? else { return Ok(None) };
+            let expect = SEC_FRAME_BASE + self.next_frame;
+            if id != expect {
+                return Err(ArtifactError::malformed(
+                    "section order",
+                    format!("expected frame {expect}, found section {id}"),
+                ));
+            }
+            self.next_frame += 1;
+            let payload = self.reader.take_payload()?;
+            let mut sec = SectionReader::new(id, &payload);
+            self.out.clear();
+            while sec.remaining() > 0 {
+                let v = sec.take_delta()?;
+                self.out.push(in_range_block(v, self.num_blocks, "trace event")?);
+            }
+            if !self.out.is_empty() {
+                return Ok(Some(&self.out));
+            }
+            // Tolerate (skip) an empty frame a foreign writer made.
         }
     }
 }
@@ -707,9 +516,9 @@ impl<R: Read> BlockSource for TraceEventStream<R> {
 /// (it is small and the simulator needs it whole) and returns the event
 /// sections as a [`BlockSource`] that decodes on demand.
 ///
-/// The reader is sequential and expects the section order our writers
-/// produce (program sections 1–6, then the trace); it accepts both trace
-/// forms.
+/// The reader is sequential and expects the section order
+/// [`RecordingWriter`] produces: program sections 1–6, the trace head, then
+/// the frames.
 ///
 /// # Errors
 ///
@@ -738,66 +547,13 @@ pub fn open_recording_stream<R: Read>(
     source: R,
 ) -> Result<(Program, TraceEventStream<R>), ArtifactError> {
     let mut reader = StreamReader::new(source, ArtifactKind::Trace)?;
-    let mut payloads: [Vec<u8>; 6] = Default::default();
-    for (i, payload) in payloads.iter_mut().enumerate() {
-        let expect = SEC_META + i as u32;
-        match reader.next_section()? {
-            Some((id, _)) if id == expect => *payload = reader.take_payload()?,
-            Some((id, _)) => {
-                return Err(ArtifactError::malformed(
-                    "section order",
-                    format!("expected section {expect}, found {id}"),
-                ))
-            }
-            None => return Err(ArtifactError::MissingSection { id: expect }),
-        }
-    }
-    let program =
-        decode_program(|id| Ok(SectionReader::new(id, &payloads[(id - SEC_META) as usize])))?;
+    let program = decode_program(&mut reader)?;
+    let payload = reader.expect_section(SEC_TRACE_HEAD)?;
+    let mut head = SectionReader::new(SEC_TRACE_HEAD, &payload);
+    let name = head.take_str()?;
+    head.finish()?;
     let num_blocks = program.num_blocks() as u64;
-
-    let stream = match reader.next_section()? {
-        Some((SEC_TRACE, _)) => {
-            let mut raw = Vec::new();
-            let mut raw_pos = 0;
-            let name = TraceEventStream::take_str_buffered(&mut reader, &mut raw, &mut raw_pos)?;
-            TraceEventStream::refill(&mut reader, &mut raw, &mut raw_pos, 10)?;
-            let (remaining_events, n) = varint::take_u64(&raw[raw_pos..])?;
-            raw_pos += n;
-            TraceEventStream {
-                reader,
-                num_blocks,
-                name,
-                form: StreamForm::Monolithic { raw, raw_pos, last: 0, remaining_events },
-                out: Vec::new(),
-                chunk_events: crate::source::DEFAULT_CHUNK_EVENTS,
-                done: false,
-            }
-        }
-        Some((SEC_TRACE_HEAD, _)) => {
-            let payload = reader.take_payload()?;
-            let mut head = SectionReader::new(SEC_TRACE_HEAD, &payload);
-            let name = head.take_str()?;
-            head.finish()?;
-            TraceEventStream {
-                reader,
-                num_blocks,
-                name,
-                form: StreamForm::Framed { next_frame: 0 },
-                out: Vec::new(),
-                chunk_events: crate::source::DEFAULT_CHUNK_EVENTS,
-                done: false,
-            }
-        }
-        Some((id, _)) => {
-            return Err(ArtifactError::malformed(
-                "section order",
-                format!("expected a trace section, found {id}"),
-            ))
-        }
-        None => return Err(ArtifactError::MissingSection { id: SEC_TRACE }),
-    };
-    Ok((program, stream))
+    Ok((program, TraceEventStream { reader, num_blocks, name, next_frame: 0, out: Vec::new() }))
 }
 
 /// Opens a recording file for streamed replay; see [`open_recording_stream`].
@@ -871,17 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_trace_event_is_malformed() {
-        let (program, _) = sample();
-        let bogus = Trace::new("bad", vec![BlockId(program.num_blocks() as u32)]);
-        let bytes = recording_to_bytes(&program, &bogus);
-        assert!(matches!(
-            recording_from_bytes(&bytes),
-            Err(ArtifactError::Malformed { context: "trace event", .. })
-        ));
-    }
-
-    #[test]
     fn file_round_trip() {
         let (program, trace) = sample();
         let dir = std::env::temp_dir().join(format!("ispy-itrace-test-{}", std::process::id()));
@@ -916,84 +661,45 @@ mod tests {
     #[test]
     fn framed_form_round_trips_through_the_buffered_decoder() {
         let (program, trace) = sample();
-        let (p2, t2) = recording_from_bytes(&framed_bytes(&program, &trace)).unwrap();
+        let bytes = framed_bytes(&program, &trace);
+        // How the events were sliced into pushes never shows in the bytes.
+        assert_eq!(bytes, recording_to_bytes(&program, &trace));
+        let (p2, t2) = recording_from_bytes(&bytes).unwrap();
         assert_eq!(p2.name(), program.name());
         assert_eq!(p2.blocks(), program.blocks());
         assert_eq!(t2, trace);
     }
 
     #[test]
-    fn both_forms_stream_back_identically() {
-        let (program, trace) = sample();
-        for bytes in [recording_to_bytes(&program, &trace), framed_bytes(&program, &trace)] {
-            let (p2, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
-            assert_eq!(p2.name(), program.name());
-            assert_eq!(stream.name(), trace.name());
-            assert_eq!(drain(&mut stream), trace.blocks());
-            assert_eq!(stream.next_chunk().unwrap(), None, "stream must stay exhausted");
-        }
-    }
-
-    #[test]
-    fn monolithic_stream_decode_is_chunk_size_invariant() {
+    fn recording_streams_back_exactly() {
         let (program, trace) = sample();
         let bytes = recording_to_bytes(&program, &trace);
-        for chunk in [1usize, 3, 1024, trace.len(), 1 << 22] {
-            let (_, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
-            stream.set_chunk_events(chunk);
-            assert_eq!(drain(&mut stream), trace.blocks(), "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn len_hint_tracks_the_monolithic_form() {
-        let (program, trace) = sample();
-        let bytes = recording_to_bytes(&program, &trace);
-        let (_, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
-        assert_eq!(stream.len_hint(), Some(trace.len() as u64));
-        stream.set_chunk_events(500);
-        let first = stream.next_chunk().unwrap().unwrap().len();
-        assert_eq!(stream.len_hint(), Some((trace.len() - first) as u64));
-        let framed = framed_bytes(&program, &trace);
-        let (_, stream) = open_recording_stream(framed.as_slice()).unwrap();
-        assert_eq!(stream.len_hint(), None);
+        let (p2, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
+        assert_eq!(p2.name(), program.name());
+        assert_eq!(stream.name(), trace.name());
+        assert_eq!(drain(&mut stream), trace.blocks());
+        assert_eq!(stream.next_chunk().unwrap(), None, "stream must stay exhausted");
     }
 
     #[test]
     fn truncated_streams_yield_typed_errors_not_partial_results() {
         let (program, trace) = sample();
-        for bytes in [recording_to_bytes(&program, &trace), framed_bytes(&program, &trace)] {
-            // Cut in the middle of the event data (well past the program
-            // sections) and at the very end (missing trailer CRC bytes).
-            for cut in [bytes.len() - bytes.len() / 4, bytes.len() - 2] {
-                let truncated = &bytes[..cut];
-                let mut err = None;
-                match open_recording_stream(truncated) {
-                    Err(e) => err = Some(e),
-                    Ok((_, mut stream)) => loop {
-                        match stream.next_chunk() {
-                            Ok(Some(_)) => continue,
-                            Ok(None) => break,
-                            Err(e) => {
-                                err = Some(e);
-                                break;
-                            }
-                        }
-                    },
-                }
-                let err =
-                    err.unwrap_or_else(|| panic!("truncated stream at {cut} decoded cleanly"));
-                assert!(
-                    matches!(
-                        err,
-                        ArtifactError::Truncated { .. }
-                            | ArtifactError::SectionChecksum { .. }
-                            | ArtifactError::TrailingBytes
-                            | ArtifactError::Malformed { .. }
-                    ),
-                    "unexpected error class at cut {cut}: {err:?}"
-                );
-            }
+        let bytes = recording_to_bytes(&program, &trace);
+        // Cut in the middle of the event data (well past the program
+        // sections) and at the very end (missing trailer CRC bytes).
+        for cut in [bytes.len() - bytes.len() / 4, bytes.len() - 2] {
+            let err = recording_from_bytes(&bytes[..cut])
+                .expect_err(&format!("truncated stream at {cut} decoded cleanly"));
+            assert!(
+                matches!(
+                    err,
+                    ArtifactError::Truncated { .. }
+                        | ArtifactError::SectionChecksum { .. }
+                        | ArtifactError::TrailingBytes
+                        | ArtifactError::Malformed { .. }
+                ),
+                "unexpected error class at cut {cut}: {err:?}"
+            );
         }
     }
 
@@ -1020,19 +726,29 @@ mod tests {
             recording_from_bytes(&bytes),
             Err(ArtifactError::Malformed { context: "trace event", .. })
         ));
-        let (_, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
-        let mut err = None;
-        loop {
-            match stream.next_chunk() {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
+    }
+
+    #[test]
+    fn out_of_range_trace_event_is_malformed() {
+        // Each frame restarts its delta stream; a bad event in a later
+        // frame is caught after the earlier frames were handed out.
+        let (program, _) = sample();
+        let mut sections = program_sections(&program);
+        let mut head = SectionWriter::new(SEC_TRACE_HEAD);
+        head.put_str("bad");
+        sections.push(head);
+        for (i, id) in [0, program.num_blocks() as u64].into_iter().enumerate() {
+            let mut frame = SectionWriter::new(SEC_FRAME_BASE + i as u32);
+            frame.put_delta(id);
+            sections.push(frame);
         }
-        assert!(matches!(err, Some(ArtifactError::Malformed { context: "trace event", .. })));
+        let bytes = ispy_artifact::encode_to_vec(ArtifactKind::Trace, sections);
+        let (_, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
+        assert_eq!(stream.next_chunk().unwrap(), Some(&[BlockId(0)][..]));
+        assert!(matches!(
+            stream.next_chunk(),
+            Err(ArtifactError::Malformed { context: "trace event", .. })
+        ));
     }
 
     #[test]
@@ -1055,7 +771,6 @@ mod tests {
         let (p2, mut stream) = open_recording_file(&path).unwrap();
         assert_eq!(p2.name(), program.name());
         assert_eq!(drain(&mut stream), trace.blocks());
-        // The same file also loads through the buffered path.
         let (_, t2) = read_recording(&path).unwrap();
         assert_eq!(t2, trace);
         std::fs::remove_dir_all(&dir).unwrap();

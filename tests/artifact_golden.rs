@@ -96,3 +96,69 @@ fn cached_and_uncached_sessions_return_equal_comparisons() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `(app, .iprof pin, .iplan pin, .itrace pin)`: each pin is
+/// `(FNV-1 digest, byte length)` of the encoded artifact at `Scale::test()`.
+/// The `.itrace` pin is the framed recording `RecordingWriter` emits.
+type BytePin = (u64, usize);
+const BYTE_PINS: [(&str, BytePin, BytePin, BytePin); 3] = [
+    (
+        "cassandra",
+        (0x4d25ab53b0b328bc, 312858),
+        (0xf83c19d9f24e732f, 125956),
+        (0xc7b89cb0a6c06811, 109073),
+    ),
+    (
+        "kafka",
+        (0x3c84bf7438507ca5, 289041),
+        (0x3a2089989124cb80, 111372),
+        (0x61174678fcb2f911, 106979),
+    ),
+    (
+        "wordpress",
+        (0x2162f5e35f3308fa, 813470),
+        (0x01dbc6897d165491, 278394),
+        (0x3d96ff3392a0dda2, 174719),
+    ),
+];
+
+/// The encoders are byte-stable: `.iprof`, `.iplan` and `.itrace` bytes for
+/// three apps match digests pinned when each artifact kind had a second,
+/// buffered writer. Print the current pins (to re-pin after an intentional
+/// format change) with:
+///
+/// ```text
+/// ARTIFACT_GOLDEN_PRINT=1 cargo test --release -p ispy-harness --test artifact_golden -- --nocapture
+/// ```
+#[test]
+fn artifact_bytes_match_their_pins() {
+    use ispy_core::{IspyConfig, Planner};
+    use ispy_harness::session::AppContext;
+    use ispy_isa::hash::fnv1_64;
+    use ispy_trace::artifact::RecordingWriter;
+
+    let pin = |bytes: &[u8]| (fnv1_64(bytes), bytes.len());
+    for (app, want_prof, want_plan, want_trace) in BYTE_PINS {
+        let model = apps::all().into_iter().find(|m| m.name() == app).unwrap();
+        let ctx = AppContext::prepare(model, Scale::test());
+        let plan =
+            Planner::new(&ctx.program, &ctx.trace, &ctx.profile, IspyConfig::default()).plan();
+        let prof = pin(&ispy_profile::artifact::profile_to_bytes(app, &ctx.profile));
+        let plan = pin(&plan_to_bytes(app, &plan));
+        let mut w =
+            RecordingWriter::new(std::io::Cursor::new(Vec::new()), &ctx.program, ctx.trace.name())
+                .unwrap();
+        w.push(ctx.trace.blocks()).unwrap();
+        let trace = pin(&w.finish().unwrap().into_inner());
+        if std::env::var_os("ARTIFACT_GOLDEN_PRINT").is_some() {
+            println!(
+                "(\"{app}\", ({:#018x}, {}), ({:#018x}, {}), ({:#018x}, {})),",
+                prof.0, prof.1, plan.0, plan.1, trace.0, trace.1
+            );
+            continue;
+        }
+        assert_eq!(prof, want_prof, "{app} .iprof bytes changed");
+        assert_eq!(plan, want_plan, "{app} .iplan bytes changed");
+        assert_eq!(trace, want_trace, "{app} .itrace bytes changed");
+    }
+}

@@ -204,3 +204,65 @@ fn ingested_dump_replays_through_the_artifact_path() {
     assert_eq!(replayed.name, "ingested");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A recording in the retired monolithic encoding: the program sections,
+/// then one section 7 holding the trace name, event count and every event
+/// as a single delta stream. Built by hand because no writer emits it.
+fn monolithic_itrace(program: &ispy_trace::Program, trace: &ispy_trace::Trace) -> Vec<u8> {
+    use ispy_artifact::{encode_to_vec, ArtifactKind, SectionWriter, StreamReader};
+    let framed = ispy_trace::artifact::recording_to_bytes(program, trace);
+    let mut r = StreamReader::new(framed.as_slice(), ArtifactKind::Trace).unwrap();
+    let mut sections = Vec::new();
+    for id in 1..=6 {
+        let mut s = SectionWriter::new(id);
+        for b in r.expect_section(id).unwrap() {
+            s.put_u8(b);
+        }
+        sections.push(s);
+    }
+    let mut events = SectionWriter::new(7);
+    events.put_str(trace.name());
+    events.put_varint(trace.len() as u64);
+    for b in trace.iter() {
+        events.put_delta(u64::from(b.0));
+    }
+    sections.push(events);
+    encode_to_vec(ArtifactKind::Trace, sections)
+}
+
+/// `.itrace` has one encoding. A file in the retired monolithic form is a
+/// typed error from both decoders, and the artifact cache treats it as a
+/// miss: it re-records and overwrites the file.
+#[test]
+fn monolithic_itrace_is_a_typed_error_and_a_cache_miss() {
+    use ispy_artifact::ArtifactError;
+    use ispy_harness::{cache::ArtifactCache, session::AppContext, Scale};
+
+    let scale = Scale { shrink: 40, events: 4_000 };
+    let (program, trace) = sample_recording();
+    let mono = monolithic_itrace(&program, &trace);
+    let section_order = |e: ArtifactError| {
+        assert!(
+            matches!(e, ArtifactError::Malformed { context: "section order", .. }),
+            "unexpected error {e:?}"
+        );
+    };
+    section_order(ispy_trace::artifact::recording_from_bytes(&mono).unwrap_err());
+    section_order(ispy_trace::artifact::open_recording_stream(mono.as_slice()).unwrap_err());
+
+    let dir = std::env::temp_dir().join("ispy-artifacts-it-monolithic");
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = ArtifactCache::new(&dir, scale);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(cache.trace_path("cassandra"), &mono).unwrap();
+    assert!(cache.load_recording("cassandra").is_none(), "a monolithic file must miss");
+    let ctx = AppContext::prepare_with(apps::cassandra(), scale, Some(&cache));
+    assert_eq!(ctx.trace, trace);
+    let (_, reloaded) = cache.load_recording("cassandra").expect("re-recorded on the miss");
+    assert_eq!(reloaded, trace);
+    assert_eq!(
+        std::fs::read(cache.trace_path("cassandra")).unwrap(),
+        ispy_trace::artifact::recording_to_bytes(&program, &trace)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

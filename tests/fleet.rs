@@ -254,3 +254,33 @@ fn serve_tiers_progress_and_count() {
     assert!(tele.counter("fleet.serve.cold") > cold0);
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// The profile readers walk sections in file order and stop decoding after
+/// the metadata, but they still verify the tail: one flipped byte in the
+/// last section (the miss statistics) must fail both `peek_profile_meta`
+/// and a fleet scan.
+#[test]
+fn flipped_byte_in_the_last_profile_section_is_rejected() {
+    let (_p, _t, members) = member_profiles(1);
+    let mut bytes = ispy_profile::artifact::profile_to_bytes("kafka", &members[0]);
+    ispy_profile::artifact::peek_profile_meta(&bytes).unwrap();
+    // The last payload byte sits just before the closing 4-byte CRC.
+    let at = bytes.len() - 5;
+    bytes[at] ^= 0x01;
+    assert_eq!(
+        ispy_profile::artifact::peek_profile_meta(&bytes).unwrap_err(),
+        ispy_artifact::ArtifactError::SectionChecksum { id: 5 }
+    );
+
+    let dir = std::env::temp_dir().join("ispy-fleet-it-flipped-tail");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("kafka-m0000.iprof"), &bytes).unwrap();
+    match FleetManifest::scan(&dir) {
+        Err(ispy_fleet::FleetError::Artifact(ispy_artifact::ArtifactError::SectionChecksum {
+            id: 5,
+        })) => {}
+        other => panic!("expected a section-5 checksum error, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

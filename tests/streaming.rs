@@ -6,8 +6,10 @@
 
 use ispy_artifact::ArtifactError;
 use ispy_sim::{replay_stream, run, run_streaming, RunOptions, SimConfig};
-use ispy_trace::artifact::{open_recording_stream, recording_to_bytes, RecordingWriter};
-use ispy_trace::{apps, AppModel, BlockSource, TraceBlocks, Walker, WalkerSource};
+use ispy_trace::artifact::{
+    open_recording_stream, recording_from_bytes, recording_to_bytes, RecordingWriter, FRAME_EVENTS,
+};
+use ispy_trace::{apps, AppModel, BlockSource, Trace, TraceBlocks, Walker, WalkerSource};
 
 const EVENTS: usize = 6_000;
 
@@ -70,29 +72,53 @@ fn chunk_size_never_changes_the_result() {
     }
 }
 
-/// The decoder source is chunk-invariant too, on both `.itrace` forms:
-/// monolithic (buffered writer) and framed (streamed writer).
+/// The decoder hands out one frame per chunk, so frame boundaries are its
+/// chunk boundaries. A recording of 150k events spans three frames, the
+/// last one partial; it must replay identically to `run` through every
+/// decode path, and a flipped byte inside the second frame must come back
+/// as a typed error.
 #[test]
 fn decoder_chunk_size_never_changes_the_result() {
+    const LONG: usize = 150_000;
     let cfg = SimConfig::default();
-    let model = apps::tomcat();
-    let (program, trace) = workload(&model);
+    let model = apps::tomcat().scaled_down(30);
+    let program = model.generate();
+    let trace = program.record_trace(model.default_input(), LONG);
     let reference = run(&program, &trace, &cfg, RunOptions::default());
+    let bytes = recording_to_bytes(&program, &trace);
 
-    let monolithic = recording_to_bytes(&program, &trace);
-    let mut writer =
-        RecordingWriter::new(std::io::Cursor::new(Vec::new()), &program, trace.name()).unwrap();
-    writer.push(trace.blocks()).unwrap();
-    let framed = writer.finish().unwrap().into_inner();
+    let (decoded, materialized) = recording_from_bytes(&bytes).unwrap();
+    assert_eq!(materialized, trace);
+    assert_eq!(run(&decoded, &materialized, &cfg, RunOptions::default()), reference);
 
-    for (form, bytes) in [("monolithic", &monolithic), ("framed", &framed)] {
-        for chunk in [1usize, 4 * 1024, 1024 * 1024, EVENTS] {
-            let (program, mut decoder) = open_recording_stream(bytes.as_slice()).unwrap();
-            decoder.set_chunk_events(chunk);
-            let got = run_streaming(&program, &mut decoder, &cfg, RunOptions::default()).unwrap();
-            assert_eq!(got, reference, "{form} form, chunk {chunk} diverged");
-        }
+    let (decoded, mut decoder) = open_recording_stream(bytes.as_slice()).unwrap();
+    let mut chunks = Vec::new();
+    while let Some(chunk) = decoder.next_chunk().unwrap() {
+        chunks.push(chunk.len());
     }
+    assert_eq!(chunks, [FRAME_EVENTS, FRAME_EVENTS, LONG - 2 * FRAME_EVENTS]);
+    let (_, mut decoder) = open_recording_stream(bytes.as_slice()).unwrap();
+    let via_decoder = run_streaming(&decoded, &mut decoder, &cfg, RunOptions::default()).unwrap();
+    assert_eq!(via_decoder, reference);
+
+    let replayed = replay_stream(bytes.as_slice(), &cfg, RunOptions::default()).unwrap();
+    assert_eq!(replayed.result, reference);
+
+    // Writing only the first frame's events yields exactly the bytes that
+    // precede the second frame, which locates it.
+    let frame2 = recording_to_bytes(
+        &program,
+        &Trace::new(trace.name(), trace.blocks()[..FRAME_EVENTS].to_vec()),
+    )
+    .len();
+    let mut corrupt = bytes.clone();
+    corrupt[frame2 + 12 + 1000] ^= 0x10;
+    let flipped = ArtifactError::SectionChecksum { id: 0x4000_0001 };
+    assert_eq!(recording_from_bytes(&corrupt).unwrap_err(), flipped);
+    assert_eq!(
+        replay_stream(corrupt.as_slice(), &cfg, RunOptions::default()).unwrap_err(),
+        flipped
+    );
 }
 
 /// Streaming with an injection plan equals injected `run` — the fast path
