@@ -54,11 +54,6 @@ impl SectionWriter {
         varint::put_u64(&mut self.buf, v);
     }
 
-    /// Appends a zigzag-encoded signed varint.
-    pub fn put_signed(&mut self, v: i64) {
-        varint::put_i64(&mut self.buf, v);
-    }
-
     /// Appends `v` delta-encoded against the previous value in this
     /// section's delta stream (zigzag, so non-monotonic streams stay legal).
     /// The stream starts at 0; [`SectionWriter::reset_delta`] restarts it.
@@ -149,17 +144,6 @@ impl<'a> SectionReader<'a> {
         Ok(v)
     }
 
-    /// Reads a zigzag-encoded signed varint.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`ArtifactError`] on truncation or overlong encoding.
-    pub fn take_signed(&mut self) -> Result<i64, ArtifactError> {
-        let (v, n) = varint::take_i64(&self.buf[self.pos..])?;
-        self.pos += n;
-        Ok(v)
-    }
-
     /// Reads the next value of this section's delta stream (see
     /// [`SectionWriter::put_delta`]).
     ///
@@ -167,7 +151,8 @@ impl<'a> SectionReader<'a> {
     ///
     /// Typed [`ArtifactError`] on truncation or overlong encoding.
     pub fn take_delta(&mut self) -> Result<u64, ArtifactError> {
-        let d = self.take_signed()?;
+        let (d, n) = varint::take_i64(&self.buf[self.pos..])?;
+        self.pos += n;
         let v = self.last_delta_base.wrapping_add(d as u64);
         self.last_delta_base = v;
         Ok(v)
@@ -270,7 +255,6 @@ mod tests {
     fn round_trip_all_primitives() {
         let mut w = SectionWriter::new(9);
         w.put_varint(42);
-        w.put_signed(-7);
         w.put_delta(100);
         w.put_delta(90); // non-monotonic deltas are legal
         w.put_u8(0xAB);
@@ -283,7 +267,6 @@ mod tests {
         let (id, buf) = w.into_parts();
         let mut r = SectionReader::new(id, &buf);
         assert_eq!(r.take_varint().unwrap(), 42);
-        assert_eq!(r.take_signed().unwrap(), -7);
         assert_eq!(r.take_delta().unwrap(), 100);
         assert_eq!(r.take_delta().unwrap(), 90);
         assert_eq!(r.take_u8().unwrap(), 0xAB);

@@ -27,13 +27,15 @@ pub enum SpatialMode {
     NonContiguous,
 }
 
+/// Lines in the window after each miss (the paper's 8).
+const WINDOW_BITS: u8 = 8;
+
 /// Planner for the spatial-window prefetchers.
 #[derive(Debug)]
 pub struct SpatialPlanner<'a> {
     program: &'a Program,
     profile: &'a Profile,
     mode: SpatialMode,
-    window_bits: u8,
     min_cycles: u32,
     max_cycles: u32,
     min_miss_count: u64,
@@ -47,26 +49,17 @@ impl<'a> SpatialPlanner<'a> {
             program,
             profile,
             mode,
-            window_bits: 8,
             min_cycles: 27,
             max_cycles: 200,
             min_miss_count: 2,
         }
     }
 
-    /// Returns the planner with a different window width (for the §II-D
-    /// remark that the conclusion holds at 16 and 32 lines).
-    #[must_use]
-    pub fn with_window_bits(mut self, bits: u8) -> Self {
-        self.window_bits = bits;
-        self
-    }
-
     /// Produces the injection plan.
     pub fn plan(&self) -> Plan {
         let mut stats = PlanStats {
-            coalesced_distance_hist: vec![0; usize::from(self.window_bits)],
-            lines_per_op_hist: vec![0; usize::from(self.window_bits) + 1],
+            coalesced_distance_hist: vec![0; usize::from(WINDOW_BITS)],
+            lines_per_op_hist: vec![0; usize::from(WINDOW_BITS) + 1],
             ..Default::default()
         };
         let mut injections = InjectionMap::new();
@@ -102,7 +95,7 @@ impl<'a> SpatialPlanner<'a> {
             };
             stats.covered_lines += 1;
 
-            let extras: Vec<Line> = (1..=u64::from(self.window_bits))
+            let extras: Vec<Line> = (1..=u64::from(WINDOW_BITS))
                 .map(|d| line.offset(d))
                 .filter(|l| match self.mode {
                     SpatialMode::Contiguous => true,
@@ -119,7 +112,7 @@ impl<'a> SpatialPlanner<'a> {
                 stats.lines_per_op_hist[0] += 1;
                 PrefetchOp::Plain { target: line }
             } else {
-                let mask = CoalesceMask::from_lines(line, extras.iter().copied(), self.window_bits)
+                let mask = CoalesceMask::from_lines(line, extras.iter().copied(), WINDOW_BITS)
                     .expect("extras are within the window by construction");
                 stats.ops_coalesced += 1;
                 for e in &extras {
@@ -227,22 +220,6 @@ mod tests {
                 RunOptions { injections: Some(&plan.injections), ..Default::default() },
             );
             assert!(r.cycles < base.cycles, "{mode:?} must help");
-        }
-    }
-
-    #[test]
-    fn window_width_is_respected() {
-        let (program, _, prof) = setup();
-        let plan = SpatialPlanner::new(&program, &prof, SpatialMode::NonContiguous)
-            .with_window_bits(4)
-            .plan();
-        for (_, ops) in plan.injections.iter() {
-            for op in ops {
-                for t in op.target_lines() {
-                    let d = t.distance_from(op.base_line()).unwrap();
-                    assert!(d <= 4);
-                }
-            }
         }
     }
 }

@@ -30,7 +30,7 @@
 
 use ispy_harness::cache::{ArtifactCache, DEFAULT_CACHE_DIR};
 use ispy_harness::{explain, figures, metrics, Scale, Session};
-use ispy_telemetry::{Telemetry, TimingMode};
+use ispy_telemetry::Telemetry;
 use ispy_trace::apps;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -226,7 +226,7 @@ fn main() -> ExitCode {
         eprintln!("[{id} took {secs:.1}s]\n");
         if let Some(dir) = &json_dir {
             let path = dir.join(format!("{id}.json"));
-            if let Err(e) = std::fs::write(&path, table.to_json_with_runtime(Some(secs))) {
+            if let Err(e) = std::fs::write(&path, table.to_json(Some(secs))) {
                 eprintln!("cannot write {}: {e}", path.display());
                 return ExitCode::FAILURE;
             }
@@ -250,8 +250,7 @@ fn main() -> ExitCode {
 /// Writes the current global registry as `<dir>/<name>.telemetry.json`.
 fn write_telemetry(dir: &std::path::Path, name: &str) -> Result<(), ()> {
     let path = dir.join(format!("{name}.telemetry.json"));
-    let json = ispy_telemetry::global().to_json(TimingMode::Full);
-    std::fs::write(&path, json).map_err(|e| {
+    std::fs::write(&path, metrics::telemetry_summary(&ispy_telemetry::global())).map_err(|e| {
         eprintln!("cannot write {}: {e}", path.display());
     })
 }

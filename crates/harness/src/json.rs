@@ -1,11 +1,14 @@
-//! A minimal JSON document model for the harness's machine-readable
-//! reports (`repro scenario --json`, `repro adapt --json`), without
-//! external dependencies.
+//! A minimal JSON document model, without external dependencies: the one
+//! writer behind every machine-readable export of the workspace — figure
+//! tables (`repro --json`), telemetry and injection outcomes
+//! (`repro --metrics`), and the scenario and adaptive reports
+//! (`repro scenario --json`, `repro adapt --json`).
 //!
 //! Objects keep insertion order and [`Json::to_pretty`] is deterministic, so
 //! two runs of equal scale emit byte-identical files (CI `cmp`s them).
-//! Numbers are `f64`: whole numbers below 9e15 print as integers,
-//! everything else with two decimals.
+//! [`Json::Num`] prints whole numbers below 9e15 as integers and everything
+//! else with two decimals; [`Json::U64`] and [`Json::Fixed`] cover exact
+//! counters and fixed-precision timings.
 
 use std::fmt::Write as _;
 
@@ -18,6 +21,10 @@ pub enum Json {
     Bool(bool),
     /// Any number (see [`Json::to_pretty`] for the output format).
     Num(f64),
+    /// An unsigned integer, printed exactly over the whole `u64` range.
+    U64(u64),
+    /// A number printed with the given count of decimals.
+    Fixed(f64, usize),
     /// A string (escaped on output).
     Str(String),
     /// An array.
@@ -28,8 +35,9 @@ pub enum Json {
 
 impl Json {
     /// Serializes with two-space indentation and a trailing newline, matching
-    /// the style of the repo's other committed JSON artifacts. Whole numbers
-    /// below 9e15 print as integers, every other number with two decimals.
+    /// the style of the repo's other committed JSON artifacts. A
+    /// [`Json::Num`] prints as an integer when it is whole and below 9e15,
+    /// otherwise with two decimals.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         write_value(&mut out, self, 0);
@@ -43,6 +51,12 @@ fn write_value(out: &mut String, value: &Json, indent: usize) {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Json::Num(n) => write_number(out, *n),
+        Json::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Json::Fixed(n, decimals) => {
+            let _ = write!(out, "{n:.decimals$}");
+        }
         Json::Str(s) => write_string(out, s),
         Json::Arr(items) if items.is_empty() => out.push_str("[]"),
         Json::Arr(items) => {
@@ -176,6 +190,21 @@ mod tests {
                 "[\n  0,\n  -3,\n  5320311,\n  8999999999999998,\n",
                 "  1.50,\n  -0.12,\n  0.67,\n  10000000000000000.00\n]\n"
             )
+        );
+    }
+
+    #[test]
+    fn u64_prints_exactly_and_fixed_keeps_its_decimals() {
+        let doc = Json::Arr(vec![
+            Json::U64(u64::MAX),
+            Json::U64(0),
+            Json::Fixed(1.5, 3),
+            Json::Fixed(0.0004, 3),
+            Json::Fixed(2.0, 0),
+        ]);
+        assert_eq!(
+            doc.to_pretty(),
+            "[\n  18446744073709551615,\n  0,\n  1.500,\n  0.000,\n  2\n]\n"
         );
     }
 }

@@ -1,14 +1,16 @@
-//! The `--metrics` export: per-app injection-outcome histograms.
+//! The `--metrics` export: telemetry registries and per-app
+//! injection-outcome histograms, both rendered through [`Json`].
 //!
 //! Telemetry counters and spans (from [`ispy_telemetry`]) cover *how much
-//! work* each pipeline phase did; this module covers *what the injections
-//! achieved*: for every app whose [`Comparison`](crate::Comparison) the
-//! session computed, each planned injection is classified by its dominant
-//! runtime outcome and the classes are counted into a histogram. The JSON is
-//! hand-rolled like [`crate::report`] (the build environment is offline).
+//! work* each pipeline phase did; the outcome histograms cover *what the
+//! injections achieved*: for every app whose [`Comparison`](crate::Comparison)
+//! the session computed, each planned injection is classified by its
+//! dominant runtime outcome and the classes are counted into a histogram.
 
+use crate::json::Json;
 use crate::session::Session;
 use ispy_sim::{InjectionOutcome, SimResult};
+use ispy_telemetry::Telemetry;
 use std::fmt::Write as _;
 
 /// Renders one run's metrics as canonical `key=value` lines under an app
@@ -74,50 +76,67 @@ fn classify(o: &InjectionOutcome) -> &'static str {
     }
 }
 
+/// Renders a telemetry registry as pretty JSON: `{"counters": {"<name>":
+/// n}, "spans": {"<name>": {"count": n, "total_ms": x}}}`, names sorted,
+/// `total_ms` with three decimals.
+pub fn telemetry_summary(tele: &Telemetry) -> String {
+    let counters = tele.counters().into_iter().map(|(name, n)| (name, Json::U64(n))).collect();
+    let spans = tele
+        .spans()
+        .into_iter()
+        .map(|(name, s)| {
+            let stat = vec![
+                ("count".to_string(), Json::U64(s.count)),
+                ("total_ms".to_string(), Json::Fixed(s.total_ms(), 3)),
+            ];
+            (name, Json::Obj(stat))
+        })
+        .collect();
+    Json::Obj(vec![
+        ("counters".to_string(), Json::Obj(counters)),
+        ("spans".to_string(), Json::Obj(spans)),
+    ])
+    .to_pretty()
+}
+
 /// Renders per-app injection-outcome histograms as pretty JSON:
 /// `{"apps": {"<name>": {"injections": n, "totals": {...}, "histogram":
 /// {...}}}}`. Apps are reported in session order; each app's comparison is
 /// computed (and cached) on demand.
 pub fn outcome_summary(session: &Session) -> String {
-    let mut out = String::from("{\n  \"apps\": {");
-    let napps = session.apps().len();
-    for i in 0..napps {
-        let name = session.apps()[i].name();
-        let cmp = session.comparison(i);
-        let ledger = &cmp.ispy_outcomes;
-        let total = |f: fn(&InjectionOutcome) -> u64| ledger.total(f);
-        let _ = write!(
-            out,
-            "\n    \"{name}\": {{\n      \"injections\": {},",
-            ledger.per_injection.len()
-        );
-        let _ = write!(
-            out,
-            "\n      \"totals\": {{ \"executed\": {}, \"fired\": {}, \"suppressed\": {}, \
-             \"lines_issued\": {}, \"lines_resident\": {}, \"useful\": {}, \"late\": {}, \
-             \"evicted_unused\": {} }},",
-            total(|o| o.executed),
-            total(|o| o.fired),
-            total(|o| o.suppressed),
-            total(|o| o.lines_issued),
-            total(|o| o.lines_resident),
-            total(|o| o.useful),
-            total(|o| o.late),
-            total(|o| o.evicted_unused),
-        );
-        let _ = write!(out, "\n      \"histogram\": {{");
-        for (k, class) in CLASSES.iter().enumerate() {
-            let n = ledger.per_injection.iter().filter(|o| classify(o) == *class).count();
-            let comma = if k + 1 < CLASSES.len() { "," } else { "" };
-            let _ = write!(out, " \"{class}\": {n}{comma}");
-        }
-        let _ = write!(out, " }}\n    }}{}", if i + 1 < napps { "," } else { "" });
-    }
-    if napps > 0 {
-        out.push_str("\n  ");
-    }
-    out.push_str("}\n}");
-    out
+    let apps = (0..session.apps().len())
+        .map(|i| {
+            let cmp = session.comparison(i);
+            let ledger = &cmp.ispy_outcomes;
+            let total = |key: &str, f: fn(&InjectionOutcome) -> u64| {
+                (key.to_string(), Json::U64(ledger.total(f)))
+            };
+            let totals = vec![
+                total("executed", |o| o.executed),
+                total("fired", |o| o.fired),
+                total("suppressed", |o| o.suppressed),
+                total("lines_issued", |o| o.lines_issued),
+                total("lines_resident", |o| o.lines_resident),
+                total("useful", |o| o.useful),
+                total("late", |o| o.late),
+                total("evicted_unused", |o| o.evicted_unused),
+            ];
+            let histogram = CLASSES
+                .iter()
+                .map(|class| {
+                    let n = ledger.per_injection.iter().filter(|o| classify(o) == *class).count();
+                    (class.to_string(), Json::U64(n as u64))
+                })
+                .collect();
+            let app = vec![
+                ("injections".to_string(), Json::U64(ledger.per_injection.len() as u64)),
+                ("totals".to_string(), Json::Obj(totals)),
+                ("histogram".to_string(), Json::Obj(histogram)),
+            ];
+            (session.apps()[i].name().to_string(), Json::Obj(app))
+        })
+        .collect();
+    Json::Obj(vec![("apps".to_string(), Json::Obj(apps))]).to_pretty()
 }
 
 #[cfg(test)]
@@ -141,6 +160,50 @@ mod tests {
         assert_eq!(classify(&o), "late_only");
         o.useful = 1;
         assert_eq!(classify(&o), "useful");
+    }
+
+    #[test]
+    fn telemetry_keys_render_sorted() {
+        let t = Telemetry::new();
+        t.add("z.last", 1);
+        t.add("a.first", 2);
+        drop(t.span("phase"));
+        let j = telemetry_summary(&t);
+        assert!(j.contains("\"phase\": {\n      \"count\": 1,\n      \"total_ms\": "));
+        let a = j.find("a.first").unwrap();
+        let z = j.find("z.last").unwrap();
+        assert!(a < z, "keys must render in sorted order");
+    }
+
+    #[test]
+    fn telemetry_includes_span_wall_time() {
+        let t = Telemetry::new();
+        drop(t.span("p"));
+        let j = telemetry_summary(&t);
+        assert!(j.contains("\"count\": 1"));
+        assert!(j.contains("total_ms"));
+    }
+
+    #[test]
+    fn empty_registry_renders_empty_objects() {
+        assert_eq!(
+            telemetry_summary(&Telemetry::new()),
+            "{\n  \"counters\": {},\n  \"spans\": {}\n}\n"
+        );
+    }
+
+    #[test]
+    fn telemetry_escapes_names() {
+        let t = Telemetry::new();
+        t.add("weird\"name", 1);
+        assert!(telemetry_summary(&t).contains("weird\\\"name"));
+    }
+
+    #[test]
+    fn telemetry_counters_print_exactly() {
+        let t = Telemetry::new();
+        t.add("max", u64::MAX);
+        assert!(telemetry_summary(&t).contains("\"max\": 18446744073709551615"));
     }
 
     #[test]

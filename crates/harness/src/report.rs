@@ -1,5 +1,6 @@
 //! Plain-text tables (one per paper figure) with JSON export.
 
+use crate::json::Json;
 use std::fmt;
 
 /// A rendered experiment result: the rows/series a paper figure reports.
@@ -44,30 +45,26 @@ impl Table {
         self.notes.push(note.into());
     }
 
-    /// Serializes to pretty JSON (2-space indent, `serde_json`-compatible
-    /// layout — the external dependency was dropped for offline builds).
-    pub fn to_json(&self) -> String {
-        self.to_json_with_runtime(None)
-    }
-
-    /// Like [`Table::to_json`], optionally recording the figure's measured
-    /// wall time as a trailing `"runtime_secs"` key (used by `repro --json`).
-    /// Wall time lives only in the export, never in the `Table` itself, so
-    /// table equality (the serial-vs-parallel determinism guarantee) stays
-    /// timing-independent.
-    pub fn to_json_with_runtime(&self, runtime_secs: Option<f64>) -> String {
-        let mut out = String::from("{\n");
-        json_kv(&mut out, "id", &json_string(&self.id), false);
-        json_kv(&mut out, "title", &json_string(&self.title), false);
-        json_kv(&mut out, "headers", &json_str_array(&self.headers, 1), false);
-        let rows: Vec<String> = self.rows.iter().map(|r| json_str_array(r, 2)).collect();
-        json_kv(&mut out, "rows", &json_raw_array(&rows, 1), false);
-        let last = runtime_secs.is_none();
-        json_kv(&mut out, "notes", &json_str_array(&self.notes, 1), last);
+    /// Serializes to pretty JSON through [`Json`], without the trailing
+    /// newline. `runtime_secs` — the figure's measured wall time, written
+    /// by `repro --json` — becomes a trailing `"runtime_secs"` key printed
+    /// with three decimals. Wall time lives only in the export, never in the
+    /// `Table` itself, so table equality (the serial-vs-parallel determinism
+    /// guarantee) stays timing-independent.
+    pub fn to_json(&self, runtime_secs: Option<f64>) -> String {
+        let strs = |items: &[String]| Json::Arr(items.iter().cloned().map(Json::Str).collect());
+        let mut members = vec![
+            ("id".to_string(), Json::Str(self.id.clone())),
+            ("title".to_string(), Json::Str(self.title.clone())),
+            ("headers".to_string(), strs(&self.headers)),
+            ("rows".to_string(), Json::Arr(self.rows.iter().map(|r| strs(r)).collect())),
+            ("notes".to_string(), strs(&self.notes)),
+        ];
         if let Some(secs) = runtime_secs {
-            json_kv(&mut out, "runtime_secs", &format!("{secs:.3}"), true);
+            members.push(("runtime_secs".to_string(), Json::Fixed(secs, 3)));
         }
-        out.push('}');
+        let mut out = Json::Obj(members).to_pretty();
+        out.pop();
         out
     }
 
@@ -75,65 +72,6 @@ impl Table {
     pub fn cell_f64(&self, row: usize, col: usize) -> Option<f64> {
         self.rows.get(row)?.get(col)?.trim_end_matches(['%', 'x']).trim().parse().ok()
     }
-}
-
-/// Escapes and quotes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Appends one `"key": value` line at top-level indent.
-fn json_kv(out: &mut String, key: &str, value: &str, last: bool) {
-    out.push_str("  \"");
-    out.push_str(key);
-    out.push_str("\": ");
-    out.push_str(value);
-    if !last {
-        out.push(',');
-    }
-    out.push('\n');
-}
-
-/// Renders an array of strings with `serde_json`-style pretty indentation;
-/// `level` is the nesting depth of the array's own line.
-fn json_str_array(items: &[String], level: usize) -> String {
-    let rendered: Vec<String> = items.iter().map(|s| json_string(s)).collect();
-    json_raw_array(&rendered, level)
-}
-
-/// Renders an array whose items are already-rendered JSON values.
-fn json_raw_array(items: &[String], level: usize) -> String {
-    if items.is_empty() {
-        return "[]".to_string();
-    }
-    let inner = "  ".repeat(level + 1);
-    let outer = "  ".repeat(level);
-    let mut out = String::from("[\n");
-    for (i, item) in items.iter().enumerate() {
-        out.push_str(&inner);
-        out.push_str(item);
-        if i + 1 < items.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str(&outer);
-    out.push(']');
-    out
 }
 
 /// Formats a ratio as a percentage cell.
@@ -200,7 +138,7 @@ mod tests {
 
     #[test]
     fn json_roundtrips_fields() {
-        let j = sample().to_json();
+        let j = sample().to_json(None);
         assert!(j.contains("\"id\": \"fig0\""));
         assert!(j.contains("1.250x"));
     }
@@ -226,7 +164,7 @@ mod tests {
 
     #[test]
     fn json_layout_matches_serde_pretty() {
-        let j = sample().to_json();
+        let j = sample().to_json(None);
         let expected = "{\n  \"id\": \"fig0\",\n  \"title\": \"demo\",\n  \"headers\": [\n    \"app\",\n    \"speedup\"\n  ],\n  \"rows\": [\n    [\n      \"cassandra\",\n      \"1.250x\"\n    ]\n  ],\n  \"notes\": [\n    \"paper: something\"\n  ]\n}";
         assert_eq!(j, expected);
     }
@@ -235,7 +173,7 @@ mod tests {
     fn json_escapes_special_characters() {
         let mut t = Table::new("x", "quote \" backslash \\ newline \n", &["h"]);
         t.row(vec!["tab\there".into()]);
-        let j = t.to_json();
+        let j = t.to_json(None);
         assert!(j.contains("quote \\\" backslash \\\\ newline \\n"));
         assert!(j.contains("tab\\there"));
     }
@@ -243,16 +181,16 @@ mod tests {
     #[test]
     fn json_runtime_is_export_only() {
         let t = sample();
-        let j = t.to_json_with_runtime(Some(1.5));
+        let j = t.to_json(Some(1.5));
         assert!(j.ends_with("\"runtime_secs\": 1.500\n}"));
         // The runtime never feeds back into the table (determinism).
-        assert_eq!(t.to_json(), sample().to_json());
+        assert_eq!(t.to_json(None), sample().to_json(None));
     }
 
     #[test]
     fn empty_arrays_render_inline() {
         let t = Table::new("e", "empty", &["h"]);
-        let j = t.to_json();
+        let j = t.to_json(None);
         assert!(j.contains("\"rows\": [],"));
         assert!(j.contains("\"notes\": []"));
     }

@@ -506,6 +506,17 @@ mod tests {
         assert_eq!(fired, a.ispy_total.pf_ops_fired);
     }
 
+    /// `(FNV-1 digest, byte length)` of the burst outcome's JSON, pinned
+    /// while the scenario report was the only user of [`Json`].
+    const BURST_JSON_PIN: (u64, usize) = (0xdfd83fb1cd5e97ac, 2820);
+
+    #[test]
+    fn burst_json_matches_its_pin() {
+        let json = outcome().to_json();
+        let got = (ispy_isa::hash::fnv1_64(json.as_bytes()), json.len());
+        assert_eq!(got, BURST_JSON_PIN, "scenario JSON changed: ({:#018x}, {})", got.0, got.1);
+    }
+
     #[test]
     fn jobs_do_not_change_the_answer() {
         // par_map_vec is index-deterministic, but pin it down: 1 worker and

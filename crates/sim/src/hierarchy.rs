@@ -229,13 +229,6 @@ impl Hierarchy {
             && (self.l1i_shadow[words[1] as usize] & masks[1]) == masks[1]
     }
 
-    /// One word of the L1I presence shadow; the caller guarantees the index
-    /// is in range (below `l1i_shadow_limit / 64`).
-    #[inline]
-    pub fn l1i_shadow_word(&self, word: u32) -> u64 {
-        self.l1i_shadow[word as usize]
-    }
-
     /// Whether `line` is resident in the L1 I-cache.
     #[inline]
     pub fn in_l1i(&self, line: Line) -> bool {

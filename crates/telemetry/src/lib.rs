@@ -1,5 +1,5 @@
-//! Observability for the I-SPY reproduction: phase-scoped spans, named
-//! counters, and a hand-rolled JSON export.
+//! Observability for the I-SPY reproduction: phase-scoped spans and named
+//! counters.
 //!
 //! The build environment is fully offline (no `tracing`, no `metrics`
 //! facade), so this crate is a minimal, dependency-free stand-in following
@@ -14,11 +14,10 @@
 //! * **Counters** ([`Telemetry::add`]) — named monotonic `u64` counters for
 //!   per-phase work accounting (window candidates examined, context subsets
 //!   evaluated, coalescing merges, …).
-//! * **Export** ([`Telemetry::to_json`]) — a `serde`-free JSON rendering in
-//!   two modes: [`TimingMode::Full`] includes wall times,
-//!   [`TimingMode::Deterministic`] omits them so the output is byte-identical
-//!   across thread counts and machines (the harness's determinism tests
-//!   compare this form).
+//!
+//! The crate is a pure registry: callers read it back through
+//! [`Telemetry::counters`] and [`Telemetry::spans`]. Rendering is the
+//! harness's job (`repro --metrics` writes both maps as JSON).
 //!
 //! Registries are explicit values; a process-wide default ([`global`]) exists
 //! so deep library code (the planner's window search, the profiler) can
@@ -29,7 +28,7 @@
 //! # Examples
 //!
 //! ```
-//! use ispy_telemetry::{Telemetry, TimingMode};
+//! use ispy_telemetry::Telemetry;
 //!
 //! let tele = Telemetry::new();
 //! {
@@ -39,7 +38,9 @@
 //! }
 //! assert_eq!(tele.counter("plan.lines"), 3);
 //! assert_eq!(tele.span_count("plan.window"), 1);
-//! assert!(tele.to_json(TimingMode::Deterministic).contains("\"plan.lines\": 3"));
+//! // Exporters read sorted snapshots of both maps.
+//! assert_eq!(tele.counters()["plan.lines"], 3);
+//! assert_eq!(tele.spans().len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -76,27 +77,6 @@ impl SpanStat {
     pub fn total_ms(&self) -> f64 {
         self.total_ns as f64 / 1e6
     }
-}
-
-/// How much of the registry [`Telemetry::to_json`] renders.
-///
-/// # Examples
-///
-/// ```
-/// use ispy_telemetry::{Telemetry, TimingMode};
-///
-/// let tele = Telemetry::new();
-/// drop(tele.span("p"));
-/// assert!(tele.to_json(TimingMode::Full).contains("total_ms"));
-/// assert!(!tele.to_json(TimingMode::Deterministic).contains("total_ms"));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimingMode {
-    /// Counters, span counts, and span wall times.
-    Full,
-    /// Counters and span counts only — byte-identical output regardless of
-    /// thread count or machine speed.
-    Deterministic,
 }
 
 /// A thread-safe registry of named counters and phase spans.
@@ -175,34 +155,6 @@ impl Telemetry {
         self.spans.lock().expect("span lock").clear();
     }
 
-    /// Renders the registry as pretty JSON:
-    /// `{"counters": {..}, "spans": {"name": {"count": n[, "total_ms": x]}}}`.
-    ///
-    /// [`TimingMode::Deterministic`] omits `total_ms` so the bytes depend
-    /// only on the work performed, not on how fast or how parallel it ran.
-    pub fn to_json(&self, mode: TimingMode) -> String {
-        let counters = self.counters();
-        let spans = self.spans();
-        let mut out = String::from("{\n  \"counters\": {");
-        render_object(&mut out, 2, counters.iter().map(|(k, v)| (k.as_str(), v.to_string())));
-        out.push_str(",\n  \"spans\": {");
-        render_object(
-            &mut out,
-            2,
-            spans.iter().map(|(k, s)| {
-                let body = match mode {
-                    TimingMode::Full => {
-                        format!("{{ \"count\": {}, \"total_ms\": {:.3} }}", s.count, s.total_ms())
-                    }
-                    TimingMode::Deterministic => format!("{{ \"count\": {} }}", s.count),
-                };
-                (k.as_str(), body)
-            }),
-        );
-        out.push_str("\n}");
-        out
-    }
-
     fn record_span(&self, name: &str, elapsed_ns: u128) {
         let mut spans = self.spans.lock().expect("span lock");
         let stat = spans.entry(name.to_string()).or_default();
@@ -211,52 +163,6 @@ impl Telemetry {
         // one so "this phase ran" is visible in the totals.
         stat.total_ns += elapsed_ns.max(1);
     }
-}
-
-/// Appends `"key": value` pairs as the body of an already-opened JSON
-/// object, closing it. Values arrive pre-rendered.
-fn render_object<'a>(
-    out: &mut String,
-    indent: usize,
-    items: impl Iterator<Item = (&'a str, String)>,
-) {
-    let inner = "  ".repeat(indent);
-    let outer = "  ".repeat(indent - 1);
-    let mut any = false;
-    for (i, (key, value)) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&inner);
-        out.push('"');
-        out.push_str(&escape(key));
-        out.push_str("\": ");
-        out.push_str(&value);
-        any = true;
-    }
-    if any {
-        out.push('\n');
-        out.push_str(&outer);
-    }
-    out.push('}');
-}
-
-/// Escapes a string for use inside a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Records elapsed wall time into its [`Telemetry`] on drop.
@@ -373,51 +279,6 @@ mod tests {
         });
         assert_eq!(t.span_count("shared"), 400);
         assert_eq!(t.counter("shared.count"), 400);
-    }
-
-    #[test]
-    fn deterministic_json_has_no_timings_and_is_sorted() {
-        let t = Telemetry::new();
-        t.add("z.last", 1);
-        t.add("a.first", 2);
-        drop(t.span("phase"));
-        let j = t.to_json(TimingMode::Deterministic);
-        assert!(!j.contains("total_ms"));
-        assert!(j.contains("\"phase\": { \"count\": 1 }"));
-        let a = j.find("a.first").unwrap();
-        let z = j.find("z.last").unwrap();
-        assert!(a < z, "keys must render in sorted order");
-        // Identical work renders identical bytes.
-        let t2 = Telemetry::new();
-        t2.add("a.first", 2);
-        t2.add("z.last", 1);
-        drop(t2.span("phase"));
-        assert_eq!(j, t2.to_json(TimingMode::Deterministic));
-    }
-
-    #[test]
-    fn full_json_includes_wall_time() {
-        let t = Telemetry::new();
-        drop(t.span("p"));
-        let j = t.to_json(TimingMode::Full);
-        assert!(j.contains("\"count\": 1"));
-        assert!(j.contains("total_ms"));
-    }
-
-    #[test]
-    fn empty_registry_renders_empty_objects() {
-        let t = Telemetry::new();
-        assert_eq!(
-            t.to_json(TimingMode::Deterministic),
-            "{\n  \"counters\": {},\n  \"spans\": {}\n}"
-        );
-    }
-
-    #[test]
-    fn json_escapes_names() {
-        let t = Telemetry::new();
-        t.add("weird\"name", 1);
-        assert!(t.to_json(TimingMode::Deterministic).contains("weird\\\"name"));
     }
 
     #[test]

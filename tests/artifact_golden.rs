@@ -35,8 +35,8 @@ fn record_replay_is_byte_identical_for_all_nine_apps() {
 
 /// Figures rendered from cached artifacts — both the cold run that writes
 /// the cache and the warm run that reads it — produce byte-identical JSON
-/// tables to an uncached session (`runtime_secs` is not part of
-/// `Table::to_json`, so this is exactly the "modulo runtime" comparison).
+/// tables to an uncached session (`Table::to_json(None)` omits
+/// `runtime_secs`, so this is exactly the "modulo runtime" comparison).
 #[test]
 fn figures_from_cached_artifacts_are_byte_identical() {
     let scale = Scale::test();
@@ -49,9 +49,9 @@ fn figures_from_cached_artifacts_are_byte_identical() {
     let warm = Session::with_cache(scale, models(), ArtifactCache::new(&dir, scale));
     for id in ["fig10", "table1"] {
         let spec = figures::by_id(id).unwrap();
-        let want = (spec.run)(&fresh).to_json();
-        assert_eq!((spec.run)(&cold).to_json(), want, "cold cache diverged for {id}");
-        assert_eq!((spec.run)(&warm).to_json(), want, "warm cache diverged for {id}");
+        let want = (spec.run)(&fresh).to_json(None);
+        assert_eq!((spec.run)(&cold).to_json(None), want, "cold cache diverged for {id}");
+        assert_eq!((spec.run)(&warm).to_json(None), want, "warm cache diverged for {id}");
     }
 
     // The warm session really did hit the cache: artifacts exist for every

@@ -12,15 +12,19 @@ use ispy_harness::workload::miss_derived_plan;
 use ispy_harness::{figures, Scale, Session, Table};
 use ispy_scenario::{Scenario, ScenarioSource};
 use ispy_sim::{run, run_streaming, OutcomeLedger, RunOptions, SimConfig};
-use ispy_telemetry::{Telemetry, TimingMode};
+use ispy_telemetry::Telemetry;
 use ispy_trace::{apps, BlockId, BlockSource, Trace};
+use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// A run's telemetry with every wall time stripped: the counters and the
+/// number of completed spans per name.
+type WorkCounts = (BTreeMap<String, u64>, BTreeMap<String, u64>);
 
 /// Runs every registered figure at the given thread count over a fresh
 /// session (fresh caches each time, so cache-fill order genuinely differs
-/// between runs). Also captures the run's telemetry in its deterministic
-/// rendering — what the counters looked like with all wall times stripped.
-fn all_tables(threads: usize) -> (Vec<Table>, String) {
+/// between runs). Also captures the run's telemetry work counts.
+fn all_tables(threads: usize) -> (Vec<Table>, WorkCounts) {
     ispy_parallel::set_threads(threads);
     let previous = ispy_telemetry::swap_global(Arc::new(Telemetry::new()));
     let session = Session::with_apps(
@@ -28,7 +32,9 @@ fn all_tables(threads: usize) -> (Vec<Table>, String) {
         vec![apps::cassandra(), apps::verilator(), apps::wordpress()],
     );
     let tables = figures::all().into_iter().map(|spec| (spec.run)(&session)).collect();
-    let telemetry = ispy_telemetry::swap_global(previous).to_json(TimingMode::Deterministic);
+    let tele = ispy_telemetry::swap_global(previous);
+    let span_counts = tele.spans().into_iter().map(|(name, s)| (name, s.count)).collect();
+    let telemetry = (tele.counters(), span_counts);
     ispy_parallel::set_threads(0);
     (tables, telemetry)
 }
@@ -41,12 +47,12 @@ fn every_figure_is_identical_serial_vs_parallel() {
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s, p, "figure {} differs between 1 and 4 threads", s.id);
         // The JSON export (what `repro --json` writes) matches too.
-        assert_eq!(s.to_json(), p.to_json());
+        assert_eq!(s.to_json(None), p.to_json(None));
     }
     // Telemetry counters only record order-invariant work (per plan call,
-    // per window search, per cache-key fill), so the deterministic JSON is
-    // byte-identical no matter how the pool scheduled the same work.
-    assert!(serial_tele.contains("core.plan"), "planner work must be visible in telemetry");
+    // per window search, per cache-key fill), so counters and span counts
+    // are identical no matter how the pool scheduled the same work.
+    assert!(serial_tele.1.contains_key("core.plan"), "planner work must be visible in telemetry");
     assert_eq!(serial_tele, parallel_tele, "telemetry must not depend on thread count");
 }
 
