@@ -199,8 +199,8 @@ pub fn replan_workload(program: &Program, trace: &Trace, cfg: &SimConfig) -> Rep
     ReplanWorkload { profile, delta, baseline, delta_samples, total_samples }
 }
 
-/// Best-of-`reps` wall-clock milliseconds for `f`, with one extra discarded
-/// warmup call (same protocol as the engine bench).
+/// Best-of-`reps` wall-clock milliseconds for `f`, after one extra
+/// discarded warmup call.
 fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
     for rep in 0..=reps {

@@ -28,12 +28,14 @@
 //! repro fleet serve kafka         # three-tier plan service (warm/replan/cold)
 //! ```
 
+use ispy_fleet::FleetConfig;
 use ispy_harness::cache::{ArtifactCache, DEFAULT_CACHE_DIR};
 use ispy_harness::{explain, figures, metrics, Scale, Session};
 use ispy_telemetry::Telemetry;
-use ispy_trace::apps;
-use std::path::PathBuf;
+use ispy_trace::{apps, AppModel};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,142 +45,254 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     }
-    match args[0].as_str() {
-        "adapt" => return run_adapt_cmd(&args[1..]),
-        "record" => return run_record(&args[1..]),
-        "plan" => return run_plan(&args[1..]),
-        "replay" => return run_replay(&args[1..]),
-        "ingest" => return run_ingest(&args[1..]),
-        "fleet" => return run_fleet(&args[1..]),
-        "scenario" => return run_scenario_cmd(&args[1..]),
-        _ => {}
+    let run = |args: Args| {
+        if let Some(n) = args.jobs {
+            ispy_parallel::set_threads(n);
+        }
+        (command(args.cmd).unwrap_or(&FIGURES).run)(&args)
+    };
+    match parse(&args).and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
-    let mut ids: Vec<String> = Vec::new();
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut scale = Scale::full();
-    let mut json_dir: Option<PathBuf> = None;
-    let mut metrics_dir: Option<PathBuf> = None;
-    let mut app_names: Option<Vec<String>> = None;
-    let mut explain_mode = false;
-    let mut explain_app: Option<String> = None;
-    let mut top_n = 10usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => scale = Scale::quick(),
-            "--test-scale" => scale = Scale::test(),
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => json_dir = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--json needs a directory");
-                        return ExitCode::FAILURE;
-                    }
-                }
+}
+
+/// A subcommand: its name, the flags it reads (`-o` and `-j` are spelled
+/// `--out` and `--jobs` here) and its body. [`parse`] rejects every other
+/// flag.
+struct Command {
+    name: &'static str,
+    flags: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+const FIGURE_FLAGS: &str = "--quick --test-scale --json --metrics --cache --jobs --apps";
+
+/// Figure ids and `all`: the command when the first argument names no other.
+const FIGURES: Command = Command { name: "figure runs", flags: FIGURE_FLAGS, run: run_figures };
+
+const COMMANDS: &[Command] = &[
+    Command { name: "list", flags: FIGURE_FLAGS, run: run_list },
+    Command { name: "explain", flags: "--quick --test-scale --top --jobs", run: run_explain },
+    Command { name: "record", flags: "--quick --test-scale --events --out", run: run_record },
+    Command { name: "plan", flags: "--quick --test-scale --out", run: run_plan },
+    Command { name: "ingest", flags: "--out", run: run_ingest },
+    Command { name: "replay", flags: "--plan --stream", run: run_replay },
+    Command {
+        name: "adapt",
+        flags: "--quick --test-scale --window --epochs --check --drift --json",
+        run: run_adapt_cmd,
+    },
+    Command {
+        name: "scenario",
+        flags: "--quick --test-scale --events --jobs --json",
+        run: run_scenario_cmd,
+    },
+    Command {
+        name: "fleet gen",
+        flags: "--quick --test-scale --machines --events --apps --dir --jobs",
+        run: fleet_gen,
+    },
+    Command { name: "fleet ingest", flags: "--dir --jobs", run: fleet_ingest },
+    Command { name: "fleet merge", flags: "--dir --line-vote --ctx-vote --jobs", run: fleet_merge },
+    Command { name: "fleet plan", flags: "--dir --apps --jobs", run: fleet_plan },
+    Command {
+        name: "fleet serve",
+        flags: "--quick --test-scale --dir --cache --line-vote --ctx-vote --jobs",
+        run: fleet_serve,
+    },
+];
+
+fn command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// The default fleet directory (`repro fleet` with no `--dir`).
+const DEFAULT_FLEET_DIR: &str = ".ispy-fleet";
+
+/// A parsed command line: the subcommand's name, its positional arguments
+/// and every flag's value (`None` / `false` where the flag is absent).
+#[derive(Debug, Default, Clone, PartialEq)]
+struct Args {
+    cmd: &'static str,
+    positional: Vec<String>,
+    /// `--quick` / `--test-scale`, with `--events N` applied on top.
+    scale: Scale,
+    jobs: Option<usize>,
+    json: Option<PathBuf>,
+    metrics: Option<PathBuf>,
+    cache: Option<PathBuf>,
+    apps: Option<Vec<String>>,
+    out: Option<PathBuf>,
+    plan: Option<PathBuf>,
+    stream: bool,
+    top: Option<usize>,
+    window: Option<usize>,
+    epochs: Option<usize>,
+    check: bool,
+    drift: bool,
+    dir: Option<PathBuf>,
+    machines: Option<usize>,
+    fleet_cfg: FleetConfig,
+}
+
+impl Args {
+    /// The single positional argument, or an error naming what it should be.
+    fn one(&self, what: &str) -> Result<&str, String> {
+        match self.positional.as_slice() {
+            [one] => Ok(one),
+            _ => Err(format!("{} needs exactly one {what}", self.cmd)),
+        }
+    }
+
+    /// The single positional argument as an app name, with its model.
+    fn app(&self) -> Result<(&str, AppModel), String> {
+        let name = self.one(&format!("app; known: {}", apps::NAMES.join(",")))?;
+        Ok((name, model(name)?))
+    }
+
+    /// The `--apps` models, or all nine when absent.
+    fn models(&self) -> Result<Vec<AppModel>, String> {
+        match &self.apps {
+            None => Ok(apps::all()),
+            Some(names) => names.iter().map(|name| model(name)).collect(),
+        }
+    }
+
+    /// The fleet directory, `--dir` or the default.
+    fn dir(&self) -> &Path {
+        self.dir.as_deref().unwrap_or(Path::new(DEFAULT_FLEET_DIR))
+    }
+}
+
+/// Looks up an application model by name.
+fn model(name: &str) -> Result<AppModel, String> {
+    apps::by_name(name)
+        .ok_or_else(|| format!("unknown app `{name}`; known: {}", apps::NAMES.join(",")))
+}
+
+/// The value after `flag`, parsed and accepted by `ok`; the error says what
+/// the flag needs.
+fn value<T: FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+    ok: fn(&T) -> bool,
+) -> Result<T, String> {
+    it.next().and_then(|v| v.parse().ok()).filter(ok).ok_or(format!("{flag} needs {what}"))
+}
+
+/// The checks [`value`] applies: a count >= 1, a fraction, any path.
+const POSITIVE: fn(&usize) -> bool = |n| *n >= 1;
+const FRACTION: fn(&f64) -> bool = |f| (0.0..=1.0).contains(f);
+const ANY: fn(&PathBuf) -> bool = |_| true;
+
+/// Parses a command line: the subcommand first (`fleet` and its verb are
+/// two words; a first argument that names no subcommand starts a figure
+/// run), then flags and positionals in any order.
+fn parse(argv: &[String]) -> Result<Args, String> {
+    let words = if argv.first().is_some_and(|a| a == "fleet") { 2 } else { 1 };
+    let (cmd, rest) = match command(&argv[..words.min(argv.len())].join(" ")) {
+        Some(cmd) => (cmd, &argv[words..]),
+        None if words == 2 => {
+            return Err("fleet needs a subcommand: gen|ingest|merge|plan|serve".to_string())
+        }
+        None => (&FIGURES, argv),
+    };
+    let mut args = Args { cmd: cmd.name, ..Args::default() };
+    let mut events = None;
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            args.positional.push(arg.clone());
+            continue;
+        }
+        let (flag, cache_dir) = match arg.split_once('=') {
+            Some(("--cache", dir)) => ("--cache", Some(dir)),
+            _ => (arg.as_str(), None),
+        };
+        let flag = match flag {
+            "-o" => "--out",
+            "-j" => "--jobs",
+            flag => flag,
+        };
+        if !cmd.flags.split(' ').any(|f| f == flag) {
+            return Err(format!("{} does not take `{arg}`; see `repro` usage", cmd.name));
+        }
+        let it = &mut it;
+        match flag {
+            "--quick" => args.scale = Scale::quick(),
+            "--test-scale" => args.scale = Scale::test(),
+            "--stream" => args.stream = true,
+            "--check" => args.check = true,
+            "--drift" => args.drift = true,
+            "--cache" => {
+                args.cache = Some(PathBuf::from(match cache_dir {
+                    None => DEFAULT_CACHE_DIR,
+                    Some("") => return Err("--cache=DIR needs a directory".to_string()),
+                    Some(dir) => dir,
+                }))
             }
-            "--metrics" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => metrics_dir = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--metrics needs a directory");
-                        return ExitCode::FAILURE;
-                    }
-                }
+            "--events" => events = Some(value(it, arg, "an event count >= 1", POSITIVE)?),
+            "--jobs" => args.jobs = Some(value(it, arg, "a thread count >= 1", POSITIVE)?),
+            "--top" => args.top = Some(value(it, arg, "a count >= 1", POSITIVE)?),
+            "--window" => args.window = Some(value(it, arg, "an event count >= 1", POSITIVE)?),
+            "--epochs" => args.epochs = Some(value(it, arg, "a round count >= 1", POSITIVE)?),
+            "--machines" => args.machines = Some(value(it, arg, "a count >= 1", POSITIVE)?),
+            "--line-vote" => {
+                args.fleet_cfg.line_vote = value(it, arg, "a fraction in 0.0..=1.0", FRACTION)?
             }
-            "--top" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => top_n = n,
-                    _ => {
-                        eprintln!("--top needs a count >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => ispy_parallel::set_threads(n),
-                    _ => {
-                        eprintln!("--jobs needs a thread count >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                }
+            "--ctx-vote" => {
+                args.fleet_cfg.ctx_vote = value(it, arg, "a fraction in 0.0..=1.0", FRACTION)?
             }
             "--apps" => {
-                i += 1;
-                match args.get(i) {
-                    Some(list) => {
-                        app_names = Some(list.split(',').map(|s| s.trim().to_string()).collect())
-                    }
-                    None => {
-                        eprintln!(
-                            "--apps needs a comma-separated list; known: {}",
-                            apps::NAMES.join(",")
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let known = format!("a comma-separated list; known: {}", apps::NAMES.join(","));
+                let list = value(it, arg, &known, |_: &String| true)?;
+                args.apps = Some(list.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--cache" => cache_dir = Some(PathBuf::from(DEFAULT_CACHE_DIR)),
-            flag if flag.starts_with("--cache=") => {
-                let dir = &flag["--cache=".len()..];
-                if dir.is_empty() {
-                    eprintln!("--cache=DIR needs a directory");
-                    return ExitCode::FAILURE;
-                }
-                cache_dir = Some(PathBuf::from(dir));
+            "--json" => {
+                let what = if cmd.flags == FIGURE_FLAGS { "a directory" } else { "a file path" };
+                args.json = Some(value(it, arg, what, ANY)?);
             }
-            "list" => {
-                for spec in figures::all() {
-                    println!("{:12} {}", spec.id, spec.about);
-                }
-                return ExitCode::SUCCESS;
-            }
-            "all" => ids.extend(figures::all().into_iter().map(|s| s.id.to_string())),
-            "explain" => explain_mode = true,
-            other => {
-                if explain_mode && explain_app.is_none() {
-                    explain_app = Some(other.to_string());
-                } else {
-                    ids.push(other.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    if explain_mode {
-        let Some(app) = explain_app else {
-            eprintln!("explain needs an app name; known: {}", apps::NAMES.join(","));
-            return ExitCode::FAILURE;
-        };
-        return run_explain(&app, scale, top_n);
-    }
-    ids.dedup();
-    for id in &ids {
-        if figures::by_id(id).is_none() {
-            eprintln!("unknown experiment `{id}`; try `repro list`");
-            return ExitCode::FAILURE;
+            "--metrics" => args.metrics = Some(value(it, arg, "a directory", ANY)?),
+            "--out" => args.out = Some(value(it, arg, "a file path", ANY)?),
+            "--plan" => args.plan = Some(value(it, arg, "a .iplan file", ANY)?),
+            "--dir" => args.dir = Some(value(it, arg, "a directory", ANY)?),
+            _ => unreachable!("{flag} is in a flag table but has no parser"),
         }
     }
-    let models = match &app_names {
-        None => apps::all(),
-        Some(names) => {
-            let mut models = Vec::new();
-            for name in names {
-                match apps::by_name(name) {
-                    Some(m) => models.push(m),
-                    None => {
-                        eprintln!("unknown app `{name}`; known: {}", apps::NAMES.join(","));
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            models
+    if let Some(n) = events {
+        args.scale.events = n;
+    }
+    Ok(args)
+}
+
+fn run_list(_: &Args) -> Result<(), String> {
+    for spec in figures::all() {
+        println!("{:12} {}", spec.id, spec.about);
+    }
+    Ok(())
+}
+
+/// `repro <fig>... | all`: run the experiments and print their tables,
+/// optionally exporting JSON and per-figure telemetry.
+fn run_figures(args: &Args) -> Result<(), String> {
+    let mut specs = Vec::new();
+    for id in &args.positional {
+        if id == "all" {
+            specs.extend(figures::all());
+        } else {
+            specs.push(
+                figures::by_id(id).ok_or(format!("unknown experiment `{id}`; try `repro list`"))?,
+            );
         }
-    };
+    }
+    specs.dedup_by_key(|s| s.id);
+    let models = args.models()?;
+    let scale = args.scale;
 
     eprintln!(
         "preparing {} applications (shrink={}, events={}, threads={}) ...",
@@ -187,14 +301,12 @@ fn main() -> ExitCode {
         scale.events,
         ispy_parallel::threads(),
     );
-    for dir in [&json_dir, &metrics_dir].into_iter().flatten() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+    for dir in [&args.json, &args.metrics].into_iter().flatten() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
     let t0 = Instant::now();
-    let session = match &cache_dir {
+    let session = match &args.cache {
         Some(dir) => {
             eprintln!("artifact cache: {}", dir.display());
             Session::with_cache(scale, models, ArtifactCache::new(dir, scale))
@@ -202,17 +314,15 @@ fn main() -> ExitCode {
         None => Session::with_apps(scale, models),
     };
     eprintln!("prepared in {:.1?}", t0.elapsed());
-    if let Some(dir) = &metrics_dir {
+    if let Some(dir) = &args.metrics {
         // Preparation telemetry (profiling replays, CFG builds) accumulated
         // in the startup registry; harvest it before per-figure scoping.
-        if write_telemetry(dir, "prepare").is_err() {
-            return ExitCode::FAILURE;
-        }
+        write_telemetry(dir, "prepare")?;
     }
 
-    for id in &ids {
-        let spec = figures::by_id(id).expect("validated above");
-        if metrics_dir.is_some() {
+    for spec in &specs {
+        let id = spec.id;
+        if args.metrics.is_some() {
             // A fresh registry per figure attributes planner/profiler work
             // to the experiment that triggered it. Session caches persist,
             // so a figure that only reads cached comparisons shows (almost)
@@ -224,44 +334,35 @@ fn main() -> ExitCode {
         let secs = t.elapsed().as_secs_f64();
         println!("{table}");
         eprintln!("[{id} took {secs:.1}s]\n");
-        if let Some(dir) = &json_dir {
-            let path = dir.join(format!("{id}.json"));
-            if let Err(e) = std::fs::write(&path, table.to_json(Some(secs))) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+        if let Some(dir) = &args.json {
+            write_file(&dir.join(format!("{id}.json")), table.to_json(Some(secs)))?;
         }
-        if let Some(dir) = &metrics_dir {
-            if write_telemetry(dir, id).is_err() {
-                return ExitCode::FAILURE;
-            }
+        if let Some(dir) = &args.metrics {
+            write_telemetry(dir, id)?;
         }
     }
-    if let Some(dir) = &metrics_dir {
-        let path = dir.join("outcomes.json");
-        if let Err(e) = std::fs::write(&path, metrics::outcome_summary(&session)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+    if let Some(dir) = &args.metrics {
+        write_file(&dir.join("outcomes.json"), metrics::outcome_summary(&session))?;
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Writes `contents` to `path`, naming the path on failure.
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Writes the current global registry as `<dir>/<name>.telemetry.json`.
-fn write_telemetry(dir: &std::path::Path, name: &str) -> Result<(), ()> {
+fn write_telemetry(dir: &Path, name: &str) -> Result<(), String> {
     let path = dir.join(format!("{name}.telemetry.json"));
-    std::fs::write(&path, metrics::telemetry_summary(&ispy_telemetry::global())).map_err(|e| {
-        eprintln!("cannot write {}: {e}", path.display());
-    })
+    write_file(&path, metrics::telemetry_summary(&ispy_telemetry::global()))
 }
 
 /// `repro explain <app>`: prepare just that app and print the markdown
 /// provenance/outcome audit of its top-N injections.
-fn run_explain(app: &str, scale: Scale, top_n: usize) -> ExitCode {
-    let Some(model) = apps::by_name(app) else {
-        eprintln!("unknown app `{app}`; known: {}", apps::NAMES.join(","));
-        return ExitCode::FAILURE;
-    };
+fn run_explain(args: &Args) -> Result<(), String> {
+    let (app, model) = args.app()?;
+    let scale = args.scale;
     eprintln!(
         "preparing {app} (shrink={}, events={}, threads={}) ...",
         scale.shrink,
@@ -270,17 +371,10 @@ fn run_explain(app: &str, scale: Scale, top_n: usize) -> ExitCode {
     );
     let t0 = Instant::now();
     let session = Session::with_apps(scale, vec![model]);
-    match explain(&session, app, top_n) {
-        Ok(report) => {
-            eprintln!("prepared and analysed in {:.1?}\n", t0.elapsed());
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
+    let report = explain(&session, app, args.top.unwrap_or(10))?;
+    eprintln!("prepared and analysed in {:.1?}\n", t0.elapsed());
+    println!("{report}");
+    Ok(())
 }
 
 /// Delta replans must beat a from-scratch plan by at least this factor for
@@ -299,59 +393,11 @@ const ADAPT_MAX_GAP: f64 = 0.02;
 /// `--check` turns the headline claims into a failing exit code: delta
 /// replans ≥10x faster than from-scratch and byte-identical, and the
 /// converged window within 2% of the oracle's MPKI.
-fn run_adapt_cmd(args: &[String]) -> ExitCode {
-    let mut app_name: Option<String> = None;
-    let mut scale = Scale::full();
-    let mut window: Option<usize> = None;
-    let mut epochs = 2usize;
-    let mut check = false;
-    let mut drift = false;
-    let mut json_out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => scale = Scale::quick(),
-            "--test-scale" => scale = Scale::test(),
-            "--check" => check = true,
-            "--drift" => drift = true,
-            "--window" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => window = Some(n),
-                    _ => return fail("--window needs an event count >= 1"),
-                }
-            }
-            "--epochs" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => epochs = n,
-                    _ => return fail("--epochs needs a round count >= 1"),
-                }
-            }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json_out = Some(PathBuf::from(p)),
-                    None => return fail("--json needs a file path"),
-                }
-            }
-            flag if flag.starts_with('-') => return fail(&format!("unknown adapt flag `{flag}`")),
-            other => {
-                if app_name.replace(other.to_string()).is_some() {
-                    return fail("adapt takes exactly one app");
-                }
-            }
-        }
-        i += 1;
-    }
-    let Some(app) = app_name else {
-        return fail(&format!("adapt needs an app name; known: {}", apps::NAMES.join(",")));
-    };
-    let Some(model) = apps::by_name(&app) else {
-        return fail(&format!("unknown app `{app}`; known: {}", apps::NAMES.join(",")));
-    };
+fn run_adapt_cmd(args: &Args) -> Result<(), String> {
+    let (app, model) = args.app()?;
+    let (scale, epochs, drift) = (args.scale, args.epochs.unwrap_or(2), args.drift);
     // 5 adaptation windows per epoch by default, at any scale.
-    let window = window.unwrap_or((scale.events / 5).max(1));
+    let window = args.window.unwrap_or((scale.events / 5).max(1));
 
     eprintln!(
         "adaptive replanning: {app}{} / {} events x {epochs} epochs / window {window} ...",
@@ -394,19 +440,19 @@ fn run_adapt_cmd(args: &[String]) -> ExitCode {
         outcome.replan_speedup(),
         if outcome.plans_identical { "yes" } else { "NO" }
     );
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, outcome.to_json()) {
-            return fail(&format!("writing {}: {e}", path.display()));
-        }
+    if let Some(path) = &args.json {
+        write_file(path, outcome.to_json())?;
         eprintln!("wrote {}", path.display());
     }
 
-    if check {
+    if args.check {
         if !outcome.plans_identical {
-            return fail("adapt check failed: delta replan diverged from the from-scratch plan");
+            return Err(
+                "adapt check failed: delta replan diverged from the from-scratch plan".to_string()
+            );
         }
         if outcome.replan_speedup() < ADAPT_MIN_SPEEDUP {
-            return fail(&format!(
+            return Err(format!(
                 "adapt check failed: delta replan speedup {:.1}x is below {ADAPT_MIN_SPEEDUP}x \
                  (full {:.1} ms, delta {:.2} ms)",
                 outcome.replan_speedup(),
@@ -416,7 +462,7 @@ fn run_adapt_cmd(args: &[String]) -> ExitCode {
         }
         let gap = outcome.converged_gap();
         if gap > ADAPT_MAX_GAP {
-            return fail(&format!(
+            return Err(format!(
                 "adapt check failed: converged-window MPKI is {:.1}% above the oracle plan \
                  (limit {:.0}%)",
                 100.0 * gap,
@@ -431,64 +477,20 @@ fn run_adapt_cmd(args: &[String]) -> ExitCode {
             100.0 * ADAPT_MAX_GAP
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro scenario <spec>`: replay a production-shaped scenario (bursty
 /// arrivals, phase transitions, multi-tenant L1I interference) under the
 /// baseline/ideal/AsmDB/I-SPY plans and print the per-phase, per-tenant
 /// front-end stall and MPKI table (see `docs/SCENARIOS.md`).
-fn run_scenario_cmd(args: &[String]) -> ExitCode {
+fn run_scenario_cmd(args: &Args) -> Result<(), String> {
     let presets = ispy_scenario::Scenario::PRESETS.join(",");
-    let mut spec_name: Option<String> = None;
-    let mut scale = Scale::full();
-    let mut events: Option<u64> = None;
-    let mut json_out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => scale = Scale::quick(),
-            "--test-scale" => scale = Scale::test(),
-            "--events" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => events = Some(n),
-                    _ => return fail("--events needs an event count >= 1"),
-                }
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => ispy_parallel::set_threads(n),
-                    _ => return fail("--jobs needs a thread count >= 1"),
-                }
-            }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json_out = Some(PathBuf::from(p)),
-                    None => return fail("--json needs a file path"),
-                }
-            }
-            flag if flag.starts_with('-') => {
-                return fail(&format!("unknown scenario flag `{flag}`"));
-            }
-            other => {
-                if spec_name.replace(other.to_string()).is_some() {
-                    return fail("scenario takes exactly one spec");
-                }
-            }
-        }
-        i += 1;
-    }
-    let Some(name) = spec_name else {
-        return fail(&format!("scenario needs a spec name; known: {presets}"));
-    };
-    let Some(spec) = ispy_scenario::Scenario::preset(&name) else {
-        return fail(&format!("unknown scenario `{name}`; known: {presets}"));
-    };
-    let spec = spec.scaled_down(scale.shrink);
-    let events = events.unwrap_or(scale.events as u64);
+    let name = args.one(&format!("spec; known: {presets}"))?;
+    let spec = ispy_scenario::Scenario::preset(name)
+        .ok_or(format!("unknown scenario `{name}`; known: {presets}"))?
+        .scaled_down(args.scale.shrink);
+    let events = args.scale.events as u64;
 
     eprintln!(
         "scenario {name}: {} tenants / {} phases / {events} events / threads {} ...",
@@ -550,13 +552,11 @@ fn run_scenario_cmd(args: &[String]) -> ExitCode {
         100.0 * outcome.ispy_total.fraction_of_ideal(&outcome.base_total, &outcome.ideal_total),
     );
 
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, outcome.to_json()) {
-            return fail(&format!("writing {}: {e}", path.display()));
-        }
+    if let Some(path) = &args.json {
+        write_file(path, outcome.to_json())?;
         eprintln!("wrote {}", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn usage() {
@@ -573,57 +573,15 @@ fn usage() {
     eprintln!("                   [--check] [--drift] [--json FILE.adapt.json]");
     eprintln!("       repro scenario <steady|diurnal|burst|storm> [--quick | --test-scale]");
     eprintln!("                   [--events N] [--jobs N] [--json FILE.json]");
-    eprintln!("       repro fleet gen [--machines N] [--apps a,b,c] [--events N] [--dir DIR]");
-    eprintln!("       repro fleet ingest|merge|plan [--dir DIR] [--line-vote F] [--ctx-vote F]");
-    eprintln!("       repro fleet serve <app>... [--dir DIR] [--cache[=DIR]]");
-    eprintln!("       (--cache defaults to {DEFAULT_CACHE_DIR}/, --dir to {DEFAULT_FLEET_DIR}/)");
-}
-
-/// Flags shared by the artifact subcommands.
-struct ArtifactArgs {
-    positional: Vec<String>,
-    scale: Scale,
-    out: Option<PathBuf>,
-    /// `--events N`: explicit event count, overriding the scale's default.
-    events: Option<u64>,
-}
-
-/// Parses the scale/output flags shared by the artifact subcommands.
-fn parse_artifact_args(args: &[String]) -> Result<ArtifactArgs, String> {
-    let mut parsed =
-        ArtifactArgs { positional: Vec::new(), scale: Scale::full(), out: None, events: None };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => parsed.scale = Scale::quick(),
-            "--test-scale" => parsed.scale = Scale::test(),
-            "--events" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<u64>().ok()) {
-                    Some(n) => parsed.events = Some(n),
-                    None => return Err("--events needs an event count".to_string()),
-                }
-            }
-            "-o" | "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => parsed.out = Some(PathBuf::from(p)),
-                    None => return Err("-o needs a file path".to_string()),
-                }
-            }
-            flag if flag.starts_with('-') && flag != "--plan" => {
-                return Err(format!("unknown flag `{flag}`"));
-            }
-            other => parsed.positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    Ok(parsed)
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("{msg}");
-    ExitCode::FAILURE
+    eprintln!("       repro fleet gen [--quick | --test-scale] [--machines N] [--events N]");
+    eprintln!("                   [--apps a,b,c] [--dir DIR]");
+    eprintln!("       repro fleet ingest [--dir DIR]");
+    eprintln!("       repro fleet merge [--dir DIR] [--line-vote F] [--ctx-vote F]");
+    eprintln!("       repro fleet plan [--dir DIR] [--apps a,b,c]");
+    eprintln!("       repro fleet serve <app>... [--quick | --test-scale] [--dir DIR]");
+    eprintln!("                   [--cache[=DIR]] [--line-vote F] [--ctx-vote F]");
+    eprintln!("       (every fleet command also takes --jobs N; --cache defaults to");
+    eprintln!("       {DEFAULT_CACHE_DIR}/, --dir to {DEFAULT_FLEET_DIR}/)");
 }
 
 /// `repro record <app>`: record an execution and store it as `.itrace`.
@@ -632,66 +590,33 @@ fn fail(msg: &str) -> ExitCode {
 /// [`RecordingWriter`](ispy_trace::artifact::RecordingWriter) chunk by
 /// chunk, so `--events` can exceed RAM (the 100M-block CI gate records this
 /// way).
-fn run_record(args: &[String]) -> ExitCode {
-    let parsed = match parse_artifact_args(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let [app] = parsed.positional.as_slice() else {
-        return fail(&format!("record needs exactly one app; known: {}", apps::NAMES.join(",")));
-    };
-    let Some(model) = apps::by_name(app) else {
-        return fail(&format!("unknown app `{app}`; known: {}", apps::NAMES.join(",")));
-    };
-    let model = model.scaled_down(parsed.scale.shrink);
+fn run_record(args: &Args) -> Result<(), String> {
+    use ispy_trace::BlockSource;
+    let (app, model) = args.app()?;
+    let model = model.scaled_down(args.scale.shrink);
     let program = model.generate();
-    let events = parsed.events.unwrap_or(parsed.scale.events as u64);
-    let path = parsed.out.unwrap_or_else(|| PathBuf::from(format!("{app}.itrace")));
+    let path = args.out.clone().unwrap_or_else(|| PathBuf::from(format!("{app}.itrace")));
     let walker = ispy_trace::Walker::new(&program, model.default_input());
-    let mut source = ispy_trace::WalkerSource::new(walker, events);
-    let mut writer =
-        match ispy_trace::artifact::RecordingWriter::create(&path, &program, program.name()) {
-            Ok(w) => w,
-            Err(e) => return fail(&e.to_string()),
-        };
-    loop {
-        use ispy_trace::BlockSource;
-        match source.next_chunk() {
-            Ok(Some(chunk)) => {
-                if let Err(e) = writer.push(chunk) {
-                    return fail(&e.to_string());
-                }
-            }
-            Ok(None) => break,
-            Err(e) => return fail(&e.to_string()),
-        }
+    let mut source = ispy_trace::WalkerSource::new(walker, args.scale.events as u64);
+    let mut writer = ispy_trace::artifact::RecordingWriter::create(&path, &program, program.name())
+        .map_err(|e| e.to_string())?;
+    while let Some(chunk) = source.next_chunk().map_err(|e| e.to_string())? {
+        writer.push(chunk).map_err(|e| e.to_string())?;
     }
     let written = writer.events_written();
-    if let Err(e) = writer.finish() {
-        return fail(&e.to_string());
-    }
+    writer.finish().map_err(|e| e.to_string())?;
     eprintln!(
         "recorded {app}: {} blocks, {written} events -> {}",
         program.num_blocks(),
         path.display()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro plan <app>`: profile, plan I-SPY injections, store as `.iplan`.
-fn run_plan(args: &[String]) -> ExitCode {
-    let parsed = match parse_artifact_args(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let (scale, out) = (parsed.scale, parsed.out);
-    let [app] = parsed.positional.as_slice() else {
-        return fail(&format!("plan needs exactly one app; known: {}", apps::NAMES.join(",")));
-    };
-    let Some(model) = apps::by_name(app) else {
-        return fail(&format!("unknown app `{app}`; known: {}", apps::NAMES.join(",")));
-    };
-    let ctx = ispy_harness::session::AppContext::prepare(model, scale);
+fn run_plan(args: &Args) -> Result<(), String> {
+    let (app, model) = args.app()?;
+    let ctx = ispy_harness::session::AppContext::prepare(model, args.scale);
     let plan = ispy_core::Planner::new(
         &ctx.program,
         &ctx.trace,
@@ -699,10 +624,8 @@ fn run_plan(args: &[String]) -> ExitCode {
         ispy_core::IspyConfig::default(),
     )
     .plan();
-    let path = out.unwrap_or_else(|| PathBuf::from(format!("{app}.iplan")));
-    if let Err(e) = ispy_core::artifact::write_plan(app, &plan, &path) {
-        return fail(&e.to_string());
-    }
+    let path = args.out.clone().unwrap_or_else(|| PathBuf::from(format!("{app}.iplan")));
+    ispy_core::artifact::write_plan(app, &plan, &path).map_err(|e| e.to_string())?;
     eprintln!(
         "planned {app}: {} ops at {} sites ({} bytes injected) -> {}",
         plan.stats.ops_total(),
@@ -710,41 +633,17 @@ fn run_plan(args: &[String]) -> ExitCode {
         plan.stats.injected_bytes,
         path.display()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro replay <file.itrace> [--plan file.iplan] [--stream]`: re-simulate
 /// a recorded artifact and print the canonical metric lines. `--stream`
 /// replays in bounded memory (the file's events are decoded chunk by chunk,
 /// never materialized) and prints byte-identical output.
-fn run_replay(args: &[String]) -> ExitCode {
-    let mut files = Vec::new();
-    let mut plan_file: Option<PathBuf> = None;
-    let mut stream = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--plan" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => plan_file = Some(PathBuf::from(p)),
-                    None => return fail("--plan needs a .iplan file"),
-                }
-            }
-            "--stream" => stream = true,
-            flag if flag.starts_with('-') => return fail(&format!("unknown flag `{flag}`")),
-            other => files.push(PathBuf::from(other)),
-        }
-        i += 1;
-    }
-    let [path] = files.as_slice() else {
-        return fail("replay needs exactly one .itrace file");
-    };
-    let plan = match &plan_file {
-        Some(p) => match ispy_core::artifact::read_plan(p) {
-            Ok((label, plan)) => Some((label, plan)),
-            Err(e) => return fail(&e.to_string()),
-        },
+fn run_replay(args: &Args) -> Result<(), String> {
+    let path = Path::new(args.one(".itrace file")?);
+    let plan = match &args.plan {
+        Some(p) => Some(ispy_core::artifact::read_plan(p).map_err(|e| e.to_string())?),
         None => None,
     };
     let cfg = ispy_sim::SimConfig::default();
@@ -752,158 +651,43 @@ fn run_replay(args: &[String]) -> ExitCode {
         injections: plan.as_ref().map(|(_, p)| &p.injections),
         ..Default::default()
     };
-    let (name, result) = if stream {
-        match ispy_sim::replay_file_streaming(path, &cfg, opts) {
-            Ok(out) => (out.name, out.result),
-            Err(e) => return fail(&e.to_string()),
-        }
+    let (program, result) = if args.stream {
+        let (program, mut events) =
+            ispy_trace::artifact::open_recording_file(path).map_err(|e| e.to_string())?;
+        let result = ispy_sim::run_streaming(&program, &mut events, &cfg, opts)
+            .map_err(|e| e.to_string())?;
+        (program, result)
     } else {
-        let (program, trace) = match ispy_trace::artifact::read_recording(path) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&e.to_string()),
-        };
+        let (program, trace) =
+            ispy_trace::artifact::read_recording(path).map_err(|e| e.to_string())?;
         let result = ispy_sim::run(&program, &trace, &cfg, opts);
-        (program.name().to_string(), result)
+        (program, result)
     };
+    let name = program.name();
     if let Some((label, _)) = &plan {
-        if label != &name {
+        if label != name {
             eprintln!("warning: plan was built for `{label}`, replaying `{name}`");
         }
     }
-    print!("{}", metrics::result_lines(&name, &result));
-    ExitCode::SUCCESS
+    print!("{}", metrics::result_lines(name, &result));
+    Ok(())
 }
 
-/// The default fleet directory (`repro fleet` with no `--dir`).
-const DEFAULT_FLEET_DIR: &str = ".ispy-fleet";
-
-/// Flags shared by the `repro fleet` subcommands.
-struct FleetArgs {
-    positional: Vec<String>,
-    dir: PathBuf,
-    scale: Scale,
-    machines: usize,
-    events: Option<usize>,
-    apps: Option<Vec<String>>,
-    cache_dir: PathBuf,
-    fleet_cfg: ispy_fleet::FleetConfig,
-}
-
-fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
-    let mut parsed = FleetArgs {
-        positional: Vec::new(),
-        dir: PathBuf::from(DEFAULT_FLEET_DIR),
-        scale: Scale::full(),
-        machines: 9,
-        events: None,
-        apps: None,
-        cache_dir: PathBuf::from(DEFAULT_CACHE_DIR),
-        fleet_cfg: ispy_fleet::FleetConfig::default(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => parsed.scale = Scale::quick(),
-            "--test-scale" => parsed.scale = Scale::test(),
-            "--dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => parsed.dir = PathBuf::from(d),
-                    None => return Err("--dir needs a directory".to_string()),
-                }
-            }
-            "--machines" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => parsed.machines = n,
-                    _ => return Err("--machines needs a count >= 1".to_string()),
-                }
-            }
-            "--events" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => parsed.events = Some(n),
-                    _ => return Err("--events needs an event count >= 1".to_string()),
-                }
-            }
-            "--apps" => {
-                i += 1;
-                match args.get(i) {
-                    Some(list) => {
-                        parsed.apps = Some(list.split(',').map(|s| s.trim().to_string()).collect())
-                    }
-                    None => return Err("--apps needs a comma-separated list".to_string()),
-                }
-            }
-            "--line-vote" | "--ctx-vote" => {
-                let flag = args[i].clone();
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<f64>().ok()) {
-                    Some(v) if (0.0..=1.0).contains(&v) => {
-                        if flag == "--line-vote" {
-                            parsed.fleet_cfg.line_vote = v;
-                        } else {
-                            parsed.fleet_cfg.ctx_vote = v;
-                        }
-                    }
-                    _ => return Err(format!("{flag} needs a fraction in 0.0..=1.0")),
-                }
-            }
-            "--cache" => parsed.cache_dir = PathBuf::from(DEFAULT_CACHE_DIR),
-            flag if flag.starts_with("--cache=") => {
-                let dir = &flag["--cache=".len()..];
-                if dir.is_empty() {
-                    return Err("--cache=DIR needs a directory".to_string());
-                }
-                parsed.cache_dir = PathBuf::from(dir);
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => ispy_parallel::set_threads(n),
-                    _ => return Err("--jobs needs a thread count >= 1".to_string()),
-                }
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown fleet flag `{flag}`")),
-            other => parsed.positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    Ok(parsed)
-}
-
-/// `repro fleet <gen|ingest|merge|plan|serve>`: the fleet-scale plan
-/// pipeline (see `docs/FLEET.md`).
-///
-/// * `gen` synthesizes a fleet: per app, one representative `.itrace` plus
-///   `--machines` per-machine `.iprof` profiles over drifted input variants.
-/// * `ingest` scans a fleet directory into the canonical manifest and
-///   prints the per-app shard summary.
-/// * `merge` folds every app's members into a consensus `.iprof`
-///   (`<app>-consensus.iprof`) under the vote thresholds.
-/// * `plan` plans injections from each consensus profile against the app's
-///   representative recording (`<app>-consensus.iplan`).
-/// * `serve <app>...` answers plan requests through the three-tier path
-///   (warm cache → replan from aggregate → cold) and prints the per-tier
-///   telemetry counters.
-fn run_fleet(args: &[String]) -> ExitCode {
-    let Some(cmd) = args.first().map(String::as_str) else {
-        return fail("fleet needs a subcommand: gen|ingest|merge|plan|serve (see `repro` usage)");
-    };
-    let parsed = match parse_fleet_args(&args[1..]) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    match cmd {
-        "gen" => fleet_gen(parsed),
-        "ingest" => fleet_ingest(parsed),
-        "merge" => fleet_merge(parsed),
-        "plan" => fleet_plan(parsed),
-        "serve" => fleet_serve(parsed),
-        other => {
-            fail(&format!("unknown fleet subcommand `{other}`; try gen|ingest|merge|plan|serve"))
-        }
-    }
+/// `repro ingest <perf.txt>`: lift a perf-script LBR dump into `.itrace`.
+fn run_ingest(args: &Args) -> Result<(), String> {
+    let input = args.one("perf-script text file")?;
+    let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    let (program, trace) =
+        ispy_trace::ingest::parse_perf_script(&text).map_err(|e| e.to_string())?;
+    let path = args.out.clone().unwrap_or_else(|| PathBuf::from(input).with_extension("itrace"));
+    ispy_trace::artifact::write_recording(&program, &trace, &path).map_err(|e| e.to_string())?;
+    eprintln!(
+        "ingested {input}: {} blocks, {} events -> {}",
+        program.num_blocks(),
+        trace.len(),
+        path.display()
+    );
+    Ok(())
 }
 
 /// `repro fleet gen`: synthesize a fleet of per-machine profile artifacts.
@@ -911,32 +695,26 @@ fn run_fleet(args: &[String]) -> ExitCode {
 /// with a small deterministic trace-length spread, so the fleet covers
 /// several inputs of the same binary — the setting the consensus merge is
 /// for.
-fn fleet_gen(parsed: FleetArgs) -> ExitCode {
+fn fleet_gen(args: &Args) -> Result<(), String> {
     use ispy_profile::{profile, SampleRate};
-    let models = match resolve_models(&parsed.apps) {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = std::fs::create_dir_all(&parsed.dir) {
-        return fail(&format!("cannot create {}: {e}", parsed.dir.display()));
-    }
-    let events = parsed.events.unwrap_or(parsed.scale.events);
+    let models = args.models()?;
+    let (dir, scale, events) = (args.dir(), args.scale, args.scale.events);
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let t0 = Instant::now();
-    let prepared: Vec<(ispy_trace::AppModel, ispy_trace::Program)> =
-        ispy_parallel::par_map_vec(models, |m| {
-            let m = m.scaled_down(parsed.scale.shrink);
-            let p = m.generate();
-            (m, p)
-        });
+    let prepared: Vec<(AppModel, ispy_trace::Program)> = ispy_parallel::par_map_vec(models, |m| {
+        let m = m.scaled_down(scale.shrink);
+        let p = m.generate();
+        (m, p)
+    });
     // One representative recording per app, then the machine grid.
     let traces: Vec<Result<(), String>> = ispy_parallel::par_collect(prepared.len(), |i| {
         let (model, program) = &prepared[i];
         let trace = program.record_trace(model.default_input(), events);
-        let path = parsed.dir.join(format!("{}.itrace", model.name()));
+        let path = dir.join(format!("{}.itrace", model.name()));
         ispy_trace::artifact::write_recording(program, &trace, &path).map_err(|e| e.to_string())
     });
     let napps = prepared.len();
-    let machines = parsed.machines;
+    let machines = args.machines.unwrap_or(9);
     let profiles: Vec<Result<(), String>> = ispy_parallel::par_collect(napps * machines, |j| {
         let (model, program) = &prepared[j / machines];
         let m = j % machines;
@@ -946,31 +724,29 @@ fn fleet_gen(parsed: FleetArgs) -> ExitCode {
         let len = events + 61 * (m / 5);
         let trace = program.record_trace(model.input_variant(m % 5), len);
         let prof = profile(program, &trace, &ispy_sim::SimConfig::default(), SampleRate::EXACT);
-        let path = parsed.dir.join(format!("{}-m{m:04}.iprof", model.name()));
+        let path = dir.join(format!("{}-m{m:04}.iprof", model.name()));
         ispy_profile::artifact::write_profile(model.name(), &prof, &path).map_err(|e| e.to_string())
     });
-    for r in traces.iter().chain(profiles.iter()) {
-        if let Err(e) = r {
-            return fail(e);
-        }
-    }
+    traces.into_iter().chain(profiles).collect::<Result<(), String>>()?;
     eprintln!(
         "fleet gen: {napps} apps x {machines} machines -> {} profiles + {napps} traces in {} \
          ({:.1?})",
         napps * machines,
-        parsed.dir.display(),
+        dir.display(),
         t0.elapsed(),
     );
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Scans the fleet directory into its manifest.
+fn scan_fleet(dir: &Path) -> Result<ispy_fleet::FleetManifest, String> {
+    ispy_fleet::FleetManifest::scan(dir).map_err(|e| format!("cannot scan {}: {e}", dir.display()))
 }
 
 /// `repro fleet ingest`: scan the fleet directory, print per-app shards.
-fn fleet_ingest(parsed: FleetArgs) -> ExitCode {
-    let manifest = match ispy_fleet::FleetManifest::scan(&parsed.dir) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot scan {}: {e}", parsed.dir.display())),
-    };
-    println!("fleet dir: {}", parsed.dir.display());
+fn fleet_ingest(args: &Args) -> Result<(), String> {
+    let manifest = scan_fleet(args.dir())?;
+    println!("fleet dir: {}", args.dir().display());
     let apps = manifest.apps();
     for app in &apps {
         let members = manifest.profiles_for(app);
@@ -990,28 +766,21 @@ fn fleet_ingest(parsed: FleetArgs) -> ExitCode {
         manifest.traces.len(),
         apps.len()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `repro fleet merge`: consensus-merge every app's members.
-fn fleet_merge(parsed: FleetArgs) -> ExitCode {
-    let manifest = match ispy_fleet::FleetManifest::scan(&parsed.dir) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot scan {}: {e}", parsed.dir.display())),
-    };
+/// `repro fleet merge`: consensus-merge every app's members into
+/// `<app>-consensus.iprof` under the vote thresholds.
+fn fleet_merge(args: &Args) -> Result<(), String> {
+    let manifest = scan_fleet(args.dir())?;
     let t0 = Instant::now();
-    let merged = match ispy_fleet::merge_all(&manifest, parsed.fleet_cfg) {
-        Ok(m) => m,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let merged = ispy_fleet::merge_all(&manifest, args.fleet_cfg).map_err(|e| e.to_string())?;
     if merged.is_empty() {
-        return fail(&format!("no profile artifacts in {}", parsed.dir.display()));
+        return Err(format!("no profile artifacts in {}", args.dir().display()));
     }
     for (app, profile, stats) in &merged {
-        let path = ispy_fleet::store::consensus_profile_path(&parsed.dir, app);
-        if let Err(e) = ispy_profile::artifact::write_profile(app, profile, &path) {
-            return fail(&e.to_string());
-        }
+        let path = ispy_fleet::store::consensus_profile_path(args.dir(), app);
+        ispy_profile::artifact::write_profile(app, profile, &path).map_err(|e| e.to_string())?;
         println!(
             "merged {app}: {} members, {}/{} lines kept, {} predictors dropped, {} misses -> {}",
             stats.members,
@@ -1023,22 +792,17 @@ fn fleet_merge(parsed: FleetArgs) -> ExitCode {
         );
     }
     eprintln!("merged {} apps in {:.1?}", merged.len(), t0.elapsed());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `repro fleet plan`: plan from each consensus profile.
-fn fleet_plan(parsed: FleetArgs) -> ExitCode {
-    let manifest = match ispy_fleet::FleetManifest::scan(&parsed.dir) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot scan {}: {e}", parsed.dir.display())),
-    };
-    let apps: Vec<String> = match &parsed.apps {
-        Some(list) => list.clone(),
-        None => manifest.apps(),
-    };
+/// `repro fleet plan`: plan from each consensus profile
+/// (`<app>-consensus.iplan`).
+fn fleet_plan(args: &Args) -> Result<(), String> {
+    let manifest = scan_fleet(args.dir())?;
+    let apps = args.apps.clone().unwrap_or_else(|| manifest.apps());
     let mut planned = 0usize;
     for app in &apps {
-        let consensus_path = ispy_fleet::store::consensus_profile_path(&parsed.dir, app);
+        let consensus_path = ispy_fleet::store::consensus_profile_path(args.dir(), app);
         if !consensus_path.exists() {
             eprintln!("note: no consensus profile for `{app}` (run `repro fleet merge` first)");
             continue;
@@ -1047,14 +811,10 @@ fn fleet_plan(parsed: FleetArgs) -> ExitCode {
             eprintln!("note: no representative .itrace for `{app}`; cannot plan");
             continue;
         };
-        let (_label, consensus) = match ispy_profile::artifact::read_profile(&consensus_path) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&e.to_string()),
-        };
-        let (program, trace) = match ispy_trace::artifact::read_recording(&trace_entry.path) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&e.to_string()),
-        };
+        let (_label, consensus) =
+            ispy_profile::artifact::read_profile(&consensus_path).map_err(|e| e.to_string())?;
+        let (program, trace) =
+            ispy_trace::artifact::read_recording(&trace_entry.path).map_err(|e| e.to_string())?;
         let baseline = ispy_core::PlannerBaseline::new();
         let plan = ispy_fleet::plan_consensus(
             &program,
@@ -1063,10 +823,8 @@ fn fleet_plan(parsed: FleetArgs) -> ExitCode {
             ispy_core::IspyConfig::default(),
             &baseline,
         );
-        let path = ispy_fleet::store::consensus_plan_path(&parsed.dir, app);
-        if let Err(e) = ispy_core::artifact::write_plan(app, &plan, &path) {
-            return fail(&e.to_string());
-        }
+        let path = ispy_fleet::store::consensus_plan_path(args.dir(), app);
+        ispy_core::artifact::write_plan(app, &plan, &path).map_err(|e| e.to_string())?;
         println!(
             "planned {app} from consensus: {} ops at {} sites -> {}",
             plan.stats.ops_total(),
@@ -1076,35 +834,33 @@ fn fleet_plan(parsed: FleetArgs) -> ExitCode {
         planned += 1;
     }
     if planned == 0 {
-        return fail("nothing planned: no consensus artifacts found");
+        return Err("nothing planned: no consensus artifacts found".to_string());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `repro fleet serve <app>...`: the three-tier plan service.
-fn fleet_serve(parsed: FleetArgs) -> ExitCode {
-    if parsed.positional.is_empty() {
-        return fail(&format!(
-            "serve needs at least one app name; known: {}",
-            apps::NAMES.join(",")
-        ));
+/// `repro fleet serve <app>...`: the three-tier plan service; prints the
+/// per-tier telemetry counters.
+fn fleet_serve(args: &Args) -> Result<(), String> {
+    if args.positional.is_empty() {
+        let known = apps::NAMES.join(",");
+        return Err(format!("{} needs at least one app name; known: {known}", args.cmd));
     }
+    let cache_dir = args.cache.clone().unwrap_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR));
     let service = ispy_harness::fleet::PlanService::with_config(
-        &parsed.dir,
-        &parsed.cache_dir,
-        parsed.scale,
-        parsed.fleet_cfg,
+        args.dir(),
+        &cache_dir,
+        args.scale,
+        args.fleet_cfg,
     );
-    for app in &parsed.positional {
-        match service.serve(app) {
-            Ok(outcome) => println!(
-                "served {app} via {}: {} ops at {} sites",
-                outcome.tier.name(),
-                outcome.plan.stats.ops_total(),
-                outcome.plan.stats.sites,
-            ),
-            Err(e) => return fail(&e),
-        }
+    for app in &args.positional {
+        let outcome = service.serve(app)?;
+        println!(
+            "served {app} via {}: {} ops at {} sites",
+            outcome.tier.name(),
+            outcome.plan.stats.ops_total(),
+            outcome.plan.stats.sites,
+        );
     }
     let tele = ispy_telemetry::global();
     println!("serve tiers:");
@@ -1114,51 +870,142 @@ fn fleet_serve(parsed: FleetArgs) -> ExitCode {
         let ms = tele.spans().get(&name).map_or(0.0, |s| s.total_ms());
         println!("  {name:<18} hits={hits}   {ms:.1} ms");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Resolves `--apps` names to models (all nine when absent).
-fn resolve_models(names: &Option<Vec<String>>) -> Result<Vec<ispy_trace::AppModel>, String> {
-    match names {
-        None => Ok(apps::all()),
-        Some(names) => names
-            .iter()
-            .map(|name| {
-                apps::by_name(name).ok_or_else(|| {
-                    format!("unknown app `{name}`; known: {}", apps::NAMES.join(","))
-                })
-            })
-            .collect(),
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// `repro ingest <perf.txt>`: lift a perf-script LBR dump into `.itrace`.
-fn run_ingest(args: &[String]) -> ExitCode {
-    let parsed = match parse_artifact_args(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let out = parsed.out;
-    let [input] = parsed.positional.as_slice() else {
-        return fail("ingest needs exactly one perf-script text file");
-    };
-    let text = match std::fs::read_to_string(input) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {input}: {e}")),
-    };
-    let (program, trace) = match ispy_trace::ingest::parse_perf_script(&text) {
-        Ok(pair) => pair,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let path = out.unwrap_or_else(|| PathBuf::from(input).with_extension("itrace"));
-    if let Err(e) = ispy_trace::artifact::write_recording(&program, &trace, &path) {
-        return fail(&e.to_string());
+    fn parsed(line: &str) -> Result<Args, String> {
+        parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
-    eprintln!(
-        "ingested {input}: {} blocks, {} events -> {}",
-        program.num_blocks(),
-        trace.len(),
-        path.display()
-    );
-    ExitCode::SUCCESS
+
+    /// The `$REPRO …` commands of the CI workflow, cut at the first
+    /// redirection or pipe.
+    fn ci_commands() -> Vec<&'static str> {
+        let ci = include_str!("../../../../.github/workflows/ci.yml");
+        let cut = |cmd: &str| [" )", " |", " >", " 2>"].iter().filter_map(|s| cmd.find(s)).min();
+        ci.lines()
+            .filter_map(|line| line.split_once("$REPRO ").map(|(_, cmd)| cmd))
+            .map(|cmd| &cmd[..cut(cmd).unwrap_or(cmd.len())])
+            .collect()
+    }
+
+    /// `args` back as a command line, every flag in one fixed order.
+    fn render(a: &Args) -> String {
+        let mut words: Vec<String> = Vec::new();
+        if a.cmd != FIGURES.name {
+            words.push(a.cmd.to_string());
+        }
+        words.extend(a.positional.iter().cloned());
+        let mut base = Scale::full();
+        for (flag, scale) in [("--quick", Scale::quick()), ("--test-scale", Scale::test())] {
+            if a.scale.shrink == scale.shrink {
+                words.push(flag.to_string());
+                base = scale;
+            }
+        }
+        let path =
+            |flag: &str, p: &Option<PathBuf>| p.as_ref().map(|p| format!("{flag}{}", p.display()));
+        let count = |flag: &str, n: Option<usize>| n.map(|n| format!("{flag} {n}"));
+        let votes = (a.fleet_cfg != FleetConfig::default()).then(|| {
+            format!("--line-vote {} --ctx-vote {}", a.fleet_cfg.line_vote, a.fleet_cfg.ctx_vote)
+        });
+        words.extend(
+            [
+                count("--machines", a.machines),
+                count("--events", Some(a.scale.events).filter(|&n| n != base.events)),
+                path("--dir ", &a.dir),
+                a.apps.as_ref().map(|list| format!("--apps {}", list.join(","))),
+                path("--cache=", &a.cache),
+                count("--jobs", a.jobs),
+                path("--json ", &a.json),
+                path("--metrics ", &a.metrics),
+                count("--top", a.top),
+                path("-o ", &a.out),
+                path("--plan ", &a.plan),
+                a.stream.then(|| "--stream".to_string()),
+                a.check.then(|| "--check".to_string()),
+                a.drift.then(|| "--drift".to_string()),
+                count("--window", a.window),
+                count("--epochs", a.epochs),
+                votes,
+            ]
+            .into_iter()
+            .flatten(),
+        );
+        words.join(" ")
+    }
+
+    /// Each CI command parses to exactly its subcommand, positionals and
+    /// flag values: rendered back in the fixed order, it is the same line.
+    #[test]
+    fn every_ci_command_parses_to_its_subcommand_and_values() {
+        let commands = ci_commands();
+        assert!(commands.len() >= 35, "found only {} CI commands", commands.len());
+        for line in &commands {
+            let rendered = parsed(line).map(|args| render(&args));
+            match *line {
+                "plan kafka --test-scale --events 10" => {
+                    assert!(rendered.unwrap_err().contains("--events"))
+                }
+                "explain kafka --quick --json out/" => {
+                    assert!(rendered.unwrap_err().contains("--json"))
+                }
+                "replay --stream big.itrace" => {
+                    assert_eq!(rendered.unwrap(), "replay big.itrace --stream")
+                }
+                _ => assert_eq!(rendered.as_deref(), Ok(*line)),
+            }
+        }
+    }
+
+    #[test]
+    fn flag_order_does_not_matter() {
+        assert_eq!(parsed("record k --events 5 --quick"), parsed("record k --quick --events 5"));
+        assert_eq!(
+            parsed("record --quick --events 5 kafka").unwrap().scale,
+            Scale { events: 5, ..Scale::quick() }
+        );
+        assert_eq!(parsed("scenario --events 7 burst --test-scale").unwrap().scale.events, 7);
+        assert_eq!(parsed("fleet gen --events 9 --quick").unwrap().scale.events, 9);
+    }
+
+    #[test]
+    fn cache_takes_an_optional_directory() {
+        assert_eq!(parsed("all --cache").unwrap().cache, Some(PathBuf::from(DEFAULT_CACHE_DIR)));
+        assert_eq!(parsed("all --cache=art").unwrap().cache, Some(PathBuf::from("art")));
+        assert_eq!(parsed("all --cache=").unwrap_err(), "--cache=DIR needs a directory");
+    }
+
+    #[test]
+    fn a_missing_or_bad_value_is_an_error() {
+        for (line, err) in [
+            ("all --json", "--json needs a directory"),
+            ("record kafka -o", "-o needs a file path"),
+            ("scenario burst --jobs", "--jobs needs a thread count >= 1"),
+            ("replay f --plan", "--plan needs a .iplan file"),
+            ("fleet merge --line-vote 2", "--line-vote needs a fraction in 0.0..=1.0"),
+            ("adapt kafka --window x", "--window needs an event count >= 1"),
+            ("fleet", "fleet needs a subcommand: gen|ingest|merge|plan|serve"),
+        ] {
+            assert_eq!(parsed(line).unwrap_err(), err);
+        }
+    }
+
+    #[test]
+    fn unread_flags_and_zero_events_are_rejected_by_name() {
+        for (line, flag) in [
+            ("plan kafka --test-scale --events 10", "--events"),
+            ("ingest f --quick", "--quick"),
+            ("explain kafka --json d", "--json"),
+            ("record kafka --events 0", "--events"),
+            ("fig10 --top 3", "--top"),
+            ("fleet ingest --machines 3", "--machines"),
+        ] {
+            let err = parsed(line).expect_err(line);
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+    }
 }

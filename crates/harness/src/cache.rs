@@ -17,25 +17,13 @@ use crate::session::Scale;
 use ispy_baselines::asmdb::AsmDbConfig;
 use ispy_core::planner::Plan;
 use ispy_core::IspyConfig;
-use ispy_profile::Profile;
+use ispy_profile::{ContentHasher, Profile};
 use ispy_sim::SimConfig;
 use ispy_trace::{Program, Trace};
 use std::path::{Path, PathBuf};
 
 /// The default cache directory (`repro --cache` with no `=DIR`).
 pub const DEFAULT_CACHE_DIR: &str = ".ispy-cache";
-
-/// 64-bit FNV-1a over a byte string — stable across runs and platforms,
-/// which is all a cache key needs (this is not a security boundary; the
-/// artifact CRCs handle integrity).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A directory of memoized pipeline artifacts for one (scale, configs) key.
 #[derive(Debug, Clone)]
@@ -64,11 +52,15 @@ impl ArtifactCache {
             IspyConfig::default(),
             AsmDbConfig::default(),
         ));
+        // FNV-1a 64: stable across runs and platforms, which is all a cache
+        // key needs (the artifact CRCs handle integrity).
+        let mut key = ContentHasher::new();
+        key.write_bytes(key_src.as_bytes());
         ArtifactCache {
             dir: dir.into(),
             shrink: scale.shrink,
             events: scale.events,
-            key: fnv1a(key_src.as_bytes()),
+            key: key.finish(),
         }
     }
 

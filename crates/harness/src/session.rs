@@ -40,6 +40,13 @@ impl Scale {
     }
 }
 
+/// Paper scale.
+impl Default for Scale {
+    fn default() -> Self {
+        Scale::full()
+    }
+}
+
 /// One prepared application: model, program ("binary"), recorded trace of
 /// the profiled input, and its profile.
 #[derive(Debug)]

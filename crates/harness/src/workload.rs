@@ -1,7 +1,8 @@
-//! Deterministic engine workloads shared by the engine benchmark and the
-//! engine golden test.
+//! Deterministic engine workloads shared by the engine tests: the golden
+//! pins, the ledger suite, the parallel-determinism suite and the streaming
+//! equivalence tests.
 //!
-//! Both consumers need the same thing: a reproducible injection plan that
+//! They all need the same thing: a reproducible injection plan that
 //! exercises every engine path (plain, conditional, coalesced, and
 //! conditional-coalesced ops; firings, suppressions, useful/late/evicted
 //! lines) without depending on the planner, so the numbers pin the *engine*

@@ -26,12 +26,6 @@ impl LineMissStats {
         self.at_blocks.iter().max_by_key(|&(b, &c)| (c, std::cmp::Reverse(b.0))).map(|(&b, _)| b)
     }
 
-    /// First sampled miss at or after trace position `idx`, if any.
-    pub fn next_miss_at_or_after(&self, idx: u32) -> Option<u32> {
-        let i = self.positions.partition_point(|&p| p < idx);
-        self.positions.get(i).copied()
-    }
-
     /// A stable content digest of these stats: independent of `HashMap`
     /// iteration order and process hash seeds, equal iff the observable
     /// contents are equal. The incremental replanner keys its per-line memo
@@ -275,20 +269,6 @@ mod tests {
         mp.record(l, b(2), 1, &[]);
         mp.record(l, b(2), 2, &[]);
         assert_eq!(mp.line(l).unwrap().dominant_block(), Some(b(2)));
-    }
-
-    #[test]
-    fn next_miss_lookup() {
-        let mut mp = MissProfile::new();
-        let l = Line::new(1);
-        for idx in [5u32, 10, 20] {
-            mp.record(l, b(0), idx, &[]);
-        }
-        let s = mp.line(l).unwrap();
-        assert_eq!(s.next_miss_at_or_after(0), Some(5));
-        assert_eq!(s.next_miss_at_or_after(5), Some(5));
-        assert_eq!(s.next_miss_at_or_after(6), Some(10));
-        assert_eq!(s.next_miss_at_or_after(21), None);
     }
 
     #[test]

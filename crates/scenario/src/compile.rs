@@ -151,11 +151,6 @@ impl CompiledScenario {
         self.schedule.tenant_at(e)
     }
 
-    /// The phase governing trace event `e`.
-    pub fn phase_of_event(&self, e: u64) -> u32 {
-        self.schedule.phase_at(e)
-    }
-
     /// A fresh streaming source over the whole scenario, positioned at
     /// event 0.
     pub fn source(&self) -> ScenarioSource<'_> {
@@ -400,8 +395,6 @@ mod tests {
     #[test]
     fn phases_split_the_trace_in_declared_order() {
         let c = small("storm"); // four open-ended phases -> even split
-        assert_eq!(c.phase_of_event(0), 0);
-        assert_eq!(c.phase_of_event(c.total_events() - 1), 3);
         let ph = c.schedule().phases();
         assert_eq!(ph.len(), 3);
         assert_eq!(ph[0].0, c.total_events() / 4);

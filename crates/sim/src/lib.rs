@@ -36,7 +36,6 @@ pub mod hierarchy;
 pub mod lbr;
 pub mod metrics;
 pub mod outcome;
-pub mod replay;
 pub mod switch;
 
 pub use adaptive::{run_adaptive, AdaptiveRun, SliceWindows, WindowedBlockSource};
@@ -48,5 +47,4 @@ pub use hierarchy::{Hierarchy, ResidencyLevel};
 pub use lbr::{BloomSig, CountingBloom, Lbr};
 pub use metrics::SimResult;
 pub use outcome::{InjectionOutcome, OutcomeLedger};
-pub use replay::{replay_file_streaming, replay_stream, ReplayOutcome};
 pub use switch::{SwitchEffect, SwitchSchedule};

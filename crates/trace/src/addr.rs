@@ -89,11 +89,6 @@ impl Line {
         self.0
     }
 
-    /// First byte address of this line.
-    pub const fn base_addr(self) -> Addr {
-        Addr(self.0 * LINE_BYTES)
-    }
-
     /// The line `n` lines after this one.
     pub const fn offset(self, n: u64) -> Line {
         Line(self.0 + n)
@@ -133,7 +128,6 @@ mod tests {
     #[test]
     fn offsets() {
         assert_eq!(Addr::new(70).offset_in_line(), 6);
-        assert_eq!(Line::new(2).base_addr(), Addr::new(128));
     }
 
     #[test]

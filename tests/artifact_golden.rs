@@ -5,7 +5,7 @@
 use ispy_core::artifact::plan_to_bytes;
 use ispy_harness::cache::ArtifactCache;
 use ispy_harness::{figures, metrics, Scale, Session};
-use ispy_sim::{replay_stream, run, RunOptions, SimConfig};
+use ispy_sim::{run, run_streaming, RunOptions, SimConfig};
 use ispy_trace::apps;
 
 /// For every one of the nine applications, replaying through the `.itrace`
@@ -22,11 +22,14 @@ fn record_replay_is_byte_identical_for_all_nine_apps() {
         let trace = program.record_trace(model.default_input(), scale.events);
         let live = run(&program, &trace, &cfg, RunOptions::default());
         let bytes = ispy_trace::artifact::recording_to_bytes(&program, &trace);
-        let replayed = replay_stream(bytes.as_slice(), &cfg, RunOptions::default()).unwrap();
-        assert_eq!(replayed.name, name);
-        assert_eq!(replayed.result, live, "replay diverged for {name}");
+        let (decoded, mut events) =
+            ispy_trace::artifact::open_recording_stream(bytes.as_slice()).unwrap();
+        assert_eq!(decoded.name(), name);
+        assert_eq!(events.name(), trace.name());
+        let replayed = run_streaming(&decoded, &mut events, &cfg, RunOptions::default()).unwrap();
+        assert_eq!(replayed, live, "replay diverged for {name}");
         assert_eq!(
-            metrics::result_lines(name, &replayed.result),
+            metrics::result_lines(name, &replayed),
             metrics::result_lines(name, &live),
             "metric lines diverged for {name}"
         );

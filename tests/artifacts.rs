@@ -4,7 +4,7 @@
 
 use ispy_core::{IspyConfig, Planner};
 use ispy_profile::{profile, SampleRate};
-use ispy_sim::{replay_file_streaming, run, RunOptions, SimConfig};
+use ispy_sim::{run, run_streaming, RunOptions, SimConfig};
 use ispy_trace::{apps, ingest};
 
 /// xorshift64* — a tiny seeded generator so the corruption tests are
@@ -198,10 +198,12 @@ fn ingested_dump_replays_through_the_artifact_path() {
     let path = dir.join("ingested.itrace");
     ispy_trace::artifact::write_recording(&program, &trace, &path).unwrap();
     let live = run(&program, &trace, &SimConfig::default(), RunOptions::default());
+    let (decoded, mut events) = ispy_trace::artifact::open_recording_file(&path).unwrap();
+    assert_eq!(decoded.name(), "ingested");
+    assert_eq!(events.name(), trace.name());
     let replayed =
-        replay_file_streaming(&path, &SimConfig::default(), RunOptions::default()).unwrap();
-    assert_eq!(replayed.result, live);
-    assert_eq!(replayed.name, "ingested");
+        run_streaming(&decoded, &mut events, &SimConfig::default(), RunOptions::default()).unwrap();
+    assert_eq!(replayed, live);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,7 +5,7 @@
 //! surface a typed [`ArtifactError`], never a partial `SimResult`.
 
 use ispy_artifact::ArtifactError;
-use ispy_sim::{replay_stream, run, run_streaming, RunOptions, SimConfig};
+use ispy_sim::{run, run_streaming, RunOptions, SimConfig};
 use ispy_trace::artifact::{
     open_recording_stream, recording_from_bytes, recording_to_bytes, RecordingWriter, FRAME_EVENTS,
 };
@@ -101,9 +101,6 @@ fn decoder_chunk_size_never_changes_the_result() {
     let via_decoder = run_streaming(&decoded, &mut decoder, &cfg, RunOptions::default()).unwrap();
     assert_eq!(via_decoder, reference);
 
-    let replayed = replay_stream(bytes.as_slice(), &cfg, RunOptions::default()).unwrap();
-    assert_eq!(replayed.result, reference);
-
     // Writing only the first frame's events yields exactly the bytes that
     // precede the second frame, which locates it.
     let frame2 = recording_to_bytes(
@@ -115,8 +112,9 @@ fn decoder_chunk_size_never_changes_the_result() {
     corrupt[frame2 + 12 + 1000] ^= 0x10;
     let flipped = ArtifactError::SectionChecksum { id: 0x4000_0001 };
     assert_eq!(recording_from_bytes(&corrupt).unwrap_err(), flipped);
+    let (decoded, mut decoder) = open_recording_stream(corrupt.as_slice()).unwrap();
     assert_eq!(
-        replay_stream(corrupt.as_slice(), &cfg, RunOptions::default()).unwrap_err(),
+        run_streaming(&decoded, &mut decoder, &cfg, RunOptions::default()).unwrap_err(),
         flipped
     );
 }
@@ -152,7 +150,10 @@ fn truncation_is_always_a_typed_error() {
     let whole = run(&program, &trace, &SimConfig::default(), RunOptions::default());
     for keep_fraction in [30, 60, 90, 99] {
         let cut = bytes.len() * keep_fraction / 100;
-        let err = replay_stream(&bytes[..cut], &SimConfig::default(), RunOptions::default())
+        let err = open_recording_stream(&bytes[..cut])
+            .and_then(|(program, mut events)| {
+                run_streaming(&program, &mut events, &SimConfig::default(), RunOptions::default())
+            })
             .expect_err("truncated stream must not produce a result");
         assert!(
             matches!(
@@ -165,9 +166,11 @@ fn truncation_is_always_a_typed_error() {
         );
     }
     // And the untruncated stream still replays to the reference result.
-    let streamed = replay_stream(&bytes[..], &SimConfig::default(), RunOptions::default()).unwrap();
-    assert_eq!(streamed.name, program.name());
-    assert_eq!(streamed.result, whole);
+    let (decoded, mut events) = open_recording_stream(&bytes[..]).unwrap();
+    assert_eq!(decoded.name(), program.name());
+    let streamed =
+        run_streaming(&decoded, &mut events, &SimConfig::default(), RunOptions::default()).unwrap();
+    assert_eq!(streamed, whole);
 }
 
 /// The generator source really is the trace: a streamed record through
