@@ -6,8 +6,8 @@
 //! as 99 % for coverage, which is what destroys its accuracy — Fig. 3).
 //! It has neither conditional execution nor coalescing.
 
-use ispy_core::planner::{Plan, PlanStats};
-use ispy_core::window::{find_candidates, select_site};
+use ispy_core::planner::{Plan, PlanStats, PlannerBaseline};
+use ispy_core::window::{select_site, SiteCandidate, WindowSearch};
 use ispy_isa::{InjectionMap, PrefetchOp};
 use ispy_profile::Profile;
 use ispy_trace::Program;
@@ -64,12 +64,23 @@ impl<'a> AsmDbPlanner<'a> {
 
     /// Produces the AsmDB injection plan.
     pub fn plan(&self) -> Plan {
+        self.plan_with_baseline(&PlannerBaseline::new())
+    }
+
+    /// Produces the AsmDB injection plan, reading (and filling) the window
+    /// candidates cached in `baseline`. AsmDB searches the same timely
+    /// window as I-SPY, so after either planner has run on a shared
+    /// baseline the other finds its targets already searched. The plan is
+    /// identical to [`AsmDbPlanner::plan`]'s.
+    pub fn plan_with_baseline(&self, baseline: &PlannerBaseline) -> Plan {
         let mut stats = PlanStats {
             coalesced_distance_hist: vec![0; 8],
             lines_per_op_hist: vec![0; 9],
             ..Default::default()
         };
         let mut injections = InjectionMap::new();
+        let dyncfg_digest = self.profile.cfg.content_digest();
+        let mut search = WindowSearch::new();
         for (line, line_stats) in self.profile.misses.lines_by_count() {
             if line_stats.count < self.cfg.min_miss_count {
                 continue;
@@ -79,17 +90,25 @@ impl<'a> AsmDbPlanner<'a> {
                 stats.uncovered_lines += 1;
                 continue;
             };
-            let mut candidates = find_candidates(
+            let candidates = baseline.candidates_for(
+                &mut search,
                 &self.profile.cfg,
+                dyncfg_digest,
                 target_block,
-                self.cfg.min_prefetch_cycles,
-                self.cfg.max_prefetch_cycles,
-                self.cfg.max_search_nodes,
+                (
+                    self.cfg.min_prefetch_cycles,
+                    self.cfg.max_prefetch_cycles,
+                    self.cfg.max_search_nodes,
+                ),
             );
             // The fan-out threshold is AsmDB's coverage/accuracy dial: only
             // sites below it are admissible.
-            candidates.retain(|c| c.fanout() <= self.cfg.fanout_threshold);
-            let Some(site) = select_site(&self.profile.cfg, &candidates) else {
+            let admissible: Vec<SiteCandidate> = candidates
+                .iter()
+                .filter(|c| c.fanout() <= self.cfg.fanout_threshold)
+                .copied()
+                .collect();
+            let Some(site) = select_site(&self.profile.cfg, &admissible) else {
                 stats.uncovered_lines += 1;
                 continue;
             };
@@ -174,6 +193,24 @@ mod tests {
                 .plan();
         // Whatever remains covered was reached with probability 1.
         assert!(plan.stats.covered_lines <= plan.stats.target_lines);
+    }
+
+    #[test]
+    fn shared_baseline_plans_match_fresh_plans() {
+        use ispy_core::config::IspyConfig;
+        use ispy_core::planner::Planner;
+        let (program, trace, prof) = setup();
+        let asmdb = AsmDbPlanner::new(&program, &prof, AsmDbConfig::default());
+        let ispy = Planner::new(&program, &trace, &prof, IspyConfig::default());
+        let (fresh_asmdb, fresh_ispy) = (asmdb.plan(), ispy.plan());
+        // I-SPY first: AsmDB finds its windows already searched.
+        let baseline = PlannerBaseline::new();
+        assert_eq!(ispy.plan_with_baseline(&baseline), fresh_ispy);
+        assert_eq!(asmdb.plan_with_baseline(&baseline), fresh_asmdb);
+        // AsmDB first: I-SPY finds them instead.
+        let baseline = PlannerBaseline::new();
+        assert_eq!(asmdb.plan_with_baseline(&baseline), fresh_asmdb);
+        assert_eq!(ispy.plan_with_baseline(&baseline), fresh_ispy);
     }
 
     #[test]

@@ -5,12 +5,13 @@ use crate::config::IspyConfig;
 use crate::context::{discover_multi, ContextChoice};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
 use crate::window::{
-    find_candidates, select_covering_sites, SelectedSite, SelectionPolicy, SiteCandidate,
+    select_covering_sites, SelectedSite, SelectionPolicy, SiteCandidate, WindowSearch,
 };
 use ispy_isa::{ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
 use ispy_profile::scan::MAX_CANDIDATES;
 use ispy_profile::{
-    scan_joint, ContentHasher, JointCounts, JointQuery, LineMissStats, Profile, ProfileDelta,
+    scan_joint, ContentHasher, DynCfg, JointCounts, JointQuery, LineMissStats, Profile,
+    ProfileDelta,
 };
 use ispy_trace::{BlockId, Line, Program, Trace};
 use std::cell::OnceCell;
@@ -138,7 +139,8 @@ struct JointKey {
 /// * per-block trace positions (the joint queries' targets),
 /// * per-target window candidates, keyed by (dynamic-CFG digest, target
 ///   block, window parameters) — content-addressed, so the cache stays
-///   valid when the profile evolves,
+///   valid when the profile evolves; AsmDB's planner reads and fills the
+///   same entries ([`PlannerBaseline::candidates_for`]),
 /// * per-line ranked miss history (the predictor pool's lift-ordered
 ///   tail), keyed by a config-independent line content key (dynamic-CFG
 ///   digest, trace length, LBR depth, line-stats digest),
@@ -180,31 +182,29 @@ impl PlannerBaseline {
         Self::default()
     }
 
-    /// Window candidates for one target block under `planner`'s window
-    /// parameters, computed once per distinct (CFG, target, params) triple.
-    fn candidates_for(
+    /// Window candidates for one target block, searched with `search` once
+    /// per distinct (CFG, target, window) triple and then served from the
+    /// cache. `window` is (min cycles, max cycles, expansion cap), as
+    /// [`WindowSearch::candidates`] takes them. Every planner that plans
+    /// against this baseline shares the entries: I-SPY and AsmDB search the
+    /// same window on the same CFG. `dyncfg_digest` must be
+    /// `dyncfg.content_digest()`.
+    pub fn candidates_for(
         &self,
-        planner: &Planner,
+        search: &mut WindowSearch,
+        dyncfg: &DynCfg,
         dyncfg_digest: u64,
         target_block: BlockId,
+        window: (u32, u32, usize),
     ) -> Arc<Vec<SiteCandidate>> {
-        let cfg = &planner.cfg;
-        let key: CandidateKey = (
-            dyncfg_digest,
-            target_block.0,
-            (cfg.min_prefetch_cycles, cfg.max_prefetch_cycles, cfg.max_search_nodes),
-        );
         let mut cache = self.candidates.lock().expect("candidates lock");
+        let key: CandidateKey = (dyncfg_digest, target_block.0, window);
         if let Some(v) = cache.get(&key) {
             return Arc::clone(v);
         }
-        let v = Arc::new(find_candidates(
-            &planner.profile.cfg,
-            target_block,
-            cfg.min_prefetch_cycles,
-            cfg.max_prefetch_cycles,
-            cfg.max_search_nodes,
-        ));
+        let (min_cycles, max_cycles, max_nodes) = window;
+        let v =
+            Arc::new(search.candidates(dyncfg, target_block, min_cycles, max_cycles, max_nodes));
         cache.insert(key, Arc::clone(&v));
         v
     }
@@ -524,6 +524,7 @@ impl<'a> Planner<'a> {
         };
         let mut memo_hits = 0u64;
         let mut memo_misses = 0u64;
+        let mut search = WindowSearch::new();
 
         // ---- Pass 1: site selection + joint-query construction. ----------
         let mut covered: Vec<(Line, Source)> = Vec::new();
@@ -575,15 +576,21 @@ impl<'a> Planner<'a> {
                 }
                 continue;
             };
+            let (min, max, cap) = (
+                self.cfg.min_prefetch_cycles,
+                self.cfg.max_prefetch_cycles,
+                self.cfg.max_search_nodes,
+            );
+            let dyncfg = &self.profile.cfg;
             let candidates = match baseline {
-                Some(b) => b.candidates_for(self, dyncfg_digest, target_block),
-                None => Arc::new(find_candidates(
-                    &self.profile.cfg,
+                Some(b) => b.candidates_for(
+                    &mut search,
+                    dyncfg,
+                    dyncfg_digest,
                     target_block,
-                    self.cfg.min_prefetch_cycles,
-                    self.cfg.max_prefetch_cycles,
-                    self.cfg.max_search_nodes,
-                )),
+                    (min, max, cap),
+                ),
+                None => Arc::new(search.candidates(dyncfg, target_block, min, max, cap)),
             };
             // Coverage- and precision-driven multi-site selection: a miss
             // reached over several paths gets one prefetch per covering

@@ -14,6 +14,11 @@ pub struct DynCfg {
     avg_cycles: Vec<f64>,
     succs: Vec<Vec<(BlockId, u64)>>,
     preds: Vec<Vec<(BlockId, u64)>>,
+    /// Edge probabilities of every block's `preds`, concatenated in block
+    /// order; block `b`'s run is `pred_start[b]..pred_start[b + 1]`. Derived
+    /// from `succs`, so the content digest skips them.
+    pred_probs: Vec<f64>,
+    pred_start: Vec<u32>,
 }
 
 impl DynCfg {
@@ -42,7 +47,19 @@ impl DynCfg {
         for adj in succs.iter_mut().chain(preds.iter_mut()) {
             adj.sort_by_key(|&(b, w)| (std::cmp::Reverse(w), b));
         }
-        DynCfg { exec, avg_cycles, succs, preds }
+        let out_total: Vec<u64> =
+            succs.iter().map(|adj| adj.iter().map(|&(_, w)| w).sum()).collect();
+        let mut pred_probs = Vec::with_capacity(preds.iter().map(Vec::len).sum());
+        let mut pred_start = Vec::with_capacity(n + 1);
+        pred_start.push(0);
+        for adj in &preds {
+            pred_probs.extend(adj.iter().map(|&(from, w)| match out_total[from.index()] {
+                0 => 0.0,
+                total => w as f64 / total as f64,
+            }));
+            pred_start.push(pred_probs.len() as u32);
+        }
+        DynCfg { exec, avg_cycles, succs, preds, pred_probs, pred_start }
     }
 
     /// Number of blocks the CFG covers.
@@ -71,14 +88,13 @@ impl DynCfg {
         &self.preds[b.index()]
     }
 
-    /// Probability of taking the edge `from -> to` given `from` executed.
-    pub fn edge_prob(&self, from: BlockId, to: BlockId) -> f64 {
-        let total: u64 = self.succs[from.index()].iter().map(|&(_, w)| w).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let w = self.succs[from.index()].iter().find(|&&(b, _)| b == to).map_or(0, |&(_, w)| w);
-        w as f64 / total as f64
+    /// Edge probabilities parallel to [`DynCfg::preds`]: entry `i` is the
+    /// probability that `preds(b)[i]`, once executed, continues to `b` (its
+    /// taken count over the sum of its successors' taken counts; 0 when it
+    /// has none). Computed once, when the CFG is built.
+    pub fn pred_probs(&self, b: BlockId) -> &[f64] {
+        let (start, end) = (self.pred_start[b.index()], self.pred_start[b.index() + 1]);
+        &self.pred_probs[start as usize..end as usize]
     }
 
     /// A stable content digest of the whole CFG: execution counts, average
@@ -137,10 +153,21 @@ mod tests {
     #[test]
     fn edge_probabilities() {
         let g = simple();
-        assert!((g.edge_prob(BlockId(0), BlockId(1)) - 0.75).abs() < 1e-12);
-        assert!((g.edge_prob(BlockId(0), BlockId(2)) - 0.25).abs() < 1e-12);
-        assert_eq!(g.edge_prob(BlockId(0), BlockId(3)), 0.0);
-        assert_eq!(g.edge_prob(BlockId(3), BlockId(0)), 0.0);
+        // Block 0 is the only predecessor of 1 and of 2.
+        assert_eq!(g.preds(BlockId(1)), &[(BlockId(0), 30)]);
+        assert!((g.pred_probs(BlockId(1))[0] - 0.75).abs() < 1e-12);
+        assert!((g.pred_probs(BlockId(2))[0] - 0.25).abs() < 1e-12);
+        // 1 and 2 each always continue to 3; 0 has no edge to 3, and
+        // nothing leads to 0.
+        assert_eq!(g.preds(BlockId(3)), &[(BlockId(1), 30), (BlockId(2), 10)]);
+        assert_eq!(g.pred_probs(BlockId(3)), &[1.0, 1.0]);
+        assert!(g.pred_probs(BlockId(0)).is_empty());
+        // A zero-weight edge out of a block with no taken successors.
+        let z = DynCfg::new(vec![1, 1], vec![1.0; 2], [((0, 1), 0)]);
+        assert_eq!(z.pred_probs(BlockId(1)), &[0.0]);
+        for b in (0..4).map(BlockId) {
+            assert_eq!(g.pred_probs(b).len(), g.preds(b).len());
+        }
     }
 
     #[test]
