@@ -147,14 +147,21 @@ struct JointKey {
 /// * joint LBR statistics per (site, target, horizon, LBR depth,
 ///   candidates) query — the linear trace scans feeding
 ///   [`crate::context::discover_multi`],
-/// * a per-line outcome memo keyed by a digest of everything one line's
-///   plan depends on (its miss stats, the dynamic CFG, the full config,
-///   and the trace dimensions) — the engine behind
-///   [`Planner::replan_delta`].
+/// * a per-line outcome memo with one slot per (line, config): each slot is
+///   keyed by the plan's base digest (`Planner::base_digest`: the dynamic
+///   CFG, the trace dimensions, and every config field passes 1–2.5 read)
+///   and checked against a digest that adds that line's miss stats — the
+///   engine behind [`Planner::replan_delta`]. Pass 3's knobs
+///   (`coalesce_bits`, `coalescing`, `hash`) are not in the key, so config
+///   points that differ only in them reuse every line outcome.
 ///
 /// Sensitivity sweeps (Figs. 12/17/18/19 and the ablations) replan the same
 /// app under many configs; with a shared baseline each distinct trace scan
-/// runs once instead of once per config point. A baseline is valid for one
+/// runs once instead of once per config point, and each line is analyzed
+/// once per distinct pass-1–2.5 config. The memo holds at most one slot
+/// per line for every such config planned against the baseline; every
+/// caller plans a fixed config set per baseline (a figure's grid, one
+/// algorithm per fleet app, one adaptive config). A baseline is valid for one
 /// fixed (program, trace) pair — callers (the harness `Session`) keep one
 /// per prepared app. The *profile* may evolve between plans via miss-only
 /// deltas ([`ispy_profile::Profile::apply_miss_delta`]): every cached value
@@ -166,15 +173,24 @@ struct JointKey {
 /// concurrent fills compute the same values. Cache misses are computed
 /// under the cache lock, so concurrent sweeps of one app serialize their
 /// scans instead of duplicating them (plans for *different* apps use
-/// different baselines and stay fully parallel).
+/// different baselines and stay fully parallel). Likewise, concurrent plans
+/// that share a base digest run their line analysis (passes 1–2.5) one at
+/// a time, so each (line, config) outcome is computed once and the memo's
+/// hit counts do not depend on the schedule; their pass 3 and plans of
+/// other configs stay parallel.
 #[derive(Debug, Default)]
 pub struct PlannerBaseline {
     positions: Mutex<HashMap<u32, Arc<Vec<u32>>>>,
     candidates: Mutex<HashMap<CandidateKey, Arc<Vec<SiteCandidate>>>>,
     ranked: Mutex<HashMap<RankKey, Arc<Vec<BlockId>>>>,
     joint: Mutex<HashMap<JointKey, Arc<JointCounts>>>,
-    line_memo: Mutex<HashMap<u64, (u64, Arc<LineOutcome>)>>,
+    line_memo: Mutex<HashMap<u64, Vec<MemoSlot>>>,
+    /// One analysis lock per base digest (see the type docs).
+    analysis_locks: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
 }
+
+/// One per-line memo slot: (base digest, line digest, outcome).
+type MemoSlot = (u64, u64, Arc<LineOutcome>);
 
 impl PlannerBaseline {
     /// Creates an empty baseline (caches fill lazily on first use).
@@ -209,19 +225,42 @@ impl PlannerBaseline {
         v
     }
 
-    /// The memoized outcome for `line_raw`, if its stored digest matches.
-    fn memo_lookup(&self, line_raw: u64, digest: u64) -> Option<Arc<LineOutcome>> {
+    /// The analysis lock of the config `base_digest` names.
+    fn analysis_lock(&self, base_digest: u64) -> Arc<Mutex<()>> {
+        let mut locks = self.analysis_locks.lock().expect("analysis locks");
+        Arc::clone(locks.entry(base_digest).or_default())
+    }
+
+    /// The memoized outcome for `line_raw` under the config `base_digest`
+    /// names, if that slot's stored line digest matches.
+    fn memo_lookup(
+        &self,
+        line_raw: u64,
+        base_digest: u64,
+        digest: u64,
+    ) -> Option<Arc<LineOutcome>> {
         let cache = self.line_memo.lock().expect("memo lock");
-        cache.get(&line_raw).filter(|(d, _)| *d == digest).map(|(_, o)| Arc::clone(o))
+        let slots = cache.get(&line_raw)?;
+        slots
+            .iter()
+            .find(|(b, d, _)| *b == base_digest && *d == digest)
+            .map(|(.., o)| Arc::clone(o))
     }
 
-    /// Stores (overwriting) one line's outcome under its digest.
-    fn memo_store(&self, line_raw: u64, digest: u64, outcome: Arc<LineOutcome>) {
-        self.line_memo.lock().expect("memo lock").insert(line_raw, (digest, outcome));
+    /// Stores one line's outcome in its `base_digest` slot, overwriting
+    /// that slot only: the line's slots for other configs stay.
+    fn memo_store(&self, line_raw: u64, base_digest: u64, digest: u64, outcome: Arc<LineOutcome>) {
+        let mut cache = self.line_memo.lock().expect("memo lock");
+        let slots = cache.entry(line_raw).or_default();
+        match slots.iter_mut().find(|(b, ..)| *b == base_digest) {
+            Some(slot) => *slot = (base_digest, digest, outcome),
+            None => slots.push((base_digest, digest, outcome)),
+        }
     }
 
-    /// Drops the memo slots of `lines` (the digest check would reject them
-    /// anyway; eager removal keeps the map from accumulating dead slots).
+    /// Drops every memo slot of `lines`, whatever config stored it (the
+    /// digest check would reject them anyway; eager removal keeps the map
+    /// from accumulating dead slots).
     fn invalidate_lines(&self, lines: &[Line]) {
         let mut cache = self.line_memo.lock().expect("memo lock");
         for l in lines {
@@ -502,8 +541,10 @@ impl<'a> Planner<'a> {
             rank_key: RankKey,
             target_block: BlockId,
             ranked: OnceCell<Arc<Vec<BlockId>>>,
+            /// The line's window candidates; those no entry chose are the
+            /// spares pass 2.5 retries.
+            candidates: Arc<Vec<SiteCandidate>>,
             entries: Vec<Pending>,
-            spares: Vec<SiteCandidate>,
             retry: Vec<Pending>,
         }
         // Where a covered line's outcome comes from, in miss-count order.
@@ -522,11 +563,15 @@ impl<'a> Planner<'a> {
         } else {
             (0, 0)
         };
+        // Plans of one config analyze lines one at a time, through memoize.
+        let analysis_lock = baseline.map(|b| b.analysis_lock(base_digest));
+        let analysis = analysis_lock.as_deref().map(|l| l.lock().expect("analysis lock"));
         let mut memo_hits = 0u64;
         let mut memo_misses = 0u64;
         let mut search = WindowSearch::new();
 
         // ---- Pass 1: site selection + joint-query construction. ----------
+        let select_span = tele.span("core.plan.select");
         let mut covered: Vec<(Line, Source)> = Vec::new();
         let mut fresh: Vec<FreshLine> = Vec::new();
         let mut queries: Vec<JointQuery> = Vec::new();
@@ -548,7 +593,7 @@ impl<'a> Planner<'a> {
                 h.write_u64(line.raw());
                 h.write_u64(line_digest);
                 digest = h.finish();
-                if let Some(outcome) = b.memo_lookup(line.raw(), digest) {
+                if let Some(outcome) = b.memo_lookup(line.raw(), base_digest, digest) {
                     memo_hits += 1;
                     match outcome.as_ref() {
                         LineOutcome::NoDominant => stats.uncovered_lines += 1,
@@ -572,7 +617,8 @@ impl<'a> Planner<'a> {
             let Some(target_block) = line_stats.dominant_block() else {
                 stats.uncovered_lines += 1;
                 if let Some(b) = baseline {
-                    b.memo_store(line.raw(), digest, Arc::new(LineOutcome::NoDominant));
+                    let outcome = Arc::new(LineOutcome::NoDominant);
+                    b.memo_store(line.raw(), base_digest, digest, outcome);
                 }
                 continue;
             };
@@ -619,18 +665,12 @@ impl<'a> Planner<'a> {
                     stats.lines_no_candidates += 1;
                 }
                 if let Some(b) = baseline {
-                    b.memo_store(
-                        line.raw(),
-                        digest,
-                        Arc::new(LineOutcome::NoSites { had_candidates }),
-                    );
+                    let outcome = Arc::new(LineOutcome::NoSites { had_candidates });
+                    b.memo_store(line.raw(), base_digest, digest, outcome);
                 }
                 continue;
             }
             stats.covered_lines += 1;
-            let chosen_blocks: Vec<BlockId> = sites.iter().map(|s| s.cand.block).collect();
-            let spares: Vec<SiteCandidate> =
-                candidates.iter().filter(|c| !chosen_blocks.contains(&c.block)).copied().collect();
             let mut entries: Vec<Pending> = Vec::new();
             let ranked = OnceCell::new();
 
@@ -681,19 +721,22 @@ impl<'a> Planner<'a> {
                 rank_key,
                 target_block,
                 ranked,
+                candidates,
                 entries,
-                spares,
                 retry: Vec::new(),
             });
         }
+        drop(select_span);
 
         // ---- Pass 2: one linear scan answers every context query. --------
         // Fresh lines only — memoized lines already carry their decisions.
         let results = if queries.is_empty() {
             Vec::new()
         } else {
+            let _scan_span = tele.span("core.plan.scan");
             self.resolve_queries(&mut queries, &query_targets, baseline)
         };
+        let context_span = tele.span("core.plan.context");
         for fl in &mut fresh {
             for entry in &mut fl.entries {
                 let Some(qi) = entry.query else {
@@ -738,6 +781,7 @@ impl<'a> Planner<'a> {
                 }
             }
         }
+        drop(context_span);
 
         // ---- Pass 2.5: retry lines whose every injection was dropped. -----
         // A line can lose all its first-choice sites when none of them finds
@@ -745,16 +789,26 @@ impl<'a> Planner<'a> {
         // attempt (always as conditional sites). Fresh lines only: a
         // memoized line carries its retry entries in its stored outcome.
         if self.cfg.conditional && self.cfg.ctx_size > 0 {
+            let retry_span = tele.span("core.plan.retry");
             let mut retry_queries: Vec<JointQuery> = Vec::new();
             let mut retry_targets: Vec<BlockId> = Vec::new();
             for fl in &mut fresh {
-                if fl.spares.is_empty() || fl.entries.iter().any(|e| !e.dropped) {
+                if fl.entries.iter().any(|e| !e.dropped) {
+                    continue;
+                }
+                // The spares: window candidates no pass-1 site took.
+                let mut ranked: Vec<SiteCandidate> = fl
+                    .candidates
+                    .iter()
+                    .filter(|c| fl.entries.iter().all(|e| e.site.cand.block != c.block))
+                    .copied()
+                    .collect();
+                if ranked.is_empty() {
                     continue;
                 }
                 let line = fl.line;
                 let target_block = fl.target_block;
                 let Some(line_stats) = self.profile.misses.line(line) else { continue };
-                let mut ranked = fl.spares.clone();
                 let presence =
                     |b: BlockId| line_stats.history_presence.get(&b).copied().unwrap_or(0);
                 ranked.sort_by(|a, b| {
@@ -809,8 +863,13 @@ impl<'a> Planner<'a> {
                     });
                 }
             }
+            drop(retry_span);
             if !retry_queries.is_empty() {
-                let results = self.resolve_queries(&mut retry_queries, &retry_targets, baseline);
+                let results = {
+                    let _scan_span = tele.span("core.plan.scan");
+                    self.resolve_queries(&mut retry_queries, &retry_targets, baseline)
+                };
+                let _retry_span = tele.span("core.plan.retry");
                 for fl in &mut fresh {
                     for entry in &mut fl.retry {
                         let counts = &results[entry.query.expect("retry entries carry queries")];
@@ -840,6 +899,7 @@ impl<'a> Planner<'a> {
         }
 
         // ---- Memoize: fresh lines' finished outcomes, by content digest. --
+        let emit_span = tele.span("core.plan.emit");
         let fresh_outcomes: Vec<Arc<LineOutcome>> = fresh
             .iter()
             .map(|fl| {
@@ -848,11 +908,12 @@ impl<'a> Planner<'a> {
                     retry: fl.retry.iter().map(MemoEntry::from_pending).collect(),
                 });
                 if let Some(b) = baseline {
-                    b.memo_store(fl.line.raw(), fl.digest, Arc::clone(&outcome));
+                    b.memo_store(fl.line.raw(), base_digest, fl.digest, Arc::clone(&outcome));
                 }
                 outcome
             })
             .collect();
+        drop(analysis);
 
         // ---- Pass 3: group by (site, context), coalesce, emit. ------------
         // Canonical order, independent of the memo/fresh split: every
@@ -979,6 +1040,7 @@ impl<'a> Planner<'a> {
         stats.sites = injections.num_sites();
         stats.injected_bytes = injections.injected_bytes();
         stats.static_increase = injections.static_increase(self.program.text_bytes());
+        drop(emit_span);
         tele.add("core.plan.calls", 1);
         tele.add("core.plan.target_lines", stats.target_lines as u64);
         tele.add("core.plan.covered_lines", stats.covered_lines as u64);
@@ -1008,8 +1070,12 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Config+profile-shape digest shared by every line digest of one plan:
-    /// the dynamic CFG, the trace dimensions, and the full [`IspyConfig`].
+    /// Config+profile-shape digest shared by every line digest of one plan,
+    /// and the key of the plan's memo slot on each line: the dynamic CFG,
+    /// the trace dimensions, and every [`IspyConfig`] field passes 1–2.5
+    /// read. Pass 3's fields (`coalesce_bits`, `coalescing`, `hash`) are
+    /// left out: they are read fresh on every plan, from the memoized
+    /// entries, so plans that differ only in them share every line outcome.
     fn base_digest(&self, dyncfg_digest: u64) -> u64 {
         let c = &self.cfg;
         let mut h = ContentHasher::new();
@@ -1018,13 +1084,9 @@ impl<'a> Planner<'a> {
         h.write_usize(self.profile.lbr_depth);
         h.write_u32(c.min_prefetch_cycles);
         h.write_u32(c.max_prefetch_cycles);
-        h.write_u32(u32::from(c.coalesce_bits));
         h.write_usize(c.ctx_size);
         h.write_usize(c.ctx_candidates);
-        h.write_u32(u32::from(c.hash.bits()));
-        h.write_u32(u32::from(c.hash.k()));
         h.write_u32(u32::from(c.conditional));
-        h.write_u32(u32::from(c.coalescing));
         h.write_u64(c.min_miss_count);
         h.write_u64(c.min_ctx_support);
         h.write_f64(c.ctx_gain_margin);
@@ -1094,6 +1156,7 @@ impl<'a> Planner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ispy_isa::HashConfig;
     use ispy_profile::{profile, SampleRate};
     use ispy_sim::{run, RunOptions, SimConfig};
     use ispy_trace::apps;
@@ -1198,7 +1261,9 @@ mod tests {
         // come from caches warmed by *other* variants. Both orders run on a
         // fresh baseline, so each cache is filled first by a different
         // variant (e.g. the ranked histories by the 8- and by the
-        // 6-candidate configs).
+        // 6-candidate configs). The last variants differ from another one
+        // only in pass 3's knobs (coalescing width, coalescing, hash), so
+        // they replay every line outcome from that variant's memo slot.
         let model = apps::cassandra().scaled_down(30);
         let program = model.generate();
         let trace = program.record_trace(model.default_input(), 25_000);
@@ -1213,6 +1278,12 @@ mod tests {
             IspyConfig::default().with_distances(15, 200),
             IspyConfig::default().with_distances(27, 120),
             IspyConfig::default().with_coalesce_bits(4),
+            IspyConfig::default().with_coalesce_bits(1),
+            IspyConfig::coalescing_only().with_coalesce_bits(2),
+            IspyConfig { coalescing: false, ..IspyConfig::default().with_ctx_size(2) },
+            IspyConfig::default().with_hash(HashConfig::new(8, 2)),
+            IspyConfig::default().with_hash(HashConfig::new(16, 1)),
+            IspyConfig::conditional_only().with_hash(HashConfig::new(4, 1)).with_coalesce_bits(2),
         ];
         let fresh: Vec<Plan> = variants
             .iter()
@@ -1236,6 +1307,33 @@ mod tests {
                 assert_eq!(fresh.provenance, reused.provenance, "cfg {cfg:?}, reversed {reversed}");
             }
         }
+    }
+
+    #[test]
+    fn memo_keeps_one_slot_per_config_and_invalidation_drops_them_all() {
+        let model = apps::kafka().scaled_down(30);
+        let program = model.generate();
+        let trace = program.record_trace(model.default_input(), 15_000);
+        let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
+        let baseline = PlannerBaseline::new();
+        let slots = |line: u64| baseline.line_memo.lock().unwrap().get(&line).map_or(0, Vec::len);
+        let plan = |cfg: IspyConfig| Planner::new(&program, &trace, &prof, cfg);
+        let lines: Vec<Line> = prof.misses.lines_by_count().iter().map(|(l, _)| *l).collect();
+        let a = plan(IspyConfig::default());
+        let b = plan(IspyConfig::default().with_distances(15, 200));
+        a.plan_with_baseline(&baseline);
+        assert!(lines.iter().all(|l| slots(l.raw()) == 1));
+        // Pass-3-only knobs reuse A's slot; a pass-1 knob adds a second.
+        plan(IspyConfig::default().with_coalesce_bits(2)).plan_with_baseline(&baseline);
+        plan(IspyConfig::default().with_hash(HashConfig::new(8, 1))).plan_with_baseline(&baseline);
+        assert!(lines.iter().all(|l| slots(l.raw()) == 1));
+        b.plan_with_baseline(&baseline);
+        a.plan_with_baseline(&baseline);
+        assert!(lines.iter().all(|l| slots(l.raw()) == 2));
+        let (touched, kept) = lines.split_at(lines.len() / 2);
+        baseline.invalidate_lines(touched);
+        assert!(touched.iter().all(|l| slots(l.raw()) == 0));
+        assert!(kept.iter().all(|l| slots(l.raw()) == 2));
     }
 
     #[test]

@@ -286,8 +286,15 @@ pub fn select_covering_sites(
     if miss_count == 0 || policy.max_sites == 0 {
         return Vec::new();
     }
-    let mut ranked: Vec<(u64, SiteCandidate)> =
-        candidates.iter().map(|&c| (presence(c.block), c)).collect();
+    let frac = |pres: u64| pres as f64 / miss_count as f64;
+    // Candidates under the coverage floor can never be chosen (the fraction
+    // is monotone in presence, so they would all sort after the last site
+    // that passes it): drop them before the sort.
+    let mut ranked: Vec<(u64, SiteCandidate)> = candidates
+        .iter()
+        .map(|&c| (presence(c.block), c))
+        .filter(|&(pres, _)| frac(pres).partial_cmp(&policy.min_presence) != Some(Ordering::Less))
+        .collect();
     // Highest coverage first; among equals prefer *closer* sites — the
     // prefetched line spends less time exposed to eviction before use.
     ranked.sort_by(|a, b| {
@@ -298,10 +305,7 @@ pub fn select_covering_sites(
     let mut chosen: Vec<SelectedSite> = Vec::new();
     let mut cum = 0.0;
     for (pres, cand) in ranked {
-        let presence_frac = pres as f64 / miss_count as f64;
-        if presence_frac < policy.min_presence {
-            break;
-        }
+        let presence_frac = frac(pres);
         let execs = exec_count(cand.block).max(1);
         let precision = (pres as f64 / execs as f64).min(1.0);
         let needs_ctx = precision < policy.min_unconditional_precision;

@@ -183,3 +183,35 @@ fn out_of_order_window_arrival_plans_identically() {
         .replan_delta(&baseline, &ProfileDelta::default());
     assert_plans_equal(&replan, &plan_f, "cross-arrival-order memo reuse");
 }
+
+#[test]
+fn replan_delta_drops_every_configs_memo_slot() {
+    // One baseline warmed under two configs with different pass-1 windows
+    // holds two memo slots per line. A delta must invalidate both: each
+    // config's replan equals its fresh plan over the updated profile.
+    let (program, trace, full, samples) = prepared(apps::kafka().scaled_down(40), 10_000);
+    let removed = removal_set(&full, &samples, 0x5eed);
+    let add_back = ProfileDelta { added: removed.clone(), ..Default::default() };
+    let remove = ProfileDelta { removed, ..Default::default() };
+    let configs = [IspyConfig::default(), IspyConfig::default().with_distances(15, 200)];
+    let mut profile = full.clone();
+    profile.apply_miss_delta(&remove);
+    let baseline = PlannerBaseline::new();
+    for cfg in &configs {
+        let _warm =
+            Planner::new(&program, &trace, &profile, cfg.clone()).plan_with_baseline(&baseline);
+    }
+    profile.apply_miss_delta(&add_back);
+    for cfg in &configs {
+        let planner = Planner::new(&program, &trace, &profile, cfg.clone());
+        let replan = planner.replan_delta(&baseline, &add_back);
+        assert_plans_equal(&replan, &planner.plan(), &format!("{cfg:?} after the delta"));
+    }
+    // An empty delta invalidates nothing: each config replans from its own
+    // slots, re-analyzing only the lines the other config's replan dropped.
+    for cfg in &configs {
+        let planner = Planner::new(&program, &trace, &profile, cfg.clone());
+        let replan = planner.replan_delta(&baseline, &ProfileDelta::default());
+        assert_plans_equal(&replan, &planner.plan(), &format!("{cfg:?} from the memo"));
+    }
+}
