@@ -6,10 +6,10 @@
 //! as 99 % for coverage, which is what destroys its accuracy — Fig. 3).
 //! It has neither conditional execution nor coalescing.
 
-use ispy_core::planner::{Plan, PlanStats, PlannerBaseline};
-use ispy_core::window::{select_site, SiteCandidate, WindowSearch};
+use ispy_core::planner::{Plan, PlanStats};
+use ispy_core::window::select_site;
 use ispy_isa::{InjectionMap, PrefetchOp};
-use ispy_profile::Profile;
+use ispy_profile::{Profile, SiteCandidate};
 use ispy_trace::Program;
 
 /// AsmDB configuration.
@@ -62,25 +62,18 @@ impl<'a> AsmDbPlanner<'a> {
         AsmDbPlanner { program, profile, cfg }
     }
 
-    /// Produces the AsmDB injection plan.
+    /// Produces the AsmDB injection plan. AsmDB searches the same timely
+    /// window as I-SPY, through the profile's memo
+    /// ([`ispy_profile::DynCfg::window_candidates`]), so after either
+    /// planner has run on a profile the other finds its targets already
+    /// searched.
     pub fn plan(&self) -> Plan {
-        self.plan_with_baseline(&PlannerBaseline::new())
-    }
-
-    /// Produces the AsmDB injection plan, reading (and filling) the window
-    /// candidates cached in `baseline`. AsmDB searches the same timely
-    /// window as I-SPY, so after either planner has run on a shared
-    /// baseline the other finds its targets already searched. The plan is
-    /// identical to [`AsmDbPlanner::plan`]'s.
-    pub fn plan_with_baseline(&self, baseline: &PlannerBaseline) -> Plan {
         let mut stats = PlanStats {
             coalesced_distance_hist: vec![0; 8],
             lines_per_op_hist: vec![0; 9],
             ..Default::default()
         };
         let mut injections = InjectionMap::new();
-        let dyncfg_digest = self.profile.cfg.content_digest();
-        let mut search = WindowSearch::new();
         for (line, line_stats) in self.profile.misses.lines_by_count() {
             if line_stats.count < self.cfg.min_miss_count {
                 continue;
@@ -90,16 +83,11 @@ impl<'a> AsmDbPlanner<'a> {
                 stats.uncovered_lines += 1;
                 continue;
             };
-            let candidates = baseline.candidates_for(
-                &mut search,
-                &self.profile.cfg,
-                dyncfg_digest,
+            let candidates = self.profile.cfg.window_candidates(
                 target_block,
-                (
-                    self.cfg.min_prefetch_cycles,
-                    self.cfg.max_prefetch_cycles,
-                    self.cfg.max_search_nodes,
-                ),
+                self.cfg.min_prefetch_cycles,
+                self.cfg.max_prefetch_cycles,
+                self.cfg.max_search_nodes,
             );
             // The fan-out threshold is AsmDB's coverage/accuracy dial: only
             // sites below it are admissible.
@@ -199,18 +187,22 @@ mod tests {
     fn shared_baseline_plans_match_fresh_plans() {
         use ispy_core::config::IspyConfig;
         use ispy_core::planner::Planner;
+        use ispy_profile::artifact::{profile_from_bytes, profile_to_bytes};
         let (program, trace, prof) = setup();
-        let asmdb = AsmDbPlanner::new(&program, &prof, AsmDbConfig::default());
-        let ispy = Planner::new(&program, &trace, &prof, IspyConfig::default());
-        let (fresh_asmdb, fresh_ispy) = (asmdb.plan(), ispy.plan());
+        // A decoded copy's CFG carries no window searches yet.
+        let bytes = profile_to_bytes("cassandra", &prof);
+        let fresh = || profile_from_bytes(&bytes).expect("round trip").1;
+        let asmdb = |p: &Profile| AsmDbPlanner::new(&program, p, AsmDbConfig::default()).plan();
+        let ispy = |p: &Profile| Planner::new(&program, &trace, p, IspyConfig::default()).plan();
+        let (fresh_asmdb, fresh_ispy) = (asmdb(&fresh()), ispy(&fresh()));
         // I-SPY first: AsmDB finds its windows already searched.
-        let baseline = PlannerBaseline::new();
-        assert_eq!(ispy.plan_with_baseline(&baseline), fresh_ispy);
-        assert_eq!(asmdb.plan_with_baseline(&baseline), fresh_asmdb);
+        let shared = fresh();
+        assert_eq!(ispy(&shared), fresh_ispy);
+        assert_eq!(asmdb(&shared), fresh_asmdb);
         // AsmDB first: I-SPY finds them instead.
-        let baseline = PlannerBaseline::new();
-        assert_eq!(asmdb.plan_with_baseline(&baseline), fresh_asmdb);
-        assert_eq!(ispy.plan_with_baseline(&baseline), fresh_ispy);
+        let shared = fresh();
+        assert_eq!(asmdb(&shared), fresh_asmdb);
+        assert_eq!(ispy(&shared), fresh_ispy);
     }
 
     #[test]

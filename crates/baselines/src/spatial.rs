@@ -12,7 +12,7 @@
 //! non-contiguous) to motivate bitmask-based coalescing.
 
 use ispy_core::planner::{Plan, PlanStats};
-use ispy_core::window::{select_site, WindowSearch};
+use ispy_core::window::select_site;
 use ispy_isa::{CoalesceMask, InjectionMap, PrefetchOp};
 use ispy_profile::Profile;
 use ispy_trace::{Line, Program};
@@ -68,7 +68,6 @@ impl<'a> SpatialPlanner<'a> {
         let missing: HashSet<u64> = self.profile.misses.iter().map(|(l, _)| l.raw()).collect();
         // Lines already covered as part of an earlier op's window.
         let mut covered: HashSet<u64> = HashSet::new();
-        let mut search = WindowSearch::new();
 
         for (line, line_stats) in self.profile.misses.lines_by_count() {
             if line_stats.count < self.cfg_min_count() {
@@ -83,8 +82,7 @@ impl<'a> SpatialPlanner<'a> {
                 stats.uncovered_lines += 1;
                 continue;
             };
-            let candidates = search.candidates(
-                &self.profile.cfg,
+            let candidates = self.profile.cfg.window_candidates(
                 target_block,
                 self.min_cycles,
                 self.max_cycles,

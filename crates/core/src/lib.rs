@@ -5,7 +5,8 @@
 //!
 //! 1. **When/where** — a *timely* injection site 27–200 cycles before the
 //!    miss, found by a bounded highest-probability-path search over the
-//!    dynamic CFG ([`window`]).
+//!    dynamic CFG ([`ispy_profile::window`]) and chosen by coverage and
+//!    precision ([`window`]).
 //! 2. **Under which condition** — a miss-inducing *context* of up to four
 //!    predictor basic blocks, chosen by exact conditional probability
 //!    ([`context`]); encoded as a 16-bit Bloom-style context hash.
@@ -48,4 +49,3 @@ pub mod window;
 pub use config::IspyConfig;
 pub use planner::{Plan, PlanStats, Planner, PlannerBaseline};
 pub use provenance::{PlannedLine, ProvenanceRecord};
-pub use window::SiteCandidate;

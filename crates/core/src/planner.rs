@@ -4,18 +4,16 @@ use crate::coalesce::{coalesce_lines, CoalescedGroup};
 use crate::config::IspyConfig;
 use crate::context::{discover_multi, ContextChoice};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
-use crate::window::{
-    select_covering_sites, SelectedSite, SelectionPolicy, SiteCandidate, WindowSearch,
-};
+use crate::window::{select_covering_sites, SelectedSite, SelectionPolicy};
 use ispy_isa::{ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
 use ispy_profile::scan::MAX_CANDIDATES;
 use ispy_profile::{
-    scan_joint, ContentHasher, DynCfg, JointCounts, JointQuery, LineMissStats, Profile,
-    ProfileDelta,
+    scan_joint, ContentHasher, JointCounts, JointQuery, LineMissStats, Profile, ProfileDelta,
+    SiteCandidate,
 };
 use ispy_trace::{BlockId, Line, Program, Trace};
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Aggregate statistics about a produced plan.
@@ -102,17 +100,6 @@ pub struct Plan {
     pub provenance: Vec<ProvenanceRecord>,
 }
 
-/// Window-search parameters that shape a line's site candidates: changing
-/// any of them invalidates cached candidate lists.
-type WindowKey = (u32, u32, usize);
-
-/// Identity of one cached candidate search: the dynamic CFG it walked (by
-/// content digest), the block it searched back from, and the window
-/// parameters. Content addressing makes the cache safe across profile
-/// updates — a changed CFG or a shifted dominant block simply keys a new
-/// entry instead of serving a stale one.
-type CandidateKey = (u64, u32, WindowKey);
-
 /// Identity of one line's ranked miss history: the dynamic CFG (by content
 /// digest), the trace length and LBR depth that set each block's base
 /// rate, and the line's stats digest (which also fixes its dominant
@@ -120,27 +107,14 @@ type CandidateKey = (u64, u32, WindowKey);
 /// sweep shares one entry per line.
 type RankKey = (u64, usize, usize, u64);
 
-/// Identity of one joint-scan query. The target positions are derived from
-/// the target block over the (fixed) trace, so the block id stands in for
-/// them; everything else is the query verbatim, plus the LBR depth the scan
-/// was run at.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct JointKey {
-    site: u32,
-    target: u32,
-    horizon: u32,
-    lbr: usize,
-    candidates: Vec<u32>,
-}
+/// Joint-scan answers by the LBR depth the scan ran at, then by the query
+/// verbatim (its target is a block of the fixed trace).
+type JointCache = HashMap<usize, HashMap<JointQuery, Arc<JointCounts>>>;
 
 /// Reusable, thread-safe caches for [`Planner::plan`]'s staged
-/// intermediates:
+/// intermediates (window candidates are not among them: they live in the
+/// profile's [`ispy_profile::DynCfg`], which every planner over it shares):
 ///
-/// * per-block trace positions (the joint queries' targets),
-/// * per-target window candidates, keyed by (dynamic-CFG digest, target
-///   block, window parameters) — content-addressed, so the cache stays
-///   valid when the profile evolves; AsmDB's planner reads and fills the
-///   same entries ([`PlannerBaseline::candidates_for`]),
 /// * per-line ranked miss history (the predictor pool's lift-ordered
 ///   tail), keyed by a config-independent line content key (dynamic-CFG
 ///   digest, trace length, LBR depth, line-stats digest),
@@ -180,10 +154,8 @@ struct JointKey {
 /// other configs stay parallel.
 #[derive(Debug, Default)]
 pub struct PlannerBaseline {
-    positions: Mutex<HashMap<u32, Arc<Vec<u32>>>>,
-    candidates: Mutex<HashMap<CandidateKey, Arc<Vec<SiteCandidate>>>>,
     ranked: Mutex<HashMap<RankKey, Arc<Vec<BlockId>>>>,
-    joint: Mutex<HashMap<JointKey, Arc<JointCounts>>>,
+    joint: Mutex<JointCache>,
     line_memo: Mutex<HashMap<u64, Vec<MemoSlot>>>,
     /// One analysis lock per base digest (see the type docs).
     analysis_locks: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
@@ -196,33 +168,6 @@ impl PlannerBaseline {
     /// Creates an empty baseline (caches fill lazily on first use).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Window candidates for one target block, searched with `search` once
-    /// per distinct (CFG, target, window) triple and then served from the
-    /// cache. `window` is (min cycles, max cycles, expansion cap), as
-    /// [`WindowSearch::candidates`] takes them. Every planner that plans
-    /// against this baseline shares the entries: I-SPY and AsmDB search the
-    /// same window on the same CFG. `dyncfg_digest` must be
-    /// `dyncfg.content_digest()`.
-    pub fn candidates_for(
-        &self,
-        search: &mut WindowSearch,
-        dyncfg: &DynCfg,
-        dyncfg_digest: u64,
-        target_block: BlockId,
-        window: (u32, u32, usize),
-    ) -> Arc<Vec<SiteCandidate>> {
-        let mut cache = self.candidates.lock().expect("candidates lock");
-        let key: CandidateKey = (dyncfg_digest, target_block.0, window);
-        if let Some(v) = cache.get(&key) {
-            return Arc::clone(v);
-        }
-        let (min_cycles, max_cycles, max_nodes) = window;
-        let v =
-            Arc::new(search.candidates(dyncfg, target_block, min_cycles, max_cycles, max_nodes));
-        cache.insert(key, Arc::clone(&v));
-        v
     }
 
     /// The analysis lock of the config `base_digest` names.
@@ -268,75 +213,40 @@ impl PlannerBaseline {
         }
     }
 
-    /// Answers `queries` (targets given as blocks) from the joint cache,
-    /// scanning the trace once for whatever subset is uncached.
-    fn resolve_joint(
-        &self,
-        planner: &Planner,
-        queries: &[JointQuery],
-        targets: &[BlockId],
-    ) -> Vec<Arc<JointCounts>> {
-        let keys: Vec<JointKey> = queries
-            .iter()
-            .zip(targets)
-            .map(|(q, t)| JointKey {
-                site: q.site.0,
-                target: t.0,
-                horizon: q.horizon_blocks,
-                lbr: planner.profile.lbr_depth,
-                candidates: q.candidates.iter().map(|b| b.0).collect(),
-            })
-            .collect();
+    /// Answers `queries` from the joint cache, scanning the trace once for
+    /// whatever distinct subset is uncached.
+    fn resolve_joint(&self, planner: &Planner, queries: &[JointQuery]) -> Vec<Arc<JointCounts>> {
+        let lbr = planner.profile.lbr_depth;
         let mut cache = self.joint.lock().expect("joint lock");
-        let missing: Vec<usize> =
-            (0..queries.len()).filter(|&i| !cache.contains_key(&keys[i])).collect();
-        if !missing.is_empty() {
-            let mut positions = self.positions.lock().expect("positions lock");
-            let uncached: Vec<BlockId> = missing
-                .iter()
-                .map(|&i| targets[i])
-                .filter(|b| !positions.contains_key(&b.0))
-                .collect();
-            for (b, v) in trace_positions(planner.trace, &uncached) {
-                positions.insert(b, Arc::new(v));
-            }
-            let subset: Vec<JointQuery> = missing
-                .iter()
-                .map(|&i| {
-                    let mut q = queries[i].clone();
-                    q.target_positions = positions[&targets[i].0].as_ref().clone();
-                    q
-                })
-                .collect();
-            let results = scan_joint(planner.trace, planner.profile.lbr_depth, &subset);
-            for (&i, counts) in missing.iter().zip(results) {
-                cache.insert(keys[i].clone(), Arc::new(counts));
-            }
+        let cache = cache.entry(lbr).or_default();
+        let mut asked: HashSet<&JointQuery> = HashSet::new();
+        let missing: Vec<JointQuery> = queries
+            .iter()
+            .filter(|&q| !cache.contains_key(q) && asked.insert(q))
+            .cloned()
+            .collect();
+        let results = scan_joint(planner.trace, lbr, &missing);
+        for (q, counts) in missing.into_iter().zip(results) {
+            cache.insert(q, Arc::new(counts));
         }
-        keys.iter().map(|k| Arc::clone(&cache[k])).collect()
+        queries.iter().map(|q| Arc::clone(&cache[q])).collect()
     }
 }
 
-/// Ascending trace positions of each distinct block in `blocks` (the joint
-/// queries' targets), from one pass over `trace`.
-fn trace_positions(trace: &Trace, blocks: &[BlockId]) -> HashMap<u32, Vec<u32>> {
-    // `slot[b]`: 1 + the index of `b`'s list in `lists` (0 = not asked for),
-    // so the pass costs one array read per trace event.
-    let mut slot = vec![0usize; blocks.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
-    let mut lists: Vec<(u32, Vec<u32>)> = Vec::new();
-    for b in blocks {
-        if slot[b.index()] == 0 {
-            lists.push((b.0, Vec::new()));
-            slot[b.index()] = lists.len();
-        }
-    }
-    for (idx, block) in trace.iter().enumerate() {
-        if let Some(&s) = slot.get(block.index()).filter(|&&s| s != 0) {
-            lists[s - 1].1.push(idx as u32);
-        }
-    }
-    lists.into_iter().collect()
-}
+/// Direct predecessors of a site that enter its predictor pool.
+const SITE_PREDS: usize = 3;
+
+/// Predecessors of the site's top predecessor that enter its predictor
+/// pool.
+const TOP_PRED_PREDS: usize = 2;
+
+/// The most ranked-history entries [`Planner::predictor_candidates`] can
+/// read: it takes at most [`MAX_CANDIDATES`] of them, and it skips only the
+/// site itself and the ≤ `SITE_PREDS + TOP_PRED_PREDS` into-site blocks
+/// (ranked entries are distinct and never the target). A longer history
+/// would change no predictor pool, so [`Planner::ranked_history`] keeps
+/// only this many.
+const RANKED_HISTORY_LEN: usize = MAX_CANDIDATES + SITE_PREDS + TOP_PRED_PREDS + 1;
 
 /// Pass-3 grouping key: (site block, sorted context-block ids).
 type GroupKey = (u32, Vec<u32>);
@@ -425,11 +335,12 @@ impl<'a> Planner<'a> {
         &self.cfg
     }
 
-    /// The miss-history half of a line's predictor pool: blocks present in
-    /// the line's miss histories, minus `target_block`, that pass the
-    /// presence and lift floors, ordered by lift over their base rate
-    /// (descending, ties by block id). Depends on the profile alone, so it
-    /// is computed once per line and shared by all of the line's sites.
+    /// The miss-history half of a line's predictor pool: the top
+    /// [`RANKED_HISTORY_LEN`] blocks present in the line's miss histories,
+    /// minus `target_block`, that pass the presence and lift floors, ordered
+    /// by lift over their base rate (descending, ties by block id). Depends
+    /// on the profile alone, so it is computed once per line and shared by
+    /// all of the line's sites.
     fn ranked_history(&self, line_stats: &LineMissStats, target_block: BlockId) -> Vec<BlockId> {
         let trace_len = self.profile.trace_len.max(1) as f64;
         let depth = self.profile.lbr_depth as f64;
@@ -451,10 +362,17 @@ impl<'a> Planner<'a> {
                 (lift >= 1.2).then_some((lift, b))
             })
             .collect();
-        // NaN lifts fail the floor above, so this order is total.
-        scored.sort_by(|a, b| {
+        // NaN lifts fail the floor above and blocks are distinct, so this
+        // order is total: the top entries are one set, whatever the
+        // selection's internal order.
+        let by_lift = |a: &(f64, BlockId), b: &(f64, BlockId)| {
             b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1 .0.cmp(&b.1 .0))
-        });
+        };
+        if scored.len() > RANKED_HISTORY_LEN {
+            scored.select_nth_unstable_by(RANKED_HISTORY_LEN - 1, by_lift);
+            scored.truncate(RANKED_HISTORY_LEN);
+        }
+        scored.sort_unstable_by(by_lift);
         scored.into_iter().map(|(_, b)| b).collect()
     }
 
@@ -473,19 +391,25 @@ impl<'a> Planner<'a> {
         // recent predecessors.
         let dyncfg = &self.profile.cfg;
         let site_preds = dyncfg.preds(site_block);
-        let into_site = site_preds.iter().take(3).chain(
-            site_preds.first().into_iter().flat_map(|&(top, _)| dyncfg.preds(top).iter().take(2)),
+        let into_site = site_preds.iter().take(SITE_PREDS).chain(
+            site_preds
+                .first()
+                .into_iter()
+                .flat_map(|&(top, _)| dyncfg.preds(top).iter().take(TOP_PRED_PREDS)),
         );
         let cap = self.cfg.ctx_candidates.min(MAX_CANDIDATES);
         let mut predictors: Vec<BlockId> = Vec::with_capacity(cap);
-        for b in into_site.map(|&(p, _)| p).chain(ranked.iter().copied()) {
-            if predictors.len() == cap {
-                break;
-            }
+        let mut history = ranked.iter().copied();
+        let mut pool = into_site.map(|&(p, _)| p).chain(history.by_ref());
+        while predictors.len() < cap {
+            let Some(b) = pool.next() else { break };
             if b != site_block && b != target_block && !predictors.contains(&b) {
                 predictors.push(b);
             }
         }
+        // The history entries read: those taken, plus those skipped for
+        // being the site or an into-site block already taken.
+        debug_assert!(ranked.len() - history.len() <= RANKED_HISTORY_LEN);
         predictors
     }
 
@@ -506,22 +430,15 @@ impl<'a> Planner<'a> {
     /// batch) or through the baseline's cache.
     fn resolve_queries(
         &self,
-        queries: &mut [JointQuery],
-        targets: &[BlockId],
+        queries: &[JointQuery],
         baseline: Option<&PlannerBaseline>,
     ) -> Vec<Arc<JointCounts>> {
         match baseline {
-            None => {
-                let positions = trace_positions(self.trace, targets);
-                for (q, target) in queries.iter_mut().zip(targets) {
-                    q.target_positions = positions[&target.0].clone();
-                }
-                scan_joint(self.trace, self.profile.lbr_depth, queries)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect()
-            }
-            Some(b) => b.resolve_joint(self, queries, targets),
+            None => scan_joint(self.trace, self.profile.lbr_depth, queries)
+                .into_iter()
+                .map(Arc::new)
+                .collect(),
+            Some(b) => b.resolve_joint(self, queries),
         }
     }
 
@@ -568,15 +485,12 @@ impl<'a> Planner<'a> {
         let analysis = analysis_lock.as_deref().map(|l| l.lock().expect("analysis lock"));
         let mut memo_hits = 0u64;
         let mut memo_misses = 0u64;
-        let mut search = WindowSearch::new();
 
         // ---- Pass 1: site selection + joint-query construction. ----------
         let select_span = tele.span("core.plan.select");
         let mut covered: Vec<(Line, Source)> = Vec::new();
         let mut fresh: Vec<FreshLine> = Vec::new();
         let mut queries: Vec<JointQuery> = Vec::new();
-        // Miss block each query targets; positions are filled in afterwards.
-        let mut query_targets: Vec<BlockId> = Vec::new();
         for (line, line_stats) in self.profile.misses.lines_by_count() {
             if line_stats.count < self.cfg.min_miss_count {
                 continue;
@@ -622,22 +536,12 @@ impl<'a> Planner<'a> {
                 }
                 continue;
             };
-            let (min, max, cap) = (
+            let candidates = self.profile.cfg.window_candidates(
+                target_block,
                 self.cfg.min_prefetch_cycles,
                 self.cfg.max_prefetch_cycles,
                 self.cfg.max_search_nodes,
             );
-            let dyncfg = &self.profile.cfg;
-            let candidates = match baseline {
-                Some(b) => b.candidates_for(
-                    &mut search,
-                    dyncfg,
-                    dyncfg_digest,
-                    target_block,
-                    (min, max, cap),
-                ),
-                None => Arc::new(search.candidates(dyncfg, target_block, min, max, cap)),
-            };
             // Coverage- and precision-driven multi-site selection: a miss
             // reached over several paths gets one prefetch per covering
             // path; imprecise sites are admitted only because the run-time
@@ -699,15 +603,13 @@ impl<'a> Planner<'a> {
                         // re-occurring: misses are self-erasing once the
                         // line is cached, whereas the prefetch should fire
                         // whenever the line is about to be needed (a
-                        // resident prefetch is cheap, §VII). The block's
-                        // trace positions are filled in after this pass.
+                        // resident prefetch is cheap, §VII).
                         queries.push(JointQuery {
                             site: site.cand.block,
-                            target_positions: Vec::new(),
+                            target: target_block,
                             candidates: predictors.clone(),
                             horizon_blocks: horizon,
                         });
-                        query_targets.push(target_block);
                         entry.query = Some(queries.len() - 1);
                         entry.candidates = predictors;
                     }
@@ -734,7 +636,7 @@ impl<'a> Planner<'a> {
             Vec::new()
         } else {
             let _scan_span = tele.span("core.plan.scan");
-            self.resolve_queries(&mut queries, &query_targets, baseline)
+            self.resolve_queries(&queries, baseline)
         };
         let context_span = tele.span("core.plan.context");
         for fl in &mut fresh {
@@ -791,7 +693,6 @@ impl<'a> Planner<'a> {
         if self.cfg.conditional && self.cfg.ctx_size > 0 {
             let retry_span = tele.span("core.plan.retry");
             let mut retry_queries: Vec<JointQuery> = Vec::new();
-            let mut retry_targets: Vec<BlockId> = Vec::new();
             for fl in &mut fresh {
                 if fl.entries.iter().any(|e| !e.dropped) {
                     continue;
@@ -849,11 +750,10 @@ impl<'a> Planner<'a> {
                     let horizon = (cand.blocks * 3).max(64);
                     retry_queries.push(JointQuery {
                         site: cand.block,
-                        target_positions: Vec::new(),
+                        target: target_block,
                         candidates: predictors.clone(),
                         horizon_blocks: horizon,
                     });
-                    retry_targets.push(target_block);
                     fl.retry.push(Pending {
                         site,
                         query: Some(retry_queries.len() - 1),
@@ -867,7 +767,7 @@ impl<'a> Planner<'a> {
             if !retry_queries.is_empty() {
                 let results = {
                     let _scan_span = tele.span("core.plan.scan");
-                    self.resolve_queries(&mut retry_queries, &retry_targets, baseline)
+                    self.resolve_queries(&retry_queries, baseline)
                 };
                 let _retry_span = tele.span("core.plan.retry");
                 for fl in &mut fresh {
@@ -1336,6 +1236,26 @@ mod tests {
         assert!(kept.iter().all(|l| slots(l.raw()) == 2));
     }
 
+    /// Every history block of `s` passing the presence and lift floors, in
+    /// full lift order (descending, ties by ascending block id) — the
+    /// ranking before [`Planner::ranked_history`] keeps its top entries.
+    fn full_ranking(prof: &Profile, s: &LineMissStats, target: BlockId) -> Vec<BlockId> {
+        let (trace_len, depth) = (prof.trace_len as f64, prof.lbr_depth as f64);
+        let lift = |b: BlockId| {
+            let frac = s.history_presence[&b] as f64 / s.count as f64;
+            let base = prof.cfg.exec_count(b) as f64 * depth / trace_len;
+            (frac >= 0.05).then_some(frac / base.clamp(1e-9, 1.0))
+        };
+        let mut kept: Vec<(f64, BlockId)> = s
+            .history_presence
+            .keys()
+            .filter(|&&b| b != target)
+            .filter_map(|&b| lift(b).filter(|&l| l >= 1.2).map(|l| (l, b)))
+            .collect();
+        kept.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1 .0.cmp(&b.1 .0)));
+        kept.into_iter().map(|(_, b)| b).collect()
+    }
+
     #[test]
     fn ranked_history_order_and_exclusion() {
         let model = apps::cassandra().scaled_down(30);
@@ -1343,36 +1263,68 @@ mod tests {
         let trace = program.record_trace(model.default_input(), 20_000);
         let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
         let planner = Planner::new(&program, &trace, &prof, IspyConfig::default());
-        let (trace_len, depth) = (prof.trace_len as f64, prof.lbr_depth as f64);
-        let frac = |s: &LineMissStats, b: BlockId| s.history_presence[&b] as f64 / s.count as f64;
-        let lift = |s: &LineMissStats, b: BlockId| {
-            let base = prof.cfg.exec_count(b) as f64 * depth / trace_len;
-            frac(s, b) / base.clamp(1e-9, 1.0)
-        };
-        let mut ranked_total = 0;
+        let (mut ranked_total, mut truncated) = (0, 0);
         for (_, s) in prof.misses.lines_by_count().into_iter().take(60) {
             let target = s.dominant_block().expect("a missed line has a block");
             let ranked = planner.ranked_history(s, target);
             assert!(!ranked.contains(&target), "the miss block is never its own predictor");
-            // Exactly the history blocks passing the presence and lift floors...
-            let mut kept: Vec<u32> = s
-                .history_presence
-                .keys()
-                .filter(|&&b| b != target && frac(s, b) >= 0.05 && lift(s, b) >= 1.2)
-                .map(|b| b.0)
-                .collect();
-            let mut got: Vec<u32> = ranked.iter().map(|b| b.0).collect();
-            kept.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(got, kept);
-            // ...by descending lift, ties by ascending block id.
-            for w in ranked.windows(2) {
-                let (a, b) = (lift(s, w[0]), lift(s, w[1]));
-                assert!(a > b || (a == b && w[0].0 < w[1].0), "{w:?}: lifts {a} then {b}");
-            }
+            // The top of the full lift order: the history blocks passing
+            // the presence and lift floors, by descending lift, ties by
+            // ascending block id, cut at the most entries a predictor pool
+            // can read.
+            let full = full_ranking(&prof, s, target);
+            assert_eq!(ranked, full[..full.len().min(RANKED_HISTORY_LEN)]);
             ranked_total += ranked.len();
+            truncated += usize::from(full.len() > RANKED_HISTORY_LEN);
         }
         assert!(ranked_total > 0);
+        assert!(truncated > 0, "no line's history was long enough to be cut");
+    }
+
+    #[test]
+    fn truncated_history_gives_full_history_predictor_pools() {
+        // Keeping only the top ranked entries must change no predictor
+        // pool: every line, every window candidate of it (the selected
+        // sites and the retry spares alike), every pool size.
+        let mut pools = 0;
+        for model in apps::all() {
+            let model = model.scaled_down(30);
+            let program = model.generate();
+            let trace = program.record_trace(model.default_input(), 15_000);
+            let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
+            let planners: Vec<Planner> = (1..=8)
+                .map(|n| {
+                    let cfg = IspyConfig { ctx_candidates: n, ..IspyConfig::default() };
+                    Planner::new(&program, &trace, &prof, cfg)
+                })
+                .collect();
+            let c = &planners[0].cfg;
+            for (_, s) in prof.misses.lines_by_count() {
+                let Some(target) = s.dominant_block() else { continue };
+                let ranked = planners[0].ranked_history(s, target);
+                let full = full_ranking(&prof, s, target);
+                let sites = prof.cfg.window_candidates(
+                    target,
+                    c.min_prefetch_cycles,
+                    c.max_prefetch_cycles,
+                    c.max_search_nodes,
+                );
+                for site in sites.iter() {
+                    for p in &planners {
+                        assert_eq!(
+                            p.predictor_candidates(&ranked, site.block, target),
+                            p.predictor_candidates(&full, site.block, target),
+                            "{}: site {:?}, target {target:?}, {} candidates",
+                            model.name(),
+                            site.block,
+                            p.cfg.ctx_candidates
+                        );
+                        pools += 1;
+                    }
+                }
+            }
+        }
+        assert!(pools > 0);
     }
 
     #[test]

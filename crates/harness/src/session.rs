@@ -260,10 +260,11 @@ impl Session {
         let asmdb_plan = match self.cache.as_ref().and_then(|c| c.load_plan(ctx.name(), "asmdb")) {
             Some(plan) => plan,
             None => {
-                // Planned against the app's baseline, so the I-SPY plan
-                // below finds every AsmDB target's window already searched.
-                let plan = AsmDbPlanner::new(&ctx.program, &ctx.profile, AsmDbConfig::default())
-                    .plan_with_baseline(&self.baselines[i]);
+                // The window searches land in the profile's memo, so the
+                // I-SPY plan below finds every AsmDB target's window already
+                // searched.
+                let plan =
+                    AsmDbPlanner::new(&ctx.program, &ctx.profile, AsmDbConfig::default()).plan();
                 if let Some(c) = &self.cache {
                     c.store_plan(ctx.name(), "asmdb", &plan);
                 }

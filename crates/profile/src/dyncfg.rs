@@ -1,7 +1,9 @@
 //! The weighted dynamic control-flow graph (paper Fig. 2).
 
 use crate::digest::ContentHasher;
+use crate::window::{SiteCandidate, WindowMemo};
 use ispy_trace::BlockId;
+use std::sync::Arc;
 
 /// A dynamic CFG: blocks weighted by execution count, edges weighted by
 /// taken-branch count, and per-block average cycle costs.
@@ -19,6 +21,9 @@ pub struct DynCfg {
     /// from `succs`, so the content digest skips them.
     pred_probs: Vec<f64>,
     pred_start: Vec<u32>,
+    /// Every timely-window search run on this CFG (see
+    /// [`DynCfg::window_candidates`]).
+    windows: WindowMemo,
 }
 
 impl DynCfg {
@@ -59,7 +64,15 @@ impl DynCfg {
             }));
             pred_start.push(pred_probs.len() as u32);
         }
-        DynCfg { exec, avg_cycles, succs, preds, pred_probs, pred_start }
+        DynCfg {
+            exec,
+            avg_cycles,
+            succs,
+            preds,
+            pred_probs,
+            pred_start,
+            windows: WindowMemo::default(),
+        }
     }
 
     /// Number of blocks the CFG covers.
@@ -100,8 +113,8 @@ impl DynCfg {
     /// A stable content digest of the whole CFG: execution counts, average
     /// cycle costs (bit-exact), and the weighted edge set. Two CFGs digest
     /// equal iff every accessor would answer identically, so the planner's
-    /// candidate cache and per-line memos can key on this instead of
-    /// carrying explicit invalidation hooks.
+    /// per-line memos can key on this instead of carrying explicit
+    /// invalidation hooks.
     pub fn content_digest(&self) -> u64 {
         let mut h = ContentHasher::new();
         h.write_usize(self.exec.len());
@@ -121,6 +134,40 @@ impl DynCfg {
             }
         }
         h.finish()
+    }
+
+    /// The timely-window candidates of a miss in `target`: its dynamic
+    /// predecessors whose expected distance lies within `[min_cycles,
+    /// max_cycles]`, from a search capped at `max_nodes` expansions
+    /// ([`WindowSearch::candidates`](crate::window::WindowSearch::candidates)).
+    ///
+    /// The search reads only this CFG, so its result is memoized here: each
+    /// (target, window, cap) is searched once for as long as the CFG lives,
+    /// and every planner over the profile (I-SPY at any config, AsmDB, the
+    /// spatial baselines) shares it. Concurrent callers wait for a search
+    /// in flight rather than repeat it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ispy_profile::DynCfg;
+    /// use ispy_trace::BlockId;
+    /// use std::sync::Arc;
+    ///
+    /// let cfg = DynCfg::new(vec![10, 10, 10], vec![10.0; 3], [((0, 1), 10), ((1, 2), 10)]);
+    /// let sites = cfg.window_candidates(BlockId(2), 15, 100, 64);
+    /// assert_eq!(sites[0].block, BlockId(0));
+    /// // The second request is served from the memo.
+    /// assert!(Arc::ptr_eq(&sites, &cfg.window_candidates(BlockId(2), 15, 100, 64)));
+    /// ```
+    pub fn window_candidates(
+        &self,
+        target: BlockId,
+        min_cycles: u32,
+        max_cycles: u32,
+        max_nodes: usize,
+    ) -> Arc<Vec<SiteCandidate>> {
+        self.windows.candidates(self, (target.0, min_cycles, max_cycles, max_nodes))
     }
 
     /// Blocks that were executed at least once.

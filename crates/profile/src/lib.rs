@@ -44,6 +44,7 @@ pub mod digest;
 pub mod dyncfg;
 pub mod miss;
 pub mod scan;
+pub mod window;
 
 pub use collect::{profile, Profile, ProfileReplays, SampleRate};
 pub use delta::{window_delta, MissSample, ProfileAccumulator, ProfileDelta};
@@ -51,3 +52,4 @@ pub use digest::ContentHasher;
 pub use dyncfg::DynCfg;
 pub use miss::{LineMissStats, MissProfile};
 pub use scan::{scan_joint, JointCounts, JointQuery};
+pub use window::SiteCandidate;

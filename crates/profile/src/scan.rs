@@ -6,28 +6,29 @@
 //! recorded trace, it computes the statistic *exactly* in one linear pass:
 //! for every occurrence of an injection site, record which candidate
 //! predictor blocks sit in the rolling 32-block window (a presence mask) and
-//! whether a sampled miss of the target line follows within a horizon.
+//! whether the target block (the line's miss block) executes within a
+//! horizon.
 //!
 //! Subset probabilities are recovered by superset aggregation: a candidate
 //! subset `S` is "present" at an occurrence whose mask is `M` iff `S ⊆ M`,
 //! so `count(S) = Σ_{M ⊇ S} count(M)`.
 
 use ispy_trace::{BlockId, Trace};
+use std::collections::HashMap;
 
 /// Maximum number of candidate predictor blocks per query (masks are `u16`
 /// indices into dense arrays, so 8 keeps them tiny).
 pub const MAX_CANDIDATES: usize = 8;
 
 /// One question: at `site`, over candidate predictor blocks, how often does
-/// one of `target_positions` (ascending trace indices — e.g. the sampled
-/// misses of a line, or the executions of a block) follow within
-/// `horizon_blocks`?
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// an execution of `target` follow within `horizon_blocks`?
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JointQuery {
     /// The candidate injection site.
     pub site: BlockId,
-    /// Ascending trace positions of the targeted event.
-    pub target_positions: Vec<u32>,
+    /// The block whose execution counts as reaching the target (the
+    /// planner's miss block).
+    pub target: BlockId,
     /// Candidate predictor blocks (≤ [`MAX_CANDIDATES`]).
     pub candidates: Vec<BlockId>,
     /// Look-ahead horizon in block events.
@@ -40,8 +41,8 @@ pub struct JointCounts {
     /// `occurrences[mask]`: site executions whose window presence mask was
     /// exactly `mask`.
     pub occurrences: Vec<u64>,
-    /// `hits[mask]`: of those, how many were followed by a miss of the
-    /// target line within the horizon.
+    /// `hits[mask]`: of those, how many were followed by an execution of
+    /// the target within the horizon.
     pub hits: Vec<u64>,
 }
 
@@ -56,7 +57,7 @@ impl JointCounts {
         self.occurrences.iter().sum()
     }
 
-    /// Total site executions followed by the miss.
+    /// Total site executions followed by the target.
     pub fn total_hits(&self) -> u64 {
         self.hits.iter().sum()
     }
@@ -72,7 +73,7 @@ impl JointCounts {
         self.superset_sum(&self.hits, subset)
     }
 
-    /// `P(miss | subset present at site)`, or `None` with no support.
+    /// `P(target | subset present at site)`, or `None` with no support.
     pub fn conditional_probability(&self, subset: u16) -> Option<f64> {
         let occ = self.occurrences_with(subset);
         if occ == 0 {
@@ -88,16 +89,62 @@ impl JointCounts {
     }
 }
 
+/// Presence bits one union word can carry.
+const WORD_BITS: usize = u64::BITS as usize;
+
+/// Queries of one site whose candidates fit one presence word.
+#[derive(Default)]
+struct Group {
+    /// The union of the members' candidates; bit `j` of a word is
+    /// `union[j]`'s presence.
+    union: Vec<u32>,
+    /// One presence word per occurrence of the site.
+    words: Vec<u64>,
+    /// (query index, the union bit of each of its candidates).
+    members: Vec<(usize, Vec<u8>)>,
+}
+
+impl Group {
+    /// Adds `cands` to the union, recording each new block's bit under
+    /// the group's stamp `id`. Returns `false`, with the union as it was,
+    /// if they do not all fit one word.
+    fn join(&mut self, cands: &[BlockId], id: u32, stamp: &mut [u32], bit: &mut [u8]) -> bool {
+        let before = self.union.len();
+        for c in cands.iter().map(|c| c.index()) {
+            if stamp[c] != id {
+                stamp[c] = id;
+                bit[c] = self.union.len() as u8;
+                self.union.push(c as u32);
+            }
+        }
+        if self.union.len() > WORD_BITS {
+            self.union.truncate(before);
+            return false;
+        }
+        true
+    }
+}
+
+/// One site's occurrences and query groups.
+struct Site {
+    /// Trace positions at which the site executed.
+    occurrences: Vec<u32>,
+    groups: Vec<Group>,
+}
+
 /// Answers all `queries` in one linear pass over `trace`.
 ///
-/// Target positions typically come from the profiling pass (sampled miss
-/// positions), so "followed by the target" means a *sampled* miss —
-/// consistent with what the planner optimizes for. Passing a block's
-/// execution positions instead yields path-based reach/fan-out statistics.
+/// The pass is site-major: the queries of one site share one presence
+/// word per site occurrence, over the union of their candidates (a site
+/// whose union passes 64 blocks gets one word per 64-block group), and the
+/// same pass records every target's execution positions. Each query's
+/// counts are then filled from its group's words in a pass of their own,
+/// and exact-duplicate queries are answered once.
 ///
 /// # Panics
 ///
-/// Panics if a query has more than [`MAX_CANDIDATES`] candidates.
+/// Panics if a query has more than [`MAX_CANDIDATES`] candidates, or if
+/// the trace has `u32::MAX` events or more.
 pub fn scan_joint(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Vec<JointCounts> {
     for q in queries {
         assert!(
@@ -105,56 +152,134 @@ pub fn scan_joint(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Ve
             "at most {MAX_CANDIDATES} candidates per query"
         );
     }
-    let mut results: Vec<JointCounts> =
-        queries.iter().map(|q| JointCounts::new(q.candidates.len())).collect();
+    assert!(trace.len() < u32::MAX as usize, "trace positions must fit u32");
+    if queries.is_empty() {
+        return Vec::new();
+    }
+    // `first[i]`: the earliest query equal to query `i` (itself if unique).
+    let mut seen: HashMap<&JointQuery, usize> = HashMap::new();
+    let first: Vec<usize> =
+        queries.iter().enumerate().map(|(i, q)| *seen.entry(q).or_insert(i)).collect();
+    let unique = || (0..queries.len()).filter(|&i| first[i] == i);
 
-    // Only sites and candidates are ever looked up, so dense per-block
-    // arrays sized by the largest of those ids suffice; trace blocks beyond
-    // them are skipped.
-    let size = queries
-        .iter()
-        .flat_map(|q| std::iter::once(q.site).chain(q.candidates.iter().copied()))
+    // Only sites, targets and candidates are ever looked up, so dense
+    // per-block arrays sized by the largest of those ids suffice; trace
+    // blocks beyond them are skipped.
+    let size = unique()
+        .flat_map(|i| {
+            let q = &queries[i];
+            [q.site, q.target].into_iter().chain(q.candidates.iter().copied())
+        })
         .map(|b| b.index() + 1)
         .max()
         .unwrap_or(0);
-    // Queries by site, for O(1) dispatch per trace event.
-    let mut by_site: Vec<Vec<usize>> = vec![Vec::new(); size];
-    for (i, q) in queries.iter().enumerate() {
-        by_site[q.site.index()].push(i);
-    }
-    // `last[b]`: 1 + the most recent position of `b` so far (0 = never).
-    // `b` is in the LBR window at position `idx` iff it occurred within the
-    // last `lbr_depth` events, the current one included.
-    let mut last: Vec<usize> = vec![0; size];
-    // Per-query cursor into `target_positions`: site occurrences arrive in
-    // trace order, so each query's next target only ever moves forward.
-    let mut cursor: Vec<usize> = vec![0; queries.len()];
 
-    for (idx, block) in trace.iter().enumerate() {
+    // `target_slot[b]`: 1 + the index of `b`'s position list (0 = no query
+    // targets `b`).
+    let mut target_slot = vec![0u32; size];
+    let mut positions: Vec<Vec<u32>> = Vec::new();
+    let mut by_site: Vec<Vec<usize>> = vec![Vec::new(); size];
+    for i in unique() {
+        let q = &queries[i];
+        by_site[q.site.index()].push(i);
+        let t = q.target.index();
+        if target_slot[t] == 0 {
+            positions.push(Vec::new());
+            target_slot[t] = positions.len() as u32;
+        }
+    }
+
+    // Group each site's queries into presence words. `stamp[b]` names the
+    // group whose union holds `b` at bit `bit[b]`; a new group takes a new
+    // stamp, so nothing is cleared between groups.
+    let mut site_slot = vec![0u32; size];
+    let mut sites: Vec<Site> = Vec::new();
+    let mut stamp = vec![0u32; size];
+    let mut bit = vec![0u8; size];
+    let mut group_id = 0u32;
+    for (b, members) in by_site.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
+        group_id += 1;
+        let mut groups = vec![Group::default()];
+        for &qi in members {
+            let cands = &queries[qi].candidates;
+            let mut g = groups.last_mut().expect("a site has a group");
+            if !g.join(cands, group_id, &mut stamp, &mut bit) {
+                // Over one word: this group is closed (its stamps go stale
+                // with its id) and a new one takes the query.
+                group_id += 1;
+                groups.push(Group::default());
+                g = groups.last_mut().expect("just pushed");
+                assert!(g.join(cands, group_id, &mut stamp, &mut bit), "a query fits a word");
+            }
+            g.members.push((qi, cands.iter().map(|c| bit[c.index()]).collect()));
+        }
+        sites.push(Site { occurrences: Vec::new(), groups });
+        site_slot[b] = sites.len() as u32;
+    }
+
+    // The pass. `last[b]`: 1 + the most recent position of `b` so far
+    // (0 = never). `b` is in the LBR window at position `pos` iff it
+    // occurred within the last `lbr_depth` events, the current one
+    // included.
+    let depth = u32::try_from(lbr_depth).unwrap_or(u32::MAX);
+    let mut last = vec![0u32; size];
+    for (pos, block) in trace.iter().enumerate() {
         let b = block.index();
         if b >= size {
             continue;
         }
-        last[b] = idx + 1;
-        for &qi in &by_site[b] {
-            let q = &queries[qi];
-            let mut mask = 0u16;
-            for (ci, cand) in q.candidates.iter().enumerate() {
-                let seen = last[cand.index()];
-                if seen != 0 && idx + 1 - seen < lbr_depth {
-                    mask |= 1 << ci;
+        let pos = pos as u32;
+        last[b] = pos + 1;
+        if target_slot[b] != 0 {
+            positions[target_slot[b] as usize - 1].push(pos);
+        }
+        if site_slot[b] != 0 {
+            let site = &mut sites[site_slot[b] as usize - 1];
+            site.occurrences.push(pos);
+            for g in &mut site.groups {
+                let mut word = 0u64;
+                for (j, &c) in g.union.iter().enumerate() {
+                    let seen = last[c as usize];
+                    if seen != 0 && pos + 1 - seen < depth {
+                        word |= 1 << j;
+                    }
+                }
+                g.words.push(word);
+            }
+        }
+    }
+
+    // Each query's counts, from its group's words.
+    let mut results: Vec<JointCounts> =
+        queries.iter().map(|q| JointCounts::new(q.candidates.len())).collect();
+    for site in &sites {
+        for g in &site.groups {
+            for (qi, bits) in &g.members {
+                let q = &queries[*qi];
+                let targets = &positions[target_slot[q.target.index()] as usize - 1];
+                let res = &mut results[*qi];
+                // Site occurrences arrive in trace order, so the next
+                // target only ever moves forward.
+                let mut next = 0usize;
+                for (&pos, &word) in site.occurrences.iter().zip(&g.words) {
+                    let mut mask = 0usize;
+                    for (ci, &j) in bits.iter().enumerate() {
+                        mask |= ((word >> j) as usize & 1) << ci;
+                    }
+                    res.occurrences[mask] += 1;
+                    while next < targets.len() && targets[next] <= pos {
+                        next += 1;
+                    }
+                    if targets.get(next).is_some_and(|&t| t - pos <= q.horizon_blocks) {
+                        res.hits[mask] += 1;
+                    }
                 }
             }
-            results[qi].occurrences[mask as usize] += 1;
-            let targets = &q.target_positions;
-            let c = &mut cursor[qi];
-            while *c < targets.len() && targets[*c] as usize <= idx {
-                *c += 1;
-            }
-            let hit = targets.get(*c).is_some_and(|&pos| pos - idx as u32 <= q.horizon_blocks);
-            if hit {
-                results[qi].hits[mask as usize] += 1;
-            }
+        }
+    }
+    for i in 0..queries.len() {
+        if first[i] != i {
+            results[i] = results[first[i]].clone();
         }
     }
     results
@@ -163,32 +288,33 @@ pub fn scan_joint(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn b(i: u32) -> BlockId {
         BlockId(i)
     }
 
-    /// Trace: [1, 2, 9, 3, 9, 1, 9] with site 9; the target (a miss of some
-    /// line) occurs at positions 3 and 7.
-    fn setup() -> (Trace, Vec<u32>) {
-        let trace = Trace::new("t", vec![b(1), b(2), b(9), b(3), b(9), b(1), b(9)]);
-        (trace, vec![3, 7])
+    /// Trace: [1, 2, 9, 5, 9, 1, 9, 5] with site 9; the target block 5
+    /// executes at positions 3 and 7.
+    fn setup() -> Trace {
+        Trace::new("t", vec![b(1), b(2), b(9), b(5), b(9), b(1), b(9), b(5)])
     }
 
     #[test]
     fn masks_and_hits() {
-        let (trace, pos) = setup();
+        let trace = setup();
         let q = JointQuery {
             site: b(9),
-            target_positions: pos,
+            target: b(5),
             candidates: vec![b(1), b(2)],
             horizon_blocks: 2,
         };
         let res = &scan_joint(&trace, 3, &[q])[0];
         // Site executes at idx 2 (window [1,2,9]: both present -> mask 0b11,
-        // miss at 3 within horizon -> hit), idx 4 (window [9,3,9]: neither ->
-        // mask 0, next miss at 7, distance 3 > 2 -> no hit), idx 6 (window
-        // [9,1,9]: b1 present -> mask 0b01, miss at 7 within 1 -> hit).
+        // target at 3 within horizon -> hit), idx 4 (window [9,5,9]: neither
+        // -> mask 0, next target at 7, distance 3 > 2 -> no hit), idx 6
+        // (window [9,1,9]: b1 present -> mask 0b01, target at 7 within 1 ->
+        // hit).
         assert_eq!(res.total_occurrences(), 3);
         assert_eq!(res.occurrences[0b11], 1);
         assert_eq!(res.occurrences[0b00], 1);
@@ -200,10 +326,10 @@ mod tests {
 
     #[test]
     fn superset_aggregation() {
-        let (trace, pos) = setup();
+        let trace = setup();
         let q = JointQuery {
             site: b(9),
-            target_positions: pos,
+            target: b(5),
             candidates: vec![b(1), b(2)],
             horizon_blocks: 2,
         };
@@ -224,12 +350,7 @@ mod tests {
     #[test]
     fn window_depth_limits_presence() {
         let trace = Trace::new("t", vec![b(1), b(2), b(3), b(4), b(9)]);
-        let q = JointQuery {
-            site: b(9),
-            target_positions: vec![],
-            candidates: vec![b(1)],
-            horizon_blocks: 4,
-        };
+        let q = JointQuery { site: b(9), target: b(7), candidates: vec![b(1)], horizon_blocks: 4 };
         // Depth 3: window at site = [3,4,9]; b1 out.
         let res = &scan_joint(&trace, 3, std::slice::from_ref(&q))[0];
         assert_eq!(res.occurrences[0b0], 1);
@@ -240,10 +361,10 @@ mod tests {
 
     #[test]
     fn no_support_returns_none() {
-        let (trace, pos) = setup();
+        let trace = setup();
         let q = JointQuery {
             site: b(42), // never executes
-            target_positions: pos,
+            target: b(5),
             candidates: vec![b(1)],
             horizon_blocks: 2,
         };
@@ -254,15 +375,10 @@ mod tests {
 
     #[test]
     fn multiple_queries_share_the_pass() {
-        let (trace, pos) = setup();
+        let trace = setup();
         let qs = vec![
-            JointQuery {
-                site: b(9),
-                target_positions: pos.clone(),
-                candidates: vec![b(1)],
-                horizon_blocks: 2,
-            },
-            JointQuery { site: b(2), target_positions: pos, candidates: vec![], horizon_blocks: 2 },
+            JointQuery { site: b(9), target: b(5), candidates: vec![b(1)], horizon_blocks: 2 },
+            JointQuery { site: b(2), target: b(5), candidates: vec![], horizon_blocks: 2 },
         ];
         let res = scan_joint(&trace, 4, &qs);
         assert_eq!(res.len(), 2);
@@ -272,7 +388,7 @@ mod tests {
 
     /// The definition, computed the slow way: the window is a trace slice,
     /// presence a linear search of it, the next target a linear search of
-    /// the positions.
+    /// the trace.
     fn naive_scan(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Vec<JointCounts> {
         let blocks = trace.blocks();
         let mut results: Vec<JointCounts> =
@@ -290,8 +406,8 @@ mod tests {
                     }
                 }
                 res.occurrences[mask] += 1;
-                let next = q.target_positions.iter().find(|&&p| p as usize > idx);
-                if next.is_some_and(|&p| p as usize - idx <= q.horizon_blocks as usize) {
+                let next = blocks[idx + 1..].iter().position(|&t| t == q.target);
+                if next.is_some_and(|d| d < q.horizon_blocks as usize) {
                     res.hits[mask] += 1;
                 }
             }
@@ -303,42 +419,47 @@ mod tests {
     fn dense_scan_matches_naive_reference() {
         use ispy_trace::rng::Pcg32;
         let mut rng = Pcg32::seed_from_u64(0x5CA7);
+        let mut wide_sites = 0;
         for round in 0..200 {
-            // A small alphabet repeats blocks inside every window.
-            let alphabet = 2 + rng.below(10) as u32;
-            let len = rng.below(300) as usize;
+            // A small alphabet repeats blocks inside every window. Every
+            // fourth round instead piles a dozen or more 8-candidate queries
+            // on one site over a wide alphabet, so the site's candidate
+            // union passes one 64-bit presence word.
+            let wide = round % 4 == 0;
+            let alphabet = if wide { 70 + rng.below(40) as u32 } else { 2 + rng.below(10) as u32 };
+            let len = rng.below(if wide { 1500 } else { 300 }) as usize;
             let trace =
                 Trace::new("t", (0..len).map(|_| b(rng.below(alphabet.into()) as u32)).collect());
-            let mut queries = Vec::new();
-            for _ in 0..1 + rng.below(6) {
-                // Ids at or past `alphabet` never occur in the trace; 1000
-                // also lies past every id that does.
-                let pick = |rng: &mut Pcg32| match rng.below(8) {
-                    0 => b(alphabet + rng.below(3) as u32),
-                    1 => b(1000),
-                    _ => b(rng.below(alphabet.into()) as u32),
-                };
-                let site = pick(&mut rng);
-                let candidates =
-                    (0..rng.below(MAX_CANDIDATES as u64 + 1)).map(|_| pick(&mut rng)).collect();
-                let horizon = rng.below(12) as u32;
-                let mut targets: Vec<u32> = (0..len as u32).filter(|_| rng.chance(0.1)).collect();
-                // Targets exactly at (and one past) the horizon of some site
-                // occurrences.
-                for (idx, blk) in trace.iter().enumerate() {
-                    if blk == site && rng.chance(0.3) {
-                        targets.push(idx as u32 + horizon);
-                        targets.push(idx as u32 + horizon + 1);
-                    }
-                }
-                targets.sort_unstable();
-                targets.dedup();
+            // Ids at or past `alphabet` never occur in the trace; 1000 also
+            // lies past every id that does.
+            let pick = |rng: &mut Pcg32| match rng.below(8) {
+                0 => b(alphabet + rng.below(3) as u32),
+                1 => b(1000),
+                _ => b(rng.below(alphabet.into()) as u32),
+            };
+            let wide_site = pick(&mut rng);
+            let mut queries: Vec<JointQuery> = Vec::new();
+            let n_queries = if wide { 12 + rng.below(8) } else { 1 + rng.below(6) };
+            for _ in 0..n_queries {
+                let site = if wide { wide_site } else { pick(&mut rng) };
+                let n_cands = if wide { MAX_CANDIDATES as u64 } else { rng.below(9) };
+                let candidates = (0..n_cands).map(|_| pick(&mut rng)).collect();
                 queries.push(JointQuery {
                     site,
-                    target_positions: targets,
+                    target: pick(&mut rng),
                     candidates,
-                    horizon_blocks: horizon,
+                    horizon_blocks: rng.below(12) as u32,
                 });
+            }
+            // Exact duplicates, answered once but reported per query.
+            for _ in 0..rng.below(3) {
+                let q = queries[rng.below(queries.len() as u64) as usize].clone();
+                queries.push(q);
+            }
+            if wide {
+                let union: HashSet<BlockId> =
+                    queries.iter().flat_map(|q| q.candidates.iter().copied()).collect();
+                wide_sites += usize::from(union.len() > WORD_BITS);
             }
             for depth in [0usize, 1, 2, 5, 32] {
                 assert_eq!(
@@ -348,15 +469,16 @@ mod tests {
                 );
             }
         }
+        assert!(wide_sites >= 10, "only {wide_sites} sites passed one presence word");
     }
 
     #[test]
     #[should_panic(expected = "at most")]
     fn too_many_candidates_panics() {
-        let (trace, pos) = setup();
+        let trace = setup();
         let q = JointQuery {
             site: b(9),
-            target_positions: pos,
+            target: b(5),
             candidates: (0..9).map(b).collect(),
             horizon_blocks: 2,
         };

@@ -1,0 +1,406 @@
+//! Prefetch-window analysis: finding timely injection sites (§II-B, §IV).
+//!
+//! For each missing block the planners walk the dynamic CFG *backwards*,
+//! accumulating expected cycles from per-block profile costs (the LBR cycle
+//! information the paper uses instead of AsmDB's global-IPC estimate), and
+//! keep predecessors whose distance falls inside the prefetch window.
+//! The walk is a bounded Dijkstra on path probability, so each candidate
+//! carries the probability that executing it leads to the miss — the
+//! complement of the paper's *fan-out*.
+//!
+//! The search reads nothing but the CFG, so every planner over one profile
+//! (I-SPY, AsmDB, the spatial baselines) shares one search per (target,
+//! window) through the memo [`DynCfg::window_candidates`] keeps.
+
+use crate::dyncfg::DynCfg;
+use ispy_trace::BlockId;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::{Arc, Mutex};
+
+/// A candidate injection site for one miss target.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SiteCandidate {
+    /// The candidate block.
+    pub block: BlockId,
+    /// Probability that executing this block leads to the miss block along
+    /// the maximum-probability path (`1 - fan-out`).
+    pub reach_prob: f64,
+    /// Expected cycles from entering this block until the miss block begins
+    /// fetching.
+    pub cycles: f64,
+    /// Path length in blocks (used to convert the window into a trace-scan
+    /// horizon).
+    pub blocks: u32,
+}
+
+impl SiteCandidate {
+    /// The paper's fan-out: share of paths from this site that do *not*
+    /// lead to the miss.
+    pub fn fanout(&self) -> f64 {
+        1.0 - self.reach_prob
+    }
+}
+
+/// Heap node ordered by probability (max-heap via total order on f64 bits).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    prob: f64,
+    cycles: f64,
+    blocks: u32,
+    block: BlockId,
+}
+
+impl PartialEq for Node {
+    fn eq(&self, other: &Self) -> bool {
+        self.prob == other.prob && self.block == other.block
+    }
+}
+impl Eq for Node {}
+impl PartialOrd for Node {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Node {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.prob
+            .partial_cmp(&other.prob)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| self.block.0.cmp(&other.block.0))
+    }
+}
+
+/// The timely-window search, with its working state kept for reuse.
+///
+/// The settled set is dense: a per-block epoch stamp plus the settled
+/// probability, valid where the stamp equals the current search's epoch
+/// (the idiom of the profiler's per-sample block stamps). Starting a search
+/// bumps the epoch instead of clearing anything, so one `WindowSearch`
+/// serves every target of a plan at the cost of its first allocation.
+/// Edge probabilities come precomputed from [`DynCfg::pred_probs`].
+#[derive(Debug, Default)]
+pub struct WindowSearch {
+    /// Per-block epoch of the search that last settled the block.
+    stamps: Vec<u32>,
+    /// Per-block settled probability; meaningful where the stamp is current.
+    best: Vec<f64>,
+    epoch: u32,
+    heap: BinaryHeap<Node>,
+}
+
+impl WindowSearch {
+    /// Creates an empty search state (arrays grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates an empty search state whose epoch counter starts at `epoch`,
+    /// so tests can drive the counter across its wrap.
+    #[doc(hidden)]
+    pub fn with_epoch(epoch: u32) -> Self {
+        WindowSearch { epoch, ..Self::default() }
+    }
+
+    /// Finds all candidate injection sites for a miss in `target`, i.e.
+    /// dynamic predecessors whose expected distance lies within
+    /// `[min_cycles, max_cycles]`.
+    ///
+    /// The search is a bounded Dijkstra on path probability: it settles
+    /// each block once (highest-probability first) and stops after
+    /// `max_nodes` expansions, keeping the per-miss cost bounded.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ispy_profile::window::WindowSearch;
+    /// use ispy_profile::DynCfg;
+    /// use ispy_trace::BlockId;
+    ///
+    /// // Chain 0 -> 1 -> 2, 10 cycles per block: block 0 is ~20 cycles
+    /// // ahead of block 2's fetch.
+    /// let edges = [((0, 1), 10), ((1, 2), 10)];
+    /// let cfg = DynCfg::new(vec![10, 10, 10], vec![10.0, 10.0, 10.0], edges);
+    /// let sites = WindowSearch::new().candidates(&cfg, BlockId(2), 15, 100, 64);
+    /// assert_eq!(sites.len(), 1);
+    /// assert_eq!(sites[0].block, BlockId(0));
+    /// ```
+    pub fn candidates(
+        &mut self,
+        cfg: &DynCfg,
+        target: BlockId,
+        min_cycles: u32,
+        max_cycles: u32,
+        max_nodes: usize,
+    ) -> Vec<SiteCandidate> {
+        let n = cfg.num_blocks();
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+            self.best.resize(n, 0.0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        let WindowSearch { stamps, best, heap, .. } = self;
+        heap.clear();
+
+        let mut out = Vec::new();
+        heap.push(Node { prob: 1.0, cycles: 0.0, blocks: 0, block: target });
+        let mut expanded = 0usize;
+        let mut rejected_untimely = 0u64;
+
+        while let Some(node) = heap.pop() {
+            // Settled check: only the best (first-popped) entry per block
+            // counts.
+            let i = node.block.index();
+            if stamps[i] == epoch && best[i] >= node.prob {
+                continue;
+            }
+            stamps[i] = epoch;
+            best[i] = node.prob;
+            expanded += 1;
+            if expanded > max_nodes {
+                break;
+            }
+
+            if node.block != target
+                && node.cycles >= f64::from(min_cycles)
+                && node.cycles <= f64::from(max_cycles)
+            {
+                out.push(SiteCandidate {
+                    block: node.block,
+                    reach_prob: node.prob,
+                    cycles: node.cycles,
+                    blocks: node.blocks,
+                });
+            } else if node.block != target {
+                // Settled predecessor outside the prefetch window: too close
+                // to hide the latency, or too far to trust the path estimate.
+                rejected_untimely += 1;
+            }
+            // Expanding beyond max_cycles cannot produce in-window candidates
+            // (cycle costs are non-negative along predecessors).
+            if node.cycles > f64::from(max_cycles) {
+                continue;
+            }
+            for (&(pred, _), &e) in cfg.preds(node.block).iter().zip(cfg.pred_probs(node.block)) {
+                if e <= 0.0 {
+                    continue;
+                }
+                let cand = Node {
+                    prob: node.prob * e,
+                    cycles: node.cycles + cfg.avg_cycles(pred),
+                    blocks: node.blocks + 1,
+                    block: pred,
+                };
+                if cand.prob < 1e-6 {
+                    continue;
+                }
+                let p = pred.index();
+                let dominated = stamps[p] == epoch && best[p] >= cand.prob;
+                if !dominated {
+                    heap.push(cand);
+                }
+            }
+        }
+
+        // Deterministic order: highest reach probability first, then block
+        // id.
+        out.sort_by(|a, b| {
+            b.reach_prob
+                .partial_cmp(&a.reach_prob)
+                .unwrap_or(Ordering::Equal)
+                .then(a.block.0.cmp(&b.block.0))
+        });
+        // One registry touch per search (not per node) keeps the hot loop
+        // clean.
+        let tele = ispy_telemetry::global();
+        tele.add("core.window.searches", 1);
+        tele.add("core.window.nodes_expanded", expanded as u64);
+        tele.add("core.window.candidates_found", out.len() as u64);
+        tele.add("core.window.rejected_untimely", rejected_untimely);
+        out
+    }
+}
+
+/// One memoized search: (target block, min cycles, max cycles, expansion
+/// cap).
+type WindowKey = (u32, u32, u32, usize);
+
+/// A [`DynCfg`]'s window-candidate memo: every search its planners asked
+/// for, by [`WindowKey`], plus the search state misses reuse.
+///
+/// Misses are searched under the lock, so concurrent planners never repeat
+/// a search and the `core.window.*` counters count each key once whatever
+/// the schedule. A clone keeps the entries (they are a function of the CFG
+/// alone, and a clone's CFG is the same) but starts its own search state.
+#[derive(Debug, Default)]
+pub(crate) struct WindowMemo {
+    state: Mutex<MemoState>,
+}
+
+#[derive(Debug, Default)]
+struct MemoState {
+    search: WindowSearch,
+    found: HashMap<WindowKey, Arc<Vec<SiteCandidate>>>,
+}
+
+impl WindowMemo {
+    /// The candidates of `key` on `cfg`, searched on first request.
+    pub(crate) fn candidates(&self, cfg: &DynCfg, key: WindowKey) -> Arc<Vec<SiteCandidate>> {
+        let mut state = self.state.lock().expect("window memo lock");
+        let MemoState { search, found } = &mut *state;
+        let (target, min_cycles, max_cycles, max_nodes) = key;
+        Arc::clone(found.entry(key).or_insert_with(|| {
+            Arc::new(search.candidates(cfg, BlockId(target), min_cycles, max_cycles, max_nodes))
+        }))
+    }
+}
+
+impl Clone for WindowMemo {
+    fn clone(&self) -> Self {
+        let found = self.state.lock().expect("window memo lock").found.clone();
+        WindowMemo { state: Mutex::new(MemoState { search: WindowSearch::new(), found }) }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+
+    fn search(
+        cfg: &DynCfg,
+        target: BlockId,
+        min_cycles: u32,
+        max_cycles: u32,
+        max_nodes: usize,
+    ) -> Vec<SiteCandidate> {
+        WindowSearch::new().candidates(cfg, target, min_cycles, max_cycles, max_nodes)
+    }
+
+    fn chain_cfg(n: u32, cycles: f64) -> DynCfg {
+        let mut edges = HashMap::new();
+        for i in 0..n - 1 {
+            edges.insert((i, i + 1), 100);
+        }
+        DynCfg::new(vec![100; n as usize], vec![cycles; n as usize], edges)
+    }
+
+    #[test]
+    fn chain_distances() {
+        // 10 blocks, 10 cycles each; target = block 9.
+        let cfg = chain_cfg(10, 10.0);
+        let sites = search(&cfg, BlockId(9), 25, 60, 1024);
+        // Blocks at distance 30,40,50,60 cycles: blocks 6,5,4,3.
+        let ids: Vec<u32> = sites.iter().map(|s| s.block.0).collect();
+        assert_eq!(ids.len(), 4);
+        assert!(ids.contains(&6) && ids.contains(&3));
+        assert!(!ids.contains(&7)); // 20 cycles: too close
+        assert!(!ids.contains(&2)); // 70 cycles: too far
+        for s in &sites {
+            assert!((s.reach_prob - 1.0).abs() < 1e-9);
+            assert_eq!(s.fanout(), 0.0);
+        }
+    }
+
+    #[test]
+    fn branch_probabilities_multiply() {
+        // 0 -> 1 (75%), 0 -> 2 (25%); 1 -> 3, 2 -> 3; target 3.
+        let mut edges = HashMap::new();
+        edges.insert((0, 1), 75);
+        edges.insert((0, 2), 25);
+        edges.insert((1, 3), 75);
+        edges.insert((2, 3), 25);
+        let cfg = DynCfg::new(vec![100, 75, 25, 100], vec![20.0; 4], edges);
+        let sites = search(&cfg, BlockId(3), 10, 100, 1024);
+        let s0 = sites.iter().find(|s| s.block == BlockId(0)).unwrap();
+        // Both paths lead to 3, but max-path probability is via block 1.
+        assert!((s0.reach_prob - 0.75).abs() < 1e-9);
+        let s1 = sites.iter().find(|s| s.block == BlockId(1)).unwrap();
+        assert!((s1.reach_prob - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fanout_reflects_divergence() {
+        // Site 0 branches to target (10 %) and elsewhere (90 %).
+        let mut edges = HashMap::new();
+        edges.insert((0, 1), 10);
+        edges.insert((0, 2), 90);
+        let cfg = DynCfg::new(vec![100, 10, 90], vec![30.0; 3], edges);
+        let sites = search(&cfg, BlockId(1), 10, 100, 64);
+        let s = sites.iter().find(|s| s.block == BlockId(0)).unwrap();
+        assert!((s.fanout() - 0.9).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_when_no_predecessor_in_window() {
+        let cfg = chain_cfg(3, 5.0); // total span 10 cycles
+        let sites = search(&cfg, BlockId(2), 27, 200, 64);
+        assert!(sites.is_empty());
+    }
+
+    #[test]
+    fn node_cap_bounds_work() {
+        let cfg = chain_cfg(200, 10.0);
+        let sites = search(&cfg, BlockId(199), 27, 200, 8);
+        // Cap of 8 expansions: the target and blocks 198..=192 settle, and
+        // of those only 196..=192 (30..=70 cycles) sit in the window.
+        let ids: Vec<u32> = sites.iter().map(|s| s.block.0).collect();
+        assert_eq!(ids, vec![192, 193, 194, 195, 196]);
+    }
+
+    #[test]
+    fn stamps_from_before_the_epoch_wrap_are_cleared() {
+        let cfg = chain_cfg(10, 10.0);
+        let want = search(&cfg, BlockId(9), 25, 60, 1024);
+        // Every block carries a stamp from epoch 1 of the previous cycle,
+        // settled at probability 1: reading it after the wrap would hide
+        // every candidate.
+        let mut s = WindowSearch::with_epoch(u32::MAX);
+        s.stamps = vec![1; 10];
+        s.best = vec![1.0; 10];
+        assert_eq!(s.candidates(&cfg, BlockId(9), 25, 60, 1024), want);
+        assert_eq!(s.epoch, 1);
+        // A smaller CFG after a larger one reuses the longer arrays.
+        let small = chain_cfg(4, 10.0);
+        assert_eq!(
+            s.candidates(&small, BlockId(3), 15, 40, 64),
+            search(&small, BlockId(3), 15, 40, 64)
+        );
+    }
+
+    #[test]
+    fn loops_do_not_hang_the_search() {
+        // 0 <-> 1 loop feeding 2.
+        let mut edges = HashMap::new();
+        edges.insert((0, 1), 90);
+        edges.insert((1, 0), 80);
+        edges.insert((1, 2), 10);
+        let cfg = DynCfg::new(vec![90, 90, 10], vec![15.0; 3], edges);
+        let sites = search(&cfg, BlockId(2), 10, 200, 4096);
+        assert!(!sites.is_empty());
+    }
+
+    #[test]
+    fn memo_searches_each_key_once() {
+        let cfg = chain_cfg(10, 10.0);
+        let first = cfg.window_candidates(BlockId(9), 25, 60, 1024);
+        assert_eq!(*first, search(&cfg, BlockId(9), 25, 60, 1024));
+        assert!(Arc::ptr_eq(&first, &cfg.window_candidates(BlockId(9), 25, 60, 1024)));
+        // Every part of the key tells searches apart.
+        for (target, min, max, cap) in
+            [(8, 25, 60, 1024), (9, 15, 60, 1024), (9, 25, 70, 1024), (9, 25, 60, 3)]
+        {
+            let got = cfg.window_candidates(BlockId(target), min, max, cap);
+            assert!(!Arc::ptr_eq(&first, &got));
+            assert_eq!(*got, search(&cfg, BlockId(target), min, max, cap));
+        }
+        // A clone keeps the searches already run.
+        let copy = cfg.clone();
+        assert!(Arc::ptr_eq(&first, &copy.window_candidates(BlockId(9), 25, 60, 1024)));
+    }
+}

@@ -12,8 +12,8 @@
 //! and across the wrap of its epoch counter, so a stale stamp shows up as
 //! a divergence.
 
-use ispy_core::window::{SiteCandidate, WindowSearch};
 use ispy_harness::Scale;
+use ispy_profile::window::{SiteCandidate, WindowSearch};
 use ispy_profile::{profile, DynCfg, SampleRate};
 use ispy_sim::SimConfig;
 use ispy_trace::rng::Pcg32;
