@@ -64,9 +64,8 @@ impl<'a> AsmDbPlanner<'a> {
 
     /// Produces the AsmDB injection plan. AsmDB searches the same timely
     /// window as I-SPY, through the profile's memo
-    /// ([`ispy_profile::DynCfg::window_candidates`]), so after either
-    /// planner has run on a profile the other finds its targets already
-    /// searched.
+    /// ([`ispy_profile::DynCfg::window_table`]), so after either planner
+    /// has run on a profile the other finds its targets already searched.
     pub fn plan(&self) -> Plan {
         let mut stats = PlanStats {
             coalesced_distance_hist: vec![0; 8],
@@ -74,21 +73,18 @@ impl<'a> AsmDbPlanner<'a> {
             ..Default::default()
         };
         let mut injections = InjectionMap::new();
-        for (line, line_stats) in self.profile.misses.lines_by_count() {
-            if line_stats.count < self.cfg.min_miss_count {
-                continue;
-            }
+        let windows = self.profile.cfg.window_table(
+            self.cfg.min_prefetch_cycles,
+            self.cfg.max_prefetch_cycles,
+            self.cfg.max_search_nodes,
+        );
+        for target in self.profile.misses.plan_order(self.cfg.min_miss_count) {
             stats.target_lines += 1;
-            let Some(target_block) = line_stats.dominant_block() else {
+            let Some(target_block) = target.dominant else {
                 stats.uncovered_lines += 1;
                 continue;
             };
-            let candidates = self.profile.cfg.window_candidates(
-                target_block,
-                self.cfg.min_prefetch_cycles,
-                self.cfg.max_prefetch_cycles,
-                self.cfg.max_search_nodes,
-            );
+            let candidates = windows.candidates(target_block);
             // The fan-out threshold is AsmDB's coverage/accuracy dial: only
             // sites below it are admissible.
             let admissible: Vec<SiteCandidate> = candidates
@@ -103,7 +99,7 @@ impl<'a> AsmDbPlanner<'a> {
             stats.covered_lines += 1;
             stats.ops_plain += 1;
             stats.lines_per_op_hist[0] += 1;
-            injections.push(site.block, PrefetchOp::Plain { target: line });
+            injections.push(site.block, PrefetchOp::Plain { target: target.line });
         }
         stats.sites = injections.num_sites();
         stats.injected_bytes = injections.injected_bytes();

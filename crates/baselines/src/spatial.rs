@@ -69,26 +69,20 @@ impl<'a> SpatialPlanner<'a> {
         // Lines already covered as part of an earlier op's window.
         let mut covered: HashSet<u64> = HashSet::new();
 
-        for (line, line_stats) in self.profile.misses.lines_by_count() {
-            if line_stats.count < self.cfg_min_count() {
-                continue;
-            }
+        let windows = self.profile.cfg.window_table(self.min_cycles, self.max_cycles, 4096);
+        for target in self.profile.misses.plan_order(self.cfg_min_count()) {
+            let line = target.line;
             stats.target_lines += 1;
             if covered.contains(&line.raw()) {
                 stats.covered_lines += 1;
                 continue;
             }
-            let Some(target_block) = line_stats.dominant_block() else {
+            let Some(target_block) = target.dominant else {
                 stats.uncovered_lines += 1;
                 continue;
             };
-            let candidates = self.profile.cfg.window_candidates(
-                target_block,
-                self.min_cycles,
-                self.max_cycles,
-                4096,
-            );
-            let Some(site) = select_site(&self.profile.cfg, &candidates) else {
+            let Some(site) = select_site(&self.profile.cfg, windows.candidates(target_block))
+            else {
                 stats.uncovered_lines += 1;
                 continue;
             };

@@ -50,7 +50,6 @@ pub fn coalesce_lines(mut lines: Vec<Line>, bits: u8) -> Vec<CoalescedGroup> {
     assert!((1..=64).contains(&bits), "mask width must be 1..=64 bits");
     lines.sort();
     lines.dedup();
-    let distinct = lines.len() as u64;
     let mut groups = Vec::new();
     let mut i = 0;
     while i < lines.len() {
@@ -77,10 +76,6 @@ pub fn coalesce_lines(mut lines: Vec<Line>, bits: u8) -> Vec<CoalescedGroup> {
         groups.push(CoalescedGroup { base, mask });
         i = j;
     }
-    let tele = ispy_telemetry::global();
-    tele.add("core.coalesce.calls", 1);
-    tele.add("core.coalesce.groups", groups.len() as u64);
-    tele.add("core.coalesce.lines_merged", distinct - groups.len() as u64);
     groups
 }
 

@@ -90,6 +90,59 @@ pub fn discover(
     Some(ContextChoice { blocks, probability: p, support, baseline })
 }
 
+/// What [`discover_multi`] found for one query.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MultiContext {
+    /// The chosen contexts, in the order the greedy rounds took them.
+    pub contexts: Vec<ContextChoice>,
+    /// The fraction of all target-reaching site executions they jointly
+    /// cover.
+    pub coverage: f64,
+    /// Candidate subsets scored over all greedy rounds: how much subset
+    /// space the query explored. Zero when the query had nothing to search
+    /// (no candidates, no contexts allowed, no site executions, or no
+    /// target-reaching ones); every search scores at least one subset.
+    pub subsets_evaluated: u64,
+}
+
+impl MultiContext {
+    fn none() -> Self {
+        MultiContext { contexts: Vec::new(), coverage: 0.0, subsets_evaluated: 0 }
+    }
+}
+
+/// One plan's `core.context.*` totals over its [`discover_multi`] searches,
+/// added to the telemetry registry once per plan rather than once per
+/// query.
+#[derive(Debug, Default)]
+pub(crate) struct ContextTally {
+    queries: u64,
+    subsets_evaluated: u64,
+    contexts_adopted: u64,
+}
+
+impl ContextTally {
+    /// Counts one query's outcome; a query with nothing to search counts
+    /// nowhere.
+    pub(crate) fn count(&mut self, found: &MultiContext) {
+        if found.subsets_evaluated > 0 {
+            self.queries += 1;
+            self.subsets_evaluated += found.subsets_evaluated;
+            self.contexts_adopted += found.contexts.len() as u64;
+        }
+    }
+
+    /// Adds the totals to `tele`; a plan that searched nothing adds no
+    /// counter at all.
+    pub(crate) fn publish(&self, tele: &ispy_telemetry::Telemetry) {
+        if self.queries > 0 {
+            tele.add("core.context.queries", self.queries);
+            tele.add("core.context.subsets_evaluated", self.subsets_evaluated);
+            tele.add("core.context.contexts_adopted", self.contexts_adopted);
+        }
+    }
+}
+
 /// Greedy multi-context discovery.
 ///
 /// One context often cannot cover a miss reached from many calling contexts
@@ -101,8 +154,8 @@ pub fn discover(
 /// `min_support`) that covers the most not-yet-covered target-reaching site
 /// executions.
 ///
-/// Returns the chosen contexts plus the fraction of all target-reaching
-/// executions they jointly cover.
+/// Returns the chosen contexts, the fraction of all target-reaching
+/// executions they jointly cover, and the subsets scored on the way.
 pub fn discover_multi(
     counts: &JointCounts,
     candidates: &[BlockId],
@@ -111,13 +164,13 @@ pub fn discover_multi(
     gain_margin: f64,
     min_prob: f64,
     max_contexts: usize,
-) -> (Vec<ContextChoice>, f64) {
+) -> MultiContext {
     let n = candidates.len();
     if n == 0 || max_contexts == 0 {
-        return (Vec::new(), 0.0);
+        return MultiContext::none();
     }
     let Some(baseline) = counts.conditional_probability(0) else {
-        return (Vec::new(), 0.0);
+        return MultiContext::none();
     };
     let size = 1usize << n;
     // Superset sums (SOS DP): occ_sup[s] = Σ_{M ⊇ s} occurrences[M].
@@ -133,7 +186,7 @@ pub fn discover_multi(
     }
     let total_hits: u64 = counts.hits.iter().sum();
     if total_hits == 0 {
-        return (Vec::new(), 0.0);
+        return MultiContext::none();
     }
     let threshold = (baseline + gain_margin).max(min_prob);
     let mut covered = vec![false; size];
@@ -186,12 +239,11 @@ pub fn discover_multi(
             (0..n).filter(|i| mask & (1 << i) != 0).map(|i| candidates[i]).collect();
         chosen.push(ContextChoice { blocks, probability: p, support, baseline });
     }
-    // Mining-depth accounting: how much subset space each query explored.
-    let tele = ispy_telemetry::global();
-    tele.add("core.context.queries", 1);
-    tele.add("core.context.subsets_evaluated", subsets_evaluated);
-    tele.add("core.context.contexts_adopted", chosen.len() as u64);
-    (chosen, covered_hits as f64 / total_hits as f64)
+    MultiContext {
+        contexts: chosen,
+        coverage: covered_hits as f64 / total_hits as f64,
+        subsets_evaluated,
+    }
 }
 
 #[cfg(test)]
@@ -281,39 +333,49 @@ mod tests {
             occurrences: vec![100, 20, 20, 0],
             hits: vec![2, 18, 16, 0],
         };
-        let (ctxs, coverage) = discover_multi(&c, &[b(1), b(2)], 4, 5, 0.05, 0.3, 4);
+        let found = discover_multi(&c, &[b(1), b(2)], 4, 5, 0.05, 0.3, 4);
+        let ctxs = &found.contexts;
         assert_eq!(ctxs.len(), 2, "both callers should become contexts");
         assert_eq!(ctxs[0].blocks, vec![b(1)]); // 18 new hits > 16
         assert_eq!(ctxs[1].blocks, vec![b(2)]);
         // 34 of 36 reaches covered.
-        assert!((coverage - 34.0 / 36.0).abs() < 1e-9);
+        assert!((found.coverage - 34.0 / 36.0).abs() < 1e-9);
+        // Three rounds (two picks, then one that finds nothing) of the
+        // three non-empty subsets.
+        assert_eq!(found.subsets_evaluated, 9);
     }
 
     #[test]
     fn multi_context_respects_max() {
         let c = JointCounts { occurrences: vec![100, 20, 20, 0], hits: vec![2, 18, 16, 0] };
-        let (ctxs, coverage) = discover_multi(&c, &[b(1), b(2)], 4, 5, 0.05, 0.3, 1);
-        assert_eq!(ctxs.len(), 1);
-        assert!(coverage < 0.6);
+        let found = discover_multi(&c, &[b(1), b(2)], 4, 5, 0.05, 0.3, 1);
+        assert_eq!(found.contexts.len(), 1);
+        assert!(found.coverage < 0.6);
+        // One round: the cap stops the search after its first pick.
+        assert_eq!(found.subsets_evaluated, 3);
     }
 
     #[test]
     fn multi_context_empty_when_nothing_qualifies() {
         // Uniform: no subset is better than baseline.
         let c = JointCounts { occurrences: vec![50, 50], hits: vec![25, 25] };
-        let (ctxs, coverage) = discover_multi(&c, &[b(1)], 4, 5, 0.05, 0.9, 4);
-        assert!(ctxs.is_empty());
-        assert_eq!(coverage, 0.0);
+        let found = discover_multi(&c, &[b(1)], 4, 5, 0.05, 0.9, 4);
+        assert!(found.contexts.is_empty());
+        assert_eq!(found.coverage, 0.0);
+        assert_eq!(found.subsets_evaluated, 1, "one fruitless round still searches");
+        // No target-reaching execution at all: nothing to search.
+        let c = JointCounts { occurrences: vec![50, 50], hits: vec![0, 0] };
+        assert_eq!(discover_multi(&c, &[b(1)], 4, 5, 0.05, 0.9, 4), MultiContext::none());
     }
 
     #[test]
     fn multi_context_single_equals_best_cover() {
         // With one candidate perfectly predictive, multi returns it once.
         let c = JointCounts { occurrences: vec![30, 10], hits: vec![0, 10] };
-        let (ctxs, coverage) = discover_multi(&c, &[b(7)], 4, 5, 0.1, 0.3, 4);
-        assert_eq!(ctxs.len(), 1);
-        assert_eq!(ctxs[0].blocks, vec![b(7)]);
-        assert!((coverage - 1.0).abs() < 1e-12);
+        let found = discover_multi(&c, &[b(7)], 4, 5, 0.1, 0.3, 4);
+        assert_eq!(found.contexts.len(), 1);
+        assert_eq!(found.contexts[0].blocks, vec![b(7)]);
+        assert!((found.coverage - 1.0).abs() < 1e-12);
     }
 
     #[test]

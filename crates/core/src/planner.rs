@@ -2,7 +2,7 @@
 
 use crate::coalesce::{coalesce_lines, CoalescedGroup};
 use crate::config::IspyConfig;
-use crate::context::{discover_multi, ContextChoice};
+use crate::context::{discover_multi, ContextChoice, ContextTally, MultiContext};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
 use crate::window::{select_covering_sites, SelectedSite, SelectionPolicy};
 use ispy_isa::{ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
@@ -11,9 +11,10 @@ use ispy_profile::{
     scan_joint, ContentHasher, JointCounts, JointQuery, LineMissStats, Profile, ProfileDelta,
     SiteCandidate,
 };
+use ispy_sim::FxHashMap;
 use ispy_trace::{BlockId, Line, Program, Trace};
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Aggregate statistics about a produced plan.
@@ -121,22 +122,22 @@ type JointCache = HashMap<usize, HashMap<JointQuery, Arc<JointCounts>>>;
 /// * joint LBR statistics per (site, target, horizon, LBR depth,
 ///   candidates) query — the linear trace scans feeding
 ///   [`crate::context::discover_multi`],
-/// * a per-line outcome memo with one slot per (line, config): each slot is
-///   keyed by the plan's base digest (`Planner::base_digest`: the dynamic
-///   CFG, the trace dimensions, and every config field passes 1–2.5 read)
-///   and checked against a digest that adds that line's miss stats — the
-///   engine behind [`Planner::replan_delta`]. Pass 3's knobs
-///   (`coalesce_bits`, `coalescing`, `hash`) are not in the key, so config
-///   points that differ only in them reuse every line outcome.
+/// * a per-line outcome memo with one table per config, named by the
+///   plan's base digest (`Planner::base_digest`: the dynamic CFG, the trace
+///   dimensions, and every config field passes 1–2.5 read): one slot per
+///   line, checked against the line's miss-stats digest — the engine
+///   behind [`Planner::replan_delta`]. Pass 3's knobs (`coalesce_bits`,
+///   `coalescing`, `hash`) are not in the base digest, so config points
+///   that differ only in them reuse every line outcome.
 ///
 /// Sensitivity sweeps (Figs. 12/17/18/19 and the ablations) replan the same
 /// app under many configs; with a shared baseline each distinct trace scan
 /// runs once instead of once per config point, and each line is analyzed
-/// once per distinct pass-1–2.5 config. The memo holds at most one slot
-/// per line for every such config planned against the baseline; every
-/// caller plans a fixed config set per baseline (a figure's grid, one
-/// algorithm per fleet app, one adaptive config). A baseline is valid for one
-/// fixed (program, trace) pair — callers (the harness `Session`) keep one
+/// once per distinct pass-1–2.5 config. The memo holds one table, and at
+/// most one slot per line, for every such config planned against the
+/// baseline; every caller plans a fixed config set per baseline (a figure's
+/// grid, one algorithm per fleet app, one adaptive config). A baseline is
+/// valid for one fixed (program, trace) pair — callers (the harness `Session`) keep one
 /// per prepared app. The *profile* may evolve between plans via miss-only
 /// deltas ([`ispy_profile::Profile::apply_miss_delta`]): every cached value
 /// is either a pure function of (trace, query) or keyed by content digest,
@@ -147,22 +148,23 @@ type JointCache = HashMap<usize, HashMap<JointQuery, Arc<JointCounts>>>;
 /// concurrent fills compute the same values. Cache misses are computed
 /// under the cache lock, so concurrent sweeps of one app serialize their
 /// scans instead of duplicating them (plans for *different* apps use
-/// different baselines and stay fully parallel). Likewise, concurrent plans
-/// that share a base digest run their line analysis (passes 1–2.5) one at
-/// a time, so each (line, config) outcome is computed once and the memo's
-/// hit counts do not depend on the schedule; their pass 3 and plans of
-/// other configs stay parallel.
+/// different baselines and stay fully parallel). Likewise, a plan holds its
+/// config's memo table locked through its line analysis (passes 1–2.5 and
+/// memoize), so concurrent plans that share a base digest analyze lines one
+/// plan at a time, each (line, config) outcome is computed once and the
+/// memo's hit counts do not depend on the schedule; their pass 3 and plans
+/// of other configs stay parallel.
 #[derive(Debug, Default)]
 pub struct PlannerBaseline {
     ranked: Mutex<HashMap<RankKey, Arc<Vec<BlockId>>>>,
     joint: Mutex<JointCache>,
-    line_memo: Mutex<HashMap<u64, Vec<MemoSlot>>>,
-    /// One analysis lock per base digest (see the type docs).
-    analysis_locks: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    /// One line memo per base digest (see the type docs).
+    line_memos: Mutex<HashMap<u64, Arc<Mutex<LineMemo>>>>,
 }
 
-/// One per-line memo slot: (base digest, line digest, outcome).
-type MemoSlot = (u64, u64, Arc<LineOutcome>);
+/// One config's line memo: by line, the line's miss-stats digest when it
+/// was analyzed and the outcome.
+type LineMemo = FxHashMap<u64, (u64, Arc<LineOutcome>)>;
 
 impl PlannerBaseline {
     /// Creates an empty baseline (caches fill lazily on first use).
@@ -170,46 +172,24 @@ impl PlannerBaseline {
         Self::default()
     }
 
-    /// The analysis lock of the config `base_digest` names.
-    fn analysis_lock(&self, base_digest: u64) -> Arc<Mutex<()>> {
-        let mut locks = self.analysis_locks.lock().expect("analysis locks");
-        Arc::clone(locks.entry(base_digest).or_default())
-    }
-
-    /// The memoized outcome for `line_raw` under the config `base_digest`
-    /// names, if that slot's stored line digest matches.
-    fn memo_lookup(
-        &self,
-        line_raw: u64,
-        base_digest: u64,
-        digest: u64,
-    ) -> Option<Arc<LineOutcome>> {
-        let cache = self.line_memo.lock().expect("memo lock");
-        let slots = cache.get(&line_raw)?;
-        slots
-            .iter()
-            .find(|(b, d, _)| *b == base_digest && *d == digest)
-            .map(|(.., o)| Arc::clone(o))
-    }
-
-    /// Stores one line's outcome in its `base_digest` slot, overwriting
-    /// that slot only: the line's slots for other configs stay.
-    fn memo_store(&self, line_raw: u64, base_digest: u64, digest: u64, outcome: Arc<LineOutcome>) {
-        let mut cache = self.line_memo.lock().expect("memo lock");
-        let slots = cache.entry(line_raw).or_default();
-        match slots.iter_mut().find(|(b, ..)| *b == base_digest) {
-            Some(slot) => *slot = (base_digest, digest, outcome),
-            None => slots.push((base_digest, digest, outcome)),
-        }
+    /// The line memo of the config `base_digest` names, created empty on
+    /// first use.
+    fn line_memo(&self, base_digest: u64) -> Arc<Mutex<LineMemo>> {
+        let mut memos = self.line_memos.lock().expect("line memos lock");
+        Arc::clone(memos.entry(base_digest).or_default())
     }
 
     /// Drops every memo slot of `lines`, whatever config stored it (the
-    /// digest check would reject them anyway; eager removal keeps the map
-    /// from accumulating dead slots).
+    /// digest check would reject them anyway; eager removal keeps the
+    /// tables from accumulating dead slots).
     fn invalidate_lines(&self, lines: &[Line]) {
-        let mut cache = self.line_memo.lock().expect("memo lock");
-        for l in lines {
-            cache.remove(&l.raw());
+        let memos: Vec<Arc<Mutex<LineMemo>>> =
+            self.line_memos.lock().expect("line memos lock").values().cloned().collect();
+        for memo in memos {
+            let mut memo = memo.lock().expect("line memo lock");
+            for l in lines {
+                memo.remove(&l.raw());
+            }
         }
     }
 
@@ -248,10 +228,55 @@ const TOP_PRED_PREDS: usize = 2;
 /// only this many.
 const RANKED_HISTORY_LEN: usize = MAX_CANDIDATES + SITE_PREDS + TOP_PRED_PREDS + 1;
 
-/// Pass-3 grouping key: (site block, sorted context-block ids).
-type GroupKey = (u32, Vec<u32>);
+/// A context's block ids, ascending: the second half of pass 3's grouping
+/// key (none for an unconditional op). Ordered as the id slice it holds;
+/// the ids past `len` stay zero, so equality agrees with that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CtxIds {
+    len: u8,
+    ids: [u32; MAX_CANDIDATES],
+}
 
-/// Planning estimates carried from a [`Pending`] entry into pass 3, so each
+impl CtxIds {
+    /// The sorted ids of `blocks` (a context holds at most
+    /// [`MAX_CANDIDATES`] of its query's candidates).
+    fn new(blocks: &[BlockId]) -> Self {
+        let mut ctx = CtxIds { len: blocks.len() as u8, ids: [0; MAX_CANDIDATES] };
+        for (id, b) in ctx.ids.iter_mut().zip(blocks) {
+            *id = b.0;
+        }
+        ctx.ids[..blocks.len()].sort_unstable();
+        ctx
+    }
+
+    fn ids(&self) -> &[u32] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl Ord for CtxIds {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.ids().cmp(other.ids())
+    }
+}
+
+impl PartialOrd for CtxIds {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// One (site, context, line) injection awaiting pass 3: `seq` is its place
+/// in emission order.
+struct Emitted {
+    site: u32,
+    ctx: CtxIds,
+    line: Line,
+    seq: u32,
+    meta: LineMeta,
+}
+
+/// Planning estimates carried from a [`MemoEntry`] into pass 3, so each
 /// emitted op's provenance record can report them per target line.
 #[derive(Debug, Clone, Copy)]
 struct LineMeta {
@@ -264,17 +289,18 @@ struct LineMeta {
     ctx: Option<(f64, f64, u64)>,
 }
 
-/// One miss line's planning state between passes.
+/// One (site, line) decision being made: the entry passes 2 and 2.5 fill
+/// in, and the index of its query among the pass's joint queries (whose
+/// `candidates` are the predictor pool), if one was issued.
 struct Pending {
-    site: SelectedSite,
-    /// Index of this entry's query in the joint scan, if one was issued.
+    entry: MemoEntry,
     query: Option<usize>,
-    /// Predictor candidates the query covered.
-    candidates: Vec<BlockId>,
-    /// Adopted contexts (empty = unconditional op).
-    ctxs: Vec<ContextChoice>,
-    /// Dropped in pass 2 (needs-context site without a strong context).
-    dropped: bool,
+}
+
+impl Pending {
+    fn new(site: SelectedSite, query: Option<usize>) -> Self {
+        Pending { entry: MemoEntry { site, ctxs: Vec::new(), dropped: false }, query }
+    }
 }
 
 /// One finished (site, line) decision, as stored in the per-line memo and
@@ -283,14 +309,10 @@ struct Pending {
 #[derive(Debug)]
 struct MemoEntry {
     site: SelectedSite,
+    /// Adopted contexts (empty = unconditional op).
     ctxs: Vec<ContextChoice>,
+    /// Dropped in pass 2 (needs-context site without a strong context).
     dropped: bool,
-}
-
-impl MemoEntry {
-    fn from_pending(p: &Pending) -> Self {
-        MemoEntry { site: p.site, ctxs: p.ctxs.clone(), dropped: p.dropped }
-    }
 }
 
 /// The complete planning outcome for one miss line, memoized under a digest
@@ -452,15 +474,15 @@ impl<'a> Planner<'a> {
         };
 
         // One covered line's fresh (non-memoized) working state.
-        struct FreshLine {
+        struct FreshLine<'w> {
             line: Line,
-            digest: u64,
+            line_digest: u64,
             rank_key: RankKey,
             target_block: BlockId,
             ranked: OnceCell<Arc<Vec<BlockId>>>,
             /// The line's window candidates; those no entry chose are the
             /// spares pass 2.5 retries.
-            candidates: Arc<Vec<SiteCandidate>>,
+            candidates: &'w [SiteCandidate],
             entries: Vec<Pending>,
             retry: Vec<Pending>,
         }
@@ -470,44 +492,43 @@ impl<'a> Planner<'a> {
             Fresh(usize),
         }
 
-        // With a baseline, per-line outcomes are memoized under a digest of
-        // everything one line's plan depends on; a hit skips the line's
-        // site selection and context discovery entirely (the delta-replan
-        // fast path). `plan()` runs every line fresh through the same code.
-        let (dyncfg_digest, base_digest) = if baseline.is_some() {
-            let d = self.profile.cfg.content_digest();
-            (d, self.base_digest(d))
-        } else {
-            (0, 0)
-        };
-        // Plans of one config analyze lines one at a time, through memoize.
-        let analysis_lock = baseline.map(|b| b.analysis_lock(base_digest));
-        let analysis = analysis_lock.as_deref().map(|l| l.lock().expect("analysis lock"));
+        // With a baseline, per-line outcomes are memoized in the table of
+        // the plan's config under the line's stats digest, which with the
+        // table's base digest covers everything one line's plan depends on;
+        // a hit skips the line's site selection and context discovery
+        // entirely (the delta-replan fast path). `plan()` runs every line
+        // fresh through the same code.
+        let dyncfg_digest = baseline.map_or(0, |_| self.profile.cfg.content_digest());
+        // Holding the table locked, plans of one config analyze lines one
+        // plan at a time, through memoize.
+        let memo_table = baseline.map(|b| b.line_memo(self.base_digest(dyncfg_digest)));
+        let mut memo = memo_table.as_deref().map(|m| m.lock().expect("line memo lock"));
         let mut memo_hits = 0u64;
         let mut memo_misses = 0u64;
+        let mut contexts = ContextTally::default();
 
         // ---- Pass 1: site selection + joint-query construction. ----------
         let select_span = tele.span("core.plan.select");
+        let windows = self.profile.cfg.window_table(
+            self.cfg.min_prefetch_cycles,
+            self.cfg.max_prefetch_cycles,
+            self.cfg.max_search_nodes,
+        );
         let mut covered: Vec<(Line, Source)> = Vec::new();
         let mut fresh: Vec<FreshLine> = Vec::new();
         let mut queries: Vec<JointQuery> = Vec::new();
-        for (line, line_stats) in self.profile.misses.lines_by_count() {
-            if line_stats.count < self.cfg.min_miss_count {
-                continue;
-            }
+        for target in self.profile.misses.plan_order(self.cfg.min_miss_count) {
+            let (line, line_stats) = (target.line, target.stats);
             stats.target_lines += 1;
-            let mut digest = 0;
+            let mut line_digest = 0;
             let mut rank_key: RankKey = (0, 0, 0, 0);
-            if let Some(b) = baseline {
-                let line_digest = self.profile.misses.line_digest(line).expect("listed line");
+            if let Some(memo) = &memo {
+                line_digest = target.digest();
                 rank_key =
                     (dyncfg_digest, self.profile.trace_len, self.profile.lbr_depth, line_digest);
-                let mut h = ContentHasher::new();
-                h.write_u64(base_digest);
-                h.write_u64(line.raw());
-                h.write_u64(line_digest);
-                digest = h.finish();
-                if let Some(outcome) = b.memo_lookup(line.raw(), base_digest, digest) {
+                let hit = memo.get(&line.raw()).filter(|(d, _)| *d == line_digest);
+                if let Some((_, outcome)) = hit {
+                    let outcome = Arc::clone(outcome);
                     memo_hits += 1;
                     match outcome.as_ref() {
                         LineOutcome::NoDominant => stats.uncovered_lines += 1,
@@ -528,20 +549,14 @@ impl<'a> Planner<'a> {
                 }
                 memo_misses += 1;
             }
-            let Some(target_block) = line_stats.dominant_block() else {
+            let Some(target_block) = target.dominant else {
                 stats.uncovered_lines += 1;
-                if let Some(b) = baseline {
-                    let outcome = Arc::new(LineOutcome::NoDominant);
-                    b.memo_store(line.raw(), base_digest, digest, outcome);
+                if let Some(memo) = &mut memo {
+                    memo.insert(line.raw(), (line_digest, Arc::new(LineOutcome::NoDominant)));
                 }
                 continue;
             };
-            let candidates = self.profile.cfg.window_candidates(
-                target_block,
-                self.cfg.min_prefetch_cycles,
-                self.cfg.max_prefetch_cycles,
-                self.cfg.max_search_nodes,
-            );
+            let candidates = windows.candidates(target_block);
             // Coverage- and precision-driven multi-site selection: a miss
             // reached over several paths gets one prefetch per covering
             // path; imprecise sites are admitted only because the run-time
@@ -554,7 +569,7 @@ impl<'a> Planner<'a> {
                 allow_conditional: self.cfg.conditional && self.cfg.ctx_size > 0,
             };
             let sites = select_covering_sites(
-                &candidates,
+                candidates,
                 |b| line_stats.history_presence.get(&b).copied().unwrap_or(0),
                 |b| self.profile.cfg.exec_count(b),
                 line_stats.count,
@@ -568,9 +583,9 @@ impl<'a> Planner<'a> {
                 } else {
                     stats.lines_no_candidates += 1;
                 }
-                if let Some(b) = baseline {
+                if let Some(memo) = &mut memo {
                     let outcome = Arc::new(LineOutcome::NoSites { had_candidates });
-                    b.memo_store(line.raw(), base_digest, digest, outcome);
+                    memo.insert(line.raw(), (line_digest, outcome));
                 }
                 continue;
             }
@@ -579,13 +594,7 @@ impl<'a> Planner<'a> {
             let ranked = OnceCell::new();
 
             for site in sites {
-                let mut entry = Pending {
-                    site,
-                    query: None,
-                    candidates: Vec::new(),
-                    ctxs: Vec::new(),
-                    dropped: false,
-                };
+                let mut query = None;
                 if self.cfg.conditional && self.cfg.ctx_size > 0 {
                     let history = ranked.get_or_init(|| {
                         self.line_ranking(baseline, rank_key, line_stats, target_block)
@@ -607,19 +616,18 @@ impl<'a> Planner<'a> {
                         queries.push(JointQuery {
                             site: site.cand.block,
                             target: target_block,
-                            candidates: predictors.clone(),
+                            candidates: predictors,
                             horizon_blocks: horizon,
                         });
-                        entry.query = Some(queries.len() - 1);
-                        entry.candidates = predictors;
+                        query = Some(queries.len() - 1);
                     }
                 }
-                entries.push(entry);
+                entries.push(Pending::new(site, query));
             }
             covered.push((line, Source::Fresh(fresh.len())));
             fresh.push(FreshLine {
                 line,
-                digest,
+                line_digest,
                 rank_key,
                 target_block,
                 ranked,
@@ -640,8 +648,9 @@ impl<'a> Planner<'a> {
         };
         let context_span = tele.span("core.plan.context");
         for fl in &mut fresh {
-            for entry in &mut fl.entries {
-                let Some(qi) = entry.query else {
+            for pending in &mut fl.entries {
+                let entry = &mut pending.entry;
+                let Some(qi) = pending.query else {
                     // Needs-context sites with no query (no predictor
                     // candidates at all) cannot be repaired: drop them.
                     if entry.site.needs_ctx {
@@ -656,30 +665,22 @@ impl<'a> Planner<'a> {
                 if unconditional >= self.cfg.zero_fanout_threshold {
                     continue;
                 }
-                let (ctxs, coverage) = discover_multi(
-                    counts,
-                    &entry.candidates,
-                    self.cfg.ctx_size,
-                    self.cfg.min_ctx_support,
-                    self.cfg.ctx_gain_margin,
-                    self.cfg.min_ctx_probability,
-                    self.cfg.max_contexts_per_site,
-                );
+                let found = self.discover(counts, &queries[qi].candidates, &mut contexts);
                 if entry.site.needs_ctx {
                     // An imprecise site is kept conditionally when contexts
                     // make its firings likely to be useful; failing that it
                     // survives unconditionally only if its raw reach is
                     // already decent (most firings land on a soon-needed
                     // line); otherwise it is dropped.
-                    if !ctxs.is_empty() {
-                        entry.ctxs = ctxs;
+                    if !found.contexts.is_empty() {
+                        entry.ctxs = found.contexts;
                     } else if unconditional < self.cfg.min_unconditional_reach {
                         entry.dropped = true;
                     }
-                } else if !ctxs.is_empty() && coverage >= 0.8 {
+                } else if !found.contexts.is_empty() && found.coverage >= 0.8 {
                     // A precise site adopts contexts only when they retain
                     // (almost) all of its coverage while raising accuracy.
-                    entry.ctxs = ctxs;
+                    entry.ctxs = found.contexts;
                 }
             }
         }
@@ -694,14 +695,14 @@ impl<'a> Planner<'a> {
             let retry_span = tele.span("core.plan.retry");
             let mut retry_queries: Vec<JointQuery> = Vec::new();
             for fl in &mut fresh {
-                if fl.entries.iter().any(|e| !e.dropped) {
+                if fl.entries.iter().any(|e| !e.entry.dropped) {
                     continue;
                 }
                 // The spares: window candidates no pass-1 site took.
                 let mut ranked: Vec<SiteCandidate> = fl
                     .candidates
                     .iter()
-                    .filter(|c| fl.entries.iter().all(|e| e.site.cand.block != c.block))
+                    .filter(|c| fl.entries.iter().all(|e| e.entry.site.cand.block != c.block))
                     .copied()
                     .collect();
                 if ranked.is_empty() {
@@ -751,16 +752,10 @@ impl<'a> Planner<'a> {
                     retry_queries.push(JointQuery {
                         site: cand.block,
                         target: target_block,
-                        candidates: predictors.clone(),
+                        candidates: predictors,
                         horizon_blocks: horizon,
                     });
-                    fl.retry.push(Pending {
-                        site,
-                        query: Some(retry_queries.len() - 1),
-                        candidates: predictors,
-                        ctxs: Vec::new(),
-                        dropped: false,
-                    });
+                    fl.retry.push(Pending::new(site, Some(retry_queries.len() - 1)));
                 }
             }
             drop(retry_span);
@@ -771,23 +766,18 @@ impl<'a> Planner<'a> {
                 };
                 let _retry_span = tele.span("core.plan.retry");
                 for fl in &mut fresh {
-                    for entry in &mut fl.retry {
-                        let counts = &results[entry.query.expect("retry entries carry queries")];
+                    for pending in &mut fl.retry {
+                        let qi = pending.query.expect("retry entries carry queries");
+                        let entry = &mut pending.entry;
+                        let counts = &results[qi];
                         let unconditional = counts.conditional_probability(0).unwrap_or(0.0);
                         if unconditional >= self.cfg.zero_fanout_threshold {
                             continue;
                         }
-                        let (ctxs, _) = discover_multi(
-                            counts,
-                            &entry.candidates,
-                            self.cfg.ctx_size,
-                            self.cfg.min_ctx_support,
-                            self.cfg.ctx_gain_margin,
-                            self.cfg.min_ctx_probability,
-                            self.cfg.max_contexts_per_site,
-                        );
-                        if !ctxs.is_empty() {
-                            entry.ctxs = ctxs;
+                        let found =
+                            self.discover(counts, &retry_queries[qi].candidates, &mut contexts);
+                        if !found.contexts.is_empty() {
+                            entry.ctxs = found.contexts;
                         } else if unconditional < self.cfg.min_unconditional_reach
                             || entry.site.precision < self.cfg.min_conditional_precision
                         {
@@ -801,80 +791,86 @@ impl<'a> Planner<'a> {
         // ---- Memoize: fresh lines' finished outcomes, by content digest. --
         let emit_span = tele.span("core.plan.emit");
         let fresh_outcomes: Vec<Arc<LineOutcome>> = fresh
-            .iter()
+            .into_iter()
             .map(|fl| {
+                // The memo keeps these as long as the baseline lives, so
+                // they are stored at their exact size (the pass vectors
+                // grew by pushes and carry spare capacity).
+                let finished = |pending: Vec<Pending>| {
+                    let mut entries = Vec::with_capacity(pending.len());
+                    entries.extend(pending.into_iter().map(|p| {
+                        let mut entry = p.entry;
+                        entry.ctxs.shrink_to_fit();
+                        entry
+                    }));
+                    entries
+                };
                 let outcome = Arc::new(LineOutcome::Covered {
-                    entries: fl.entries.iter().map(MemoEntry::from_pending).collect(),
-                    retry: fl.retry.iter().map(MemoEntry::from_pending).collect(),
+                    entries: finished(fl.entries),
+                    retry: finished(fl.retry),
                 });
-                if let Some(b) = baseline {
-                    b.memo_store(fl.line.raw(), base_digest, fl.digest, Arc::clone(&outcome));
+                if let Some(memo) = &mut memo {
+                    memo.insert(fl.line.raw(), (fl.line_digest, Arc::clone(&outcome)));
                 }
                 outcome
             })
             .collect();
-        drop(analysis);
+        drop(memo);
 
         // ---- Pass 3: group by (site, context), coalesce, emit. ------------
-        // Canonical order, independent of the memo/fresh split: every
-        // covered line's pass-2 entries in miss-count order first, then
-        // retry entries in ascending line order (the order the old
-        // single-vector pipeline produced them in).
-        let mut groups: BTreeMap<GroupKey, Vec<(Line, LineMeta)>> = BTreeMap::new();
-        let mut retry_lines: BTreeMap<u64, (Line, Arc<LineOutcome>)> = BTreeMap::new();
+        // Each covered line's entries, memoized or fresh alike: its pass-2
+        // entries, then its retry entries. Only the order of one line's
+        // entries matters below (which of them a group keeps the meta of).
+        let mut emitted: Vec<Emitted> = Vec::new();
         for (line, source) in &covered {
             let outcome = match source {
-                Source::Memo(o) => Arc::clone(o),
-                Source::Fresh(i) => Arc::clone(&fresh_outcomes[*i]),
+                Source::Memo(o) => o,
+                Source::Fresh(i) => &fresh_outcomes[*i],
             };
             let LineOutcome::Covered { entries, retry } = outcome.as_ref() else {
                 unreachable!("only covered lines are listed")
             };
-            for entry in entries {
-                self.emit_entry(&mut stats, &mut groups, *line, entry);
-            }
-            if !retry.is_empty() {
-                retry_lines.insert(line.raw(), (*line, Arc::clone(&outcome)));
+            for entry in entries.iter().chain(retry) {
+                self.emit_entry(&mut stats, &mut emitted, *line, entry);
             }
         }
-        for (line, outcome) in retry_lines.values() {
-            let LineOutcome::Covered { retry, .. } = outcome.as_ref() else {
-                unreachable!("only covered lines retry")
-            };
-            for entry in retry {
-                self.emit_entry(&mut stats, &mut groups, *line, entry);
-            }
-        }
+        // Groups in ascending (site, sorted context ids) order; inside one,
+        // each line's entries sit together in emission order, so the first
+        // of them is the one whose meta the line's provenance keeps.
+        emitted.sort_unstable_by(|a, b| {
+            (a.site, a.ctx, a.line, a.seq).cmp(&(b.site, b.ctx, b.line, b.seq))
+        });
 
         let mut injections = InjectionMap::new();
         let mut provenance: Vec<ProvenanceRecord> = Vec::new();
         let mut context_details: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
-        for ((site_raw, ctx_blocks), entries) in groups {
-            let site = BlockId(site_raw);
+        let (mut coalesce_calls, mut coalesce_groups, mut lines_merged) = (0u64, 0u64, 0u64);
+        for group in emitted.chunk_by(|a, b| (a.site, a.ctx) == (b.site, b.ctx)) {
+            let site = BlockId(group[0].site);
+            let ctx_blocks: Vec<BlockId> = group[0].ctx.ids().iter().map(|&b| BlockId(b)).collect();
             let ctx_hash: Option<ContextHash> = if ctx_blocks.is_empty() {
                 None
             } else {
-                context_details.push((site, ctx_blocks.iter().map(|&b| BlockId(b)).collect()));
-                Some(self.cfg.hash.context_hash(
-                    ctx_blocks.iter().map(|&b| self.program.block(BlockId(b)).start()),
-                ))
+                context_details.push((site, ctx_blocks.clone()));
+                Some(
+                    self.cfg
+                        .hash
+                        .context_hash(ctx_blocks.iter().map(|&b| self.program.block(b).start())),
+                )
             };
-            // Per-line metadata for the provenance records; keep-first on a
-            // duplicate line keeps the choice deterministic (entries arrive
-            // in pass order).
-            let mut metas: BTreeMap<u64, LineMeta> = BTreeMap::new();
-            let mut lines: Vec<Line> = Vec::with_capacity(entries.len());
-            for (line, meta) in entries {
-                lines.push(line);
-                metas.entry(line.raw()).or_insert(meta);
-            }
+            // The group's distinct lines, ascending, each with its first
+            // meta.
+            let mut metas: Vec<(Line, LineMeta)> = group.iter().map(|e| (e.line, e.meta)).collect();
+            metas.dedup_by_key(|&mut (line, _)| line);
+            let lines = metas.iter().map(|&(line, _)| line);
             let packed: Vec<CoalescedGroup> = if self.cfg.coalescing {
-                coalesce_lines(lines, self.cfg.coalesce_bits)
+                let packed = coalesce_lines(lines.collect(), self.cfg.coalesce_bits);
+                coalesce_calls += 1;
+                coalesce_groups += packed.len() as u64;
+                lines_merged += (metas.len() - packed.len()) as u64;
+                packed
             } else {
-                let mut ls = lines;
-                ls.sort();
-                ls.dedup();
-                ls.into_iter().map(|base| CoalescedGroup { base, mask: None }).collect()
+                lines.map(|base| CoalescedGroup { base, mask: None }).collect()
             };
             for group in packed {
                 let op = match (ctx_hash, group.mask) {
@@ -910,7 +906,10 @@ impl<'a> Planner<'a> {
                 let rec_lines: Vec<PlannedLine> = targets
                     .iter()
                     .map(|&l| {
-                        let meta = metas.get(&l.raw()).copied().expect("emitted line was grouped");
+                        let at = metas
+                            .binary_search_by_key(&l, |&(line, _)| line)
+                            .expect("emitted line was grouped");
+                        let meta = metas[at].1;
                         PlannedLine {
                             line: l,
                             miss_count: meta.miss_count,
@@ -930,7 +929,7 @@ impl<'a> Planner<'a> {
                     mnemonic: op.mnemonic(),
                     base_line: group.base,
                     mask: group.mask,
-                    context_blocks: ctx_blocks.iter().map(|&b| BlockId(b)).collect(),
+                    context_blocks: ctx_blocks.clone(),
                     lines: rec_lines,
                 });
                 injections.push_traced(site, op, id);
@@ -941,6 +940,14 @@ impl<'a> Planner<'a> {
         stats.injected_bytes = injections.injected_bytes();
         stats.static_increase = injections.static_increase(self.program.text_bytes());
         drop(emit_span);
+        // Each counter is added once per plan, with the totals the per-query
+        // and per-group counts sum to (none when no call ran).
+        contexts.publish(&tele);
+        if coalesce_calls > 0 {
+            tele.add("core.coalesce.calls", coalesce_calls);
+            tele.add("core.coalesce.groups", coalesce_groups);
+            tele.add("core.coalesce.lines_merged", lines_merged);
+        }
         tele.add("core.plan.calls", 1);
         tele.add("core.plan.target_lines", stats.target_lines as u64);
         tele.add("core.plan.covered_lines", stats.covered_lines as u64);
@@ -950,6 +957,27 @@ impl<'a> Planner<'a> {
         tele.add("core.plan.memo_hits", memo_hits);
         tele.add("core.plan.memo_misses", memo_misses);
         Plan { injections, stats, context_details, provenance }
+    }
+
+    /// Context discovery for one query's `counts` over its `candidates`,
+    /// under this plan's config, counted into `tally`.
+    fn discover(
+        &self,
+        counts: &JointCounts,
+        candidates: &[BlockId],
+        tally: &mut ContextTally,
+    ) -> MultiContext {
+        let found = discover_multi(
+            counts,
+            candidates,
+            self.cfg.ctx_size,
+            self.cfg.min_ctx_support,
+            self.cfg.ctx_gain_margin,
+            self.cfg.min_ctx_probability,
+            self.cfg.max_contexts_per_site,
+        );
+        tally.count(&found);
+        found
     }
 
     /// One line's ranked history, through `baseline`'s cache (one entry
@@ -1002,13 +1030,13 @@ impl<'a> Planner<'a> {
         h.finish()
     }
 
-    /// Pushes one finished (site, line) decision into the pass-3 groups,
+    /// Appends one finished (site, line) decision to pass 3's entries,
     /// updating the drop/context accounting exactly as the non-memoized
     /// pipeline did.
     fn emit_entry(
         &self,
         stats: &mut PlanStats,
-        groups: &mut BTreeMap<GroupKey, Vec<(Line, LineMeta)>>,
+        emitted: &mut Vec<Emitted>,
         line: Line,
         entry: &MemoEntry,
     ) {
@@ -1024,17 +1052,22 @@ impl<'a> Planner<'a> {
             window_cycles: entry.site.cand.cycles,
             ctx: None,
         };
+        let site = entry.site.cand.block.0;
+        let mut push = |ctx: CtxIds, meta: LineMeta| {
+            let seq = emitted.len() as u32;
+            emitted.push(Emitted { site, ctx, line, seq, meta });
+        };
         if entry.ctxs.is_empty() {
-            groups.entry((entry.site.cand.block.0, Vec::new())).or_default().push((line, meta));
+            push(CtxIds::new(&[]), meta);
             return;
         }
         for ctx in &entry.ctxs {
-            let mut ids: Vec<u32> = ctx.blocks.iter().map(|b| b.0).collect();
-            ids.sort_unstable();
             stats.contexts_adopted += 1;
             stats.context_blocks_total += ctx.blocks.len();
-            let meta = LineMeta { ctx: Some((ctx.probability, ctx.baseline, ctx.support)), ..meta };
-            groups.entry((entry.site.cand.block.0, ids)).or_default().push((line, meta));
+            push(
+                CtxIds::new(&ctx.blocks),
+                LineMeta { ctx: Some((ctx.probability, ctx.baseline, ctx.support)), ..meta },
+            );
         }
     }
 
@@ -1216,7 +1249,10 @@ mod tests {
         let trace = program.record_trace(model.default_input(), 15_000);
         let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
         let baseline = PlannerBaseline::new();
-        let slots = |line: u64| baseline.line_memo.lock().unwrap().get(&line).map_or(0, Vec::len);
+        let slots = |line: u64| {
+            let memos = baseline.line_memos.lock().unwrap();
+            memos.values().filter(|m| m.lock().unwrap().contains_key(&line)).count()
+        };
         let plan = |cfg: IspyConfig| Planner::new(&program, &trace, &prof, cfg);
         let lines: Vec<Line> = prof.misses.lines_by_count().iter().map(|(l, _)| *l).collect();
         let a = plan(IspyConfig::default());
@@ -1299,17 +1335,16 @@ mod tests {
                 })
                 .collect();
             let c = &planners[0].cfg;
+            let windows = prof.cfg.window_table(
+                c.min_prefetch_cycles,
+                c.max_prefetch_cycles,
+                c.max_search_nodes,
+            );
             for (_, s) in prof.misses.lines_by_count() {
                 let Some(target) = s.dominant_block() else { continue };
                 let ranked = planners[0].ranked_history(s, target);
                 let full = full_ranking(&prof, s, target);
-                let sites = prof.cfg.window_candidates(
-                    target,
-                    c.min_prefetch_cycles,
-                    c.max_prefetch_cycles,
-                    c.max_search_nodes,
-                );
-                for site in sites.iter() {
+                for site in windows.candidates(target).iter() {
                     for p in &planners {
                         assert_eq!(
                             p.predictor_candidates(&ranked, site.block, target),

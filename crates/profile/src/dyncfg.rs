@@ -1,9 +1,8 @@
 //! The weighted dynamic control-flow graph (paper Fig. 2).
 
 use crate::digest::ContentHasher;
-use crate::window::{SiteCandidate, WindowMemo};
+use crate::window::{WindowMemo, WindowTable};
 use ispy_trace::BlockId;
-use std::sync::Arc;
 
 /// A dynamic CFG: blocks weighted by execution count, edges weighted by
 /// taken-branch count, and per-block average cycle costs.
@@ -22,7 +21,7 @@ pub struct DynCfg {
     pred_probs: Vec<f64>,
     pred_start: Vec<u32>,
     /// Every timely-window search run on this CFG (see
-    /// [`DynCfg::window_candidates`]).
+    /// [`DynCfg::window_table`]).
     windows: WindowMemo,
 }
 
@@ -136,16 +135,18 @@ impl DynCfg {
         h.finish()
     }
 
-    /// The timely-window candidates of a miss in `target`: its dynamic
-    /// predecessors whose expected distance lies within `[min_cycles,
-    /// max_cycles]`, from a search capped at `max_nodes` expansions
+    /// The timely-window searches of one window config: each target's
+    /// dynamic predecessors whose expected distance lies within
+    /// `[min_cycles, max_cycles]`, from a search capped at `max_nodes`
+    /// expansions
     /// ([`WindowSearch::candidates`](crate::window::WindowSearch::candidates)).
     ///
-    /// The search reads only this CFG, so its result is memoized here: each
-    /// (target, window, cap) is searched once for as long as the CFG lives,
-    /// and every planner over the profile (I-SPY at any config, AsmDB, the
-    /// spatial baselines) shares it. Concurrent callers wait for a search
-    /// in flight rather than repeat it.
+    /// The search reads only this CFG, so its results are memoized here, in
+    /// one dense per-block table per window config: each (target, window,
+    /// cap) is searched once for as long as the CFG lives, and every
+    /// planner over the profile (I-SPY at any config, AsmDB, the spatial
+    /// baselines) shares it. Concurrent callers wait for a search in flight
+    /// rather than repeat it.
     ///
     /// # Examples
     ///
@@ -155,19 +156,19 @@ impl DynCfg {
     /// use std::sync::Arc;
     ///
     /// let cfg = DynCfg::new(vec![10, 10, 10], vec![10.0; 3], [((0, 1), 10), ((1, 2), 10)]);
-    /// let sites = cfg.window_candidates(BlockId(2), 15, 100, 64);
+    /// let table = cfg.window_table(15, 100, 64);
+    /// let sites = Arc::clone(table.candidates(BlockId(2)));
     /// assert_eq!(sites[0].block, BlockId(0));
     /// // The second request is served from the memo.
-    /// assert!(Arc::ptr_eq(&sites, &cfg.window_candidates(BlockId(2), 15, 100, 64)));
+    /// assert!(Arc::ptr_eq(&sites, table.candidates(BlockId(2))));
     /// ```
-    pub fn window_candidates(
+    pub fn window_table(
         &self,
-        target: BlockId,
         min_cycles: u32,
         max_cycles: u32,
         max_nodes: usize,
-    ) -> Arc<Vec<SiteCandidate>> {
-        self.windows.candidates(self, (target.0, min_cycles, max_cycles, max_nodes))
+    ) -> WindowTable<'_> {
+        self.windows.table(self, (min_cycles, max_cycles, max_nodes))
     }
 
     /// Blocks that were executed at least once.

@@ -50,6 +50,6 @@ pub use collect::{profile, Profile, ProfileReplays, SampleRate};
 pub use delta::{window_delta, MissSample, ProfileAccumulator, ProfileDelta};
 pub use digest::ContentHasher;
 pub use dyncfg::DynCfg;
-pub use miss::{LineMissStats, MissProfile};
+pub use miss::{LineMissStats, MissProfile, OrderedLine};
 pub use scan::{scan_joint, JointCounts, JointQuery};
 pub use window::SiteCandidate;

@@ -73,6 +73,31 @@ impl LineEntry {
         self.digest.take();
         &mut self.stats
     }
+
+    /// The stats' content digest, computed at most once per mutation.
+    fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| self.stats.content_digest())
+    }
+}
+
+/// One missing line as the planners visit it: its stats, its dominant
+/// block, and its cached content digest.
+#[derive(Debug, Clone, Copy)]
+pub struct OrderedLine<'a> {
+    /// The missing line.
+    pub line: Line,
+    /// Its stats.
+    pub stats: &'a LineMissStats,
+    /// [`LineMissStats::dominant_block`] of `stats`.
+    pub dominant: Option<BlockId>,
+    entry: &'a LineEntry,
+}
+
+impl OrderedLine<'_> {
+    /// [`MissProfile::line_digest`] of this line, without a second lookup.
+    pub fn digest(&self) -> u64 {
+        self.entry.digest()
+    }
 }
 
 /// All missing lines observed by a profiling pass.
@@ -80,6 +105,10 @@ impl LineEntry {
 pub struct MissProfile {
     by_line: FxHashMap<u64, LineEntry>,
     total: u64,
+    /// The lines heaviest first (ties by ascending line), each with its
+    /// dominant block: built on first use, dropped by every mutation, so
+    /// every plan over an unchanged profile shares one sort.
+    order: OnceLock<Vec<(Line, Option<BlockId>)>>,
 }
 
 impl MissProfile {
@@ -103,6 +132,7 @@ impl MissProfile {
         history: &[BlockId],
     ) -> &mut LineMissStats {
         self.total += 1;
+        self.order.take();
         let stats = self.by_line.entry(line.raw()).or_default().stats_mut();
         stats.count += 1;
         *stats.at_blocks.entry(block).or_insert(0) += 1;
@@ -131,6 +161,7 @@ impl MissProfile {
     /// ```
     pub fn insert_line(&mut self, line: Line, stats: LineMissStats) {
         self.total += stats.count;
+        self.order.take();
         if let Some(old) =
             self.by_line.insert(line.raw(), LineEntry { stats, digest: OnceLock::new() })
         {
@@ -165,6 +196,7 @@ impl MissProfile {
     /// trace position, or underflowing block/history counts) — removing
     /// phantom samples would silently corrupt the profile.
     pub fn unfold_sample(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
+        self.order.take();
         let stats =
             self.by_line.get_mut(&line.raw()).expect("unfold of an unknown line").stats_mut();
         let at = stats.positions.partition_point(|&p| p < idx);
@@ -202,8 +234,7 @@ impl MissProfile {
     /// once per mutation of the line (the planner's per-line memo key), or
     /// `None` if the line never missed.
     pub fn line_digest(&self, line: Line) -> Option<u64> {
-        let e = self.by_line.get(&line.raw())?;
-        Some(*e.digest.get_or_init(|| e.stats.content_digest()))
+        self.by_line.get(&line.raw()).map(LineEntry::digest)
     }
 
     /// Total sampled misses.
@@ -216,12 +247,33 @@ impl MissProfile {
         self.by_line.len()
     }
 
-    /// Missing lines ordered by miss count, heaviest first.
+    /// Missing lines ordered by miss count, heaviest first (ties by
+    /// ascending line).
     pub fn lines_by_count(&self) -> Vec<(Line, &LineMissStats)> {
-        let mut v: Vec<(Line, &LineMissStats)> =
-            self.by_line.iter().map(|(&raw, e)| (Line::new(raw), &e.stats)).collect();
-        v.sort_by_key(|&(l, s)| (std::cmp::Reverse(s.count), l));
-        v
+        self.plan_order(0).map(|l| (l.line, l.stats)).collect()
+    }
+
+    /// The lines a planner targets, in the order it visits them: every line
+    /// with at least `min_count` misses, heaviest first (ties by ascending
+    /// line), each with its dominant block. The order is sorted once per
+    /// mutation of the profile and shared by every plan in between.
+    pub fn plan_order(&self, min_count: u64) -> impl Iterator<Item = OrderedLine<'_>> {
+        let order = self.order.get_or_init(|| {
+            let mut order: Vec<(u64, Line, Option<BlockId>)> = self
+                .by_line
+                .iter()
+                .map(|(&raw, e)| (e.stats.count, Line::new(raw), e.stats.dominant_block()))
+                .collect();
+            order.sort_unstable_by_key(|&(count, line, _)| (std::cmp::Reverse(count), line));
+            order.into_iter().map(|(_, line, dominant)| (line, dominant)).collect()
+        });
+        order
+            .iter()
+            .map(|&(line, dominant)| {
+                let entry = &self.by_line[&line.raw()];
+                OrderedLine { line, stats: &entry.stats, dominant, entry }
+            })
+            .take_while(move |l| l.stats.count >= min_count)
     }
 
     /// Iterates all `(line, stats)` pairs in unspecified order.
@@ -395,5 +447,61 @@ mod tests {
         check(&mp, l);
         mp.unfold_sample(l, b(7), 3, &[]);
         assert_eq!(mp.line_digest(l), None);
+    }
+
+    #[test]
+    fn plan_order_tracks_every_mutation() {
+        // Fills the cached order, then checks it against a fresh sort of
+        // the stats, at every miss-count floor the lines straddle.
+        fn check(mp: &MissProfile) {
+            let mut fresh: Vec<(u64, Line, Option<BlockId>)> =
+                mp.iter().map(|(l, s)| (s.count, l, s.dominant_block())).collect();
+            fresh.sort_by_key(|&(count, line, _)| (std::cmp::Reverse(count), line));
+            for min_count in 0..=4 {
+                let want: Vec<(Line, Option<BlockId>)> = fresh
+                    .iter()
+                    .filter(|&&(count, ..)| count >= min_count)
+                    .map(|&(_, line, dominant)| (line, dominant))
+                    .collect();
+                let got: Vec<(Line, Option<BlockId>)> =
+                    mp.plan_order(min_count).map(|l| (l.line, l.dominant)).collect();
+                assert_eq!(got, want, "min count {min_count}");
+            }
+            for l in mp.plan_order(0) {
+                assert_eq!(l.stats.count, mp.line(l.line).unwrap().count);
+                assert_eq!(Some(l.digest()), mp.line_digest(l.line));
+            }
+        }
+        let (x, y, z) = (Line::new(3), Line::new(9), Line::new(20));
+        let mut mp = MissProfile::new();
+        check(&mp);
+        mp.record(y, b(1), 4, &[b(2)]);
+        mp.record(x, b(2), 5, &[]);
+        check(&mp);
+        // y leads on its tie with x; a second miss puts x first.
+        mp.record(x, b(3), 6, &[b(1)]);
+        check(&mp);
+        // Two misses at b(4) make it y's dominant block.
+        mp.fold_sample(y, b(4), 2, &[]);
+        mp.fold_sample(y, b(4), 1, &[]);
+        check(&mp);
+        let installed = LineMissStats {
+            count: 3,
+            at_blocks: [(b(7), 2), (b(8), 1)].into_iter().collect(),
+            positions: vec![0, 7, 8],
+            ..Default::default()
+        };
+        mp.insert_line(z, installed);
+        check(&mp);
+        // Replacing a line's stats reorders it too.
+        mp.insert_line(z, LineMissStats { count: 1, positions: vec![9], ..Default::default() });
+        check(&mp);
+        mp.unfold_sample(y, b(4), 1, &[]);
+        check(&mp);
+        // Removing a line's last miss removes it from the order.
+        mp.unfold_sample(x, b(2), 5, &[]);
+        mp.unfold_sample(x, b(3), 6, &[b(1)]);
+        check(&mp);
+        assert!(mp.plan_order(0).all(|l| l.line != x));
     }
 }

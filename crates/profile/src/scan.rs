@@ -139,7 +139,8 @@ struct Site {
 /// whose union passes 64 blocks gets one word per 64-block group), and the
 /// same pass records every target's execution positions. Each query's
 /// counts are then filled from its group's words in a pass of their own,
-/// and exact-duplicate queries are answered once.
+/// where a group's queries with one (target, horizon) share each
+/// occurrence's hit bit, and exact-duplicate queries are answered once.
 ///
 /// # Panics
 ///
@@ -249,29 +250,34 @@ pub fn scan_joint(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Ve
         }
     }
 
-    // Each query's counts, from its group's words.
+    // Each query's counts, from its group's words. The members of a group
+    // that ask about one (target, horizon) share its hit bit, computed once
+    // per site occurrence.
     let mut results: Vec<JointCounts> =
         queries.iter().map(|q| JointCounts::new(q.candidates.len())).collect();
-    for site in &sites {
-        for g in &site.groups {
-            for (qi, bits) in &g.members {
-                let q = &queries[*qi];
-                let targets = &positions[target_slot[q.target.index()] as usize - 1];
-                let res = &mut results[*qi];
+    let label = |qi: usize| (queries[qi].target, queries[qi].horizon_blocks);
+    for site in &mut sites {
+        for g in &mut site.groups {
+            g.members.sort_by_key(|&(qi, _)| label(qi));
+            for same in g.members.chunk_by(|a, b| label(a.0) == label(b.0)) {
+                let (target, horizon) = label(same[0].0);
+                let targets = &positions[target_slot[target.index()] as usize - 1];
                 // Site occurrences arrive in trace order, so the next
                 // target only ever moves forward.
                 let mut next = 0usize;
                 for (&pos, &word) in site.occurrences.iter().zip(&g.words) {
-                    let mut mask = 0usize;
-                    for (ci, &j) in bits.iter().enumerate() {
-                        mask |= ((word >> j) as usize & 1) << ci;
-                    }
-                    res.occurrences[mask] += 1;
                     while next < targets.len() && targets[next] <= pos {
                         next += 1;
                     }
-                    if targets.get(next).is_some_and(|&t| t - pos <= q.horizon_blocks) {
-                        res.hits[mask] += 1;
+                    let hit = targets.get(next).is_some_and(|&t| t - pos <= horizon);
+                    for (qi, bits) in same {
+                        let mut mask = 0usize;
+                        for (ci, &j) in bits.iter().enumerate() {
+                            mask |= ((word >> j) as usize & 1) << ci;
+                        }
+                        let res = &mut results[*qi];
+                        res.occurrences[mask] += 1;
+                        res.hits[mask] += u64::from(hit);
                     }
                 }
             }
@@ -420,6 +426,7 @@ mod tests {
         use ispy_trace::rng::Pcg32;
         let mut rng = Pcg32::seed_from_u64(0x5CA7);
         let mut wide_sites = 0;
+        let mut shared_labels = 0;
         for round in 0..200 {
             // A small alphabet repeats blocks inside every window. Every
             // fourth round instead piles a dozen or more 8-candidate queries
@@ -451,6 +458,17 @@ mod tests {
                     horizon_blocks: rng.below(12) as u32,
                 });
             }
+            // Queries of one site asking about one (target, horizon) share
+            // each occurrence's hit bit: give a few of them the first
+            // query's.
+            for i in 1..queries.len() {
+                if rng.below(3) == 0 {
+                    let (target, horizon) = (queries[0].target, queries[0].horizon_blocks);
+                    queries[i] =
+                        JointQuery { target, horizon_blocks: horizon, ..queries[i].clone() };
+                    shared_labels += usize::from(queries[i].site == queries[0].site);
+                }
+            }
             // Exact duplicates, answered once but reported per query.
             for _ in 0..rng.below(3) {
                 let q = queries[rng.below(queries.len() as u64) as usize].clone();
@@ -470,6 +488,7 @@ mod tests {
             }
         }
         assert!(wide_sites >= 10, "only {wide_sites} sites passed one presence word");
+        assert!(shared_labels >= 100, "only {shared_labels} queries shared a site's label");
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //!
 //! The search reads nothing but the CFG, so every planner over one profile
 //! (I-SPY, AsmDB, the spatial baselines) shares one search per (target,
-//! window) through the memo [`DynCfg::window_candidates`] keeps.
+//! window) through the memo tables [`DynCfg::window_table`] hands out.
 
 use crate::dyncfg::DynCfg;
 use ispy_trace::BlockId;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::BinaryHeap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A candidate injection site for one miss target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -226,44 +226,80 @@ impl WindowSearch {
     }
 }
 
-/// One memoized search: (target block, min cycles, max cycles, expansion
-/// cap).
-type WindowKey = (u32, u32, u32, usize);
+/// One window config: (min cycles, max cycles, expansion cap).
+type WindowConfig = (u32, u32, usize);
 
-/// A [`DynCfg`]'s window-candidate memo: every search its planners asked
-/// for, by [`WindowKey`], plus the search state misses reuse.
-///
-/// Misses are searched under the lock, so concurrent planners never repeat
-/// a search and the `core.window.*` counters count each key once whatever
-/// the schedule. A clone keeps the entries (they are a function of the CFG
-/// alone, and a clone's CFG is the same) but starts its own search state.
-#[derive(Debug, Default)]
-pub(crate) struct WindowMemo {
-    state: Mutex<MemoState>,
+/// One window config's memoized searches: slot `b` holds the candidates of
+/// target block `b`, filled on first request.
+#[derive(Debug, Clone)]
+struct Slots {
+    config: WindowConfig,
+    found: Vec<OnceLock<Arc<Vec<SiteCandidate>>>>,
 }
 
+/// A [`DynCfg`]'s window-candidate memo: one dense [`Slots`] table per
+/// window config its planners asked for, plus the search state misses
+/// reuse.
+///
+/// A slot is filled once: concurrent requests for it wait for the search
+/// in flight, and searches of different slots take turns on the one search
+/// state, so the `core.window.*` counters count each (target, config) once
+/// whatever the schedule. A clone keeps the entries (they are a function of
+/// the CFG alone, and a clone's CFG is the same) but starts its own tables
+/// and search state.
 #[derive(Debug, Default)]
-struct MemoState {
-    search: WindowSearch,
-    found: HashMap<WindowKey, Arc<Vec<SiteCandidate>>>,
+pub(crate) struct WindowMemo {
+    search: Mutex<WindowSearch>,
+    tables: Mutex<Vec<Arc<Slots>>>,
 }
 
 impl WindowMemo {
-    /// The candidates of `key` on `cfg`, searched on first request.
-    pub(crate) fn candidates(&self, cfg: &DynCfg, key: WindowKey) -> Arc<Vec<SiteCandidate>> {
-        let mut state = self.state.lock().expect("window memo lock");
-        let MemoState { search, found } = &mut *state;
-        let (target, min_cycles, max_cycles, max_nodes) = key;
-        Arc::clone(found.entry(key).or_insert_with(|| {
-            Arc::new(search.candidates(cfg, BlockId(target), min_cycles, max_cycles, max_nodes))
-        }))
+    /// The table of `config` on `cfg`, created empty on first request.
+    pub(crate) fn table<'a>(&'a self, cfg: &'a DynCfg, config: WindowConfig) -> WindowTable<'a> {
+        let mut tables = self.tables.lock().expect("window memo lock");
+        let slots = match tables.iter().find(|t| t.config == config) {
+            Some(t) => Arc::clone(t),
+            None => {
+                let found = (0..cfg.num_blocks()).map(|_| OnceLock::new()).collect();
+                tables.push(Arc::new(Slots { config, found }));
+                Arc::clone(tables.last().expect("just pushed"))
+            }
+        };
+        WindowTable { cfg, memo: self, slots }
     }
 }
 
 impl Clone for WindowMemo {
     fn clone(&self) -> Self {
-        let found = self.state.lock().expect("window memo lock").found.clone();
-        WindowMemo { state: Mutex::new(MemoState { search: WindowSearch::new(), found }) }
+        let tables = self.tables.lock().expect("window memo lock");
+        let tables = tables.iter().map(|t| Arc::new(Slots::clone(t))).collect();
+        WindowMemo { search: Mutex::default(), tables: Mutex::new(tables) }
+    }
+}
+
+/// One window config's searches on a [`DynCfg`]
+/// ([`DynCfg::window_table`]): a planner fetches it once per plan, and
+/// each memoized target is then an index into a dense per-block table.
+#[derive(Debug)]
+pub struct WindowTable<'a> {
+    cfg: &'a DynCfg,
+    memo: &'a WindowMemo,
+    slots: Arc<Slots>,
+}
+
+impl WindowTable<'_> {
+    /// The timely-window candidates of a miss in `target`, searched on
+    /// first request ([`WindowSearch::candidates`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is not a block of the CFG.
+    pub fn candidates(&self, target: BlockId) -> &Arc<Vec<SiteCandidate>> {
+        self.slots.found[target.index()].get_or_init(|| {
+            let (min_cycles, max_cycles, max_nodes) = self.slots.config;
+            let mut search = self.memo.search.lock().expect("window search lock");
+            Arc::new(search.candidates(self.cfg, target, min_cycles, max_cycles, max_nodes))
+        })
     }
 }
 
@@ -388,19 +424,27 @@ mod tests {
     #[test]
     fn memo_searches_each_key_once() {
         let cfg = chain_cfg(10, 10.0);
-        let first = cfg.window_candidates(BlockId(9), 25, 60, 1024);
+        let table = cfg.window_table(25, 60, 1024);
+        let first = Arc::clone(table.candidates(BlockId(9)));
         assert_eq!(*first, search(&cfg, BlockId(9), 25, 60, 1024));
-        assert!(Arc::ptr_eq(&first, &cfg.window_candidates(BlockId(9), 25, 60, 1024)));
+        assert!(Arc::ptr_eq(&first, table.candidates(BlockId(9))));
+        // A second handle on the same config reads the same table.
+        assert!(Arc::ptr_eq(&first, cfg.window_table(25, 60, 1024).candidates(BlockId(9))));
         // Every part of the key tells searches apart.
         for (target, min, max, cap) in
             [(8, 25, 60, 1024), (9, 15, 60, 1024), (9, 25, 70, 1024), (9, 25, 60, 3)]
         {
-            let got = cfg.window_candidates(BlockId(target), min, max, cap);
-            assert!(!Arc::ptr_eq(&first, &got));
-            assert_eq!(*got, search(&cfg, BlockId(target), min, max, cap));
+            let other = cfg.window_table(min, max, cap);
+            let got = other.candidates(BlockId(target));
+            assert!(!Arc::ptr_eq(&first, got));
+            assert_eq!(**got, search(&cfg, BlockId(target), min, max, cap));
         }
-        // A clone keeps the searches already run.
+        // A clone keeps the searches already run, in tables of its own.
         let copy = cfg.clone();
-        assert!(Arc::ptr_eq(&first, &copy.window_candidates(BlockId(9), 25, 60, 1024)));
+        let copied = copy.window_table(25, 60, 1024);
+        assert!(Arc::ptr_eq(&first, copied.candidates(BlockId(9))));
+        let fresh = Arc::clone(copied.candidates(BlockId(7)));
+        assert!(!Arc::ptr_eq(&fresh, table.candidates(BlockId(7))));
+        assert_eq!(fresh, *table.candidates(BlockId(7)));
     }
 }
