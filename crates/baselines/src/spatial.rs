@@ -30,29 +30,31 @@ pub enum SpatialMode {
 /// Lines in the window after each miss (the paper's 8).
 const WINDOW_BITS: u8 = 8;
 
+/// The nearest a site may sit before its miss, in cycles (I-SPY's default).
+const MIN_CYCLES: u32 = 27;
+
+/// The farthest a site may sit before its miss, in cycles (I-SPY's default).
+const MAX_CYCLES: u32 = 200;
+
+/// Window-search expansions per miss target.
+const MAX_SEARCH_NODES: usize = 4096;
+
+/// Misses a line needs to be targeted.
+const MIN_MISS_COUNT: u64 = 2;
+
 /// Planner for the spatial-window prefetchers.
 #[derive(Debug)]
 pub struct SpatialPlanner<'a> {
     program: &'a Program,
     profile: &'a Profile,
     mode: SpatialMode,
-    min_cycles: u32,
-    max_cycles: u32,
-    min_miss_count: u64,
 }
 
 impl<'a> SpatialPlanner<'a> {
     /// Creates a planner with the paper's window of 8 lines and the default
     /// prefetch distances.
     pub fn new(program: &'a Program, profile: &'a Profile, mode: SpatialMode) -> Self {
-        SpatialPlanner {
-            program,
-            profile,
-            mode,
-            min_cycles: 27,
-            max_cycles: 200,
-            min_miss_count: 2,
-        }
+        SpatialPlanner { program, profile, mode }
     }
 
     /// Produces the injection plan.
@@ -69,8 +71,8 @@ impl<'a> SpatialPlanner<'a> {
         // Lines already covered as part of an earlier op's window.
         let mut covered: HashSet<u64> = HashSet::new();
 
-        let windows = self.profile.cfg.window_table(self.min_cycles, self.max_cycles, 4096);
-        for target in self.profile.misses.plan_order(self.cfg_min_count()) {
+        let windows = self.profile.cfg.window_table(MIN_CYCLES, MAX_CYCLES, MAX_SEARCH_NODES);
+        for target in self.profile.misses.plan_order(MIN_MISS_COUNT) {
             let line = target.line;
             stats.target_lines += 1;
             if covered.contains(&line.raw()) {
@@ -123,10 +125,6 @@ impl<'a> SpatialPlanner<'a> {
         stats.injected_bytes = injections.injected_bytes();
         stats.static_increase = injections.static_increase(self.program.text_bytes());
         Plan { injections, stats, context_details: Vec::new(), provenance: Vec::new() }
-    }
-
-    fn cfg_min_count(&self) -> u64 {
-        self.min_miss_count
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::coalesce::{coalesce_lines, CoalescedGroup};
 use crate::config::IspyConfig;
-use crate::context::{discover_multi, ContextChoice, ContextTally, MultiContext};
+use crate::context::{discover_multi, ContextChoice, ContextTally};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
 use crate::window::{select_covering_sites, SelectedSite, SelectionPolicy};
 use ispy_isa::{ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
@@ -14,7 +14,7 @@ use ispy_profile::{
 use ispy_sim::FxHashMap;
 use ispy_trace::{BlockId, Line, Program, Trace};
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Aggregate statistics about a produced plan.
@@ -109,8 +109,13 @@ pub struct Plan {
 type RankKey = (u64, usize, usize, u64);
 
 /// Joint-scan answers by the LBR depth the scan ran at, then by the query
-/// verbatim (its target is a block of the fixed trace).
-type JointCache = HashMap<usize, HashMap<JointQuery, Arc<JointCounts>>>;
+/// verbatim (its target is a block of the fixed trace). The first plan to
+/// scan a query moves it in as the key, and every plan reads the query's
+/// candidates back from there, so no query is copied to become a key.
+type JointCache = HashMap<usize, HashMap<Arc<JointQuery>, Arc<JointCounts>>>;
+
+/// One joint query with its answer.
+type Answer = (Arc<JointQuery>, Arc<JointCounts>);
 
 /// Reusable, thread-safe caches for [`Planner::plan`]'s staged
 /// intermediates (window candidates are not among them: they live in the
@@ -126,9 +131,12 @@ type JointCache = HashMap<usize, HashMap<JointQuery, Arc<JointCounts>>>;
 ///   plan's base digest (`Planner::base_digest`: the dynamic CFG, the trace
 ///   dimensions, and every config field passes 1–2.5 read): one slot per
 ///   line, checked against the line's miss-stats digest — the engine
-///   behind [`Planner::replan_delta`]. Pass 3's knobs (`coalesce_bits`,
-///   `coalescing`, `hash`) are not in the base digest, so config points
-///   that differ only in them reuse every line outcome.
+///   behind [`Planner::replan_delta`]. A slot holds the line's whole
+///   outcome (covered lines: one entries vector, the pass-2 entries then
+///   the retry entries), and a plan adds a hit to its stats and pass 3
+///   exactly as it adds a line it analyzed fresh. Pass 3's knobs
+///   (`coalesce_bits`, `coalescing`, `hash`) are not in the base digest, so
+///   config points that differ only in them reuse every line outcome.
 ///
 /// Sensitivity sweeps (Figs. 12/17/18/19 and the ablations) replan the same
 /// app under many configs; with a shared baseline each distinct trace scan
@@ -150,10 +158,11 @@ type JointCache = HashMap<usize, HashMap<JointQuery, Arc<JointCounts>>>;
 /// scans instead of duplicating them (plans for *different* apps use
 /// different baselines and stay fully parallel). Likewise, a plan holds its
 /// config's memo table locked through its line analysis (passes 1–2.5 and
-/// memoize), so concurrent plans that share a base digest analyze lines one
-/// plan at a time, each (line, config) outcome is computed once and the
-/// memo's hit counts do not depend on the schedule; their pass 3 and plans
-/// of other configs stay parallel.
+/// the walk that memoizes each fresh outcome while adding every line to
+/// the plan), so concurrent plans that share a base digest analyze lines
+/// one plan at a time, each (line, config) outcome is computed once and the
+/// memo's hit counts do not depend on the schedule; the rest of their pass
+/// 3 and plans of other configs stay parallel.
 #[derive(Debug, Default)]
 pub struct PlannerBaseline {
     ranked: Mutex<HashMap<RankKey, Arc<Vec<BlockId>>>>,
@@ -194,22 +203,38 @@ impl PlannerBaseline {
     }
 
     /// Answers `queries` from the joint cache, scanning the trace once for
-    /// whatever distinct subset is uncached.
-    fn resolve_joint(&self, planner: &Planner, queries: &[JointQuery]) -> Vec<Arc<JointCounts>> {
+    /// whatever distinct subset is uncached; those queries move into the
+    /// cache, and each answer shares its query with it.
+    fn resolve_joint(&self, planner: &Planner, queries: Vec<JointQuery>) -> Vec<Answer> {
         let lbr = planner.profile.lbr_depth;
         let mut cache = self.joint.lock().expect("joint lock");
         let cache = cache.entry(lbr).or_default();
-        let mut asked: HashSet<&JointQuery> = HashSet::new();
-        let missing: Vec<JointQuery> = queries
+        // Each query's cached answer, or the index of its first occurrence
+        // among the uncached ones.
+        let mut firsts: HashMap<&JointQuery, usize> = HashMap::new();
+        let slots: Vec<Result<Answer, usize>> = queries
             .iter()
-            .filter(|&q| !cache.contains_key(q) && asked.insert(q))
-            .cloned()
+            .map(|q| match cache.get_key_value(q) {
+                Some((q, counts)) => Ok((Arc::clone(q), Arc::clone(counts))),
+                None => {
+                    let next = firsts.len();
+                    Err(*firsts.entry(q).or_insert(next))
+                }
+            })
             .collect();
-        let results = scan_joint(planner.trace, lbr, &missing);
-        for (q, counts) in missing.into_iter().zip(results) {
-            cache.insert(q, Arc::new(counts));
+        let mut missing: Vec<JointQuery> = Vec::with_capacity(firsts.len());
+        for (q, slot) in queries.into_iter().zip(&slots) {
+            if matches!(slot, Err(i) if *i == missing.len()) {
+                missing.push(q);
+            }
         }
-        queries.iter().map(|q| Arc::clone(&cache[q])).collect()
+        let counts = scan_joint(planner.trace, lbr, &missing);
+        let scanned: Vec<Answer> =
+            missing.into_iter().zip(counts).map(|(q, c)| (Arc::new(q), Arc::new(c))).collect();
+        for (q, counts) in &scanned {
+            cache.insert(Arc::clone(q), Arc::clone(counts));
+        }
+        slots.into_iter().map(|slot| slot.unwrap_or_else(|i| scanned[i].clone())).collect()
     }
 }
 
@@ -289,18 +314,43 @@ struct LineMeta {
     ctx: Option<(f64, f64, u64)>,
 }
 
-/// One (site, line) decision being made: the entry passes 2 and 2.5 fill
-/// in, and the index of its query among the pass's joint queries (whose
-/// `candidates` are the predictor pool), if one was issued.
+/// One (site, line) decision being made: the entry a context round fills
+/// in, and the index of its query among the round's joint queries until
+/// that round has decided it.
 struct Pending {
     entry: MemoEntry,
     query: Option<usize>,
 }
 
 impl Pending {
-    fn new(site: SelectedSite, query: Option<usize>) -> Self {
-        Pending { entry: MemoEntry { site, ctxs: Vec::new(), dropped: false }, query }
+    /// A decision for `site`, its `query` (if any) appended to the round's
+    /// `queries`. A site that needs a context but has no query to find one
+    /// in cannot be repaired, so it starts out dropped.
+    fn new(site: SelectedSite, query: Option<JointQuery>, queries: &mut Vec<JointQuery>) -> Self {
+        let dropped = query.is_none() && site.needs_ctx;
+        let query = query.map(|q| {
+            queries.push(q);
+            queries.len() - 1
+        });
+        Pending { entry: MemoEntry { site, ctxs: Vec::new(), dropped }, query }
     }
+}
+
+/// One covered line being analyzed fresh (not served by the memo): what
+/// passes 1–2.5 read of it, and its decisions so far.
+struct FreshLine<'w> {
+    line: Line,
+    line_digest: u64,
+    rank_key: RankKey,
+    stats: &'w LineMissStats,
+    target_block: BlockId,
+    ranked: OnceCell<Arc<Vec<BlockId>>>,
+    /// The line's window candidates; those no entry chose are the spares
+    /// pass 2.5 retries.
+    candidates: &'w [SiteCandidate],
+    /// Pass 1's entries (selection order), then any retry entries pass 2.5
+    /// adds (rank order).
+    entries: Vec<Pending>,
 }
 
 /// One finished (site, line) decision, as stored in the per-line memo and
@@ -311,14 +361,16 @@ struct MemoEntry {
     site: SelectedSite,
     /// Adopted contexts (empty = unconditional op).
     ctxs: Vec<ContextChoice>,
-    /// Dropped in pass 2 (needs-context site without a strong context).
+    /// Dropped by its context round (needs-context site without a strong
+    /// context).
     dropped: bool,
 }
 
 /// The complete planning outcome for one miss line, memoized under a digest
 /// of every input the line's decisions depend on. Passes 1–2.5 have no
-/// cross-line coupling, so replaying stored outcomes line by line
-/// reproduces a fresh plan byte for byte.
+/// cross-line coupling, and every line — memo hit or fresh — reaches pass 3
+/// as one outcome, so replaying stored outcomes reproduces a fresh plan
+/// byte for byte.
 #[derive(Debug)]
 enum LineOutcome {
     /// The line's misses had no dominant block: uncovered.
@@ -326,9 +378,10 @@ enum LineOutcome {
     /// Site selection produced nothing: uncovered, with the
     /// no-candidates/no-sites distinction for the stats.
     NoSites { had_candidates: bool },
-    /// Covered: the pass-2 entries (selection order) and any pass-2.5 retry
-    /// entries (rank order), dropped ones included so pass 3 can count them.
-    Covered { entries: Vec<MemoEntry>, retry: Vec<MemoEntry> },
+    /// Covered: one entry per (site, line) decision — pass 2's entries in
+    /// selection order, then any pass-2.5 retry entries in rank order —
+    /// dropped ones included so pass 3 can count them.
+    Covered { entries: Vec<MemoEntry> },
 }
 
 /// The I-SPY offline analyzer.
@@ -448,22 +501,6 @@ impl<'a> Planner<'a> {
         self.plan_impl(Some(baseline))
     }
 
-    /// Resolves joint queries either directly (one fresh scan for the whole
-    /// batch) or through the baseline's cache.
-    fn resolve_queries(
-        &self,
-        queries: &[JointQuery],
-        baseline: Option<&PlannerBaseline>,
-    ) -> Vec<Arc<JointCounts>> {
-        match baseline {
-            None => scan_joint(self.trace, self.profile.lbr_depth, queries)
-                .into_iter()
-                .map(Arc::new)
-                .collect(),
-            Some(b) => b.resolve_joint(self, queries),
-        }
-    }
-
     fn plan_impl(&self, baseline: Option<&PlannerBaseline>) -> Plan {
         let tele = ispy_telemetry::global();
         let _plan_span = tele.span("core.plan");
@@ -472,25 +509,6 @@ impl<'a> Planner<'a> {
             lines_per_op_hist: vec![0; usize::from(self.cfg.coalesce_bits) + 1],
             ..Default::default()
         };
-
-        // One covered line's fresh (non-memoized) working state.
-        struct FreshLine<'w> {
-            line: Line,
-            line_digest: u64,
-            rank_key: RankKey,
-            target_block: BlockId,
-            ranked: OnceCell<Arc<Vec<BlockId>>>,
-            /// The line's window candidates; those no entry chose are the
-            /// spares pass 2.5 retries.
-            candidates: &'w [SiteCandidate],
-            entries: Vec<Pending>,
-            retry: Vec<Pending>,
-        }
-        // Where a covered line's outcome comes from, in miss-count order.
-        enum Source {
-            Memo(Arc<LineOutcome>),
-            Fresh(usize),
-        }
 
         // With a baseline, per-line outcomes are memoized in the table of
         // the plan's config under the line's stats digest, which with the
@@ -506,6 +524,7 @@ impl<'a> Planner<'a> {
         let mut memo_hits = 0u64;
         let mut memo_misses = 0u64;
         let mut contexts = ContextTally::default();
+        let allow_conditional = self.cfg.conditional && self.cfg.ctx_size > 0;
 
         // ---- Pass 1: site selection + joint-query construction. ----------
         let select_span = tele.span("core.plan.select");
@@ -514,46 +533,27 @@ impl<'a> Planner<'a> {
             self.cfg.max_prefetch_cycles,
             self.cfg.max_search_nodes,
         );
-        let mut covered: Vec<(Line, Source)> = Vec::new();
+        // Every target line's outcome, in any order, with the stats digest
+        // to memoize it under if it was analyzed fresh. Covered fresh lines
+        // join once pass 2.5 has finished them.
+        let mut outcomes: Vec<(Line, Arc<LineOutcome>, Option<u64>)> = Vec::new();
         let mut fresh: Vec<FreshLine> = Vec::new();
         let mut queries: Vec<JointQuery> = Vec::new();
         for target in self.profile.misses.plan_order(self.cfg.min_miss_count) {
             let (line, line_stats) = (target.line, target.stats);
-            stats.target_lines += 1;
             let mut line_digest = 0;
-            let mut rank_key: RankKey = (0, 0, 0, 0);
             if let Some(memo) = &memo {
                 line_digest = target.digest();
-                rank_key =
-                    (dyncfg_digest, self.profile.trace_len, self.profile.lbr_depth, line_digest);
                 let hit = memo.get(&line.raw()).filter(|(d, _)| *d == line_digest);
                 if let Some((_, outcome)) = hit {
-                    let outcome = Arc::clone(outcome);
                     memo_hits += 1;
-                    match outcome.as_ref() {
-                        LineOutcome::NoDominant => stats.uncovered_lines += 1,
-                        LineOutcome::NoSites { had_candidates } => {
-                            stats.uncovered_lines += 1;
-                            if *had_candidates {
-                                stats.lines_no_sites += 1;
-                            } else {
-                                stats.lines_no_candidates += 1;
-                            }
-                        }
-                        LineOutcome::Covered { .. } => {
-                            stats.covered_lines += 1;
-                            covered.push((line, Source::Memo(outcome)));
-                        }
-                    }
+                    outcomes.push((line, Arc::clone(outcome), None));
                     continue;
                 }
                 memo_misses += 1;
             }
             let Some(target_block) = target.dominant else {
-                stats.uncovered_lines += 1;
-                if let Some(memo) = &mut memo {
-                    memo.insert(line.raw(), (line_digest, Arc::new(LineOutcome::NoDominant)));
-                }
+                outcomes.push((line, Arc::new(LineOutcome::NoDominant), Some(line_digest)));
                 continue;
             };
             let candidates = windows.candidates(target_block);
@@ -566,7 +566,7 @@ impl<'a> Planner<'a> {
                 min_presence: self.cfg.min_site_presence,
                 min_unconditional_precision: self.cfg.min_unconditional_precision,
                 min_conditional_precision: self.cfg.min_conditional_precision,
-                allow_conditional: self.cfg.conditional && self.cfg.ctx_size > 0,
+                allow_conditional,
             };
             let sites = select_covering_sites(
                 candidates,
@@ -576,124 +576,46 @@ impl<'a> Planner<'a> {
                 &policy,
             );
             if sites.is_empty() {
-                stats.uncovered_lines += 1;
-                let had_candidates = !candidates.is_empty();
-                if had_candidates {
-                    stats.lines_no_sites += 1;
-                } else {
-                    stats.lines_no_candidates += 1;
-                }
-                if let Some(memo) = &mut memo {
-                    let outcome = Arc::new(LineOutcome::NoSites { had_candidates });
-                    memo.insert(line.raw(), (line_digest, outcome));
-                }
+                let outcome = LineOutcome::NoSites { had_candidates: !candidates.is_empty() };
+                outcomes.push((line, Arc::new(outcome), Some(line_digest)));
                 continue;
             }
-            stats.covered_lines += 1;
-            let mut entries: Vec<Pending> = Vec::new();
-            let ranked = OnceCell::new();
-
-            for site in sites {
-                let mut query = None;
-                if self.cfg.conditional && self.cfg.ctx_size > 0 {
-                    let history = ranked.get_or_init(|| {
-                        self.line_ranking(baseline, rank_key, line_stats, target_block)
-                    });
-                    let predictors =
-                        self.predictor_candidates(history, site.cand.block, target_block);
-                    if !predictors.is_empty() {
-                        // Label horizon: how far ahead "reaching the target"
-                        // still counts. The max prefetch distance expressed
-                        // in blocks (ideal cycles / avg block cost), with
-                        // slack for runtime path variance.
-                        let horizon = (site.cand.blocks * 3).max(64);
-                        // The context is scored on *reaching the miss block*
-                        // (path probability, as in Fig. 6), not on the miss
-                        // re-occurring: misses are self-erasing once the
-                        // line is cached, whereas the prefetch should fire
-                        // whenever the line is about to be needed (a
-                        // resident prefetch is cheap, §VII).
-                        queries.push(JointQuery {
-                            site: site.cand.block,
-                            target: target_block,
-                            candidates: predictors,
-                            horizon_blocks: horizon,
-                        });
-                        query = Some(queries.len() - 1);
-                    }
-                }
-                entries.push(Pending::new(site, query));
-            }
-            covered.push((line, Source::Fresh(fresh.len())));
-            fresh.push(FreshLine {
+            let rank_key =
+                (dyncfg_digest, self.profile.trace_len, self.profile.lbr_depth, line_digest);
+            let mut fl = FreshLine {
                 line,
                 line_digest,
                 rank_key,
+                stats: line_stats,
                 target_block,
-                ranked,
+                ranked: OnceCell::new(),
                 candidates,
-                entries,
-                retry: Vec::new(),
-            });
+                entries: Vec::with_capacity(sites.len()),
+            };
+            for site in sites {
+                let query = if allow_conditional {
+                    self.joint_query(&fl, &site.cand, baseline)
+                } else {
+                    None
+                };
+                fl.entries.push(Pending::new(site, query, &mut queries));
+            }
+            fresh.push(fl);
         }
         drop(select_span);
 
         // ---- Pass 2: one linear scan answers every context query. --------
         // Fresh lines only — memoized lines already carry their decisions.
-        let results = if queries.is_empty() {
-            Vec::new()
-        } else {
-            let _scan_span = tele.span("core.plan.scan");
-            self.resolve_queries(&queries, baseline)
-        };
-        let context_span = tele.span("core.plan.context");
-        for fl in &mut fresh {
-            for pending in &mut fl.entries {
-                let entry = &mut pending.entry;
-                let Some(qi) = pending.query else {
-                    // Needs-context sites with no query (no predictor
-                    // candidates at all) cannot be repaired: drop them.
-                    if entry.site.needs_ctx {
-                        entry.dropped = true;
-                    }
-                    continue;
-                };
-                let counts = &results[qi];
-                // Zero fan-out at run time: the site almost always leads to
-                // the miss; no condition needed (§IV).
-                let unconditional = counts.conditional_probability(0).unwrap_or(0.0);
-                if unconditional >= self.cfg.zero_fanout_threshold {
-                    continue;
-                }
-                let found = self.discover(counts, &queries[qi].candidates, &mut contexts);
-                if entry.site.needs_ctx {
-                    // An imprecise site is kept conditionally when contexts
-                    // make its firings likely to be useful; failing that it
-                    // survives unconditionally only if its raw reach is
-                    // already decent (most firings land on a soon-needed
-                    // line); otherwise it is dropped.
-                    if !found.contexts.is_empty() {
-                        entry.ctxs = found.contexts;
-                    } else if unconditional < self.cfg.min_unconditional_reach {
-                        entry.dropped = true;
-                    }
-                } else if !found.contexts.is_empty() && found.coverage >= 0.8 {
-                    // A precise site adopts contexts only when they retain
-                    // (almost) all of its coverage while raising accuracy.
-                    entry.ctxs = found.contexts;
-                }
-            }
-        }
-        drop(context_span);
+        self.context_round(&mut fresh, queries, baseline, &mut contexts, "core.plan.context");
 
         // ---- Pass 2.5: retry lines whose every injection was dropped. -----
         // A line can lose all its first-choice sites when none of them finds
         // a usable context; its remaining window candidates get one more
         // attempt (always as conditional sites). Fresh lines only: a
         // memoized line carries its retry entries in its stored outcome.
-        if self.cfg.conditional && self.cfg.ctx_size > 0 {
+        if allow_conditional {
             let retry_span = tele.span("core.plan.retry");
-            let mut retry_queries: Vec<JointQuery> = Vec::new();
+            let mut queries: Vec<JointQuery> = Vec::new();
             for fl in &mut fresh {
                 if fl.entries.iter().any(|e| !e.entry.dropped) {
                     continue;
@@ -705,12 +627,7 @@ impl<'a> Planner<'a> {
                     .filter(|c| fl.entries.iter().all(|e| e.entry.site.cand.block != c.block))
                     .copied()
                     .collect();
-                if ranked.is_empty() {
-                    continue;
-                }
-                let line = fl.line;
-                let target_block = fl.target_block;
-                let Some(line_stats) = self.profile.misses.line(line) else { continue };
+                let line_stats = fl.stats;
                 let presence =
                     |b: BlockId| line_stats.history_presence.get(&b).copied().unwrap_or(0);
                 ranked.sort_by(|a, b| {
@@ -734,13 +651,7 @@ impl<'a> Planner<'a> {
                     if precision < self.cfg.min_conditional_precision {
                         continue;
                     }
-                    let history = fl.ranked.get_or_init(|| {
-                        self.line_ranking(baseline, fl.rank_key, line_stats, target_block)
-                    });
-                    let predictors = self.predictor_candidates(history, cand.block, target_block);
-                    if predictors.is_empty() {
-                        continue;
-                    }
+                    let Some(query) = self.joint_query(fl, &cand, baseline) else { continue };
                     taken += 1;
                     let site = SelectedSite {
                         cand,
@@ -748,95 +659,42 @@ impl<'a> Planner<'a> {
                         precision,
                         needs_ctx: true,
                     };
-                    let horizon = (cand.blocks * 3).max(64);
-                    retry_queries.push(JointQuery {
-                        site: cand.block,
-                        target: target_block,
-                        candidates: predictors,
-                        horizon_blocks: horizon,
-                    });
-                    fl.retry.push(Pending::new(site, Some(retry_queries.len() - 1)));
+                    fl.entries.push(Pending::new(site, Some(query), &mut queries));
                 }
             }
             drop(retry_span);
-            if !retry_queries.is_empty() {
-                let results = {
-                    let _scan_span = tele.span("core.plan.scan");
-                    self.resolve_queries(&retry_queries, baseline)
-                };
-                let _retry_span = tele.span("core.plan.retry");
-                for fl in &mut fresh {
-                    for pending in &mut fl.retry {
-                        let qi = pending.query.expect("retry entries carry queries");
-                        let entry = &mut pending.entry;
-                        let counts = &results[qi];
-                        let unconditional = counts.conditional_probability(0).unwrap_or(0.0);
-                        if unconditional >= self.cfg.zero_fanout_threshold {
-                            continue;
-                        }
-                        let found =
-                            self.discover(counts, &retry_queries[qi].candidates, &mut contexts);
-                        if !found.contexts.is_empty() {
-                            entry.ctxs = found.contexts;
-                        } else if unconditional < self.cfg.min_unconditional_reach
-                            || entry.site.precision < self.cfg.min_conditional_precision
-                        {
-                            entry.dropped = true;
-                        }
-                    }
-                }
+            if !queries.is_empty() {
+                self.context_round(&mut fresh, queries, baseline, &mut contexts, "core.plan.retry");
             }
         }
 
-        // ---- Memoize: fresh lines' finished outcomes, by content digest. --
+        // ---- Memoize + pass 3: group by (site, context), coalesce, emit. ---
         let emit_span = tele.span("core.plan.emit");
-        let fresh_outcomes: Vec<Arc<LineOutcome>> = fresh
-            .into_iter()
-            .map(|fl| {
-                // The memo keeps these as long as the baseline lives, so
-                // they are stored at their exact size (the pass vectors
-                // grew by pushes and carry spare capacity).
-                let finished = |pending: Vec<Pending>| {
-                    let mut entries = Vec::with_capacity(pending.len());
-                    entries.extend(pending.into_iter().map(|p| {
-                        let mut entry = p.entry;
-                        entry.ctxs.shrink_to_fit();
-                        entry
-                    }));
-                    entries
-                };
-                let outcome = Arc::new(LineOutcome::Covered {
-                    entries: finished(fl.entries),
-                    retry: finished(fl.retry),
-                });
-                if let Some(memo) = &mut memo {
-                    memo.insert(fl.line.raw(), (fl.line_digest, Arc::clone(&outcome)));
-                }
-                outcome
-            })
-            .collect();
-        drop(memo);
-
-        // ---- Pass 3: group by (site, context), coalesce, emit. ------------
-        // Each covered line's entries, memoized or fresh alike: its pass-2
-        // entries, then its retry entries. Only the order of one line's
-        // entries matters below (which of them a group keeps the meta of).
+        // Fresh lines' finished outcomes. The memo keeps these as long as
+        // the baseline lives, so they are stored at their exact size (the
+        // pass vectors grew by pushes and carry spare capacity).
+        outcomes.extend(fresh.into_iter().map(|fl| {
+            let mut entries = Vec::with_capacity(fl.entries.len());
+            entries.extend(fl.entries.into_iter().map(|p| {
+                let mut entry = p.entry;
+                entry.ctxs.shrink_to_fit();
+                entry
+            }));
+            (fl.line, Arc::new(LineOutcome::Covered { entries }), Some(fl.line_digest))
+        }));
         let mut emitted: Vec<Emitted> = Vec::new();
-        for (line, source) in &covered {
-            let outcome = match source {
-                Source::Memo(o) => o,
-                Source::Fresh(i) => &fresh_outcomes[*i],
-            };
-            let LineOutcome::Covered { entries, retry } = outcome.as_ref() else {
-                unreachable!("only covered lines are listed")
-            };
-            for entry in entries.iter().chain(retry) {
-                self.emit_entry(&mut stats, &mut emitted, *line, entry);
+        for (line, outcome, fresh_digest) in outcomes {
+            self.add_line(&mut stats, &mut emitted, line, &outcome);
+            if let (Some(memo), Some(digest)) = (&mut memo, fresh_digest) {
+                memo.insert(line.raw(), (digest, outcome));
             }
         }
+        drop(memo);
         // Groups in ascending (site, sorted context ids) order; inside one,
         // each line's entries sit together in emission order, so the first
-        // of them is the one whose meta the line's provenance keeps.
+        // of them is the one whose meta the line's provenance keeps. Only
+        // the order of one line's entries matters, not the order in which
+        // the lines were added.
         emitted.sort_unstable_by(|a, b| {
             (a.site, a.ctx, a.line, a.seq).cmp(&(b.site, b.ctx, b.line, b.seq))
         });
@@ -959,25 +817,105 @@ impl<'a> Planner<'a> {
         Plan { injections, stats, context_details, provenance }
     }
 
-    /// Context discovery for one query's `counts` over its `candidates`,
-    /// under this plan's config, counted into `tally`.
-    fn discover(
+    /// The joint query for one (site, line): the site's predictor pool over
+    /// the line's ranked history (ranked on first use), and the label
+    /// horizon. None when the pool is empty.
+    fn joint_query(
         &self,
-        counts: &JointCounts,
-        candidates: &[BlockId],
+        fl: &FreshLine,
+        site: &SiteCandidate,
+        baseline: Option<&PlannerBaseline>,
+    ) -> Option<JointQuery> {
+        let history = fl
+            .ranked
+            .get_or_init(|| self.line_ranking(baseline, fl.rank_key, fl.stats, fl.target_block));
+        let predictors = self.predictor_candidates(history, site.block, fl.target_block);
+        if predictors.is_empty() {
+            return None;
+        }
+        // The context is scored on *reaching the miss block* (path
+        // probability, as in Fig. 6), not on the miss re-occurring: misses
+        // are self-erasing once the line is cached, whereas the prefetch
+        // should fire whenever the line is about to be needed (a resident
+        // prefetch is cheap, §VII). The horizon is how far ahead "reaching
+        // the target" still counts: the max prefetch distance expressed in
+        // blocks (ideal cycles / avg block cost), with slack for runtime
+        // path variance.
+        Some(JointQuery {
+            site: site.block,
+            target: fl.target_block,
+            candidates: predictors,
+            horizon_blocks: (site.blocks * 3).max(64),
+        })
+    }
+
+    /// One context round (pass 2, or pass 2.5's retry): answers `queries`
+    /// with one joint-LBR scan (through `baseline`'s cache, if any), then,
+    /// timed under `span`, decides every entry of `fresh` still waiting on
+    /// one of them.
+    fn context_round(
+        &self,
+        fresh: &mut [FreshLine],
+        queries: Vec<JointQuery>,
+        baseline: Option<&PlannerBaseline>,
         tally: &mut ContextTally,
-    ) -> MultiContext {
-        let found = discover_multi(
-            counts,
-            candidates,
-            self.cfg.ctx_size,
-            self.cfg.min_ctx_support,
-            self.cfg.ctx_gain_margin,
-            self.cfg.min_ctx_probability,
-            self.cfg.max_contexts_per_site,
-        );
-        tally.count(&found);
-        found
+        span: &str,
+    ) {
+        let tele = ispy_telemetry::global();
+        let answers: Vec<Answer> = if queries.is_empty() {
+            Vec::new()
+        } else {
+            let _scan_span = tele.span("core.plan.scan");
+            match baseline {
+                None => {
+                    let counts = scan_joint(self.trace, self.profile.lbr_depth, &queries);
+                    queries
+                        .into_iter()
+                        .map(Arc::new)
+                        .zip(counts.into_iter().map(Arc::new))
+                        .collect()
+                }
+                Some(b) => b.resolve_joint(self, queries),
+            }
+        };
+        let _span = tele.span(span);
+        for pending in fresh.iter_mut().flat_map(|fl| &mut fl.entries) {
+            let Some(qi) = pending.query.take() else { continue };
+            let (query, counts) = &answers[qi];
+            let entry = &mut pending.entry;
+            // Zero fan-out at run time: the site almost always leads to the
+            // miss; no condition needed (§IV).
+            let unconditional = counts.conditional_probability(0).unwrap_or(0.0);
+            if unconditional >= self.cfg.zero_fanout_threshold {
+                continue;
+            }
+            let found = discover_multi(
+                counts,
+                &query.candidates,
+                self.cfg.ctx_size,
+                self.cfg.min_ctx_support,
+                self.cfg.ctx_gain_margin,
+                self.cfg.min_ctx_probability,
+                self.cfg.max_contexts_per_site,
+            );
+            tally.count(&found);
+            if entry.site.needs_ctx {
+                // An imprecise site (every retry site among them) is kept
+                // conditionally when contexts make its firings likely to be
+                // useful; failing that it survives unconditionally only if
+                // its raw reach is already decent (most firings land on a
+                // soon-needed line); otherwise it is dropped.
+                if !found.contexts.is_empty() {
+                    entry.ctxs = found.contexts;
+                } else if unconditional < self.cfg.min_unconditional_reach {
+                    entry.dropped = true;
+                }
+            } else if !found.contexts.is_empty() && found.coverage >= 0.8 {
+                // A precise site adopts contexts only when they retain
+                // (almost) all of its coverage while raising accuracy.
+                entry.ctxs = found.contexts;
+            }
+        }
     }
 
     /// One line's ranked history, through `baseline`'s cache (one entry
@@ -1030,44 +968,65 @@ impl<'a> Planner<'a> {
         h.finish()
     }
 
-    /// Appends one finished (site, line) decision to pass 3's entries,
-    /// updating the drop/context accounting exactly as the non-memoized
-    /// pipeline did.
-    fn emit_entry(
+    /// Adds one target line's outcome to the plan: its coverage to `stats`,
+    /// and each of its surviving entries to pass 3's `emitted`, counting
+    /// dropped entries and adopted contexts.
+    fn add_line(
         &self,
         stats: &mut PlanStats,
         emitted: &mut Vec<Emitted>,
         line: Line,
-        entry: &MemoEntry,
+        outcome: &LineOutcome,
     ) {
-        if entry.dropped {
-            stats.entries_dropped += 1;
-            return;
-        }
-        let meta = LineMeta {
-            miss_count: self.profile.misses.line(line).map_or(0, |s| s.count),
-            site_presence: entry.site.presence_frac,
-            site_precision: entry.site.precision,
-            reach_prob: entry.site.cand.reach_prob,
-            window_cycles: entry.site.cand.cycles,
-            ctx: None,
+        stats.target_lines += 1;
+        let entries = match outcome {
+            LineOutcome::Covered { entries } => entries,
+            LineOutcome::NoDominant => {
+                stats.uncovered_lines += 1;
+                return;
+            }
+            LineOutcome::NoSites { had_candidates } => {
+                stats.uncovered_lines += 1;
+                if *had_candidates {
+                    stats.lines_no_sites += 1;
+                } else {
+                    stats.lines_no_candidates += 1;
+                }
+                return;
+            }
         };
-        let site = entry.site.cand.block.0;
-        let mut push = |ctx: CtxIds, meta: LineMeta| {
-            let seq = emitted.len() as u32;
-            emitted.push(Emitted { site, ctx, line, seq, meta });
-        };
-        if entry.ctxs.is_empty() {
-            push(CtxIds::new(&[]), meta);
-            return;
-        }
-        for ctx in &entry.ctxs {
-            stats.contexts_adopted += 1;
-            stats.context_blocks_total += ctx.blocks.len();
-            push(
-                CtxIds::new(&ctx.blocks),
-                LineMeta { ctx: Some((ctx.probability, ctx.baseline, ctx.support)), ..meta },
-            );
+        stats.covered_lines += 1;
+        let miss_count = self.profile.misses.line(line).map_or(0, |s| s.count);
+        for entry in entries {
+            if entry.dropped {
+                stats.entries_dropped += 1;
+                continue;
+            }
+            let meta = LineMeta {
+                miss_count,
+                site_presence: entry.site.presence_frac,
+                site_precision: entry.site.precision,
+                reach_prob: entry.site.cand.reach_prob,
+                window_cycles: entry.site.cand.cycles,
+                ctx: None,
+            };
+            let site = entry.site.cand.block.0;
+            let mut push = |ctx: CtxIds, meta: LineMeta| {
+                let seq = emitted.len() as u32;
+                emitted.push(Emitted { site, ctx, line, seq, meta });
+            };
+            if entry.ctxs.is_empty() {
+                push(CtxIds::new(&[]), meta);
+                continue;
+            }
+            for ctx in &entry.ctxs {
+                stats.contexts_adopted += 1;
+                stats.context_blocks_total += ctx.blocks.len();
+                push(
+                    CtxIds::new(&ctx.blocks),
+                    LineMeta { ctx: Some((ctx.probability, ctx.baseline, ctx.support)), ..meta },
+                );
+            }
         }
     }
 
