@@ -122,7 +122,7 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
             initial.compile(program.num_blocks())
         };
         let id_base = compiled.rebase_provenance(0);
-        let eng = Engine::new(program, cfg, Arc::new(compiled), None, outcomes, true);
+        let eng = Engine::new(program, cfg, Arc::new(compiled), None, outcomes, true, None);
         AdaptiveEngine { program, eng, idx: 0, id_base }
     }
 

@@ -170,6 +170,36 @@ impl Cache {
         Some(was_untouched)
     }
 
+    /// Demand access that fills on a miss, as a private cache's demand
+    /// load does: returns whether `line` hit. Identical to
+    /// [`Cache::access`] followed, on a miss, by an MRU [`Cache::fill`] of
+    /// a non-prefetched line, in one set scan.
+    #[inline]
+    pub(crate) fn demand_fill(&mut self, line: Line) -> bool {
+        let si = self.set_index(line);
+        let base = si * self.ways;
+        let occ = self.occ[si] as usize;
+        let set = &mut self.slots[base..base + self.ways];
+        let raw = line.raw();
+        // The slot the line leaves (a hit) or the LRU victim's (a miss in a
+        // full set); the slots before it shift down one.
+        let (hit, from) = match set[..occ].iter().position(|&s| s >> 1 == raw) {
+            Some(pos) => (true, pos),
+            None if occ < self.ways => {
+                self.occ[si] += 1;
+                (false, occ)
+            }
+            None => (false, occ - 1),
+        };
+        let mut i = from;
+        while i > 0 {
+            set[i] = set[i - 1];
+            i -= 1;
+        }
+        set[0] = raw << 1;
+        hit
+    }
+
     /// Whether the line is resident, without touching recency or flags.
     #[inline]
     pub fn contains(&self, line: Line) -> bool {
@@ -492,6 +522,48 @@ mod tests {
                 true
             } else {
                 false
+            }
+        }
+    }
+
+    #[test]
+    fn demand_fill_is_a_demand_then_an_mru_fill() {
+        for params in [
+            CacheParams { size_bytes: 8 * 64, ways: 2, line_bytes: 64 },
+            CacheParams { size_bytes: 24 * 64, ways: 4, line_bytes: 64 }, // 6 sets: not pow2
+            CacheParams::new(4 * 1024, 8),
+        ] {
+            let mut flat = Cache::new(params);
+            let mut reference = RefCache::new(params);
+            let mut state = 0x9E3779B97F4A7C15u64;
+            for step in 0..20_000u64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let line = Line::new(state % 64);
+                if state >> 16 & 3 == 0 {
+                    // Prefetch fills leave flagged lines for demands to clear.
+                    let (a, b) = (
+                        flat.fill(line, InsertPriority::Half, true),
+                        reference.fill(line, InsertPriority::Half, true),
+                    );
+                    assert_eq!(a, b, "fill diverged at step {step} ({params:?})");
+                    continue;
+                }
+                let hit = reference.demand(line).is_some();
+                if !hit {
+                    reference.fill(line, InsertPriority::Mru, false);
+                }
+                assert_eq!(flat.demand_fill(line), hit, "step {step} ({params:?})");
+                // Every set holds the same lines, flags and recency order.
+                for (si, want) in reference.sets.iter().enumerate() {
+                    let base = si * flat.ways;
+                    let got: Vec<(u64, bool)> = flat.slots[base..base + flat.occ[si] as usize]
+                        .iter()
+                        .map(|&s| (s >> 1, s & 1 == 1))
+                        .collect();
+                    assert_eq!(&got, want, "set {si} at step {step} ({params:?})");
+                }
             }
         }
     }

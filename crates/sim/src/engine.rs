@@ -15,7 +15,9 @@
 //!    stalls for `lat(level) − lat(L1I)`; a line still in flight from a
 //!    prefetch stalls only for the remaining time (late prefetch).
 //! 4. Data accesses run against L1D/L2/L3 with a fractional stall charge
-//!    (the OoO backend hides most data latency).
+//!    (the OoO backend hides most data latency). Their L1D outcomes come
+//!    from the trace's L1D record (below); each L1D miss is served by the
+//!    shared L2/L3, which instruction fetches and prefetches also fill.
 //! 5. Issue bandwidth: `ceil(instrs / width)` cycles.
 //!
 //! Absolute cycle counts are a simplification of the authors' ZSim setup;
@@ -25,9 +27,19 @@
 //! ## Hot-path structure
 //!
 //! Every block takes the same step (`Engine::step`) and every injected op
-//! the same loop, organised around two observations about injected replay
-//! (see DESIGN.md "Engine internals"):
+//! the same loop, organised around three observations about replay (see
+//! DESIGN.md "Engine internals"):
 //!
+//! * **The L1D side is computed once per trace** — no plan, arm, ideal
+//!   I-cache or switch schedule reaches the L1D, so one filter pass
+//!   (`l1d.rs`) records each data access's L1D outcome: a miss bit per
+//!   access and a footprint offset per miss. [`run`] memoizes that record
+//!   on the [`Trace`], keyed by the data layout and data config, so every
+//!   replay of a trace after its first skips the address mix, the stream
+//!   split and the L1D probe; the data side pops a block's miss count and
+//!   sends only the misses on to L2/L3. Chunked runs ([`run_streaming`],
+//!   [`run_adaptive`](crate::run_adaptive)) filter each chunk into a
+//!   reused record and read it through the same data side.
 //! * **Branch-free op execution** — [`CompiledOp`](ispy_isa::CompiledOp)s
 //!   carry the condition as
 //!   a raw bitmask (`bits & !runtime == 0`, `0` for unconditional ops) and
@@ -42,6 +54,7 @@
 use crate::config::SimConfig;
 use crate::fxhash::FxHashMap;
 use crate::hierarchy::Hierarchy;
+use crate::l1d::{DataFilter, L1dRecord, DATA_LINE_BASE};
 use crate::lbr::{BloomSig, Lbr};
 use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
@@ -50,9 +63,6 @@ use ispy_artifact::ArtifactError;
 use ispy_isa::{CompiledInjections, InjectionMap, ProvenanceId};
 use ispy_trace::{Addr, BlockId, BlockSource, Line, Program, Trace};
 use std::sync::Arc;
-
-/// Data lines live in a disjoint address range from code lines.
-const DATA_LINE_BASE: u64 = 1 << 40;
 
 /// Callbacks the engine raises during replay; used by the profiler.
 pub trait SimObserver {
@@ -589,13 +599,15 @@ pub(crate) struct Engine<'o> {
     attr: Attribution<'o>,
     m: SimResult,
     cycle: u64,
-    data_lines: u64,
-    /// `data_lines − 1` when the data footprint is a power of two (every
-    /// bundled app model), letting the data side reduce addresses with an
-    /// AND instead of two 64-bit divisions per access; `0` disables it.
-    data_mask: u64,
-    stream_counter: u64,
-    stream_threshold: u64,
+    /// The L1D outcomes the data side reads: the whole trace's memoized
+    /// record ([`run`]), or the current chunk's, which `filter` refills at
+    /// each replay call.
+    l1d: Arc<L1dRecord>,
+    /// Chunked runs' filter; `None` when `l1d` covers the whole trace.
+    filter: Option<DataFilter>,
+    /// The next unread access of `l1d`, and its next unread miss.
+    d_next: usize,
+    d_next_miss: usize,
     issue_width: u64,
     d_stall_factor: f64,
     ideal_icache: bool,
@@ -624,7 +636,8 @@ impl<'o> Engine<'o> {
     /// plan is empty — adaptive runs start plan-less but hot-swap real plans
     /// in later, and the arena limits are fixed at construction (an
     /// undersized arena is still *correct*: lines spill to the hash-map
-    /// side, just slower).
+    /// side, just slower). `l1d` is the whole replayed trace's L1D record;
+    /// without one the engine filters each replayed chunk itself.
     pub(crate) fn new(
         program: &Program,
         cfg: &SimConfig,
@@ -632,6 +645,7 @@ impl<'o> Engine<'o> {
         observer: Option<&'o mut dyn SimObserver>,
         ledger: Option<&'o mut OutcomeLedger>,
         force_arena: bool,
+        l1d: Option<Arc<L1dRecord>>,
     ) -> Self {
         let mut hier = Hierarchy::new(cfg);
         let lbr = Lbr::new(cfg.lbr_depth, cfg.hash);
@@ -653,7 +667,10 @@ impl<'o> Engine<'o> {
         let tagged = ledger.is_some();
         let hot_ops = hot_ops(&injections, hier.l1i_shadow_limit());
         let metas = block_metas(program, &lbr);
-        let data_lines = program.data_footprint_lines();
+        let (l1d, filter) = match l1d {
+            Some(record) => (record, None),
+            None => (Arc::default(), Some(DataFilter::new(program, cfg))),
+        };
         Engine {
             hier,
             lbr,
@@ -661,10 +678,10 @@ impl<'o> Engine<'o> {
             attr: Attribution { ledger, owner: OwnerArena::new(owner_limit) },
             m: SimResult::default(),
             cycle: 0,
-            data_lines,
-            data_mask: if data_lines.is_power_of_two() { data_lines - 1 } else { 0 },
-            stream_counter: 0,
-            stream_threshold: (cfg.d_stream_frac * 100.0) as u64,
+            l1d,
+            filter,
+            d_next: 0,
+            d_next_miss: 0,
             issue_width: u64::from(cfg.issue_width),
             d_stall_factor: cfg.d_stall_factor,
             ideal_icache: cfg.ideal_icache,
@@ -682,6 +699,12 @@ impl<'o> Engine<'o> {
     /// Replays a window of trace blocks; `idx0` is the window's position in
     /// the full trace (observer callbacks report absolute indices).
     pub(crate) fn replay(&mut self, blocks: &[BlockId], idx0: usize) {
+        if let Some(filter) = &mut self.filter {
+            let record = Arc::get_mut(&mut self.l1d).expect("a chunk's record is never shared");
+            filter.refill(blocks, record);
+            self.d_next = 0;
+            self.d_next_miss = 0;
+        }
         if self.sched.is_some() {
             self.sync_boundaries(idx0);
         }
@@ -857,7 +880,9 @@ impl<'o> Engine<'o> {
         }
 
         // 5. Data side.
-        self.data_side(block_id, &meta);
+        if meta.data_accesses != 0 {
+            self.data_side(meta.data_accesses as usize);
+        }
 
         // 6. Issue bandwidth.
         self.m.base_instrs += meta.instrs;
@@ -957,40 +982,34 @@ impl<'o> Engine<'o> {
         self.attr.note(tag, |o| o.lines_issued += 1);
     }
 
-    /// Reduces `x` into the data footprint: a mask when the footprint is a
-    /// power of two (bit-identical to the modulo), a division otherwise.
+    /// Replays a block's `n` data accesses: their L1D outcomes come from
+    /// the record, and each L1D miss is served by the shared levels.
     #[inline]
-    fn data_index(&self, x: u64) -> u64 {
-        if self.data_mask != 0 {
-            x & self.data_mask
-        } else {
-            x % self.data_lines
-        }
-    }
-
-    /// Replays the block's data accesses.
-    fn data_side(&mut self, block_id: BlockId, meta: &BlockMeta) {
-        for k in 0..meta.data_accesses {
-            self.m.d_accesses += 1;
-            let site = mix(u64::from(block_id.0), u64::from(k));
-            let line = if site % 100 < self.stream_threshold {
-                self.stream_counter = self.stream_counter.wrapping_add(1);
-                Line::new(DATA_LINE_BASE + self.data_index(self.stream_counter))
-            } else {
-                Line::new(DATA_LINE_BASE + self.data_index(site))
-            };
-            let out = self.hier.load_data(line);
+    fn data_side(&mut self, n: usize) {
+        let Self { l1d, hier, m, cycle, d_next, d_next_miss, d_stall_factor, .. } = self;
+        m.d_accesses += n as u64;
+        let misses = l1d.misses_in(*d_next, n);
+        *d_next += n;
+        for j in *d_next_miss..*d_next_miss + misses {
+            let out = hier.load_data_miss(l1d.miss_line(j));
             if out.extra_cycles > 0 {
-                self.m.d_misses += 1;
-                let stall = (f64::from(out.extra_cycles) * self.d_stall_factor) as u64;
-                self.m.d_stall_cycles += stall;
-                self.cycle += stall;
+                m.d_misses += 1;
+                let stall = (f64::from(out.extra_cycles) * *d_stall_factor) as u64;
+                m.d_stall_cycles += stall;
+                *cycle += stall;
             }
         }
+        *d_next_miss += misses;
     }
 }
 
 /// Replays `trace` through the simulated machine.
+///
+/// The first run of `trace` under a data layout and data config (L1D
+/// geometry, streaming fraction) records every data access's L1D outcome
+/// in the trace's memo ([`Trace::derived`]); every later run of the trace
+/// under them — any plan, arm, I-cache or switch schedule — reads that
+/// record instead of re-running the L1D.
 ///
 /// # Panics
 ///
@@ -1010,17 +1029,25 @@ impl<'o> Engine<'o> {
 /// assert_eq!(result.blocks, 5_000);
 /// ```
 pub fn run(program: &Program, trace: &Trace, cfg: &SimConfig, opts: RunOptions<'_>) -> SimResult {
-    let mut eng = engine_for(program, cfg, opts);
+    let l1d = DataFilter::record_of(program, trace, cfg);
+    let mut eng = engine_for(program, cfg, opts, Some(l1d));
     eng.replay(trace.blocks(), 0);
+    debug_assert_eq!(eng.d_next, eng.l1d.accesses(), "the replay read the whole record");
     eng.result_so_far()
 }
 
-/// Builds the engine a static run replays through, attaching `opts`. The
+/// Builds the engine a static run replays through, attaching `opts` and
+/// the trace's L1D record, if the run has one. The
 /// plan is lowered into its dense compiled form unless the caller already
 /// did (sweeps reuse one compiled plan across many runs); a pre-compiled
 /// plan is cloned once — a memcpy of the dense tables, negligible next to a
 /// replay.
-fn engine_for<'o>(program: &Program, cfg: &SimConfig, opts: RunOptions<'o>) -> Engine<'o> {
+fn engine_for<'o>(
+    program: &Program,
+    cfg: &SimConfig,
+    opts: RunOptions<'o>,
+    l1d: Option<Arc<L1dRecord>>,
+) -> Engine<'o> {
     let injections = match opts.compiled {
         Some(c) => Arc::new(c.clone()),
         None => match opts.injections {
@@ -1028,7 +1055,7 @@ fn engine_for<'o>(program: &Program, cfg: &SimConfig, opts: RunOptions<'o>) -> E
             _ => Arc::new(CompiledInjections::default()),
         },
     };
-    Engine::new(program, cfg, injections, opts.observer, opts.outcomes, false)
+    Engine::new(program, cfg, injections, opts.observer, opts.outcomes, false, l1d)
 }
 
 /// Replays a [`BlockSource`] through the simulated machine, chunk by chunk.
@@ -1073,26 +1100,13 @@ pub fn run_streaming<S: BlockSource + ?Sized>(
     cfg: &SimConfig,
     opts: RunOptions<'_>,
 ) -> Result<SimResult, ArtifactError> {
-    let mut eng = engine_for(program, cfg, opts);
+    let mut eng = engine_for(program, cfg, opts, None);
     let mut idx0 = 0usize;
     while let Some(chunk) = source.next_chunk()? {
         eng.replay(chunk, idx0);
         idx0 += chunk.len();
     }
     Ok(eng.result_so_far())
-}
-
-/// Cheap 64-bit mix for deterministic pseudo-random data addresses.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(b.wrapping_mul(0xBF58476D1CE4E5B9))
-        .wrapping_add(0x94D049BB133111EB);
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xBF58476D1CE4E5B9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -1,4 +1,9 @@
-//! The Table-I memory hierarchy: split L1s over unified L2/L3.
+//! The Table-I memory hierarchy: the L1I over unified L2/L3.
+//!
+//! The L1D is not here: whether a data access hits it depends on the trace
+//! and the data config alone, so the engine takes each access's L1D outcome
+//! from a per-trace record (see `l1d.rs`) and brings only the misses to
+//! [`Hierarchy::load_data_miss`].
 
 use crate::cache::{Cache, InsertPriority};
 use crate::config::SimConfig;
@@ -30,16 +35,15 @@ pub struct AccessOutcome {
     pub evicted_untouched: Option<Line>,
 }
 
-/// The simulated cache hierarchy.
+/// The simulated cache hierarchy below the L1D.
 ///
-/// Instruction and data sides have private L1s and share L2/L3 (so useless
-/// instruction prefetches pollute the levels data misses are served from,
-/// as in a real part). Code lines and data lines live in disjoint address
-/// ranges, which the engine guarantees.
+/// The instruction side has a private L1I and shares L2/L3 with the data
+/// side's L1D misses (so useless instruction prefetches pollute the levels
+/// data misses are served from, as in a real part). Code lines and data
+/// lines live in disjoint address ranges, which the engine guarantees.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     l1i: Cache,
-    l1d: Cache,
     l2: Cache,
     l3: Cache,
     lat_l1i: u32,
@@ -71,14 +75,6 @@ pub struct Hierarchy {
     data_limit: u64,
     /// Word index where the data range's shadow words start.
     data_words: usize,
-    /// Line-id range ever filled into L1D (inclusive watermarks; min >
-    /// max = never filled). The prefetch-latency walk probes L1D for every
-    /// issued line even though the engine only loads data lines into it;
-    /// the watermark turns those provably-absent probes into two compares.
-    /// Never shrinks on eviction, so it over-approximates — absent outside
-    /// the range is exact, inside falls back to the scan.
-    l1d_min: u64,
-    l1d_max: u64,
 }
 
 /// Upper bound on shadowed line ids (8 MiB of bitmap). Programs the
@@ -91,7 +87,6 @@ impl Hierarchy {
     pub fn new(cfg: &SimConfig) -> Self {
         Hierarchy {
             l1i: Cache::new(cfg.l1i),
-            l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
             l3: Cache::new(cfg.l3),
             lat_l1i: cfg.lat.l1i,
@@ -107,8 +102,6 @@ impl Hierarchy {
             data_base: u64::MAX,
             data_limit: 0,
             data_words: 0,
-            l1d_min: u64::MAX,
-            l1d_max: 0,
         }
     }
 
@@ -187,30 +180,6 @@ impl Hierarchy {
         }
     }
 
-    /// Looks up where `line` would be served from, without changing state.
-    pub fn residency(&self, line: Line) -> ResidencyLevel {
-        if self.l1i.contains(line) || self.l1d.contains(line) {
-            ResidencyLevel::L1
-        } else if self.l2.contains(line) {
-            ResidencyLevel::L2
-        } else if self.l3.contains(line) {
-            ResidencyLevel::L3
-        } else {
-            ResidencyLevel::Memory
-        }
-    }
-
-    /// Latency (cycles) to obtain `line` for the I-side, as the prefetch
-    /// engine would see it.
-    pub fn prefetch_latency(&self, line: Line) -> u32 {
-        match self.residency(line) {
-            ResidencyLevel::L1 => self.lat_l1i,
-            ResidencyLevel::L2 => self.lat_l2,
-            ResidencyLevel::L3 => self.lat_l3,
-            ResidencyLevel::Memory => self.lat_mem,
-        }
-    }
-
     /// The line-id limit of the enabled L1I presence shadow (0 = disabled).
     /// Lines below it answer [`Hierarchy::in_l1i`] from the shadow bitmap.
     #[inline]
@@ -240,18 +209,6 @@ impl Hierarchy {
         }
     }
 
-    /// Demand instruction fetch of `line`.
-    pub fn fetch_instr(&mut self, line: Line) -> AccessOutcome {
-        if self.fetch_instr_hit(line).is_some() {
-            return AccessOutcome {
-                level: ResidencyLevel::L1,
-                extra_cycles: 0,
-                evicted_untouched: None,
-            };
-        }
-        self.fetch_instr_miss(line)
-    }
-
     /// L1I demand-fetch fast path: on a hit, promotes the line, clears its
     /// untouched-prefetch flag, and returns `Some(flag's previous value)` —
     /// residency check, usefulness accounting, and recency update in one set
@@ -275,20 +232,11 @@ impl Hierarchy {
         }
     }
 
-    /// Demand data load of `line`.
-    pub fn load_data(&mut self, line: Line) -> AccessOutcome {
-        if self.l1d.access(line) {
-            return AccessOutcome {
-                level: ResidencyLevel::L1,
-                extra_cycles: 0,
-                evicted_untouched: None,
-            };
-        }
+    /// Demand data load of `line`, which the caller has established (from
+    /// its L1D record) missed L1D: served by the shared levels, with the
+    /// stall counted beyond the L1D hit latency.
+    pub fn load_data_miss(&mut self, line: Line) -> AccessOutcome {
         let (level, total_lat) = self.lookup_fill_shared(line);
-        self.l1d.fill(line, InsertPriority::Mru, false);
-        let raw = line.raw();
-        self.l1d_min = self.l1d_min.min(raw);
-        self.l1d_max = self.l1d_max.max(raw);
         AccessOutcome { level, extra_cycles: total_lat - self.lat_l1d, evicted_untouched: None }
     }
 
@@ -307,21 +255,18 @@ impl Hierarchy {
         }
     }
 
-    /// Whether `line` sits in L1I as a not-yet-demanded prefetch.
-    pub fn is_untouched_prefetch(&self, line: Line) -> bool {
-        self.l1i.is_untouched_prefetch(line)
-    }
-
-    /// [`Hierarchy::prefetch_latency`] for a line the caller has already
-    /// established (via [`Hierarchy::in_l1i`]) to be absent from L1I — skips
-    /// the redundant L1I scan of the full `residency` walk, and answers from
-    /// the L2/L3 presence shadows (bit tests) for lines they cover.
+    /// Latency (cycles) of a prefetch of `line`, which the caller has
+    /// established (via [`Hierarchy::in_l1i`]) to be absent from L1I: the
+    /// level of the shared hierarchy holding it, answered from the L2/L3
+    /// presence shadows (bit tests) for lines they cover.
+    ///
+    /// L1D is never consulted. Code lines sit far below the data range, so
+    /// a generated plan's targets are never in L1D; a hand-built plan whose
+    /// target aliases a data line gets the shared level's latency.
     #[inline]
     pub fn prefetch_latency_missing_l1i(&self, line: Line) -> u32 {
         let raw = line.raw();
-        if raw >= self.l1d_min && raw <= self.l1d_max && self.l1d.contains(line) {
-            self.lat_l1i // ResidencyLevel::L1, as `residency` reports it
-        } else if raw < self.shadow_limit {
+        if raw < self.shadow_limit {
             let (word, bit) = ((raw >> 6) as usize, 1u64 << (raw & 63));
             if self.l2_shadow[word] & bit != 0 {
                 self.lat_l2
@@ -439,11 +384,6 @@ impl Hierarchy {
             }
         });
     }
-
-    /// Direct access to the L1I, for tests and white-box inspection.
-    pub fn l1i(&self) -> &Cache {
-        &self.l1i
-    }
 }
 
 #[cfg(test)]
@@ -455,10 +395,34 @@ mod tests {
         Hierarchy::new(&SimConfig::default())
     }
 
+    /// A demand fetch: the engine's hit probe, then its miss path.
+    fn fetch(hier: &mut Hierarchy, line: Line) -> AccessOutcome {
+        match hier.fetch_instr_hit(line) {
+            Some(_) => AccessOutcome {
+                level: ResidencyLevel::L1,
+                extra_cycles: 0,
+                evicted_untouched: None,
+            },
+            None => hier.fetch_instr_miss(line),
+        }
+    }
+
+    /// The prefetch latency of a line absent from L1I by scanning the
+    /// shared levels' sets, with no presence shadow involved.
+    fn scan_latency(hier: &Hierarchy, line: Line) -> u32 {
+        if hier.l2.contains(line) {
+            hier.lat_l2
+        } else if hier.l3.contains(line) {
+            hier.lat_l3
+        } else {
+            hier.lat_mem
+        }
+    }
+
     #[test]
     fn cold_fetch_comes_from_memory() {
         let mut hier = h();
-        let out = hier.fetch_instr(Line::new(100));
+        let out = fetch(&mut hier, Line::new(100));
         assert_eq!(out.level, ResidencyLevel::Memory);
         assert_eq!(out.extra_cycles, 260 - 3);
     }
@@ -466,21 +430,19 @@ mod tests {
     #[test]
     fn refetch_hits_l1() {
         let mut hier = h();
-        hier.fetch_instr(Line::new(100));
-        let out = hier.fetch_instr(Line::new(100));
-        assert_eq!(out.level, ResidencyLevel::L1);
-        assert_eq!(out.extra_cycles, 0);
+        fetch(&mut hier, Line::new(100));
+        assert_eq!(hier.fetch_instr_hit(Line::new(100)), Some(false));
     }
 
     #[test]
     fn l1_eviction_falls_back_to_l2() {
         let mut hier = h();
-        hier.fetch_instr(Line::new(0));
+        fetch(&mut hier, Line::new(0));
         // Fill set 0 of the 64-set 8-way L1I with conflicting lines.
         for i in 1..=8u64 {
-            hier.fetch_instr(Line::new(i * 64));
+            fetch(&mut hier, Line::new(i * 64));
         }
-        let out = hier.fetch_instr(Line::new(0));
+        let out = fetch(&mut hier, Line::new(0));
         assert_eq!(out.level, ResidencyLevel::L2);
         assert_eq!(out.extra_cycles, 12 - 3);
     }
@@ -490,34 +452,54 @@ mod tests {
         let mut hier = h();
         let l = Line::new(77);
         hier.prefetch_fill(l);
-        assert!(hier.is_untouched_prefetch(l));
-        let out = hier.fetch_instr(l);
-        assert_eq!(out.level, ResidencyLevel::L1);
-        assert!(!hier.is_untouched_prefetch(l));
+        assert!(hier.l1i.is_untouched_prefetch(l));
+        assert_eq!(hier.fetch_instr_hit(l), Some(true), "the first demand uses the prefetch");
+        assert!(!hier.l1i.is_untouched_prefetch(l));
+        assert_eq!(hier.fetch_instr_hit(l), Some(false));
     }
 
     #[test]
     fn prefetch_latency_tracks_residency() {
         let mut hier = h();
         let l = Line::new(5);
-        assert_eq!(hier.prefetch_latency(l), 260);
-        hier.fetch_instr(l); // now in l1i + l2 + l3
-        assert_eq!(hier.prefetch_latency(l), 3);
+        assert_eq!(hier.prefetch_latency_missing_l1i(l), 260);
+        fetch(&mut hier, l); // now in l1i + l2 + l3
+        assert!(hier.in_l1i(l));
         // Evict from L1I only: conflicting fetches.
         for i in 1..=8u64 {
-            hier.fetch_instr(Line::new(5 + i * 64));
+            fetch(&mut hier, Line::new(5 + i * 64));
         }
-        assert_eq!(hier.prefetch_latency(l), 12);
+        assert!(!hier.in_l1i(l));
+        assert_eq!(hier.prefetch_latency_missing_l1i(l), 12);
     }
 
     #[test]
     fn data_and_instruction_l1s_are_split() {
         let mut hier = h();
         let l = Line::new(9);
-        hier.load_data(l);
+        hier.load_data_miss(l);
         // Same line fetched as an instruction must miss L1I but hit L2.
-        let out = hier.fetch_instr(l);
+        let out = fetch(&mut hier, l);
         assert_eq!(out.level, ResidencyLevel::L2);
+    }
+
+    #[test]
+    fn prefetch_of_a_data_line_gets_the_shared_level_latency() {
+        // A hand-built plan may target a line in the data range. The data
+        // side's L1D lives outside the hierarchy, so such a prefetch is
+        // priced by the shared level holding the line — L2 right after a
+        // data miss brought it in — never at the L1 latency.
+        for shadowed in [false, true] {
+            let mut hier = h();
+            let data_line = Line::new((1 << 40) + 5);
+            if shadowed {
+                hier.enable_l1i_shadow(512);
+                hier.enable_data_shadow(1 << 40, 300);
+            }
+            assert_eq!(hier.prefetch_latency_missing_l1i(data_line), 260);
+            hier.load_data_miss(data_line);
+            assert_eq!(hier.prefetch_latency_missing_l1i(data_line), 12, "shadowed: {shadowed}");
+        }
     }
 
     #[test]
@@ -535,24 +517,24 @@ mod tests {
             let line = Line::new(state % 600); // some lines beyond the limit
             match state >> 40 & 3 {
                 0 | 1 => {
-                    hier.fetch_instr(line);
+                    fetch(&mut hier, line);
                 }
                 2 => {
                     hier.prefetch_fill(line);
                 }
                 _ => {
-                    // Data loads churn L2/L3 (and their shadows) too.
-                    hier.load_data(line);
+                    // Data misses churn L2/L3 (and their shadows) too.
+                    hier.load_data_miss(line);
                 }
             }
             for probe in [Line::new(state >> 8 & 0x3FF), line] {
-                assert_eq!(hier.in_l1i(probe), hier.l1i().contains(probe), "line {probe:?}");
-                // The shadow-served latency walk must agree with the
-                // scan-based residency walk for any line absent from L1I.
-                if !hier.l1i().contains(probe) {
+                assert_eq!(hier.in_l1i(probe), hier.l1i.contains(probe), "line {probe:?}");
+                // The shadow-served latency walk must agree with the scan
+                // walk for any line absent from L1I.
+                if !hier.l1i.contains(probe) {
                     assert_eq!(
                         hier.prefetch_latency_missing_l1i(probe),
-                        hier.prefetch_latency(probe),
+                        scan_latency(&hier, probe),
                         "L2/L3 shadow diverged for line {probe:?}"
                     );
                 }
@@ -600,7 +582,7 @@ mod tests {
             match state >> 40 & 3 {
                 0 => {
                     let line = Line::new(state % 600);
-                    assert_eq!(fast.fetch_instr(line), slow.fetch_instr(line));
+                    assert_eq!(fetch(&mut fast, line), fetch(&mut slow, line));
                 }
                 1 => {
                     let line = Line::new(state % 600);
@@ -609,7 +591,7 @@ mod tests {
                 _ => {
                     // Data range churns L2/L3 against the code lines.
                     let line = Line::new((1 << 40) + state % 300);
-                    assert_eq!(fast.load_data(line), slow.load_data(line));
+                    assert_eq!(fast.load_data_miss(line), slow.load_data_miss(line));
                 }
             }
         }
@@ -621,37 +603,30 @@ mod tests {
         hier.enable_l1i_shadow(512);
         hier.enable_data_shadow(1 << 40, 300);
         for l in 0..200u64 {
-            hier.fetch_instr(Line::new(l));
+            fetch(&mut hier, Line::new(l));
         }
         for l in 0..100u64 {
-            hier.load_data(Line::new((1 << 40) + l));
+            hier.load_data_miss(Line::new((1 << 40) + l));
         }
         hier.prefetch_fill(Line::new(300));
         let mut evicted = 0usize;
-        let mut untouched = 0usize;
-        hier.context_switch(50, 30, |_, was_untouched| {
-            evicted += 1;
-            if was_untouched {
-                untouched += 1;
-            }
-        });
+        hier.context_switch(50, 30, |_, _| evicted += 1);
         assert!(evicted > 0, "a half-thrash of a warm L1I must evict something");
         // The L1I and shared-L2 shadows must still agree with the caches.
         for probe in (0..520u64).chain((1 << 40)..(1 << 40) + 320) {
             let line = Line::new(probe);
-            assert_eq!(hier.in_l1i(line), hier.l1i().contains(line), "line {line:?}");
-            if !hier.l1i().contains(line) {
+            assert_eq!(hier.in_l1i(line), hier.l1i.contains(line), "line {line:?}");
+            if !hier.l1i.contains(line) {
                 assert_eq!(
                     hier.prefetch_latency_missing_l1i(line),
-                    hier.prefetch_latency(line),
+                    scan_latency(&hier, line),
                     "shared shadow diverged for {line:?}"
                 );
             }
         }
-        let _ = untouched;
         // A full flush empties L1I entirely (and the shadow with it).
         hier.context_switch(100, 100, |_, _| {});
-        assert_eq!(hier.l1i().occupancy(), 0);
+        assert_eq!(hier.l1i.occupancy(), 0);
         for probe in 0..520u64 {
             assert!(!hier.in_l1i(Line::new(probe)));
         }
@@ -660,9 +635,9 @@ mod tests {
     #[test]
     fn data_load_latency() {
         let mut hier = h();
-        let out = hier.load_data(Line::new(1000));
-        assert_eq!(out.extra_cycles, 260 - 4);
-        let out2 = hier.load_data(Line::new(1000));
-        assert_eq!(out2.extra_cycles, 0);
+        let out = hier.load_data_miss(Line::new(1000));
+        assert_eq!((out.level, out.extra_cycles), (ResidencyLevel::Memory, 260 - 4));
+        let again = hier.load_data_miss(Line::new(1000));
+        assert_eq!((again.level, again.extra_cycles), (ResidencyLevel::L2, 12 - 4));
     }
 }

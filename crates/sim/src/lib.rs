@@ -33,6 +33,7 @@ pub mod config;
 pub mod engine;
 pub mod fxhash;
 pub mod hierarchy;
+mod l1d;
 pub mod lbr;
 pub mod metrics;
 pub mod outcome;

@@ -35,7 +35,7 @@
 
 use crate::addr::Addr;
 use crate::block::{BasicBlock, BlockId};
-use crate::program::{BlockExit, FuncId, Function, Program};
+use crate::program::{BlockExit, FuncId, Function, Program, MAX_DATA_FOOTPRINT_LINES};
 use crate::source::BlockSource;
 use crate::trace::Trace;
 use ispy_artifact::{
@@ -191,6 +191,12 @@ fn decode_program<R: Read>(r: &mut StreamReader<R>) -> Result<Program, ArtifactE
     }
     if data_footprint_lines == 0 || request_variants == 0 {
         return Err(ArtifactError::malformed("program meta", "zero footprint or variants"));
+    }
+    if data_footprint_lines > MAX_DATA_FOOTPRINT_LINES {
+        return Err(ArtifactError::malformed(
+            "data footprint",
+            format!("{data_footprint_lines} lines exceed the u32 offset range"),
+        ));
     }
 
     let payload = r.expect_section(SEC_BLOCKS)?;
@@ -725,6 +731,28 @@ mod tests {
         assert!(matches!(
             recording_from_bytes(&bytes),
             Err(ArtifactError::Malformed { context: "trace event", .. })
+        ));
+    }
+
+    #[test]
+    fn data_footprint_beyond_u32_offsets_is_malformed() {
+        let (program, trace) = sample();
+        let mut sections = program_sections(&program);
+        let mut meta = SectionWriter::new(SEC_META);
+        meta.put_str(program.name());
+        meta.put_varint(MAX_DATA_FOOTPRINT_LINES + 1);
+        meta.put_f64(program.branch_determinism());
+        meta.put_varint(u64::from(program.request_variants()));
+        meta.put_varint(program.num_blocks() as u64);
+        meta.put_varint(program.num_funcs() as u64);
+        sections[0] = meta;
+        let mut head = SectionWriter::new(SEC_TRACE_HEAD);
+        head.put_str(trace.name());
+        sections.push(head);
+        let bytes = ispy_artifact::encode_to_vec(ArtifactKind::Trace, sections);
+        assert!(matches!(
+            recording_from_bytes(&bytes),
+            Err(ArtifactError::Malformed { context: "data footprint", .. })
         ));
     }
 

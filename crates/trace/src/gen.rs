@@ -55,7 +55,9 @@ pub struct GenParams {
     pub layout_shuffle: f64,
     /// Mean data accesses per block.
     pub mean_data_accesses: f64,
-    /// Data working-set size in cache lines (used by the simulator's D-side).
+    /// Data working-set size in cache lines (used by the simulator's D-side),
+    /// at most [`MAX_DATA_FOOTPRINT_LINES`](crate::program::MAX_DATA_FOOTPRINT_LINES);
+    /// [`generate`] panics on a larger one.
     pub data_footprint_lines: u64,
     /// Zipf skew of the default request mix.
     pub zipf_s: f64,
@@ -115,6 +117,12 @@ enum ProtoExit {
 }
 
 /// Deterministically expands `params` into a program named `name`.
+///
+/// # Panics
+///
+/// Panics if `params` asks for fewer than 4 functions, no request types, or
+/// a data footprint above
+/// [`MAX_DATA_FOOTPRINT_LINES`](crate::program::MAX_DATA_FOOTPRINT_LINES).
 ///
 /// # Examples
 ///
@@ -383,5 +391,12 @@ mod tests {
     #[should_panic(expected = "at least 4 functions")]
     fn too_few_funcs_panics() {
         let _ = generate("t", &GenParams { funcs: 2, ..GenParams::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 4294967295-line limit")]
+    fn data_footprint_beyond_u32_offsets_panics() {
+        let params = GenParams { data_footprint_lines: 1 << 32, ..GenParams::default() };
+        let _ = generate("t", &params);
     }
 }

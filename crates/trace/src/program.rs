@@ -135,6 +135,10 @@ impl fmt::Display for ValidateProgramError {
 
 impl std::error::Error for ValidateProgramError {}
 
+/// The largest data footprint, in cache lines, a [`Program`] may declare:
+/// the simulator records a data access's line as a `u32` offset into it.
+pub const MAX_DATA_FOOTPRINT_LINES: u64 = u32::MAX as u64;
+
 /// A complete synthetic program: text layout, control flow, and the request
 /// code paths its (synthetic) server loop can execute.
 ///
@@ -200,7 +204,16 @@ impl Program {
 
     /// Sets the data working-set size in cache lines used by the simulator's
     /// D-side model. Defaults to 16 Ki lines (1 MiB).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lines` exceeds [`MAX_DATA_FOOTPRINT_LINES`]: the simulator
+    /// records each data access's line as a `u32` offset into the footprint.
     pub fn set_data_footprint_lines(&mut self, lines: u64) {
+        assert!(
+            lines <= MAX_DATA_FOOTPRINT_LINES,
+            "data footprint of {lines} lines exceeds the {MAX_DATA_FOOTPRINT_LINES}-line limit"
+        );
         self.data_footprint_lines = lines.max(1);
     }
 
@@ -400,6 +413,19 @@ mod tests {
     #[test]
     fn tiny_program_validates() {
         tiny_program().validate().unwrap();
+    }
+
+    #[test]
+    fn data_footprint_up_to_the_u32_bound_is_accepted() {
+        let mut p = tiny_program();
+        p.set_data_footprint_lines(MAX_DATA_FOOTPRINT_LINES);
+        assert_eq!(p.data_footprint_lines(), u64::from(u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 4294967295-line limit")]
+    fn data_footprint_beyond_u32_offsets_panics() {
+        tiny_program().set_data_footprint_lines(MAX_DATA_FOOTPRINT_LINES + 1);
     }
 
     #[test]

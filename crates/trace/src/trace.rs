@@ -2,7 +2,10 @@
 
 use crate::block::BlockId;
 use crate::program::Program;
+use std::any::Any;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// A recorded dynamic execution: the sequence of basic blocks a program
 /// visited, in order.
@@ -23,10 +26,35 @@ use std::collections::HashMap;
 /// let stats = trace.stats(&program);
 /// assert!(stats.total_instrs > 5_000); // blocks hold multiple instructions
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Trace {
     name: String,
     blocks: Vec<BlockId>,
+    /// Values later stages derive from the events alone; see
+    /// [`Trace::derived`]. Shared by clones, which hold the same events.
+    derived: Arc<DerivedMemo>,
+}
+
+/// A trace's memo of derived values: `(key, value)` pairs in insertion
+/// order. Its lock is held while a missing value is built, so concurrent
+/// requests for one key build it once.
+#[derive(Default)]
+struct DerivedMemo(Mutex<Vec<(u64, Arc<dyn Any + Send + Sync>)>>);
+
+/// Two traces are equal when their names and events are; what either has
+/// derived so far is not part of its value.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.blocks == other.blocks
+    }
+}
+
+impl Eq for Trace {}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace").field("name", &self.name).field("blocks", &self.blocks).finish()
+    }
 }
 
 /// Aggregate statistics over a trace; see [`Trace::stats`].
@@ -47,7 +75,7 @@ pub struct TraceStats {
 impl Trace {
     /// Wraps a recorded block sequence.
     pub fn new(name: impl Into<String>, blocks: Vec<BlockId>) -> Self {
-        Trace { name: name.into(), blocks }
+        Trace { name: name.into(), blocks, derived: Arc::default() }
     }
 
     /// Name of the application/input this trace was recorded from.
@@ -100,6 +128,43 @@ impl Trace {
         stats
     }
 
+    /// The value memoized on this trace under `key`, built by `build` on
+    /// first request.
+    ///
+    /// For values that are a function of the events and of whatever `key`
+    /// digests — the simulator keeps each data configuration's L1D record
+    /// here, so every replay of the trace after the first reuses it. The
+    /// memo starts empty in every new or decoded trace and is shared by
+    /// clones. `build` runs under the memo's lock, so it must not ask this
+    /// trace's memo for anything.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ispy_trace::{BlockId, Trace};
+    ///
+    /// let trace = Trace::new("t", vec![BlockId(1), BlockId(2), BlockId(1)]);
+    /// let len = trace.derived(7, || trace.len() * 10);
+    /// assert_eq!(*len, 30);
+    /// // The second request is served from the memo.
+    /// assert_eq!(*trace.clone().derived(7, || 0usize), 30);
+    /// ```
+    pub fn derived<T: Any + Send + Sync>(&self, key: u64, build: impl FnOnce() -> T) -> Arc<T> {
+        // A value is stored only once fully built, so a lock poisoned by a
+        // panicking `build` still guards a consistent memo.
+        let mut memo = self.derived.0.lock().unwrap_or_else(|e| e.into_inner());
+        let hit = memo
+            .iter()
+            .filter(|(k, _)| *k == key)
+            .find_map(|(_, v)| Arc::clone(v).downcast::<T>().ok());
+        if let Some(value) = hit {
+            return value;
+        }
+        let value = Arc::new(build());
+        memo.push((key, Arc::clone(&value) as Arc<dyn Any + Send + Sync>));
+        value
+    }
+
     /// Per-block execution counts, indexable by [`BlockId::index`].
     pub fn exec_counts(&self, num_blocks: usize) -> Vec<u64> {
         let mut counts = vec![0u64; num_blocks];
@@ -149,6 +214,20 @@ mod tests {
         let t = Trace::new("none", vec![]);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    fn derived_values_are_shared_by_clones_and_ignored_by_eq() {
+        let t = Trace::new("x", vec![BlockId(3), BlockId(1)]);
+        let a = t.derived(1, || 10u32);
+        let clone = t.clone();
+        assert!(Arc::ptr_eq(&a, &clone.derived(1, || 20u32)), "a clone shares the memo");
+        assert_eq!(*t.derived(2, || 20u32), 20, "another key builds its own value");
+        assert_eq!(*t.derived(1, || 7u8), 7, "another type under one key is another value");
+        let fresh = Trace::new("x", vec![BlockId(3), BlockId(1)]);
+        assert_eq!(fresh, t, "the memo is not part of a trace's value");
+        assert_eq!(format!("{fresh:?}"), format!("{t:?}"));
+        assert_eq!(*fresh.derived(1, || 30u32), 30, "a new trace starts with an empty memo");
     }
 
     #[test]
