@@ -22,7 +22,7 @@
 //! [`CompiledInjections::rebase_provenance`]: ispy_isa::CompiledInjections::rebase_provenance
 
 use crate::config::SimConfig;
-use crate::engine::Engine;
+use crate::engine::{Engine, Plan};
 use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
 use ispy_artifact::ArtifactError;
@@ -122,7 +122,8 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
             initial.compile(program.num_blocks())
         };
         let id_base = compiled.rebase_provenance(0);
-        let eng = Engine::new(program, cfg, Arc::new(compiled), None, outcomes, true, None);
+        let eng =
+            Engine::new(program, cfg, Plan::Shared(Arc::new(compiled)), None, outcomes, true, None);
         AdaptiveEngine { program, eng, idx: 0, id_base }
     }
 

@@ -6,7 +6,8 @@
 //!
 //! Per block event:
 //!
-//! 1. The block's entry is pushed into the LBR (updating the Bloom filter).
+//! 1. The block retires into the LBR (updating the Bloom filter); its
+//!    runtime hash comes from the trace's runtime-hash record (below).
 //! 2. Injected prefetch ops at the block execute: each costs one issued
 //!    instruction; conditional ops check the Bloom runtime hash; firing ops
 //!    issue line requests that complete after the line's current residency
@@ -27,41 +28,49 @@
 //! ## Hot-path structure
 //!
 //! Every block takes the same step (`Engine::step`) and every injected op
-//! the same loop, organised around three observations about replay (see
+//! the same loop, which do only the work that depends on cache state (see
 //! DESIGN.md "Engine internals"):
 //!
-//! * **The L1D side is computed once per trace** — no plan, arm, ideal
-//!   I-cache or switch schedule reaches the L1D, so one filter pass
-//!   (`l1d.rs`) records each data access's L1D outcome: a miss bit per
-//!   access and a footprint offset per miss. [`run`] memoizes that record
-//!   on the [`Trace`], keyed by the data layout and data config, so every
-//!   replay of a trace after its first skips the address mix, the stream
-//!   split and the L1D probe; the data side pops a block's miss count and
-//!   sends only the misses on to L2/L3. Chunked runs ([`run_streaming`],
-//!   [`run_adaptive`](crate::run_adaptive)) filter each chunk into a
-//!   reused record and read it through the same data side.
+//! * **Per-trace records** — two parts of replay depend only on the trace
+//!   and the config, never on a plan, arm, ideal I-cache or switch
+//!   schedule, so each is computed once per trace and read by every
+//!   replay of it. The *L1D record* (`l1d.rs`) holds each data access's
+//!   L1D outcome: a miss bit per access and a footprint offset per miss;
+//!   the data side pops a block's miss count and sends only the misses on
+//!   to L2/L3. The *runtime-hash record* (`lbr.rs`) holds the LBR's
+//!   runtime hash after each block event, so a step reads one word instead
+//!   of pushing the LBR; static runs whose plan has no conditional op skip
+//!   it. [`run`] memoizes both on the [`Trace`], keyed by what each reads.
+//!   Chunked runs ([`run_streaming`], [`run_adaptive`](crate::run_adaptive))
+//!   fill each chunk into reused records, their filters carrying the L1D
+//!   and LBR across chunks.
 //! * **Branch-free op execution** — [`CompiledOp`](ispy_isa::CompiledOp)s
-//!   carry the condition as
-//!   a raw bitmask (`bits & !runtime == 0`, `0` for unconditional ops) and
-//!   the target lines pre-flattened with presence-shadow word masks, so the
-//!   steady-state firing (everything already resident) is two `u64`
-//!   AND-compares instead of a per-line residency walk.
+//!   carry the condition as a raw bitmask (`bits & !runtime == 0`, `0` for
+//!   unconditional ops) and the target lines pre-flattened with
+//!   presence-shadow word masks, so an op whose lines fall in two shadow
+//!   words issues bit-parallel: `mask & !l1i_shadow & !in_flight` per word
+//!   is the set of lines to request, and the steady state (everything
+//!   already resident) is two `u64` AND-NOTs instead of a per-line walk.
 //! * **Arena in-flight state** — in-flight prefetches and prefetch-line
 //!   owners are dense arrays indexed by line id (code lines are small and
 //!   bounded), so the steady state never hashes; only lines beyond the
 //!   arena limit fall back to a hash map.
+//! * **Fills that skip proven scans** — where a miss or a presence shadow
+//!   already shows a line absent from a level, its fill skips the scan
+//!   for an existing copy.
 
 use crate::config::SimConfig;
 use crate::fxhash::FxHashMap;
 use crate::hierarchy::Hierarchy;
 use crate::l1d::{DataFilter, L1dRecord, DATA_LINE_BASE};
-use crate::lbr::{BloomSig, Lbr};
+use crate::lbr::{HashFilter, HashRecord};
 use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
 use crate::switch::{SwitchEffect, SwitchSchedule};
 use ispy_artifact::ArtifactError;
 use ispy_isa::{CompiledInjections, InjectionMap, ProvenanceId};
-use ispy_trace::{Addr, BlockId, BlockSource, Line, Program, Trace};
+use ispy_trace::{BlockId, BlockSource, Line, Program, Trace};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Callbacks the engine raises during replay; used by the profiler.
@@ -238,6 +247,13 @@ impl InflightArena {
         let mut lane = std::collections::VecDeque::new();
         lane.push_back((completion, raw));
         self.lanes.push(lane);
+    }
+
+    /// Word `w` of the presence bitmap: bit `b` is set iff line `64 w + b`
+    /// is in flight. The caller keeps `w` below `limit / 64`.
+    #[inline]
+    fn present_word(&self, w: usize) -> u64 {
+        self.present[w]
     }
 
     /// Whether `line` is in flight — the issue path's probe, answered from
@@ -511,12 +527,12 @@ impl Attribution<'_> {
 }
 
 /// `words` sentinel in [`HotOp`]: take the per-line path instead of the
-/// shadow-batch compare.
+/// bit-parallel issue.
 const NO_BATCH: u32 = u32::MAX;
 
 /// Run-specialized lowered op, rebuilt per engine from
-/// [`CompiledOp`](ispy_isa::CompiledOp)s once the run's shadow limit is
-/// known: exactly 32 bytes (two ops per cache line, half a
+/// [`CompiledOp`](ispy_isa::CompiledOp)s once the run's shadow and arena
+/// limits are known: exactly 32 bytes (two ops per cache line, half a
 /// [`CompiledOp`](ispy_isa::CompiledOp)), with the batchability decision
 /// pre-folded
 /// into the `words` sentinel so the steady-state execution reads nothing
@@ -530,16 +546,19 @@ struct HotOp {
     /// Presence-shadow masks, index-aligned with `words`.
     masks: [u64; 2],
     /// Presence-shadow word indices, or `[NO_BATCH; 2]` when this op cannot
-    /// take the batch compare under this run's shadow limit.
+    /// take the bit-parallel issue under this run's limits.
     words: [u32; 2],
 }
 
-fn hot_ops(injections: &CompiledInjections, shadow_limit: u64) -> Vec<HotOp> {
+/// The hot-op table of `injections` for a run whose L1I shadow and
+/// in-flight arena both cover lines below `batch_limit`: an op whose lines
+/// all fall in two shadow words below it takes the bit-parallel issue.
+fn hot_ops(injections: &CompiledInjections, batch_limit: u64) -> Vec<HotOp> {
     injections
         .compiled_ops()
         .iter()
         .map(|cop| {
-            let batch = cop.shadow_batchable && cop.max_line < shadow_limit;
+            let batch = cop.shadow_batchable && cop.max_line < batch_limit;
             if batch {
                 debug_assert_eq!(
                     u64::from(cop.shadow_masks[0].count_ones() + cop.shadow_masks[1].count_ones()),
@@ -557,35 +576,51 @@ fn hot_ops(injections: &CompiledInjections, shadow_limit: u64) -> Vec<HotOp> {
 }
 
 /// Per-block facts the replay loop consults on every event, precomputed once
-/// per run so the hot loop never re-derives line spans from byte addresses
-/// or re-hashes block addresses into Bloom positions.
+/// per run so the hot loop never re-derives line spans from byte addresses.
 #[derive(Clone, Copy)]
 struct BlockMeta {
-    start: Addr,
     first_line: u64,
     last_line: u64,
     instrs: u64,
     data_accesses: u32,
-    /// The block address's Bloom signature under the run's hash config.
-    sig: BloomSig,
 }
 
-fn block_metas(program: &Program, lbr: &Lbr) -> Vec<BlockMeta> {
+fn block_metas(program: &Program) -> Vec<BlockMeta> {
     program
         .blocks()
         .iter()
         .map(|b| {
             let first_line = b.first_line().raw();
             BlockMeta {
-                start: b.start(),
                 first_line,
                 last_line: first_line + b.line_count() - 1,
                 instrs: u64::from(b.instrs()),
                 data_accesses: u32::from(b.data_accesses()),
-                sig: lbr.sig_of(b.start()),
             }
         })
         .collect()
+}
+
+/// An engine's installed compiled plan: a static run borrows its caller's,
+/// and an adaptive run shares each generation's, so it can install a new
+/// one mid-replay ([`Engine::swap_plan`]) while callers of the old one keep
+/// their handle. Cloning is a reference copy or a reference-count bump.
+#[derive(Clone)]
+pub(crate) enum Plan<'o> {
+    Borrowed(&'o CompiledInjections),
+    Shared(Arc<CompiledInjections>),
+}
+
+impl Deref for Plan<'_> {
+    type Target = CompiledInjections;
+
+    #[inline]
+    fn deref(&self) -> &CompiledInjections {
+        match self {
+            Plan::Borrowed(plan) => plan,
+            Plan::Shared(plan) => plan,
+        }
+    }
 }
 
 /// The whole simulated machine plus replay bookkeeping, packaged so the
@@ -594,7 +629,6 @@ fn block_metas(program: &Program, lbr: &Lbr) -> Vec<BlockMeta> {
 /// ([`run_adaptive`](crate::run_adaptive)) replay it chunk by chunk.
 pub(crate) struct Engine<'o> {
     hier: Hierarchy,
-    lbr: Lbr,
     inflight: InflightArena,
     attr: Attribution<'o>,
     m: SimResult,
@@ -605,6 +639,14 @@ pub(crate) struct Engine<'o> {
     l1d: Arc<L1dRecord>,
     /// Chunked runs' filter; `None` when `l1d` covers the whole trace.
     filter: Option<DataFilter>,
+    /// The runtime hash after each replayed block: the whole trace's
+    /// memoized record ([`run`]), the current chunk's, which `hash_filter`
+    /// refills at each replay call, or empty when no installed or future
+    /// plan has a conditional op (every op then fires whatever the hash).
+    hashes: Arc<HashRecord>,
+    /// Chunked runs' LBR, carried across chunks; `None` when `hashes`
+    /// covers the whole trace or the run needs no hash.
+    hash_filter: Option<HashFilter>,
     /// The next unread access of `l1d`, and its next unread miss.
     d_next: usize,
     d_next_miss: usize,
@@ -613,11 +655,8 @@ pub(crate) struct Engine<'o> {
     ideal_icache: bool,
     metas: Vec<BlockMeta>,
     hot_ops: Vec<HotOp>,
-    /// The installed compiled plan. Shared (not borrowed) so a run can
-    /// install a *new* plan mid-replay ([`Engine::swap_plan`]) while callers
-    /// of the old one keep their handle; static runs wrap their plan once at
-    /// the entry point.
-    injections: Arc<CompiledInjections>,
+    /// The installed compiled plan.
+    injections: Plan<'o>,
     observer: Option<&'o mut dyn SimObserver>,
     /// The run's tenant-switch/phase schedule, if any.
     sched: Option<Arc<SwitchSchedule>>,
@@ -632,23 +671,24 @@ pub(crate) struct Engine<'o> {
 }
 
 impl<'o> Engine<'o> {
-    /// `force_arena` sizes the in-flight/owner arenas even when the initial
-    /// plan is empty — adaptive runs start plan-less but hot-swap real plans
-    /// in later, and the arena limits are fixed at construction (an
-    /// undersized arena is still *correct*: lines spill to the hash-map
-    /// side, just slower). `l1d` is the whole replayed trace's L1D record;
-    /// without one the engine filters each replayed chunk itself.
+    /// `adaptive` engines may [swap](Engine::swap_plan) plans mid-run: their
+    /// in-flight/owner arenas are sized even when the initial plan is empty
+    /// (the arena limits are fixed at construction; an undersized arena is
+    /// still *correct*: lines spill to the hash-map side, just slower), and
+    /// they track the runtime hash whatever the initial plan. `whole` is
+    /// the trace when one replay call covers all of it, whose memo supplies
+    /// the per-trace records; without it the engine filters each replayed
+    /// chunk itself.
     pub(crate) fn new(
         program: &Program,
         cfg: &SimConfig,
-        injections: Arc<CompiledInjections>,
+        injections: Plan<'o>,
         observer: Option<&'o mut dyn SimObserver>,
         ledger: Option<&'o mut OutcomeLedger>,
-        force_arena: bool,
-        l1d: Option<Arc<L1dRecord>>,
+        adaptive: bool,
+        whole: Option<&Trace>,
     ) -> Self {
         let mut hier = Hierarchy::new(cfg);
-        let lbr = Lbr::new(cfg.lbr_depth, cfg.hash);
         // Shadow the code-line range plus one shadow word of slack past the
         // last block; prefetches of lines beyond it use the scan path.
         let max_code_line = program
@@ -661,25 +701,32 @@ impl<'o> Engine<'o> {
         hier.enable_data_shadow(DATA_LINE_BASE, program.data_footprint_lines());
         // Prefetches only exist with an injection plan; plain baseline runs
         // skip the arena allocations.
-        let want_arena = force_arena || !injections.is_empty();
+        let want_arena = adaptive || !injections.is_empty();
         let arena_limit = if want_arena { (max_code_line + 65).min(ARENA_LINE_CAP) } else { 0 };
         let owner_limit = if want_arena && ledger.is_some() { arena_limit } else { 0 };
         let tagged = ledger.is_some();
-        let hot_ops = hot_ops(&injections, hier.l1i_shadow_limit());
-        let metas = block_metas(program, &lbr);
-        let (l1d, filter) = match l1d {
-            Some(record) => (record, None),
+        let hot_ops = hot_ops(&injections, hier.l1i_shadow_limit().min(arena_limit));
+        let metas = block_metas(program);
+        let (l1d, filter) = match whole {
+            Some(trace) => (DataFilter::record_of(program, trace, cfg), None),
             None => (Arc::default(), Some(DataFilter::new(program, cfg))),
+        };
+        let needs_hash = adaptive || injections.compiled_ops().iter().any(|op| op.ctx_bits != 0);
+        let (hashes, hash_filter) = match whole {
+            _ if !needs_hash => (Arc::default(), None),
+            Some(trace) => (HashFilter::record_of(program, trace, cfg), None),
+            None => (Arc::default(), Some(HashFilter::new(program, cfg))),
         };
         Engine {
             hier,
-            lbr,
             inflight: InflightArena::new(arena_limit, tagged),
             attr: Attribution { ledger, owner: OwnerArena::new(owner_limit) },
             m: SimResult::default(),
             cycle: 0,
             l1d,
             filter,
+            hashes,
+            hash_filter,
             d_next: 0,
             d_next_miss: 0,
             issue_width: u64::from(cfg.issue_width),
@@ -705,11 +752,24 @@ impl<'o> Engine<'o> {
             self.d_next = 0;
             self.d_next_miss = 0;
         }
+        if let Some(filter) = &mut self.hash_filter {
+            let record = Arc::get_mut(&mut self.hashes).expect("a chunk's record is never shared");
+            filter.refill(blocks, record);
+        }
         if self.sched.is_some() {
             self.sync_boundaries(idx0);
         }
-        for (i, &b) in blocks.iter().enumerate() {
-            self.step(idx0 + i, b);
+        let hashes = Arc::clone(&self.hashes);
+        if hashes.hashes().is_empty() {
+            // No conditional op: every op fires whatever the hash.
+            for (i, &b) in blocks.iter().enumerate() {
+                self.step(idx0 + i, b, 0);
+            }
+        } else {
+            debug_assert_eq!(hashes.hashes().len(), blocks.len(), "one hash per block");
+            for (i, (&b, &hash)) in blocks.iter().zip(hashes.hashes()).enumerate() {
+                self.step(idx0 + i, b, hash);
+            }
         }
     }
 
@@ -803,14 +863,18 @@ impl<'o> Engine<'o> {
     /// drain under their old provenance ids — callers that swap between
     /// attributed plans rebase the new plan's ids into a fresh range first
     /// (see [`CompiledInjections::rebase_provenance`]) so the generations'
-    /// ledger rows never collide.
+    /// ledger rows never collide. Only adaptive engines swap, and they
+    /// track the runtime hash from the start, so a conditional plan swapped
+    /// in after unconditional ones sees the LBR the whole run built.
     pub(crate) fn swap_plan(&mut self, injections: Arc<CompiledInjections>) {
-        self.hot_ops = hot_ops(&injections, self.hier.l1i_shadow_limit());
-        self.injections = injections;
+        debug_assert!(self.hash_filter.is_some(), "only adaptive engines swap plans");
+        self.hot_ops = hot_ops(&injections, self.hier.l1i_shadow_limit().min(self.inflight.limit));
+        self.injections = Plan::Shared(injections);
     }
 
-    /// One block event at trace position `idx`.
-    fn step(&mut self, idx: usize, block_id: BlockId) {
+    /// One block event at trace position `idx`; `runtime_hash` is the LBR's
+    /// runtime hash once the block has retired into it.
+    fn step(&mut self, idx: usize, block_id: BlockId, runtime_hash: u64) {
         if idx as u64 >= self.next_boundary {
             self.cross_boundary(idx);
         }
@@ -821,14 +885,14 @@ impl<'o> Engine<'o> {
             obs.block_entered(idx, block_id, self.cycle);
         }
 
-        // 1. Retire the branch into this block.
-        self.lbr.push_sig(meta.start, meta.sig);
+        // 1. The branch into this block has retired into the LBR: its
+        //    runtime hash is `runtime_hash`, read from the record.
 
         // 2. Drain prefetches that completed before this block.
         self.drain_completed();
 
         // 3. Execute injected prefetch ops.
-        let ops_issued = self.exec_ops(block_id);
+        let ops_issued = self.exec_ops(block_id, runtime_hash);
 
         // 4. Fetch the block's instruction lines.
         if self.ideal_icache {
@@ -903,8 +967,9 @@ impl<'o> Engine<'o> {
         });
     }
 
-    /// Executes the compiled ops at `block_id`; returns how many there were.
-    fn exec_ops(&mut self, block_id: BlockId) -> u64 {
+    /// Executes the compiled ops at `block_id` under `runtime_hash`; returns
+    /// how many there were.
+    fn exec_ops(&mut self, block_id: BlockId, runtime_hash: u64) -> u64 {
         let range = self.injections.site_range(block_id);
         if range.is_empty() {
             return 0;
@@ -913,20 +978,24 @@ impl<'o> Engine<'o> {
         // Monomorphize the op loop on ledger presence: the throughput
         // configuration never touches provenance ids or outcome buckets.
         if self.attr.enabled() {
-            self.exec_op_range::<true>(range);
+            self.exec_op_range::<true>(range, runtime_hash);
         } else {
-            self.exec_op_range::<false>(range);
+            self.exec_op_range::<false>(range, runtime_hash);
         }
         n
     }
 
     /// The op-execution loop over one site's range of the hot-op table.
-    fn exec_op_range<const LEDGER: bool>(&mut self, range: std::ops::Range<usize>) {
+    fn exec_op_range<const LEDGER: bool>(
+        &mut self,
+        range: std::ops::Range<usize>,
+        runtime_hash: u64,
+    ) {
         self.m.pf_ops_executed += range.len() as u64;
-        let not_runtime = !self.lbr.runtime_hash();
-        // One shared-handle bump per call so the op loop can read the plan
+        let not_runtime = !runtime_hash;
+        // One plan-handle copy per call so the op loop can read the plan
         // while `issue_prefetch` mutates the rest of the engine.
-        let inj = Arc::clone(&self.injections);
+        let inj = self.injections.clone();
         let (mut fired, mut suppressed, mut resident) = (0u64, 0u64, 0u64);
         for i in range {
             let op = self.hot_ops[i];
@@ -942,14 +1011,30 @@ impl<'o> Engine<'o> {
                 if LEDGER {
                     self.attr.note(id, |o| o.fired += 1);
                 }
-                if op.words[1] != NO_BATCH && self.hier.l1i_shadow_covers(op.words, op.masks) {
-                    // Every target line already resident — the steady state.
-                    // Identical accounting to issuing each line and taking
-                    // the resident early-out, without the per-line walk.
-                    let lines = u64::from(op.masks[0].count_ones() + op.masks[1].count_ones());
-                    resident += lines;
-                    if LEDGER {
-                        self.attr.note(id, |o| o.lines_resident += lines);
+                if op.words[1] != NO_BATCH {
+                    // Bit-parallel issue: a target line needs a request iff
+                    // it is neither in L1I nor in flight, and both presence
+                    // bitmaps share the shadow's word layout. Identical
+                    // accounting to the per-line walk; the issue order
+                    // differs from it in nothing the drain can see, since
+                    // completions drain in `(completion, line)` order.
+                    let missing = [0, 1].map(|k| {
+                        let w = op.words[k] as usize;
+                        op.masks[k] & !self.hier.l1i_shadow_word(w) & !self.inflight.present_word(w)
+                    });
+                    let lines = op.masks[0].count_ones() + op.masks[1].count_ones();
+                    let held = u64::from(lines - missing[0].count_ones() - missing[1].count_ones());
+                    resident += held;
+                    if LEDGER && held > 0 {
+                        self.attr.note(id, |o| o.lines_resident += held);
+                    }
+                    for (k, mut bits) in missing.into_iter().enumerate() {
+                        while bits != 0 {
+                            let raw =
+                                u64::from(op.words[k]) << 6 | u64::from(bits.trailing_zeros());
+                            self.issue_absent(Line::new(raw), id);
+                            bits &= bits - 1;
+                        }
                     }
                 } else {
                     for &line in inj.op_lines(&inj.compiled_ops()[i]) {
@@ -976,6 +1061,12 @@ impl<'o> Engine<'o> {
             self.attr.note(tag, |o| o.lines_resident += 1);
             return;
         }
+        self.issue_absent(line, tag);
+    }
+
+    /// Issues a request for `line`, which is neither in L1I nor in flight.
+    #[inline]
+    fn issue_absent(&mut self, line: Line, tag: Option<ProvenanceId>) {
         let latency = self.hier.prefetch_latency_missing_l1i(line);
         self.inflight.insert(line, self.cycle + u64::from(latency), tag);
         self.m.pf_lines_issued += 1;
@@ -1009,7 +1100,10 @@ impl<'o> Engine<'o> {
 /// geometry, streaming fraction) records every data access's L1D outcome
 /// in the trace's memo ([`Trace::derived`]); every later run of the trace
 /// under them — any plan, arm, I-cache or switch schedule — reads that
-/// record instead of re-running the L1D.
+/// record instead of re-running the L1D. Likewise the first run under a
+/// conditional plan records the LBR's runtime hash after every block, per
+/// block layout, hash config and LBR depth; runs whose plan has no
+/// conditional op never need it.
 ///
 /// # Panics
 ///
@@ -1029,33 +1123,31 @@ impl<'o> Engine<'o> {
 /// assert_eq!(result.blocks, 5_000);
 /// ```
 pub fn run(program: &Program, trace: &Trace, cfg: &SimConfig, opts: RunOptions<'_>) -> SimResult {
-    let l1d = DataFilter::record_of(program, trace, cfg);
-    let mut eng = engine_for(program, cfg, opts, Some(l1d));
+    let mut eng = engine_for(program, cfg, opts, Some(trace));
     eng.replay(trace.blocks(), 0);
     debug_assert_eq!(eng.d_next, eng.l1d.accesses(), "the replay read the whole record");
     eng.result_so_far()
 }
 
-/// Builds the engine a static run replays through, attaching `opts` and
-/// the trace's L1D record, if the run has one. The
-/// plan is lowered into its dense compiled form unless the caller already
-/// did (sweeps reuse one compiled plan across many runs); a pre-compiled
-/// plan is cloned once — a memcpy of the dense tables, negligible next to a
-/// replay.
+/// Builds the engine a static run replays through, attaching `opts` and,
+/// when the run replays `whole` in one call, that trace's per-trace
+/// records. A pre-compiled plan is borrowed (sweeps reuse one compiled
+/// plan across many runs); otherwise the plan is lowered into its dense
+/// compiled form here.
 fn engine_for<'o>(
     program: &Program,
     cfg: &SimConfig,
     opts: RunOptions<'o>,
-    l1d: Option<Arc<L1dRecord>>,
+    whole: Option<&Trace>,
 ) -> Engine<'o> {
     let injections = match opts.compiled {
-        Some(c) => Arc::new(c.clone()),
-        None => match opts.injections {
-            Some(map) if !map.is_empty() => Arc::new(map.compile(program.num_blocks())),
-            _ => Arc::new(CompiledInjections::default()),
-        },
+        Some(c) => Plan::Borrowed(c),
+        None => Plan::Shared(Arc::new(match opts.injections {
+            Some(map) if !map.is_empty() => map.compile(program.num_blocks()),
+            _ => CompiledInjections::default(),
+        })),
     };
-    Engine::new(program, cfg, injections, opts.observer, opts.outcomes, false, l1d)
+    Engine::new(program, cfg, injections, opts.observer, opts.outcomes, false, whole)
 }
 
 /// Replays a [`BlockSource`] through the simulated machine, chunk by chunk.
@@ -1064,9 +1156,9 @@ fn engine_for<'o>(
 /// semantics are chunk-agnostic (each internal replay call continues from
 /// the machine state the previous one left), so the result is byte-identical
 /// to materializing the source into a `Vec` and calling [`run`] — for any
-/// source and any chunking. Peak memory is one chunk plus
-/// the fixed machine state, which is what removes the RAM ceiling on trace
-/// length.
+/// source and any chunking. Peak memory is one chunk, its L1D and
+/// runtime-hash records, and the fixed machine state, which is what removes
+/// the RAM ceiling on trace length.
 ///
 /// # Errors
 ///
@@ -1592,6 +1684,89 @@ mod tests {
         assert_eq!(via_map, via_compiled);
         assert_eq!(ledger_map, ledger_pre);
         assert!(via_map.pf_ops_executed > 0);
+    }
+
+    #[test]
+    fn bit_parallel_issue_matches_the_per_line_path() {
+        use crate::outcome::OutcomeLedger;
+        use ispy_isa::CoalesceMask;
+        use ispy_trace::program::{BlockExit, FuncId, Function};
+        use ispy_trace::{Addr, BasicBlock};
+        // The second block's lines sit past the in-flight arena's limit but
+        // below the shadow's, so an op there has shadow words and no arena
+        // words and must take the per-line path.
+        let far = ARENA_LINE_CAP + 1_024;
+        let blocks = vec![
+            BasicBlock::new(Addr::new(0), 64, 16, 0),
+            BasicBlock::new(Addr::new((far + 200) * 64), 64, 16, 0),
+        ];
+        let exits = vec![
+            BlockExit::Branch(vec![(BlockId(1), 1.0)]),
+            BlockExit::Branch(vec![(BlockId(0), 1.0)]),
+        ];
+        let funcs = vec![Function::new(BlockId(0), 0, 2)];
+        let owner = vec![FuncId(0), FuncId(0)];
+        let program = Program::new("straddle", blocks, exits, funcs, owner, vec![vec![FuncId(0)]]);
+        let trace = Trace::new("straddle", vec![BlockId(0)]);
+        // Two eight-line ops, each straddling a shadow-word boundary: lines
+        // 60..=67 (words 0 and 1) and far-4..=far+3.
+        let bases = [60, far - 4];
+        let mut map = InjectionMap::new();
+        for (n, base) in bases.into_iter().enumerate() {
+            let op = PrefetchOp::Coalesced {
+                base: Line::new(base),
+                mask: CoalesceMask::from_bits(0x7F, 8),
+            };
+            map.push_traced(BlockId(0), op, ProvenanceId(n as u32));
+        }
+        let compiled = map.compile(program.num_blocks());
+        let cfg = SimConfig::default();
+
+        // Each op's lines +0 and +4 resident, +1 and +5 in flight, the
+        // other four absent; then one execution of both ops.
+        let exec = |force_per_line: bool| {
+            let mut ledger = OutcomeLedger::default();
+            let mut eng = Engine::new(
+                &program,
+                &cfg,
+                Plan::Borrowed(&compiled),
+                None,
+                Some(&mut ledger),
+                false,
+                Some(&trace),
+            );
+            assert_ne!(
+                eng.hot_ops[0].words[1], NO_BATCH,
+                "the near op takes the bit-parallel issue"
+            );
+            assert_eq!(eng.hot_ops[1].words, [NO_BATCH; 2], "the far op is beyond the arena");
+            if force_per_line {
+                eng.hot_ops[0].words = [NO_BATCH; 2];
+            }
+            for base in bases {
+                for off in [0, 4] {
+                    eng.hier.fetch_instr_miss(Line::new(base + off));
+                }
+                for off in [1, 5] {
+                    eng.inflight.insert(Line::new(base + off), 1_000_000, Some(ProvenanceId(9)));
+                }
+            }
+            assert_eq!(eng.exec_ops(BlockId(0), 0), 2);
+            let m = eng.m;
+            let mut drained = Vec::new();
+            eng.inflight.drain_completed(u64::MAX, |l, tag| drained.push((l.raw(), tag)));
+            drop(eng);
+            (m, drained, ledger)
+        };
+        let (m, drained, ledger) = exec(false);
+        let (want_m, want_drained, want_ledger) = exec(true);
+        assert_eq!(m, want_m);
+        assert_eq!(drained, want_drained, "the same lines in flight, drained in the same order");
+        assert_eq!(ledger, want_ledger);
+        assert_eq!((m.pf_lines_issued, m.pf_lines_resident), (8, 8));
+        assert_eq!(ledger.total(|o| o.lines_issued), m.pf_lines_issued);
+        assert_eq!(ledger.total(|o| o.lines_resident), m.pf_lines_resident);
+        assert_eq!(ledger.total(|o| o.fired), m.pf_ops_fired);
     }
 
     #[test]

@@ -187,15 +187,14 @@ impl Hierarchy {
         self.shadow_limit
     }
 
-    /// Whether every bit of `masks` is set in the respective shadow `words`
-    /// — the batched "are all of this op's target lines already in L1I?"
-    /// probe. The caller guarantees the word indices are in range, i.e. every
-    /// covered line id is below [`Hierarchy::l1i_shadow_limit`] (compiled
+    /// Word `w` of the L1I presence shadow: bit `b` is set iff line
+    /// `64 w + b` is resident — what the engine's bit-parallel prefetch
+    /// issue reads for an op's target lines. The caller keeps every line
+    /// the word covers below [`Hierarchy::l1i_shadow_limit`] (compiled
     /// injection plans carry `max_line` for exactly this check).
     #[inline]
-    pub fn l1i_shadow_covers(&self, words: [u32; 2], masks: [u64; 2]) -> bool {
-        (self.l1i_shadow[words[0] as usize] & masks[0]) == masks[0]
-            && (self.l1i_shadow[words[1] as usize] & masks[1]) == masks[1]
+    pub fn l1i_shadow_word(&self, w: usize) -> u64 {
+        self.l1i_shadow[w]
     }
 
     /// Whether `line` is resident in the L1 I-cache.
@@ -222,7 +221,7 @@ impl Hierarchy {
     /// [`Hierarchy::fetch_instr_hit`]) that `line` is not in L1I.
     pub fn fetch_instr_miss(&mut self, line: Line) -> AccessOutcome {
         let (level, total_lat) = self.lookup_fill_shared(line);
-        let fill = self.l1i.fill(line, InsertPriority::Mru, false);
+        let fill = self.l1i.fill_absent(line, InsertPriority::Mru, false);
         self.shadow_set(line);
         self.shadow_clear(fill.evicted);
         AccessOutcome {
@@ -243,9 +242,21 @@ impl Hierarchy {
     /// Completes a prefetch: fills L1I (and L2) at the configured prefetch
     /// priority, marking the line for usefulness accounting. Returns the
     /// untouched prefetched line evicted from L1I to make room, if any.
+    ///
+    /// Where a presence shadow shows the line absent from a level, that
+    /// level's fill skips the scan for an existing copy.
     pub fn prefetch_fill(&mut self, line: Line) -> Option<Line> {
-        self.fill_l2(line, self.prefetch_insert, true);
-        let out = self.l1i.fill(line, self.prefetch_insert, true);
+        let raw = line.raw();
+        let l2_absent =
+            self.shared_shadow_pos(raw).is_some_and(|(w, b)| self.l2_shadow[w] & b == 0);
+        self.fill_l2(line, self.prefetch_insert, true, l2_absent);
+        let l1i_absent = raw < self.shadow_limit
+            && self.l1i_shadow[(raw >> 6) as usize] & (1 << (raw & 63)) == 0;
+        let out = if l1i_absent {
+            self.l1i.fill_absent(line, self.prefetch_insert, true)
+        } else {
+            self.l1i.fill(line, self.prefetch_insert, true)
+        };
         self.shadow_set(line);
         self.shadow_clear(out.evicted);
         if out.evicted_untouched_prefetch {
@@ -284,9 +295,21 @@ impl Hierarchy {
         }
     }
 
-    /// [`Cache::fill`] into L2, keeping its presence shadow exact.
-    fn fill_l2(&mut self, line: Line, priority: InsertPriority, prefetched: bool) {
-        let out = self.l2.fill(line, priority, prefetched);
+    /// [`Cache::fill`] into L2, keeping its presence shadow exact; a line
+    /// `known_absent` skips the scan for an existing copy
+    /// ([`Cache::fill_absent`]).
+    fn fill_l2(
+        &mut self,
+        line: Line,
+        priority: InsertPriority,
+        prefetched: bool,
+        known_absent: bool,
+    ) {
+        let out = if known_absent {
+            self.l2.fill_absent(line, priority, prefetched)
+        } else {
+            self.l2.fill(line, priority, prefetched)
+        };
         if let Some((w, b)) = self.shared_shadow_pos(line.raw()) {
             self.l2_shadow[w] |= b;
         }
@@ -295,9 +318,10 @@ impl Hierarchy {
         }
     }
 
-    /// [`Cache::fill`] into L3, keeping its presence shadow exact.
-    fn fill_l3(&mut self, line: Line, priority: InsertPriority, prefetched: bool) {
-        let out = self.l3.fill(line, priority, prefetched);
+    /// [`Cache::fill_absent`] into L3 (every L3 fill follows an L3 miss),
+    /// keeping its presence shadow exact.
+    fn fill_l3_absent(&mut self, line: Line) {
+        let out = self.l3.fill_absent(line, InsertPriority::Mru, false);
         if let Some((w, b)) = self.shared_shadow_pos(line.raw()) {
             self.l3_shadow[w] |= b;
         }
@@ -322,22 +346,22 @@ impl Hierarchy {
             } else if self.l3_shadow[w] & b != 0 {
                 let hit = self.l3.access(line);
                 debug_assert!(hit, "L3 shadow bit set for absent line {line:?}");
-                self.fill_l2(line, InsertPriority::Mru, false);
+                self.fill_l2(line, InsertPriority::Mru, false, true);
                 (ResidencyLevel::L3, self.lat_l3)
             } else {
-                self.fill_l3(line, InsertPriority::Mru, false);
-                self.fill_l2(line, InsertPriority::Mru, false);
+                self.fill_l3_absent(line);
+                self.fill_l2(line, InsertPriority::Mru, false, true);
                 (ResidencyLevel::Memory, self.lat_mem)
             };
         }
         if self.l2.access(line) {
             (ResidencyLevel::L2, self.lat_l2)
         } else if self.l3.access(line) {
-            self.fill_l2(line, InsertPriority::Mru, false);
+            self.fill_l2(line, InsertPriority::Mru, false, true);
             (ResidencyLevel::L3, self.lat_l3)
         } else {
-            self.fill_l3(line, InsertPriority::Mru, false);
-            self.fill_l2(line, InsertPriority::Mru, false);
+            self.fill_l3_absent(line);
+            self.fill_l2(line, InsertPriority::Mru, false, true);
             (ResidencyLevel::Memory, self.lat_mem)
         }
     }
@@ -550,18 +574,14 @@ mod tests {
         for l in [3u64, 62, 63, 64, 65, 130] {
             hier.prefetch_fill(Line::new(l));
         }
-        // All-resident word pair: lines 62..=64 straddle words 0 and 1.
-        let covers = hier.l1i_shadow_covers([0, 1], [0b11 << 62, 0b11]);
-        assert_eq!(
-            covers,
-            [62u64, 63, 64, 65].iter().all(|&l| hier.in_l1i(Line::new(l))),
-            "batched probe must agree with per-line probes"
-        );
-        assert!(covers);
-        // A missing line (61) breaks coverage.
-        assert!(!hier.l1i_shadow_covers([0, 1], [0b111 << 61, 0b11]));
-        // An empty second mask is trivially covered (single-word ops).
-        assert!(hier.l1i_shadow_covers([2, 2], [1 << (130 - 128), 0]));
+        // Every bit of every word answers exactly what the per-line probe
+        // does, including across the word 0/1 boundary.
+        for raw in 0..256u64 {
+            let bit = hier.l1i_shadow_word((raw >> 6) as usize) >> (raw & 63) & 1 == 1;
+            assert_eq!(bit, hier.in_l1i(Line::new(raw)), "line {raw}");
+        }
+        assert_eq!(hier.l1i_shadow_word(0) >> 62, 0b11);
+        assert_eq!(hier.l1i_shadow_word(1) & 0b11, 0b11);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::hash::Hasher;
 use std::sync::Arc;
 
 #[cfg(test)]
-mod oracle;
+pub(crate) mod oracle;
 
 /// Data lines live in a disjoint address range from code lines.
 pub(crate) const DATA_LINE_BASE: u64 = 1 << 40;

@@ -6,6 +6,9 @@
 //! with one `Vec` per set. It shares no code with [`DataFilter`] or
 //! [`Cache`](crate::cache::Cache), so a fault in either shows as a record
 //! that differs from it, reported at the first differing access.
+//!
+//! The random-case builders here are shared with the runtime-hash record's
+//! oracle (`lbr::oracle`).
 
 use super::{DataFilter, L1dRecord, DATA_LINE_BASE};
 use crate::{
@@ -18,17 +21,17 @@ use ispy_trace::{Addr, BasicBlock, BlockId, Line, Program, Trace, TraceBlocks};
 use std::sync::Arc;
 
 /// xorshift64: the tests' only randomness, seeded per case.
-struct Rng(u64);
+pub(crate) struct Rng(pub(crate) u64);
 
 impl Rng {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 ^= self.0 << 13;
         self.0 ^= self.0 >> 7;
         self.0 ^= self.0 << 17;
         self.0
     }
 
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
 }
@@ -108,7 +111,7 @@ fn assert_outcomes(got: &Outcomes, want: &Outcomes, what: &str) {
 }
 
 /// Fails at the first `SimResult` field that differs.
-fn assert_same(got: &SimResult, want: &SimResult, what: &str) {
+pub(crate) fn assert_same(got: &SimResult, want: &SimResult, what: &str) {
     if got == want {
         return;
     }
@@ -120,7 +123,7 @@ fn assert_same(got: &SimResult, want: &SimResult, what: &str) {
 /// A random program of `n` consecutive blocks — some with no data access,
 /// some with more than 64 — and a trace of `events` events over it that
 /// mostly revisits a hot subset.
-fn random_case(seed: u64, n: u32, events: usize, footprint: u64) -> (Program, Trace) {
+pub(crate) fn random_case(seed: u64, n: u32, events: usize, footprint: u64) -> (Program, Trace) {
     let mut rng = Rng(seed | 1);
     let mut addr = 0u64;
     let mut blocks = Vec::new();
@@ -149,7 +152,7 @@ fn random_case(seed: u64, n: u32, events: usize, footprint: u64) -> (Program, Tr
 }
 
 /// One function whose blocks fall through in order.
-fn straight_program(blocks: Vec<BasicBlock>, footprint: u64) -> Program {
+pub(crate) fn straight_program(blocks: Vec<BasicBlock>, footprint: u64) -> Program {
     let n = blocks.len() as u32;
     let exits = (0..n)
         .map(|i| {
@@ -194,13 +197,13 @@ fn random_plan(program: &Program, seed: u64) -> InjectionMap {
     map
 }
 
-fn schedule(events: u64, effect: SwitchEffect) -> Arc<SwitchSchedule> {
+pub(crate) fn schedule(events: u64, effect: SwitchEffect) -> Arc<SwitchSchedule> {
     let switches = (1..8).map(|k| (k * events / 8, (k % 2) as u32)).collect();
     Arc::new(SwitchSchedule::new(switches, vec![], effect))
 }
 
 /// A copy of `trace` with an empty memo.
-fn fresh(trace: &Trace) -> Trace {
+pub(crate) fn fresh(trace: &Trace) -> Trace {
     Trace::new(trace.name(), trace.blocks().to_vec())
 }
 

@@ -8,15 +8,20 @@
 //! exactly reflects the set of blocks currently in the LBR; a conditional
 //! prefetch fires iff its context-hash bits are a subset of the runtime hash.
 
+use crate::config::SimConfig;
 use ispy_isa::HashConfig;
-use ispy_trace::Addr;
-use std::collections::VecDeque;
+use ispy_trace::{Addr, BlockId, Program, Trace};
+use std::hash::Hasher;
+use std::sync::Arc;
+
+#[cfg(test)]
+mod oracle;
 
 /// The precomputed Bloom signature of one block address: which filter
 /// counters it touches. Pushing an LBR entry hashes the address twice
-/// (FNV-1 + MurmurHash3) to find these positions; the replay engine visits
-/// the same few thousand static blocks millions of times, so it computes
-/// each block's signature once up front and replays pushes hash-free.
+/// (FNV-1 + MurmurHash3) to find these positions; a trace visits the same
+/// few thousand static blocks millions of times, so the runtime-hash record
+/// computes each block's signature once up front and pushes hash-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BloomSig {
     bits: [u8; 2],
@@ -153,9 +158,13 @@ impl CountingBloom {
 #[derive(Debug, Clone)]
 pub struct Lbr {
     depth: usize,
-    /// Each entry keeps its Bloom signature so the FIFO eviction can
-    /// decrement the right counters without re-hashing the evicted address.
-    entries: VecDeque<(Addr, BloomSig)>,
+    /// The FIFO as a fixed ring of at most `depth` entries. Each entry keeps
+    /// its Bloom signature so the eviction can decrement the right counters
+    /// without re-hashing the evicted address.
+    ring: Vec<(Addr, BloomSig)>,
+    /// The oldest entry's slot once the ring is full (`0` until then); the
+    /// next push overwrites it.
+    head: usize,
     bloom: CountingBloom,
 }
 
@@ -167,7 +176,7 @@ impl Lbr {
     /// Panics if `depth` is zero.
     pub fn new(depth: usize, hash: HashConfig) -> Self {
         assert!(depth > 0, "LBR depth must be positive");
-        Lbr { depth, entries: VecDeque::with_capacity(depth + 1), bloom: CountingBloom::new(hash) }
+        Lbr { depth, ring: Vec::with_capacity(depth), head: 0, bloom: CountingBloom::new(hash) }
     }
 
     /// Records a basic-block entry, evicting the oldest beyond `depth`.
@@ -176,15 +185,17 @@ impl Lbr {
     }
 
     /// [`Lbr::push`] with the address's Bloom signature precomputed (see
-    /// [`BloomSig`]); the replay engine caches one signature per static
-    /// block, making the per-event push hash-free.
+    /// [`BloomSig`]); the runtime-hash record caches one signature per
+    /// static block, making the per-event push hash-free.
     #[inline]
     pub fn push_sig(&mut self, block_start: Addr, sig: BloomSig) {
-        self.entries.push_back((block_start, sig));
         self.bloom.insert_sig(sig);
-        if self.entries.len() > self.depth {
-            let (_, evicted_sig) = self.entries.pop_front().expect("non-empty");
+        if self.ring.len() < self.depth {
+            self.ring.push((block_start, sig));
+        } else {
+            let (_, evicted_sig) = std::mem::replace(&mut self.ring[self.head], (block_start, sig));
             self.bloom.remove_sig(evicted_sig);
+            self.head = if self.head + 1 == self.depth { 0 } else { self.head + 1 };
         }
     }
 
@@ -196,12 +207,12 @@ impl Lbr {
 
     /// Number of recorded entries (≤ depth).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ring.len()
     }
 
     /// Whether no branches have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ring.is_empty()
     }
 
     /// The configured depth.
@@ -211,12 +222,13 @@ impl Lbr {
 
     /// Entries from oldest to newest.
     pub fn entries(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.entries.iter().map(|&(a, _)| a)
+        let (newer, older) = self.ring.split_at(self.head);
+        older.iter().chain(newer).map(|&(a, _)| a)
     }
 
     /// Whether `block_start` is among the recorded entries.
     pub fn contains(&self, block_start: Addr) -> bool {
-        self.entries.iter().any(|&(a, _)| a == block_start)
+        self.ring.iter().any(|&(a, _)| a == block_start)
     }
 
     /// The Bloom-filter runtime hash over the current contents.
@@ -228,6 +240,86 @@ impl Lbr {
     /// The underlying Bloom filter.
     pub fn bloom(&self) -> &CountingBloom {
         &self.bloom
+    }
+}
+
+/// One replay's runtime hashes, in trace order: entry `i` is the LBR's
+/// runtime hash right after block event `i` retired — the value every
+/// conditional op at that block tests.
+#[derive(Debug, Default)]
+pub(crate) struct HashRecord(Vec<u64>);
+
+impl HashRecord {
+    /// The hashes, one per recorded block event.
+    #[inline]
+    pub(crate) fn hashes(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+/// Pushes block events into an [`Lbr`] and records the runtime hash after
+/// each one.
+///
+/// The runtime hash depends only on the sequence of retired blocks, their
+/// start addresses, the hash config and the LBR depth — no cache state — so
+/// [`run`](crate::run) builds it once per trace and keeps it in the trace's
+/// memo ([`Trace::derived`]) next to the L1D record. A filter carries its
+/// LBR across calls, so filtering a trace chunk by chunk records exactly
+/// what one call over the whole trace does; chunked replays refill one
+/// record per chunk.
+pub(crate) struct HashFilter {
+    lbr: Lbr,
+    /// Start address and Bloom signature per block, indexable by
+    /// [`BlockId::index`].
+    blocks: Vec<(Addr, BloomSig)>,
+}
+
+impl HashFilter {
+    /// A filter over `program`'s block addresses with `cfg`'s hash config
+    /// and LBR depth, starting from an empty LBR.
+    pub(crate) fn new(program: &Program, cfg: &SimConfig) -> Self {
+        let lbr = Lbr::new(cfg.lbr_depth, cfg.hash);
+        let blocks = program.blocks().iter().map(|b| (b.start(), lbr.sig_of(b.start()))).collect();
+        HashFilter { lbr, blocks }
+    }
+
+    /// The memo key of the record `program`'s block addresses and `cfg`'s
+    /// hash config and LBR depth produce: a digest of everything a
+    /// [`HashFilter`] reads besides the trace.
+    pub(crate) fn key(program: &Program, cfg: &SimConfig) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        // A tag keeps this key apart from the L1D record's in the one memo.
+        h.write(b"runtime-hash");
+        for b in program.blocks() {
+            h.write_u64(b.start().raw());
+        }
+        h.write_u64(program.num_blocks() as u64);
+        h.write_u8(cfg.hash.bits());
+        h.write_u8(cfg.hash.k());
+        h.write_u64(cfg.lbr_depth as u64);
+        h.finish()
+    }
+
+    /// The record of `trace` replayed under `program` and `cfg`, from the
+    /// trace's memo: built by one filter pass on the first request for this
+    /// key, shared by every later one.
+    pub(crate) fn record_of(program: &Program, trace: &Trace, cfg: &SimConfig) -> Arc<HashRecord> {
+        trace.derived(Self::key(program, cfg), || {
+            let mut record = HashRecord::default();
+            Self::new(program, cfg).refill(trace.blocks(), &mut record);
+            record
+        })
+    }
+
+    /// Replaces `out` with the runtime hashes after each of `blocks`,
+    /// continuing from the LBR the previous call left.
+    pub(crate) fn refill(&mut self, blocks: &[BlockId], out: &mut HashRecord) {
+        out.0.clear();
+        out.0.extend(blocks.iter().map(|b| {
+            let (start, sig) = self.blocks[b.index()];
+            self.lbr.push_sig(start, sig);
+            self.lbr.runtime_hash()
+        }));
     }
 }
 
