@@ -12,11 +12,17 @@
 //!   boundary. The result depends only on *which block index* the swap lands
 //!   on, never on wall-clock timing, and prefetches issued under the old plan
 //!   stay in flight and drain under their old (disjoint) provenance ids.
-//! * [`run_adaptive`] drives a [`WindowedBlockSource`] window by window,
+//! * [`run_adaptive`] replays a materialized trace window by window,
 //!   running the caller's replanning closure for window `k` on a helper
 //!   thread *while* window `k` simulates — the plan derived from window `k`
 //!   takes effect at the start of window `k + 1`. With a closure that never
 //!   returns a plan this degenerates to exactly [`run`](crate::run).
+//!
+//! The windows are subslices of the trace, so the engine reads the trace's
+//! memoized L1D and runtime-hash records, shared with every
+//! [`run`](crate::run) of it, instead of filtering each window; only
+//! [`run_streaming`](crate::run_streaming), which has no materialized
+//! trace, filters per chunk.
 //!
 //! [`CompiledInjections`]: ispy_isa::CompiledInjections
 //! [`CompiledInjections::rebase_provenance`]: ispy_isa::CompiledInjections::rebase_provenance
@@ -27,65 +33,21 @@ use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
 use ispy_artifact::ArtifactError;
 use ispy_isa::{CompiledInjections, InjectionMap};
-use ispy_trace::{BlockId, BlockSource, Program, Trace, TraceBlocks};
+use ispy_trace::{BlockId, Program, Trace};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// A trace that can hand out independent [`BlockSource`]s over arbitrary
-/// `[start, start + len)` event ranges — what [`run_adaptive`] reads its
-/// windows from.
-///
-/// Implementors must be deterministic: every `open_window(s, l)` call yields
-/// the same block sequence, and that sequence equals the corresponding range
-/// of the full trace.
-pub trait WindowedBlockSource {
-    /// The per-window stream type. Generic over `'a` so slice-backed
-    /// implementations can borrow from `self`.
-    type Window<'a>: BlockSource
-    where
-        Self: 'a;
-
-    /// Opens a fresh stream over events `start .. min(start + len, total)`.
-    fn open_window(&self, start: u64, len: u64) -> Self::Window<'_>;
-
-    /// Total events in the trace this source represents.
-    fn total_events(&self) -> u64;
-}
-
-/// [`WindowedBlockSource`] over a materialized block slice: windows are
-/// plain subslice borrows.
+/// The windows [`run_adaptive`] replays: consecutive block ranges of a
+/// materialized [`Trace`], read with the trace's memoized records.
 #[derive(Debug, Clone, Copy)]
 pub struct SliceWindows<'t> {
-    blocks: &'t [BlockId],
+    trace: &'t Trace,
 }
 
 impl<'t> SliceWindows<'t> {
-    /// Windows over `blocks`.
-    pub fn new(blocks: &'t [BlockId]) -> Self {
-        SliceWindows { blocks }
-    }
-
     /// Windows over a [`Trace`]'s events.
     pub fn of_trace(trace: &'t Trace) -> Self {
-        Self::new(trace.blocks())
-    }
-}
-
-impl WindowedBlockSource for SliceWindows<'_> {
-    type Window<'a>
-        = TraceBlocks<'a>
-    where
-        Self: 'a;
-
-    fn open_window(&self, start: u64, len: u64) -> TraceBlocks<'_> {
-        let n = self.blocks.len();
-        let s = (start.min(n as u64)) as usize;
-        let e = ((start + len).min(n as u64)) as usize;
-        TraceBlocks::new(&self.blocks[s..e])
-    }
-
-    fn total_events(&self) -> u64 {
-        self.blocks.len() as u64
+        SliceWindows { trace }
     }
 }
 
@@ -98,14 +60,13 @@ impl WindowedBlockSource for SliceWindows<'_> {
 struct AdaptiveEngine<'p, 'o> {
     program: &'p Program,
     eng: Engine<'o>,
-    /// Absolute trace position of the next replayed block.
-    idx: usize,
     /// First unused provenance id; the next generation rebases onto it.
     id_base: u32,
 }
 
 impl<'p, 'o> AdaptiveEngine<'p, 'o> {
-    /// Builds an engine over `program` with `initial` as generation zero.
+    /// Builds an engine replaying `trace` over `program` with `initial` as
+    /// generation zero, reading the trace's memoized records.
     ///
     /// The in-flight arenas are sized for the program up front even when
     /// `initial` is empty, so later [`swap_plan`](Self::swap_plan)s run at
@@ -113,6 +74,7 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
     fn new(
         program: &'p Program,
         cfg: &SimConfig,
+        trace: &Trace,
         initial: &InjectionMap,
         outcomes: Option<&'o mut OutcomeLedger>,
     ) -> Self {
@@ -122,15 +84,14 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
             initial.compile(program.num_blocks())
         };
         let id_base = compiled.rebase_provenance(0);
-        let eng =
-            Engine::new(program, cfg, Plan::Shared(Arc::new(compiled)), None, outcomes, true, None);
-        AdaptiveEngine { program, eng, idx: 0, id_base }
+        let plan = Plan::Shared(Arc::new(compiled));
+        let eng = Engine::new(program, cfg, plan, None, outcomes, true, Some(trace));
+        AdaptiveEngine { program, eng, id_base }
     }
 
-    /// Replays the next `blocks` of the trace under the current plan.
+    /// Replays the trace's next `blocks` under the current plan.
     fn replay(&mut self, blocks: &[BlockId]) {
-        self.eng.replay(blocks, self.idx);
-        self.idx += blocks.len();
+        self.eng.replay(blocks);
     }
 
     /// Installs `plan` as the next generation, effective for the next
@@ -179,9 +140,11 @@ pub struct AdaptiveRun {
     pub swaps: usize,
 }
 
-/// Replays `source` window by window, replanning concurrently: while window
-/// `k` simulates, `replan(k, &window_k_blocks)` runs on a helper thread; a
-/// `Some(plan)` it returns is hot-swapped in at the start of window `k + 1`.
+/// Replays `source`'s trace window by window, replanning concurrently:
+/// while window `k` simulates, `replan(k, &window_k_blocks)` runs on a
+/// helper thread; a `Some(plan)` it returns is hot-swapped in at the start
+/// of window `k + 1`. The windows are subslices of the trace, replayed with
+/// its memoized L1D and runtime-hash records like [`run`](crate::run).
 ///
 /// The pipelining is *not* observable in the results: the swap barrier fixes
 /// each generation's effective range to whole windows, so the outcome equals
@@ -192,12 +155,13 @@ pub struct AdaptiveRun {
 ///
 /// # Errors
 ///
-/// Propagates the source's typed [`ArtifactError`]s, as
-/// [`run_streaming`](crate::run_streaming) does.
+/// None: the windows come from a materialized trace. The [`ArtifactError`]
+/// in the signature keeps callers that handle a streamed source's errors
+/// compiling unchanged.
 ///
 /// # Panics
 ///
-/// Panics if `window_blocks` is zero, the source yields blocks outside
+/// Panics if `window_blocks` is zero, the trace holds blocks outside
 /// `program`, or the replanning closure panics.
 ///
 /// # Examples
@@ -226,36 +190,24 @@ pub struct AdaptiveRun {
 /// assert_eq!(adaptive.windows.len(), 5);
 /// assert_eq!(adaptive.swaps, 0);
 /// ```
-pub fn run_adaptive<W, F>(
+pub fn run_adaptive<F>(
     program: &Program,
     cfg: &SimConfig,
-    source: &W,
+    source: &SliceWindows<'_>,
     window_blocks: usize,
     initial: &InjectionMap,
     outcomes: Option<&mut OutcomeLedger>,
     mut replan: F,
 ) -> Result<AdaptiveRun, ArtifactError>
 where
-    W: WindowedBlockSource,
     F: FnMut(usize, &[BlockId]) -> Option<InjectionMap> + Send,
 {
     assert!(window_blocks > 0, "window_blocks must be positive");
-    let mut eng = AdaptiveEngine::new(program, cfg, initial, outcomes);
-    let total_events = source.total_events();
+    let mut eng = AdaptiveEngine::new(program, cfg, source.trace, initial, outcomes);
     let mut windows = Vec::new();
     let mut swaps = 0usize;
-    let mut buf: Vec<BlockId> = Vec::new();
-    let mut start = 0u64;
-    let mut k = 0usize;
-    while start < total_events {
-        let len = (window_blocks as u64).min(total_events - start);
-        buf.clear();
-        let mut w = source.open_window(start, len);
-        while let Some(chunk) = w.next_chunk()? {
-            buf.extend_from_slice(chunk);
-        }
+    for (k, blocks) in source.trace.blocks().chunks(window_blocks).enumerate() {
         let before = eng.result_so_far();
-        let blocks: &[BlockId] = &buf;
         // Overlap: the replanner chews on window k while the engine replays
         // it. The join is the swap barrier — the new plan cannot take
         // effect before the window completes.
@@ -269,8 +221,6 @@ where
             eng.swap_plan(&plan);
             swaps += 1;
         }
-        start += len;
-        k += 1;
     }
     Ok(AdaptiveRun { total: eng.result_so_far(), windows, swaps })
 }
@@ -278,7 +228,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run, RunOptions, SimObserver};
+    use crate::engine::{run, RecordFilter, RunOptions, SimObserver};
+    use crate::l1d::{DataFilter, L1dRecord};
+    use crate::lbr::{HashFilter, HashRecord};
     use ispy_isa::{PrefetchOp, ProvenanceId};
     use ispy_trace::{apps, Line, Trace};
 
@@ -338,7 +290,7 @@ mod tests {
         let cfg = SimConfig::default();
         let straight =
             run(&p, &t, &cfg, RunOptions { injections: Some(&map), ..Default::default() });
-        let mut eng = AdaptiveEngine::new(&p, &cfg, &map, None);
+        let mut eng = AdaptiveEngine::new(&p, &cfg, &t, &map, None);
         let mid = t.blocks().len() / 2;
         eng.replay(&t.blocks()[..mid]);
         eng.swap_plan(&map);
@@ -360,7 +312,7 @@ mod tests {
         let cfg = SimConfig::default();
         let swap_at = 11_000usize;
         let run_with_chunk = |chunk: usize| {
-            let mut eng = AdaptiveEngine::new(&p, &cfg, &p1, None);
+            let mut eng = AdaptiveEngine::new(&p, &cfg, &t, &p1, None);
             for piece in t.blocks()[..swap_at].chunks(chunk) {
                 eng.replay(piece);
             }
@@ -391,7 +343,7 @@ mod tests {
         let third = t.blocks().len() / 3;
         let (r0, r1);
         {
-            let mut eng = AdaptiveEngine::new(&p, &cfg, &map, Some(&mut ledger));
+            let mut eng = AdaptiveEngine::new(&p, &cfg, &t, &map, Some(&mut ledger));
             eng.replay(&t.blocks()[..third]);
             r1 = eng.swap_plan(&map);
             eng.replay(&t.blocks()[third..2 * third]);
@@ -413,6 +365,31 @@ mod tests {
         for o in &ledger.per_injection {
             assert_eq!(o.executed, o.fired + o.suppressed);
         }
+    }
+
+    #[test]
+    fn adaptive_runs_read_the_traces_memoized_records() {
+        let cfg = SimConfig::default();
+        let (p, t) = small_app();
+        let windows = SliceWindows::of_trace(&t);
+        run_adaptive(&p, &cfg, &windows, 7_000, &InjectionMap::new(), None, |_, _| None).unwrap();
+        // The fresh trace's memo now holds both records.
+        t.derived(DataFilter::key(&p, &cfg), || -> L1dRecord { panic!("no L1D record") });
+        t.derived(HashFilter::key(&p, &cfg), || -> HashRecord { panic!("no hash record") });
+
+        // After `run` under a conditional plan, an adaptive run of the same
+        // trace shares the records it built.
+        let (p, t) = small_app();
+        let ctx = cfg.hash.context_hash([p.block(t.blocks()[9]).start()]);
+        let mut cond = InjectionMap::new();
+        cond.push(t.blocks()[10], PrefetchOp::Cond { target: Line::new(3), ctx });
+        run(&p, &t, &cfg, RunOptions { injections: Some(&cond), ..Default::default() });
+        let (l1d, hashes) =
+            (DataFilter::record_of(&p, &t, &cfg), HashFilter::record_of(&p, &t, &cfg));
+        let eng = AdaptiveEngine::new(&p, &cfg, &t, &InjectionMap::new(), None);
+        let (eng_l1d, eng_hashes) = eng.eng.records();
+        assert!(Arc::ptr_eq(eng_l1d, &l1d), "the adaptive run must share the L1D record");
+        assert!(Arc::ptr_eq(eng_hashes.unwrap(), &hashes), "and the runtime-hash record");
     }
 
     #[test]
@@ -458,7 +435,7 @@ mod tests {
             .unwrap();
         assert_eq!(adaptive.swaps, 1);
         // Sequential reference: same barrier, no helper thread.
-        let mut eng = AdaptiveEngine::new(&p, &cfg, &p1, None);
+        let mut eng = AdaptiveEngine::new(&p, &cfg, &t, &p1, None);
         eng.replay(&t.blocks()[..window]);
         eng.swap_plan(&p2);
         eng.replay(&t.blocks()[window..]);

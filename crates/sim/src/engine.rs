@@ -40,10 +40,12 @@
 //!   to L2/L3. The *runtime-hash record* (`lbr.rs`) holds the LBR's
 //!   runtime hash after each block event, so a step reads one word instead
 //!   of pushing the LBR; static runs whose plan has no conditional op skip
-//!   it. [`run`] memoizes both on the [`Trace`], keyed by what each reads.
-//!   Chunked runs ([`run_streaming`], [`run_adaptive`](crate::run_adaptive))
-//!   fill each chunk into reused records, their filters carrying the L1D
-//!   and LBR across chunks.
+//!   it. Both are built by a `RecordFilter` and memoized on the
+//!   [`Trace`], keyed by what each reads; every replay of a materialized
+//!   trace ([`run`], [`run_adaptive`](crate::run_adaptive)) reads the memo
+//!   at trace positions. Only [`run_streaming`], which has no trace, fills
+//!   each chunk into reused records, its filters carrying the L1D and LBR
+//!   across chunks.
 //! * **Branch-free op execution** — [`CompiledOp`](ispy_isa::CompiledOp)s
 //!   carry the condition as a raw bitmask (`bits & !runtime == 0`, `0` for
 //!   unconditional ops) and the target lines pre-flattened with
@@ -62,8 +64,8 @@
 use crate::config::SimConfig;
 use crate::fxhash::FxHashMap;
 use crate::hierarchy::Hierarchy;
-use crate::l1d::{DataFilter, L1dRecord, DATA_LINE_BASE};
-use crate::lbr::{HashFilter, HashRecord};
+use crate::l1d::{DataFilter, DATA_LINE_BASE};
+use crate::lbr::HashFilter;
 use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
 use crate::switch::{SwitchEffect, SwitchSchedule};
@@ -623,8 +625,70 @@ impl Deref for Plan<'_> {
     }
 }
 
+/// A pass that derives one per-trace record from the retired blocks alone
+/// ([`DataFilter`]: L1D outcomes, [`HashFilter`]: runtime hashes). A filter
+/// carries its state across calls, so filtering a trace chunk by chunk
+/// records exactly what one call over the whole trace does.
+pub(crate) trait RecordFilter: Sized {
+    type Record: Default + Send + Sync + 'static;
+
+    /// A filter over `program` under `cfg`, starting from empty state.
+    fn new(program: &Program, cfg: &SimConfig) -> Self;
+
+    /// The memo key of the record `program` and `cfg` produce: a digest of
+    /// everything the filter reads besides the trace.
+    fn key(program: &Program, cfg: &SimConfig) -> u64;
+
+    /// Replaces `out` with the entries of `blocks`, continuing from the
+    /// state the previous call left.
+    fn refill(&mut self, blocks: &[BlockId], out: &mut Self::Record);
+
+    /// The record of `trace` under `program` and `cfg`, from the trace's
+    /// memo ([`Trace::derived`]): built by one filter pass on the first
+    /// request for this key, shared by every later one.
+    fn record_of(program: &Program, trace: &Trace, cfg: &SimConfig) -> Arc<Self::Record> {
+        trace.derived(Self::key(program, cfg), || {
+            let mut record = Self::Record::default();
+            Self::new(program, cfg).refill(trace.blocks(), &mut record);
+            record
+        })
+    }
+}
+
+/// A per-trace record as an engine reads it: the whole trace's, shared from
+/// its memo and read at trace positions, or a streamed run's, which the
+/// run's own filter refills with each chunk.
+struct Records<F: RecordFilter> {
+    record: Arc<F::Record>,
+    /// `None` when `record` covers the whole trace.
+    filter: Option<F>,
+}
+
+impl<F: RecordFilter> Records<F> {
+    /// The memoized record of `whole`, or a filter when there is no
+    /// materialized trace.
+    fn new(program: &Program, cfg: &SimConfig, whole: Option<&Trace>) -> Self {
+        match whole {
+            Some(trace) => Records { record: F::record_of(program, trace, cfg), filter: None },
+            None => Records { record: Arc::default(), filter: Some(F::new(program, cfg)) },
+        }
+    }
+
+    /// Readies the entries of the next replayed `blocks`. Returns whether
+    /// the record was refilled to start at `blocks[0]`; the whole trace's
+    /// record already holds them at their trace positions.
+    fn refill(&mut self, blocks: &[BlockId]) -> bool {
+        let Some(filter) = &mut self.filter else {
+            return false;
+        };
+        let record = Arc::get_mut(&mut self.record).expect("a chunk's record is never shared");
+        filter.refill(blocks, record);
+        true
+    }
+}
+
 /// The whole simulated machine plus replay bookkeeping, packaged so the
-/// loop can be driven over arbitrary trace windows — [`run`] replays the
+/// loop can be driven over consecutive trace windows — [`run`] replays the
 /// full trace in one call; [`run_streaming`] and the adaptive driver
 /// ([`run_adaptive`](crate::run_adaptive)) replay it chunk by chunk.
 pub(crate) struct Engine<'o> {
@@ -633,21 +697,15 @@ pub(crate) struct Engine<'o> {
     attr: Attribution<'o>,
     m: SimResult,
     cycle: u64,
-    /// The L1D outcomes the data side reads: the whole trace's memoized
-    /// record ([`run`]), or the current chunk's, which `filter` refills at
-    /// each replay call.
-    l1d: Arc<L1dRecord>,
-    /// Chunked runs' filter; `None` when `l1d` covers the whole trace.
-    filter: Option<DataFilter>,
-    /// The runtime hash after each replayed block: the whole trace's
-    /// memoized record ([`run`]), the current chunk's, which `hash_filter`
-    /// refills at each replay call, or empty when no installed or future
-    /// plan has a conditional op (every op then fires whatever the hash).
-    hashes: Arc<HashRecord>,
-    /// Chunked runs' LBR, carried across chunks; `None` when `hashes`
-    /// covers the whole trace or the run needs no hash.
-    hash_filter: Option<HashFilter>,
-    /// The next unread access of `l1d`, and its next unread miss.
+    /// The L1D outcomes the data side reads.
+    l1d: Records<DataFilter>,
+    /// The runtime hash after each replayed block; `None` when no installed
+    /// or future plan has a conditional op (every op then fires whatever
+    /// the hash).
+    hashes: Option<Records<HashFilter>>,
+    /// Trace position of the next replayed block.
+    pos: usize,
+    /// The next unread access of the L1D record, and its next unread miss.
     d_next: usize,
     d_next_miss: usize,
     issue_width: u64,
@@ -676,7 +734,7 @@ impl<'o> Engine<'o> {
     /// (the arena limits are fixed at construction; an undersized arena is
     /// still *correct*: lines spill to the hash-map side, just slower), and
     /// they track the runtime hash whatever the initial plan. `whole` is
-    /// the trace when one replay call covers all of it, whose memo supplies
+    /// the materialized trace the replay calls walk, whose memo supplies
     /// the per-trace records; without it the engine filters each replayed
     /// chunk itself.
     pub(crate) fn new(
@@ -707,26 +765,18 @@ impl<'o> Engine<'o> {
         let tagged = ledger.is_some();
         let hot_ops = hot_ops(&injections, hier.l1i_shadow_limit().min(arena_limit));
         let metas = block_metas(program);
-        let (l1d, filter) = match whole {
-            Some(trace) => (DataFilter::record_of(program, trace, cfg), None),
-            None => (Arc::default(), Some(DataFilter::new(program, cfg))),
-        };
         let needs_hash = adaptive || injections.compiled_ops().iter().any(|op| op.ctx_bits != 0);
-        let (hashes, hash_filter) = match whole {
-            _ if !needs_hash => (Arc::default(), None),
-            Some(trace) => (HashFilter::record_of(program, trace, cfg), None),
-            None => (Arc::default(), Some(HashFilter::new(program, cfg))),
-        };
+        let sched = cfg.schedule.clone();
+        let next_boundary = sched.as_deref().map_or(u64::MAX, |s| Self::pending_boundary(s, 0, 0));
         Engine {
             hier,
             inflight: InflightArena::new(arena_limit, tagged),
             attr: Attribution { ledger, owner: OwnerArena::new(owner_limit) },
             m: SimResult::default(),
             cycle: 0,
-            l1d,
-            filter,
-            hashes,
-            hash_filter,
+            l1d: Records::new(program, cfg, whole),
+            hashes: needs_hash.then(|| Records::new(program, cfg, whole)),
+            pos: 0,
             d_next: 0,
             d_next_miss: 0,
             issue_width: u64::from(cfg.issue_width),
@@ -736,53 +786,36 @@ impl<'o> Engine<'o> {
             hot_ops,
             injections,
             observer,
-            sched: cfg.schedule.clone(),
+            sched,
             next_switch: 0,
             next_phase: 0,
-            next_boundary: u64::MAX,
+            next_boundary,
         }
     }
 
-    /// Replays a window of trace blocks; `idx0` is the window's position in
-    /// the full trace (observer callbacks report absolute indices).
-    pub(crate) fn replay(&mut self, blocks: &[BlockId], idx0: usize) {
-        if let Some(filter) = &mut self.filter {
-            let record = Arc::get_mut(&mut self.l1d).expect("a chunk's record is never shared");
-            filter.refill(blocks, record);
+    /// Replays the trace's next `blocks`, continuing from the machine state
+    /// and trace position the previous call left (observer callbacks report
+    /// trace positions).
+    pub(crate) fn replay(&mut self, blocks: &[BlockId]) {
+        let start = self.pos;
+        self.pos += blocks.len();
+        if self.l1d.refill(blocks) {
             self.d_next = 0;
             self.d_next_miss = 0;
         }
-        if let Some(filter) = &mut self.hash_filter {
-            let record = Arc::get_mut(&mut self.hashes).expect("a chunk's record is never shared");
-            filter.refill(blocks, record);
-        }
-        if self.sched.is_some() {
-            self.sync_boundaries(idx0);
-        }
-        let hashes = Arc::clone(&self.hashes);
-        if hashes.hashes().is_empty() {
+        let Some(hashes) = &mut self.hashes else {
             // No conditional op: every op fires whatever the hash.
             for (i, &b) in blocks.iter().enumerate() {
-                self.step(idx0 + i, b, 0);
+                self.step(start + i, b, 0);
             }
-        } else {
-            debug_assert_eq!(hashes.hashes().len(), blocks.len(), "one hash per block");
-            for (i, (&b, &hash)) in blocks.iter().zip(hashes.hashes()).enumerate() {
-                self.step(idx0 + i, b, hash);
-            }
+            return;
+        };
+        let at = if hashes.refill(blocks) { 0 } else { start };
+        let record = Arc::clone(&hashes.record);
+        let hashes = &record.hashes()[at..at + blocks.len()];
+        for (i, (&b, &hash)) in blocks.iter().zip(hashes).enumerate() {
+            self.step(start + i, b, hash);
         }
-    }
-
-    /// Positions the schedule cursors for a replay window starting at trace
-    /// position `idx0`: entries strictly before `idx0` are skipped, entries
-    /// at or after it are pending. Idempotent across the contiguous replay
-    /// calls of a streamed run.
-    fn sync_boundaries(&mut self, idx0: usize) {
-        let sched = self.sched.as_ref().expect("caller checked sched presence");
-        let e = idx0 as u64;
-        self.next_switch = sched.switches().partition_point(|&(at, _)| at < e);
-        self.next_phase = sched.phases().partition_point(|&(at, _)| at < e);
-        self.next_boundary = Self::pending_boundary(sched, self.next_switch, self.next_phase);
     }
 
     /// The earliest event index with an unfired schedule entry.
@@ -867,7 +900,7 @@ impl<'o> Engine<'o> {
     /// track the runtime hash from the start, so a conditional plan swapped
     /// in after unconditional ones sees the LBR the whole run built.
     pub(crate) fn swap_plan(&mut self, injections: Arc<CompiledInjections>) {
-        debug_assert!(self.hash_filter.is_some(), "only adaptive engines swap plans");
+        debug_assert!(self.hashes.is_some(), "only adaptive engines swap plans");
         self.hot_ops = hot_ops(&injections, self.hier.l1i_shadow_limit().min(self.inflight.limit));
         self.injections = Plan::Shared(injections);
     }
@@ -1079,6 +1112,7 @@ impl<'o> Engine<'o> {
     fn data_side(&mut self, n: usize) {
         let Self { l1d, hier, m, cycle, d_next, d_next_miss, d_stall_factor, .. } = self;
         m.d_accesses += n as u64;
+        let l1d = &l1d.record;
         let misses = l1d.misses_in(*d_next, n);
         *d_next += n;
         for j in *d_next_miss..*d_next_miss + misses {
@@ -1124,8 +1158,8 @@ impl<'o> Engine<'o> {
 /// ```
 pub fn run(program: &Program, trace: &Trace, cfg: &SimConfig, opts: RunOptions<'_>) -> SimResult {
     let mut eng = engine_for(program, cfg, opts, Some(trace));
-    eng.replay(trace.blocks(), 0);
-    debug_assert_eq!(eng.d_next, eng.l1d.accesses(), "the replay read the whole record");
+    eng.replay(trace.blocks());
+    debug_assert_eq!(eng.d_next, eng.l1d.record.accesses(), "the replay read the whole record");
     eng.result_so_far()
 }
 
@@ -1193,10 +1227,8 @@ pub fn run_streaming<S: BlockSource + ?Sized>(
     opts: RunOptions<'_>,
 ) -> Result<SimResult, ArtifactError> {
     let mut eng = engine_for(program, cfg, opts, None);
-    let mut idx0 = 0usize;
     while let Some(chunk) = source.next_chunk()? {
-        eng.replay(chunk, idx0);
-        idx0 += chunk.len();
+        eng.replay(chunk);
     }
     Ok(eng.result_so_far())
 }
@@ -1206,6 +1238,15 @@ mod tests {
     use super::*;
     use ispy_isa::PrefetchOp;
     use ispy_trace::apps;
+
+    impl Engine<'_> {
+        /// The L1D record and the runtime-hash record the engine reads.
+        pub(crate) fn records(
+            &self,
+        ) -> (&Arc<crate::l1d::L1dRecord>, Option<&Arc<crate::lbr::HashRecord>>) {
+            (&self.l1d.record, self.hashes.as_ref().map(|h| &h.record))
+        }
+    }
 
     fn small_app() -> (Program, Trace) {
         let model = apps::cassandra().scaled_down(30);

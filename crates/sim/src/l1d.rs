@@ -9,16 +9,21 @@
 //! an [`L1dRecord`], and the engine's data side only reads that record,
 //! sending each miss on to the shared levels.
 //!
-//! [`run`](crate::run) keeps one record per data configuration in the
-//! trace's memo ([`Trace::derived`]): the first replay builds it and every
-//! later replay of the trace — the other arms, every sweep point — reuses
-//! it. Chunked replays filter each chunk into a reused record instead.
+//! Every replay of a materialized trace ([`run`](crate::run),
+//! [`run_adaptive`](crate::run_adaptive)) takes the record from the
+//! trace's memo ([`Trace::derived`]), one per data configuration: the first
+//! replay builds it and every later one — the other arms, every sweep
+//! point, every adaptive run — reuses it. Only
+//! [`run_streaming`](crate::run_streaming), which has no materialized
+//! trace, filters each chunk into a reused record instead.
+//!
+//! [`Trace::derived`]: ispy_trace::Trace::derived
 
 use crate::cache::Cache;
 use crate::config::SimConfig;
-use ispy_trace::{BlockId, Line, Program, Trace};
+use crate::engine::RecordFilter;
+use ispy_trace::{BlockId, Line, Program};
 use std::hash::Hasher;
-use std::sync::Arc;
 
 #[cfg(test)]
 pub(crate) mod oracle;
@@ -81,9 +86,8 @@ impl L1dRecord {
 
 /// Turns block events into their data accesses and runs them through L1D.
 ///
-/// Owns the L1D, the stream counter and the footprint reduction; a filter
-/// carries its state across calls, so filtering a trace chunk by chunk
-/// records exactly what one call over the whole trace does.
+/// Owns the L1D, the stream counter and the footprint reduction, and
+/// carries them across calls.
 pub(crate) struct DataFilter {
     l1d: Cache,
     /// Data accesses per block, indexable by [`BlockId::index`].
@@ -97,10 +101,12 @@ pub(crate) struct DataFilter {
     stream_threshold: u64,
 }
 
-impl DataFilter {
+impl RecordFilter for DataFilter {
+    type Record = L1dRecord;
+
     /// A filter over `program`'s data layout with `cfg`'s L1D and streaming
     /// threshold, starting from an empty L1D.
-    pub(crate) fn new(program: &Program, cfg: &SimConfig) -> Self {
+    fn new(program: &Program, cfg: &SimConfig) -> Self {
         let data_lines = program.data_footprint_lines();
         DataFilter {
             l1d: Cache::new(cfg.l1d),
@@ -112,10 +118,8 @@ impl DataFilter {
         }
     }
 
-    /// The memo key of the record `program`'s data layout and `cfg`'s data
-    /// config produce: a digest of everything a [`DataFilter`] reads
-    /// besides the trace.
-    pub(crate) fn key(program: &Program, cfg: &SimConfig) -> u64 {
+    /// Digests the data layout and `cfg`'s data config.
+    fn key(program: &Program, cfg: &SimConfig) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         // Eight per-block counts per word keeps the digest cheap next to a
         // replay even on a memo hit.
@@ -132,20 +136,8 @@ impl DataFilter {
         h.finish()
     }
 
-    /// The record of `trace` replayed under `program` and `cfg`, from the
-    /// trace's memo: built by one filter pass on the first request for this
-    /// data configuration, shared by every later one.
-    pub(crate) fn record_of(program: &Program, trace: &Trace, cfg: &SimConfig) -> Arc<L1dRecord> {
-        trace.derived(Self::key(program, cfg), || {
-            let mut record = L1dRecord::default();
-            Self::new(program, cfg).refill(trace.blocks(), &mut record);
-            record
-        })
-    }
-
-    /// Replaces `out` with the L1D outcomes of `blocks`' data accesses,
-    /// continuing from the L1D state the previous call left.
-    pub(crate) fn refill(&mut self, blocks: &[BlockId], out: &mut L1dRecord) {
+    /// Records the L1D outcomes of `blocks`' data accesses.
+    fn refill(&mut self, blocks: &[BlockId], out: &mut L1dRecord) {
         out.miss_bits.clear();
         out.miss_offsets.clear();
         // Bits gather in a register and land a word at a time.
@@ -179,7 +171,9 @@ impl DataFilter {
         }
         out.accesses = accesses;
     }
+}
 
+impl DataFilter {
     /// Reduces `x` into the data footprint: a mask when the footprint is a
     /// power of two (bit-identical to the modulo), a division otherwise.
     #[inline]

@@ -11,6 +11,7 @@
 //! oracle (`lbr::oracle`).
 
 use super::{DataFilter, L1dRecord, DATA_LINE_BASE};
+use crate::engine::RecordFilter;
 use crate::{
     run, run_adaptive, run_streaming, CacheParams, RunOptions, SimConfig, SimResult, SliceWindows,
     SwitchEffect, SwitchSchedule,
@@ -244,11 +245,19 @@ fn the_record_matches_the_reference_and_every_replay_path_agrees() {
                     let streamed = run_streaming(&program, &mut source, &cfg, opts()).unwrap();
                     assert_same(&streamed, &miss, &format!("{what}: chunk {chunk}"));
                 }
-                let windows = SliceWindows::of_trace(&trace);
-                let adaptive =
-                    run_adaptive(&program, &cfg, &windows, 1_000, &plan, None, |_, _| None)
-                        .unwrap();
-                assert_same(&adaptive.total, &miss, &format!("{what}: adaptive"));
+                // Windows that split the record's 64-bit words, the last
+                // one short; on `trace` (a memo hit) and a fresh copy.
+                for (memo, t) in [("hit", &trace), ("miss", &fresh(&trace))] {
+                    let windows = SliceWindows::of_trace(t);
+                    for window in [1_000, 777] {
+                        let adaptive =
+                            run_adaptive(&program, &cfg, &windows, window, &plan, None, |_, _| {
+                                None
+                            });
+                        let at = format!("{what}: adaptive {window}, memo {memo}");
+                        assert_same(&adaptive.unwrap().total, &miss, &at);
+                    }
+                }
             }
         }
     }

@@ -7,12 +7,20 @@
 //! counters. The *runtime hash* is the bitmask of non-zero counters, so it
 //! exactly reflects the set of blocks currently in the LBR; a conditional
 //! prefetch fires iff its context-hash bits are a subset of the runtime hash.
+//!
+//! The runtime hash depends only on the retired blocks, so replay never
+//! pushes an LBR: a `HashFilter` records the hash after every block into a
+//! `HashRecord`. Every replay of a materialized trace under a conditional
+//! plan ([`run`](crate::run)) and every adaptive run
+//! ([`run_adaptive`](crate::run_adaptive)) takes that record from the
+//! trace's memo; only [`run_streaming`](crate::run_streaming), which has no
+//! materialized trace, refills one record per chunk.
 
 use crate::config::SimConfig;
+use crate::engine::RecordFilter;
 use ispy_isa::HashConfig;
-use ispy_trace::{Addr, BlockId, Program, Trace};
+use ispy_trace::{Addr, BlockId, Program};
 use std::hash::Hasher;
-use std::sync::Arc;
 
 #[cfg(test)]
 mod oracle;
@@ -262,11 +270,9 @@ impl HashRecord {
 ///
 /// The runtime hash depends only on the sequence of retired blocks, their
 /// start addresses, the hash config and the LBR depth — no cache state — so
-/// [`run`](crate::run) builds it once per trace and keeps it in the trace's
-/// memo ([`Trace::derived`]) next to the L1D record. A filter carries its
-/// LBR across calls, so filtering a trace chunk by chunk records exactly
-/// what one call over the whole trace does; chunked replays refill one
-/// record per chunk.
+/// the record is built once per trace and kept in the trace's memo
+/// ([`Trace::derived`](ispy_trace::Trace::derived)) next to the L1D record.
+/// The filter carries its LBR across calls.
 pub(crate) struct HashFilter {
     lbr: Lbr,
     /// Start address and Bloom signature per block, indexable by
@@ -274,19 +280,19 @@ pub(crate) struct HashFilter {
     blocks: Vec<(Addr, BloomSig)>,
 }
 
-impl HashFilter {
+impl RecordFilter for HashFilter {
+    type Record = HashRecord;
+
     /// A filter over `program`'s block addresses with `cfg`'s hash config
     /// and LBR depth, starting from an empty LBR.
-    pub(crate) fn new(program: &Program, cfg: &SimConfig) -> Self {
+    fn new(program: &Program, cfg: &SimConfig) -> Self {
         let lbr = Lbr::new(cfg.lbr_depth, cfg.hash);
         let blocks = program.blocks().iter().map(|b| (b.start(), lbr.sig_of(b.start()))).collect();
         HashFilter { lbr, blocks }
     }
 
-    /// The memo key of the record `program`'s block addresses and `cfg`'s
-    /// hash config and LBR depth produce: a digest of everything a
-    /// [`HashFilter`] reads besides the trace.
-    pub(crate) fn key(program: &Program, cfg: &SimConfig) -> u64 {
+    /// Digests the block addresses, `cfg`'s hash config and the LBR depth.
+    fn key(program: &Program, cfg: &SimConfig) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         // A tag keeps this key apart from the L1D record's in the one memo.
         h.write(b"runtime-hash");
@@ -300,20 +306,8 @@ impl HashFilter {
         h.finish()
     }
 
-    /// The record of `trace` replayed under `program` and `cfg`, from the
-    /// trace's memo: built by one filter pass on the first request for this
-    /// key, shared by every later one.
-    pub(crate) fn record_of(program: &Program, trace: &Trace, cfg: &SimConfig) -> Arc<HashRecord> {
-        trace.derived(Self::key(program, cfg), || {
-            let mut record = HashRecord::default();
-            Self::new(program, cfg).refill(trace.blocks(), &mut record);
-            record
-        })
-    }
-
-    /// Replaces `out` with the runtime hashes after each of `blocks`,
-    /// continuing from the LBR the previous call left.
-    pub(crate) fn refill(&mut self, blocks: &[BlockId], out: &mut HashRecord) {
+    /// Records the runtime hash after each of `blocks`.
+    fn refill(&mut self, blocks: &[BlockId], out: &mut HashRecord) {
         out.0.clear();
         out.0.extend(blocks.iter().map(|b| {
             let (start, sig) = self.blocks[b.index()];

@@ -10,6 +10,7 @@
 //! first differing block.
 
 use super::{HashFilter, Lbr};
+use crate::engine::RecordFilter;
 use crate::l1d::oracle::{assert_same, fresh, random_case, schedule, straight_program, Rng};
 use crate::{
     run, run_adaptive, run_streaming, CacheParams, RunOptions, SimConfig, SliceWindows,
@@ -145,12 +146,16 @@ fn every_replay_path_agrees() {
                 let streamed = run_streaming(&program, &mut source, &cfg, opts()).unwrap();
                 assert_same(&streamed, &miss, &format!("{what}: chunk {chunk}"));
             }
-            let windows = SliceWindows::of_trace(&trace);
-            for window in [1_000, 777] {
-                let adaptive =
-                    run_adaptive(&program, &cfg, &windows, window, &plan, None, |_, _| None)
-                        .unwrap();
-                assert_same(&adaptive.total, &miss, &format!("{what}: adaptive {window}"));
+            // Windows that split the L1D record's 64-bit words, the last
+            // one short; on `trace` (a memo hit) and a fresh copy.
+            for (memo, t) in [("hit", &trace), ("miss", &fresh(&trace))] {
+                let windows = SliceWindows::of_trace(t);
+                for window in [1_000, 777] {
+                    let adaptive =
+                        run_adaptive(&program, &cfg, &windows, window, &plan, None, |_, _| None);
+                    let at = format!("{what}: adaptive {window}, memo {memo}");
+                    assert_same(&adaptive.unwrap().total, &miss, &at);
+                }
             }
         }
     }

@@ -39,7 +39,7 @@ pub mod metrics;
 pub mod outcome;
 pub mod switch;
 
-pub use adaptive::{run_adaptive, AdaptiveRun, SliceWindows, WindowedBlockSource};
+pub use adaptive::{run_adaptive, AdaptiveRun, SliceWindows};
 pub use cache::{Cache, CacheParams, InsertPriority};
 pub use config::{Latencies, SimConfig};
 pub use engine::{run, run_streaming, RunOptions, SimObserver};
