@@ -126,6 +126,22 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
+/// Narrows a decoded varint to `T`, as a [`ArtifactError::Malformed`]
+/// error naming `what` when the value does not fit, instead of a
+/// panicking or truncating cast.
+///
+/// # Examples
+///
+/// ```
+/// use ispy_artifact::narrow;
+///
+/// assert_eq!(narrow::<u8>(200, "width").unwrap(), 200);
+/// assert!(narrow::<u8>(300, "width").is_err());
+/// ```
+pub fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, ArtifactError> {
+    T::try_from(v).map_err(|_| ArtifactError::malformed(what, format!("value {v} out of range")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

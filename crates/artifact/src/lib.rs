@@ -60,6 +60,6 @@ pub mod stream;
 pub mod varint;
 
 pub use container::{ArtifactKind, FORMAT_VERSION, MAGIC};
-pub use error::ArtifactError;
+pub use error::{narrow, ArtifactError};
 pub use section::{SectionReader, SectionWriter};
 pub use stream::{encode_to_vec, StreamReader, StreamWriter};

@@ -1,27 +1,19 @@
 //! Property tests for the incremental replanner: `replan_delta` must be
 //! byte-identical to a from-scratch `plan()` over the updated profile, for
 //! every app, every config variant, and every delta shape (adds, removals
-//! of a line's last miss, empty deltas, out-of-order window arrival).
+//! of a line's last miss and of part of a line's misses, empty deltas,
+//! out-of-order window arrival). Deltas are window-granular: a profile is
+//! the fold of independent windows, and a delta is one window's misses.
 
 use ispy_core::{IspyConfig, Plan, Planner, PlannerBaseline};
-use ispy_profile::{window_delta, MissSample, ProfileAccumulator, ProfileDelta, SampleRate};
+use ispy_profile::{
+    window_delta, MissProfile, Profile, ProfileAccumulator, ProfileDelta, SampleRate,
+};
 use ispy_sim::SimConfig;
-use ispy_trace::apps;
+use ispy_trace::{apps, AppModel, Program, Trace};
 
-/// A tiny deterministic PRNG so the removal sets vary per app without any
-/// run-to-run flakiness.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
+/// Windows each prepared trace is profiled in.
+const WINDOWS: usize = 4;
 
 fn config_variants() -> Vec<IspyConfig> {
     vec![
@@ -44,42 +36,37 @@ fn assert_plans_equal(a: &Plan, b: &Plan, what: &str) {
     assert_eq!(a.provenance, b.provenance, "{what}: provenance");
 }
 
-/// Builds (program, trace, full profile, that profile's own samples) for one
-/// app, with the samples in removable (raw) form.
-fn prepared(
-    model: ispy_trace::AppModel,
-    events: usize,
-) -> (ispy_trace::Program, ispy_trace::Trace, ispy_profile::Profile, Vec<MissSample>) {
+/// Builds (program, trace, full profile, one window's misses) for one app.
+/// The profile is the fold of `WINDOWS` independent (unwarmed) windows.
+/// The misses are those of the first window, counting round from `k`,
+/// whose removal takes some line's last miss and only part of another
+/// line's misses.
+fn prepared(model: AppModel, events: usize, k: usize) -> (Program, Trace, Profile, MissProfile) {
+    let name = model.name().to_string();
     let program = model.generate();
     let trace = program.record_trace(model.default_input(), events);
     let cfg = SimConfig::default();
-    let delta = window_delta(&program, &[], trace.blocks(), &cfg, SampleRate::EXACT, 0);
+    let window = events.div_ceil(WINDOWS);
     let mut acc = ProfileAccumulator::new(program.num_blocks(), cfg.lbr_depth);
-    acc.fold(&delta);
-    let profile = acc.profile();
-    (program, trace, profile, delta.added)
-}
-
-/// Picks a removal set: whole lightest lines (so at least one line loses its
-/// *last* miss) plus a seeded sprinkle of samples from heavier lines.
-fn removal_set(
-    profile: &ispy_profile::Profile,
-    samples: &[MissSample],
-    seed: u64,
-) -> Vec<MissSample> {
-    let mut rng = XorShift(seed | 1);
-    let by_count = profile.misses.lines_by_count();
-    // lines_by_count is heaviest-first; take the two lightest lines whole.
-    let whole: Vec<u64> = by_count.iter().rev().take(2).map(|(l, _)| l.raw()).collect();
-    let mut removed: Vec<MissSample> = Vec::new();
-    for s in samples {
-        // Short-circuit keeps the RNG stream identical to the original
-        // two-branch form: whole-line samples never consume a draw.
-        if whole.contains(&s.line.raw()) || rng.next().is_multiple_of(97) {
-            removed.push(s.clone());
-        }
+    let mut windows = Vec::new();
+    for (i, chunk) in trace.blocks().chunks(window).enumerate() {
+        let delta =
+            window_delta(&program, &[], chunk, &cfg, SampleRate::EXACT, (i * window) as u64);
+        acc.fold(&delta);
+        windows.push(delta.added);
     }
-    removed
+    let profile = acc.profile();
+    let left = |line, removed: &ispy_profile::LineMissStats| {
+        profile.misses.line(line).expect("a window's line is in the profile").count - removed.count
+    };
+    let removed = (0..WINDOWS)
+        .map(|j| std::mem::take(&mut windows[(k + j) % WINDOWS]))
+        .find(|w| {
+            w.iter().any(|(line, s)| left(line, s) == 0)
+                && w.iter().any(|(line, s)| left(line, s) > 0)
+        })
+        .unwrap_or_else(|| panic!("{name}: no window removes both a whole line and part of one"));
+    (program, trace, profile, removed)
 }
 
 #[test]
@@ -102,10 +89,9 @@ fn replan_delta_matches_fresh_plan_across_apps_and_configs() {
             .map(|(i, model)| {
                 s.spawn(move || {
                     let name = model.name().to_string();
-                    let (program, trace, full, samples) = prepared(model.scaled_down(40), 10_000);
+                    let (program, trace, full, removed) =
+                        prepared(model.scaled_down(40), 10_000, i % WINDOWS);
                     assert!(full.misses.num_lines() >= 3, "{name}: too few miss lines to test");
-                    let removed = removal_set(&full, &samples, 0x9e37_79b9 + i as u64);
-                    assert!(!removed.is_empty(), "{name}: empty removal set");
                     let add_back = ProfileDelta { added: removed.clone(), ..Default::default() };
                     let remove = ProfileDelta { removed, ..Default::default() };
                     for cfg in config_variants() {
@@ -126,7 +112,7 @@ fn replan_delta_matches_fresh_plan_across_apps_and_configs() {
                         assert_plans_equal(&noop, &fresh, &format!("{name} {cfg:?} empty"));
                     }
                     // Removal direction (default config): warm on the full
-                    // profile, remove a line's last miss, replan.
+                    // profile, remove one window's misses, replan.
                     let mut shrunk = full.clone();
                     let baseline = PlannerBaseline::new();
                     let _warm = Planner::new(&program, &trace, &full, IspyConfig::default())
@@ -189,8 +175,7 @@ fn replan_delta_drops_every_configs_memo_slot() {
     // One baseline warmed under two configs with different pass-1 windows
     // holds two memo slots per line. A delta must invalidate both: each
     // config's replan equals its fresh plan over the updated profile.
-    let (program, trace, full, samples) = prepared(apps::kafka().scaled_down(40), 10_000);
-    let removed = removal_set(&full, &samples, 0x5eed);
+    let (program, trace, full, removed) = prepared(apps::kafka().scaled_down(40), 10_000, 2);
     let add_back = ProfileDelta { added: removed.clone(), ..Default::default() };
     let remove = ProfileDelta { removed, ..Default::default() };
     let configs = [IspyConfig::default(), IspyConfig::default().with_distances(15, 200)];

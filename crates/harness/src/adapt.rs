@@ -29,7 +29,9 @@ use crate::json::Json;
 use crate::session::Scale;
 use ispy_core::{IspyConfig, Plan, Planner, PlannerBaseline};
 use ispy_isa::InjectionMap;
-use ispy_profile::{window_delta, Profile, ProfileAccumulator, ProfileDelta, SampleRate};
+use ispy_profile::{
+    window_delta, MissProfile, Profile, ProfileAccumulator, ProfileDelta, SampleRate,
+};
 use ispy_scenario::{Arrival, PhaseSpec, Scenario, TenantSpec};
 use ispy_sim::{run_adaptive, SimConfig, SimResult, SliceWindows, SwitchEffect};
 use ispy_trace::{AppModel, BlockSource, Program, Trace};
@@ -136,14 +138,14 @@ impl AdaptOutcome {
 }
 
 /// The staged inputs of the delta-replan microbenchmark: a full profile, a
-/// delta covering ≤1% of its samples, and a baseline warmed on the profile
+/// delta of whole lines covering ≤1% of its samples, and a baseline warmed on the profile
 /// *minus* that delta — so `Planner::replan_delta(&baseline, &delta)`
 /// against `profile` is exactly the incremental path a live window triggers,
 /// while `Planner::plan()` is the from-scratch cost it replaces.
 pub struct ReplanWorkload {
     /// The full (post-delta) profile to plan against.
     pub profile: Profile,
-    /// The ≤1%-of-samples delta the baseline has not seen.
+    /// The delta the baseline has not seen (see [`replan_workload`]).
     pub delta: ProfileDelta,
     /// Baseline warmed on `profile` minus `delta`.
     pub baseline: PlannerBaseline,
@@ -154,48 +156,32 @@ pub struct ReplanWorkload {
 }
 
 /// Builds the [`ReplanWorkload`] for `(program, trace)`: profiles the whole
-/// trace in removable (sample) form, carves the lightest miss lines into a
-/// delta capped at 1% of all samples (falling back to a slice of the
-/// lightest line when even one whole line exceeds the cap), and warms a
-/// baseline on the reduced profile.
+/// trace, carves the lightest miss lines, whole, into a delta capped at 1%
+/// of all samples, and warms a baseline on the profile without them. The
+/// lightest line is taken even if it alone exceeds the cap.
 pub fn replan_workload(program: &Program, trace: &Trace, cfg: &SimConfig) -> ReplanWorkload {
-    let full = window_delta(program, &[], trace.blocks(), cfg, SampleRate::EXACT, 0);
-    let mut acc = ProfileAccumulator::new(program.num_blocks(), cfg.lbr_depth);
-    acc.fold(&full);
-    let mut profile = acc.profile();
-    let total_samples = full.added.len();
+    let mut profile = ispy_profile::profile(program, trace, cfg, SampleRate::EXACT);
+    let total_samples = profile.misses.total_misses() as usize;
     let budget = (total_samples / 100).max(1);
 
-    // Whole lightest lines while they fit the budget, so the delta includes
-    // the hardest memo case: a line whose *first/last* miss arrives.
-    let mut chosen: Vec<u64> = Vec::new();
-    let mut taken = 0usize;
-    for (line, stats) in profile.misses.lines_by_count().iter().rev() {
-        let n = stats.count as usize;
-        if taken + n > budget {
+    // Whole lines, so the delta includes the hardest memo case: a line
+    // whose *first/last* miss arrives.
+    let mut added = MissProfile::new();
+    for (line, stats) in profile.misses.lines_by_count().into_iter().rev() {
+        let taken = added.total_misses() as usize;
+        if taken > 0 && taken + stats.count as usize > budget {
             break;
         }
-        chosen.push(line.raw());
-        taken += n;
+        added.insert_line(line, stats.clone());
     }
-    let mut removed: Vec<ispy_profile::MissSample> =
-        full.added.iter().filter(|s| chosen.contains(&s.line.raw())).cloned().collect();
-    if removed.is_empty() {
-        // Even the lightest line is bigger than 1% of the samples: take a
-        // budget-sized slice of it instead.
-        if let Some((line, _)) = profile.misses.lines_by_count().last().cloned() {
-            removed = full.added.iter().filter(|s| s.line == line).take(budget).cloned().collect();
-        }
-    }
-    assert!(!removed.is_empty(), "replan workload needs a non-empty delta");
+    assert!(added.total_misses() > 0, "replan workload needs a non-empty delta");
 
-    let remove = ProfileDelta { removed: removed.clone(), ..Default::default() };
-    let delta = ProfileDelta { added: removed, ..Default::default() };
-    profile.apply_miss_delta(&remove);
+    let delta = ProfileDelta { added, ..Default::default() };
+    profile.apply_miss_delta(&ProfileDelta { removed: delta.added.clone(), ..Default::default() });
     let baseline = PlannerBaseline::new();
     Planner::new(program, trace, &profile, IspyConfig::default()).plan_with_baseline(&baseline);
     profile.apply_miss_delta(&delta);
-    let delta_samples = delta.added.len();
+    let delta_samples = delta.added.total_misses() as usize;
     ReplanWorkload { profile, delta, baseline, delta_samples, total_samples }
 }
 

@@ -192,8 +192,15 @@ impl BlockTally {
 /// The buffer keeps the stream of blocks entered rather than a copy of
 /// each sample's window: misses cluster, so consecutive windows overlap
 /// and the stream is a fraction of their total length.
+///
+/// Blocks entered below replay index `skip` are warmup: they feed the LBR
+/// stream and are the predecessor of the first counted edge, but add no
+/// counts, edges or samples of their own. A sample at replay index `idx`
+/// is recorded at trace position `idx0 + idx - skip`.
 struct Collector {
     depth: usize,
+    skip: usize,
+    idx0: u64,
     sample_period: u32,
     sample_tick: u32,
     exec: Vec<u64>,
@@ -211,20 +218,12 @@ struct Collector {
 }
 
 impl Collector {
-    fn new(num_blocks: usize, lbr_depth: usize, rate: SampleRate) -> Self {
-        Self::with_buffer(num_blocks, lbr_depth, rate, BUFFER_ENTRIES, BUFFER_SAMPLES)
-    }
-
-    fn with_buffer(
-        num_blocks: usize,
-        lbr_depth: usize,
-        rate: SampleRate,
-        buffer_entries: usize,
-        buffer_samples: usize,
-    ) -> Self {
-        assert!(buffer_entries > lbr_depth, "the buffer must hold an LBR window");
+    fn new(num_blocks: usize, lbr_depth: usize, rate: SampleRate, skip: usize, idx0: u64) -> Self {
+        assert!(BUFFER_ENTRIES > lbr_depth, "the buffer must hold an LBR window");
         Collector {
             depth: lbr_depth,
+            skip,
+            idx0,
             sample_period: rate.period(),
             sample_tick: 0,
             exec: vec![0; num_blocks],
@@ -232,8 +231,8 @@ impl Collector {
             prev: None,
             stream: Vec::new(),
             samples: Vec::new(),
-            buffer_entries,
-            buffer_samples,
+            buffer_entries: BUFFER_ENTRIES,
+            buffer_samples: BUFFER_SAMPLES,
             at: BlockTally::new(num_blocks),
             presence: BlockTally::new(num_blocks),
             lines: FxHashMap::default(),
@@ -278,10 +277,12 @@ impl Collector {
 }
 
 impl SimObserver for Collector {
-    fn block_entered(&mut self, _idx: usize, block: BlockId, _cycle: u64) {
-        self.exec[block.index()] += 1;
-        if let Some(prev) = self.prev {
-            self.edges.add(prev, block, 1);
+    fn block_entered(&mut self, idx: usize, block: BlockId, _cycle: u64) {
+        if idx >= self.skip {
+            self.exec[block.index()] += 1;
+            if let Some(prev) = self.prev {
+                self.edges.add(prev, block, 1);
+            }
         }
         self.prev = Some(block);
         // With no sample pending only the last `depth` blocks are needed,
@@ -295,6 +296,9 @@ impl SimObserver for Collector {
     }
 
     fn icache_miss(&mut self, idx: usize, block: BlockId, line: Line, _cycle: u64) {
+        if idx < self.skip {
+            return;
+        }
         self.sample_tick += 1;
         if self.sample_tick < self.sample_period {
             return;
@@ -304,8 +308,30 @@ impl SimObserver for Collector {
             self.flush();
         }
         let end = self.stream.len() as u32;
-        self.samples.push(Sample { line: line.raw(), idx: idx as u32, block, end });
+        let idx = (self.idx0 + (idx - self.skip) as u64) as u32;
+        self.samples.push(Sample { line: line.raw(), idx, block, end });
     }
+}
+
+/// Replays `trace` on `sim_cfg` under the [`Collector`] and returns the
+/// replay's result with the block counts, edges and miss profile of the
+/// events from replay index `skip` on, their positions offset by `idx0`.
+pub(crate) fn observe(
+    program: &Program,
+    trace: &Trace,
+    sim_cfg: &SimConfig,
+    rate: SampleRate,
+    skip: usize,
+    idx0: u64,
+) -> (SimResult, (Vec<u64>, EdgeTally, MissProfile)) {
+    let mut collector = Collector::new(program.num_blocks(), sim_cfg.lbr_depth, rate, skip, idx0);
+    let result = run(
+        program,
+        trace,
+        sim_cfg,
+        RunOptions { observer: Some(&mut collector), ..Default::default() },
+    );
+    (result, collector.finish())
 }
 
 /// Cycle-splice observer for the ideal-I-cache replay: sums the cycles
@@ -395,16 +421,9 @@ pub(crate) fn avg_cycles(exec: &[u64], cycles_sum: &[u64]) -> Vec<f64> {
 pub fn profile(program: &Program, trace: &Trace, sim_cfg: &SimConfig, rate: SampleRate) -> Profile {
     let tele = ispy_telemetry::global();
     let _profile_span = tele.span("profile.collect");
-    let mut collector = Collector::new(program.num_blocks(), sim_cfg.lbr_depth, rate);
     let (baseline, (exec, edges, misses)) = {
         let _span = tele.span("profile.observe_replay");
-        let result = run(
-            program,
-            trace,
-            sim_cfg,
-            RunOptions { observer: Some(&mut collector), ..Default::default() },
-        );
-        (result, collector.finish())
+        observe(program, trace, sim_cfg, rate, 0, 0)
     };
     let (cycles_sum, ideal) = {
         let _span = tele.span("profile.ideal_replay");
@@ -492,13 +511,41 @@ mod tests {
     }
 
     /// The reference collector: every sample's window copied and recorded
-    /// through [`MissProfile::record`], one map update per block.
+    /// one map update per block. Misses below replay index `skip` are
+    /// warmup; the rest sit at trace position `idx0 + idx - skip`.
     struct Reference {
         depth: usize,
         period: u32,
         tick: u32,
+        skip: usize,
+        idx0: u64,
         window: std::collections::VecDeque<BlockId>,
-        misses: MissProfile,
+        lines: FxHashMap<u64, LineMissStats>,
+    }
+
+    impl Reference {
+        /// Records one sampled miss of `line` at `block`, trace position
+        /// `idx`, with the LBR-depth history window `history`.
+        fn record(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
+            let stats = self.lines.entry(line.raw()).or_default();
+            stats.count += 1;
+            *stats.at_blocks.entry(block).or_insert(0) += 1;
+            // Presence, not multiplicity: each distinct block once.
+            for (i, h) in history.iter().enumerate() {
+                if !history[..i].contains(h) {
+                    *stats.history_presence.entry(*h).or_insert(0) += 1;
+                }
+            }
+            stats.positions.push(idx);
+        }
+
+        fn misses(self) -> MissProfile {
+            let mut misses = MissProfile::new();
+            for (line, stats) in self.lines {
+                misses.insert_line(Line::new(line), stats);
+            }
+            misses
+        }
     }
 
     impl SimObserver for Reference {
@@ -510,13 +557,17 @@ mod tests {
         }
 
         fn icache_miss(&mut self, idx: usize, block: BlockId, line: Line, _cycle: u64) {
+            if idx < self.skip {
+                return;
+            }
             self.tick += 1;
             if self.tick < self.period {
                 return;
             }
             self.tick = 0;
             let history: Vec<BlockId> = self.window.iter().copied().collect();
-            self.misses.record(line, block, idx as u32, &history);
+            let pos = (self.idx0 + (idx - self.skip) as u64) as u32;
+            self.record(line, block, pos, &history);
         }
     }
 
@@ -527,18 +578,26 @@ mod tests {
         let trace = program.record_trace(model.default_input(), 20_000);
         let cfg = SimConfig::default();
         let n = program.num_blocks();
-        // (period, buffer entries, buffer samples): tiny buffers flush
-        // hundreds of times, mid-window and mid-line.
-        for (rate, entries, samples) in
-            [(1, BUFFER_ENTRIES, BUFFER_SAMPLES), (1, 100, 7), (3, 65, 1), (5, 1_000, 64)]
-        {
+        // (period, buffer entries, buffer samples, skip, idx0): tiny
+        // buffers flush hundreds of times, mid-window and mid-line; a skip
+        // leaves warmup misses out and shifts the positions.
+        for (rate, entries, samples, skip, idx0) in [
+            (1, BUFFER_ENTRIES, BUFFER_SAMPLES, 0, 0),
+            (1, 100, 7, 0, 0),
+            (3, 65, 1, 0, 0),
+            (5, 1_000, 64, 0, 0),
+            (1, 100, 7, 6_000, 90_000),
+            (2, BUFFER_ENTRIES, BUFFER_SAMPLES, 13_331, 7),
+        ] {
             let rate = SampleRate::every(rate);
             let mut reference = Reference {
                 depth: cfg.lbr_depth,
                 period: rate.period(),
                 tick: 0,
+                skip,
+                idx0,
                 window: Default::default(),
-                misses: MissProfile::new(),
+                lines: FxHashMap::default(),
             };
             run(
                 &program,
@@ -546,7 +605,9 @@ mod tests {
                 &cfg,
                 RunOptions { observer: Some(&mut reference), ..Default::default() },
             );
-            let mut batched = Collector::with_buffer(n, cfg.lbr_depth, rate, entries, samples);
+            let mut batched = Collector::new(n, cfg.lbr_depth, rate, skip, idx0);
+            assert!(entries > cfg.lbr_depth, "the buffer must hold an LBR window");
+            (batched.buffer_entries, batched.buffer_samples) = (entries, samples);
             run(
                 &program,
                 &trace,
@@ -554,7 +615,7 @@ mod tests {
                 RunOptions { observer: Some(&mut batched), ..Default::default() },
             );
             let (_, _, got) = batched.finish();
-            let want = reference.misses;
+            let want = reference.misses();
             assert!(want.total_misses() > 100);
             assert_eq!(got.total_misses(), want.total_misses());
             assert_eq!(got.num_lines(), want.num_lines());
@@ -567,6 +628,29 @@ mod tests {
                 assert_eq!(got.line_digest(line), want.line_digest(line));
             }
         }
+    }
+
+    #[test]
+    fn warmup_adds_no_counts_or_edges() {
+        let (program, trace, _) = prof();
+        let skip = 7_000;
+        let (_, (exec, edges, _)) =
+            observe(&program, &trace, &SimConfig::default(), SampleRate::EXACT, skip, 0);
+        let mut want_exec = vec![0u64; exec.len()];
+        for b in &trace.blocks()[skip..] {
+            want_exec[b.index()] += 1;
+        }
+        assert_eq!(exec, want_exec);
+        // Every counted event has its edge in, the first one from warmup.
+        let mut counts: FxHashMap<(u32, u32), u64> = FxHashMap::default();
+        for pair in trace.blocks()[skip - 1..].windows(2) {
+            *counts.entry((pair[0].0, pair[1].0)).or_insert(0) += 1;
+        }
+        let mut want_edges: Vec<((u32, u32), u64)> = counts.into_iter().collect();
+        let mut got_edges: Vec<((u32, u32), u64)> = edges.iter().collect();
+        want_edges.sort_unstable();
+        got_edges.sort_unstable();
+        assert_eq!(got_edges, want_edges);
     }
 
     #[test]

@@ -3,44 +3,29 @@
 //!
 //! The paper's deployment story is a continuous profile → plan → inject
 //! loop; this module provides its profile half. A [`ProfileDelta`] carries
-//! everything one observation window contributes — miss samples with their
-//! LBR history snapshots, per-block execution and cycle increments, and
-//! dynamic-edge increments — in raw (pre-aggregated) form, so folding it
-//! into a [`ProfileAccumulator`] is exact: every quantity is a sum, and the
-//! accumulator keeps the raw sums the [`DynCfg`] averages are derived from.
-//! Removal is supported too ([`ProfileDelta::removed`]), as the exact
-//! inverse of addition: a profile with a window folded in and back out is
-//! digest-identical to one that never saw it.
+//! everything one observation window contributes — the window's per-line
+//! miss stats, per-block execution and cycle increments, and dynamic-edge
+//! increments — as raw sums, so folding it into a [`ProfileAccumulator`]
+//! is exact: the accumulator keeps the raw sums the [`DynCfg`] averages
+//! are derived from. Removal is supported too ([`ProfileDelta::removed`]),
+//! as the exact inverse of addition: a profile with a window folded in and
+//! back out is digest-identical to one that never saw it.
 //!
 //! Two consumers:
 //!
 //! * the incremental replanner (`ispy-core`): a miss-only delta against a
 //!   fixed trace invalidates exactly the touched lines' planner memos;
 //! * the adaptive driver (`repro adapt`): [`window_delta`] profiles one
-//!   window of a running trace (bounded memory, same two-replay structure
-//!   as the offline [`profile`](crate::profile) pass), and the accumulator
+//!   window of a running trace with the collector and the two replays of
+//!   the offline [`profile`](crate::profile) pass, and the accumulator
 //!   folds window after window into a live profile.
 
-use crate::collect::{avg_cycles, ideal_cycles, EdgeTally, Profile, SampleRate};
+use crate::collect::{avg_cycles, ideal_cycles, observe, EdgeTally, Profile, SampleRate};
 use crate::digest::ContentHasher;
 use crate::dyncfg::DynCfg;
 use crate::miss::MissProfile;
-use ispy_sim::{run, RunOptions, SimConfig, SimObserver};
+use ispy_sim::SimConfig;
 use ispy_trace::{BlockId, Line, Program, Trace};
-
-/// One sampled I-cache miss, carried in raw form so it can be folded into —
-/// and removed from — a [`MissProfile`] exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MissSample {
-    /// The missing line.
-    pub line: Line,
-    /// The block executing when the line missed.
-    pub block: BlockId,
-    /// Trace position (block index) of the miss.
-    pub idx: u32,
-    /// The LBR-depth history window preceding the miss.
-    pub history: Vec<BlockId>,
-}
 
 /// Everything one observation window contributes to a profile.
 ///
@@ -48,12 +33,12 @@ pub struct MissSample {
 /// folded in any order (miss positions are kept sorted by the fold). A
 /// *miss-only* delta (see [`ProfileDelta::is_miss_only`]) leaves the
 /// dynamic CFG untouched — the shape the incremental replanner consumes.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileDelta {
-    /// Miss samples to fold in.
-    pub added: Vec<MissSample>,
-    /// Miss samples to remove (exact inverse of a prior fold/record).
-    pub removed: Vec<MissSample>,
+    /// Per-line miss stats to fold in.
+    pub added: MissProfile,
+    /// Per-line miss stats to remove (the exact inverse of a prior fold).
+    pub removed: MissProfile,
     /// Block events observed in the window (extends `trace_len`).
     pub events: u64,
     /// Per-block execution-count increments.
@@ -65,18 +50,18 @@ pub struct ProfileDelta {
 }
 
 impl ProfileDelta {
-    /// Whether this delta only adds/removes miss samples, leaving the
-    /// dynamic CFG and trace length untouched. Such deltas can be applied
-    /// directly to a [`Profile`] (see [`Profile::apply_miss_delta`]) and
-    /// invalidate only the touched lines in the planner's memo.
+    /// Whether this delta only adds/removes misses, leaving the dynamic
+    /// CFG and trace length untouched. Such deltas can be applied directly
+    /// to a [`Profile`] (see [`Profile::apply_miss_delta`]) and invalidate
+    /// only the touched lines in the planner's memo.
     pub fn is_miss_only(&self) -> bool {
         self.events == 0 && self.exec.is_empty() && self.edges.is_empty() && self.cycles.is_empty()
     }
 
-    /// The distinct lines whose miss sets this delta changes, deduplicated.
+    /// The distinct lines whose miss sets this delta changes, ascending.
     pub fn touched_lines(&self) -> Vec<Line> {
         let mut lines: Vec<u64> =
-            self.added.iter().chain(&self.removed).map(|s| s.line.raw()).collect();
+            self.added.iter().chain(self.removed.iter()).map(|(l, _)| l.raw()).collect();
         lines.sort_unstable();
         lines.dedup();
         lines.into_iter().map(Line::new).collect()
@@ -84,24 +69,21 @@ impl ProfileDelta {
 }
 
 impl Profile {
-    /// Applies a miss-only delta in O(delta): folds added samples, unfolds
-    /// removed ones. The CFG, trace length, and LBR depth are unchanged, so
-    /// the profile stays consistent with the same recorded trace — the
-    /// contract the planner's `replan_delta` relies on.
+    /// Applies a miss-only delta in O(delta): merges the added lines,
+    /// subtracts the removed ones. The CFG, trace length, and LBR depth
+    /// are unchanged, so the profile stays consistent with the same
+    /// recorded trace — the contract the planner's `replan_delta` relies
+    /// on.
     ///
     /// # Panics
     ///
     /// Panics if the delta is not miss-only (fold CFG-bearing deltas through
-    /// a [`ProfileAccumulator`] instead), or if a removed sample was never
-    /// in the profile.
+    /// a [`ProfileAccumulator`] instead), or if anything removed was never
+    /// in the profile (see [`MissProfile::subtract`]).
     pub fn apply_miss_delta(&mut self, delta: &ProfileDelta) {
         assert!(delta.is_miss_only(), "CFG-bearing deltas need a ProfileAccumulator");
-        for s in &delta.added {
-            self.misses.fold_sample(s.line, s.block, s.idx, &s.history);
-        }
-        for s in &delta.removed {
-            self.misses.unfold_sample(s.line, s.block, s.idx, &s.history);
-        }
+        self.misses.merge(&delta.added);
+        self.misses.subtract(&delta.removed);
     }
 
     /// A digest of the planner-baseline-identifying parts of the profile:
@@ -153,12 +135,8 @@ impl ProfileAccumulator {
 
     /// Folds one window's delta in, in O(delta).
     pub fn fold(&mut self, delta: &ProfileDelta) {
-        for s in &delta.added {
-            self.misses.fold_sample(s.line, s.block, s.idx, &s.history);
-        }
-        for s in &delta.removed {
-            self.misses.unfold_sample(s.line, s.block, s.idx, &s.history);
-        }
+        self.misses.merge(&delta.added);
+        self.misses.subtract(&delta.removed);
         self.events += delta.events;
         for &(b, n) in &delta.exec {
             self.exec[b.index()] += n;
@@ -196,64 +174,13 @@ impl ProfileAccumulator {
     }
 }
 
-/// The windowed observer: same splice as the offline `Collector`, but
-/// emitting raw delta material instead of aggregating in place. Events with
-/// replay index below `skip` are warmup: they feed the LBR history and the
-/// edge chain but contribute no counts or samples of their own.
-struct DeltaCollector {
-    lbr_depth: usize,
-    sample_period: u32,
-    sample_tick: u32,
-    window: std::collections::VecDeque<BlockId>,
-    idx0: u64,
-    skip: usize,
-    exec: Vec<u64>,
-    edges: EdgeTally,
-    samples: Vec<MissSample>,
-    prev: Option<BlockId>,
-}
-
-impl SimObserver for DeltaCollector {
-    fn block_entered(&mut self, idx: usize, block: BlockId, _cycle: u64) {
-        if idx >= self.skip {
-            self.exec[block.index()] += 1;
-            if let Some(prev) = self.prev {
-                // With warmup this includes the warmup→window boundary edge,
-                // exactly as a continuous profile would count it.
-                self.edges.add(prev, block, 1);
-            }
-        }
-        self.prev = Some(block);
-        self.window.push_back(block);
-        if self.window.len() > self.lbr_depth {
-            self.window.pop_front();
-        }
-    }
-
-    fn icache_miss(&mut self, idx: usize, block: BlockId, line: Line, _cycle: u64) {
-        if idx < self.skip {
-            return;
-        }
-        self.sample_tick += 1;
-        if self.sample_tick < self.sample_period {
-            return;
-        }
-        self.sample_tick = 0;
-        self.samples.push(MissSample {
-            line,
-            block,
-            idx: (self.idx0 + (idx - self.skip) as u64) as u32,
-            history: self.window.iter().copied().collect(),
-        });
-    }
-}
-
 /// Profiles one window of a trace and returns its [`ProfileDelta`].
 ///
 /// Memory is bounded by `warmup.len() + blocks.len()`, never the full
-/// trace: warmup then window are replayed twice (observed + ideal-I-cache,
-/// the same structure as the offline [`profile`](crate::profile) pass) from
-/// a cold simulator, and only the window's events are observed. `warmup`
+/// trace: warmup then window are replayed twice from a cold simulator,
+/// observed and on an ideal I-cache, by the collector of the offline
+/// [`profile`](crate::profile) pass (its whole-trace, no-warmup case), and
+/// only the window's events are counted. `warmup`
 /// should be the trace slice immediately preceding the window (empty for
 /// the first window, or when profiling a whole trace in one call): it warms
 /// the caches and the LBR history so the window's samples, edges, and
@@ -280,53 +207,28 @@ pub fn window_delta(
     replayed.extend_from_slice(blocks);
     let trace = Trace::new(program.name(), replayed);
     let skip = warmup.len();
-    let mut collector = DeltaCollector {
-        lbr_depth: sim_cfg.lbr_depth,
-        sample_period: rate.period(),
-        sample_tick: 0,
-        window: std::collections::VecDeque::with_capacity(sim_cfg.lbr_depth + 1),
-        idx0,
-        skip,
-        exec: vec![0; program.num_blocks()],
-        edges: EdgeTally::new(program.num_blocks()),
-        samples: Vec::new(),
-        prev: None,
-    };
-    run(
-        program,
-        &trace,
-        sim_cfg,
-        RunOptions { observer: Some(&mut collector), ..Default::default() },
-    );
-
+    let (_, (exec, edges, misses)) = observe(program, &trace, sim_cfg, rate, skip, idx0);
     let (cycles_sum, _) = ideal_cycles(program, &trace, sim_cfg, skip);
-
-    let mut exec: Vec<(BlockId, u64)> = collector
-        .exec
-        .iter()
-        .enumerate()
-        .filter(|&(_, &n)| n > 0)
-        .map(|(i, &n)| (BlockId(i as u32), n))
-        .collect();
-    exec.sort_unstable_by_key(|&(b, _)| b);
-    let mut edges: Vec<((u32, u32), u64)> = collector.edges.iter().collect();
+    let mut edges: Vec<((u32, u32), u64)> = edges.iter().collect();
     edges.sort_unstable();
-    let mut cycle_rows: Vec<(BlockId, u64)> = cycles_sum
+    ProfileDelta {
+        added: misses,
+        removed: MissProfile::new(),
+        events: blocks.len() as u64,
+        exec: nonzero(&exec),
+        edges,
+        cycles: nonzero(&cycles_sum),
+    }
+}
+
+/// The nonzero entries of a per-block array, by ascending block.
+fn nonzero(per_block: &[u64]) -> Vec<(BlockId, u64)> {
+    per_block
         .iter()
         .enumerate()
         .filter(|&(_, &n)| n > 0)
         .map(|(i, &n)| (BlockId(i as u32), n))
-        .collect();
-    cycle_rows.sort_unstable_by_key(|&(b, _)| b);
-
-    ProfileDelta {
-        added: collector.samples,
-        removed: Vec::new(),
-        events: blocks.len() as u64,
-        exec,
-        edges,
-        cycles: cycle_rows,
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -335,41 +237,52 @@ mod tests {
     use crate::profile;
     use ispy_trace::apps;
 
+    fn line_digests(p: &Profile) -> Vec<(u64, u64)> {
+        let mut v: Vec<(u64, u64)> =
+            p.misses.iter().map(|(l, s)| (l.raw(), s.content_digest())).collect();
+        v.sort_unstable();
+        v
+    }
+
     #[test]
     fn miss_only_delta_round_trips_through_a_profile() {
         let model = apps::cassandra().scaled_down(40);
         let program = model.generate();
         let trace = program.record_trace(model.default_input(), 8_000);
         let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
-        let digest0: Vec<(u64, u64)> = {
-            let mut v: Vec<(u64, u64)> =
-                prof.misses.iter().map(|(l, s)| (l.raw(), s.content_digest())).collect();
-            v.sort_unstable();
-            v
-        };
-        // Remove every sample of the lightest line, then fold it back.
-        let (line, stats) = prof.misses.lines_by_count().pop().expect("some misses");
-        let block = *stats.at_blocks.keys().next().unwrap();
-        let positions = stats.positions.clone();
-        // The offline profile aggregates histories, so synthesize samples
-        // with empty histories on a scratch copy to exercise the paths.
+        let digest0 = line_digests(&prof);
+        // Remove the lightest line whole and the first window of the
+        // heaviest, then fold both back.
+        let lines = prof.misses.lines_by_count();
+        let (light, stats) = lines.last().expect("some misses");
+        let mut part = MissProfile::new();
+        part.insert_line(*light, (*stats).clone());
+        let cut = window_delta(
+            &program,
+            &[],
+            &trace.blocks()[..2_000],
+            &SimConfig::default(),
+            SampleRate::EXACT,
+            0,
+        );
+        let (heavy, _) = lines[0];
+        let heavy_part = cut.added.line(heavy).expect("the heaviest line misses early").clone();
+        part.insert_line(heavy, heavy_part);
         let mut scratch = prof.clone();
-        let removed: Vec<MissSample> = positions
-            .iter()
-            .map(|&idx| MissSample { line, block, idx, history: Vec::new() })
-            .collect();
-        // fold synthetic first so unfold has matching samples to remove
-        let synth = ProfileDelta { added: removed.clone(), ..Default::default() };
-        scratch.apply_miss_delta(&synth);
-        let back = ProfileDelta { removed, ..Default::default() };
-        scratch.apply_miss_delta(&back);
-        let digest1: Vec<(u64, u64)> = {
-            let mut v: Vec<(u64, u64)> =
-                scratch.misses.iter().map(|(l, s)| (l.raw(), s.content_digest())).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(digest0, digest1, "fold+unfold must be digest-identical to never-folded");
+        scratch.apply_miss_delta(&ProfileDelta { removed: part.clone(), ..Default::default() });
+        assert!(scratch.misses.line(*light).is_none(), "the lightest line lost its last miss");
+        assert!(scratch
+            .misses
+            .line(heavy)
+            .is_some_and(|s| s.count < prof.misses.line(heavy).unwrap().count));
+        assert_ne!(line_digests(&scratch), digest0);
+        scratch.apply_miss_delta(&ProfileDelta { added: part, ..Default::default() });
+        assert_eq!(
+            line_digests(&scratch),
+            digest0,
+            "remove+add must be digest-identical to never-removed"
+        );
+        assert_eq!(scratch.misses.total_misses(), prof.misses.total_misses());
         assert_eq!(scratch.baseline_digest(), prof.baseline_digest());
     }
 

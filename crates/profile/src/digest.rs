@@ -80,24 +80,6 @@ impl ContentHasher {
     }
 }
 
-/// Digests one `u64` sequence in order — a convenience for one-shot keys.
-///
-/// # Examples
-///
-/// ```
-/// use ispy_profile::digest::digest_words;
-///
-/// assert_eq!(digest_words(&[1, 2]), digest_words(&[1, 2]));
-/// assert_ne!(digest_words(&[1, 2]), digest_words(&[2, 1]));
-/// ```
-pub fn digest_words(words: &[u64]) -> u64 {
-    let mut h = ContentHasher::new();
-    for &w in words {
-        h.write_u64(w);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

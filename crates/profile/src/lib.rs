@@ -47,7 +47,7 @@ pub mod scan;
 pub mod window;
 
 pub use collect::{profile, Profile, ProfileReplays, SampleRate};
-pub use delta::{window_delta, MissSample, ProfileAccumulator, ProfileDelta};
+pub use delta::{window_delta, ProfileAccumulator, ProfileDelta};
 pub use digest::ContentHasher;
 pub use dyncfg::DynCfg;
 pub use miss::{LineMissStats, MissProfile, OrderedLine};

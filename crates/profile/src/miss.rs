@@ -3,6 +3,7 @@
 use crate::digest::ContentHasher;
 use ispy_sim::FxHashMap;
 use ispy_trace::{BlockId, Line};
+use std::collections::hash_map::Entry;
 use std::sync::OnceLock;
 
 /// Everything the profiler learned about one missing I-cache line.
@@ -117,36 +118,9 @@ impl MissProfile {
         Self::default()
     }
 
-    /// Records one sampled miss of `line` at `block`, trace position `idx`,
-    /// with the 32-deep history window `history`.
-    pub fn record(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
-        self.add_sample(line, block, history).positions.push(idx);
-    }
-
-    /// Counts one sample of `line` at `block` with `history` into the
-    /// line's stats (everything but its position) and returns the stats.
-    fn add_sample(
-        &mut self,
-        line: Line,
-        block: BlockId,
-        history: &[BlockId],
-    ) -> &mut LineMissStats {
-        self.total += 1;
-        self.order.take();
-        let stats = self.by_line.entry(line.raw()).or_default().stats_mut();
-        stats.count += 1;
-        *stats.at_blocks.entry(block).or_insert(0) += 1;
-        for h in distinct(history) {
-            *stats.history_presence.entry(h).or_insert(0) += 1;
-        }
-        stats
-    }
-
     /// Installs fully-formed stats for `line`, replacing any existing entry
     /// — the exact-reconstruction entry point used by the artifact decoder,
-    /// the fleet consensus merge and the profiling pass's batched collector
-    /// (the incremental [`MissProfile::record`] path cannot rebuild
-    /// presorted stats verbatim).
+    /// the fleet consensus merge and the profiling pass's collector.
     ///
     /// # Examples
     ///
@@ -169,60 +143,103 @@ impl MissProfile {
         }
     }
 
-    /// Folds one delta miss sample into the profile — the same accumulation
-    /// as [`MissProfile::record`], except the trace position is inserted in
-    /// sorted order so windows may arrive out of order and still reproduce
-    /// the profile an in-order recording would have built (positions are
-    /// documented ascending, and the planner's byte-equality depends on it).
-    pub fn fold_sample(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
-        let stats = self.add_sample(line, block, history);
-        match stats.positions.last() {
-            Some(&last) if last > idx => {
-                let at = stats.positions.partition_point(|&p| p < idx);
-                stats.positions.insert(at, idx);
+    /// Adds every line of `other` into this profile: counts, miss blocks
+    /// and history presence as sums, positions merged in sorted order. Two
+    /// windows' profiles merge to the profile of both in either order.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ispy_profile::{LineMissStats, MissProfile};
+    /// use ispy_trace::Line;
+    ///
+    /// let one = |pos: u32| {
+    ///     let mut mp = MissProfile::new();
+    ///     let stats = LineMissStats { count: 1, positions: vec![pos], ..Default::default() };
+    ///     mp.insert_line(Line::new(64), stats);
+    ///     mp
+    /// };
+    /// let mut mp = one(9);
+    /// mp.merge(&one(3));
+    /// assert_eq!(mp.line(Line::new(64)).unwrap().positions, [3, 9]);
+    /// mp.subtract(&one(9));
+    /// assert_eq!(mp.total_misses(), 1);
+    /// ```
+    pub fn merge(&mut self, other: &MissProfile) {
+        if other.by_line.is_empty() {
+            return;
+        }
+        self.order.take();
+        self.total += other.total;
+        for (&line, entry) in &other.by_line {
+            let stats = match self.by_line.entry(line) {
+                // A new line takes the stats whole, cached digest included.
+                Entry::Vacant(slot) => {
+                    slot.insert(entry.clone());
+                    continue;
+                }
+                Entry::Occupied(slot) => slot.into_mut().stats_mut(),
+            };
+            let add = &entry.stats;
+            stats.count += add.count;
+            for (&b, &n) in &add.at_blocks {
+                *stats.at_blocks.entry(b).or_insert(0) += n;
             }
-            _ => stats.positions.push(idx),
+            for (&b, &n) in &add.history_presence {
+                *stats.history_presence.entry(b).or_insert(0) += n;
+            }
+            let in_order = match (stats.positions.last(), add.positions.first()) {
+                (Some(last), Some(first)) => last <= first,
+                _ => true,
+            };
+            stats.positions.extend_from_slice(&add.positions);
+            if !in_order {
+                // Two sorted runs: the stable sort merges them in one pass.
+                stats.positions.sort();
+            }
         }
     }
 
-    /// Removes one previously-folded (or recorded) sample — the exact
-    /// inverse of [`MissProfile::fold_sample`]. Entries whose counts reach
-    /// zero are deleted outright, so a profile with a sample removed is
-    /// byte-equal (and digest-equal) to one that never saw it.
+    /// Removes every line of `other` from this profile — the exact inverse
+    /// of [`MissProfile::merge`]. A line whose count reaches zero is
+    /// dropped, and so is a block count that reaches zero, so a profile
+    /// with `other` merged in and subtracted out is digest-equal to one
+    /// that never saw it.
     ///
     /// # Panics
     ///
-    /// Panics if the sample was never in the profile (unknown line, absent
-    /// trace position, or underflowing block/history counts) — removing
-    /// phantom samples would silently corrupt the profile.
-    pub fn unfold_sample(&mut self, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
-        self.order.take();
-        let stats =
-            self.by_line.get_mut(&line.raw()).expect("unfold of an unknown line").stats_mut();
-        let at = stats.positions.partition_point(|&p| p < idx);
-        assert!(
-            stats.positions.get(at) == Some(&idx),
-            "unfold of a sample not in the profile (line {line}, idx {idx})"
-        );
-        stats.positions.remove(at);
-        stats.count -= 1;
-        let bc = stats.at_blocks.get_mut(&block).expect("unfold underflows at_blocks");
-        *bc -= 1;
-        if *bc == 0 {
-            stats.at_blocks.remove(&block);
+    /// Panics if anything in `other` is absent here: an unknown line, a
+    /// trace position not present, or a count that would underflow.
+    /// Removing phantom misses would silently corrupt the profile.
+    pub fn subtract(&mut self, other: &MissProfile) {
+        if other.by_line.is_empty() {
+            return;
         }
-        for h in distinct(history) {
-            let hc =
-                stats.history_presence.get_mut(&h).expect("unfold underflows history presence");
-            *hc -= 1;
-            if *hc == 0 {
-                stats.history_presence.remove(&h);
+        self.order.take();
+        for (&line, entry) in &other.by_line {
+            let gone = &entry.stats;
+            let line = Line::new(line);
+            let stats = self
+                .by_line
+                .get_mut(&line.raw())
+                .unwrap_or_else(|| panic!("subtract of an unknown line {line}"))
+                .stats_mut();
+            stats.count = stats
+                .count
+                .checked_sub(gone.count)
+                .unwrap_or_else(|| panic!("subtract underflows the miss count of line {line}"));
+            subtract_counts(&mut stats.at_blocks, &gone.at_blocks, "miss blocks", line);
+            subtract_counts(&mut stats.history_presence, &gone.history_presence, "presence", line);
+            // Both sides ascending: one pass removes each of `gone`'s
+            // positions once.
+            let mut next = gone.positions.iter().peekable();
+            stats.positions.retain(|p| next.next_if_eq(&p).is_none());
+            assert!(next.next().is_none(), "subtract of a position not in line {line}");
+            if stats.count == 0 {
+                self.by_line.remove(&line.raw());
             }
         }
-        if stats.count == 0 {
-            self.by_line.remove(&line.raw());
-        }
-        self.total -= 1;
+        self.total -= other.total;
     }
 
     /// Stats for `line`, if it ever missed.
@@ -282,10 +299,25 @@ impl MissProfile {
     }
 }
 
-/// The distinct blocks of one sample's `history`, each once: presence, not
-/// multiplicity (the Bloom filter tests presence only).
-fn distinct(history: &[BlockId]) -> impl Iterator<Item = BlockId> + '_ {
-    history.iter().enumerate().filter(|&(i, h)| !history[..i].contains(h)).map(|(_, &h)| h)
+/// Subtracts `gone`'s per-block counts from `from`, dropping the blocks
+/// that reach zero; panics on a block absent from `from` or a count that
+/// would underflow.
+fn subtract_counts(
+    from: &mut FxHashMap<BlockId, u64>,
+    gone: &FxHashMap<BlockId, u64>,
+    what: &str,
+    line: Line,
+) {
+    for (b, &n) in gone {
+        let c = from
+            .get_mut(b)
+            .filter(|c| **c >= n)
+            .unwrap_or_else(|| panic!("subtract underflows the {what} of line {line} at {b}"));
+        *c -= n;
+        if *c == 0 {
+            from.remove(b);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -296,12 +328,35 @@ mod tests {
         BlockId(i)
     }
 
+    /// A profile of one sampled miss of `line` at `block`, trace position
+    /// `idx`, with the history window `history`.
+    fn one(line: Line, block: BlockId, idx: u32, history: &[BlockId]) -> MissProfile {
+        let mut presence = FxHashMap::default();
+        for &h in history {
+            presence.insert(h, 1);
+        }
+        let stats = LineMissStats {
+            count: 1,
+            at_blocks: [(block, 1)].into_iter().collect(),
+            history_presence: presence,
+            positions: vec![idx],
+        };
+        let mut mp = MissProfile::new();
+        mp.insert_line(line, stats);
+        mp
+    }
+
+    /// Records one sampled miss into `mp`, as a one-sample merge.
+    fn record(mp: &mut MissProfile, line: Line, block: BlockId, idx: u32, history: &[BlockId]) {
+        mp.merge(&one(line, block, idx, history));
+    }
+
     #[test]
     fn record_accumulates() {
         let mut mp = MissProfile::new();
         let l = Line::new(100);
-        mp.record(l, b(5), 10, &[b(1), b(2), b(1)]);
-        mp.record(l, b(5), 20, &[b(2), b(3)]);
+        record(&mut mp, l, b(5), 10, &[b(1), b(2), b(1)]);
+        record(&mut mp, l, b(5), 20, &[b(2), b(3)]);
         let s = mp.line(l).unwrap();
         assert_eq!(s.count, 2);
         assert_eq!(s.at_blocks[&b(5)], 2);
@@ -317,18 +372,18 @@ mod tests {
     fn dominant_block() {
         let mut mp = MissProfile::new();
         let l = Line::new(7);
-        mp.record(l, b(1), 0, &[]);
-        mp.record(l, b(2), 1, &[]);
-        mp.record(l, b(2), 2, &[]);
+        record(&mut mp, l, b(1), 0, &[]);
+        record(&mut mp, l, b(2), 1, &[]);
+        record(&mut mp, l, b(2), 2, &[]);
         assert_eq!(mp.line(l).unwrap().dominant_block(), Some(b(2)));
     }
 
     #[test]
     fn lines_by_count_sorted() {
         let mut mp = MissProfile::new();
-        mp.record(Line::new(1), b(0), 0, &[]);
-        mp.record(Line::new(2), b(0), 1, &[]);
-        mp.record(Line::new(2), b(0), 2, &[]);
+        record(&mut mp, Line::new(1), b(0), 0, &[]);
+        record(&mut mp, Line::new(2), b(0), 1, &[]);
+        record(&mut mp, Line::new(2), b(0), 2, &[]);
         let order: Vec<u64> = mp.lines_by_count().iter().map(|(l, _)| l.raw()).collect();
         assert_eq!(order, vec![2, 1]);
     }
@@ -342,73 +397,116 @@ mod tests {
 
     #[test]
     fn fold_out_of_order_matches_in_order_record() {
-        let l = Line::new(100);
-        let samples = [(b(5), 10u32, vec![b(1), b(2)]), (b(5), 20, vec![b(2)]), (b(6), 30, vec![])];
+        let (l, m) = (Line::new(100), Line::new(200));
+        let samples = [
+            (l, b(5), 10u32, vec![b(1), b(2)]),
+            (m, b(6), 15, vec![b(1)]),
+            (l, b(5), 20, vec![b(2)]),
+            (l, b(6), 30, vec![]),
+        ];
         let mut in_order = MissProfile::new();
-        for (blk, idx, hist) in &samples {
-            in_order.record(l, *blk, *idx, hist);
+        for (line, blk, idx, hist) in &samples {
+            record(&mut in_order, *line, *blk, *idx, hist);
         }
-        let mut shuffled = MissProfile::new();
-        for &i in &[2usize, 0, 1] {
-            let (blk, idx, hist) = &samples[i];
-            shuffled.fold_sample(l, *blk, *idx, hist);
+        // Two windows, each spanning both lines' positions, merged late
+        // window first.
+        let mut windows = [MissProfile::new(), MissProfile::new()];
+        for (i, (line, blk, idx, hist)) in samples.iter().enumerate() {
+            record(&mut windows[i % 2], *line, *blk, *idx, hist);
         }
-        let a = in_order.line(l).unwrap();
-        let s = shuffled.line(l).unwrap();
-        assert_eq!(a.positions, s.positions);
-        assert_eq!(a.content_digest(), s.content_digest());
+        let mut shuffled = windows[1].clone();
+        shuffled.merge(&windows[0]);
+        for line in [l, m] {
+            let (a, s) = (in_order.line(line).unwrap(), shuffled.line(line).unwrap());
+            assert_eq!(a.positions, s.positions);
+            assert_eq!(a.content_digest(), s.content_digest());
+        }
+        assert_eq!(shuffled.line(l).unwrap().positions, [10, 20, 30]);
         assert_eq!(in_order.total_misses(), shuffled.total_misses());
     }
 
     #[test]
-    fn unfold_is_exact_inverse_of_fold() {
+    fn subtract_is_exact_inverse_of_merge() {
         let l = Line::new(7);
-        let mut mp = MissProfile::new();
-        mp.record(l, b(1), 5, &[b(9)]);
+        let mut mp = one(l, b(1), 5, &[b(9)]);
+        record(&mut mp, l, b(1), 12, &[]);
         let before = mp.line(l).unwrap().content_digest();
-        mp.fold_sample(l, b(2), 9, &[b(9), b(4)]);
+        let window = one(l, b(2), 9, &[b(9), b(4)]);
+        mp.merge(&window);
+        assert_eq!(mp.total_misses(), 3);
+        assert_eq!(mp.line(l).unwrap().positions, [5, 9, 12]);
+        mp.subtract(&window);
         assert_eq!(mp.total_misses(), 2);
-        mp.unfold_sample(l, b(2), 9, &[b(9), b(4)]);
-        assert_eq!(mp.total_misses(), 1);
         let after = mp.line(l).unwrap();
         assert_eq!(after.content_digest(), before);
+        assert_eq!(after.positions, [5, 12]);
         assert!(!after.at_blocks.contains_key(&b(2)), "zeroed block counts are deleted");
         assert!(!after.history_presence.contains_key(&b(4)));
     }
 
     #[test]
-    fn unfold_last_sample_removes_the_line() {
-        let l = Line::new(64);
-        let mut mp = MissProfile::new();
-        mp.record(l, b(1), 3, &[b(2)]);
-        mp.unfold_sample(l, b(1), 3, &[b(2)]);
+    fn subtracting_a_lines_last_miss_removes_the_line() {
+        let (l, m) = (Line::new(64), Line::new(128));
+        let mut mp = one(l, b(1), 3, &[b(2)]);
+        record(&mut mp, m, b(1), 4, &[]);
+        mp.subtract(&one(l, b(1), 3, &[b(2)]));
         assert!(mp.line(l).is_none(), "a line whose last miss is removed must vanish");
-        assert_eq!(mp.total_misses(), 0);
-        assert_eq!(mp.num_lines(), 0);
+        assert_eq!(mp.total_misses(), 1);
+        assert_eq!(mp.num_lines(), 1);
+        assert!(mp.plan_order(0).all(|o| o.line == m));
     }
 
     #[test]
-    #[should_panic(expected = "not in the profile")]
-    fn unfold_phantom_sample_panics() {
+    #[should_panic(expected = "position not in line")]
+    fn subtracting_an_absent_position_panics() {
         let l = Line::new(64);
-        let mut mp = MissProfile::new();
-        mp.record(l, b(1), 3, &[]);
-        mp.unfold_sample(l, b(1), 4, &[]);
+        let mut mp = one(l, b(1), 3, &[]);
+        mp.subtract(&one(l, b(1), 4, &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown line")]
+    fn subtracting_an_unknown_line_panics() {
+        let mut mp = one(Line::new(64), b(1), 3, &[]);
+        mp.subtract(&one(Line::new(128), b(1), 3, &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "underflows the miss blocks")]
+    fn subtracting_an_absent_miss_block_panics() {
+        let l = Line::new(64);
+        let mut mp = one(l, b(1), 3, &[]);
+        mp.subtract(&one(l, b(2), 3, &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "underflows the presence")]
+    fn subtracting_absent_history_panics() {
+        let l = Line::new(64);
+        let mut mp = one(l, b(1), 3, &[b(5)]);
+        mp.subtract(&one(l, b(1), 3, &[b(6)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "underflows the miss count")]
+    fn subtracting_more_misses_than_a_line_has_panics() {
+        let l = Line::new(64);
+        let mut mp = one(l, b(1), 3, &[]);
+        let mut twice = one(l, b(1), 3, &[]);
+        record(&mut twice, l, b(1), 3, &[]);
+        mp.subtract(&twice);
     }
 
     #[test]
     fn content_digest_ignores_map_insertion_order() {
         let l = Line::new(1);
-        let mut a = MissProfile::new();
-        a.record(l, b(1), 0, &[b(3), b(4)]);
-        a.record(l, b(2), 1, &[b(4)]);
-        let mut c = MissProfile::new();
-        c.fold_sample(l, b(2), 1, &[b(4)]);
-        c.fold_sample(l, b(1), 0, &[b(3), b(4)]);
+        let mut a = one(l, b(1), 0, &[b(3), b(4)]);
+        record(&mut a, l, b(2), 1, &[b(4)]);
+        let mut c = one(l, b(2), 1, &[b(4)]);
+        record(&mut c, l, b(1), 0, &[b(3), b(4)]);
         assert_eq!(a.line(l).unwrap().content_digest(), c.line(l).unwrap().content_digest());
-        let mut d = MissProfile::new();
-        d.record(l, b(1), 0, &[b(3), b(4)]);
-        d.record(l, b(2), 2, &[b(4)]);
+        let mut d = one(l, b(1), 0, &[b(3), b(4)]);
+        record(&mut d, l, b(2), 2, &[b(4)]);
         assert_ne!(a.line(l).unwrap().content_digest(), d.line(l).unwrap().content_digest());
     }
 
@@ -423,17 +521,17 @@ mod tests {
         let l = Line::new(9);
         let mut mp = MissProfile::new();
         assert_eq!(mp.line_digest(l), None);
-        mp.record(l, b(1), 4, &[b(2), b(3)]);
+        record(&mut mp, l, b(1), 4, &[b(2), b(3)]);
         check(&mp, l);
-        mp.record(l, b(1), 8, &[b(3)]);
+        record(&mut mp, l, b(1), 8, &[b(3)]);
         check(&mp, l);
-        mp.fold_sample(l, b(4), 6, &[b(2)]);
+        record(&mut mp, l, b(4), 6, &[b(2)]);
         check(&mp, l);
-        mp.unfold_sample(l, b(1), 4, &[b(2), b(3)]);
+        mp.subtract(&one(l, b(1), 4, &[b(2), b(3)]));
         check(&mp, l);
         let copy = mp.clone();
         check(&copy, l);
-        mp.record(l, b(5), 12, &[]);
+        record(&mut mp, l, b(5), 12, &[]);
         check(&mp, l);
         check(&copy, l);
         assert_ne!(mp.line_digest(l), copy.line_digest(l));
@@ -445,7 +543,7 @@ mod tests {
         };
         mp.insert_line(l, installed);
         check(&mp, l);
-        mp.unfold_sample(l, b(7), 3, &[]);
+        mp.subtract(&one(l, b(7), 3, &[]));
         assert_eq!(mp.line_digest(l), None);
     }
 
@@ -475,15 +573,15 @@ mod tests {
         let (x, y, z) = (Line::new(3), Line::new(9), Line::new(20));
         let mut mp = MissProfile::new();
         check(&mp);
-        mp.record(y, b(1), 4, &[b(2)]);
-        mp.record(x, b(2), 5, &[]);
+        record(&mut mp, y, b(1), 4, &[b(2)]);
+        record(&mut mp, x, b(2), 5, &[]);
         check(&mp);
         // y leads on its tie with x; a second miss puts x first.
-        mp.record(x, b(3), 6, &[b(1)]);
+        record(&mut mp, x, b(3), 6, &[b(1)]);
         check(&mp);
         // Two misses at b(4) make it y's dominant block.
-        mp.fold_sample(y, b(4), 2, &[]);
-        mp.fold_sample(y, b(4), 1, &[]);
+        record(&mut mp, y, b(4), 2, &[]);
+        record(&mut mp, y, b(4), 1, &[]);
         check(&mp);
         let installed = LineMissStats {
             count: 3,
@@ -496,11 +594,11 @@ mod tests {
         // Replacing a line's stats reorders it too.
         mp.insert_line(z, LineMissStats { count: 1, positions: vec![9], ..Default::default() });
         check(&mp);
-        mp.unfold_sample(y, b(4), 1, &[]);
+        mp.subtract(&one(y, b(4), 1, &[]));
         check(&mp);
         // Removing a line's last miss removes it from the order.
-        mp.unfold_sample(x, b(2), 5, &[]);
-        mp.unfold_sample(x, b(3), 6, &[b(1)]);
+        mp.subtract(&one(x, b(2), 5, &[]));
+        mp.subtract(&one(x, b(3), 6, &[b(1)]));
         check(&mp);
         assert!(mp.plan_order(0).all(|l| l.line != x));
     }

@@ -57,11 +57,6 @@ impl JointCounts {
         self.occurrences.iter().sum()
     }
 
-    /// Total site executions followed by the target.
-    pub fn total_hits(&self) -> u64 {
-        self.hits.iter().sum()
-    }
-
     /// Occurrences whose mask is a superset of `subset` — i.e., executions
     /// where every block of `subset` was present.
     pub fn occurrences_with(&self, subset: u16) -> u64 {

@@ -5,7 +5,7 @@
 //! I-SPY deployment would redeploy injections as fresh profiles stream in.
 //! Two pieces make that deterministic and cheap:
 //!
-//! * A private hot-swapping engine wraps the replay engine: a new
+//! * The replay engine swaps plans between replay calls: a new
 //!   [`InjectionMap`] is compiled, its provenance ids rebased into a fresh
 //!   generation range (see [`CompiledInjections::rebase_provenance`]), and
 //!   installed at a **swap barrier** — between replay calls, i.e. at a block
@@ -51,79 +51,31 @@ impl<'t> SliceWindows<'t> {
     }
 }
 
-/// A replay engine whose injection plan can be replaced between blocks.
+/// Compiles `plan` as the plan *generation* whose provenance ids start at
+/// `id_base`, past every earlier generation's, so an attached
+/// [`OutcomeLedger`] keeps one row per (generation, injection) and
+/// in-flight prefetches crossing a swap attribute to the generation that
+/// issued them. Returns the compiled plan and its id range.
 ///
-/// Each installed plan is a *generation*: its provenance ids are rebased
-/// past every earlier generation's, so an attached [`OutcomeLedger`] keeps
-/// one row per (generation, injection) and in-flight prefetches crossing a
-/// swap attribute to the generation that issued them.
-struct AdaptiveEngine<'p, 'o> {
-    program: &'p Program,
-    eng: Engine<'o>,
-    /// First unused provenance id; the next generation rebases onto it.
+/// # Panics
+///
+/// Panics if the cumulative id space across generations overflows `u32`
+/// (see [`rebase_provenance`]).
+///
+/// [`rebase_provenance`]: ispy_isa::CompiledInjections::rebase_provenance
+fn generation(
+    program: &Program,
+    plan: &InjectionMap,
     id_base: u32,
-}
-
-impl<'p, 'o> AdaptiveEngine<'p, 'o> {
-    /// Builds an engine replaying `trace` over `program` with `initial` as
-    /// generation zero, reading the trace's memoized records.
-    ///
-    /// The in-flight arenas are sized for the program up front even when
-    /// `initial` is empty, so later [`swap_plan`](Self::swap_plan)s run at
-    /// full speed.
-    fn new(
-        program: &'p Program,
-        cfg: &SimConfig,
-        trace: &Trace,
-        initial: &InjectionMap,
-        outcomes: Option<&'o mut OutcomeLedger>,
-    ) -> Self {
-        let mut compiled = if initial.is_empty() {
-            CompiledInjections::default()
-        } else {
-            initial.compile(program.num_blocks())
-        };
-        let id_base = compiled.rebase_provenance(0);
-        let plan = Plan::Shared(Arc::new(compiled));
-        let eng = Engine::new(program, cfg, plan, None, outcomes, true, Some(trace));
-        AdaptiveEngine { program, eng, id_base }
-    }
-
-    /// Replays the trace's next `blocks` under the current plan.
-    fn replay(&mut self, blocks: &[BlockId]) {
-        self.eng.replay(blocks);
-    }
-
-    /// Installs `plan` as the next generation, effective for the next
-    /// [`replay`](Self::replay) call (the swap barrier: a block boundary).
-    ///
-    /// Returns the provenance id range the generation was rebased into —
-    /// its rows in an attached ledger. Prefetches still in flight keep the
-    /// previous generation's ids and drain normally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cumulative id space across generations overflows
-    /// `u32` (see [`rebase_provenance`]).
-    ///
-    /// [`rebase_provenance`]: ispy_isa::CompiledInjections::rebase_provenance
-    fn swap_plan(&mut self, plan: &InjectionMap) -> Range<u32> {
-        let mut compiled = if plan.is_empty() {
-            CompiledInjections::default()
-        } else {
-            plan.compile(self.program.num_blocks())
-        };
-        let span = compiled.rebase_provenance(self.id_base);
-        let start = self.id_base;
-        self.id_base = start.checked_add(span).expect("provenance id space exhausted");
-        self.eng.swap_plan(Arc::new(compiled));
-        start..self.id_base
-    }
-
-    /// The counters accumulated so far across every generation.
-    fn result_so_far(&self) -> SimResult {
-        self.eng.result_so_far()
-    }
+) -> (Arc<CompiledInjections>, Range<u32>) {
+    let mut compiled = if plan.is_empty() {
+        CompiledInjections::default()
+    } else {
+        plan.compile(program.num_blocks())
+    };
+    let span = compiled.rebase_provenance(id_base);
+    let end = id_base.checked_add(span).expect("provenance id space exhausted");
+    (Arc::new(compiled), id_base..end)
 }
 
 /// What [`run_adaptive`] produced: the aggregate counters, the per-window
@@ -203,7 +155,12 @@ where
     F: FnMut(usize, &[BlockId]) -> Option<InjectionMap> + Send,
 {
     assert!(window_blocks > 0, "window_blocks must be positive");
-    let mut eng = AdaptiveEngine::new(program, cfg, source.trace, initial, outcomes);
+    // An adaptive engine sizes its in-flight arenas for the program even
+    // when `initial` is empty, so later swaps run at full speed.
+    let (compiled, ids) = generation(program, initial, 0);
+    let trace = Some(source.trace);
+    let mut eng = Engine::new(program, cfg, Plan::Shared(compiled), None, outcomes, true, trace);
+    let mut id_base = ids.end;
     let mut windows = Vec::new();
     let mut swaps = 0usize;
     for (k, blocks) in source.trace.blocks().chunks(window_blocks).enumerate() {
@@ -218,7 +175,11 @@ where
         });
         windows.push(eng.result_so_far().delta_since(&before));
         if let Some(plan) = next {
-            eng.swap_plan(&plan);
+            // The swap barrier: the generation takes effect at the next
+            // block. Prefetches still in flight keep their old ids.
+            let (compiled, ids) = generation(program, &plan, id_base);
+            id_base = ids.end;
+            eng.swap_plan(compiled);
             swaps += 1;
         }
     }
@@ -233,6 +194,19 @@ mod tests {
     use crate::lbr::{HashFilter, HashRecord};
     use ispy_isa::{PrefetchOp, ProvenanceId};
     use ispy_trace::{apps, Line, Trace};
+
+    /// An engine as [`run_adaptive`] builds it, with `plan` as generation
+    /// zero, and the first provenance id free for the next generation.
+    fn engine<'o>(
+        p: &Program,
+        cfg: &SimConfig,
+        t: &Trace,
+        plan: &InjectionMap,
+        outcomes: Option<&'o mut OutcomeLedger>,
+    ) -> (Engine<'o>, u32) {
+        let (compiled, ids) = generation(p, plan, 0);
+        (Engine::new(p, cfg, Plan::Shared(compiled), None, outcomes, true, Some(t)), ids.end)
+    }
 
     fn small_app() -> (Program, Trace) {
         let model = apps::cassandra().scaled_down(30);
@@ -290,10 +264,10 @@ mod tests {
         let cfg = SimConfig::default();
         let straight =
             run(&p, &t, &cfg, RunOptions { injections: Some(&map), ..Default::default() });
-        let mut eng = AdaptiveEngine::new(&p, &cfg, &t, &map, None);
+        let (mut eng, id_base) = engine(&p, &cfg, &t, &map, None);
         let mid = t.blocks().len() / 2;
         eng.replay(&t.blocks()[..mid]);
-        eng.swap_plan(&map);
+        eng.swap_plan(generation(&p, &map, id_base).0);
         eng.replay(&t.blocks()[mid..]);
         assert_eq!(eng.result_so_far(), straight);
     }
@@ -312,11 +286,11 @@ mod tests {
         let cfg = SimConfig::default();
         let swap_at = 11_000usize;
         let run_with_chunk = |chunk: usize| {
-            let mut eng = AdaptiveEngine::new(&p, &cfg, &t, &p1, None);
+            let (mut eng, id_base) = engine(&p, &cfg, &t, &p1, None);
             for piece in t.blocks()[..swap_at].chunks(chunk) {
                 eng.replay(piece);
             }
-            eng.swap_plan(&p2);
+            eng.swap_plan(generation(&p, &p2, id_base).0);
             for piece in t.blocks()[swap_at..].chunks(chunk) {
                 eng.replay(piece);
             }
@@ -343,9 +317,11 @@ mod tests {
         let third = t.blocks().len() / 3;
         let (r0, r1);
         {
-            let mut eng = AdaptiveEngine::new(&p, &cfg, &t, &map, Some(&mut ledger));
+            let (mut eng, id_base) = engine(&p, &cfg, &t, &map, Some(&mut ledger));
             eng.replay(&t.blocks()[..third]);
-            r1 = eng.swap_plan(&map);
+            let (compiled, ids) = generation(&p, &map, id_base);
+            eng.swap_plan(compiled);
+            r1 = ids;
             eng.replay(&t.blocks()[third..2 * third]);
             r0 = 0..r1.start;
             eng.replay(&t.blocks()[2 * third..]);
@@ -386,8 +362,8 @@ mod tests {
         run(&p, &t, &cfg, RunOptions { injections: Some(&cond), ..Default::default() });
         let (l1d, hashes) =
             (DataFilter::record_of(&p, &t, &cfg), HashFilter::record_of(&p, &t, &cfg));
-        let eng = AdaptiveEngine::new(&p, &cfg, &t, &InjectionMap::new(), None);
-        let (eng_l1d, eng_hashes) = eng.eng.records();
+        let (eng, _) = engine(&p, &cfg, &t, &InjectionMap::new(), None);
+        let (eng_l1d, eng_hashes) = eng.records();
         assert!(Arc::ptr_eq(eng_l1d, &l1d), "the adaptive run must share the L1D record");
         assert!(Arc::ptr_eq(eng_hashes.unwrap(), &hashes), "and the runtime-hash record");
     }
@@ -435,9 +411,9 @@ mod tests {
             .unwrap();
         assert_eq!(adaptive.swaps, 1);
         // Sequential reference: same barrier, no helper thread.
-        let mut eng = AdaptiveEngine::new(&p, &cfg, &t, &p1, None);
+        let (mut eng, id_base) = engine(&p, &cfg, &t, &p1, None);
         eng.replay(&t.blocks()[..window]);
-        eng.swap_plan(&p2);
+        eng.swap_plan(generation(&p, &p2, id_base).0);
         eng.replay(&t.blocks()[window..]);
         assert_eq!(adaptive.total, eng.result_so_far());
         // The swapped-in plan must actually fire in later windows.

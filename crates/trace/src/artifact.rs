@@ -39,7 +39,7 @@ use crate::program::{BlockExit, FuncId, Function, Program, MAX_DATA_FOOTPRINT_LI
 use crate::source::BlockSource;
 use crate::trace::Trace;
 use ispy_artifact::{
-    ArtifactError, ArtifactKind, SectionReader, SectionWriter, StreamReader, StreamWriter,
+    narrow, ArtifactError, ArtifactKind, SectionReader, SectionWriter, StreamReader, StreamWriter,
 };
 use std::io::{Read, Seek, Write};
 use std::path::Path;
@@ -155,11 +155,6 @@ pub fn write_recording(program: &Program, trace: &Trace, path: &Path) -> Result<
     let mut w = RecordingWriter::create(path, program, trace.name())?;
     w.push(trace.blocks())?;
     w.finish().map(drop)
-}
-
-/// Checked narrowing with a typed error instead of a panicking cast.
-fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, ArtifactError> {
-    T::try_from(v).map_err(|_| ArtifactError::malformed(what, format!("value {v} out of range")))
 }
 
 /// Range-checked conversion of a raw event to a [`BlockId`].
