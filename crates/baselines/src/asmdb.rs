@@ -6,36 +6,25 @@
 //! as 99 % for coverage, which is what destroys its accuracy — Fig. 3).
 //! It has neither conditional execution nor coalescing.
 
+use crate::MIN_MISS_COUNT;
+use ispy_core::config::{DEFAULT_MAX_PREFETCH_CYCLES, DEFAULT_MIN_PREFETCH_CYCLES};
 use ispy_core::planner::{Plan, PlanStats};
 use ispy_core::window::select_site;
 use ispy_isa::{InjectionMap, PrefetchOp};
 use ispy_profile::{Profile, SiteCandidate};
 use ispy_trace::Program;
 
-/// AsmDB configuration.
+/// AsmDB configuration: its one dial. The prefetch window and the miss
+/// floor are fixed ([`crate::MIN_MISS_COUNT`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsmDbConfig {
     /// Maximum tolerated fan-out at the injection site (paper: ≈ 0.99).
     pub fanout_threshold: f64,
-    /// Minimum prefetch distance in cycles.
-    pub min_prefetch_cycles: u32,
-    /// Maximum prefetch distance in cycles.
-    pub max_prefetch_cycles: u32,
-    /// Minimum sampled misses for a line to be targeted.
-    pub min_miss_count: u64,
-    /// Window-search expansion cap.
-    pub max_search_nodes: usize,
 }
 
 impl Default for AsmDbConfig {
     fn default() -> Self {
-        AsmDbConfig {
-            fanout_threshold: 0.99,
-            min_prefetch_cycles: 27,
-            max_prefetch_cycles: 200,
-            min_miss_count: 2,
-            max_search_nodes: 4096,
-        }
+        AsmDbConfig { fanout_threshold: 0.99 }
     }
 }
 
@@ -73,12 +62,9 @@ impl<'a> AsmDbPlanner<'a> {
             ..Default::default()
         };
         let mut injections = InjectionMap::new();
-        let windows = self.profile.cfg.window_table(
-            self.cfg.min_prefetch_cycles,
-            self.cfg.max_prefetch_cycles,
-            self.cfg.max_search_nodes,
-        );
-        for target in self.profile.misses.plan_order(self.cfg.min_miss_count) {
+        let windows =
+            self.profile.cfg.window_table(DEFAULT_MIN_PREFETCH_CYCLES, DEFAULT_MAX_PREFETCH_CYCLES);
+        for target in self.profile.misses.plan_order(MIN_MISS_COUNT) {
             stats.target_lines += 1;
             let Some(target_block) = target.dominant else {
                 stats.uncovered_lines += 1;
@@ -148,7 +134,10 @@ mod tests {
             &program,
             &trace,
             &scfg,
-            RunOptions { injections: Some(&plan.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&plan.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         assert!(with.cycles < base.cycles);
         // Unconditional: every executed op fires.

@@ -31,6 +31,12 @@ pub mod asmdb;
 pub mod ideal;
 pub mod spatial;
 
+/// Misses a line needs before AsmDB or the spatial prefetchers target it.
+/// Both search the timely window of I-SPY's default distances
+/// ([`ispy_core::config::DEFAULT_MIN_PREFETCH_CYCLES`] to
+/// [`ispy_core::config::DEFAULT_MAX_PREFETCH_CYCLES`] cycles).
+pub const MIN_MISS_COUNT: u64 = 2;
+
 pub use asmdb::{AsmDbConfig, AsmDbPlanner};
 pub use ideal::ideal_result;
 pub use spatial::{SpatialMode, SpatialPlanner};

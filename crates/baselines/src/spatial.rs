@@ -11,6 +11,8 @@
 //! The paper uses the gap between the two (≈ 7.6 % mean speedup in favour of
 //! non-contiguous) to motivate bitmask-based coalescing.
 
+use crate::MIN_MISS_COUNT;
+use ispy_core::config::{DEFAULT_MAX_PREFETCH_CYCLES, DEFAULT_MIN_PREFETCH_CYCLES};
 use ispy_core::planner::{Plan, PlanStats};
 use ispy_core::window::select_site;
 use ispy_isa::{CoalesceMask, InjectionMap, PrefetchOp};
@@ -29,18 +31,6 @@ pub enum SpatialMode {
 
 /// Lines in the window after each miss (the paper's 8).
 const WINDOW_BITS: u8 = 8;
-
-/// The nearest a site may sit before its miss, in cycles (I-SPY's default).
-const MIN_CYCLES: u32 = 27;
-
-/// The farthest a site may sit before its miss, in cycles (I-SPY's default).
-const MAX_CYCLES: u32 = 200;
-
-/// Window-search expansions per miss target.
-const MAX_SEARCH_NODES: usize = 4096;
-
-/// Misses a line needs to be targeted.
-const MIN_MISS_COUNT: u64 = 2;
 
 /// Planner for the spatial-window prefetchers.
 #[derive(Debug)]
@@ -71,7 +61,8 @@ impl<'a> SpatialPlanner<'a> {
         // Lines already covered as part of an earlier op's window.
         let mut covered: HashSet<u64> = HashSet::new();
 
-        let windows = self.profile.cfg.window_table(MIN_CYCLES, MAX_CYCLES, MAX_SEARCH_NODES);
+        let windows =
+            self.profile.cfg.window_table(DEFAULT_MIN_PREFETCH_CYCLES, DEFAULT_MAX_PREFETCH_CYCLES);
         for target in self.profile.misses.plan_order(MIN_MISS_COUNT) {
             let line = target.line;
             stats.target_lines += 1;
@@ -153,13 +144,19 @@ mod tests {
             &program,
             &trace,
             &scfg,
-            RunOptions { injections: Some(&cont.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&cont.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         let rn = run(
             &program,
             &trace,
             &scfg,
-            RunOptions { injections: Some(&nonc.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&nonc.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         assert!(
             rc.pf_lines_issued + rc.pf_lines_resident >= rn.pf_lines_issued + rn.pf_lines_resident
@@ -181,13 +178,19 @@ mod tests {
             &program,
             &trace,
             &scfg,
-            RunOptions { injections: Some(&cont.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&cont.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         let rn = run(
             &program,
             &trace,
             &scfg,
-            RunOptions { injections: Some(&nonc.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&nonc.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         assert!(
             rn.cycles <= rc.cycles + rc.cycles / 50,
@@ -208,7 +211,10 @@ mod tests {
                 &program,
                 &trace,
                 &scfg,
-                RunOptions { injections: Some(&plan.injections), ..Default::default() },
+                RunOptions {
+                    compiled: Some(&plan.injections.compile(program.num_blocks())),
+                    ..Default::default()
+                },
             );
             assert!(r.cycles < base.cycles, "{mode:?} must help");
         }

@@ -8,6 +8,7 @@
 
 use ispy_baselines::asmdb::{AsmDbConfig, AsmDbPlanner};
 use ispy_core::artifact::plan_to_bytes;
+use ispy_core::config::{DEFAULT_MAX_PREFETCH_CYCLES, DEFAULT_MIN_PREFETCH_CYCLES};
 use ispy_core::{IspyConfig, Plan, Planner};
 use ispy_profile::artifact::{profile_from_bytes, profile_to_bytes};
 use ispy_profile::{profile, Profile, SampleRate};
@@ -17,19 +18,19 @@ use ispy_trace::{apps, BlockId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The (target, min cycles, max cycles, cap) keys a planner targeting
-/// lines with at least `min_misses` misses searches on `prof`.
+/// The (target, min cycles, max cycles) keys a planner targeting lines
+/// with at least `min_misses` misses searches on `prof`.
 fn window_keys(
     prof: &Profile,
     min_misses: u64,
-    window: (u32, u32, usize),
-) -> HashSet<(BlockId, u32, u32, usize)> {
+    window: (u32, u32),
+) -> HashSet<(BlockId, u32, u32)> {
     prof.misses
         .lines_by_count()
         .into_iter()
         .filter(|(_, s)| s.count >= min_misses)
         .filter_map(|(_, s)| s.dominant_block())
-        .map(|t| (t, window.0, window.1, window.2))
+        .map(|t| (t, window.0, window.1))
         .collect()
 }
 
@@ -50,16 +51,16 @@ fn planners_share_one_search_per_window_key() {
     let asmdb_plan = asmdb(&prof);
     let asmdb_keys = window_keys(
         &prof,
-        asmdb_cfg.min_miss_count,
-        (asmdb_cfg.min_prefetch_cycles, asmdb_cfg.max_prefetch_cycles, asmdb_cfg.max_search_nodes),
+        ispy_baselines::MIN_MISS_COUNT,
+        (DEFAULT_MIN_PREFETCH_CYCLES, DEFAULT_MAX_PREFETCH_CYCLES),
     );
     assert_eq!(searches(), asmdb_keys.len() as u64);
     // I-SPY searches only the keys AsmDB left unsearched.
     let ispy_plan = ispy(&prof);
     let ispy_keys = window_keys(
         &prof,
-        ispy_cfg.min_miss_count,
-        (ispy_cfg.min_prefetch_cycles, ispy_cfg.max_prefetch_cycles, ispy_cfg.max_search_nodes),
+        ispy_core::config::MIN_MISS_COUNT,
+        (ispy_cfg.min_prefetch_cycles, ispy_cfg.max_prefetch_cycles),
     );
     let all_keys: HashSet<_> = asmdb_keys.union(&ispy_keys).collect();
     assert_eq!(searches(), all_keys.len() as u64);

@@ -1,7 +1,11 @@
 //! The end-to-end offline analysis (§IV steps 2–3).
 
 use crate::coalesce::{coalesce_lines, CoalescedGroup};
-use crate::config::IspyConfig;
+use crate::config::{
+    IspyConfig, CTX_GAIN_MARGIN, MAX_CONTEXTS_PER_SITE, MAX_SITES_PER_LINE,
+    MIN_CONDITIONAL_PRECISION, MIN_CTX_PROBABILITY, MIN_CTX_SUPPORT, MIN_MISS_COUNT,
+    MIN_SITE_PRESENCE, MIN_UNCONDITIONAL_PRECISION, MIN_UNCONDITIONAL_REACH, ZERO_FANOUT_THRESHOLD,
+};
 use crate::context::{discover_multi, ContextChoice, ContextTally};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
 use crate::window::{select_covering_sites, SelectedSite, SelectionPolicy};
@@ -453,13 +457,14 @@ impl<'a> Planner<'a> {
 
     /// Predictor-candidate pool for one (site, target): the site's dynamic
     /// predecessors (Fig. 6's path-into-the-site blocks) plus the line's
-    /// `ranked` miss history ([`Planner::ranked_history`]), capped at
-    /// `ctx_candidates`.
+    /// `ranked` miss history ([`Planner::ranked_history`]), capped at `cap`
+    /// blocks (the planner passes [`IspyConfig::ctx_candidates`]).
     fn predictor_candidates(
         &self,
         ranked: &[BlockId],
         site_block: BlockId,
         target_block: BlockId,
+        cap: usize,
     ) -> Vec<BlockId> {
         // Blocks on the paths *into the site* are the strongest
         // discriminators: at run time the LBR provably contains the site's
@@ -472,7 +477,6 @@ impl<'a> Planner<'a> {
                 .into_iter()
                 .flat_map(|&(top, _)| dyncfg.preds(top).iter().take(TOP_PRED_PREDS)),
         );
-        let cap = self.cfg.ctx_candidates.min(MAX_CANDIDATES);
         let mut predictors: Vec<BlockId> = Vec::with_capacity(cap);
         let mut history = ranked.iter().copied();
         let mut pool = into_site.map(|&(p, _)| p).chain(history.by_ref());
@@ -528,18 +532,17 @@ impl<'a> Planner<'a> {
 
         // ---- Pass 1: site selection + joint-query construction. ----------
         let select_span = tele.span("core.plan.select");
-        let windows = self.profile.cfg.window_table(
-            self.cfg.min_prefetch_cycles,
-            self.cfg.max_prefetch_cycles,
-            self.cfg.max_search_nodes,
-        );
+        let windows = self
+            .profile
+            .cfg
+            .window_table(self.cfg.min_prefetch_cycles, self.cfg.max_prefetch_cycles);
         // Every target line's outcome, in any order, with the stats digest
         // to memoize it under if it was analyzed fresh. Covered fresh lines
         // join once pass 2.5 has finished them.
         let mut outcomes: Vec<(Line, Arc<LineOutcome>, Option<u64>)> = Vec::new();
         let mut fresh: Vec<FreshLine> = Vec::new();
         let mut queries: Vec<JointQuery> = Vec::new();
-        for target in self.profile.misses.plan_order(self.cfg.min_miss_count) {
+        for target in self.profile.misses.plan_order(MIN_MISS_COUNT) {
             let (line, line_stats) = (target.line, target.stats);
             let mut line_digest = 0;
             if let Some(memo) = &memo {
@@ -562,10 +565,10 @@ impl<'a> Planner<'a> {
             // path; imprecise sites are admitted only because the run-time
             // condition will keep them accurate (§III-A).
             let policy = SelectionPolicy {
-                max_sites: self.cfg.max_sites_per_line,
-                min_presence: self.cfg.min_site_presence,
-                min_unconditional_precision: self.cfg.min_unconditional_precision,
-                min_conditional_precision: self.cfg.min_conditional_precision,
+                max_sites: MAX_SITES_PER_LINE,
+                min_presence: MIN_SITE_PRESENCE,
+                min_unconditional_precision: MIN_UNCONDITIONAL_PRECISION,
+                min_conditional_precision: MIN_CONDITIONAL_PRECISION,
                 allow_conditional,
             };
             let sites = select_covering_sites(
@@ -648,7 +651,7 @@ impl<'a> Planner<'a> {
                     let precision = (pres as f64 / execs as f64).min(1.0);
                     // Even a conditional op *executes* on every site pass;
                     // the precision floor bounds the dynamic overhead.
-                    if precision < self.cfg.min_conditional_precision {
+                    if precision < MIN_CONDITIONAL_PRECISION {
                         continue;
                     }
                     let Some(query) = self.joint_query(fl, &cand, baseline) else { continue };
@@ -829,7 +832,12 @@ impl<'a> Planner<'a> {
         let history = fl
             .ranked
             .get_or_init(|| self.line_ranking(baseline, fl.rank_key, fl.stats, fl.target_block));
-        let predictors = self.predictor_candidates(history, site.block, fl.target_block);
+        let predictors = self.predictor_candidates(
+            history,
+            site.block,
+            fl.target_block,
+            self.cfg.ctx_candidates(),
+        );
         if predictors.is_empty() {
             return None;
         }
@@ -886,17 +894,17 @@ impl<'a> Planner<'a> {
             // Zero fan-out at run time: the site almost always leads to the
             // miss; no condition needed (§IV).
             let unconditional = counts.conditional_probability(0).unwrap_or(0.0);
-            if unconditional >= self.cfg.zero_fanout_threshold {
+            if unconditional >= ZERO_FANOUT_THRESHOLD {
                 continue;
             }
             let found = discover_multi(
                 counts,
                 &query.candidates,
                 self.cfg.ctx_size,
-                self.cfg.min_ctx_support,
-                self.cfg.ctx_gain_margin,
-                self.cfg.min_ctx_probability,
-                self.cfg.max_contexts_per_site,
+                MIN_CTX_SUPPORT,
+                CTX_GAIN_MARGIN,
+                MIN_CTX_PROBABILITY,
+                MAX_CONTEXTS_PER_SITE,
             );
             tally.count(&found);
             if entry.site.needs_ctx {
@@ -907,7 +915,7 @@ impl<'a> Planner<'a> {
                 // soon-needed line); otherwise it is dropped.
                 if !found.contexts.is_empty() {
                     entry.ctxs = found.contexts;
-                } else if unconditional < self.cfg.min_unconditional_reach {
+                } else if unconditional < MIN_UNCONDITIONAL_REACH {
                     entry.dropped = true;
                 }
             } else if !found.contexts.is_empty() && found.coverage >= 0.8 {
@@ -939,9 +947,11 @@ impl<'a> Planner<'a> {
     /// Config+profile-shape digest shared by every line digest of one plan,
     /// and the key of the plan's memo slot on each line: the dynamic CFG,
     /// the trace dimensions, and every [`IspyConfig`] field passes 1–2.5
-    /// read. Pass 3's fields (`coalesce_bits`, `coalescing`, `hash`) are
-    /// left out: they are read fresh on every plan, from the memoized
-    /// entries, so plans that differ only in them share every line outcome.
+    /// read (`ctx_size` also fixes the predictor pool's size). Pass 3's
+    /// fields (`coalesce_bits`, `coalescing`, `hash`) are left out: they are
+    /// read fresh on every plan, from the memoized entries, so plans that
+    /// differ only in them share every line outcome. The fixed thresholds
+    /// are constants, the same for every plan a baseline serves.
     fn base_digest(&self, dyncfg_digest: u64) -> u64 {
         let c = &self.cfg;
         let mut h = ContentHasher::new();
@@ -951,20 +961,7 @@ impl<'a> Planner<'a> {
         h.write_u32(c.min_prefetch_cycles);
         h.write_u32(c.max_prefetch_cycles);
         h.write_usize(c.ctx_size);
-        h.write_usize(c.ctx_candidates);
         h.write_u32(u32::from(c.conditional));
-        h.write_u64(c.min_miss_count);
-        h.write_u64(c.min_ctx_support);
-        h.write_f64(c.ctx_gain_margin);
-        h.write_f64(c.zero_fanout_threshold);
-        h.write_usize(c.max_search_nodes);
-        h.write_usize(c.max_sites_per_line);
-        h.write_f64(c.min_site_presence);
-        h.write_f64(c.min_unconditional_precision);
-        h.write_f64(c.min_conditional_precision);
-        h.write_f64(c.min_ctx_probability);
-        h.write_usize(c.max_contexts_per_site);
-        h.write_f64(c.min_unconditional_reach);
         h.finish()
     }
 
@@ -1086,7 +1083,10 @@ mod tests {
             &program,
             &trace,
             &scfg,
-            RunOptions { injections: Some(&plan.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&plan.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         assert!(
             with.cycles < base.cycles,
@@ -1287,31 +1287,21 @@ mod tests {
             let program = model.generate();
             let trace = program.record_trace(model.default_input(), 15_000);
             let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
-            let planners: Vec<Planner> = (1..=8)
-                .map(|n| {
-                    let cfg = IspyConfig { ctx_candidates: n, ..IspyConfig::default() };
-                    Planner::new(&program, &trace, &prof, cfg)
-                })
-                .collect();
-            let c = &planners[0].cfg;
-            let windows = prof.cfg.window_table(
-                c.min_prefetch_cycles,
-                c.max_prefetch_cycles,
-                c.max_search_nodes,
-            );
+            let cfg = IspyConfig::default();
+            let windows = prof.cfg.window_table(cfg.min_prefetch_cycles, cfg.max_prefetch_cycles);
+            let planner = Planner::new(&program, &trace, &prof, cfg);
             for (_, s) in prof.misses.lines_by_count() {
                 let Some(target) = s.dominant_block() else { continue };
-                let ranked = planners[0].ranked_history(s, target);
+                let ranked = planner.ranked_history(s, target);
                 let full = full_ranking(&prof, s, target);
                 for site in windows.candidates(target).iter() {
-                    for p in &planners {
+                    for cap in 1..=MAX_CANDIDATES {
                         assert_eq!(
-                            p.predictor_candidates(&ranked, site.block, target),
-                            p.predictor_candidates(&full, site.block, target),
-                            "{}: site {:?}, target {target:?}, {} candidates",
+                            planner.predictor_candidates(&ranked, site.block, target, cap),
+                            planner.predictor_candidates(&full, site.block, target, cap),
+                            "{}: site {:?}, target {target:?}, {cap} candidates",
                             model.name(),
                             site.block,
-                            p.cfg.ctx_candidates
                         );
                         pools += 1;
                     }

@@ -38,19 +38,21 @@ impl ArtifactCache {
     /// Opens (and creates) a cache rooted at `dir` for sessions at `scale`
     /// under the default simulator/planner configurations.
     ///
-    /// The key folds in the artifact format version and the `Debug`
-    /// rendering of every default config, so changing any planner knob or
-    /// the format itself invalidates the whole cache rather than serving
-    /// stale artifacts.
+    /// The key folds in the artifact format version, the `Debug` rendering
+    /// of every default config and every fixed planner parameter, so
+    /// changing any planner knob or constant, or the format itself,
+    /// invalidates the whole cache rather than serving stale artifacts.
     pub fn new(dir: impl Into<PathBuf>, scale: Scale) -> Self {
         let mut key_src = format!("fmt={};", ispy_artifact::FORMAT_VERSION);
         key_src.push_str(&format!(
-            "scale={}x{};sim={:?};ispy={:?};asmdb={:?}",
+            "scale={}x{};sim={:?};ispy={:?};ispy_fixed={};asmdb={:?};baseline_min_misses={}",
             scale.shrink,
             scale.events,
             SimConfig::default(),
             IspyConfig::default(),
+            ispy_core::config::fixed_parameters(),
             AsmDbConfig::default(),
+            ispy_baselines::MIN_MISS_COUNT,
         ));
         // FNV-1a 64: stable across runs and platforms, which is all a cache
         // key needs (the artifact CRCs handle integrity).

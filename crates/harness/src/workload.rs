@@ -96,7 +96,10 @@ mod tests {
             &program,
             &trace,
             &cfg,
-            RunOptions { injections: Some(&plan), ..Default::default() },
+            RunOptions {
+                compiled: Some(&plan.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         assert!(r.pf_ops_fired > 0);
         assert!(r.pf_ops_suppressed > 0, "conditions must sometimes suppress");

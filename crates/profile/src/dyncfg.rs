@@ -137,16 +137,16 @@ impl DynCfg {
 
     /// The timely-window searches of one window config: each target's
     /// dynamic predecessors whose expected distance lies within
-    /// `[min_cycles, max_cycles]`, from a search capped at `max_nodes`
-    /// expansions
+    /// `[min_cycles, max_cycles]`, from a search capped at
+    /// [`MAX_SEARCH_NODES`](crate::window::MAX_SEARCH_NODES) expansions
     /// ([`WindowSearch::candidates`](crate::window::WindowSearch::candidates)).
     ///
     /// The search reads only this CFG, so its results are memoized here, in
-    /// one dense per-block table per window config: each (target, window,
-    /// cap) is searched once for as long as the CFG lives, and every
-    /// planner over the profile (I-SPY at any config, AsmDB, the spatial
-    /// baselines) shares it. Concurrent callers wait for a search in flight
-    /// rather than repeat it.
+    /// one dense per-block table per window config: each (target, window)
+    /// is searched once for as long as the CFG lives, and every planner
+    /// over the profile (I-SPY at any config, AsmDB, the spatial baselines)
+    /// shares it. Concurrent callers wait for a search in flight rather
+    /// than repeat it.
     ///
     /// # Examples
     ///
@@ -156,19 +156,14 @@ impl DynCfg {
     /// use std::sync::Arc;
     ///
     /// let cfg = DynCfg::new(vec![10, 10, 10], vec![10.0; 3], [((0, 1), 10), ((1, 2), 10)]);
-    /// let table = cfg.window_table(15, 100, 64);
+    /// let table = cfg.window_table(15, 100);
     /// let sites = Arc::clone(table.candidates(BlockId(2)));
     /// assert_eq!(sites[0].block, BlockId(0));
     /// // The second request is served from the memo.
     /// assert!(Arc::ptr_eq(&sites, table.candidates(BlockId(2))));
     /// ```
-    pub fn window_table(
-        &self,
-        min_cycles: u32,
-        max_cycles: u32,
-        max_nodes: usize,
-    ) -> WindowTable<'_> {
-        self.windows.table(self, (min_cycles, max_cycles, max_nodes))
+    pub fn window_table(&self, min_cycles: u32, max_cycles: u32) -> WindowTable<'_> {
+        self.windows.table(self, (min_cycles, max_cycles))
     }
 
     /// Blocks that were executed at least once.

@@ -10,13 +10,18 @@
 //!
 //! The search reads nothing but the CFG, so every planner over one profile
 //! (I-SPY, AsmDB, the spatial baselines) shares one search per (target,
-//! window) through the memo tables [`DynCfg::window_table`] hands out.
+//! window) through the memo tables [`DynCfg::window_table`] hands out. All
+//! of them search with the same expansion cap, [`MAX_SEARCH_NODES`].
 
 use crate::dyncfg::DynCfg;
 use ispy_trace::BlockId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// Node-expansion cap of every planner's window search (keeps the per-miss
+/// analysis bounded, O(n log n)-ish as in the paper).
+pub const MAX_SEARCH_NODES: usize = 4096;
 
 /// A candidate injection site for one miss target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -226,8 +231,8 @@ impl WindowSearch {
     }
 }
 
-/// One window config: (min cycles, max cycles, expansion cap).
-type WindowConfig = (u32, u32, usize);
+/// One window config: (min cycles, max cycles).
+type WindowConfig = (u32, u32);
 
 /// One window config's memoized searches: slot `b` holds the candidates of
 /// target block `b`, filled on first request.
@@ -289,16 +294,17 @@ pub struct WindowTable<'a> {
 
 impl WindowTable<'_> {
     /// The timely-window candidates of a miss in `target`, searched on
-    /// first request ([`WindowSearch::candidates`]).
+    /// first request ([`WindowSearch::candidates`], capped at
+    /// [`MAX_SEARCH_NODES`] expansions).
     ///
     /// # Panics
     ///
     /// Panics if `target` is not a block of the CFG.
     pub fn candidates(&self, target: BlockId) -> &Arc<Vec<SiteCandidate>> {
         self.slots.found[target.index()].get_or_init(|| {
-            let (min_cycles, max_cycles, max_nodes) = self.slots.config;
+            let (min_cycles, max_cycles) = self.slots.config;
             let mut search = self.memo.search.lock().expect("window search lock");
-            Arc::new(search.candidates(self.cfg, target, min_cycles, max_cycles, max_nodes))
+            Arc::new(search.candidates(self.cfg, target, min_cycles, max_cycles, MAX_SEARCH_NODES))
         })
     }
 }
@@ -424,24 +430,22 @@ mod tests {
     #[test]
     fn memo_searches_each_key_once() {
         let cfg = chain_cfg(10, 10.0);
-        let table = cfg.window_table(25, 60, 1024);
+        let table = cfg.window_table(25, 60);
         let first = Arc::clone(table.candidates(BlockId(9)));
-        assert_eq!(*first, search(&cfg, BlockId(9), 25, 60, 1024));
+        assert_eq!(*first, search(&cfg, BlockId(9), 25, 60, MAX_SEARCH_NODES));
         assert!(Arc::ptr_eq(&first, table.candidates(BlockId(9))));
         // A second handle on the same config reads the same table.
-        assert!(Arc::ptr_eq(&first, cfg.window_table(25, 60, 1024).candidates(BlockId(9))));
+        assert!(Arc::ptr_eq(&first, cfg.window_table(25, 60).candidates(BlockId(9))));
         // Every part of the key tells searches apart.
-        for (target, min, max, cap) in
-            [(8, 25, 60, 1024), (9, 15, 60, 1024), (9, 25, 70, 1024), (9, 25, 60, 3)]
-        {
-            let other = cfg.window_table(min, max, cap);
+        for (target, min, max) in [(8, 25, 60), (9, 15, 60), (9, 25, 70)] {
+            let other = cfg.window_table(min, max);
             let got = other.candidates(BlockId(target));
             assert!(!Arc::ptr_eq(&first, got));
-            assert_eq!(**got, search(&cfg, BlockId(target), min, max, cap));
+            assert_eq!(**got, search(&cfg, BlockId(target), min, max, MAX_SEARCH_NODES));
         }
         // A clone keeps the searches already run, in tables of its own.
         let copy = cfg.clone();
-        let copied = copy.window_table(25, 60, 1024);
+        let copied = copy.window_table(25, 60);
         assert!(Arc::ptr_eq(&first, copied.candidates(BlockId(9))));
         let fresh = Arc::clone(copied.candidates(BlockId(7)));
         assert!(!Arc::ptr_eq(&fresh, table.candidates(BlockId(7))));

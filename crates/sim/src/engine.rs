@@ -70,7 +70,7 @@ use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
 use crate::switch::{SwitchEffect, SwitchSchedule};
 use ispy_artifact::ArtifactError;
-use ispy_isa::{CompiledInjections, InjectionMap, ProvenanceId};
+use ispy_isa::{CompiledInjections, ProvenanceId};
 use ispy_trace::{BlockId, BlockSource, Line, Program, Trace};
 use std::ops::Deref;
 use std::sync::Arc;
@@ -106,12 +106,10 @@ pub trait SimObserver {
 /// Optional attachments for a run.
 #[derive(Default)]
 pub struct RunOptions<'a> {
-    /// Injected code-prefetch instructions (the rewritten binary).
-    pub injections: Option<&'a InjectionMap>,
-    /// A pre-lowered injection plan (see [`InjectionMap::compile`]). When
-    /// set it takes precedence over `injections`; callers replaying the same
-    /// plan across many configurations (the figure sweeps) compile once and
-    /// pass it here to skip the per-run lowering.
+    /// The injected code-prefetch instructions (the rewritten binary),
+    /// lowered by [`InjectionMap::compile`](ispy_isa::InjectionMap::compile).
+    /// Callers replaying one plan across many configurations (the figure
+    /// sweeps) compile it once and pass it to every run.
     pub compiled: Option<&'a CompiledInjections>,
     /// An observer receiving replay events.
     pub observer: Option<&'a mut dyn SimObserver>,
@@ -1165,9 +1163,8 @@ pub fn run(program: &Program, trace: &Trace, cfg: &SimConfig, opts: RunOptions<'
 
 /// Builds the engine a static run replays through, attaching `opts` and,
 /// when the run replays `whole` in one call, that trace's per-trace
-/// records. A pre-compiled plan is borrowed (sweeps reuse one compiled
-/// plan across many runs); otherwise the plan is lowered into its dense
-/// compiled form here.
+/// records. The compiled plan is borrowed (sweeps reuse one compiled plan
+/// across many runs).
 fn engine_for<'o>(
     program: &Program,
     cfg: &SimConfig,
@@ -1176,10 +1173,7 @@ fn engine_for<'o>(
 ) -> Engine<'o> {
     let injections = match opts.compiled {
         Some(c) => Plan::Borrowed(c),
-        None => Plan::Shared(Arc::new(match opts.injections {
-            Some(map) if !map.is_empty() => map.compile(program.num_blocks()),
-            _ => CompiledInjections::default(),
-        })),
+        None => Plan::Shared(Arc::new(CompiledInjections::default())),
     };
     Engine::new(program, cfg, injections, opts.observer, opts.outcomes, false, whole)
 }
@@ -1236,7 +1230,7 @@ pub fn run_streaming<S: BlockSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ispy_isa::PrefetchOp;
+    use ispy_isa::{InjectionMap, PrefetchOp};
     use ispy_trace::apps;
 
     impl Engine<'_> {
@@ -1357,7 +1351,7 @@ mod tests {
             &p,
             &t,
             &SimConfig::default(),
-            RunOptions { injections: Some(&map), ..Default::default() },
+            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
         );
         assert!(
             with.i_misses < base.i_misses,
@@ -1379,7 +1373,12 @@ mod tests {
         let cfg = SimConfig::default().with_hash(ispy_isa::HashConfig::new(64, 2));
         let ctx = ispy_isa::ContextHash::from_bits(u64::MAX, 64);
         map.push(t.blocks()[0], PrefetchOp::Cond { target: Line::new(0x999999), ctx });
-        let r = run(&p, &t, &cfg, RunOptions { injections: Some(&map), ..Default::default() });
+        let r = run(
+            &p,
+            &t,
+            &cfg,
+            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
+        );
         assert!(r.pf_ops_executed > 0);
         assert_eq!(r.pf_ops_fired, 0);
         assert_eq!(r.pf_ops_suppressed, r.pf_ops_executed);
@@ -1395,7 +1394,7 @@ mod tests {
             &p,
             &t,
             &SimConfig::default(),
-            RunOptions { injections: Some(&map), ..Default::default() },
+            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
         );
         assert_eq!(r.instrs, r.base_instrs + r.pf_ops_executed);
         assert!(r.dynamic_increase() > 0.0);
@@ -1415,7 +1414,7 @@ mod tests {
             &p,
             &t,
             &SimConfig::default(),
-            RunOptions { injections: Some(&map), ..Default::default() },
+            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
         );
         assert!(with.cycles >= base.cycles, "{} < {}", with.cycles, base.cycles);
         assert_eq!(with.pf_useful, 0);
@@ -1431,7 +1430,7 @@ mod tests {
             &p,
             &t,
             &SimConfig::default(),
-            RunOptions { injections: Some(&map), ..Default::default() },
+            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
         );
         // Base + 8 extra lines, issued at least once (the first execution).
         assert!(r.pf_lines_issued >= 9);
@@ -1469,7 +1468,7 @@ mod tests {
             &program,
             &trace,
             &cfg,
-            RunOptions { injections: Some(&map), ..Default::default() },
+            RunOptions { compiled: Some(&map.compile(program.num_blocks())), ..Default::default() },
         );
         assert!(with.i_stall_cycles <= base.i_stall_cycles);
         assert!(with.pf_lines_resident > 0, "steady-state firings find the line resident");
@@ -1504,7 +1503,7 @@ mod tests {
             &program,
             &trace,
             &cfg,
-            RunOptions { injections: Some(&map), ..Default::default() },
+            RunOptions { compiled: Some(&map.compile(program.num_blocks())), ..Default::default() },
         );
         assert_eq!(with.pf_late, 1, "demand must catch the prefetch in flight");
         assert_eq!(with.i_misses, base.i_misses, "late prefetch still counts as a miss");
@@ -1541,7 +1540,7 @@ mod tests {
             &t,
             &SimConfig::default(),
             RunOptions {
-                injections: Some(&map),
+                compiled: Some(&map.compile(p.num_blocks())),
                 outcomes: Some(&mut ledger),
                 ..Default::default()
             },
@@ -1574,7 +1573,7 @@ mod tests {
             &t,
             &SimConfig::default(),
             RunOptions {
-                injections: Some(&map),
+                compiled: Some(&map.compile(p.num_blocks())),
                 outcomes: Some(&mut ledger),
                 ..Default::default()
             },
@@ -1705,7 +1704,7 @@ mod tests {
             &t,
             &SimConfig::default(),
             RunOptions {
-                injections: Some(&map),
+                compiled: Some(&map.compile(p.num_blocks())),
                 outcomes: Some(&mut ledger_map),
                 ..Default::default()
             },

@@ -34,7 +34,10 @@ fn main() {
             &program,
             &trace,
             &sim_cfg,
-            RunOptions { injections: Some(&plan.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&plan.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         println!(
             "{:>9} {:>8} {:>12} {:>11.3}x {:>9.1}%",

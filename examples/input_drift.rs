@@ -58,12 +58,17 @@ fn run_with_stalls(
     sim_cfg: &SimConfig,
     injections: Option<&ispy_isa::InjectionMap>,
 ) -> (SimResult, Vec<u64>) {
+    let compiled = injections.map(|map| map.compile(program.num_blocks()));
     let mut real_obs = BoundaryObserver::new(program);
     let real = run(
         program,
         trace,
         sim_cfg,
-        RunOptions { injections, observer: Some(&mut real_obs), ..Default::default() },
+        RunOptions {
+            compiled: compiled.as_ref(),
+            observer: Some(&mut real_obs),
+            ..Default::default()
+        },
     );
     let mut ideal_obs = BoundaryObserver::new(program);
     run(
@@ -146,13 +151,19 @@ fn main() {
             &program,
             &trace,
             &sim_cfg,
-            RunOptions { injections: Some(&asmdb.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&asmdb.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         let ri = run(
             &program,
             &trace,
             &sim_cfg,
-            RunOptions { injections: Some(&ispy.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&ispy.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         println!(
             "{:<10} {:>11.3}x {:>11.3}x {:>11.3}x {:>13.1}%",

@@ -50,7 +50,10 @@ fn main() {
         &program,
         &trace,
         &sim_cfg,
-        RunOptions { injections: Some(&plan.injections), ..Default::default() },
+        RunOptions {
+            compiled: Some(&plan.injections.compile(program.num_blocks())),
+            ..Default::default()
+        },
     );
     println!(
         "speedup: {:.3}x (ideal cache: {:.3}x) — {:.1}% of ideal",

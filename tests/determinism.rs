@@ -18,7 +18,10 @@ fn whole_pipeline_is_deterministic() {
             &program,
             &trace,
             &SimConfig::default(),
-            RunOptions { injections: Some(&plan.injections), ..Default::default() },
+            RunOptions {
+                compiled: Some(&plan.injections.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         (trace, plan, result)
     };

@@ -48,7 +48,7 @@ fn render() -> String {
             &trace,
             &dcfg,
             RunOptions {
-                injections: Some(&plan),
+                compiled: Some(&plan.compile(program.num_blocks())),
                 outcomes: Some(&mut ledger),
                 ..Default::default()
             },
@@ -75,7 +75,10 @@ fn render() -> String {
             &program,
             &trace,
             &hcfg,
-            RunOptions { injections: Some(&hplan), ..Default::default() },
+            RunOptions {
+                compiled: Some(&hplan.compile(program.num_blocks())),
+                ..Default::default()
+            },
         );
         out.push_str(&format!("{name}/hash32 {hashed:?}\n"));
     }
