@@ -185,19 +185,28 @@ pub fn replan_workload(program: &Program, trace: &Trace, cfg: &SimConfig) -> Rep
     ReplanWorkload { profile, delta, baseline, delta_samples, total_samples }
 }
 
-/// Best-of-`reps` wall-clock milliseconds for `f`, after one extra
-/// discarded warmup call.
-fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for rep in 0..=reps {
+/// Best-of-`reps` wall-clock milliseconds of `a` and of `b`, timed in turns
+/// (a, b, a, b, …) after one discarded warmup turn, so a burst of host load
+/// lands on both sides of the comparison instead of on one.
+fn best_ms_interleaved<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (f64, f64) {
+    fn ms<T>(f: &mut impl FnMut() -> T) -> f64 {
         let t0 = Instant::now();
         std::hint::black_box(f());
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        t0.elapsed().as_secs_f64() * 1e3
+    }
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..=reps {
+        let (ta, tb) = (ms(&mut a), ms(&mut b));
         if rep > 0 {
-            best = best.min(ms);
+            best_a = best_a.min(ta);
+            best_b = best_b.min(tb);
         }
     }
-    best
+    (best_a, best_b)
 }
 
 /// Times the delta-replan microbenchmark over an already-staged workload
@@ -209,8 +218,11 @@ pub fn time_replan(
     reps: usize,
 ) -> (f64, f64, bool) {
     let planner = Planner::new(program, trace, &wl.profile, IspyConfig::default());
-    let full_ms = best_ms(reps, || planner.plan());
-    let delta_ms = best_ms(reps, || planner.replan_delta(&wl.baseline, &wl.delta));
+    let (full_ms, delta_ms) = best_ms_interleaved(
+        reps,
+        || planner.plan(),
+        || planner.replan_delta(&wl.baseline, &wl.delta),
+    );
     let fresh = planner.plan();
     let replan = planner.replan_delta(&wl.baseline, &wl.delta);
     let identical = plans_equal(&fresh, &replan);

@@ -67,11 +67,6 @@ impl Table {
         out.pop();
         out
     }
-
-    /// Looks up a cell as `f64` (for tests over rendered output).
-    pub fn cell_f64(&self, row: usize, col: usize) -> Option<f64> {
-        self.rows.get(row)?.get(col)?.trim_end_matches(['%', 'x']).trim().parse().ok()
-    }
 }
 
 /// Formats a ratio as a percentage cell.
@@ -141,13 +136,6 @@ mod tests {
         let j = sample().to_json(None);
         assert!(j.contains("\"id\": \"fig0\""));
         assert!(j.contains("1.250x"));
-    }
-
-    #[test]
-    fn cell_parsing() {
-        let t = sample();
-        assert_eq!(t.cell_f64(0, 1), Some(1.25));
-        assert_eq!(t.cell_f64(5, 0), None);
     }
 
     #[test]

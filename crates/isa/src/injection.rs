@@ -369,7 +369,7 @@ impl CompiledInjections {
 
     /// The branch-free lowered ops at `site` (empty for sites out of range),
     /// index-aligned with [`CompiledInjections::ops_at`].
-    #[inline]
+    #[cfg(test)]
     pub fn compiled_site(&self, site: BlockId) -> &[CompiledOp] {
         let b = site.index();
         if b + 1 >= self.starts.len() {

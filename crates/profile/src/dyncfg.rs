@@ -167,6 +167,7 @@ impl DynCfg {
     }
 
     /// Blocks that were executed at least once.
+    #[cfg(test)]
     pub fn live_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.exec.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(i, _)| BlockId(i as u32))
     }

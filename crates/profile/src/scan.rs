@@ -53,6 +53,7 @@ impl JointCounts {
     }
 
     /// Total site executions observed.
+    #[cfg(test)]
     pub fn total_occurrences(&self) -> u64 {
         self.occurrences.iter().sum()
     }

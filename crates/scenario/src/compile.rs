@@ -147,6 +147,7 @@ impl CompiledScenario {
     }
 
     /// The tenant scheduled at trace event `e`.
+    #[cfg(test)]
     pub fn tenant_of_event(&self, e: u64) -> u32 {
         self.schedule.tenant_at(e)
     }

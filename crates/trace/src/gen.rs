@@ -95,6 +95,7 @@ impl Default for GenParams {
 
 impl GenParams {
     /// Rough expected text footprint in bytes.
+    #[cfg(test)]
     pub fn expected_text_bytes(&self) -> u64 {
         (self.funcs as f64 * self.mean_blocks_per_func * self.mean_block_bytes as f64) as u64
     }

@@ -1,6 +1,20 @@
 //! Every figure driver renders a non-empty, well-formed table at test scale.
 
+use ispy_harness::report::{speedup, Table};
 use ispy_harness::{figures, Scale, Session};
+
+/// A rendered cell as `f64`, without its `%` or `x` suffix.
+fn cell_f64(t: &Table, row: usize, col: usize) -> Option<f64> {
+    t.rows.get(row)?.get(col)?.trim_end_matches(['%', 'x']).trim().parse().ok()
+}
+
+#[test]
+fn cell_parsing() {
+    let mut t = Table::new("fig0", "demo", &["app", "speedup"]);
+    t.row(vec!["cassandra".into(), speedup(1.25)]);
+    assert_eq!(cell_f64(&t, 0, 1), Some(1.25));
+    assert_eq!(cell_f64(&t, 5, 0), None);
+}
 
 #[test]
 fn every_figure_renders() {
@@ -35,7 +49,7 @@ fn fig10_fraction_of_ideal_is_sane() {
     let session = Session::new(Scale::test());
     let t = figures::fig10::run(&session);
     for (r, row) in t.rows.iter().enumerate() {
-        let frac = t.cell_f64(r, 4).expect("parsable percentage");
+        let frac = cell_f64(&t, r, 4).expect("parsable percentage");
         assert!((0.0..=100.0).contains(&frac), "{}: fraction of ideal {frac} out of range", row[0]);
     }
 }
@@ -44,8 +58,8 @@ fn fig10_fraction_of_ideal_is_sane() {
 fn fig03_coverage_grows_with_threshold() {
     let session = Session::with_apps(Scale::test(), vec![ispy_trace::apps::wordpress()]);
     let t = figures::fig03::run(&session);
-    let first = t.cell_f64(0, 1).expect("coverage");
-    let last = t.cell_f64(t.rows.len() - 1, 1).expect("coverage");
+    let first = cell_f64(&t, 0, 1).expect("coverage");
+    let last = cell_f64(&t, t.rows.len() - 1, 1).expect("coverage");
     assert!(last >= first, "coverage must not shrink as the threshold rises");
 }
 
