@@ -302,12 +302,7 @@ fn replay(
         sc.program(),
         &mut source,
         cfg,
-        RunOptions {
-            compiled,
-            observer: Some(&mut obs),
-            outcomes: ledger.as_mut(),
-            ..Default::default()
-        },
+        RunOptions { compiled, observer: Some(&mut obs), outcomes: ledger.as_mut() },
     )
     .expect("scenario sources cannot fail");
     (result, obs.buckets, obs.marks, ledger)
