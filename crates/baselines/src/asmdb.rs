@@ -6,7 +6,7 @@
 //! as 99 % for coverage, which is what destroys its accuracy — Fig. 3).
 //! It has neither conditional execution nor coalescing.
 
-use crate::MIN_MISS_COUNT;
+use crate::BASELINE_MIN_MISS_COUNT;
 use ispy_core::config::{DEFAULT_MAX_PREFETCH_CYCLES, DEFAULT_MIN_PREFETCH_CYCLES};
 use ispy_core::planner::{Plan, PlanStats};
 use ispy_core::window::select_site;
@@ -15,7 +15,7 @@ use ispy_profile::{Profile, SiteCandidate};
 use ispy_trace::Program;
 
 /// AsmDB configuration: its one dial. The prefetch window and the miss
-/// floor are fixed ([`crate::MIN_MISS_COUNT`]).
+/// floor are fixed ([`crate::BASELINE_MIN_MISS_COUNT`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsmDbConfig {
     /// Maximum tolerated fan-out at the injection site (paper: ≈ 0.99).
@@ -64,7 +64,7 @@ impl<'a> AsmDbPlanner<'a> {
         let mut injections = InjectionMap::new();
         let windows =
             self.profile.cfg.window_table(DEFAULT_MIN_PREFETCH_CYCLES, DEFAULT_MAX_PREFETCH_CYCLES);
-        for target in self.profile.misses.plan_order(MIN_MISS_COUNT) {
+        for target in self.profile.misses.plan_order(BASELINE_MIN_MISS_COUNT) {
             stats.target_lines += 1;
             let Some(target_block) = target.dominant else {
                 stats.uncovered_lines += 1;

@@ -35,7 +35,7 @@ pub mod spatial;
 /// Both search the timely window of I-SPY's default distances
 /// ([`ispy_core::config::DEFAULT_MIN_PREFETCH_CYCLES`] to
 /// [`ispy_core::config::DEFAULT_MAX_PREFETCH_CYCLES`] cycles).
-pub const MIN_MISS_COUNT: u64 = 2;
+pub const BASELINE_MIN_MISS_COUNT: u64 = 2;
 
 pub use asmdb::{AsmDbConfig, AsmDbPlanner};
 pub use ideal::ideal_result;

@@ -11,7 +11,7 @@
 //! The paper uses the gap between the two (≈ 7.6 % mean speedup in favour of
 //! non-contiguous) to motivate bitmask-based coalescing.
 
-use crate::MIN_MISS_COUNT;
+use crate::BASELINE_MIN_MISS_COUNT;
 use ispy_core::config::{DEFAULT_MAX_PREFETCH_CYCLES, DEFAULT_MIN_PREFETCH_CYCLES};
 use ispy_core::planner::{Plan, PlanStats};
 use ispy_core::window::select_site;
@@ -63,7 +63,7 @@ impl<'a> SpatialPlanner<'a> {
 
         let windows =
             self.profile.cfg.window_table(DEFAULT_MIN_PREFETCH_CYCLES, DEFAULT_MAX_PREFETCH_CYCLES);
-        for target in self.profile.misses.plan_order(MIN_MISS_COUNT) {
+        for target in self.profile.misses.plan_order(BASELINE_MIN_MISS_COUNT) {
             let line = target.line;
             stats.target_lines += 1;
             if covered.contains(&line.raw()) {

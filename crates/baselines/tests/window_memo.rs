@@ -51,7 +51,7 @@ fn planners_share_one_search_per_window_key() {
     let asmdb_plan = asmdb(&prof);
     let asmdb_keys = window_keys(
         &prof,
-        ispy_baselines::MIN_MISS_COUNT,
+        ispy_baselines::BASELINE_MIN_MISS_COUNT,
         (DEFAULT_MIN_PREFETCH_CYCLES, DEFAULT_MAX_PREFETCH_CYCLES),
     );
     assert_eq!(searches(), asmdb_keys.len() as u64);
@@ -59,7 +59,7 @@ fn planners_share_one_search_per_window_key() {
     let ispy_plan = ispy(&prof);
     let ispy_keys = window_keys(
         &prof,
-        ispy_core::config::MIN_MISS_COUNT,
+        ispy_core::config::FIXED.min_miss_count,
         (ispy_cfg.min_prefetch_cycles, ispy_cfg.max_prefetch_cycles),
     );
     let all_keys: HashSet<_> = asmdb_keys.union(&ispy_keys).collect();

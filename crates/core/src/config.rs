@@ -1,8 +1,8 @@
 //! Planner configuration (the paper's system parameters, §V).
 //!
 //! [`IspyConfig`] holds the parameters the paper's sensitivity figures
-//! sweep; every other planner threshold is fixed at its design point and
-//! is a constant of this module.
+//! sweep; every other planner threshold is fixed at its design point in
+//! [`FIXED`].
 
 use ispy_isa::HashConfig;
 use ispy_profile::scan::MAX_CANDIDATES;
@@ -15,80 +15,85 @@ pub const DEFAULT_MIN_PREFETCH_CYCLES: u32 = 27;
 /// spatial baselines search the same window.
 pub const DEFAULT_MAX_PREFETCH_CYCLES: u32 = 200;
 
-/// Minimum sampled misses for a line to be considered at all.
-pub const MIN_MISS_COUNT: u64 = 1;
-
-/// Fewest top-ranked predictor candidates context discovery searches over;
-/// a wider context ([`IspyConfig::ctx_size`]) widens the pool up to
-/// [`MAX_CANDIDATES`] ([`IspyConfig::ctx_candidates`]).
-pub const MIN_CTX_CANDIDATES: usize = 6;
-
-/// Minimum site executions with the context present for a context to be
-/// trusted (support threshold for the Bayes estimate).
-pub const MIN_CTX_SUPPORT: u64 = 8;
-
-/// A context is adopted only if it improves the site's unconditional miss
-/// probability by at least this margin — otherwise conditioning "may not
-/// improve the prefetch accuracy" (§IV) and a plain/coalesced op is used.
-pub const CTX_GAIN_MARGIN: f64 = 0.08;
-
-/// Sites whose unconditional miss-follow probability is already at least
-/// this high skip context discovery (fan-out ≈ 0 per §IV).
-pub const ZERO_FANOUT_THRESHOLD: f64 = 0.95;
-
-/// Maximum injection sites per miss line. I-SPY "liberally injects
-/// conditional prefetch instructions to cover each miss" (§III-A): a miss
-/// reached over several paths gets one (conditional) prefetch per path,
-/// because run-time conditioning keeps the extra ops accurate.
-pub const MAX_SITES_PER_LINE: usize = 3;
-
-/// Minimum fraction of a line's sampled misses a site must precede
-/// (LBR-history presence) to be worth injecting at.
-pub const MIN_SITE_PRESENCE: f64 = 0.10;
-
-/// Sites whose estimated precision (`P(miss | site executes)`) reaches this
-/// floor may fire unconditionally.
-pub const MIN_UNCONDITIONAL_PRECISION: f64 = 0.25;
-
-/// Sites below this precision are dropped even when conditional — the op
-/// would execute far too often relative to the misses it could cover.
-pub const MIN_CONDITIONAL_PRECISION: f64 = 0.08;
-
-/// A needs-context site survives only if the discovered context's
-/// conditional miss probability reaches this floor.
-pub const MIN_CTX_PROBABILITY: f64 = 0.45;
-
-/// Maximum distinct contexts per (site, target): a miss reached from
-/// several calling contexts gets one conditional prefetch per context
-/// (paper Fig. 8 groups same-site prefetches by context).
-pub const MAX_CONTEXTS_PER_SITE: usize = 4;
-
-/// A needs-context site with no usable context is still kept
-/// *unconditionally* if its measured reach probability (fraction of its
-/// executions that lead to the target within the window) is at least this
-/// floor — the firings are mostly useful anyway.
-pub const MIN_UNCONDITIONAL_REACH: f64 = 0.50;
-
-/// Renders every fixed planner parameter above, together with the window
-/// search's expansion cap ([`ispy_profile::window::MAX_SEARCH_NODES`]), for
-/// keys that must change when any of them does (the artifact cache's).
-pub fn fixed_parameters() -> String {
-    format!(
-        "min_miss_count={MIN_MISS_COUNT};ctx_candidates={MIN_CTX_CANDIDATES}..={MAX_CANDIDATES};\
-         min_ctx_support={MIN_CTX_SUPPORT};ctx_gain_margin={CTX_GAIN_MARGIN:?};\
-         zero_fanout_threshold={ZERO_FANOUT_THRESHOLD:?};max_search_nodes={};\
-         max_sites_per_line={MAX_SITES_PER_LINE};min_site_presence={MIN_SITE_PRESENCE:?};\
-         min_unconditional_precision={MIN_UNCONDITIONAL_PRECISION:?};\
-         min_conditional_precision={MIN_CONDITIONAL_PRECISION:?};\
-         min_ctx_probability={MIN_CTX_PROBABILITY:?};\
-         max_contexts_per_site={MAX_CONTEXTS_PER_SITE};\
-         min_unconditional_reach={MIN_UNCONDITIONAL_REACH:?}",
-        ispy_profile::window::MAX_SEARCH_NODES,
-    )
+/// The planner's fixed thresholds: every value of the offline analysis that
+/// no figure sweeps. They live in one constant, [`FIXED`], so keys that must
+/// change when any of them does (the artifact cache's) render all of them
+/// with `format!("{FIXED:?}")`.
+#[derive(Debug)]
+pub struct Thresholds {
+    /// Minimum sampled misses for a line to be considered at all.
+    pub min_miss_count: u64,
+    /// Fewest top-ranked predictor candidates context discovery searches
+    /// over; a wider context ([`IspyConfig::ctx_size`]) widens the pool up
+    /// to `max_ctx_candidates` ([`IspyConfig::ctx_candidates`]).
+    pub min_ctx_candidates: usize,
+    /// Most predictor candidates one joint scan takes
+    /// ([`MAX_CANDIDATES`]).
+    pub max_ctx_candidates: usize,
+    /// Minimum site executions with the context present for a context to
+    /// be trusted (support threshold for the Bayes estimate).
+    pub min_ctx_support: u64,
+    /// A context is adopted only if it improves the site's unconditional
+    /// miss probability by at least this margin — otherwise conditioning
+    /// "may not improve the prefetch accuracy" (§IV) and a plain/coalesced
+    /// op is used.
+    pub ctx_gain_margin: f64,
+    /// Sites whose unconditional miss-follow probability is already at
+    /// least this high skip context discovery (fan-out ≈ 0 per §IV).
+    pub zero_fanout_threshold: f64,
+    /// Expansions after which a timely-window search stops
+    /// ([`ispy_profile::window::MAX_SEARCH_NODES`], the cap every planner
+    /// searches with).
+    pub max_search_nodes: usize,
+    /// Maximum injection sites per miss line. I-SPY "liberally injects
+    /// conditional prefetch instructions to cover each miss" (§III-A): a
+    /// miss reached over several paths gets one (conditional) prefetch per
+    /// path, because run-time conditioning keeps the extra ops accurate.
+    pub max_sites_per_line: usize,
+    /// Minimum fraction of a line's sampled misses a site must precede
+    /// (LBR-history presence) to be worth injecting at.
+    pub min_site_presence: f64,
+    /// Sites whose estimated precision (`P(miss | site executes)`) reaches
+    /// this floor may fire unconditionally.
+    pub min_unconditional_precision: f64,
+    /// Sites below this precision are dropped even when conditional — the
+    /// op would execute far too often relative to the misses it could
+    /// cover.
+    pub min_conditional_precision: f64,
+    /// A needs-context site survives only if the discovered context's
+    /// conditional miss probability reaches this floor.
+    pub min_ctx_probability: f64,
+    /// Maximum distinct contexts per (site, target): a miss reached from
+    /// several calling contexts gets one conditional prefetch per context
+    /// (paper Fig. 8 groups same-site prefetches by context).
+    pub max_contexts_per_site: usize,
+    /// A needs-context site with no usable context is still kept
+    /// *unconditionally* if its measured reach probability (fraction of
+    /// its executions that lead to the target within the window) is at
+    /// least this floor — the firings are mostly useful anyway.
+    pub min_unconditional_reach: f64,
 }
 
+/// The planner's fixed thresholds at their design points.
+pub const FIXED: Thresholds = Thresholds {
+    min_miss_count: 1,
+    min_ctx_candidates: 6,
+    max_ctx_candidates: MAX_CANDIDATES,
+    min_ctx_support: 8,
+    ctx_gain_margin: 0.08,
+    zero_fanout_threshold: 0.95,
+    max_search_nodes: ispy_profile::window::MAX_SEARCH_NODES,
+    max_sites_per_line: 3,
+    min_site_presence: 0.10,
+    min_unconditional_precision: 0.25,
+    min_conditional_precision: 0.08,
+    min_ctx_probability: 0.45,
+    max_contexts_per_site: 4,
+    min_unconditional_reach: 0.50,
+};
+
 /// The swept parameters of the offline analysis. Defaults are the paper's
-/// design points; the fixed thresholds are this module's constants.
+/// design points; the fixed thresholds are [`FIXED`].
 ///
 /// # Examples
 ///
@@ -156,10 +161,10 @@ impl IspyConfig {
     }
 
     /// How many top-ranked predictor candidates context discovery searches
-    /// over: [`MIN_CTX_CANDIDATES`], widened for contexts of more blocks up
-    /// to [`MAX_CANDIDATES`].
+    /// over: [`FIXED`]'s `min_ctx_candidates`, widened for contexts of more
+    /// blocks up to its `max_ctx_candidates`.
     pub fn ctx_candidates(&self) -> usize {
-        self.ctx_size.clamp(MIN_CTX_CANDIDATES, MAX_CANDIDATES)
+        self.ctx_size.clamp(FIXED.min_ctx_candidates, FIXED.max_ctx_candidates)
     }
 
     /// Returns the configuration with a different context size (Fig. 17).
@@ -226,32 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn fixed_parameters_render_every_constant() {
-        let key = fixed_parameters();
-        for part in [
-            "min_miss_count=1",
-            "ctx_candidates=6..=8",
-            "min_ctx_support=8",
-            "ctx_gain_margin=0.08",
-            "zero_fanout_threshold=0.95",
-            "max_search_nodes=4096",
-            "max_sites_per_line=3",
-            "min_site_presence=0.1",
-            "min_unconditional_precision=0.25",
-            "min_conditional_precision=0.08",
-            "min_ctx_probability=0.45",
-            "max_contexts_per_site=4",
-            "min_unconditional_reach=0.5",
-        ] {
-            assert!(key.split(';').any(|p| p == part), "{part} missing from {key}");
-        }
-    }
-
-    #[test]
     fn ctx_candidates_grow_with_ctx_size() {
         let c = IspyConfig::default().with_ctx_size(8);
         assert!(c.ctx_candidates() >= 8);
-        assert_eq!(IspyConfig::default().ctx_candidates(), MIN_CTX_CANDIDATES);
+        assert_eq!(IspyConfig::default().ctx_candidates(), FIXED.min_ctx_candidates);
         assert_eq!(IspyConfig::default().with_ctx_size(20).ctx_candidates(), MAX_CANDIDATES);
     }
 }

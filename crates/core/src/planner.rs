@@ -1,11 +1,7 @@
 //! The end-to-end offline analysis (§IV steps 2–3).
 
 use crate::coalesce::{coalesce_lines, CoalescedGroup};
-use crate::config::{
-    IspyConfig, CTX_GAIN_MARGIN, MAX_CONTEXTS_PER_SITE, MAX_SITES_PER_LINE,
-    MIN_CONDITIONAL_PRECISION, MIN_CTX_PROBABILITY, MIN_CTX_SUPPORT, MIN_MISS_COUNT,
-    MIN_SITE_PRESENCE, MIN_UNCONDITIONAL_PRECISION, MIN_UNCONDITIONAL_REACH, ZERO_FANOUT_THRESHOLD,
-};
+use crate::config::{IspyConfig, FIXED};
 use crate::context::{discover_multi, ContextChoice, ContextTally};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
 use crate::window::{select_covering_sites, SelectedSite, SelectionPolicy};
@@ -542,7 +538,7 @@ impl<'a> Planner<'a> {
         let mut outcomes: Vec<(Line, Arc<LineOutcome>, Option<u64>)> = Vec::new();
         let mut fresh: Vec<FreshLine> = Vec::new();
         let mut queries: Vec<JointQuery> = Vec::new();
-        for target in self.profile.misses.plan_order(MIN_MISS_COUNT) {
+        for target in self.profile.misses.plan_order(FIXED.min_miss_count) {
             let (line, line_stats) = (target.line, target.stats);
             let mut line_digest = 0;
             if let Some(memo) = &memo {
@@ -565,10 +561,10 @@ impl<'a> Planner<'a> {
             // path; imprecise sites are admitted only because the run-time
             // condition will keep them accurate (§III-A).
             let policy = SelectionPolicy {
-                max_sites: MAX_SITES_PER_LINE,
-                min_presence: MIN_SITE_PRESENCE,
-                min_unconditional_precision: MIN_UNCONDITIONAL_PRECISION,
-                min_conditional_precision: MIN_CONDITIONAL_PRECISION,
+                max_sites: FIXED.max_sites_per_line,
+                min_presence: FIXED.min_site_presence,
+                min_unconditional_precision: FIXED.min_unconditional_precision,
+                min_conditional_precision: FIXED.min_conditional_precision,
                 allow_conditional,
             };
             let sites = select_covering_sites(
@@ -651,7 +647,7 @@ impl<'a> Planner<'a> {
                     let precision = (pres as f64 / execs as f64).min(1.0);
                     // Even a conditional op *executes* on every site pass;
                     // the precision floor bounds the dynamic overhead.
-                    if precision < MIN_CONDITIONAL_PRECISION {
+                    if precision < FIXED.min_conditional_precision {
                         continue;
                     }
                     let Some(query) = self.joint_query(fl, &cand, baseline) else { continue };
@@ -894,17 +890,17 @@ impl<'a> Planner<'a> {
             // Zero fan-out at run time: the site almost always leads to the
             // miss; no condition needed (§IV).
             let unconditional = counts.conditional_probability(0).unwrap_or(0.0);
-            if unconditional >= ZERO_FANOUT_THRESHOLD {
+            if unconditional >= FIXED.zero_fanout_threshold {
                 continue;
             }
             let found = discover_multi(
                 counts,
                 &query.candidates,
                 self.cfg.ctx_size,
-                MIN_CTX_SUPPORT,
-                CTX_GAIN_MARGIN,
-                MIN_CTX_PROBABILITY,
-                MAX_CONTEXTS_PER_SITE,
+                FIXED.min_ctx_support,
+                FIXED.ctx_gain_margin,
+                FIXED.min_ctx_probability,
+                FIXED.max_contexts_per_site,
             );
             tally.count(&found);
             if entry.site.needs_ctx {
@@ -915,7 +911,7 @@ impl<'a> Planner<'a> {
                 // soon-needed line); otherwise it is dropped.
                 if !found.contexts.is_empty() {
                     entry.ctxs = found.contexts;
-                } else if unconditional < MIN_UNCONDITIONAL_REACH {
+                } else if unconditional < FIXED.min_unconditional_reach {
                     entry.dropped = true;
                 }
             } else if !found.contexts.is_empty() && found.coverage >= 0.8 {

@@ -647,23 +647,19 @@ fn run_replay(args: &Args) -> Result<(), String> {
         None => None,
     };
     let cfg = ispy_sim::SimConfig::default();
-    // The plan is lowered once, for the recording's program.
-    let compile = |program: &ispy_trace::Program| {
-        plan.as_ref().map(|(_, p)| p.injections.compile(program.num_blocks()))
+    let opts = ispy_sim::RunOptions {
+        injections: plan.as_ref().map(|(_, p)| &p.injections),
+        ..Default::default()
     };
     let (program, result) = if args.stream {
         let (program, mut events) =
             ispy_trace::artifact::open_recording_file(path).map_err(|e| e.to_string())?;
-        let compiled = compile(&program);
-        let opts = ispy_sim::RunOptions { compiled: compiled.as_ref(), ..Default::default() };
         let result = ispy_sim::run_streaming(&program, &mut events, &cfg, opts)
             .map_err(|e| e.to_string())?;
         (program, result)
     } else {
         let (program, trace) =
             ispy_trace::artifact::read_recording(path).map_err(|e| e.to_string())?;
-        let compiled = compile(&program);
-        let opts = ispy_sim::RunOptions { compiled: compiled.as_ref(), ..Default::default() };
         let result = ispy_sim::run(&program, &trace, &cfg, opts);
         (program, result)
     };

@@ -45,14 +45,14 @@ impl ArtifactCache {
     pub fn new(dir: impl Into<PathBuf>, scale: Scale) -> Self {
         let mut key_src = format!("fmt={};", ispy_artifact::FORMAT_VERSION);
         key_src.push_str(&format!(
-            "scale={}x{};sim={:?};ispy={:?};ispy_fixed={};asmdb={:?};baseline_min_misses={}",
+            "scale={}x{};sim={:?};ispy={:?};ispy_fixed={:?};asmdb={:?};baseline_min_misses={}",
             scale.shrink,
             scale.events,
             SimConfig::default(),
             IspyConfig::default(),
-            ispy_core::config::fixed_parameters(),
+            ispy_core::config::FIXED,
             AsmDbConfig::default(),
-            ispy_baselines::MIN_MISS_COUNT,
+            ispy_baselines::BASELINE_MIN_MISS_COUNT,
         ));
         // FNV-1a 64: stable across runs and platforms, which is all a cache
         // key needs (the artifact CRCs handle integrity).

@@ -27,7 +27,7 @@
 use crate::json::Json;
 use ispy_baselines::asmdb::{AsmDbConfig, AsmDbPlanner};
 use ispy_core::{IspyConfig, Planner};
-use ispy_isa::CompiledInjections;
+use ispy_isa::InjectionMap;
 use ispy_profile::{profile, SampleRate};
 use ispy_scenario::{CompiledScenario, Scenario};
 use ispy_sim::{
@@ -290,7 +290,7 @@ type ReplayOutput = (SimResult, Vec<Bucket>, Vec<(u32, u64)>, Option<OutcomeLedg
 fn replay(
     sc: &CompiledScenario,
     cfg: &SimConfig,
-    compiled: Option<&CompiledInjections>,
+    injections: Option<&InjectionMap>,
     is_boundary: &[bool],
     block_instrs: &[u16],
     with_ledger: Option<usize>,
@@ -302,7 +302,12 @@ fn replay(
         sc.program(),
         &mut source,
         cfg,
-        RunOptions { compiled, observer: Some(&mut obs), outcomes: ledger.as_mut() },
+        RunOptions {
+            injections,
+            observer: Some(&mut obs),
+            outcomes: ledger.as_mut(),
+            ..Default::default()
+        },
     )
     .expect("scenario sources cannot fail");
     (result, obs.buckets, obs.marks, ledger)
@@ -349,13 +354,11 @@ pub fn run_scenario(spec: &Scenario, events: u64) -> ScenarioOutcome {
     let block_instrs: Vec<u16> = program.blocks().iter().map(|b| b.instrs()).collect();
 
     // The four replays are independent; `--jobs` parallelizes them.
-    let asmdb_compiled = asmdb_plan.injections.compile(program.num_blocks());
-    let ispy_compiled = ispy_plan.injections.compile(program.num_blocks());
-    let runs: Vec<(Option<&CompiledInjections>, &SimConfig, Option<usize>)> = vec![
+    let runs: Vec<(Option<&InjectionMap>, &SimConfig, Option<usize>)> = vec![
         (None, &cfg, None),
         (None, &ideal_cfg, None),
-        (Some(&asmdb_compiled), &cfg, None),
-        (Some(&ispy_compiled), &cfg, Some(ispy_plan.provenance.len())),
+        (Some(&asmdb_plan.injections), &cfg, None),
+        (Some(&ispy_plan.injections), &cfg, Some(ispy_plan.provenance.len())),
     ];
     let mut results = ispy_parallel::par_map_vec(runs, |(inj, rcfg, led)| {
         replay(&sc, rcfg, inj, &is_boundary, &block_instrs, led)

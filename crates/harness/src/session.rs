@@ -332,7 +332,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ispy_isa::InjectionMap;
 
     fn tiny_session() -> Session {
         Session::with_apps(Scale::test(), vec![apps::cassandra()])
@@ -393,16 +392,14 @@ mod tests {
         let ctx = &s.apps()[0];
         let c = s.comparison(0);
         let scfg = SimConfig::default();
-        // The cached comparison results were produced from the plans
-        // compiled once; compiling the maps afresh for each replay must give
-        // byte-identical results.
-        let via_map = |trace: &Trace, map: &InjectionMap| {
-            let compiled = map.compile(ctx.program.num_blocks());
+        // The cached comparison results were produced from the compiled
+        // plans; replaying the raw maps must give byte-identical results.
+        let via_map = |trace: &Trace, map| {
             run(
                 &ctx.program,
                 trace,
                 &scfg,
-                RunOptions { compiled: Some(&compiled), ..Default::default() },
+                RunOptions { injections: Some(map), ..Default::default() },
             )
         };
         assert_eq!(via_map(&ctx.trace, &c.asmdb_plan.injections), c.asmdb);

@@ -96,10 +96,7 @@ mod tests {
             &program,
             &trace,
             &cfg,
-            RunOptions {
-                compiled: Some(&plan.compile(program.num_blocks())),
-                ..Default::default()
-            },
+            RunOptions { injections: Some(&plan), ..Default::default() },
         );
         assert!(r.pf_ops_fired > 0);
         assert!(r.pf_ops_suppressed > 0, "conditions must sometimes suppress");

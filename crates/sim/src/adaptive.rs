@@ -262,12 +262,8 @@ mod tests {
         let (p, t) = small_app();
         let map = miss_plan(&p, &t, false);
         let cfg = SimConfig::default();
-        let straight = run(
-            &p,
-            &t,
-            &cfg,
-            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
-        );
+        let straight =
+            run(&p, &t, &cfg, RunOptions { injections: Some(&map), ..Default::default() });
         let (mut eng, id_base) = engine(&p, &cfg, &t, &map, None);
         let mid = t.blocks().len() / 2;
         eng.replay(&t.blocks()[..mid]);
@@ -306,18 +302,8 @@ mod tests {
         assert_eq!(a, b, "swap outcome must depend only on the barrier block index");
         assert_eq!(b, c);
         // Sanity: the swap actually changed behaviour vs. either pure plan.
-        let pure1 = run(
-            &p,
-            &t,
-            &cfg,
-            RunOptions { compiled: Some(&p1.compile(p.num_blocks())), ..Default::default() },
-        );
-        let pure2 = run(
-            &p,
-            &t,
-            &cfg,
-            RunOptions { compiled: Some(&p2.compile(p.num_blocks())), ..Default::default() },
-        );
+        let pure1 = run(&p, &t, &cfg, RunOptions { injections: Some(&p1), ..Default::default() });
+        let pure2 = run(&p, &t, &cfg, RunOptions { injections: Some(&p2), ..Default::default() });
         assert_ne!(a, pure1);
         assert_ne!(a, pure2);
     }
@@ -373,12 +359,7 @@ mod tests {
         let ctx = cfg.hash.context_hash([p.block(t.blocks()[9]).start()]);
         let mut cond = InjectionMap::new();
         cond.push(t.blocks()[10], PrefetchOp::Cond { target: Line::new(3), ctx });
-        run(
-            &p,
-            &t,
-            &cfg,
-            RunOptions { compiled: Some(&cond.compile(p.num_blocks())), ..Default::default() },
-        );
+        run(&p, &t, &cfg, RunOptions { injections: Some(&cond), ..Default::default() });
         let (l1d, hashes) =
             (DataFilter::record_of(&p, &t, &cfg), HashFilter::record_of(&p, &t, &cfg));
         let (eng, _) = engine(&p, &cfg, &t, &InjectionMap::new(), None);
@@ -392,12 +373,8 @@ mod tests {
         let (p, t) = small_app();
         let map = miss_plan(&p, &t, false);
         let cfg = SimConfig::default();
-        let straight = run(
-            &p,
-            &t,
-            &cfg,
-            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
-        );
+        let straight =
+            run(&p, &t, &cfg, RunOptions { injections: Some(&map), ..Default::default() });
         let mut seen_windows = Vec::new();
         let adaptive =
             run_adaptive(&p, &cfg, &SliceWindows::of_trace(&t), 7_000, &map, None, |k, blocks| {

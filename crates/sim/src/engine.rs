@@ -70,7 +70,7 @@ use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
 use crate::switch::{SwitchEffect, SwitchSchedule};
 use ispy_artifact::ArtifactError;
-use ispy_isa::{CompiledInjections, ProvenanceId};
+use ispy_isa::{CompiledInjections, InjectionMap, ProvenanceId};
 use ispy_trace::{BlockId, BlockSource, Line, Program, Trace};
 use std::ops::Deref;
 use std::sync::Arc;
@@ -106,10 +106,12 @@ pub trait SimObserver {
 /// Optional attachments for a run.
 #[derive(Default)]
 pub struct RunOptions<'a> {
-    /// The injected code-prefetch instructions (the rewritten binary),
-    /// lowered by [`InjectionMap::compile`](ispy_isa::InjectionMap::compile).
-    /// Callers replaying one plan across many configurations (the figure
-    /// sweeps) compile it once and pass it to every run.
+    /// Injected code-prefetch instructions (the rewritten binary).
+    pub injections: Option<&'a InjectionMap>,
+    /// A pre-lowered injection plan (see [`InjectionMap::compile`]). When
+    /// set it takes precedence over `injections`; callers replaying the same
+    /// plan across many configurations (the figure sweeps) compile once and
+    /// pass it here to skip the per-run lowering.
     pub compiled: Option<&'a CompiledInjections>,
     /// An observer receiving replay events.
     pub observer: Option<&'a mut dyn SimObserver>,
@@ -1163,8 +1165,9 @@ pub fn run(program: &Program, trace: &Trace, cfg: &SimConfig, opts: RunOptions<'
 
 /// Builds the engine a static run replays through, attaching `opts` and,
 /// when the run replays `whole` in one call, that trace's per-trace
-/// records. The compiled plan is borrowed (sweeps reuse one compiled plan
-/// across many runs).
+/// records. A pre-compiled plan is borrowed (sweeps reuse one compiled
+/// plan across many runs); otherwise the plan is lowered into its dense
+/// compiled form here.
 fn engine_for<'o>(
     program: &Program,
     cfg: &SimConfig,
@@ -1173,7 +1176,10 @@ fn engine_for<'o>(
 ) -> Engine<'o> {
     let injections = match opts.compiled {
         Some(c) => Plan::Borrowed(c),
-        None => Plan::Shared(Arc::new(CompiledInjections::default())),
+        None => Plan::Shared(Arc::new(match opts.injections {
+            Some(map) if !map.is_empty() => map.compile(program.num_blocks()),
+            _ => CompiledInjections::default(),
+        })),
     };
     Engine::new(program, cfg, injections, opts.observer, opts.outcomes, false, whole)
 }
@@ -1230,7 +1236,7 @@ pub fn run_streaming<S: BlockSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ispy_isa::{InjectionMap, PrefetchOp};
+    use ispy_isa::PrefetchOp;
     use ispy_trace::apps;
 
     impl Engine<'_> {
@@ -1351,7 +1357,7 @@ mod tests {
             &p,
             &t,
             &SimConfig::default(),
-            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
+            RunOptions { injections: Some(&map), ..Default::default() },
         );
         assert!(
             with.i_misses < base.i_misses,
@@ -1373,12 +1379,7 @@ mod tests {
         let cfg = SimConfig::default().with_hash(ispy_isa::HashConfig::new(64, 2));
         let ctx = ispy_isa::ContextHash::from_bits(u64::MAX, 64);
         map.push(t.blocks()[0], PrefetchOp::Cond { target: Line::new(0x999999), ctx });
-        let r = run(
-            &p,
-            &t,
-            &cfg,
-            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
-        );
+        let r = run(&p, &t, &cfg, RunOptions { injections: Some(&map), ..Default::default() });
         assert!(r.pf_ops_executed > 0);
         assert_eq!(r.pf_ops_fired, 0);
         assert_eq!(r.pf_ops_suppressed, r.pf_ops_executed);
@@ -1394,7 +1395,7 @@ mod tests {
             &p,
             &t,
             &SimConfig::default(),
-            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
+            RunOptions { injections: Some(&map), ..Default::default() },
         );
         assert_eq!(r.instrs, r.base_instrs + r.pf_ops_executed);
         assert!(r.dynamic_increase() > 0.0);
@@ -1414,7 +1415,7 @@ mod tests {
             &p,
             &t,
             &SimConfig::default(),
-            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
+            RunOptions { injections: Some(&map), ..Default::default() },
         );
         assert!(with.cycles >= base.cycles, "{} < {}", with.cycles, base.cycles);
         assert_eq!(with.pf_useful, 0);
@@ -1430,7 +1431,7 @@ mod tests {
             &p,
             &t,
             &SimConfig::default(),
-            RunOptions { compiled: Some(&map.compile(p.num_blocks())), ..Default::default() },
+            RunOptions { injections: Some(&map), ..Default::default() },
         );
         // Base + 8 extra lines, issued at least once (the first execution).
         assert!(r.pf_lines_issued >= 9);
@@ -1468,7 +1469,7 @@ mod tests {
             &program,
             &trace,
             &cfg,
-            RunOptions { compiled: Some(&map.compile(program.num_blocks())), ..Default::default() },
+            RunOptions { injections: Some(&map), ..Default::default() },
         );
         assert!(with.i_stall_cycles <= base.i_stall_cycles);
         assert!(with.pf_lines_resident > 0, "steady-state firings find the line resident");
@@ -1503,7 +1504,7 @@ mod tests {
             &program,
             &trace,
             &cfg,
-            RunOptions { compiled: Some(&map.compile(program.num_blocks())), ..Default::default() },
+            RunOptions { injections: Some(&map), ..Default::default() },
         );
         assert_eq!(with.pf_late, 1, "demand must catch the prefetch in flight");
         assert_eq!(with.i_misses, base.i_misses, "late prefetch still counts as a miss");
@@ -1540,7 +1541,7 @@ mod tests {
             &t,
             &SimConfig::default(),
             RunOptions {
-                compiled: Some(&map.compile(p.num_blocks())),
+                injections: Some(&map),
                 outcomes: Some(&mut ledger),
                 ..Default::default()
             },
@@ -1573,7 +1574,7 @@ mod tests {
             &t,
             &SimConfig::default(),
             RunOptions {
-                compiled: Some(&map.compile(p.num_blocks())),
+                injections: Some(&map),
                 outcomes: Some(&mut ledger),
                 ..Default::default()
             },
@@ -1704,7 +1705,7 @@ mod tests {
             &t,
             &SimConfig::default(),
             RunOptions {
-                compiled: Some(&map.compile(p.num_blocks())),
+                injections: Some(&map),
                 outcomes: Some(&mut ledger_map),
                 ..Default::default()
             },

@@ -231,9 +231,8 @@ fn the_record_matches_the_reference_and_every_replay_path_agrees() {
                 let record = DataFilter::record_of(&program, &trace, &cfg);
                 assert_outcomes(&outcomes(&record), &want, &what);
 
-                let map = random_plan(&program, case);
-                let plan = map.compile(program.num_blocks());
-                let opts = || RunOptions { compiled: Some(&plan), ..Default::default() };
+                let plan = random_plan(&program, case);
+                let opts = || RunOptions { injections: Some(&plan), ..Default::default() };
                 // `trace`'s memo now holds the record: a memo hit.
                 let hit = run(&program, &trace, &cfg, opts());
                 let miss = run(&program, &fresh(&trace), &cfg, opts());
@@ -252,7 +251,9 @@ fn the_record_matches_the_reference_and_every_replay_path_agrees() {
                     let windows = SliceWindows::of_trace(t);
                     for window in [1_000, 777] {
                         let adaptive =
-                            run_adaptive(&program, &cfg, &windows, window, &map, None, |_, _| None);
+                            run_adaptive(&program, &cfg, &windows, window, &plan, None, |_, _| {
+                                None
+                            });
                         let at = format!("{what}: adaptive {window}, memo {memo}");
                         assert_same(&adaptive.unwrap().total, &miss, &at);
                     }
@@ -356,8 +357,8 @@ fn clones_and_decoded_traces_replay_identically() {
         schedule: Some(schedule(5_000, SwitchEffect::Thrash { l1i_pct: 30, l2_pct: 10 })),
         ..SimConfig::default()
     };
-    let plan = random_plan(&program, 11).compile(program.num_blocks());
-    let opts = || RunOptions { compiled: Some(&plan), ..Default::default() };
+    let plan = random_plan(&program, 11);
+    let opts = || RunOptions { injections: Some(&plan), ..Default::default() };
     let want = run(&program, &trace, &cfg, opts());
 
     let clone = trace.clone();

@@ -134,9 +134,8 @@ fn every_replay_path_agrees() {
                 )),
                 ..config(bits, k, depth)
             };
-            let map = cond_plan(&program, trace.blocks(), case, cfg.hash);
-            let plan = map.compile(program.num_blocks());
-            let opts = || RunOptions { compiled: Some(&plan), ..Default::default() };
+            let plan = cond_plan(&program, trace.blocks(), case, cfg.hash);
+            let opts = || RunOptions { injections: Some(&plan), ..Default::default() };
             let miss = run(&program, &trace, &cfg, opts());
             // `trace`'s memo now holds the record: a memo hit.
             let hit = run(&program, &trace, &cfg, opts());
@@ -153,7 +152,7 @@ fn every_replay_path_agrees() {
                 let windows = SliceWindows::of_trace(t);
                 for window in [1_000, 777] {
                     let adaptive =
-                        run_adaptive(&program, &cfg, &windows, window, &map, None, |_, _| None);
+                        run_adaptive(&program, &cfg, &windows, window, &plan, None, |_, _| None);
                     let at = format!("{what}: adaptive {window}, memo {memo}");
                     assert_same(&adaptive.unwrap().total, &miss, &at);
                 }
@@ -211,10 +210,7 @@ fn a_conditional_plan_swapped_in_sees_the_lbr_of_the_whole_run() {
             &program,
             &trace,
             &cfg,
-            RunOptions {
-                compiled: Some(&both.compile(program.num_blocks())),
-                ..Default::default()
-            },
+            RunOptions { injections: Some(&both), ..Default::default() },
         );
         assert!(want.pf_ops_fired > 0 && want.pf_ops_suppressed > 0, "{what}: {want:?}");
         let windows = SliceWindows::of_trace(&trace);
@@ -236,10 +232,7 @@ fn a_conditional_plan_swapped_in_sees_the_lbr_of_the_whole_run() {
             &program,
             &trace,
             &cfg,
-            RunOptions {
-                compiled: Some(&conditional.compile(program.num_blocks())),
-                ..Default::default()
-            },
+            RunOptions { injections: Some(&conditional), ..Default::default() },
         );
         assert_same(&from_empty.total, &only_second, &format!("{what}: empty → conditional"));
     }
@@ -262,8 +255,8 @@ fn shifted(program: &Program, by: u64) -> Program {
 fn every_key_component_separates_records() {
     let (program, trace) = random_case(7, 300, 4_000, 1 << 12);
     let base = SimConfig::default();
-    let plan = cond_plan(&program, trace.blocks(), 7, base.hash).compile(program.num_blocks());
-    let opts = || RunOptions { compiled: Some(&plan), ..Default::default() };
+    let plan = cond_plan(&program, trace.blocks(), 7, base.hash);
+    let opts = || RunOptions { injections: Some(&plan), ..Default::default() };
     let variants: Vec<(&str, Program, SimConfig)> = vec![
         ("block addresses", shifted(&program, 4_096), base.clone()),
         ("hash width", program.clone(), base.clone().with_hash(HashConfig::new(32, 2))),
@@ -304,8 +297,8 @@ fn runs_without_a_conditional_op_build_no_record() {
     let cfg = SimConfig::default();
     let mut plain = InjectionMap::new();
     plain.push(trace.blocks()[10], PrefetchOp::Plain { target: Line::new(3) });
-    let plain = plain.compile(program.num_blocks());
-    for opts in [RunOptions::default(), RunOptions { compiled: Some(&plain), ..Default::default() }]
+    for opts in
+        [RunOptions::default(), RunOptions { injections: Some(&plain), ..Default::default() }]
     {
         run(&program, &trace, &cfg, opts);
     }

@@ -34,10 +34,7 @@ fn main() {
             &program,
             &trace,
             &sim_cfg,
-            RunOptions {
-                compiled: Some(&plan.injections.compile(program.num_blocks())),
-                ..Default::default()
-            },
+            RunOptions { injections: Some(&plan.injections), ..Default::default() },
         );
         println!(
             "{:>9} {:>8} {:>12} {:>11.3}x {:>9.1}%",

@@ -58,17 +58,12 @@ fn run_with_stalls(
     sim_cfg: &SimConfig,
     injections: Option<&ispy_isa::InjectionMap>,
 ) -> (SimResult, Vec<u64>) {
-    let compiled = injections.map(|map| map.compile(program.num_blocks()));
     let mut real_obs = BoundaryObserver::new(program);
     let real = run(
         program,
         trace,
         sim_cfg,
-        RunOptions {
-            compiled: compiled.as_ref(),
-            observer: Some(&mut real_obs),
-            ..Default::default()
-        },
+        RunOptions { injections, observer: Some(&mut real_obs), ..Default::default() },
     );
     let mut ideal_obs = BoundaryObserver::new(program);
     run(
@@ -151,19 +146,13 @@ fn main() {
             &program,
             &trace,
             &sim_cfg,
-            RunOptions {
-                compiled: Some(&asmdb.injections.compile(program.num_blocks())),
-                ..Default::default()
-            },
+            RunOptions { injections: Some(&asmdb.injections), ..Default::default() },
         );
         let ri = run(
             &program,
             &trace,
             &sim_cfg,
-            RunOptions {
-                compiled: Some(&ispy.injections.compile(program.num_blocks())),
-                ..Default::default()
-            },
+            RunOptions { injections: Some(&ispy.injections), ..Default::default() },
         );
         println!(
             "{:<10} {:>11.3}x {:>11.3}x {:>11.3}x {:>13.1}%",

@@ -50,10 +50,7 @@ fn main() {
         &program,
         &trace,
         &sim_cfg,
-        RunOptions {
-            compiled: Some(&plan.injections.compile(program.num_blocks())),
-            ..Default::default()
-        },
+        RunOptions { injections: Some(&plan.injections), ..Default::default() },
     );
     println!(
         "speedup: {:.3}x (ideal cache: {:.3}x) — {:.1}% of ideal",

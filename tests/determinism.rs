@@ -18,10 +18,7 @@ fn whole_pipeline_is_deterministic() {
             &program,
             &trace,
             &SimConfig::default(),
-            RunOptions {
-                compiled: Some(&plan.injections.compile(program.num_blocks())),
-                ..Default::default()
-            },
+            RunOptions { injections: Some(&plan.injections), ..Default::default() },
         );
         (trace, plan, result)
     };

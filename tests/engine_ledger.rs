@@ -63,22 +63,14 @@ fn assert_ledger_exact(
     cfg: &SimConfig,
     plan: &InjectionMap,
 ) -> SimResult {
-    let plain = run(
-        program,
-        trace,
-        cfg,
-        RunOptions { compiled: Some(&plan.compile(program.num_blocks())), ..Default::default() },
-    );
+    let plain =
+        run(program, trace, cfg, RunOptions { injections: Some(plan), ..Default::default() });
     let mut ledger = OutcomeLedger::default();
     let attributed = run(
         program,
         trace,
         cfg,
-        RunOptions {
-            compiled: Some(&plan.compile(program.num_blocks())),
-            outcomes: Some(&mut ledger),
-            ..Default::default()
-        },
+        RunOptions { injections: Some(plan), outcomes: Some(&mut ledger), ..Default::default() },
     );
     assert_eq!(plain, attributed, "attaching a ledger changed the SimResult");
 

@@ -48,7 +48,7 @@ fn render() -> String {
             &trace,
             &dcfg,
             RunOptions {
-                compiled: Some(&plan.compile(program.num_blocks())),
+                injections: Some(&plan),
                 outcomes: Some(&mut ledger),
                 ..Default::default()
             },
@@ -75,10 +75,7 @@ fn render() -> String {
             &program,
             &trace,
             &hcfg,
-            RunOptions {
-                compiled: Some(&hplan.compile(program.num_blocks())),
-                ..Default::default()
-            },
+            RunOptions { injections: Some(&hplan), ..Default::default() },
         );
         out.push_str(&format!("{name}/hash32 {hashed:?}\n"));
     }

@@ -87,7 +87,7 @@ fn scenario_replay_is_identical_serial_vs_sharded() {
     // Plan from a materialized copy of the stream so injections genuinely
     // exercise the engine during the replay.
     let trace = Trace::new("scenario-burst", drain(&mut sc.source()));
-    let plan = miss_derived_plan(sc.program(), &trace, &cfg).compile(sc.program().num_blocks());
+    let plan = miss_derived_plan(sc.program(), &trace, &cfg);
 
     let mut reference_ledger = OutcomeLedger::default();
     let reference = run(
@@ -95,7 +95,7 @@ fn scenario_replay_is_identical_serial_vs_sharded() {
         &trace,
         &cfg,
         RunOptions {
-            compiled: Some(&plan),
+            injections: Some(&plan),
             outcomes: Some(&mut reference_ledger),
             ..Default::default()
         },
@@ -109,7 +109,11 @@ fn scenario_replay_is_identical_serial_vs_sharded() {
             sc.program(),
             &mut ScenarioSource::with_chunk(&sc, chunk),
             &cfg,
-            RunOptions { compiled: Some(&plan), outcomes: Some(&mut ledger), ..Default::default() },
+            RunOptions {
+                injections: Some(&plan),
+                outcomes: Some(&mut ledger),
+                ..Default::default()
+            },
         )
         .expect("scenario sources cannot fail");
         (got, ledger)

@@ -127,18 +127,14 @@ fn injected_streaming_matches_injected_run() {
     let model = apps::cassandra();
     let (program, trace) = workload(&model);
     let plan = ispy_harness::workload::miss_derived_plan(&program, &trace, &cfg);
-    let reference = run(
-        &program,
-        &trace,
-        &cfg,
-        RunOptions { compiled: Some(&plan.compile(program.num_blocks())), ..Default::default() },
-    );
+    let reference =
+        run(&program, &trace, &cfg, RunOptions { injections: Some(&plan), ..Default::default() });
     let mut source = TraceBlocks::with_chunk(trace.blocks(), 777);
     let streamed = run_streaming(
         &program,
         &mut source,
         &cfg,
-        RunOptions { compiled: Some(&plan.compile(program.num_blocks())), ..Default::default() },
+        RunOptions { injections: Some(&plan), ..Default::default() },
     )
     .unwrap();
     assert_eq!(streamed, reference);
