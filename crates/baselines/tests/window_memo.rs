@@ -34,6 +34,10 @@ fn window_keys(
         .collect()
 }
 
+// The only test in this binary, and it must stay so: the test harness runs
+// a binary's tests on parallel threads, so a second `#[test]` here would
+// race this one on the process-wide telemetry registry and make its search
+// count flaky.
 #[test]
 fn planners_share_one_search_per_window_key() {
     let model = apps::cassandra().scaled_down(30);

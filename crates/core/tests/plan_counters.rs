@@ -27,6 +27,10 @@ fn planner_counters(tele: &Telemetry) -> BTreeMap<String, u64> {
         .collect()
 }
 
+// The only test in this binary, and it must stay so: the test harness runs
+// a binary's tests on parallel threads, so a second `#[test]` here would
+// race this one on the process-wide telemetry registry and make its pinned
+// counts flaky.
 #[test]
 fn test_scale_kafka_plan_counters_are_pinned() {
     // `Scale::test()`: a 20x shrink, 50k trace events, exact sampling.

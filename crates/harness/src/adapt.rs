@@ -290,12 +290,7 @@ pub fn run_adapt_drift(
 ) -> AdaptOutcome {
     let spec = drift_scenario(model.scaled_down(scale.shrink));
     let sc = spec.compile(scale.events as u64);
-    let mut src = sc.source();
-    let mut blocks = Vec::with_capacity(scale.events);
-    while let Some(chunk) = src.next_chunk().expect("scenario sources cannot fail") {
-        blocks.extend_from_slice(chunk);
-    }
-    let trace = Trace::new(spec.name.clone(), blocks);
+    let trace = sc.source().materialize(spec.name.clone()).expect("scenario sources cannot fail");
     adapt_over(spec.name, sc.program().clone(), trace, window, epochs, reps)
 }
 

@@ -32,7 +32,7 @@ use ispy_fleet::FleetConfig;
 use ispy_harness::cache::{ArtifactCache, DEFAULT_CACHE_DIR};
 use ispy_harness::{explain, figures, metrics, Scale, Session};
 use ispy_telemetry::Telemetry;
-use ispy_trace::{apps, AppModel};
+use ispy_trace::{apps, AppModel, BlockSource};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -591,7 +591,6 @@ fn usage() {
 /// chunk, so `--events` can exceed RAM (the 100M-block CI gate records this
 /// way).
 fn run_record(args: &Args) -> Result<(), String> {
-    use ispy_trace::BlockSource;
     let (app, model) = args.app()?;
     let model = model.scaled_down(args.scale.shrink);
     let program = model.generate();
@@ -647,22 +646,17 @@ fn run_replay(args: &Args) -> Result<(), String> {
         None => None,
     };
     let cfg = ispy_sim::SimConfig::default();
-    let opts = ispy_sim::RunOptions {
-        injections: plan.as_ref().map(|(_, p)| &p.injections),
-        ..Default::default()
-    };
-    let (program, result) = if args.stream {
-        let (program, mut events) =
-            ispy_trace::artifact::open_recording_file(path).map_err(|e| e.to_string())?;
-        let result = ispy_sim::run_streaming(&program, &mut events, &cfg, opts)
-            .map_err(|e| e.to_string())?;
-        (program, result)
+    let (program, mut events) =
+        ispy_trace::artifact::open_recording_file(path).map_err(|e| e.to_string())?;
+    let compiled = plan.as_ref().map(|(_, p)| p.injections.compile(program.num_blocks()));
+    let opts = ispy_sim::RunOptions { compiled: compiled.as_ref(), ..Default::default() };
+    let result = if args.stream {
+        ispy_sim::run_streaming(&program, &mut events, &cfg, opts)
     } else {
-        let (program, trace) =
-            ispy_trace::artifact::read_recording(path).map_err(|e| e.to_string())?;
-        let result = ispy_sim::run(&program, &trace, &cfg, opts);
-        (program, result)
-    };
+        let name = events.name().to_string();
+        events.materialize(name).map(|trace| ispy_sim::run(&program, &trace, &cfg, opts))
+    }
+    .map_err(|e| e.to_string())?;
     let name = program.name();
     if let Some((label, _)) = &plan {
         if label != name {

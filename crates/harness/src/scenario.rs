@@ -10,10 +10,12 @@
 //!    *under* the interference, switch-induced misses included.
 //! 2. Plan AsmDB and I-SPY injections from that profile over the merged
 //!    multi-tenant program.
-//! 3. Stream four replays through [`run_streaming`] with the compiled
-//!    [`SwitchSchedule`](ispy_sim::SwitchSchedule) attached: no-prefetch
-//!    baseline, ideal I-cache, AsmDB, and I-SPY (the latter with a
-//!    per-injection [`OutcomeLedger`]).
+//! 3. Replay that same materialized trace four times through [`run`] with
+//!    the compiled [`SwitchSchedule`](ispy_sim::SwitchSchedule) attached:
+//!    no-prefetch baseline, ideal I-cache, AsmDB, and I-SPY (the latter
+//!    with a per-injection [`OutcomeLedger`]). Each plan is lowered once,
+//!    and the four arms share the trace's memoized L1D and runtime-hash
+//!    records.
 //! 4. Carve every run's counters and request-boundary latencies into
 //!    (phase, tenant) buckets via the engine's `phase_boundary` /
 //!    `tenant_switch` observer callbacks, and pair each request against the
@@ -27,11 +29,11 @@
 use crate::json::Json;
 use ispy_baselines::asmdb::{AsmDbConfig, AsmDbPlanner};
 use ispy_core::{IspyConfig, Planner};
-use ispy_isa::InjectionMap;
+use ispy_isa::CompiledInjections;
 use ispy_profile::{profile, SampleRate};
 use ispy_scenario::{CompiledScenario, Scenario};
 use ispy_sim::{
-    run_streaming, InjectionOutcome, OutcomeLedger, RunOptions, SimConfig, SimObserver, SimResult,
+    run, InjectionOutcome, OutcomeLedger, RunOptions, SimConfig, SimObserver, SimResult,
 };
 use ispy_trace::{BlockId, BlockSource, Trace};
 use std::sync::Arc;
@@ -44,9 +46,9 @@ struct Bucket {
     misses: u64,
 }
 
-/// Collects bucketed counters and request-boundary marks from one streamed
-/// replay. The current (phase, tenant) is tracked through the engine's
-/// schedule callbacks, so attribution is exact at every boundary.
+/// Collects bucketed counters and request-boundary marks from one replay.
+/// The current (phase, tenant) is tracked through the engine's schedule
+/// callbacks, so attribution is exact at every boundary.
 struct BucketObserver<'a> {
     /// `true` for request-entry blocks of the merged program.
     is_boundary: &'a [bool],
@@ -286,30 +288,29 @@ fn bucket_mpki(b: &Bucket) -> f64 {
 /// buckets, the request-boundary marks, and the ledger when one was attached.
 type ReplayOutput = (SimResult, Vec<Bucket>, Vec<(u32, u64)>, Option<OutcomeLedger>);
 
-/// One streamed replay of the compiled scenario with bucket attribution.
+/// One replay of the scenario's trace with bucket attribution.
 fn replay(
     sc: &CompiledScenario,
+    trace: &Trace,
     cfg: &SimConfig,
-    injections: Option<&InjectionMap>,
+    compiled: Option<&CompiledInjections>,
     is_boundary: &[bool],
     block_instrs: &[u16],
     with_ledger: Option<usize>,
 ) -> ReplayOutput {
     let mut obs = BucketObserver::new(is_boundary, block_instrs, sc.num_phases(), sc.num_tenants());
     let mut ledger = with_ledger.map(OutcomeLedger::with_capacity);
-    let mut source = sc.source();
-    let result = run_streaming(
+    let result = run(
         sc.program(),
-        &mut source,
+        trace,
         cfg,
         RunOptions {
-            injections,
+            compiled,
             observer: Some(&mut obs),
             outcomes: ledger.as_mut(),
             ..Default::default()
         },
-    )
-    .expect("scenario sources cannot fail");
+    );
     (result, obs.buckets, obs.marks, ledger)
 }
 
@@ -320,8 +321,9 @@ fn request_latencies(marks: &[(u32, u64)]) -> Vec<(u32, u64)> {
 }
 
 /// Runs the whole scenario experiment: train under interference, plan AsmDB
-/// and I-SPY, stream the four replays, and bucket everything by (phase,
-/// tenant). `spec` should already be scaled (see [`Scenario::scaled_down`]).
+/// and I-SPY, replay the training trace under four arms, and bucket
+/// everything by (phase, tenant). `spec` should already be scaled (see
+/// [`Scenario::scaled_down`]).
 pub fn run_scenario(spec: &Scenario, events: u64) -> ScenarioOutcome {
     let sc = spec.compile(events);
     let program = sc.program();
@@ -331,17 +333,17 @@ pub fn run_scenario(spec: &Scenario, events: u64) -> ScenarioOutcome {
 
     // Training pass: materialize the interleaved trace once and profile it
     // under the same schedule, so the planners see the misses interference
-    // actually causes (switch-evicted lines included).
-    let mut src = sc.source();
-    let mut blocks = Vec::with_capacity(events as usize);
-    while let Some(chunk) = src.next_chunk().expect("scenario sources cannot fail") {
-        blocks.extend_from_slice(chunk);
-    }
-    let trace = Trace::new(format!("{}-train", spec.name), blocks);
+    // actually causes (switch-evicted lines included). The four arms below
+    // replay this same trace.
+    let trace = sc
+        .source()
+        .materialize(format!("{}-train", spec.name))
+        .expect("scenario sources cannot fail");
     let prof = profile(program, &trace, &cfg, SampleRate::EXACT);
     let asmdb_plan = AsmDbPlanner::new(program, &prof, AsmDbConfig::default()).plan();
     let ispy_plan = Planner::new(program, &trace, &prof, IspyConfig::default()).plan();
-    drop(trace); // the replays below stream; keep peak memory bounded
+    let asmdb_compiled = asmdb_plan.injections.compile(program.num_blocks());
+    let ispy_compiled = ispy_plan.injections.compile(program.num_blocks());
 
     // Request boundaries and per-block instruction counts of the merged
     // program, shared by every replay's observer.
@@ -354,14 +356,14 @@ pub fn run_scenario(spec: &Scenario, events: u64) -> ScenarioOutcome {
     let block_instrs: Vec<u16> = program.blocks().iter().map(|b| b.instrs()).collect();
 
     // The four replays are independent; `--jobs` parallelizes them.
-    let runs: Vec<(Option<&InjectionMap>, &SimConfig, Option<usize>)> = vec![
+    let runs: Vec<(Option<&CompiledInjections>, &SimConfig, Option<usize>)> = vec![
         (None, &cfg, None),
         (None, &ideal_cfg, None),
-        (Some(&asmdb_plan.injections), &cfg, None),
-        (Some(&ispy_plan.injections), &cfg, Some(ispy_plan.provenance.len())),
+        (Some(&asmdb_compiled), &cfg, None),
+        (Some(&ispy_compiled), &cfg, Some(ispy_plan.provenance.len())),
     ];
-    let mut results = ispy_parallel::par_map_vec(runs, |(inj, rcfg, led)| {
-        replay(&sc, rcfg, inj, &is_boundary, &block_instrs, led)
+    let mut results = ispy_parallel::par_map_vec(runs, |(compiled, rcfg, led)| {
+        replay(&sc, &trace, rcfg, compiled, &is_boundary, &block_instrs, led)
     });
     let (ispy_total, ispy_buckets, ispy_marks, ledger) = results.pop().expect("four runs");
     let (asmdb_total, asmdb_buckets, asmdb_marks, _) = results.pop().expect("three runs");

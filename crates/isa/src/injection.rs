@@ -174,11 +174,11 @@ impl InjectionMap {
 
 /// The dense, replay-ready lowering of an [`InjectionMap`].
 ///
-/// Block ids are dense indices, so the per-event `ops_at`/`ids_at` lookups
-/// the simulator performs on *every* trace event can be one bounds-checked
-/// slice index instead of two `BTreeMap` tree walks. All sites' ops (and
-/// their index-aligned provenance ids) live in two contiguous arrays with a
-/// prefix-offset table indexed by `BlockId` — the same layout a compiler's
+/// Block ids are dense indices, so the per-event site lookup the simulator
+/// performs on *every* trace event can be one bounds-checked slice index
+/// instead of a `BTreeMap` tree walk. All sites' lowered ops (each carrying
+/// its provenance id) live in one contiguous array with a prefix-offset
+/// table indexed by `BlockId` — the same layout a compiler's
 /// row-displacement dispatch table would use.
 ///
 /// Compiling is `O(sites + blocks)`; sweeps that re-simulate one plan over
@@ -195,17 +195,17 @@ impl InjectionMap {
 /// let mut map = InjectionMap::new();
 /// map.push(BlockId(3), PrefetchOp::Plain { target: Line::new(42) });
 /// let compiled = map.compile(10);
-/// assert_eq!(compiled.ops_at(BlockId(3)), map.ops_at(BlockId(3)));
-/// assert!(compiled.ops_at(BlockId(9)).is_empty());
-/// assert!(compiled.ops_at(BlockId(1_000_000)).is_empty()); // out of range
+/// let [op] = compiled.compiled_site(BlockId(3)) else { panic!("one op at B3") };
+/// assert_eq!(compiled.op_lines(op), &[Line::new(42)]);
+/// assert!(compiled.compiled_site(BlockId(9)).is_empty());
+/// assert!(compiled.compiled_site(BlockId(1_000_000)).is_empty()); // out of range
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompiledInjections {
-    /// `starts[b]..starts[b + 1]` is block `b`'s range in `ops`/`ids`.
+    /// `starts[b]..starts[b + 1]` is block `b`'s range in `compiled`.
     starts: Vec<u32>,
-    ops: Vec<PrefetchOp>,
-    ids: Vec<Option<ProvenanceId>>,
-    /// Branch-free lowering of `ops`, index-aligned with `ops`/`ids`.
+    /// Branch-free lowering of every op, sites in block order and each
+    /// site's ops in map order.
     compiled: Vec<CompiledOp>,
     /// Every op's target lines, flattened base-first; a [`CompiledOp`]
     /// addresses its slice by range so firing never re-decodes a coalesce
@@ -318,65 +318,31 @@ impl CompiledInjections {
         let total = map.num_ops();
         assert!(u32::try_from(total).is_ok(), "injection map too large to compile");
         let mut starts = vec![0u32; limit + 1];
-        let mut ops = Vec::with_capacity(total);
-        let mut ids = Vec::with_capacity(total);
         let mut compiled = Vec::with_capacity(total);
         let mut lines = Vec::with_capacity(total);
         let mut next = 0usize;
         for (site, s) in &map.per_block {
             let b = site.index();
             for slot in &mut starts[next..=b] {
-                *slot = ops.len() as u32;
+                *slot = compiled.len() as u32;
             }
             for (op, id) in s.ops.iter().zip(&s.ids) {
                 compiled.push(lower_op(op, *id, &mut lines));
             }
-            ops.extend_from_slice(&s.ops);
-            ids.extend_from_slice(&s.ids);
             next = b + 1;
         }
         for slot in &mut starts[next..=limit] {
-            *slot = ops.len() as u32;
+            *slot = compiled.len() as u32;
         }
         assert!(u32::try_from(lines.len()).is_ok(), "injection map too large to compile");
-        CompiledInjections { starts, ops, ids, compiled, lines }
+        CompiledInjections { starts, compiled, lines }
     }
 
-    /// The ops injected at `site` (empty for sites out of range).
+    /// The lowered ops at `site`, in the map's order (empty for sites out
+    /// of range).
     #[inline]
-    pub fn ops_at(&self, site: BlockId) -> &[PrefetchOp] {
-        self.site(site).0
-    }
-
-    /// The provenance ids at `site`, index-aligned with
-    /// [`CompiledInjections::ops_at`].
-    #[inline]
-    pub fn ids_at(&self, site: BlockId) -> &[Option<ProvenanceId>] {
-        self.site(site).1
-    }
-
-    /// Both per-site slices in one bounds check — the replay engine's
-    /// per-event lookup.
-    #[inline]
-    pub fn site(&self, site: BlockId) -> (&[PrefetchOp], &[Option<ProvenanceId>]) {
-        let b = site.index();
-        if b + 1 >= self.starts.len() {
-            return (&[], &[]);
-        }
-        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
-        (&self.ops[lo..hi], &self.ids[lo..hi])
-    }
-
-    /// The branch-free lowered ops at `site` (empty for sites out of range),
-    /// index-aligned with [`CompiledInjections::ops_at`].
-    #[cfg(test)]
     pub fn compiled_site(&self, site: BlockId) -> &[CompiledOp] {
-        let b = site.index();
-        if b + 1 >= self.starts.len() {
-            return &[];
-        }
-        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
-        &self.compiled[lo..hi]
+        &self.compiled[self.site_range(site)]
     }
 
     /// The target lines of one lowered op, base first, in issue order.
@@ -406,12 +372,12 @@ impl CompiledInjections {
 
     /// Total number of compiled ops.
     pub fn num_ops(&self) -> usize {
-        self.ops.len()
+        self.compiled.len()
     }
 
     /// Whether the compiled plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.compiled.is_empty()
     }
 
     /// Shifts every provenance id by `base` and returns the id span this
@@ -436,19 +402,14 @@ impl CompiledInjections {
     /// map.push_traced(BlockId(1), PrefetchOp::Plain { target: Line::new(9) }, ProvenanceId(0));
     /// let mut compiled = map.compile(4);
     /// assert_eq!(compiled.rebase_provenance(10), 1);
-    /// assert_eq!(compiled.ids_at(BlockId(1)), &[Some(ProvenanceId(10))]);
+    /// assert_eq!(compiled.compiled_site(BlockId(1))[0].id, Some(ProvenanceId(10)));
     /// ```
     pub fn rebase_provenance(&mut self, base: u32) -> u32 {
         let mut span = 0u32;
-        for id in self.ids.iter_mut().flatten() {
+        for id in self.compiled.iter_mut().filter_map(|op| op.id.as_mut()) {
             span = span.max(id.0 + 1);
             id.0 = id.0.checked_add(base).expect("provenance id overflow");
             assert!(id.0 != u32::MAX, "rebased id collides with the untagged sentinel");
-        }
-        for op in &mut self.compiled {
-            if let Some(id) = &mut op.id {
-                id.0 = id.0.checked_add(base).expect("provenance id overflow");
-            }
         }
         span
     }
@@ -558,17 +519,37 @@ mod tests {
         assert_eq!(m.injected_bytes(), 0);
     }
 
+    /// Each site's lowered ops carry the map's condition bits, target
+    /// lines and provenance ids, in the map's order.
+    fn assert_lowers(c: &CompiledInjections, m: &InjectionMap, b: u32) {
+        let site = BlockId(b);
+        let lowered = c.compiled_site(site);
+        assert_eq!(lowered.len(), m.ops_at(site).len(), "op count at B{b}");
+        for ((cop, op), id) in lowered.iter().zip(m.ops_at(site)).zip(m.ids_at(site)) {
+            assert_eq!(cop.ctx_bits, op.condition().map_or(0, |x| x.bits()), "B{b}: {op}");
+            assert_eq!(c.op_lines(cop), op.target_lines(), "B{b}: {op}");
+            assert_eq!(cop.id, *id, "B{b}: {op}");
+        }
+    }
+
     #[test]
     fn compiled_matches_map_at_every_site() {
+        use crate::context::HashConfig;
+        use crate::ops::CoalesceMask;
+        let ctx = HashConfig::default().context_hash([ispy_trace::Addr::new(0x400000)]);
+        let mask = CoalesceMask::from_bits(0b101, 8);
         let mut m = InjectionMap::new();
         m.push_traced(BlockId(1), plain(10), ProvenanceId(0));
-        m.push(BlockId(1), plain(11));
-        m.push_traced(BlockId(4), plain(12), ProvenanceId(1));
-        m.push(BlockId(9), plain(13));
+        m.push(BlockId(1), PrefetchOp::Cond { target: Line::new(11), ctx });
+        m.push_traced(
+            BlockId(4),
+            PrefetchOp::Coalesced { base: Line::new(12), mask },
+            ProvenanceId(1),
+        );
+        m.push(BlockId(9), PrefetchOp::CondCoalesced { base: Line::new(13), mask, ctx });
         let c = m.compile(12);
         for b in 0..16u32 {
-            assert_eq!(c.ops_at(BlockId(b)), m.ops_at(BlockId(b)), "ops at B{b}");
-            assert_eq!(c.ids_at(BlockId(b)), m.ids_at(BlockId(b)), "ids at B{b}");
+            assert_lowers(&c, &m, b);
         }
         assert_eq!(c.num_ops(), m.num_ops());
         assert!(!c.is_empty());
@@ -579,9 +560,9 @@ mod tests {
         let mut m = InjectionMap::new();
         m.push(BlockId(20), plain(1));
         let c = m.compile(4);
-        assert_eq!(c.ops_at(BlockId(20)).len(), 1);
-        assert!(c.ops_at(BlockId(3)).is_empty());
-        assert!(c.ops_at(BlockId(21)).is_empty());
+        assert_eq!(c.compiled_site(BlockId(20)).len(), 1);
+        assert!(c.compiled_site(BlockId(3)).is_empty());
+        assert!(c.compiled_site(BlockId(21)).is_empty());
     }
 
     #[test]
@@ -671,12 +652,17 @@ mod tests {
         m.push_traced(BlockId(4), plain(12), ProvenanceId(2));
         let mut c = m.compile(8);
         assert_eq!(c.rebase_provenance(100), 3);
-        assert_eq!(c.ids_at(BlockId(1)), &[Some(ProvenanceId(100)), None]);
-        assert_eq!(c.ids_at(BlockId(4)), &[Some(ProvenanceId(102))]);
-        // The branch-free lowering must stay id-aligned with the slices.
-        for b in [1u32, 4] {
-            let lowered: Vec<_> = c.compiled_site(BlockId(b)).iter().map(|op| op.id).collect();
-            assert_eq!(lowered.as_slice(), c.ids_at(BlockId(b)));
+        let ids =
+            |b: u32| -> Vec<_> { c.compiled_site(BlockId(b)).iter().map(|op| op.id).collect() };
+        assert_eq!(ids(1), [Some(ProvenanceId(100)), None]);
+        assert_eq!(ids(4), [Some(ProvenanceId(102))]);
+        // Rebasing moves ids only: conditions and target lines stay the map's.
+        let mut shifted = InjectionMap::new();
+        shifted.push_traced(BlockId(1), plain(10), ProvenanceId(100));
+        shifted.push(BlockId(1), plain(11));
+        shifted.push_traced(BlockId(4), plain(12), ProvenanceId(102));
+        for b in 0..8u32 {
+            assert_lowers(&c, &shifted, b);
         }
         // An untagged plan occupies no id space.
         let mut untagged = InjectionMap::new();
@@ -689,9 +675,9 @@ mod tests {
         let c = InjectionMap::new().compile(8);
         assert!(c.is_empty());
         assert_eq!(c.num_ops(), 0);
-        assert!(c.ops_at(BlockId(0)).is_empty());
+        assert!(c.compiled_site(BlockId(0)).is_empty());
         let d = CompiledInjections::default();
-        assert!(d.ops_at(BlockId(0)).is_empty());
-        assert!(d.ids_at(BlockId(7)).is_empty());
+        assert!(d.compiled_site(BlockId(0)).is_empty());
+        assert!(d.compiled_site(BlockId(7)).is_empty());
     }
 }

@@ -304,7 +304,7 @@ fn decode_program<R: Read>(r: &mut StreamReader<R>) -> Result<Program, ArtifactE
 /// Any container-level defect or payload-level inconsistency maps to a
 /// typed [`ArtifactError`].
 pub fn recording_from_bytes(bytes: &[u8]) -> Result<(Program, Trace), ArtifactError> {
-    materialize(open_recording_stream(bytes)?)
+    drain_recording(open_recording_stream(bytes)?)
 }
 
 /// Reads a recording from `path` by draining [`open_recording_file`].
@@ -314,18 +314,15 @@ pub fn recording_from_bytes(bytes: &[u8]) -> Result<(Program, Trace), ArtifactEr
 /// [`ArtifactError::Io`] on filesystem failure, otherwise as
 /// [`recording_from_bytes`].
 pub fn read_recording(path: &Path) -> Result<(Program, Trace), ArtifactError> {
-    materialize(open_recording_file(path)?)
+    drain_recording(open_recording_file(path)?)
 }
 
-/// Materializes an opened recording's event stream into a [`Trace`].
-fn materialize<R: Read>(
+/// Drains an opened recording's event stream into a [`Trace`].
+fn drain_recording<R: Read>(
     (program, mut stream): (Program, TraceEventStream<R>),
 ) -> Result<(Program, Trace), ArtifactError> {
-    let mut events = Vec::new();
-    while let Some(chunk) = stream.next_chunk()? {
-        events.extend_from_slice(chunk);
-    }
-    Ok((program, Trace::new(stream.name, events)))
+    let name = stream.name.clone();
+    Ok((program, stream.materialize(name)?))
 }
 
 /// Streams a recording to disk frame by frame, in bounded memory.
@@ -538,11 +535,7 @@ impl<R: Read> BlockSource for TraceEventStream<R> {
 ///
 /// let (program2, mut stream) = artifact::open_recording_stream(bytes.as_slice()).unwrap();
 /// assert_eq!(program2.name(), program.name());
-/// let mut events = Vec::new();
-/// while let Some(chunk) = stream.next_chunk().unwrap() {
-///     events.extend_from_slice(chunk);
-/// }
-/// assert_eq!(events, trace.blocks());
+/// assert_eq!(stream.materialize(trace.name()).unwrap(), trace);
 /// ```
 pub fn open_recording_stream<R: Read>(
     source: R,
@@ -651,14 +644,6 @@ mod tests {
         w.finish().unwrap().into_inner()
     }
 
-    fn drain<S: BlockSource>(s: &mut S) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        while let Some(chunk) = s.next_chunk().unwrap() {
-            out.extend_from_slice(chunk);
-        }
-        out
-    }
-
     #[test]
     fn framed_form_round_trips_through_the_buffered_decoder() {
         let (program, trace) = sample();
@@ -678,7 +663,7 @@ mod tests {
         let (p2, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
         assert_eq!(p2.name(), program.name());
         assert_eq!(stream.name(), trace.name());
-        assert_eq!(drain(&mut stream), trace.blocks());
+        assert_eq!(stream.materialize(trace.name()).unwrap(), trace);
         assert_eq!(stream.next_chunk().unwrap(), None, "stream must stay exhausted");
     }
 
@@ -793,7 +778,7 @@ mod tests {
         w.finish().unwrap();
         let (p2, mut stream) = open_recording_file(&path).unwrap();
         assert_eq!(p2.name(), program.name());
-        assert_eq!(drain(&mut stream), trace.blocks());
+        assert_eq!(stream.materialize(trace.name()).unwrap(), trace);
         let (_, t2) = read_recording(&path).unwrap();
         assert_eq!(t2, trace);
         std::fs::remove_dir_all(&dir).unwrap();

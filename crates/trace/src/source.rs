@@ -46,6 +46,34 @@ pub trait BlockSource {
     /// Decoding sources surface corruption/truncation as typed
     /// [`ArtifactError`]s; in-memory and generator sources never fail.
     fn next_chunk(&mut self) -> Result<Option<&[BlockId]>, ArtifactError>;
+
+    /// Drains the rest of the source into a [`Trace`] named `name`.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ArtifactError`] a pull returns; nothing is returned
+    /// partially decoded.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ispy_trace::source::{BlockSource, TraceBlocks};
+    /// use ispy_trace::BlockId;
+    ///
+    /// let blocks = [BlockId(4), BlockId(2), BlockId(7)];
+    /// let trace = TraceBlocks::with_chunk(&blocks, 2).materialize("t").unwrap();
+    /// assert_eq!((trace.name(), trace.blocks()), ("t", &blocks[..]));
+    /// ```
+    fn materialize(&mut self, name: impl Into<String>) -> Result<Trace, ArtifactError>
+    where
+        Self: Sized,
+    {
+        let mut blocks = Vec::new();
+        while let Some(chunk) = self.next_chunk()? {
+            blocks.extend_from_slice(chunk);
+        }
+        Ok(Trace::new(name, blocks))
+    }
 }
 
 impl<S: BlockSource + ?Sized> BlockSource for &mut S {
@@ -139,11 +167,8 @@ impl BlockSource for TraceBlocks<'_> {
 /// let program = model.generate();
 /// let reference = program.record_trace(model.default_input(), 1_000);
 /// let mut src = WalkerSource::new(Walker::new(&program, model.default_input()), 1_000);
-/// let mut streamed = Vec::new();
-/// while let Some(chunk) = src.next_chunk().unwrap() {
-///     streamed.extend_from_slice(chunk);
-/// }
-/// assert_eq!(streamed, reference.blocks());
+/// let streamed = src.materialize(reference.name()).unwrap();
+/// assert_eq!(streamed, reference);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WalkerSource<'p> {

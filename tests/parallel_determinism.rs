@@ -13,7 +13,7 @@ use ispy_harness::{figures, Scale, Session, Table};
 use ispy_scenario::{Scenario, ScenarioSource};
 use ispy_sim::{run, run_streaming, OutcomeLedger, RunOptions, SimConfig};
 use ispy_telemetry::Telemetry;
-use ispy_trace::{apps, BlockId, BlockSource, Trace};
+use ispy_trace::{apps, BlockSource};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -64,15 +64,6 @@ fn burst_scenario() -> ispy_scenario::CompiledScenario {
     Scenario::preset("burst").expect("builtin preset").scaled_down(20).compile(SCENARIO_EVENTS)
 }
 
-/// Drains a scenario source into a block vector.
-fn drain(src: &mut ScenarioSource<'_>) -> Vec<BlockId> {
-    let mut blocks = Vec::new();
-    while let Some(chunk) = src.next_chunk().expect("scenario sources cannot fail") {
-        blocks.extend_from_slice(chunk);
-    }
-    blocks
-}
-
 #[test]
 fn scenario_replay_is_identical_serial_vs_sharded() {
     // The scenario engine's determinism contract with a plan and an outcome
@@ -86,7 +77,7 @@ fn scenario_replay_is_identical_serial_vs_sharded() {
 
     // Plan from a materialized copy of the stream so injections genuinely
     // exercise the engine during the replay.
-    let trace = Trace::new("scenario-burst", drain(&mut sc.source()));
+    let trace = sc.source().materialize("scenario-burst").expect("scenario sources cannot fail");
     let plan = miss_derived_plan(sc.program(), &trace, &cfg);
 
     let mut reference_ledger = OutcomeLedger::default();
@@ -130,11 +121,15 @@ fn scenario_stream_is_chunk_size_invariant() {
     // scenario: how the caller chunks the pull must not change a single
     // block, and a fresh source must reproduce the stream exactly.
     let sc = burst_scenario();
-    let whole = drain(&mut ScenarioSource::with_chunk(&sc, SCENARIO_EVENTS as usize));
+    let drain = |chunk| {
+        ScenarioSource::with_chunk(&sc, chunk)
+            .materialize("scenario-burst")
+            .expect("scenario sources cannot fail")
+    };
+    let whole = drain(SCENARIO_EVENTS as usize);
     assert_eq!(whole.len() as u64, SCENARIO_EVENTS);
     for chunk in [1usize, 7, 4_096] {
-        let got = drain(&mut ScenarioSource::with_chunk(&sc, chunk));
-        assert_eq!(got, whole, "stream diverged at chunk={chunk}");
+        assert_eq!(drain(chunk), whole, "stream diverged at chunk={chunk}");
     }
 
     // And the replay result is equally chunk-blind.

@@ -2,11 +2,14 @@
 
 use ispy_baselines::asmdb::{AsmDbConfig, AsmDbPlanner};
 use ispy_baselines::spatial::{SpatialMode, SpatialPlanner};
+use ispy_core::config::{DEFAULT_MAX_PREFETCH_CYCLES, DEFAULT_MIN_PREFETCH_CYCLES};
 use ispy_core::{IspyConfig, Plan, Planner};
+use ispy_harness::figures::fig18::{MAX_SWEEP, MIN_SWEEP};
 use ispy_harness::{Scale, Session};
 use ispy_isa::PrefetchOp;
+use ispy_profile::window::{WindowSearch, MAX_SEARCH_NODES};
 use ispy_trace::{apps, BlockId, Program};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 fn session() -> Session {
     Session::with_apps(Scale::test(), vec![apps::cassandra(), apps::verilator()])
@@ -68,6 +71,76 @@ fn contexts_fit_the_context_size() {
         assert_contexts_fit(&ctx.program, &s.comparison(i).ispy_plan, &default);
         let plan = Planner::new(&ctx.program, &ctx.trace, &ctx.profile, narrow.clone()).plan();
         assert_contexts_fit(&ctx.program, &plan, &narrow);
+    }
+}
+
+/// The planned lines of `plan` whose expected site-to-fetch distance lies
+/// in `[min, max]` cycles; panics on the first one outside.
+fn lines_in_window(plan: &Plan, min: u32, max: u32) -> usize {
+    let window = f64::from(min)..=f64::from(max);
+    let mut lines = 0;
+    for rec in &plan.provenance {
+        for pl in &rec.lines {
+            assert!(
+                window.contains(&pl.window_cycles),
+                "site {} line {}: {} cycles outside {min}..{max}",
+                rec.site,
+                pl.line,
+                pl.window_cycles
+            );
+            lines += 1;
+        }
+    }
+    lines
+}
+
+/// The paper's prefetch-distance window: every I-SPY planned line is
+/// expected to be fetched 27..200 cycles (or the swept window) after its
+/// site executes, at the default window and at each of fig18's nine; every
+/// AsmDB site is a candidate of a fresh search of the default window, at a
+/// distance inside it.
+#[test]
+fn planned_distances_lie_in_the_window() {
+    let s = session();
+    let (dmin, dmax) = (DEFAULT_MIN_PREFETCH_CYCLES, DEFAULT_MAX_PREFETCH_CYCLES);
+    let windows: Vec<(u32, u32)> = MIN_SWEEP
+        .iter()
+        .map(|&min| (min, 200))
+        .chain(MAX_SWEEP.iter().map(|&max| (27, max)))
+        .collect();
+    assert_eq!(windows.len(), 9);
+    for (i, ctx) in s.apps().iter().enumerate() {
+        let c = s.comparison(i);
+        assert!(lines_in_window(&c.ispy_plan, dmin, dmax) > 0, "default plan has no lines");
+        for &(min, max) in &windows {
+            let cfg = IspyConfig::default().with_distances(min, max);
+            let plan = Planner::new(&ctx.program, &ctx.trace, &ctx.profile, cfg).plan();
+            assert!(lines_in_window(&plan, min, max) > 0, "{min}..{max} plan has no lines");
+        }
+
+        let mut search = WindowSearch::new();
+        let mut found = HashMap::new();
+        let window = f64::from(dmin)..=f64::from(dmax);
+        assert!(!c.asmdb_plan.injections.is_empty(), "AsmDB plan is empty");
+        for (site, ops) in c.asmdb_plan.injections.iter() {
+            for op in ops {
+                let target = op.base_line();
+                let dominant = ctx
+                    .profile
+                    .misses
+                    .line(target)
+                    .and_then(|st| st.dominant_block())
+                    .expect("AsmDB targets a profiled miss");
+                let sites = found.entry(dominant).or_insert_with(|| {
+                    search.candidates(&ctx.profile.cfg, dominant, dmin, dmax, MAX_SEARCH_NODES)
+                });
+                let cand = sites
+                    .iter()
+                    .find(|cand| cand.block == site)
+                    .unwrap_or_else(|| panic!("AsmDB site {site} for {target} not in the window"));
+                assert!(window.contains(&cand.cycles), "AsmDB site {site}: {} cycles", cand.cycles);
+            }
+        }
     }
 }
 

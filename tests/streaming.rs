@@ -191,9 +191,5 @@ fn streamed_record_round_trips_through_the_decoder() {
 
     let (decoded, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
     assert_eq!(decoded.name(), program.name());
-    let mut events = Vec::new();
-    while let Some(chunk) = stream.next_chunk().unwrap() {
-        events.extend_from_slice(chunk);
-    }
-    assert_eq!(events, reference.blocks());
+    assert_eq!(stream.materialize(reference.name()).unwrap(), reference);
 }
