@@ -47,36 +47,37 @@ impl CoalescedGroup {
 /// assert_eq!(groups[0].line_count(), 3);
 /// ```
 pub fn coalesce_lines(mut lines: Vec<Line>, bits: u8) -> Vec<CoalescedGroup> {
-    assert!((1..=64).contains(&bits), "mask width must be 1..=64 bits");
     lines.sort();
     lines.dedup();
-    let mut groups = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        let base = lines[i];
-        let mut extras = Vec::new();
-        let mut j = i + 1;
-        while j < lines.len() {
-            match lines[j].distance_from(base) {
-                Some(d) if d <= u64::from(bits) => {
-                    extras.push(lines[j]);
-                    j += 1;
-                }
-                _ => break,
-            }
-        }
-        let mask = if extras.is_empty() {
-            None
-        } else {
-            Some(
-                CoalesceMask::from_lines(base, extras.iter().copied(), bits)
-                    .expect("extras are within the window by construction"),
-            )
-        };
-        groups.push(CoalescedGroup { base, mask });
-        i = j;
-    }
-    groups
+    coalesce_sorted(&lines, bits).collect()
+}
+
+/// [`coalesce_lines`] over lines already ascending and distinct: each group
+/// covers the next [`CoalescedGroup::line_count`] of them.
+///
+/// # Panics
+///
+/// Panics if `bits` is 0 or greater than 64.
+pub(crate) fn coalesce_sorted(
+    lines: &[Line],
+    bits: u8,
+) -> impl Iterator<Item = CoalescedGroup> + '_ {
+    assert!((1..=64).contains(&bits), "mask width must be 1..=64 bits");
+    let mut rest = lines;
+    std::iter::from_fn(move || {
+        let (&base, tail) = rest.split_first()?;
+        let n = tail
+            .iter()
+            .take_while(|l| l.distance_from(base).is_some_and(|d| d <= u64::from(bits)))
+            .count();
+        let (extras, after) = tail.split_at(n);
+        rest = after;
+        let mask = (!extras.is_empty()).then(|| {
+            CoalesceMask::from_lines(base, extras.iter().copied(), bits)
+                .expect("extras are within the window by construction")
+        });
+        Some(CoalescedGroup { base, mask })
+    })
 }
 
 /// Decodes groups back to the full sorted line list (for tests/validation).

@@ -39,7 +39,7 @@ pub struct ContextChoice {
 ///
 /// // One candidate block: present at 10 site executions, all of which miss;
 /// // absent at 30 executions, none of which miss.
-/// let counts = JointCounts { occurrences: vec![30, 10], hits: vec![0, 10] };
+/// let counts = JointCounts::from_dense(&[30, 10], &[0, 10]);
 /// let ctx = discover(&counts, &[BlockId(7)], 4, 5, 0.1).unwrap();
 /// assert_eq!(ctx.blocks, vec![BlockId(7)]);
 /// assert_eq!(ctx.probability, 1.0);
@@ -173,9 +173,14 @@ pub fn discover_multi(
         return MultiContext::none();
     };
     let size = 1usize << n;
+    let cells = counts.cells();
     // Superset sums (SOS DP): occ_sup[s] = Σ_{M ⊇ s} occurrences[M].
-    let mut occ_sup = counts.occurrences.clone();
-    let mut hit_sup = counts.hits.clone();
+    let mut occ_sup = vec![0u64; size];
+    let mut hit_sup = vec![0u64; size];
+    for c in cells {
+        occ_sup[usize::from(c.mask)] = u64::from(c.occurrences);
+        hit_sup[usize::from(c.mask)] = u64::from(c.hits);
+    }
     for bit in 0..n {
         for s in 0..size {
             if s & (1 << bit) == 0 {
@@ -184,12 +189,18 @@ pub fn discover_multi(
             }
         }
     }
-    let total_hits: u64 = counts.hits.iter().sum();
+    let total_hits = hit_sup[0];
     if total_hits == 0 {
         return MultiContext::none();
     }
     let threshold = (baseline + gain_margin).max(min_prob);
-    let mut covered = vec![false; size];
+    // The masks that reached the target, each until a chosen context
+    // covers it; a subset's new hits are those of its uncovered supersets.
+    let mut uncovered: Vec<(usize, u64)> = cells
+        .iter()
+        .filter(|c| c.hits > 0)
+        .map(|c| (usize::from(c.mask), u64::from(c.hits)))
+        .collect();
     let mut chosen: Vec<ContextChoice> = Vec::new();
     let mut covered_hits = 0u64;
     let mut subsets_evaluated = 0u64;
@@ -210,7 +221,7 @@ pub fn discover_multi(
                 continue;
             }
             let new_hits: u64 =
-                (0..size).filter(|&m| m & s == s && !covered[m]).map(|m| counts.hits[m]).sum();
+                uncovered.iter().filter(|&&(m, _)| m & s == s).map(|&(_, h)| h).sum();
             if new_hits == 0 {
                 continue;
             }
@@ -229,11 +240,7 @@ pub fn discover_multi(
             }
         }
         let Some((new_hits, p, support, mask)) = best else { break };
-        for (m, c) in covered.iter_mut().enumerate().take(size) {
-            if m & mask == mask {
-                *c = true;
-            }
-        }
+        uncovered.retain(|&(m, _)| m & mask != mask);
         covered_hits += new_hits;
         let blocks: Vec<BlockId> =
             (0..n).filter(|i| mask & (1 << i) != 0).map(|i| candidates[i]).collect();
@@ -257,11 +264,8 @@ mod tests {
     /// Two candidates; masks indexed 0b00,0b01,0b10,0b11.
     /// Candidate 0 present -> always miss; candidate 1 uncorrelated.
     fn correlated_counts() -> JointCounts {
-        JointCounts {
-            //                 00  01  10  11
-            occurrences: vec![40, 10, 40, 10],
-            hits: vec![4, 10, 4, 10],
-        }
+        //                        00  01  10  11
+        JointCounts::from_dense(&[40, 10, 40, 10], &[4, 10, 4, 10])
     }
 
     #[test]
@@ -285,11 +289,8 @@ mod tests {
     #[test]
     fn respects_ctx_size_cap() {
         // Only the pair {0,1} is perfectly predictive.
-        let c = JointCounts {
-            //                 00  01  10  11
-            occurrences: vec![30, 30, 30, 10],
-            hits: vec![0, 12, 12, 10],
-        };
+        //                                00  01  10  11
+        let c = JointCounts::from_dense(&[30, 30, 30, 10], &[0, 12, 12, 10]);
         let pair = discover(&c, &[b(1), b(2)], 2, 5, 0.1).unwrap();
         assert_eq!(pair.blocks, vec![b(1), b(2)]);
         let single = discover(&c, &[b(1), b(2)], 1, 5, 0.1).unwrap();
@@ -299,7 +300,7 @@ mod tests {
 
     #[test]
     fn insufficient_support_rejected() {
-        let c = JointCounts { occurrences: vec![100, 2], hits: vec![10, 2] };
+        let c = JointCounts::from_dense(&[100, 2], &[10, 2]);
         // Perfect but only 2 observations; min_support 5 rejects it.
         assert!(discover(&c, &[b(1)], 4, 5, 0.1).is_none());
     }
@@ -308,19 +309,19 @@ mod tests {
     fn no_gain_over_baseline_rejected() {
         // Candidate present half the time, misses uniform: conditioning
         // gains nothing.
-        let c = JointCounts { occurrences: vec![50, 50], hits: vec![30, 30] };
+        let c = JointCounts::from_dense(&[50, 50], &[30, 30]);
         assert!(discover(&c, &[b(1)], 4, 5, 0.05).is_none());
     }
 
     #[test]
     fn empty_candidates_yield_none() {
-        let c = JointCounts { occurrences: vec![10], hits: vec![10] };
+        let c = JointCounts::from_dense(&[10], &[10]);
         assert!(discover(&c, &[], 4, 1, 0.0).is_none());
     }
 
     #[test]
     fn no_site_occurrences_yield_none() {
-        let c = JointCounts { occurrences: vec![0, 0], hits: vec![0, 0] };
+        let c = JointCounts::from_dense(&[0, 0], &[0, 0]);
         assert!(discover(&c, &[b(1)], 4, 1, 0.0).is_none());
     }
 
@@ -328,11 +329,8 @@ mod tests {
     fn multi_context_covers_disjoint_callers() {
         // Two callers, each predicting its own half of the reaches:
         // masks 00 (neither), 01 (caller A), 10 (caller B).
-        let c = JointCounts {
-            //                 00  01  10  11
-            occurrences: vec![100, 20, 20, 0],
-            hits: vec![2, 18, 16, 0],
-        };
+        //                                00  01  10  11
+        let c = JointCounts::from_dense(&[100, 20, 20, 0], &[2, 18, 16, 0]);
         let found = discover_multi(&c, &[b(1), b(2)], 4, 5, 0.05, 0.3, 4);
         let ctxs = &found.contexts;
         assert_eq!(ctxs.len(), 2, "both callers should become contexts");
@@ -347,7 +345,7 @@ mod tests {
 
     #[test]
     fn multi_context_respects_max() {
-        let c = JointCounts { occurrences: vec![100, 20, 20, 0], hits: vec![2, 18, 16, 0] };
+        let c = JointCounts::from_dense(&[100, 20, 20, 0], &[2, 18, 16, 0]);
         let found = discover_multi(&c, &[b(1), b(2)], 4, 5, 0.05, 0.3, 1);
         assert_eq!(found.contexts.len(), 1);
         assert!(found.coverage < 0.6);
@@ -358,20 +356,20 @@ mod tests {
     #[test]
     fn multi_context_empty_when_nothing_qualifies() {
         // Uniform: no subset is better than baseline.
-        let c = JointCounts { occurrences: vec![50, 50], hits: vec![25, 25] };
+        let c = JointCounts::from_dense(&[50, 50], &[25, 25]);
         let found = discover_multi(&c, &[b(1)], 4, 5, 0.05, 0.9, 4);
         assert!(found.contexts.is_empty());
         assert_eq!(found.coverage, 0.0);
         assert_eq!(found.subsets_evaluated, 1, "one fruitless round still searches");
         // No target-reaching execution at all: nothing to search.
-        let c = JointCounts { occurrences: vec![50, 50], hits: vec![0, 0] };
+        let c = JointCounts::from_dense(&[50, 50], &[0, 0]);
         assert_eq!(discover_multi(&c, &[b(1)], 4, 5, 0.05, 0.9, 4), MultiContext::none());
     }
 
     #[test]
     fn multi_context_single_equals_best_cover() {
         // With one candidate perfectly predictive, multi returns it once.
-        let c = JointCounts { occurrences: vec![30, 10], hits: vec![0, 10] };
+        let c = JointCounts::from_dense(&[30, 10], &[0, 10]);
         let found = discover_multi(&c, &[b(7)], 4, 5, 0.1, 0.3, 4);
         assert_eq!(found.contexts.len(), 1);
         assert_eq!(found.contexts[0].blocks, vec![b(7)]);
@@ -385,11 +383,8 @@ mod tests {
         // Candidates: B (bit 0), E (bit 1).
         // Occurrences: B&E together on 2 paths (both miss); B alone 1,
         // E alone 1, neither 2 (none miss).
-        let c = JointCounts {
-            //                 00 01(B) 10(E) 11(BE)
-            occurrences: vec![2, 1, 1, 2],
-            hits: vec![0, 0, 0, 2],
-        };
+        //                             00 01(B) 10(E) 11(BE)
+        let c = JointCounts::from_dense(&[2, 1, 1, 2], &[0, 0, 0, 2]);
         let ctx = discover(&c, &[b(100), b(200)], 4, 1, 0.05).unwrap();
         assert_eq!(ctx.blocks, vec![b(100), b(200)]);
         assert!((ctx.probability - 1.0).abs() < 1e-12);

@@ -1,6 +1,6 @@
 //! The end-to-end offline analysis (§IV steps 2–3).
 
-use crate::coalesce::{coalesce_lines, CoalescedGroup};
+use crate::coalesce::{coalesce_sorted, CoalescedGroup};
 use crate::config::{IspyConfig, FIXED};
 use crate::context::{discover_multi, ContextChoice, ContextTally};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
@@ -8,8 +8,8 @@ use crate::window::{select_covering_sites, SelectedSite, SelectionPolicy};
 use ispy_isa::{ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
 use ispy_profile::scan::MAX_CANDIDATES;
 use ispy_profile::{
-    scan_joint, ContentHasher, JointCounts, JointQuery, LineMissStats, Profile, ProfileDelta,
-    SiteCandidate,
+    scan_joint, ContentHasher, JointCounts, JointQuery, LineMissStats, OrderedLine, Profile,
+    ProfileDelta, SiteCandidate,
 };
 use ispy_sim::FxHashMap;
 use ispy_trace::{BlockId, Line, Program, Trace};
@@ -292,26 +292,41 @@ impl PartialOrd for CtxIds {
 }
 
 /// One (site, context, line) injection awaiting pass 3: `seq` is its place
-/// in emission order.
+/// in emission order, and the index of its [`PlannedLine`] in the plan's
+/// `planned` table.
+#[derive(Clone, Copy)]
 struct Emitted {
     site: u32,
     ctx: CtxIds,
     line: Line,
     seq: u32,
-    meta: LineMeta,
 }
 
-/// Planning estimates carried from a [`MemoEntry`] into pass 3, so each
-/// emitted op's provenance record can report them per target line.
-#[derive(Debug, Clone, Copy)]
-struct LineMeta {
-    miss_count: u64,
-    site_presence: f64,
-    site_precision: f64,
-    reach_prob: f64,
-    window_cycles: f64,
-    /// `(probability, baseline, support)` of the adopted context, if any.
-    ctx: Option<(f64, f64, u64)>,
+/// `emitted` in (site, context ids, line, seq) order: a counting sort by
+/// site over the program's `num_blocks` blocks, then a sort of each site's
+/// few entries.
+fn sort_emitted(emitted: Vec<Emitted>, num_blocks: usize) -> Vec<Emitted> {
+    // `next[b]`: where site `b`'s next entry goes.
+    let mut next = vec![0u32; num_blocks];
+    for e in &emitted {
+        next[e.site as usize] += 1;
+    }
+    let mut at = 0;
+    for slot in &mut next {
+        (*slot, at) = (at, at + *slot);
+    }
+    let mut sorted = emitted.clone();
+    for e in emitted {
+        let slot = &mut next[e.site as usize];
+        sorted[*slot as usize] = e;
+        *slot += 1;
+    }
+    for site in sorted.chunk_by_mut(|a, b| a.site == b.site) {
+        site.sort_unstable_by(|a, b| {
+            a.ctx.cmp(&b.ctx).then(a.line.cmp(&b.line)).then(a.seq.cmp(&b.seq))
+        });
+    }
+    sorted
 }
 
 /// One (site, line) decision being made: the entry a context round fills
@@ -339,10 +354,9 @@ impl Pending {
 /// One covered line being analyzed fresh (not served by the memo): what
 /// passes 1–2.5 read of it, and its decisions so far.
 struct FreshLine<'w> {
-    line: Line,
+    target: OrderedLine<'w>,
     line_digest: u64,
     rank_key: RankKey,
-    stats: &'w LineMissStats,
     target_block: BlockId,
     ranked: OnceCell<Arc<Vec<BlockId>>>,
     /// The line's window candidates; those no entry chose are the spares
@@ -535,7 +549,7 @@ impl<'a> Planner<'a> {
         // Every target line's outcome, in any order, with the stats digest
         // to memoize it under if it was analyzed fresh. Covered fresh lines
         // join once pass 2.5 has finished them.
-        let mut outcomes: Vec<(Line, Arc<LineOutcome>, Option<u64>)> = Vec::new();
+        let mut outcomes: Vec<(OrderedLine, Arc<LineOutcome>, Option<u64>)> = Vec::new();
         let mut fresh: Vec<FreshLine> = Vec::new();
         let mut queries: Vec<JointQuery> = Vec::new();
         for target in self.profile.misses.plan_order(FIXED.min_miss_count) {
@@ -546,13 +560,13 @@ impl<'a> Planner<'a> {
                 let hit = memo.get(&line.raw()).filter(|(d, _)| *d == line_digest);
                 if let Some((_, outcome)) = hit {
                     memo_hits += 1;
-                    outcomes.push((line, Arc::clone(outcome), None));
+                    outcomes.push((target, Arc::clone(outcome), None));
                     continue;
                 }
                 memo_misses += 1;
             }
             let Some(target_block) = target.dominant else {
-                outcomes.push((line, Arc::new(LineOutcome::NoDominant), Some(line_digest)));
+                outcomes.push((target, Arc::new(LineOutcome::NoDominant), Some(line_digest)));
                 continue;
             };
             let candidates = windows.candidates(target_block);
@@ -576,16 +590,15 @@ impl<'a> Planner<'a> {
             );
             if sites.is_empty() {
                 let outcome = LineOutcome::NoSites { had_candidates: !candidates.is_empty() };
-                outcomes.push((line, Arc::new(outcome), Some(line_digest)));
+                outcomes.push((target, Arc::new(outcome), Some(line_digest)));
                 continue;
             }
             let rank_key =
                 (dyncfg_digest, self.profile.trace_len, self.profile.lbr_depth, line_digest);
             let mut fl = FreshLine {
-                line,
+                target,
                 line_digest,
                 rank_key,
-                stats: line_stats,
                 target_block,
                 ranked: OnceCell::new(),
                 candidates,
@@ -626,7 +639,7 @@ impl<'a> Planner<'a> {
                     .filter(|c| fl.entries.iter().all(|e| e.entry.site.cand.block != c.block))
                     .copied()
                     .collect();
-                let line_stats = fl.stats;
+                let line_stats = fl.target.stats;
                 let presence =
                     |b: BlockId| line_stats.history_presence.get(&b).copied().unwrap_or(0);
                 ranked.sort_by(|a, b| {
@@ -679,30 +692,32 @@ impl<'a> Planner<'a> {
                 entry.ctxs.shrink_to_fit();
                 entry
             }));
-            (fl.line, Arc::new(LineOutcome::Covered { entries }), Some(fl.line_digest))
+            (fl.target, Arc::new(LineOutcome::Covered { entries }), Some(fl.line_digest))
         }));
         let mut emitted: Vec<Emitted> = Vec::new();
-        for (line, outcome, fresh_digest) in outcomes {
-            self.add_line(&mut stats, &mut emitted, line, &outcome);
+        let mut planned: Vec<PlannedLine> = Vec::new();
+        for (target, outcome, fresh_digest) in outcomes {
+            self.add_line(&mut stats, &mut emitted, &mut planned, target, &outcome);
             if let (Some(memo), Some(digest)) = (&mut memo, fresh_digest) {
-                memo.insert(line.raw(), (digest, outcome));
+                memo.insert(target.line.raw(), (digest, outcome));
             }
         }
         drop(memo);
         // Groups in ascending (site, sorted context ids) order; inside one,
         // each line's entries sit together in emission order, so the first
-        // of them is the one whose meta the line's provenance keeps. Only
+        // of them is the one whose planned line the provenance keeps. Only
         // the order of one line's entries matters, not the order in which
         // the lines were added.
-        emitted.sort_unstable_by(|a, b| {
-            (a.site, a.ctx, a.line, a.seq).cmp(&(b.site, b.ctx, b.line, b.seq))
-        });
+        let emitted = sort_emitted(emitted, self.program.num_blocks());
 
         let mut injections = InjectionMap::new();
         let mut provenance: Vec<ProvenanceRecord> = Vec::new();
         let mut context_details: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
         let (mut coalesce_calls, mut coalesce_groups, mut lines_merged) = (0u64, 0u64, 0u64);
-        for group in emitted.chunk_by(|a, b| (a.site, a.ctx) == (b.site, b.ctx)) {
+        // Per group, reused: its distinct lines (ascending), the planned
+        // line of each, and the ops they pack into.
+        let (mut lines, mut firsts, mut packed) = (Vec::new(), Vec::new(), Vec::new());
+        for group in emitted.chunk_by(|a, b| a.site == b.site && a.ctx == b.ctx) {
             let site = BlockId(group[0].site);
             let ctx_blocks: Vec<BlockId> = group[0].ctx.ids().iter().map(|&b| BlockId(b)).collect();
             let ctx_hash: Option<ContextHash> = if ctx_blocks.is_empty() {
@@ -715,21 +730,25 @@ impl<'a> Planner<'a> {
                         .context_hash(ctx_blocks.iter().map(|&b| self.program.block(b).start())),
                 )
             };
-            // The group's distinct lines, ascending, each with its first
-            // meta.
-            let mut metas: Vec<(Line, LineMeta)> = group.iter().map(|e| (e.line, e.meta)).collect();
-            metas.dedup_by_key(|&mut (line, _)| line);
-            let lines = metas.iter().map(|&(line, _)| line);
-            let packed: Vec<CoalescedGroup> = if self.cfg.coalescing {
-                let packed = coalesce_lines(lines.collect(), self.cfg.coalesce_bits);
+            lines.clear();
+            firsts.clear();
+            for same in group.chunk_by(|a, b| a.line == b.line) {
+                lines.push(same[0].line);
+                firsts.push(&planned[same[0].seq as usize]);
+            }
+            packed.clear();
+            if self.cfg.coalescing {
+                packed.extend(coalesce_sorted(&lines, self.cfg.coalesce_bits));
                 coalesce_calls += 1;
                 coalesce_groups += packed.len() as u64;
-                lines_merged += (metas.len() - packed.len()) as u64;
-                packed
+                lines_merged += (lines.len() - packed.len()) as u64;
             } else {
-                lines.map(|base| CoalescedGroup { base, mask: None }).collect()
-            };
-            for group in packed {
+                packed.extend(lines.iter().map(|&base| CoalescedGroup { base, mask: None }));
+            }
+            // Each op takes the next run of the group's lines: its base,
+            // then every line its mask selects.
+            let mut runs = firsts.as_slice();
+            for group in &packed {
                 let op = match (ctx_hash, group.mask) {
                     (Some(ctx), Some(mask)) => {
                         stats.ops_cond_coalesced += 1;
@@ -748,38 +767,16 @@ impl<'a> Planner<'a> {
                         PrefetchOp::Plain { target: group.base }
                     }
                 };
-                let mut targets = vec![group.base];
-                if let Some(mask) = group.mask {
-                    for extra in mask.decode(group.base) {
-                        let d = extra.distance_from(group.base).expect("forward") as usize;
-                        stats.coalesced_distance_hist[d - 1] += 1;
-                        targets.push(extra);
-                    }
-                }
                 let lines_count = group.line_count() as usize;
+                let (run, rest) = runs.split_at(lines_count);
+                runs = rest;
+                for extra in &run[1..] {
+                    let d = extra.line.distance_from(group.base).expect("forward") as usize;
+                    stats.coalesced_distance_hist[d - 1] += 1;
+                }
                 let idx = (lines_count - 1).min(stats.lines_per_op_hist.len() - 1);
                 stats.lines_per_op_hist[idx] += 1;
                 let id = ProvenanceId(provenance.len() as u32);
-                let rec_lines: Vec<PlannedLine> = targets
-                    .iter()
-                    .map(|&l| {
-                        let at = metas
-                            .binary_search_by_key(&l, |&(line, _)| line)
-                            .expect("emitted line was grouped");
-                        let meta = metas[at].1;
-                        PlannedLine {
-                            line: l,
-                            miss_count: meta.miss_count,
-                            site_presence: meta.site_presence,
-                            site_precision: meta.site_precision,
-                            reach_prob: meta.reach_prob,
-                            window_cycles: meta.window_cycles,
-                            ctx_probability: meta.ctx.map(|(p, _, _)| p),
-                            ctx_baseline: meta.ctx.map(|(_, b, _)| b),
-                            ctx_support: meta.ctx.map(|(_, _, s)| s),
-                        }
-                    })
-                    .collect();
                 provenance.push(ProvenanceRecord {
                     id,
                     site,
@@ -787,7 +784,7 @@ impl<'a> Planner<'a> {
                     base_line: group.base,
                     mask: group.mask,
                     context_blocks: ctx_blocks.clone(),
-                    lines: rec_lines,
+                    lines: run.iter().map(|&p| p.clone()).collect(),
                 });
                 injections.push_traced(site, op, id);
             }
@@ -825,9 +822,9 @@ impl<'a> Planner<'a> {
         site: &SiteCandidate,
         baseline: Option<&PlannerBaseline>,
     ) -> Option<JointQuery> {
-        let history = fl
-            .ranked
-            .get_or_init(|| self.line_ranking(baseline, fl.rank_key, fl.stats, fl.target_block));
+        let history = fl.ranked.get_or_init(|| {
+            self.line_ranking(baseline, fl.rank_key, fl.target.stats, fl.target_block)
+        });
         let predictors = self.predictor_candidates(
             history,
             site.block,
@@ -943,11 +940,16 @@ impl<'a> Planner<'a> {
     /// Config+profile-shape digest shared by every line digest of one plan,
     /// and the key of the plan's memo slot on each line: the dynamic CFG,
     /// the trace dimensions, and every [`IspyConfig`] field passes 1–2.5
-    /// read (`ctx_size` also fixes the predictor pool's size). Pass 3's
-    /// fields (`coalesce_bits`, `coalescing`, `hash`) are left out: they are
-    /// read fresh on every plan, from the memoized entries, so plans that
-    /// differ only in them share every line outcome. The fixed thresholds
-    /// are constants, the same for every plan a baseline serves.
+    /// read. `ctx_size` enters as what those passes use of it: the predictor
+    /// pool's size, and the context size capped at that pool (a context is
+    /// a subset of the pool, so sizes at or past it admit the same
+    /// contexts, and Fig. 17's sizes 8, 16 and 32 share one table). Capping
+    /// keeps `ctx_size > 0`, which `allow_conditional` reads: the pool size
+    /// is at least [`FIXED`]'s `min_ctx_candidates`. Pass 3's fields
+    /// (`coalesce_bits`, `coalescing`, `hash`) are left out: they are read
+    /// fresh on every plan, from the memoized entries, so plans that differ
+    /// only in them share every line outcome. The fixed thresholds are
+    /// constants, the same for every plan a baseline serves.
     fn base_digest(&self, dyncfg_digest: u64) -> u64 {
         let c = &self.cfg;
         let mut h = ContentHasher::new();
@@ -956,19 +958,22 @@ impl<'a> Planner<'a> {
         h.write_usize(self.profile.lbr_depth);
         h.write_u32(c.min_prefetch_cycles);
         h.write_u32(c.max_prefetch_cycles);
-        h.write_usize(c.ctx_size);
+        h.write_usize(c.ctx_candidates());
+        h.write_usize(c.ctx_size.min(c.ctx_candidates()));
         h.write_u32(u32::from(c.conditional));
         h.finish()
     }
 
     /// Adds one target line's outcome to the plan: its coverage to `stats`,
-    /// and each of its surviving entries to pass 3's `emitted`, counting
-    /// dropped entries and adopted contexts.
+    /// and each of its surviving entries to pass 3's `emitted`, with its
+    /// planning estimates in `planned`, counting dropped entries and
+    /// adopted contexts.
     fn add_line(
         &self,
         stats: &mut PlanStats,
         emitted: &mut Vec<Emitted>,
-        line: Line,
+        planned: &mut Vec<PlannedLine>,
+        target: OrderedLine,
         outcome: &LineOutcome,
     ) {
         stats.target_lines += 1;
@@ -989,36 +994,36 @@ impl<'a> Planner<'a> {
             }
         };
         stats.covered_lines += 1;
-        let miss_count = self.profile.misses.line(line).map_or(0, |s| s.count);
+        let (line, miss_count) = (target.line, target.stats.count);
         for entry in entries {
             if entry.dropped {
                 stats.entries_dropped += 1;
                 continue;
             }
-            let meta = LineMeta {
-                miss_count,
-                site_presence: entry.site.presence_frac,
-                site_precision: entry.site.precision,
-                reach_prob: entry.site.cand.reach_prob,
-                window_cycles: entry.site.cand.cycles,
-                ctx: None,
-            };
             let site = entry.site.cand.block.0;
-            let mut push = |ctx: CtxIds, meta: LineMeta| {
+            let mut push = |ctx: CtxIds, adopted: Option<&ContextChoice>| {
                 let seq = emitted.len() as u32;
-                emitted.push(Emitted { site, ctx, line, seq, meta });
+                emitted.push(Emitted { site, ctx, line, seq });
+                planned.push(PlannedLine {
+                    line,
+                    miss_count,
+                    site_presence: entry.site.presence_frac,
+                    site_precision: entry.site.precision,
+                    reach_prob: entry.site.cand.reach_prob,
+                    window_cycles: entry.site.cand.cycles,
+                    ctx_probability: adopted.map(|c| c.probability),
+                    ctx_baseline: adopted.map(|c| c.baseline),
+                    ctx_support: adopted.map(|c| c.support),
+                });
             };
             if entry.ctxs.is_empty() {
-                push(CtxIds::new(&[]), meta);
+                push(CtxIds::new(&[]), None);
                 continue;
             }
             for ctx in &entry.ctxs {
                 stats.contexts_adopted += 1;
                 stats.context_blocks_total += ctx.blocks.len();
-                push(
-                    CtxIds::new(&ctx.blocks),
-                    LineMeta { ctx: Some((ctx.probability, ctx.baseline, ctx.support)), ..meta },
-                );
+                push(CtxIds::new(&ctx.blocks), Some(ctx));
             }
         }
     }
@@ -1151,7 +1156,8 @@ mod tests {
         // variant (e.g. the ranked histories by the 8- and by the
         // 6-candidate configs). The last variants differ from another one
         // only in pass 3's knobs (coalescing width, coalescing, hash), so
-        // they replay every line outcome from that variant's memo slot.
+        // they replay every line outcome from that variant's memo slot, as
+        // do context sizes 16 and 32 from size 8's.
         let model = apps::cassandra().scaled_down(30);
         let program = model.generate();
         let trace = program.record_trace(model.default_input(), 25_000);
@@ -1163,6 +1169,8 @@ mod tests {
             IspyConfig::plain(),
             IspyConfig::default().with_ctx_size(2),
             IspyConfig::default().with_ctx_size(8),
+            IspyConfig::default().with_ctx_size(16),
+            IspyConfig::default().with_ctx_size(32),
             IspyConfig::default().with_distances(15, 200),
             IspyConfig::default().with_distances(27, 120),
             IspyConfig::default().with_coalesce_bits(4),
@@ -1225,6 +1233,22 @@ mod tests {
         baseline.invalidate_lines(touched);
         assert!(touched.iter().all(|l| slots(l.raw()) == 0));
         assert!(kept.iter().all(|l| slots(l.raw()) == 2));
+
+        // Context sizes past the predictor pool admit the same contexts, so
+        // 16 and 32 take size 8's slot; sizes within it each take their own.
+        let baseline = PlannerBaseline::new();
+        let slots = |line: u64| {
+            let memos = baseline.line_memos.lock().unwrap();
+            memos.values().filter(|m| m.lock().unwrap().contains_key(&line)).count()
+        };
+        for n in [8, 16, 32] {
+            plan(IspyConfig::default().with_ctx_size(n)).plan_with_baseline(&baseline);
+            assert!(lines.iter().all(|l| slots(l.raw()) == 1), "size {n}");
+        }
+        for (n, expected) in [(4, 2), (2, 3)] {
+            plan(IspyConfig::default().with_ctx_size(n)).plan_with_baseline(&baseline);
+            assert!(lines.iter().all(|l| slots(l.raw()) == expected), "size {n}");
+        }
     }
 
     /// Every history block of `s` passing the presence and lift floors, in

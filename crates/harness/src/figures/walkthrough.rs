@@ -20,7 +20,7 @@ pub fn run(_session: &Session) -> Table {
     // -- Fig. 6: context discovery over the six paths. ----------------------
     // Candidates: B (bit 0), E (bit 1). Two paths have both B and E and lead
     // to the miss; one has only B, one only E, two have neither.
-    let counts = JointCounts { occurrences: vec![2, 1, 1, 2], hits: vec![0, 0, 0, 2] };
+    let counts = JointCounts::from_dense(&[2, 1, 1, 2], &[0, 0, 0, 2]);
     let b = BlockId(1);
     let e = BlockId(4);
     let ctx = discover(&counts, &[b, e], 4, 1, 0.05).expect("the paper's context exists");

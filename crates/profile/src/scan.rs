@@ -16,8 +16,9 @@
 use ispy_trace::{BlockId, Trace};
 use std::collections::HashMap;
 
-/// Maximum number of candidate predictor blocks per query (masks are `u16`
-/// indices into dense arrays, so 8 keeps them tiny).
+/// Maximum number of candidate predictor blocks per query (a presence mask
+/// fits a [`JointCell`]'s `u16`, and a scan fills every answer through one
+/// 2^8-cell scratch).
 pub const MAX_CANDIDATES: usize = 8;
 
 /// One question: at `site`, over candidate predictor blocks, how often does
@@ -35,38 +36,74 @@ pub struct JointQuery {
     pub horizon_blocks: u32,
 }
 
-/// Dense per-mask counts answering a [`JointQuery`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One presence mask's counts in a [`JointCounts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JointCell {
+    /// Bit `i` set: candidate `i` was in the LBR window.
+    pub mask: u16,
+    /// Site executions whose window presence mask was exactly `mask`.
+    pub occurrences: u32,
+    /// Of those, how many were followed by an execution of the target
+    /// within the horizon.
+    pub hits: u32,
+}
+
+/// Per-mask counts answering a [`JointQuery`], stored sparse: only the
+/// masks some site execution had, ascending. A query has up to
+/// 2^[`MAX_CANDIDATES`] masks but its site's executions show only a few of
+/// them, and a planner baseline keeps every answer it scans.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct JointCounts {
-    /// `occurrences[mask]`: site executions whose window presence mask was
-    /// exactly `mask`.
-    pub occurrences: Vec<u64>,
-    /// `hits[mask]`: of those, how many were followed by an execution of
-    /// the target within the horizon.
-    pub hits: Vec<u64>,
+    cells: Vec<JointCell>,
 }
 
 impl JointCounts {
-    fn new(n_candidates: usize) -> Self {
-        let size = 1usize << n_candidates;
-        JointCounts { occurrences: vec![0; size], hits: vec![0; size] }
+    /// The counts whose mask `m` saw `occurrences[m]` site executions, of
+    /// which `hits[m]` reached the target.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arrays differ in length or pass 2^[`MAX_CANDIDATES`]
+    /// masks, if a mask has more hits than occurrences, or if a count does
+    /// not fit `u32`.
+    pub fn from_dense(occurrences: &[u64], hits: &[u64]) -> Self {
+        assert_eq!(occurrences.len(), hits.len(), "one hit count per mask");
+        assert!(occurrences.len() <= 1 << MAX_CANDIDATES, "masks fit {MAX_CANDIDATES} bits");
+        let count = |c: u64| u32::try_from(c).expect("counts fit u32");
+        let cells = (0..occurrences.len())
+            .filter(|&m| {
+                assert!(hits[m] <= occurrences[m], "mask {m}: more hits than occurrences");
+                occurrences[m] != 0
+            })
+            .map(|m| JointCell {
+                mask: m as u16,
+                occurrences: count(occurrences[m]),
+                hits: count(hits[m]),
+            })
+            .collect();
+        JointCounts { cells }
+    }
+
+    /// The occupied masks' counts, ascending by mask.
+    pub fn cells(&self) -> &[JointCell] {
+        &self.cells
     }
 
     /// Total site executions observed.
     #[cfg(test)]
     pub fn total_occurrences(&self) -> u64 {
-        self.occurrences.iter().sum()
+        self.occurrences_with(0)
     }
 
     /// Occurrences whose mask is a superset of `subset` — i.e., executions
     /// where every block of `subset` was present.
     pub fn occurrences_with(&self, subset: u16) -> u64 {
-        self.superset_sum(&self.occurrences, subset)
+        self.superset_cells(subset).map(|c| u64::from(c.occurrences)).sum()
     }
 
     /// Hits whose mask is a superset of `subset`.
     pub fn hits_with(&self, subset: u16) -> u64 {
-        self.superset_sum(&self.hits, subset)
+        self.superset_cells(subset).map(|c| u64::from(c.hits)).sum()
     }
 
     /// `P(target | subset present at site)`, or `None` with no support.
@@ -79,9 +116,33 @@ impl JointCounts {
         }
     }
 
-    fn superset_sum(&self, arr: &[u64], subset: u16) -> u64 {
-        let subset = subset as usize;
-        arr.iter().enumerate().filter(|&(mask, _)| mask & subset == subset).map(|(_, &c)| c).sum()
+    fn superset_cells(&self, subset: u16) -> impl Iterator<Item = &JointCell> {
+        self.cells.iter().filter(move |c| c.mask & subset == subset)
+    }
+}
+
+/// One query's counts as they are filled, by mask: (occurrences, hits).
+/// One scratch serves every query of a scan; [`Scratch::take`] leaves it
+/// zeroed.
+struct Scratch(Vec<(u32, u32)>);
+
+impl Scratch {
+    fn new() -> Self {
+        Scratch(vec![(0, 0); 1 << MAX_CANDIDATES])
+    }
+
+    /// The occupied masks below `1 << n_candidates`, as sparse counts.
+    fn take(&mut self, n_candidates: usize) -> JointCounts {
+        let cells = self.0[..1 << n_candidates]
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, c)| c.0 != 0)
+            .map(|(mask, c)| {
+                let (occurrences, hits) = std::mem::take(c);
+                JointCell { mask: mask as u16, occurrences, hits }
+            })
+            .collect();
+        JointCounts { cells }
     }
 }
 
@@ -248,9 +309,11 @@ pub fn scan_joint(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Ve
 
     // Each query's counts, from its group's words. The members of a group
     // that ask about one (target, horizon) share its hit bit, computed once
-    // per site occurrence.
-    let mut results: Vec<JointCounts> =
-        queries.iter().map(|q| JointCounts::new(q.candidates.len())).collect();
+    // per site occurrence; each query then fills the one scratch and leaves
+    // with only its occupied masks.
+    let mut results: Vec<JointCounts> = vec![JointCounts::default(); queries.len()];
+    let mut scratch = Scratch::new();
+    let mut hit: Vec<bool> = Vec::new();
     let label = |qi: usize| (queries[qi].target, queries[qi].horizon_blocks);
     for site in &mut sites {
         for g in &mut site.groups {
@@ -261,20 +324,24 @@ pub fn scan_joint(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Ve
                 // Site occurrences arrive in trace order, so the next
                 // target only ever moves forward.
                 let mut next = 0usize;
-                for (&pos, &word) in site.occurrences.iter().zip(&g.words) {
+                hit.clear();
+                hit.extend(site.occurrences.iter().map(|&pos| {
                     while next < targets.len() && targets[next] <= pos {
                         next += 1;
                     }
-                    let hit = targets.get(next).is_some_and(|&t| t - pos <= horizon);
-                    for (qi, bits) in same {
+                    targets.get(next).is_some_and(|&t| t - pos <= horizon)
+                }));
+                for (qi, bits) in same {
+                    for (&word, &hit) in g.words.iter().zip(&hit) {
                         let mut mask = 0usize;
                         for (ci, &j) in bits.iter().enumerate() {
                             mask |= ((word >> j) as usize & 1) << ci;
                         }
-                        let res = &mut results[*qi];
-                        res.occurrences[mask] += 1;
-                        res.hits[mask] += u64::from(hit);
+                        let cell = &mut scratch.0[mask];
+                        cell.0 += 1;
+                        cell.1 += u32::from(hit);
                     }
+                    results[*qi] = scratch.take(bits.len());
                 }
             }
         }
@@ -318,12 +385,11 @@ mod tests {
         // (window [9,1,9]: b1 present -> mask 0b01, target at 7 within 1 ->
         // hit).
         assert_eq!(res.total_occurrences(), 3);
-        assert_eq!(res.occurrences[0b11], 1);
-        assert_eq!(res.occurrences[0b00], 1);
-        assert_eq!(res.occurrences[0b01], 1);
-        assert_eq!(res.hits[0b11], 1);
-        assert_eq!(res.hits[0b00], 0);
-        assert_eq!(res.hits[0b01], 1);
+        //                                    00 01 10 11
+        assert_eq!(res, &JointCounts::from_dense(&[1, 1, 0, 1], &[0, 1, 0, 1]));
+        // Mask 0b10 never occurred, so only three cells are stored.
+        let masks: Vec<u16> = res.cells().iter().map(|c| c.mask).collect();
+        assert_eq!(masks, vec![0b00, 0b01, 0b11]);
     }
 
     #[test]
@@ -355,10 +421,10 @@ mod tests {
         let q = JointQuery { site: b(9), target: b(7), candidates: vec![b(1)], horizon_blocks: 4 };
         // Depth 3: window at site = [3,4,9]; b1 out.
         let res = &scan_joint(&trace, 3, std::slice::from_ref(&q))[0];
-        assert_eq!(res.occurrences[0b0], 1);
+        assert_eq!(res, &JointCounts::from_dense(&[1, 0], &[0, 0]));
         // Depth 5: b1 still inside.
         let res = &scan_joint(&trace, 5, &[q])[0];
-        assert_eq!(res.occurrences[0b1], 1);
+        assert_eq!(res, &JointCounts::from_dense(&[0, 1], &[0, 0]));
     }
 
     #[test]
@@ -384,17 +450,26 @@ mod tests {
         ];
         let res = scan_joint(&trace, 4, &qs);
         assert_eq!(res.len(), 2);
-        assert_eq!(res[1].total_occurrences(), 1);
-        assert_eq!(res[1].occurrences.len(), 1); // empty candidate set -> one mask
+        // Empty candidate set -> one mask; b2 at 1 reaches b5 at 3.
+        assert_eq!(res[1], JointCounts::from_dense(&[1], &[1]));
     }
 
     /// The definition, computed the slow way: the window is a trace slice,
     /// presence a linear search of it, the next target a linear search of
-    /// the trace.
+    /// the trace, and the counts dense arrays.
     fn naive_scan(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Vec<JointCounts> {
+        struct Dense {
+            occurrences: Vec<u64>,
+            hits: Vec<u64>,
+        }
         let blocks = trace.blocks();
-        let mut results: Vec<JointCounts> =
-            queries.iter().map(|q| JointCounts::new(q.candidates.len())).collect();
+        let mut results: Vec<Dense> = queries
+            .iter()
+            .map(|q| {
+                let size = 1 << q.candidates.len();
+                Dense { occurrences: vec![0; size], hits: vec![0; size] }
+            })
+            .collect();
         for (idx, &block) in blocks.iter().enumerate() {
             let window = &blocks[idx + 1 - lbr_depth.min(idx + 1)..=idx];
             for (q, res) in queries.iter().zip(&mut results) {
@@ -414,7 +489,47 @@ mod tests {
                 }
             }
         }
-        results
+        results.iter().map(|d| JointCounts::from_dense(&d.occurrences, &d.hits)).collect()
+    }
+
+    #[test]
+    fn sparse_counts_answer_every_subset_as_dense_sums() {
+        use ispy_trace::rng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(0xC0DE);
+        for round in 0..300 {
+            let n = rng.below(MAX_CANDIDATES as u64 + 1) as usize;
+            // Mostly empty masks, as a site's executions show only a few.
+            let occupied = 1 + rng.below(1 << n);
+            let mut occurrences = vec![0u64; 1 << n];
+            let mut hits = vec![0u64; 1 << n];
+            for _ in 0..occupied {
+                let m = rng.below(1 << n) as usize;
+                occurrences[m] = rng.below(1000);
+                hits[m] = rng.below(occurrences[m] + 1);
+            }
+            let counts = JointCounts::from_dense(&occurrences, &hits);
+            let cells = counts.cells();
+            assert!(cells.iter().all(|c| c.occurrences > 0), "round {round}: empty cell stored");
+            assert!(cells.windows(2).all(|w| w[0].mask < w[1].mask), "round {round}: order");
+            let stored = occurrences.iter().filter(|&&o| o > 0).count();
+            assert_eq!(cells.len(), stored, "round {round}");
+            for subset in 0..1u16 << n {
+                let sum = |arr: &[u64]| -> u64 {
+                    (0..arr.len()).filter(|&m| m as u16 & subset == subset).map(|m| arr[m]).sum()
+                };
+                let (occ, hit) = (sum(&occurrences), sum(&hits));
+                assert_eq!(counts.occurrences_with(subset), occ, "round {round}, {subset:b}");
+                assert_eq!(counts.hits_with(subset), hit, "round {round}, {subset:b}");
+                let p = (occ > 0).then(|| hit as f64 / occ as f64);
+                assert_eq!(counts.conditional_probability(subset), p, "round {round}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more hits than occurrences")]
+    fn from_dense_rejects_hits_without_occurrences() {
+        let _ = JointCounts::from_dense(&[3, 0], &[1, 1]);
     }
 
     #[test]
