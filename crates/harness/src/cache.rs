@@ -39,16 +39,19 @@ impl ArtifactCache {
     /// under the default simulator/planner configurations.
     ///
     /// The key folds in the artifact format version, the `Debug` rendering
-    /// of every default config and every fixed planner parameter, so
-    /// changing any planner knob or constant, or the format itself,
-    /// invalidates the whole cache rather than serving stale artifacts.
+    /// of every default config, the fixed machine and every fixed planner
+    /// parameter, so changing any simulator or planner knob or constant,
+    /// or the format itself, invalidates the whole cache rather than
+    /// serving stale artifacts.
     pub fn new(dir: impl Into<PathBuf>, scale: Scale) -> Self {
         let mut key_src = format!("fmt={};", ispy_artifact::FORMAT_VERSION);
         key_src.push_str(&format!(
-            "scale={}x{};sim={:?};ispy={:?};ispy_fixed={:?};asmdb={:?};baseline_min_misses={}",
+            "scale={}x{};sim={:?};machine={:?};ispy={:?};ispy_fixed={:?};asmdb={:?};\
+             baseline_min_misses={}",
             scale.shrink,
             scale.events,
             SimConfig::default(),
+            ispy_sim::config::MACHINE,
             IspyConfig::default(),
             ispy_core::config::FIXED,
             AsmDbConfig::default(),

@@ -2,7 +2,7 @@
 
 use crate::report::{pct, Table};
 use crate::session::Session;
-use ispy_sim::SimConfig;
+use ispy_sim::{RunOptions, SimConfig};
 
 /// Apps the paper varies inputs for (they have the richest input families).
 pub const APPS: [&str; 3] = ["drupal", "mediawiki", "wordpress"];
@@ -14,9 +14,10 @@ pub const INPUTS: usize = 5;
 /// on five inputs; reported as fraction of the ideal cache's speedup on each
 /// input.
 ///
-/// Each (app × input) cell — four simulations over a freshly recorded
-/// variant trace — is an independent grid point fanned out across the
-/// thread pool; rows are assembled in (app, input) order afterwards.
+/// Each (app × input) cell — one recording of the input variant, replayed
+/// by four arms that share its memoized per-trace records — is an
+/// independent grid point fanned out across the thread pool; rows are
+/// assembled in (app, input) order afterwards.
 /// Apps missing from the session (a `repro --apps` subset) are skipped
 /// with a note.
 pub fn run(session: &Session) -> Table {
@@ -37,13 +38,22 @@ pub fn run(session: &Session) -> Table {
         let (pos, k) = (present[j / INPUTS], j % INPUTS);
         let ctx = &session.apps()[pos];
         let c = session.comparison(pos);
+        let trace = ctx.program.record_trace(ctx.model.input_variant(k), events);
+        let sim = |cfg: &SimConfig, plan| {
+            ispy_sim::run(
+                &ctx.program,
+                &trace,
+                cfg,
+                RunOptions { compiled: plan, ..Default::default() },
+            )
+        };
         let scfg = SimConfig::default();
-        let base = ctx.simulate_variant(k, events, &scfg, None);
-        let ideal = ctx.simulate_variant(k, events, &SimConfig::ideal(), None);
+        let base = sim(&scfg, None);
+        let ideal = sim(&SimConfig::ideal(), None);
         // The plans were lowered once with the comparison; every drift cell
         // replays the compiled form instead of re-lowering the BTree map.
-        let asmdb = ctx.simulate_variant(k, events, &scfg, Some(&c.asmdb_compiled));
-        let ispy = ctx.simulate_variant(k, events, &scfg, Some(&c.ispy_compiled));
+        let asmdb = sim(&scfg, Some(&c.asmdb_compiled));
+        let ispy = sim(&scfg, Some(&c.ispy_compiled));
         (asmdb.fraction_of_ideal(&base, &ideal), ispy.fraction_of_ideal(&base, &ideal))
     });
     let mut worst_ispy: f64 = 1.0;

@@ -7,36 +7,26 @@
 //! 1. **Warm** — a plan for this app/scale/config is already in the
 //!    [`ArtifactCache`]; load and return it.
 //! 2. **Replan** — the fleet directory holds a merged consensus profile
-//!    (and a representative `.itrace`); run the planner over the aggregate
-//!    through a per-app [`PlannerBaseline`], store the plan, return it.
+//!    (and a representative `.itrace`); run the planner over the aggregate,
+//!    store the plan, return it.
 //! 3. **Cold** — nothing aggregated yet; prepare the app from scratch
 //!    (generate, record, profile — exactly the single-machine pipeline),
 //!    plan, store, return.
 //!
-//! A `PlannerBaseline` is only valid for one fixed (trace, profile-shape)
-//! pair — its position and joint-scan caches are keyed by block id over
-//! *one* trace. The service therefore retains each app's baseline in a
-//! digest-guarded slot: it is reused only when the request's trace digest
-//! and the profile's [`baseline_digest`](ispy_profile::Profile::baseline_digest)
-//! both match the slot. On a match the replan tier runs at *delta* speed —
-//! the per-line memo answers every line whose miss stats did not change
-//! between consensus merges, so only changed lines are re-planned. On a
-//! mismatch the slot is replaced with a fresh baseline (correctness first:
-//! a stale trace-keyed cache would not fail loudly, it would plan wrongly).
+//! Every answer from the replan or cold tier is stored in the cache, so
+//! the next request for that app is a warm hit; each of those plans goes
+//! through a fresh [`PlannerBaseline`].
 //!
 //! Every tier records a latency span and a hit counter in
 //! [`ispy_telemetry`] (`fleet.serve.{warm,replan,cold}`), so a `serve`
-//! session's tier mix is observable without reading logs; baseline reuse
-//! shows up as `fleet.serve.baseline_reuse`.
+//! session's tier mix is observable without reading logs.
 
 use crate::cache::ArtifactCache;
 use crate::session::{AppContext, Scale};
 use ispy_core::planner::Plan;
 use ispy_core::{IspyConfig, PlannerBaseline};
 use ispy_fleet::{store, FleetConfig, FleetManifest};
-use ispy_profile::{ContentHasher, Profile};
-use ispy_trace::{apps, Trace};
-use std::collections::HashMap;
+use ispy_trace::apps;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -73,39 +63,15 @@ pub struct ServeOutcome {
     pub plan: Plan,
 }
 
-/// A retained per-app [`PlannerBaseline`] plus the identity of the
-/// (trace, profile-shape) pair it was warmed against. Reuse is allowed
-/// only when both digests match the incoming request; anything else gets
-/// a fresh baseline — the caches are keyed by block id over one trace, so
-/// cross-trace reuse would be silently wrong, not slow.
-struct BaselineSlot {
-    trace_digest: u64,
-    profile_digest: u64,
-    baseline: Arc<PlannerBaseline>,
-}
-
 /// The three-tier plan service over a fleet directory and an artifact
-/// cache. Thread-compatible: per-app planner baselines are behind a lock,
-/// and the fleet manifest is scanned lazily, once, on the first request
-/// that misses tier 1.
+/// cache. Thread-compatible: the fleet manifest is scanned lazily, once,
+/// on the first request that misses tier 1.
 pub struct PlanService {
     fleet_dir: PathBuf,
     scale: Scale,
     fleet_cfg: FleetConfig,
     cache: ArtifactCache,
     manifest: Mutex<Option<Arc<FleetManifest>>>,
-    baselines: Mutex<HashMap<String, BaselineSlot>>,
-}
-
-/// Content digest of a trace's block sequence — the identity the
-/// trace-keyed baseline caches depend on.
-fn trace_digest(trace: &Trace) -> u64 {
-    let mut h = ContentHasher::new();
-    h.write_usize(trace.blocks().len());
-    for b in trace.blocks() {
-        h.write_u32(b.0);
-    }
-    h.finish()
 }
 
 impl PlanService {
@@ -128,7 +94,6 @@ impl PlanService {
             fleet_cfg,
             cache: ArtifactCache::new(cache_dir.as_ref(), scale),
             manifest: Mutex::new(None),
-            baselines: Mutex::new(HashMap::new()),
         }
     }
 
@@ -154,35 +119,6 @@ impl PlanService {
         );
         *slot = Some(Arc::clone(&m));
         Ok(m)
-    }
-
-    /// The per-app planner baseline for a (trace, profile) pair, so
-    /// repeated replans for one app share the config-independent trace
-    /// scans and the per-line memo. A retained slot is reused only when
-    /// both the trace digest and the profile's
-    /// [`baseline_digest`](Profile::baseline_digest) match — that is when
-    /// a new consensus merge replans at delta speed; a mismatch (different
-    /// recording, rescaled fleet) replaces the slot with a fresh baseline.
-    fn baseline(&self, app: &str, trace: &Trace, profile: &Profile) -> Arc<PlannerBaseline> {
-        let want_trace = trace_digest(trace);
-        let want_profile = profile.baseline_digest();
-        let mut map = self.baselines.lock().expect("baselines lock");
-        if let Some(slot) = map.get(app) {
-            if slot.trace_digest == want_trace && slot.profile_digest == want_profile {
-                ispy_telemetry::global().incr("fleet.serve.baseline_reuse");
-                return Arc::clone(&slot.baseline);
-            }
-        }
-        let baseline = Arc::new(PlannerBaseline::new());
-        map.insert(
-            app.to_string(),
-            BaselineSlot {
-                trace_digest: want_trace,
-                profile_digest: want_profile,
-                baseline: Arc::clone(&baseline),
-            },
-        );
-        baseline
     }
 
     /// Answers one plan request through the tiers.
@@ -222,7 +158,7 @@ impl PlanService {
             &ctx.trace,
             &ctx.profile,
             IspyConfig::default(),
-            &self.baseline(app, &ctx.trace, &ctx.profile),
+            &PlannerBaseline::new(),
         );
         self.cache.store_plan(app, &self.algo(), &plan);
         tele.incr("fleet.serve.cold");
@@ -257,49 +193,10 @@ impl PlanService {
             &trace,
             &consensus,
             IspyConfig::default(),
-            &self.baseline(app, &trace, &consensus),
+            &PlannerBaseline::new(),
         );
         self.cache.store_plan(app, &self.algo(), &plan);
         tele.incr("fleet.serve.replan");
         Ok(Some(plan))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ispy_profile::{profile, SampleRate};
-    use ispy_sim::SimConfig;
-
-    fn service() -> PlanService {
-        let dir = std::env::temp_dir().join("ispy_fleet_baseline_test");
-        PlanService::new(dir.join("fleet"), dir.join("cache"), Scale::test())
-    }
-
-    #[test]
-    fn baseline_slot_reuses_only_on_matching_digests() {
-        let svc = service();
-        let model = apps::kafka().scaled_down(40);
-        let program = model.generate();
-        let trace = program.record_trace(model.default_input(), 5_000);
-        let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
-
-        let first = svc.baseline("kafka", &trace, &prof);
-        let again = svc.baseline("kafka", &trace, &prof);
-        assert!(
-            Arc::ptr_eq(&first, &again),
-            "same (trace, profile) must reuse the retained baseline"
-        );
-
-        // A different recording of the same app must NOT share the slot:
-        // the baseline's position/joint caches are keyed over one trace.
-        let other = program.record_trace(model.default_input(), 6_000);
-        let other_prof = profile(&program, &other, &SimConfig::default(), SampleRate::EXACT);
-        let fresh = svc.baseline("kafka", &other, &other_prof);
-        assert!(!Arc::ptr_eq(&first, &fresh), "a different trace must get a fresh baseline");
-
-        // And switching back re-keys the slot again (latest wins).
-        let back = svc.baseline("kafka", &trace, &prof);
-        assert!(!Arc::ptr_eq(&fresh, &back));
     }
 }

@@ -6,7 +6,7 @@ use ispy_core::{IspyConfig, Planner, PlannerBaseline};
 use ispy_isa::CompiledInjections;
 use ispy_profile::{profile, Profile, SampleRate};
 use ispy_sim::{run, OutcomeLedger, RunOptions, SimConfig, SimResult};
-use ispy_trace::{apps, AppModel, InputSpec, Program, Trace};
+use ispy_trace::{apps, AppModel, Program, Trace};
 use std::sync::{Arc, OnceLock};
 
 /// How big the experiments are.
@@ -115,20 +115,6 @@ impl AppContext {
     /// that evaluate one plan under many configurations lower it once.
     pub fn simulate(&self, cfg: &SimConfig, plan: Option<&CompiledInjections>) -> SimResult {
         run(&self.program, &self.trace, cfg, RunOptions { compiled: plan, ..Default::default() })
-    }
-
-    /// Records a trace of input variant `k` (0 = the profiled input) and
-    /// runs it with an optional lowered plan — the Fig. 16 drift experiment.
-    pub fn simulate_variant(
-        &self,
-        k: usize,
-        events: usize,
-        cfg: &SimConfig,
-        plan: Option<&CompiledInjections>,
-    ) -> SimResult {
-        let input: InputSpec = self.model.input_variant(k);
-        let trace = self.program.record_trace(input, events);
-        run(&self.program, &trace, cfg, RunOptions { compiled: plan, ..Default::default() })
     }
 }
 
@@ -366,7 +352,8 @@ mod tests {
     fn variant_simulation_runs() {
         let s = tiny_session();
         let ctx = &s.apps()[0];
-        let r = ctx.simulate_variant(1, 10_000, &SimConfig::default(), None);
+        let drift = ctx.program.record_trace(ctx.model.input_variant(1), 10_000);
+        let r = run(&ctx.program, &drift, &SimConfig::default(), RunOptions::default());
         assert_eq!(r.blocks, 10_000);
     }
 
@@ -406,7 +393,12 @@ mod tests {
         assert_eq!(via_map(&ctx.trace, &c.ispy_plan.injections), c.ispy);
         // And a drift-input replay agrees between the two forms too.
         let drift = ctx.program.record_trace(ctx.model.input_variant(1), 10_000);
-        let via_compiled = ctx.simulate_variant(1, 10_000, &scfg, Some(&c.ispy_compiled));
+        let via_compiled = run(
+            &ctx.program,
+            &drift,
+            &scfg,
+            RunOptions { compiled: Some(&c.ispy_compiled), ..Default::default() },
+        );
         assert_eq!(via_map(&drift, &c.ispy_plan.injections), via_compiled);
     }
 

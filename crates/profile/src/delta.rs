@@ -21,7 +21,6 @@
 //!   folds window after window into a live profile.
 
 use crate::collect::{avg_cycles, ideal_cycles, observe, EdgeTally, Profile, SampleRate};
-use crate::digest::ContentHasher;
 use crate::dyncfg::DynCfg;
 use crate::miss::MissProfile;
 use ispy_sim::SimConfig;
@@ -84,21 +83,6 @@ impl Profile {
         assert!(delta.is_miss_only(), "CFG-bearing deltas need a ProfileAccumulator");
         self.misses.merge(&delta.added);
         self.misses.subtract(&delta.removed);
-    }
-
-    /// A digest of the planner-baseline-identifying parts of the profile:
-    /// the dynamic CFG contents, trace length, and LBR depth — everything a
-    /// `PlannerBaseline`'s trace-keyed caches depend on *except* the
-    /// per-line miss sets (those are digest-checked per line). Two profiles
-    /// with equal baseline digests can share a warm baseline and replan at
-    /// delta speed; the fleet plan service uses this to decide when a new
-    /// consensus profile may reuse a retained baseline.
-    pub fn baseline_digest(&self) -> u64 {
-        let mut h = ContentHasher::new();
-        h.write_u64(self.cfg.content_digest());
-        h.write_usize(self.trace_len);
-        h.write_usize(self.lbr_depth);
-        h.finish()
     }
 }
 
@@ -283,7 +267,8 @@ mod tests {
             "remove+add must be digest-identical to never-removed"
         );
         assert_eq!(scratch.misses.total_misses(), prof.misses.total_misses());
-        assert_eq!(scratch.baseline_digest(), prof.baseline_digest());
+        assert_eq!(scratch.cfg.content_digest(), prof.cfg.content_digest());
+        assert_eq!((scratch.trace_len, scratch.lbr_depth), (prof.trace_len, prof.lbr_depth));
     }
 
     #[test]
@@ -344,7 +329,8 @@ mod tests {
             rev.fold(d);
         }
         let (a, b) = (fwd.profile(), rev.profile());
-        assert_eq!(a.baseline_digest(), b.baseline_digest());
+        assert_eq!(a.cfg.content_digest(), b.cfg.content_digest());
+        assert_eq!((a.trace_len, a.lbr_depth), (b.trace_len, b.lbr_depth));
         let mut da: Vec<(u64, u64)> =
             a.misses.iter().map(|(l, s)| (l.raw(), s.content_digest())).collect();
         let mut db: Vec<(u64, u64)> =

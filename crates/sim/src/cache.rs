@@ -7,15 +7,14 @@
 
 use ispy_trace::Line;
 
-/// Geometry of one cache level.
+/// Geometry of one cache level. Every line is
+/// [`LINE_BYTES`](ispy_trace::LINE_BYTES) long.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheParams {
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity.
     pub ways: u32,
-    /// Line size in bytes.
-    pub line_bytes: u64,
 }
 
 impl CacheParams {
@@ -24,20 +23,20 @@ impl CacheParams {
     /// # Panics
     ///
     /// Panics if any field is zero or the capacity is smaller than one set.
-    pub fn new(size_bytes: u64, ways: u32) -> Self {
-        let p = CacheParams { size_bytes, ways, line_bytes: ispy_trace::LINE_BYTES };
+    pub const fn new(size_bytes: u64, ways: u32) -> Self {
+        let p = CacheParams { size_bytes, ways };
         assert!(p.num_sets() >= 1, "cache must have at least one set");
         p
     }
 
     /// Number of sets.
-    pub fn num_sets(&self) -> u64 {
-        self.size_bytes / self.line_bytes / u64::from(self.ways)
+    pub const fn num_sets(&self) -> u64 {
+        self.num_lines() / self.ways as u64
     }
 
     /// Number of lines the cache can hold.
-    pub fn num_lines(&self) -> u64 {
-        self.size_bytes / self.line_bytes
+    pub const fn num_lines(&self) -> u64 {
+        self.size_bytes / ispy_trace::LINE_BYTES
     }
 }
 
@@ -330,7 +329,7 @@ mod tests {
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways.
-        Cache::new(CacheParams { size_bytes: 8 * 64, ways: 2, line_bytes: 64 })
+        Cache::new(CacheParams { size_bytes: 8 * 64, ways: 2 })
     }
 
     /// Lines that all map to set 0 of the tiny cache.
@@ -510,8 +509,8 @@ mod tests {
     #[test]
     fn demand_fill_is_a_demand_then_an_mru_fill() {
         for params in [
-            CacheParams { size_bytes: 8 * 64, ways: 2, line_bytes: 64 },
-            CacheParams { size_bytes: 24 * 64, ways: 4, line_bytes: 64 }, // 6 sets: not pow2
+            CacheParams { size_bytes: 8 * 64, ways: 2 },
+            CacheParams { size_bytes: 24 * 64, ways: 4 }, // 6 sets: not pow2
             CacheParams::new(4 * 1024, 8),
         ] {
             let mut flat = Cache::new(params);
@@ -555,8 +554,8 @@ mod tests {
         // (power-of-two and non-power-of-two set counts) and require
         // identical observable behaviour at every step.
         for params in [
-            CacheParams { size_bytes: 8 * 64, ways: 2, line_bytes: 64 },
-            CacheParams { size_bytes: 24 * 64, ways: 4, line_bytes: 64 }, // 6 sets: not pow2
+            CacheParams { size_bytes: 8 * 64, ways: 2 },
+            CacheParams { size_bytes: 24 * 64, ways: 4 }, // 6 sets: not pow2
             CacheParams::new(4 * 1024, 8),
         ] {
             let mut flat = Cache::new(params);

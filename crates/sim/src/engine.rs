@@ -61,7 +61,7 @@
 //!   already shows a line absent from a level, its fill skips the scan
 //!   for an existing copy.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MACHINE};
 use crate::fxhash::FxHashMap;
 use crate::hierarchy::Hierarchy;
 use crate::l1d::{DataFilter, DATA_LINE_BASE};
@@ -708,8 +708,6 @@ pub(crate) struct Engine<'o> {
     /// The next unread access of the L1D record, and its next unread miss.
     d_next: usize,
     d_next_miss: usize,
-    issue_width: u64,
-    d_stall_factor: f64,
     ideal_icache: bool,
     metas: Vec<BlockMeta>,
     hot_ops: Vec<HotOp>,
@@ -779,8 +777,6 @@ impl<'o> Engine<'o> {
             pos: 0,
             d_next: 0,
             d_next_miss: 0,
-            issue_width: u64::from(cfg.issue_width),
-            d_stall_factor: cfg.d_stall_factor,
             ideal_icache: cfg.ideal_icache,
             metas,
             hot_ops,
@@ -984,7 +980,7 @@ impl<'o> Engine<'o> {
         // 6. Issue bandwidth.
         self.m.base_instrs += meta.instrs;
         self.m.instrs += meta.instrs + ops_issued;
-        self.cycle += (meta.instrs + ops_issued).div_ceil(self.issue_width);
+        self.cycle += (meta.instrs + ops_issued).div_ceil(MACHINE.issue_width);
     }
 
     /// Drains prefetches that completed by the current cycle into L1I.
@@ -1110,7 +1106,7 @@ impl<'o> Engine<'o> {
     /// the record, and each L1D miss is served by the shared levels.
     #[inline]
     fn data_side(&mut self, n: usize) {
-        let Self { l1d, hier, m, cycle, d_next, d_next_miss, d_stall_factor, .. } = self;
+        let Self { l1d, hier, m, cycle, d_next, d_next_miss, .. } = self;
         m.d_accesses += n as u64;
         let l1d = &l1d.record;
         let misses = l1d.misses_in(*d_next, n);
@@ -1119,7 +1115,7 @@ impl<'o> Engine<'o> {
             let out = hier.load_data_miss(l1d.miss_line(j));
             if out.extra_cycles > 0 {
                 m.d_misses += 1;
-                let stall = (f64::from(out.extra_cycles) * *d_stall_factor) as u64;
+                let stall = (f64::from(out.extra_cycles) * MACHINE.d_stall_factor) as u64;
                 m.d_stall_cycles += stall;
                 *cycle += stall;
             }

@@ -6,7 +6,7 @@
 //! [`Hierarchy::load_data_miss`].
 
 use crate::cache::{Cache, InsertPriority};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MACHINE};
 use ispy_trace::Line;
 
 /// Where a line was found on a demand access.
@@ -46,14 +46,9 @@ pub struct Hierarchy {
     l1i: Cache,
     l2: Cache,
     l3: Cache,
-    lat_l1i: u32,
-    lat_l1d: u32,
-    lat_l2: u32,
-    lat_l3: u32,
-    lat_mem: u32,
     prefetch_insert: InsertPriority,
     /// Exact presence bitmap mirroring L1I contents for lines below
-    /// `shadow_limit`, maintained at the (rare) fill/evict points so the
+    /// `ranges.code_limit`, maintained at the (rare) fill/evict points so the
     /// (frequent) [`Hierarchy::in_l1i`] probes are a bit test instead of a
     /// set scan. Empty when disabled; lines at/above the limit fall back to
     /// scanning the cache, so the shadow is never a correctness question —
@@ -68,7 +63,16 @@ pub struct Hierarchy {
     /// (large, cache-hostile) L2/L3 slot arrays entirely.
     l2_shadow: Vec<u64>,
     l3_shadow: Vec<u64>,
-    shadow_limit: u64,
+    ranges: ShadowRanges,
+}
+
+/// The line ranges the presence shadows cover and where the shared
+/// shadows keep each line's bit. A copy, so eviction callbacks can place
+/// bits while a cache is mutably borrowed.
+#[derive(Debug, Clone, Copy)]
+struct ShadowRanges {
+    /// One past the last shadowed code line id (0 = disabled).
+    code_limit: u64,
     /// First line id of the shadowed data range (`u64::MAX` = disabled).
     data_base: u64,
     /// One past the last shadowed data line id.
@@ -77,31 +81,45 @@ pub struct Hierarchy {
     data_words: usize,
 }
 
+impl ShadowRanges {
+    /// The `(word, bit)` slot of `raw` in the shared L2/L3 shadows, or
+    /// `None` for lines outside both shadowed ranges.
+    #[inline]
+    fn shared_pos(self, raw: u64) -> Option<(usize, u64)> {
+        if raw < self.code_limit {
+            Some(((raw >> 6) as usize, 1u64 << (raw & 63)))
+        } else if raw >= self.data_base && raw < self.data_limit {
+            let off = raw - self.data_base;
+            Some((self.data_words + (off >> 6) as usize, 1u64 << (off & 63)))
+        } else {
+            None
+        }
+    }
+}
+
 /// Upper bound on shadowed line ids (8 MiB of bitmap). Programs the
 /// generator produces stay far below this; pathological hand-built plans
 /// simply fall back to the scan path.
 const SHADOW_LINE_CAP: u64 = 1 << 26;
 
 impl Hierarchy {
-    /// Builds an empty hierarchy from a configuration.
+    /// Builds an empty [`MACHINE`] hierarchy that inserts prefetches at
+    /// `cfg`'s priority.
     pub fn new(cfg: &SimConfig) -> Self {
         Hierarchy {
-            l1i: Cache::new(cfg.l1i),
-            l2: Cache::new(cfg.l2),
-            l3: Cache::new(cfg.l3),
-            lat_l1i: cfg.lat.l1i,
-            lat_l1d: cfg.lat.l1d,
-            lat_l2: cfg.lat.l2,
-            lat_l3: cfg.lat.l3,
-            lat_mem: cfg.lat.mem,
+            l1i: Cache::new(MACHINE.l1i),
+            l2: Cache::new(MACHINE.l2),
+            l3: Cache::new(MACHINE.l3),
             prefetch_insert: cfg.prefetch_insert,
             l1i_shadow: Vec::new(),
             l2_shadow: Vec::new(),
             l3_shadow: Vec::new(),
-            shadow_limit: 0,
-            data_base: u64::MAX,
-            data_limit: 0,
-            data_words: 0,
+            ranges: ShadowRanges {
+                code_limit: 0,
+                data_base: u64::MAX,
+                data_limit: 0,
+                data_words: 0,
+            },
         }
     }
 
@@ -121,7 +139,7 @@ impl Hierarchy {
         self.l1i_shadow = vec![0u64; words];
         self.l2_shadow = vec![0u64; words];
         self.l3_shadow = vec![0u64; words];
-        self.shadow_limit = limit;
+        self.ranges.code_limit = limit;
     }
 
     /// Extends the L2/L3 presence shadows over the `data_lines`-line data
@@ -131,41 +149,27 @@ impl Hierarchy {
     /// shared levels are still empty. L1I is never extended: only code lines
     /// are ever fetched or prefetched into it.
     pub fn enable_data_shadow(&mut self, data_base: u64, data_lines: u64) {
-        debug_assert!(self.shadow_limit > 0, "enable the code-range shadows first");
+        debug_assert!(self.ranges.code_limit > 0, "enable the code-range shadows first");
         debug_assert_eq!(
             self.l2.occupancy() + self.l3.occupancy(),
             0,
             "shadow must start from empty shared levels"
         );
-        debug_assert!(data_base >= self.shadow_limit, "data range overlaps code range");
+        debug_assert!(data_base >= self.ranges.code_limit, "data range overlaps code range");
         let words = (data_lines.min(SHADOW_LINE_CAP) as usize).div_ceil(64);
-        self.data_words = self.l2_shadow.len();
-        self.l2_shadow.resize(self.data_words + words, 0);
-        self.l3_shadow.resize(self.data_words + words, 0);
-        self.data_base = data_base;
+        self.ranges.data_words = self.l2_shadow.len();
+        self.l2_shadow.resize(self.ranges.data_words + words, 0);
+        self.l3_shadow.resize(self.ranges.data_words + words, 0);
+        self.ranges.data_base = data_base;
         // Whole trailing words are covered exactly: any line in them is
         // tracked at the same fill/evict points as the rest of the range.
-        self.data_limit = data_base + (words as u64) * 64;
-    }
-
-    /// The `(word, bit)` slot of `raw` in the shared L2/L3 shadows, or
-    /// `None` for lines outside both shadowed ranges.
-    #[inline]
-    fn shared_shadow_pos(&self, raw: u64) -> Option<(usize, u64)> {
-        if raw < self.shadow_limit {
-            Some(((raw >> 6) as usize, 1u64 << (raw & 63)))
-        } else if raw >= self.data_base && raw < self.data_limit {
-            let off = raw - self.data_base;
-            Some((self.data_words + (off >> 6) as usize, 1u64 << (off & 63)))
-        } else {
-            None
-        }
+        self.ranges.data_limit = data_base + (words as u64) * 64;
     }
 
     #[inline]
     fn shadow_set(&mut self, line: Line) {
         let raw = line.raw();
-        if raw < self.shadow_limit {
+        if raw < self.ranges.code_limit {
             self.l1i_shadow[(raw >> 6) as usize] |= 1 << (raw & 63);
         }
     }
@@ -174,7 +178,7 @@ impl Hierarchy {
     fn shadow_clear(&mut self, evicted: Option<Line>) {
         if let Some(line) = evicted {
             let raw = line.raw();
-            if raw < self.shadow_limit {
+            if raw < self.ranges.code_limit {
                 self.l1i_shadow[(raw >> 6) as usize] &= !(1 << (raw & 63));
             }
         }
@@ -184,7 +188,7 @@ impl Hierarchy {
     /// Lines below it answer [`Hierarchy::in_l1i`] from the shadow bitmap.
     #[inline]
     pub fn l1i_shadow_limit(&self) -> u64 {
-        self.shadow_limit
+        self.ranges.code_limit
     }
 
     /// Word `w` of the L1I presence shadow: bit `b` is set iff line
@@ -201,7 +205,7 @@ impl Hierarchy {
     #[inline]
     pub fn in_l1i(&self, line: Line) -> bool {
         let raw = line.raw();
-        if raw < self.shadow_limit {
+        if raw < self.ranges.code_limit {
             self.l1i_shadow[(raw >> 6) as usize] & (1 << (raw & 63)) != 0
         } else {
             self.l1i.contains(line)
@@ -226,7 +230,7 @@ impl Hierarchy {
         self.shadow_clear(fill.evicted);
         AccessOutcome {
             level,
-            extra_cycles: total_lat - self.lat_l1i,
+            extra_cycles: total_lat - MACHINE.lat.l1i,
             evicted_untouched: if fill.evicted_untouched_prefetch { fill.evicted } else { None },
         }
     }
@@ -236,7 +240,7 @@ impl Hierarchy {
     /// stall counted beyond the L1D hit latency.
     pub fn load_data_miss(&mut self, line: Line) -> AccessOutcome {
         let (level, total_lat) = self.lookup_fill_shared(line);
-        AccessOutcome { level, extra_cycles: total_lat - self.lat_l1d, evicted_untouched: None }
+        AccessOutcome { level, extra_cycles: total_lat - MACHINE.lat.l1d, evicted_untouched: None }
     }
 
     /// Completes a prefetch: fills L1I (and L2) at the configured prefetch
@@ -248,9 +252,9 @@ impl Hierarchy {
     pub fn prefetch_fill(&mut self, line: Line) -> Option<Line> {
         let raw = line.raw();
         let l2_absent =
-            self.shared_shadow_pos(raw).is_some_and(|(w, b)| self.l2_shadow[w] & b == 0);
+            self.ranges.shared_pos(raw).is_some_and(|(w, b)| self.l2_shadow[w] & b == 0);
         self.fill_l2(line, self.prefetch_insert, true, l2_absent);
-        let l1i_absent = raw < self.shadow_limit
+        let l1i_absent = raw < self.ranges.code_limit
             && self.l1i_shadow[(raw >> 6) as usize] & (1 << (raw & 63)) == 0;
         let out = if l1i_absent {
             self.l1i.fill_absent(line, self.prefetch_insert, true)
@@ -277,21 +281,21 @@ impl Hierarchy {
     #[inline]
     pub fn prefetch_latency_missing_l1i(&self, line: Line) -> u32 {
         let raw = line.raw();
-        if raw < self.shadow_limit {
+        if raw < self.ranges.code_limit {
             let (word, bit) = ((raw >> 6) as usize, 1u64 << (raw & 63));
             if self.l2_shadow[word] & bit != 0 {
-                self.lat_l2
+                MACHINE.lat.l2
             } else if self.l3_shadow[word] & bit != 0 {
-                self.lat_l3
+                MACHINE.lat.l3
             } else {
-                self.lat_mem
+                MACHINE.lat.mem
             }
         } else if self.l2.contains(line) {
-            self.lat_l2
+            MACHINE.lat.l2
         } else if self.l3.contains(line) {
-            self.lat_l3
+            MACHINE.lat.l3
         } else {
-            self.lat_mem
+            MACHINE.lat.mem
         }
     }
 
@@ -310,10 +314,10 @@ impl Hierarchy {
         } else {
             self.l2.fill(line, priority, prefetched)
         };
-        if let Some((w, b)) = self.shared_shadow_pos(line.raw()) {
+        if let Some((w, b)) = self.ranges.shared_pos(line.raw()) {
             self.l2_shadow[w] |= b;
         }
-        if let Some((w, b)) = out.evicted.and_then(|e| self.shared_shadow_pos(e.raw())) {
+        if let Some((w, b)) = out.evicted.and_then(|e| self.ranges.shared_pos(e.raw())) {
             self.l2_shadow[w] &= !b;
         }
     }
@@ -322,10 +326,10 @@ impl Hierarchy {
     /// keeping its presence shadow exact.
     fn fill_l3_absent(&mut self, line: Line) {
         let out = self.l3.fill_absent(line, InsertPriority::Mru, false);
-        if let Some((w, b)) = self.shared_shadow_pos(line.raw()) {
+        if let Some((w, b)) = self.ranges.shared_pos(line.raw()) {
             self.l3_shadow[w] |= b;
         }
-        if let Some((w, b)) = out.evicted.and_then(|e| self.shared_shadow_pos(e.raw())) {
+        if let Some((w, b)) = out.evicted.and_then(|e| self.ranges.shared_pos(e.raw())) {
             self.l3_shadow[w] &= !b;
         }
     }
@@ -338,31 +342,31 @@ impl Hierarchy {
     /// shadow-proven miss is invisible, and the one access that does run is
     /// the one that hits.
     fn lookup_fill_shared(&mut self, line: Line) -> (ResidencyLevel, u32) {
-        if let Some((w, b)) = self.shared_shadow_pos(line.raw()) {
+        if let Some((w, b)) = self.ranges.shared_pos(line.raw()) {
             return if self.l2_shadow[w] & b != 0 {
                 let hit = self.l2.access(line);
                 debug_assert!(hit, "L2 shadow bit set for absent line {line:?}");
-                (ResidencyLevel::L2, self.lat_l2)
+                (ResidencyLevel::L2, MACHINE.lat.l2)
             } else if self.l3_shadow[w] & b != 0 {
                 let hit = self.l3.access(line);
                 debug_assert!(hit, "L3 shadow bit set for absent line {line:?}");
                 self.fill_l2(line, InsertPriority::Mru, false, true);
-                (ResidencyLevel::L3, self.lat_l3)
+                (ResidencyLevel::L3, MACHINE.lat.l3)
             } else {
                 self.fill_l3_absent(line);
                 self.fill_l2(line, InsertPriority::Mru, false, true);
-                (ResidencyLevel::Memory, self.lat_mem)
+                (ResidencyLevel::Memory, MACHINE.lat.mem)
             };
         }
         if self.l2.access(line) {
-            (ResidencyLevel::L2, self.lat_l2)
+            (ResidencyLevel::L2, MACHINE.lat.l2)
         } else if self.l3.access(line) {
             self.fill_l2(line, InsertPriority::Mru, false, true);
-            (ResidencyLevel::L3, self.lat_l3)
+            (ResidencyLevel::L3, MACHINE.lat.l3)
         } else {
             self.fill_l3_absent(line);
             self.fill_l2(line, InsertPriority::Mru, false, true);
-            (ResidencyLevel::Memory, self.lat_mem)
+            (ResidencyLevel::Memory, MACHINE.lat.mem)
         }
     }
 
@@ -380,30 +384,17 @@ impl Hierarchy {
         l2_pct: u8,
         mut on_l1i_evicted: impl FnMut(Line, bool),
     ) {
-        // Copies of the shadow geometry, so the eviction callbacks can edit
-        // the shadow words while the cache is mutably borrowed.
-        let shadow_limit = self.shadow_limit;
-        let (data_base, data_limit, data_words) =
-            (self.data_base, self.data_limit, self.data_words);
+        let ranges = self.ranges;
         let Hierarchy { l1i, l2, l1i_shadow, l2_shadow, .. } = self;
         l1i.evict_lru_fraction(l1i_pct, |line, untouched| {
             let raw = line.raw();
-            if raw < shadow_limit {
+            if raw < ranges.code_limit {
                 l1i_shadow[(raw >> 6) as usize] &= !(1 << (raw & 63));
             }
             on_l1i_evicted(line, untouched);
         });
         l2.evict_lru_fraction(l2_pct, |line, _| {
-            let raw = line.raw();
-            let pos = if raw < shadow_limit {
-                Some(((raw >> 6) as usize, 1u64 << (raw & 63)))
-            } else if raw >= data_base && raw < data_limit {
-                let off = raw - data_base;
-                Some((data_words + (off >> 6) as usize, 1u64 << (off & 63)))
-            } else {
-                None
-            };
-            if let Some((w, b)) = pos {
+            if let Some((w, b)) = ranges.shared_pos(line.raw()) {
                 l2_shadow[w] &= !b;
             }
         });
@@ -435,11 +426,11 @@ mod tests {
     /// shared levels' sets, with no presence shadow involved.
     fn scan_latency(hier: &Hierarchy, line: Line) -> u32 {
         if hier.l2.contains(line) {
-            hier.lat_l2
+            MACHINE.lat.l2
         } else if hier.l3.contains(line) {
-            hier.lat_l3
+            MACHINE.lat.l3
         } else {
-            hier.lat_mem
+            MACHINE.lat.mem
         }
     }
 

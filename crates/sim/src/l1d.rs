@@ -1,9 +1,11 @@
 //! The L1D side of replay, computed once per trace.
 //!
-//! Whether a data access hits L1D depends only on the trace, the program's
-//! data layout (its per-block data-access counts and footprint), the L1D
-//! geometry and the streaming threshold: no plan, arm, `ideal_icache` or
-//! switch schedule reaches L1D (switch effects touch only L1I and L2). So a
+//! Whether a data access hits L1D depends only on the trace and the
+//! program's data layout (its per-block data-access counts and footprint);
+//! the L1D geometry and the streaming fraction are fixed in [`MACHINE`].
+//! Neither the plan nor any [`SimConfig`] field (`ideal_icache`, hash, LBR
+//! depth, prefetch priority, switch schedule) reaches L1D: switch effects
+//! touch only L1I and L2. So a
 //! [`DataFilter`] — the only code that derives data addresses ([`mix`] and
 //! the stream split) and runs the L1D — writes each access's outcome into
 //! an [`L1dRecord`], and the engine's data side only reads that record,
@@ -11,8 +13,8 @@
 //!
 //! Every replay of a materialized trace ([`run`](crate::run),
 //! [`run_adaptive`](crate::run_adaptive)) takes the record from the
-//! trace's memo ([`Trace::derived`]), one per data configuration: the first
-//! replay builds it and every later one — the other arms, every sweep
+//! trace's memo ([`Trace::derived`]), one per program data layout: the
+//! first replay builds it and every later one — the other arms, every sweep
 //! point, every adaptive run — reuses it. Only
 //! [`run_streaming`](crate::run_streaming), which has no materialized
 //! trace, filters each chunk into a reused record instead.
@@ -20,7 +22,7 @@
 //! [`Trace::derived`]: ispy_trace::Trace::derived
 
 use crate::cache::Cache;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MACHINE};
 use crate::engine::RecordFilter;
 use ispy_trace::{BlockId, Line, Program};
 use std::hash::Hasher;
@@ -98,28 +100,25 @@ pub(crate) struct DataFilter {
     /// instead of two 64-bit divisions per access; `0` disables it.
     data_mask: u64,
     stream_counter: u64,
-    stream_threshold: u64,
 }
 
 impl RecordFilter for DataFilter {
     type Record = L1dRecord;
 
-    /// A filter over `program`'s data layout with `cfg`'s L1D and streaming
-    /// threshold, starting from an empty L1D.
-    fn new(program: &Program, cfg: &SimConfig) -> Self {
+    /// A filter over `program`'s data layout, starting from an empty L1D.
+    fn new(program: &Program, _cfg: &SimConfig) -> Self {
         let data_lines = program.data_footprint_lines();
         DataFilter {
-            l1d: Cache::new(cfg.l1d),
+            l1d: Cache::new(MACHINE.l1d),
             accesses: program.blocks().iter().map(|b| b.data_accesses()).collect(),
             data_lines,
             data_mask: if data_lines.is_power_of_two() { data_lines - 1 } else { 0 },
             stream_counter: 0,
-            stream_threshold: stream_threshold(cfg),
         }
     }
 
-    /// Digests the data layout and `cfg`'s data config.
-    fn key(program: &Program, cfg: &SimConfig) -> u64 {
+    /// Digests the data layout.
+    fn key(program: &Program, _cfg: &SimConfig) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         // Eight per-block counts per word keeps the digest cheap next to a
         // replay even on a memo hit.
@@ -129,10 +128,6 @@ impl RecordFilter for DataFilter {
         }
         h.write_u64(program.num_blocks() as u64);
         h.write_u64(program.data_footprint_lines());
-        h.write_u64(cfg.l1d.size_bytes);
-        h.write_u32(cfg.l1d.ways);
-        h.write_u64(cfg.l1d.line_bytes);
-        h.write_u64(stream_threshold(cfg));
         h.finish()
     }
 
@@ -147,7 +142,7 @@ impl RecordFilter for DataFilter {
             accesses += usize::from(n);
             for k in 0..n {
                 let site = mix(u64::from(b.0), u64::from(k));
-                let offset = if site % 100 < self.stream_threshold {
+                let offset = if site % 100 < STREAM_THRESHOLD {
                     self.stream_counter = self.stream_counter.wrapping_add(1);
                     self.data_index(self.stream_counter)
                 } else {
@@ -188,9 +183,7 @@ impl DataFilter {
 
 /// The stream split's threshold: an access streams iff its site hash
 /// `% 100` is below it.
-fn stream_threshold(cfg: &SimConfig) -> u64 {
-    (cfg.d_stream_frac * 100.0) as u64
-}
+const STREAM_THRESHOLD: u64 = (MACHINE.d_stream_frac * 100.0) as u64;
 
 /// Cheap 64-bit mix for deterministic pseudo-random data addresses.
 fn mix(a: u64, b: u64) -> u64 {

@@ -11,10 +11,11 @@
 //! oracle (`lbr::oracle`).
 
 use super::{DataFilter, L1dRecord, DATA_LINE_BASE};
+use crate::config::MACHINE;
 use crate::engine::RecordFilter;
 use crate::{
-    run, run_adaptive, run_streaming, CacheParams, RunOptions, SimConfig, SimResult, SliceWindows,
-    SwitchEffect, SwitchSchedule,
+    run, run_adaptive, run_streaming, InsertPriority, RunOptions, SimConfig, SimResult,
+    SliceWindows, SwitchEffect, SwitchSchedule,
 };
 use ispy_isa::{InjectionMap, PrefetchOp};
 use ispy_trace::program::{BlockExit, FuncId, Function};
@@ -42,7 +43,7 @@ type Outcomes = Vec<Option<u32>>;
 
 /// The data side as the engine ran it inline: derive each access's line,
 /// then probe and fill a plain LRU L1D (MRU first in each set's `Vec`).
-fn reference(program: &Program, blocks: &[BlockId], cfg: &SimConfig) -> Outcomes {
+fn reference(program: &Program, blocks: &[BlockId]) -> Outcomes {
     fn mix(a: u64, b: u64) -> u64 {
         let mut z = a
             .wrapping_mul(0x9E3779B97F4A7C15)
@@ -54,11 +55,11 @@ fn reference(program: &Program, blocks: &[BlockId], cfg: &SimConfig) -> Outcomes
         z = z.wrapping_mul(0x94D049BB133111EB);
         z ^ (z >> 31)
     }
-    let p = cfg.l1d;
-    let num_sets = p.size_bytes / p.line_bytes / u64::from(p.ways);
+    let p = MACHINE.l1d;
+    let num_sets = p.size_bytes / ispy_trace::LINE_BYTES / u64::from(p.ways);
     let mut sets: Vec<Vec<u64>> = vec![Vec::new(); num_sets as usize];
     let footprint = program.data_footprint_lines();
-    let threshold = (cfg.d_stream_frac * 100.0) as u64;
+    let threshold = (MACHINE.d_stream_frac * 100.0) as u64;
     let mut stream = 0u64;
     let mut out = Vec::new();
     for &b in blocks {
@@ -213,50 +214,45 @@ fn the_record_matches_the_reference_and_every_replay_path_agrees() {
     const EVENTS: usize = 6_000;
     let mut case = 0u64;
     for footprint in [1 << 12, 3_000] {
-        for d_stream_frac in [0.0, 0.25, 1.0] {
-            for effect in [
-                None,
-                Some(SwitchEffect::Thrash { l1i_pct: 50, l2_pct: 25 }),
-                Some(SwitchEffect::Flush),
-            ] {
-                case += 1;
-                let what = format!("footprint {footprint}, stream {d_stream_frac}, {effect:?}");
-                let (program, trace) = random_case(case, 400, EVENTS, footprint);
-                let cfg = SimConfig {
-                    d_stream_frac,
-                    schedule: effect.map(|e| schedule(EVENTS as u64, e)),
-                    ..SimConfig::default()
-                };
-                let want = reference(&program, trace.blocks(), &cfg);
-                let record = DataFilter::record_of(&program, &trace, &cfg);
-                assert_outcomes(&outcomes(&record), &want, &what);
+        for effect in [
+            None,
+            Some(SwitchEffect::Thrash { l1i_pct: 50, l2_pct: 25 }),
+            Some(SwitchEffect::Flush),
+        ] {
+            case += 1;
+            let what = format!("footprint {footprint}, {effect:?}");
+            let (program, trace) = random_case(case, 400, EVENTS, footprint);
+            let cfg = SimConfig {
+                schedule: effect.map(|e| schedule(EVENTS as u64, e)),
+                ..SimConfig::default()
+            };
+            let want = reference(&program, trace.blocks());
+            let record = DataFilter::record_of(&program, &trace, &cfg);
+            assert_outcomes(&outcomes(&record), &want, &what);
 
-                let plan = random_plan(&program, case);
-                let opts = || RunOptions { injections: Some(&plan), ..Default::default() };
-                // `trace`'s memo now holds the record: a memo hit.
-                let hit = run(&program, &trace, &cfg, opts());
-                let miss = run(&program, &fresh(&trace), &cfg, opts());
-                assert_same(&hit, &miss, &format!("{what}: memo hit"));
-                assert_eq!(hit.d_accesses, want.len() as u64, "{what}: accesses");
-                let want_misses = want.iter().filter(|o| o.is_some()).count() as u64;
-                assert_eq!(hit.d_misses, want_misses, "{what}: every L1D miss stalls");
-                for chunk in [1, 63, 64, 65, EVENTS] {
-                    let mut source = TraceBlocks::with_chunk(trace.blocks(), chunk);
-                    let streamed = run_streaming(&program, &mut source, &cfg, opts()).unwrap();
-                    assert_same(&streamed, &miss, &format!("{what}: chunk {chunk}"));
-                }
-                // Windows that split the record's 64-bit words, the last
-                // one short; on `trace` (a memo hit) and a fresh copy.
-                for (memo, t) in [("hit", &trace), ("miss", &fresh(&trace))] {
-                    let windows = SliceWindows::of_trace(t);
-                    for window in [1_000, 777] {
-                        let adaptive =
-                            run_adaptive(&program, &cfg, &windows, window, &plan, None, |_, _| {
-                                None
-                            });
-                        let at = format!("{what}: adaptive {window}, memo {memo}");
-                        assert_same(&adaptive.unwrap().total, &miss, &at);
-                    }
+            let plan = random_plan(&program, case);
+            let opts = || RunOptions { injections: Some(&plan), ..Default::default() };
+            // `trace`'s memo now holds the record: a memo hit.
+            let hit = run(&program, &trace, &cfg, opts());
+            let miss = run(&program, &fresh(&trace), &cfg, opts());
+            assert_same(&hit, &miss, &format!("{what}: memo hit"));
+            assert_eq!(hit.d_accesses, want.len() as u64, "{what}: accesses");
+            let want_misses = want.iter().filter(|o| o.is_some()).count() as u64;
+            assert_eq!(hit.d_misses, want_misses, "{what}: every L1D miss stalls");
+            for chunk in [1, 63, 64, 65, EVENTS] {
+                let mut source = TraceBlocks::with_chunk(trace.blocks(), chunk);
+                let streamed = run_streaming(&program, &mut source, &cfg, opts()).unwrap();
+                assert_same(&streamed, &miss, &format!("{what}: chunk {chunk}"));
+            }
+            // Windows that split the record's 64-bit words, the last
+            // one short; on `trace` (a memo hit) and a fresh copy.
+            for (memo, t) in [("hit", &trace), ("miss", &fresh(&trace))] {
+                let windows = SliceWindows::of_trace(t);
+                for window in [1_000, 777] {
+                    let adaptive =
+                        run_adaptive(&program, &cfg, &windows, window, &plan, None, |_, _| None);
+                    let at = format!("{what}: adaptive {window}, memo {memo}");
+                    assert_same(&adaptive.unwrap().total, &miss, &at);
                 }
             }
         }
@@ -286,39 +282,22 @@ fn every_key_component_separates_records() {
     let base = SimConfig::default();
     let mut other_footprint = program.clone();
     other_footprint.set_data_footprint_lines(3_000);
-    let l1d = base.l1d;
-    let variants: Vec<(&str, Program, SimConfig)> = vec![
-        ("data-access counts", with_counts(&program, |_, d| d.saturating_add(1)), base.clone()),
-        ("data footprint", other_footprint, base.clone()),
-        (
-            "L1D size",
-            program.clone(),
-            SimConfig { l1d: CacheParams::new(16 * 1024, 8), ..base.clone() },
-        ),
-        (
-            "L1D ways",
-            program.clone(),
-            SimConfig { l1d: CacheParams::new(32 * 1024, 4), ..base.clone() },
-        ),
-        (
-            "L1D line size",
-            program.clone(),
-            SimConfig { l1d: CacheParams { line_bytes: 128, ..l1d }, ..base.clone() },
-        ),
-        ("stream threshold", program.clone(), SimConfig { d_stream_frac: 0.5, ..base.clone() }),
+    let variants = [
+        ("data-access counts", with_counts(&program, |_, d| d.saturating_add(1))),
+        ("data footprint", other_footprint),
     ];
-    for (what, variant, cfg) in &variants {
+    for (what, variant) in &variants {
         // The variant's record differs from the base's, so a key that
         // confused the two would hand one of them the wrong record.
         assert_ne!(
-            reference(variant, trace.blocks(), cfg),
-            reference(&program, trace.blocks(), &base),
+            reference(variant, trace.blocks()),
+            reference(&program, trace.blocks()),
             "{what}: the variant must change the record"
         );
         let shared = fresh(&trace);
         run(&program, &shared, &base, RunOptions::default());
-        let after_base = run(variant, &shared, cfg, RunOptions::default());
-        let alone = run(variant, &fresh(&trace), cfg, RunOptions::default());
+        let after_base = run(variant, &shared, &base, RunOptions::default());
+        let alone = run(variant, &fresh(&trace), &base, RunOptions::default());
         assert_same(&after_base, &alone, what);
     }
 
@@ -336,14 +315,15 @@ fn every_key_component_separates_records() {
     let alone = run(&single, &fresh(&zeros), &base, RunOptions::default());
     assert_same(&after_padded, &alone, "block count");
 
-    // What the data side never reads shares one record.
+    // Every `SimConfig` field lies outside the key: the data side reads
+    // none of them, so all share one record.
     let shared = DataFilter::record_of(&program, &trace, &base);
     let others = [
         SimConfig::ideal(),
-        SimConfig { l1i: CacheParams::new(16 * 1024, 4), ..base.clone() },
-        SimConfig { d_stall_factor: 0.9, ..base.clone() },
+        SimConfig { prefetch_insert: InsertPriority::Lru, ..base.clone() },
         SimConfig { schedule: Some(schedule(4_000, SwitchEffect::Flush)), ..base.clone() },
         base.clone().with_hash(ispy_isa::HashConfig::new(32, 2)),
+        SimConfig { lbr_depth: 8, ..base.clone() },
     ];
     for cfg in &others {
         assert!(Arc::ptr_eq(&shared, &DataFilter::record_of(&program, &trace, cfg)), "{cfg:?}");

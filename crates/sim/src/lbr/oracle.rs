@@ -13,7 +13,7 @@ use super::{HashFilter, Lbr};
 use crate::engine::RecordFilter;
 use crate::l1d::oracle::{assert_same, fresh, random_case, schedule, straight_program, Rng};
 use crate::{
-    run, run_adaptive, run_streaming, CacheParams, RunOptions, SimConfig, SliceWindows,
+    run, run_adaptive, run_streaming, InsertPriority, RunOptions, SimConfig, SliceWindows,
     SwitchEffect,
 };
 use ispy_isa::{CoalesceMask, HashConfig, InjectionMap, PrefetchOp};
@@ -278,12 +278,12 @@ fn every_key_component_separates_records() {
         assert_same(&after_base, &alone, what);
     }
 
-    // What the LBR never reads shares one record.
+    // The `SimConfig` fields outside the key — what the LBR never reads —
+    // share one record.
     let shared = HashFilter::record_of(&program, &trace, &base);
     let others = [
         SimConfig::ideal(),
-        SimConfig { l1i: CacheParams::new(16 * 1024, 4), ..base.clone() },
-        SimConfig { l1d: CacheParams::new(16 * 1024, 4), d_stream_frac: 0.5, ..base.clone() },
+        SimConfig { prefetch_insert: InsertPriority::Lru, ..base.clone() },
         SimConfig { schedule: Some(schedule(4_000, SwitchEffect::Flush)), ..base.clone() },
     ];
     for cfg in &others {

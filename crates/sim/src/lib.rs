@@ -41,7 +41,7 @@ pub mod switch;
 
 pub use adaptive::{run_adaptive, AdaptiveRun, SliceWindows};
 pub use cache::{Cache, CacheParams, InsertPriority};
-pub use config::{Latencies, SimConfig};
+pub use config::SimConfig;
 pub use engine::{run, run_streaming, RunOptions, SimObserver};
 pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use hierarchy::{Hierarchy, ResidencyLevel};

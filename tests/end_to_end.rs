@@ -2,6 +2,7 @@
 //! reproduces the paper's qualitative results on every application.
 
 use ispy_harness::{Scale, Session};
+use ispy_sim::{run, RunOptions, SimConfig};
 use ispy_trace::apps;
 
 /// The headline orderings (Fig. 10/11) hold on every app, even at test
@@ -71,10 +72,14 @@ fn drifted_input_still_benefits() {
     let session = Session::with_apps(Scale::test(), vec![apps::wordpress()]);
     let ctx = &session.apps()[0];
     let c = session.comparison(0);
-    let scfg = ispy_sim::SimConfig::default();
+    let scfg = SimConfig::default();
     let events = 40_000;
-    let base = ctx.simulate_variant(2, events, &scfg, None);
-    let with = ctx.simulate_variant(2, events, &scfg, Some(&c.ispy_compiled));
+    let drift = ctx.program.record_trace(ctx.model.input_variant(2), events);
+    let sim = |plan| {
+        run(&ctx.program, &drift, &scfg, RunOptions { compiled: plan, ..Default::default() })
+    };
+    let base = sim(None);
+    let with = sim(Some(&c.ispy_compiled));
     assert!(
         with.cycles < base.cycles,
         "drifted input must still speed up: {} vs {}",

@@ -49,7 +49,7 @@ fn cache_capacity_and_fill_hit() {
         let lines = g.vec(1, 300, 0, 4096);
         let ways = g.range(1, 8) as u32;
         let sets = 1u64 << g.range(1, 5);
-        let params = CacheParams { size_bytes: sets * u64::from(ways) * 64, ways, line_bytes: 64 };
+        let params = CacheParams { size_bytes: sets * u64::from(ways) * 64, ways };
         let mut cache = Cache::new(params);
         for &l in &lines {
             cache.fill(Line::new(l), InsertPriority::Mru, false);
@@ -66,7 +66,7 @@ fn priority_insertion_is_safe() {
     let mut g = Gen::new(2);
     for _ in 0..CASES {
         let lines = g.vec(1, 200, 0, 512);
-        let mut cache = Cache::new(CacheParams { size_bytes: 8 * 64 * 4, ways: 4, line_bytes: 64 });
+        let mut cache = Cache::new(CacheParams { size_bytes: 8 * 64 * 4, ways: 4 });
         for &l in &lines {
             cache.fill(Line::new(l), InsertPriority::Half, true);
             assert!(cache.contains(Line::new(l)));
