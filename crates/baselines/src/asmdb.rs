@@ -11,7 +11,7 @@ use ispy_core::config::{DEFAULT_MAX_PREFETCH_CYCLES, DEFAULT_MIN_PREFETCH_CYCLES
 use ispy_core::planner::{Plan, PlanStats};
 use ispy_core::window::select_site;
 use ispy_isa::{InjectionMap, PrefetchOp};
-use ispy_profile::{Profile, SiteCandidate};
+use ispy_profile::Profile;
 use ispy_trace::Program;
 
 /// AsmDB configuration: its one dial. The prefetch window and the miss
@@ -70,15 +70,13 @@ impl<'a> AsmDbPlanner<'a> {
                 stats.uncovered_lines += 1;
                 continue;
             };
-            let candidates = windows.candidates(target_block);
             // The fan-out threshold is AsmDB's coverage/accuracy dial: only
             // sites below it are admissible.
-            let admissible: Vec<SiteCandidate> = candidates
+            let admissible = windows
+                .candidates(target_block)
                 .iter()
-                .filter(|c| c.fanout() <= self.cfg.fanout_threshold)
-                .copied()
-                .collect();
-            let Some(site) = select_site(&self.profile.cfg, &admissible) else {
+                .filter(|c| c.fanout() <= self.cfg.fanout_threshold);
+            let Some(site) = select_site(&self.profile.cfg, admissible) else {
                 stats.uncovered_lines += 1;
                 continue;
             };

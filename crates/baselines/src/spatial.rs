@@ -74,7 +74,8 @@ impl<'a> SpatialPlanner<'a> {
                 stats.uncovered_lines += 1;
                 continue;
             };
-            let Some(site) = select_site(&self.profile.cfg, windows.candidates(target_block))
+            let Some(site) =
+                select_site(&self.profile.cfg, windows.candidates(target_block).iter())
             else {
                 stats.uncovered_lines += 1;
                 continue;

@@ -1,6 +1,7 @@
 //! The window memo a profile's dynamic CFG keeps: AsmDB's and I-SPY's
-//! plans over one profile search each distinct (target, window) once
-//! between them, and copies of the profile plan byte-identically.
+//! plans over one profile search each distinct (target, max cycles) once
+//! between them, whatever their minimums, and copies of the profile plan
+//! byte-identically.
 //!
 //! The search count is read from the process-wide telemetry registry, so
 //! this file holds a single test: no other test in the binary plans
@@ -8,7 +9,7 @@
 
 use ispy_baselines::asmdb::{AsmDbConfig, AsmDbPlanner};
 use ispy_core::artifact::plan_to_bytes;
-use ispy_core::config::{DEFAULT_MAX_PREFETCH_CYCLES, DEFAULT_MIN_PREFETCH_CYCLES};
+use ispy_core::config::DEFAULT_MAX_PREFETCH_CYCLES;
 use ispy_core::{IspyConfig, Plan, Planner};
 use ispy_profile::artifact::{profile_from_bytes, profile_to_bytes};
 use ispy_profile::{profile, Profile, SampleRate};
@@ -18,19 +19,16 @@ use ispy_trace::{apps, BlockId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The (target, min cycles, max cycles) keys a planner targeting lines
-/// with at least `min_misses` misses searches on `prof`.
-fn window_keys(
-    prof: &Profile,
-    min_misses: u64,
-    window: (u32, u32),
-) -> HashSet<(BlockId, u32, u32)> {
+/// The (target, max cycles) keys a planner targeting lines with at least
+/// `min_misses` misses in a window of `max_cycles` searches on `prof`: a
+/// `(min, max)` window reads the `(0, max)` search.
+fn window_keys(prof: &Profile, min_misses: u64, max_cycles: u32) -> HashSet<(BlockId, u32)> {
     prof.misses
         .lines_by_count()
         .into_iter()
         .filter(|(_, s)| s.count >= min_misses)
         .filter_map(|(_, s)| s.dominant_block())
-        .map(|t| (t, window.0, window.1))
+        .map(|t| (t, max_cycles))
         .collect()
 }
 
@@ -53,22 +51,20 @@ fn planners_share_one_search_per_window_key() {
     let searches = || tele.counter("core.window.searches");
 
     let asmdb_plan = asmdb(&prof);
-    let asmdb_keys = window_keys(
-        &prof,
-        ispy_baselines::BASELINE_MIN_MISS_COUNT,
-        (DEFAULT_MIN_PREFETCH_CYCLES, DEFAULT_MAX_PREFETCH_CYCLES),
-    );
+    let asmdb_keys =
+        window_keys(&prof, ispy_baselines::BASELINE_MIN_MISS_COUNT, DEFAULT_MAX_PREFETCH_CYCLES);
     assert_eq!(searches(), asmdb_keys.len() as u64);
     // I-SPY searches only the keys AsmDB left unsearched.
     let ispy_plan = ispy(&prof);
-    let ispy_keys = window_keys(
-        &prof,
-        ispy_core::config::FIXED.min_miss_count,
-        (ispy_cfg.min_prefetch_cycles, ispy_cfg.max_prefetch_cycles),
-    );
+    let ispy_keys =
+        window_keys(&prof, ispy_core::config::FIXED.min_miss_count, ispy_cfg.max_prefetch_cycles);
     let all_keys: HashSet<_> = asmdb_keys.union(&ispy_keys).collect();
     assert_eq!(searches(), all_keys.len() as u64);
     assert!(all_keys.len() < asmdb_keys.len() + ispy_keys.len(), "the planners share no window");
+    // Another minimum with the same max reads the same searches.
+    let closer = IspyConfig::default().with_distances(5, ispy_cfg.max_prefetch_cycles);
+    Planner::new(&program, &trace, &prof, closer).plan();
+    assert_eq!(searches(), all_keys.len() as u64);
     // Replanning searches nothing.
     assert_eq!(asmdb(&prof), asmdb_plan);
     assert_eq!(ispy(&prof), ispy_plan);

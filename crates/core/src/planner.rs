@@ -4,14 +4,14 @@ use crate::coalesce::{coalesce_sorted, CoalescedGroup};
 use crate::config::{IspyConfig, FIXED};
 use crate::context::{discover_multi, ContextChoice, ContextTally};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
-use crate::window::{select_covering_sites, SelectedSite, SelectionPolicy};
+use crate::window::{select_covering_sites, site_estimates, SelectionPolicy};
 use ispy_isa::{ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
 use ispy_profile::scan::MAX_CANDIDATES;
+use ispy_profile::window::{Candidates, WindowTable};
 use ispy_profile::{
     scan_joint, ContentHasher, JointCounts, JointQuery, LineMissStats, OrderedLine, Profile,
     ProfileDelta, SiteCandidate,
 };
-use ispy_sim::FxHashMap;
 use ispy_trace::{BlockId, Line, Program, Trace};
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -132,11 +132,14 @@ type Answer = (Arc<JointQuery>, Arc<JointCounts>);
 ///   dimensions, and every config field passes 1–2.5 read): one slot per
 ///   line, checked against the line's miss-stats digest — the engine
 ///   behind [`Planner::replan_delta`]. A slot holds the line's whole
-///   outcome (covered lines: one entries vector, the pass-2 entries then
-///   the retry entries), and a plan adds a hit to its stats and pass 3
-///   exactly as it adds a line it analyzed fresh. Pass 3's knobs
-///   (`coalesce_bits`, `coalescing`, `hash`) are not in the base digest, so
-///   config points that differ only in them reuse every line outcome.
+///   outcome in compact form (covered lines: the pass-2 entries then the
+///   retry entries, each an index into the line's `(0, max)` window
+///   candidates, the site's presence count and two flags, and the adopted
+///   contexts out of line; uncovered lines allocate nothing), and a plan
+///   adds a hit to its stats and pass 3 exactly as it adds a line it
+///   analyzed fresh. Pass 3's knobs (`coalesce_bits`, `coalescing`,
+///   `hash`) are not in the base digest, so config points that differ only
+///   in them reuse every line outcome.
 ///
 /// Sensitivity sweeps (Figs. 12/17/18/19 and the ablations) replan the same
 /// app under many configs; with a shared baseline each distinct trace scan
@@ -171,9 +174,73 @@ pub struct PlannerBaseline {
     line_memos: Mutex<HashMap<u64, Arc<Mutex<LineMemo>>>>,
 }
 
-/// One config's line memo: by line, the line's miss-stats digest when it
-/// was analyzed and the outcome.
-type LineMemo = FxHashMap<u64, (u64, Arc<LineOutcome>)>;
+/// One line's memo slot: its miss-stats digest when it was analyzed, and
+/// its outcome.
+type MemoSlot = (u64, LineOutcome);
+
+/// One config's line memo: at most one slot per line, kept sorted by line.
+/// Sorted vectors hold exactly their slots, where a hash table would keep
+/// up to half of its buckets empty; a lookup is a binary search over the
+/// dense line column, and each plan merges its fresh slots in at once.
+#[derive(Debug, Default)]
+struct LineMemo {
+    /// The lines with a slot (raw), ascending.
+    lines: Vec<u64>,
+    /// Each line's slot, parallel to `lines`.
+    slots: Vec<MemoSlot>,
+}
+
+impl LineMemo {
+    /// The index of `line`'s slot in `slots`.
+    fn find(&self, line: u64) -> Option<usize> {
+        self.lines.binary_search(&line).ok()
+    }
+
+    /// Stores `fresh` slots (at most one per line), each replacing the
+    /// line's slot if it has one.
+    fn store(&mut self, mut fresh: Vec<(u64, MemoSlot)>) {
+        if fresh.is_empty() {
+            return;
+        }
+        fresh.sort_unstable_by_key(|&(line, _)| line);
+        let len = self.lines.len() + fresh.len();
+        let (mut lines, mut slots) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        let mut old = std::mem::take(&mut self.lines)
+            .into_iter()
+            .zip(std::mem::take(&mut self.slots))
+            .peekable();
+        for (line, slot) in fresh {
+            while let Some((kept, kept_slot)) = old.next_if(|&(l, _)| l < line) {
+                lines.push(kept);
+                slots.push(kept_slot);
+            }
+            old.next_if(|&(l, _)| l == line);
+            lines.push(line);
+            slots.push(slot);
+        }
+        for (line, slot) in old {
+            lines.push(line);
+            slots.push(slot);
+        }
+        lines.shrink_to_fit();
+        slots.shrink_to_fit();
+        (self.lines, self.slots) = (lines, slots);
+    }
+
+    /// Drops the slots of `lines`.
+    fn remove(&mut self, lines: &[Line]) {
+        let mut gone = vec![false; self.lines.len()];
+        for l in lines {
+            if let Some(i) = self.find(l.raw()) {
+                gone[i] = true;
+            }
+        }
+        let mut gone_slots = gone.iter();
+        self.slots.retain(|_| !gone_slots.next().expect("one slot per line"));
+        let mut gone_lines = gone.iter();
+        self.lines.retain(|_| !gone_lines.next().expect("one line per slot"));
+    }
+}
 
 impl PlannerBaseline {
     /// Creates an empty baseline (caches fill lazily on first use).
@@ -195,10 +262,7 @@ impl PlannerBaseline {
         let memos: Vec<Arc<Mutex<LineMemo>>> =
             self.line_memos.lock().expect("line memos lock").values().cloned().collect();
         for memo in memos {
-            let mut memo = memo.lock().expect("line memo lock");
-            for l in lines {
-                memo.remove(&l.raw());
-            }
+            memo.lock().expect("line memo lock").remove(lines);
         }
     }
 
@@ -330,24 +394,36 @@ fn sort_emitted(emitted: Vec<Emitted>, num_blocks: usize) -> Vec<Emitted> {
 }
 
 /// One (site, line) decision being made: the entry a context round fills
-/// in, and the index of its query among the round's joint queries until
-/// that round has decided it.
+/// in, the contexts it adopts, and the index of its query among the round's
+/// joint queries until that round has decided it.
 struct Pending {
     entry: MemoEntry,
+    ctxs: Vec<ContextChoice>,
     query: Option<usize>,
 }
 
 impl Pending {
-    /// A decision for `site`, its `query` (if any) appended to the round's
+    /// A decision for the window candidate at `cand` (an index into the
+    /// line's unfiltered candidates), which preceded `presence` of the
+    /// line's sampled misses, its `query` (if any) appended to the round's
     /// `queries`. A site that needs a context but has no query to find one
     /// in cannot be repaired, so it starts out dropped.
-    fn new(site: SelectedSite, query: Option<JointQuery>, queries: &mut Vec<JointQuery>) -> Self {
-        let dropped = query.is_none() && site.needs_ctx;
+    fn new(
+        cand: usize,
+        presence: u64,
+        needs_ctx: bool,
+        query: Option<JointQuery>,
+        queries: &mut Vec<JointQuery>,
+    ) -> Self {
+        let dropped = query.is_none() && needs_ctx;
         let query = query.map(|q| {
             queries.push(q);
             queries.len() - 1
         });
-        Pending { entry: MemoEntry { site, ctxs: Vec::new(), dropped }, query }
+        let cand = u32::try_from(cand).expect("a window search settles at most u32::MAX blocks");
+        let presence = u32::try_from(presence).expect("trace positions are u32");
+        let entry = MemoEntry { cand, presence, adopted: 0, needs_ctx, dropped };
+        Pending { entry, ctxs: Vec::new(), query }
     }
 }
 
@@ -361,20 +437,30 @@ struct FreshLine<'w> {
     ranked: OnceCell<Arc<Vec<BlockId>>>,
     /// The line's window candidates; those no entry chose are the spares
     /// pass 2.5 retries.
-    candidates: &'w [SiteCandidate],
+    candidates: Candidates<'w>,
     /// Pass 1's entries (selection order), then any retry entries pass 2.5
     /// adds (rank order).
     entries: Vec<Pending>,
 }
 
 /// One finished (site, line) decision, as stored in the per-line memo and
-/// replayed into pass 3. Everything pass 3 emits is derivable from this
-/// plus a fresh miss-count lookup.
-#[derive(Debug)]
+/// replayed into pass 3. Everything pass 3 emits is derivable from this,
+/// the line's window candidates and contexts, and fresh lookups of the
+/// line's miss count and the site's execution count ([`site_estimates`]).
+#[derive(Debug, Clone, Copy)]
 struct MemoEntry {
-    site: SelectedSite,
-    /// Adopted contexts (empty = unconditional op).
-    ctxs: Vec<ContextChoice>,
+    /// The site: its index in the line's unfiltered (`(0, max)`) window
+    /// candidates ([`Candidates::unfiltered`]).
+    cand: u32,
+    /// How many of the line's sampled misses the site preceded (its
+    /// history presence), kept so a replayed entry needs no lookup in the
+    /// line's presence map.
+    presence: u32,
+    /// How many of the line's contexts, the next ones in entry order, the
+    /// entry adopted (none = unconditional op).
+    adopted: u8,
+    /// The site was too imprecise to fire unconditionally.
+    needs_ctx: bool,
     /// Dropped by its context round (needs-context site without a strong
     /// context).
     dropped: bool,
@@ -394,8 +480,9 @@ enum LineOutcome {
     NoSites { had_candidates: bool },
     /// Covered: one entry per (site, line) decision — pass 2's entries in
     /// selection order, then any pass-2.5 retry entries in rank order —
-    /// dropped ones included so pass 3 can count them.
-    Covered { entries: Vec<MemoEntry> },
+    /// dropped ones included so pass 3 can count them; and the contexts
+    /// the entries adopted, in entry order. Both at their exact size.
+    Covered { entries: Box<[MemoEntry]>, ctxs: Box<[ContextChoice]> },
 }
 
 /// The I-SPY offline analyzer.
@@ -546,10 +633,11 @@ impl<'a> Planner<'a> {
             .profile
             .cfg
             .window_table(self.cfg.min_prefetch_cycles, self.cfg.max_prefetch_cycles);
-        // Every target line's outcome, in any order, with the stats digest
-        // to memoize it under if it was analyzed fresh. Covered fresh lines
-        // join once pass 2.5 has finished them.
-        let mut outcomes: Vec<(OrderedLine, Arc<LineOutcome>, Option<u64>)> = Vec::new();
+        // The target lines the memo serves, and every other target line's
+        // outcome with the stats digest to memoize it under, in any order.
+        // Covered fresh lines join once pass 2.5 has finished them.
+        let mut hits: Vec<(OrderedLine, usize)> = Vec::new();
+        let mut outcomes: Vec<(OrderedLine, LineOutcome, u64)> = Vec::new();
         let mut fresh: Vec<FreshLine> = Vec::new();
         let mut queries: Vec<JointQuery> = Vec::new();
         for target in self.profile.misses.plan_order(FIXED.min_miss_count) {
@@ -557,16 +645,17 @@ impl<'a> Planner<'a> {
             let mut line_digest = 0;
             if let Some(memo) = &memo {
                 line_digest = target.digest();
-                let hit = memo.get(&line.raw()).filter(|(d, _)| *d == line_digest);
-                if let Some((_, outcome)) = hit {
+                if let Some(slot) =
+                    memo.find(line.raw()).filter(|&i| memo.slots[i].0 == line_digest)
+                {
                     memo_hits += 1;
-                    outcomes.push((target, Arc::clone(outcome), None));
+                    hits.push((target, slot));
                     continue;
                 }
                 memo_misses += 1;
             }
             let Some(target_block) = target.dominant else {
-                outcomes.push((target, Arc::new(LineOutcome::NoDominant), Some(line_digest)));
+                outcomes.push((target, LineOutcome::NoDominant, line_digest));
                 continue;
             };
             let candidates = windows.candidates(target_block);
@@ -581,16 +670,17 @@ impl<'a> Planner<'a> {
                 min_conditional_precision: FIXED.min_conditional_precision,
                 allow_conditional,
             };
+            let presence = |b: BlockId| line_stats.history_presence.get(&b).copied().unwrap_or(0);
             let sites = select_covering_sites(
                 candidates,
-                |b| line_stats.history_presence.get(&b).copied().unwrap_or(0),
+                presence,
                 |b| self.profile.cfg.exec_count(b),
                 line_stats.count,
                 &policy,
             );
             if sites.is_empty() {
                 let outcome = LineOutcome::NoSites { had_candidates: !candidates.is_empty() };
-                outcomes.push((target, Arc::new(outcome), Some(line_digest)));
+                outcomes.push((target, outcome, line_digest));
                 continue;
             }
             let rank_key =
@@ -610,7 +700,14 @@ impl<'a> Planner<'a> {
                 } else {
                     None
                 };
-                fl.entries.push(Pending::new(site, query, &mut queries));
+                let pres = presence(site.cand.block);
+                fl.entries.push(Pending::new(
+                    site.index,
+                    pres,
+                    site.needs_ctx,
+                    query,
+                    &mut queries,
+                ));
             }
             fresh.push(fl);
         }
@@ -633,16 +730,16 @@ impl<'a> Planner<'a> {
                     continue;
                 }
                 // The spares: window candidates no pass-1 site took.
-                let mut ranked: Vec<SiteCandidate> = fl
+                let mut ranked: Vec<(usize, SiteCandidate)> = fl
                     .candidates
-                    .iter()
-                    .filter(|c| fl.entries.iter().all(|e| e.entry.site.cand.block != c.block))
-                    .copied()
+                    .indexed()
+                    .filter(|&(i, _)| fl.entries.iter().all(|e| e.entry.cand as usize != i))
+                    .map(|(i, &c)| (i, c))
                     .collect();
                 let line_stats = fl.target.stats;
                 let presence =
                     |b: BlockId| line_stats.history_presence.get(&b).copied().unwrap_or(0);
-                ranked.sort_by(|a, b| {
+                ranked.sort_by(|(_, a), (_, b)| {
                     presence(b.block).cmp(&presence(a.block)).then_with(|| {
                         b.cycles
                             .partial_cmp(&a.cycles)
@@ -651,13 +748,13 @@ impl<'a> Planner<'a> {
                     })
                 });
                 let mut taken = 0;
-                for cand in ranked {
+                for (index, cand) in ranked {
                     if taken >= 2 {
                         break;
                     }
-                    let pres = presence(cand.block);
-                    let execs = self.profile.cfg.exec_count(cand.block).max(1);
-                    let precision = (pres as f64 / execs as f64).min(1.0);
+                    let (pres, execs) =
+                        (presence(cand.block), self.profile.cfg.exec_count(cand.block));
+                    let (_, precision) = site_estimates(pres, execs, line_stats.count);
                     // Even a conditional op *executes* on every site pass;
                     // the precision floor bounds the dynamic overhead.
                     if precision < FIXED.min_conditional_precision {
@@ -665,13 +762,7 @@ impl<'a> Planner<'a> {
                     }
                     let Some(query) = self.joint_query(fl, &cand, baseline) else { continue };
                     taken += 1;
-                    let site = SelectedSite {
-                        cand,
-                        presence_frac: pres as f64 / line_stats.count.max(1) as f64,
-                        precision,
-                        needs_ctx: true,
-                    };
-                    fl.entries.push(Pending::new(site, Some(query), &mut queries));
+                    fl.entries.push(Pending::new(index, pres, true, Some(query), &mut queries));
                 }
             }
             drop(retry_span);
@@ -686,21 +777,34 @@ impl<'a> Planner<'a> {
         // the baseline lives, so they are stored at their exact size (the
         // pass vectors grew by pushes and carry spare capacity).
         outcomes.extend(fresh.into_iter().map(|fl| {
-            let mut entries = Vec::with_capacity(fl.entries.len());
-            entries.extend(fl.entries.into_iter().map(|p| {
-                let mut entry = p.entry;
-                entry.ctxs.shrink_to_fit();
-                entry
-            }));
-            (fl.target, Arc::new(LineOutcome::Covered { entries }), Some(fl.line_digest))
+            let entries = fl
+                .entries
+                .iter()
+                .map(|p| {
+                    let adopted = u8::try_from(p.ctxs.len()).expect("a site adopts few contexts");
+                    MemoEntry { adopted, ..p.entry }
+                })
+                .collect();
+            let ctxs = fl.entries.into_iter().flat_map(|p| p.ctxs).collect();
+            (fl.target, LineOutcome::Covered { entries, ctxs }, fl.line_digest)
         }));
         let mut emitted: Vec<Emitted> = Vec::new();
         let mut planned: Vec<PlannedLine> = Vec::new();
-        for (target, outcome, fresh_digest) in outcomes {
-            self.add_line(&mut stats, &mut emitted, &mut planned, target, &outcome);
-            if let (Some(memo), Some(digest)) = (&mut memo, fresh_digest) {
-                memo.insert(target.line.raw(), (digest, outcome));
+        let mut add = |target, outcome: &LineOutcome| {
+            self.add_line(&mut stats, &mut emitted, &mut planned, &windows, target, outcome);
+        };
+        if let Some(memo) = &memo {
+            for (target, slot) in hits {
+                add(target, &memo.slots[slot].1);
             }
+        }
+        for (target, outcome, _) in &outcomes {
+            add(*target, outcome);
+        }
+        if let Some(memo) = &mut memo {
+            memo.store(
+                outcomes.into_iter().map(|(t, o, digest)| (t.line.raw(), (digest, o))).collect(),
+            );
         }
         drop(memo);
         // Groups in ascending (site, sorted context ids) order; inside one,
@@ -883,7 +987,6 @@ impl<'a> Planner<'a> {
         for pending in fresh.iter_mut().flat_map(|fl| &mut fl.entries) {
             let Some(qi) = pending.query.take() else { continue };
             let (query, counts) = &answers[qi];
-            let entry = &mut pending.entry;
             // Zero fan-out at run time: the site almost always leads to the
             // miss; no condition needed (§IV).
             let unconditional = counts.conditional_probability(0).unwrap_or(0.0);
@@ -900,21 +1003,21 @@ impl<'a> Planner<'a> {
                 FIXED.max_contexts_per_site,
             );
             tally.count(&found);
-            if entry.site.needs_ctx {
+            if pending.entry.needs_ctx {
                 // An imprecise site (every retry site among them) is kept
                 // conditionally when contexts make its firings likely to be
                 // useful; failing that it survives unconditionally only if
                 // its raw reach is already decent (most firings land on a
                 // soon-needed line); otherwise it is dropped.
                 if !found.contexts.is_empty() {
-                    entry.ctxs = found.contexts;
+                    pending.ctxs = found.contexts;
                 } else if unconditional < FIXED.min_unconditional_reach {
-                    entry.dropped = true;
+                    pending.entry.dropped = true;
                 }
             } else if !found.contexts.is_empty() && found.coverage >= 0.8 {
                 // A precise site adopts contexts only when they retain
                 // (almost) all of its coverage while raising accuracy.
-                entry.ctxs = found.contexts;
+                pending.ctxs = found.contexts;
             }
         }
     }
@@ -967,18 +1070,21 @@ impl<'a> Planner<'a> {
     /// Adds one target line's outcome to the plan: its coverage to `stats`,
     /// and each of its surviving entries to pass 3's `emitted`, with its
     /// planning estimates in `planned`, counting dropped entries and
-    /// adopted contexts.
+    /// adopted contexts. An entry's site comes from the line's candidates
+    /// in `windows`, and its coverage and precision from the line's stats
+    /// ([`site_estimates`], as site selection computed them).
     fn add_line(
         &self,
         stats: &mut PlanStats,
         emitted: &mut Vec<Emitted>,
         planned: &mut Vec<PlannedLine>,
+        windows: &WindowTable,
         target: OrderedLine,
         outcome: &LineOutcome,
     ) {
         stats.target_lines += 1;
-        let entries = match outcome {
-            LineOutcome::Covered { entries } => entries,
+        let (entries, ctxs) = match outcome {
+            LineOutcome::Covered { entries, ctxs } => (entries, ctxs),
             LineOutcome::NoDominant => {
                 stats.uncovered_lines += 1;
                 return;
@@ -994,33 +1100,41 @@ impl<'a> Planner<'a> {
             }
         };
         stats.covered_lines += 1;
-        let (line, miss_count) = (target.line, target.stats.count);
-        for entry in entries {
+        let (line, line_stats) = (target.line, target.stats);
+        let target_block = target.dominant.expect("a covered line has a dominant block");
+        let candidates = windows.candidates(target_block).unfiltered();
+        let mut ctxs = &ctxs[..];
+        for entry in entries.iter() {
+            let adopted;
+            (adopted, ctxs) = ctxs.split_at(usize::from(entry.adopted));
             if entry.dropped {
                 stats.entries_dropped += 1;
                 continue;
             }
-            let site = entry.site.cand.block.0;
+            let cand = candidates[entry.cand as usize];
+            let execs = self.profile.cfg.exec_count(cand.block);
+            let (site_presence, site_precision) =
+                site_estimates(u64::from(entry.presence), execs, line_stats.count);
             let mut push = |ctx: CtxIds, adopted: Option<&ContextChoice>| {
                 let seq = emitted.len() as u32;
-                emitted.push(Emitted { site, ctx, line, seq });
+                emitted.push(Emitted { site: cand.block.0, ctx, line, seq });
                 planned.push(PlannedLine {
                     line,
-                    miss_count,
-                    site_presence: entry.site.presence_frac,
-                    site_precision: entry.site.precision,
-                    reach_prob: entry.site.cand.reach_prob,
-                    window_cycles: entry.site.cand.cycles,
+                    miss_count: line_stats.count,
+                    site_presence,
+                    site_precision,
+                    reach_prob: cand.reach_prob,
+                    window_cycles: cand.cycles,
                     ctx_probability: adopted.map(|c| c.probability),
                     ctx_baseline: adopted.map(|c| c.baseline),
                     ctx_support: adopted.map(|c| c.support),
                 });
             };
-            if entry.ctxs.is_empty() {
+            if adopted.is_empty() {
                 push(CtxIds::new(&[]), None);
                 continue;
             }
-            for ctx in &entry.ctxs {
+            for ctx in adopted {
                 stats.contexts_adopted += 1;
                 stats.context_blocks_total += ctx.blocks.len();
                 push(CtxIds::new(&ctx.blocks), Some(ctx));
@@ -1214,7 +1328,7 @@ mod tests {
         let baseline = PlannerBaseline::new();
         let slots = |line: u64| {
             let memos = baseline.line_memos.lock().unwrap();
-            memos.values().filter(|m| m.lock().unwrap().contains_key(&line)).count()
+            memos.values().filter(|m| m.lock().unwrap().find(line).is_some()).count()
         };
         let plan = |cfg: IspyConfig| Planner::new(&program, &trace, &prof, cfg);
         let lines: Vec<Line> = prof.misses.lines_by_count().iter().map(|(l, _)| *l).collect();
@@ -1239,7 +1353,7 @@ mod tests {
         let baseline = PlannerBaseline::new();
         let slots = |line: u64| {
             let memos = baseline.line_memos.lock().unwrap();
-            memos.values().filter(|m| m.lock().unwrap().contains_key(&line)).count()
+            memos.values().filter(|m| m.lock().unwrap().find(line).is_some()).count()
         };
         for n in [8, 16, 32] {
             plan(IspyConfig::default().with_ctx_size(n)).plan_with_baseline(&baseline);
@@ -1249,6 +1363,25 @@ mod tests {
             plan(IspyConfig::default().with_ctx_size(n)).plan_with_baseline(&baseline);
             assert!(lines.iter().all(|l| slots(l.raw()) == expected), "size {n}");
         }
+    }
+
+    #[test]
+    fn line_memo_keeps_one_sorted_slot_per_line() {
+        let mut memo = LineMemo::default();
+        let slot = |digest: u64| (digest, LineOutcome::NoSites { had_candidates: true });
+        let digests = |memo: &LineMemo| memo.slots.iter().map(|s| s.0).collect::<Vec<u64>>();
+        memo.store(vec![(30, slot(1)), (10, slot(1)), (20, slot(1))]);
+        // A fresh slot replaces a stale one of its line.
+        memo.store(vec![(20, slot(2)), (25, slot(2)), (5, slot(2))]);
+        assert_eq!(memo.lines, [5, 10, 20, 25, 30]);
+        assert_eq!(digests(&memo), [2, 1, 2, 2, 1]);
+        memo.store(Vec::new());
+        assert_eq!(memo.lines, [5, 10, 20, 25, 30]);
+        // Lines without a slot are ignored.
+        memo.remove(&[Line::new(20), Line::new(99), Line::new(5)]);
+        assert_eq!(memo.lines, [10, 25, 30]);
+        assert_eq!(digests(&memo), [1, 2, 1]);
+        assert_eq!((memo.find(25), memo.find(20)), (Some(1), None));
     }
 
     /// Every history block of `s` passing the presence and lift floors, in

@@ -7,7 +7,7 @@
 //! I-SPY's coverage- and precision-driven multi-site policy
 //! ([`select_covering_sites`]).
 
-use ispy_profile::window::SiteCandidate;
+use ispy_profile::window::{Candidates, SiteCandidate};
 use ispy_profile::DynCfg;
 use ispy_trace::BlockId;
 use std::cmp::Ordering;
@@ -15,8 +15,11 @@ use std::cmp::Ordering;
 /// Picks the planner's injection site: the most-reachable candidate,
 /// tie-broken toward more frequently executed blocks (better amortization of
 /// the injected instruction).
-pub fn select_site(cfg: &DynCfg, candidates: &[SiteCandidate]) -> Option<SiteCandidate> {
-    candidates.iter().copied().max_by(|a, b| {
+pub fn select_site<'a>(
+    cfg: &DynCfg,
+    candidates: impl IntoIterator<Item = &'a SiteCandidate>,
+) -> Option<SiteCandidate> {
+    candidates.into_iter().copied().max_by(|a, b| {
         a.reach_prob
             .partial_cmp(&b.reach_prob)
             .unwrap_or(Ordering::Equal)
@@ -25,12 +28,26 @@ pub fn select_site(cfg: &DynCfg, candidates: &[SiteCandidate]) -> Option<SiteCan
     })
 }
 
+/// A site's coverage and precision for one miss line: the fraction of the
+/// line's `miss_count` sampled misses the site preceded (`presence` of
+/// them), and `P(miss | site executes)` over its `exec_count` executions.
+/// Selection and the planner's later passes derive both from here, so a
+/// decision stored without them rebuilds them bit for bit.
+pub fn site_estimates(presence: u64, exec_count: u64, miss_count: u64) -> (f64, f64) {
+    let presence_frac = presence as f64 / miss_count.max(1) as f64;
+    let precision = (presence as f64 / exec_count.max(1) as f64).min(1.0);
+    (presence_frac, precision)
+}
+
 /// A site chosen by [`select_covering_sites`], with its coverage/precision
 /// estimates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectedSite {
     /// The underlying window candidate.
     pub cand: SiteCandidate,
+    /// Where `cand` sits in the candidates' unfiltered list
+    /// ([`Candidates::unfiltered`]).
+    pub index: usize,
     /// Fraction of the line's sampled misses this site preceded (coverage).
     pub presence_frac: f64,
     /// `P(miss | site executes)` estimate: presence / site executions.
@@ -68,7 +85,7 @@ pub struct SelectionPolicy {
 /// §II-C trade-off: high-fan-out sites buy coverage but need the run-time
 /// condition to stay accurate.
 pub fn select_covering_sites(
-    candidates: &[SiteCandidate],
+    candidates: Candidates<'_>,
     presence: impl Fn(BlockId) -> u64,
     exec_count: impl Fn(BlockId) -> u64,
     miss_count: u64,
@@ -81,30 +98,28 @@ pub fn select_covering_sites(
     // Candidates under the coverage floor can never be chosen (the fraction
     // is monotone in presence, so they would all sort after the last site
     // that passes it): drop them before the sort.
-    let mut ranked: Vec<(u64, SiteCandidate)> = candidates
-        .iter()
-        .map(|&c| (presence(c.block), c))
-        .filter(|&(pres, _)| frac(pres).partial_cmp(&policy.min_presence) != Some(Ordering::Less))
+    let mut ranked: Vec<(u64, usize, SiteCandidate)> = candidates
+        .indexed()
+        .map(|(i, &c)| (presence(c.block), i, c))
+        .filter(|&(pres, ..)| frac(pres).partial_cmp(&policy.min_presence) != Some(Ordering::Less))
         .collect();
     // Highest coverage first; among equals prefer *closer* sites — the
     // prefetched line spends less time exposed to eviction before use.
     ranked.sort_by(|a, b| {
         b.0.cmp(&a.0)
-            .then_with(|| a.1.cycles.partial_cmp(&b.1.cycles).unwrap_or(Ordering::Equal))
-            .then_with(|| a.1.block.0.cmp(&b.1.block.0))
+            .then_with(|| a.2.cycles.partial_cmp(&b.2.cycles).unwrap_or(Ordering::Equal))
+            .then_with(|| a.2.block.0.cmp(&b.2.block.0))
     });
     let mut chosen: Vec<SelectedSite> = Vec::new();
     let mut cum = 0.0;
-    for (pres, cand) in ranked {
-        let presence_frac = frac(pres);
-        let execs = exec_count(cand.block).max(1);
-        let precision = (pres as f64 / execs as f64).min(1.0);
+    for (pres, index, cand) in ranked {
+        let (presence_frac, precision) = site_estimates(pres, exec_count(cand.block), miss_count);
         let needs_ctx = precision < policy.min_unconditional_precision;
         if needs_ctx && (!policy.allow_conditional || precision < policy.min_conditional_precision)
         {
             continue;
         }
-        chosen.push(SelectedSite { cand, presence_frac, precision, needs_ctx });
+        chosen.push(SelectedSite { cand, index, presence_frac, precision, needs_ctx });
         cum += presence_frac;
         if cum >= 1.3 || chosen.len() >= policy.max_sites {
             break;
@@ -161,15 +176,23 @@ mod tests {
             2 => 90,
             _ => 5,
         };
-        let chosen = select_covering_sites(&cands, presence, |_| 300, 100, &policy());
+        let chosen =
+            select_covering_sites(Candidates::new(&cands, 0), presence, |_| 300, 100, &policy());
         let ids: Vec<u32> = chosen.iter().map(|c| c.cand.block.0).collect();
         // Block 2 first (highest presence); cumulative 0.9 + 0.6 >= 1.3
         // stops after block 1; block 3 is below the floor anyway.
         assert_eq!(ids, vec![2, 1]);
+        // Indices point into the unfiltered list.
+        assert_eq!((chosen[0].index, chosen[1].index), (1, 0));
         // Precision 90/300 = 0.3 clears the 0.25 unconditional floor;
         // 60/300 = 0.2 does not, so block 1 needs a context.
         assert!(!chosen[0].needs_ctx);
         assert!(chosen[1].needs_ctx);
+        // A view from 60 cycles up leaves block 2 alone, at its index in
+        // the whole list.
+        let far =
+            select_covering_sites(Candidates::new(&cands, 60), presence, |_| 300, 100, &policy());
+        assert_eq!(far.iter().map(|c| (c.cand.block.0, c.index)).collect::<Vec<_>>(), [(2, 1)]);
     }
 
     #[test]
@@ -182,10 +205,12 @@ mod tests {
         };
         let cands: Vec<SiteCandidate> = (0..10).map(mk).collect();
         let p = SelectionPolicy { max_sites: 2, ..policy() };
-        let chosen = select_covering_sites(&cands, |_| 20, |_| 40, 100, &p);
+        let chosen = select_covering_sites(Candidates::new(&cands, 0), |_| 20, |_| 40, 100, &p);
         assert_eq!(chosen.len(), 2);
-        assert!(select_covering_sites(&cands, |_| 20, |_| 40, 0, &p).is_empty());
-        assert!(select_covering_sites(&cands, |_| 5, |_| 40, 100, &p).is_empty());
+        assert!(select_covering_sites(Candidates::new(&cands, 0), |_| 20, |_| 40, 0, &p).is_empty());
+        assert!(
+            select_covering_sites(Candidates::new(&cands, 0), |_| 5, |_| 40, 100, &p).is_empty()
+        );
     }
 
     #[test]
@@ -193,15 +218,23 @@ mod tests {
         let cand = SiteCandidate { block: BlockId(1), reach_prob: 0.5, cycles: 50.0, blocks: 4 };
         // Site precedes all 100 misses but executes 100 000 times: precision
         // 0.001 is below even the conditional floor -> skipped entirely.
-        let chosen = select_covering_sites(&[cand], |_| 100, |_| 100_000, 100, &policy());
+        let chosen = select_covering_sites(
+            Candidates::new(&[cand], 0),
+            |_| 100,
+            |_| 100_000,
+            100,
+            &policy(),
+        );
         assert!(chosen.is_empty());
         // Without conditional sites allowed, a 0.1-precision site also goes.
         let p = SelectionPolicy { allow_conditional: false, ..policy() };
-        let chosen = select_covering_sites(&[cand], |_| 100, |_| 1_000, 100, &p);
+        let chosen =
+            select_covering_sites(Candidates::new(&[cand], 0), |_| 100, |_| 1_000, 100, &p);
         assert!(chosen.is_empty());
         // With conditional allowed, the 0.1-precision site is kept but
         // flagged as needing a context.
-        let chosen = select_covering_sites(&[cand], |_| 100, |_| 1_000, 100, &policy());
+        let chosen =
+            select_covering_sites(Candidates::new(&[cand], 0), |_| 100, |_| 1_000, 100, &policy());
         assert_eq!(chosen.len(), 1);
         assert!(chosen[0].needs_ctx);
     }

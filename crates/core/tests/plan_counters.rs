@@ -73,9 +73,9 @@ const FRESH: &[(&str, u64)] = &[
     ("core.plan.memo_misses", 0),
     ("core.plan.ops_emitted", 1084),
     ("core.plan.target_lines", 1065),
-    ("core.window.candidates_found", 30181),
+    ("core.window.candidates_found", 33080),
     ("core.window.nodes_expanded", 49179),
-    ("core.window.rejected_untimely", 18057),
+    ("core.window.rejected_untimely", 15158),
     ("core.window.searches", 941),
 ];
 

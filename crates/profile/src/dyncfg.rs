@@ -135,35 +135,40 @@ impl DynCfg {
         h.finish()
     }
 
-    /// The timely-window searches of one window config: each target's
-    /// dynamic predecessors whose expected distance lies within
-    /// `[min_cycles, max_cycles]`, from a search capped at
+    /// The timely-window searches of one window: each target's dynamic
+    /// predecessors whose expected distance lies within `[min_cycles,
+    /// max_cycles]`, from a search capped at
     /// [`MAX_SEARCH_NODES`](crate::window::MAX_SEARCH_NODES) expansions
     /// ([`WindowSearch::candidates`](crate::window::WindowSearch::candidates)).
     ///
     /// The search reads only this CFG, so its results are memoized here, in
-    /// one dense per-block table per window config: each (target, window)
-    /// is searched once for as long as the CFG lives, and every planner
-    /// over the profile (I-SPY at any config, AsmDB, the spatial baselines)
-    /// shares it. Concurrent callers wait for a search in flight rather
-    /// than repeat it.
+    /// one dense per-block table per `max_cycles`: each (target, max) is
+    /// searched once, as `(0, max)`, for as long as the CFG lives, and every
+    /// window with that max (I-SPY at any config, AsmDB, the spatial
+    /// baselines) reads it through a [`Candidates`](crate::window::Candidates)
+    /// view that skips the sites closer than its `min_cycles`. Concurrent
+    /// callers wait for a search in flight rather than repeat it.
     ///
     /// # Examples
     ///
     /// ```
     /// use ispy_profile::DynCfg;
     /// use ispy_trace::BlockId;
-    /// use std::sync::Arc;
     ///
     /// let cfg = DynCfg::new(vec![10, 10, 10], vec![10.0; 3], [((0, 1), 10), ((1, 2), 10)]);
     /// let table = cfg.window_table(15, 100);
-    /// let sites = Arc::clone(table.candidates(BlockId(2)));
-    /// assert_eq!(sites[0].block, BlockId(0));
-    /// // The second request is served from the memo.
-    /// assert!(Arc::ptr_eq(&sites, table.candidates(BlockId(2))));
+    /// let sites = table.candidates(BlockId(2));
+    /// assert_eq!(sites.iter().next().unwrap().block, BlockId(0));
+    /// // Block 1 is 10 cycles ahead: in the (0, 100) search, not in the view.
+    /// assert_eq!(sites.unfiltered().len(), 2);
+    /// // The second request, and any other minimum, reads the same search.
+    /// let wide = cfg.window_table(0, 100);
+    /// let again = wide.candidates(BlockId(2));
+    /// assert!(std::ptr::eq(sites.unfiltered(), again.unfiltered()));
+    /// assert_eq!(again.iter().count(), 2);
     /// ```
     pub fn window_table(&self, min_cycles: u32, max_cycles: u32) -> WindowTable<'_> {
-        self.windows.table(self, (min_cycles, max_cycles))
+        self.windows.table(self, min_cycles, max_cycles)
     }
 
     /// Blocks that were executed at least once.

@@ -10,8 +10,11 @@
 //!
 //! The search reads nothing but the CFG, so every planner over one profile
 //! (I-SPY, AsmDB, the spatial baselines) shares one search per (target,
-//! window) through the memo tables [`DynCfg::window_table`] hands out. All
-//! of them search with the same expansion cap, [`MAX_SEARCH_NODES`].
+//! max cycles) through the memo tables [`DynCfg::window_table`] hands out.
+//! The minimum only chooses which settled blocks the search outputs, so a
+//! `(min, max)` window reads the `(0, max)` search through a
+//! [`Candidates`] view that skips the sites closer than `min`. All of them
+//! search with the same expansion cap, [`MAX_SEARCH_NODES`].
 
 use crate::dyncfg::DynCfg;
 use ispy_trace::BlockId;
@@ -231,24 +234,22 @@ impl WindowSearch {
     }
 }
 
-/// One window config: (min cycles, max cycles).
-type WindowConfig = (u32, u32);
-
-/// One window config's memoized searches: slot `b` holds the candidates of
-/// target block `b`, filled on first request.
+/// One max-cycles bound's memoized `(0, max)` searches: slot `b` holds the
+/// candidates of target block `b`, filled on first request and stored at
+/// their exact size.
 #[derive(Debug, Clone)]
 struct Slots {
-    config: WindowConfig,
-    found: Vec<OnceLock<Arc<Vec<SiteCandidate>>>>,
+    max_cycles: u32,
+    found: Vec<OnceLock<Arc<[SiteCandidate]>>>,
 }
 
 /// A [`DynCfg`]'s window-candidate memo: one dense [`Slots`] table per
-/// window config its planners asked for, plus the search state misses
+/// max-cycles bound its planners asked for, plus the search state misses
 /// reuse.
 ///
 /// A slot is filled once: concurrent requests for it wait for the search
 /// in flight, and searches of different slots take turns on the one search
-/// state, so the `core.window.*` counters count each (target, config) once
+/// state, so the `core.window.*` counters count each (target, max) once
 /// whatever the schedule. A clone keeps the entries (they are a function of
 /// the CFG alone, and a clone's CFG is the same) but starts its own tables
 /// and search state.
@@ -259,18 +260,24 @@ pub(crate) struct WindowMemo {
 }
 
 impl WindowMemo {
-    /// The table of `config` on `cfg`, created empty on first request.
-    pub(crate) fn table<'a>(&'a self, cfg: &'a DynCfg, config: WindowConfig) -> WindowTable<'a> {
+    /// The `(min_cycles, max_cycles)` window on `cfg`: a view of the
+    /// `max_cycles` table, created empty on first request.
+    pub(crate) fn table<'a>(
+        &'a self,
+        cfg: &'a DynCfg,
+        min_cycles: u32,
+        max_cycles: u32,
+    ) -> WindowTable<'a> {
         let mut tables = self.tables.lock().expect("window memo lock");
-        let slots = match tables.iter().find(|t| t.config == config) {
+        let slots = match tables.iter().find(|t| t.max_cycles == max_cycles) {
             Some(t) => Arc::clone(t),
             None => {
                 let found = (0..cfg.num_blocks()).map(|_| OnceLock::new()).collect();
-                tables.push(Arc::new(Slots { config, found }));
+                tables.push(Arc::new(Slots { max_cycles, found }));
                 Arc::clone(tables.last().expect("just pushed"))
             }
         };
-        WindowTable { cfg, memo: self, slots }
+        WindowTable { cfg, memo: self, slots, min_cycles }
     }
 }
 
@@ -282,30 +289,95 @@ impl Clone for WindowMemo {
     }
 }
 
-/// One window config's searches on a [`DynCfg`]
-/// ([`DynCfg::window_table`]): a planner fetches it once per plan, and
-/// each memoized target is then an index into a dense per-block table.
+/// One window's searches on a [`DynCfg`] ([`DynCfg::window_table`]): a
+/// planner fetches it once per plan, and each memoized target is then an
+/// index into a dense per-block table of `(0, max)` searches.
 #[derive(Debug)]
 pub struct WindowTable<'a> {
     cfg: &'a DynCfg,
     memo: &'a WindowMemo,
     slots: Arc<Slots>,
+    min_cycles: u32,
 }
 
 impl WindowTable<'_> {
-    /// The timely-window candidates of a miss in `target`, searched on
-    /// first request ([`WindowSearch::candidates`], capped at
-    /// [`MAX_SEARCH_NODES`] expansions).
+    /// The timely-window candidates of a miss in `target`: the `(0, max)`
+    /// search ([`WindowSearch::candidates`], capped at [`MAX_SEARCH_NODES`]
+    /// expansions), run on first request, seen through this window's
+    /// minimum.
     ///
     /// # Panics
     ///
     /// Panics if `target` is not a block of the CFG.
-    pub fn candidates(&self, target: BlockId) -> &Arc<Vec<SiteCandidate>> {
-        self.slots.found[target.index()].get_or_init(|| {
-            let (min_cycles, max_cycles) = self.slots.config;
+    pub fn candidates(&self, target: BlockId) -> Candidates<'_> {
+        let all = self.slots.found[target.index()].get_or_init(|| {
             let mut search = self.memo.search.lock().expect("window search lock");
-            Arc::new(search.candidates(self.cfg, target, min_cycles, max_cycles, MAX_SEARCH_NODES))
-        })
+            let max_cycles = self.slots.max_cycles;
+            search.candidates(self.cfg, target, 0, max_cycles, MAX_SEARCH_NODES).into()
+        });
+        Candidates::new(all, self.min_cycles)
+    }
+}
+
+/// One target's `(min, max)` window candidates, read from its `(0, max)`
+/// search: the same list, in the same order, without the sites fewer than
+/// `min` cycles ahead.
+///
+/// [`WindowSearch::candidates`] reads its minimum only to choose which
+/// settled blocks it outputs, so the view holds exactly what a `(min, max)`
+/// search returns, and no filtered copy is made.
+///
+/// # Examples
+///
+/// ```
+/// use ispy_profile::window::{Candidates, WindowSearch};
+/// use ispy_profile::DynCfg;
+/// use ispy_trace::BlockId;
+///
+/// // Chain 0 -> 1 -> 2 -> 3, 10 cycles per block.
+/// let edges = [((0, 1), 10), ((1, 2), 10), ((2, 3), 10)];
+/// let cfg = DynCfg::new(vec![10; 4], vec![10.0; 4], edges);
+/// let all = WindowSearch::new().candidates(&cfg, BlockId(3), 0, 100, 64);
+/// let view = Candidates::new(&all, 15);
+/// let direct = WindowSearch::new().candidates(&cfg, BlockId(3), 15, 100, 64);
+/// assert!(view.iter().eq(&direct));
+/// assert_eq!(all.len(), 3);
+/// assert_eq!(view.iter().count(), 2);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Candidates<'a> {
+    all: &'a [SiteCandidate],
+    min_cycles: u32,
+}
+
+impl<'a> Candidates<'a> {
+    /// The candidates of `all`, one `(0, max)` search's list, that lie at
+    /// least `min_cycles` ahead of the target.
+    pub fn new(all: &'a [SiteCandidate], min_cycles: u32) -> Self {
+        Candidates { all, min_cycles }
+    }
+
+    /// The `(0, max)` list the view reads, which [`Candidates::indexed`]'s
+    /// indices point into.
+    pub fn unfiltered(self) -> &'a [SiteCandidate] {
+        self.all
+    }
+
+    /// The view's candidates, in the search's order, each with its index
+    /// in [`Candidates::unfiltered`].
+    pub fn indexed(self) -> impl Iterator<Item = (usize, &'a SiteCandidate)> {
+        let min = f64::from(self.min_cycles);
+        self.all.iter().enumerate().filter(move |(_, c)| c.cycles >= min)
+    }
+
+    /// The view's candidates, in the search's order.
+    pub fn iter(self) -> impl Iterator<Item = &'a SiteCandidate> {
+        self.indexed().map(|(_, c)| c)
+    }
+
+    /// Whether no candidate lies inside the window.
+    pub fn is_empty(self) -> bool {
+        self.iter().next().is_none()
     }
 }
 
@@ -431,24 +503,35 @@ mod tests {
     fn memo_searches_each_key_once() {
         let cfg = chain_cfg(10, 10.0);
         let table = cfg.window_table(25, 60);
-        let first = Arc::clone(table.candidates(BlockId(9)));
-        assert_eq!(*first, search(&cfg, BlockId(9), 25, 60, MAX_SEARCH_NODES));
-        assert!(Arc::ptr_eq(&first, table.candidates(BlockId(9))));
-        // A second handle on the same config reads the same table.
-        assert!(Arc::ptr_eq(&first, cfg.window_table(25, 60).candidates(BlockId(9))));
-        // Every part of the key tells searches apart.
-        for (target, min, max) in [(8, 25, 60), (9, 15, 60), (9, 25, 70)] {
+        let first = table.candidates(BlockId(9));
+        assert!(first.iter().copied().eq(search(&cfg, BlockId(9), 25, 60, MAX_SEARCH_NODES)));
+        // The view reads the (0, max) search, stored at its exact size.
+        let all = search(&cfg, BlockId(9), 0, 60, MAX_SEARCH_NODES);
+        assert_eq!(first.unfiltered(), all.as_slice());
+        let same = |a: Candidates, b: Candidates| std::ptr::eq(a.unfiltered(), b.unfiltered());
+        assert!(same(first, table.candidates(BlockId(9))));
+        // Another minimum reads the same search; another max or target
+        // does not.
+        let closer = cfg.window_table(15, 60);
+        assert!(same(first, closer.candidates(BlockId(9))));
+        for (target, min, max) in [(8, 25, 60), (9, 25, 70)] {
             let other = cfg.window_table(min, max);
             let got = other.candidates(BlockId(target));
-            assert!(!Arc::ptr_eq(&first, got));
-            assert_eq!(**got, search(&cfg, BlockId(target), min, max, MAX_SEARCH_NODES));
+            assert!(!same(first, got));
+            assert!(got.iter().copied().eq(search(
+                &cfg,
+                BlockId(target),
+                min,
+                max,
+                MAX_SEARCH_NODES
+            )));
         }
         // A clone keeps the searches already run, in tables of its own.
         let copy = cfg.clone();
         let copied = copy.window_table(25, 60);
-        assert!(Arc::ptr_eq(&first, copied.candidates(BlockId(9))));
-        let fresh = Arc::clone(copied.candidates(BlockId(7)));
-        assert!(!Arc::ptr_eq(&fresh, table.candidates(BlockId(7))));
-        assert_eq!(fresh, *table.candidates(BlockId(7)));
+        assert!(same(first, copied.candidates(BlockId(9))));
+        let fresh = copied.candidates(BlockId(7));
+        assert!(!same(fresh, table.candidates(BlockId(7))));
+        assert_eq!(fresh.unfiltered(), table.candidates(BlockId(7)).unfiltered());
     }
 }

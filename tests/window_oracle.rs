@@ -11,9 +11,16 @@
 //! profiles. One `WindowSearch` is reused across CFGs of different sizes
 //! and across the wrap of its epoch counter, so a stale stamp shows up as
 //! a divergence.
+//!
+//! The planners read a `(min, max)` window as a [`Candidates`] view of the
+//! `(0, max)` search. Every such view must equal the direct `(min, max)`
+//! search, element by element and in order, empty views included: on the
+//! random CFGs at random minimums, and through the profile's memo at the
+//! nine windows of Fig. 18 on the nine applications.
 
+use ispy_harness::figures::fig18;
 use ispy_harness::Scale;
-use ispy_profile::window::{SiteCandidate, WindowSearch};
+use ispy_profile::window::{Candidates, SiteCandidate, WindowSearch, MAX_SEARCH_NODES};
 use ispy_profile::{profile, DynCfg, SampleRate};
 use ispy_sim::SimConfig;
 use ispy_trace::rng::Pcg32;
@@ -165,6 +172,34 @@ fn check(
     }
 }
 
+/// Checks every `mins` view of the `(0, max)` search against the direct
+/// `(min, max)` search; returns how many views were empty.
+fn check_views(
+    search: &mut WindowSearch,
+    cfg: &DynCfg,
+    target: BlockId,
+    (max, cap): (u32, usize),
+    mins: &[u32],
+    label: &str,
+) -> usize {
+    let all = search.candidates(cfg, target, 0, max, cap);
+    let mut empty = 0;
+    for &min in mins {
+        let view = Candidates::new(&all, min);
+        let got: Vec<SiteCandidate> = view.iter().copied().collect();
+        let want = search.candidates(cfg, target, min, max, cap);
+        if let Some(diff) = first_difference(&got, &want) {
+            panic!("{label}: target {} view ({min}, {max}, cap {cap}): {diff}", target.0);
+        }
+        for (i, c) in view.indexed() {
+            assert_eq!(all[i], *c, "{label}: view index {i} does not point at its candidate");
+        }
+        assert_eq!(view.is_empty(), want.is_empty());
+        empty += usize::from(want.is_empty());
+    }
+    empty
+}
+
 /// A random dynamic CFG of `n` blocks. Weights and cycle costs come from
 /// small sets so probabilities and distances tie often; edges may be
 /// self-loops, back edges or zero-weight, and some blocks get no
@@ -281,4 +316,63 @@ fn nine_app_profiles_match_the_reference() {
             check(&mut search, &p.cfg, t, (5, 60, 16), name);
         }
     }
+}
+
+#[test]
+fn views_of_random_cfgs_match_direct_searches() {
+    let mut rng = Pcg32::seed_from_u64(0x0f1e_7e55);
+    let mut search = WindowSearch::new();
+    let (mut views, mut empty) = (0, 0);
+    for round in 0..300 {
+        let n = 1 + rng.below(if round % 3 == 0 { 300 } else { 60 }) as u32;
+        let cfg = random_cfg(&mut rng, n);
+        for _ in 0..6 {
+            let target = BlockId(rng.below(u64::from(n)) as u32);
+            let (min, max, cap) = random_window(&mut rng);
+            // The drawn minimum (sometimes above `max`), zero, one past
+            // `max`, and two more at random.
+            let mins = [min, 0, max + 1, rng.below(240) as u32, rng.below(60) as u32];
+            let label = format!("random round {round} (n={n})");
+            empty += check_views(&mut search, &cfg, target, (max, cap), &mins, &label);
+            views += mins.len();
+        }
+    }
+    assert!(empty > 0 && empty < views, "{empty} of {views} views empty");
+}
+
+#[test]
+fn fig18_views_of_nine_app_profiles_match_direct_searches() {
+    let scale = Scale::test();
+    // Fig. 18's nine windows: each minimum with the default max, and the
+    // default minimum with each max.
+    let windows: Vec<(u32, u32)> = fig18::MIN_SWEEP
+        .iter()
+        .map(|&min| (min, 200))
+        .chain(fig18::MAX_SWEEP.iter().map(|&max| (27, max)))
+        .collect();
+    let mut search = WindowSearch::new();
+    let (mut views, mut empty) = (0, 0);
+    for model in apps::all() {
+        let model = model.scaled_down(scale.shrink);
+        let name = model.name();
+        let program = model.generate();
+        let trace = program.record_trace(model.default_input(), scale.events);
+        let p = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
+        let targets: Vec<BlockId> =
+            p.misses.lines_by_count().into_iter().filter_map(|(_, s)| s.dominant_block()).collect();
+        for &(min, max) in &windows {
+            // Through the profile's memo, as the planners read it.
+            let table = p.cfg.window_table(min, max);
+            for &t in &targets {
+                let got: Vec<SiteCandidate> = table.candidates(t).iter().copied().collect();
+                let want = search.candidates(&p.cfg, t, min, max, MAX_SEARCH_NODES);
+                if let Some(diff) = first_difference(&got, &want) {
+                    panic!("{name}: target {} window ({min}, {max}): {diff}", t.0);
+                }
+                views += 1;
+                empty += usize::from(want.is_empty());
+            }
+        }
+    }
+    assert!(empty > 0 && empty < views, "{empty} of {views} views empty");
 }
