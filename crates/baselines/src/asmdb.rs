@@ -66,14 +66,10 @@ impl<'a> AsmDbPlanner<'a> {
             self.profile.cfg.window_table(DEFAULT_MIN_PREFETCH_CYCLES, DEFAULT_MAX_PREFETCH_CYCLES);
         for target in self.profile.misses.plan_order(BASELINE_MIN_MISS_COUNT) {
             stats.target_lines += 1;
-            let Some(target_block) = target.dominant else {
-                stats.uncovered_lines += 1;
-                continue;
-            };
             // The fan-out threshold is AsmDB's coverage/accuracy dial: only
             // sites below it are admissible.
             let admissible = windows
-                .candidates(target_block)
+                .candidates(target.dominant)
                 .iter()
                 .filter(|c| c.fanout() <= self.cfg.fanout_threshold);
             let Some(site) = select_site(&self.profile.cfg, admissible) else {

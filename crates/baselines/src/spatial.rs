@@ -70,12 +70,8 @@ impl<'a> SpatialPlanner<'a> {
                 stats.covered_lines += 1;
                 continue;
             }
-            let Some(target_block) = target.dominant else {
-                stats.uncovered_lines += 1;
-                continue;
-            };
             let Some(site) =
-                select_site(&self.profile.cfg, windows.candidates(target_block).iter())
+                select_site(&self.profile.cfg, windows.candidates(target.dominant).iter())
             else {
                 stats.uncovered_lines += 1;
                 continue;

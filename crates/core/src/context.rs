@@ -2,10 +2,12 @@
 //!
 //! Given the joint statistics for one (injection site, miss) pair — per
 //! presence-mask occurrence and hit counts over the candidate predictor
-//! blocks — pick the combination of up to `ctx_size` predictor blocks whose
-//! presence in the LBR maximizes the conditional probability of the miss
-//! (the paper's Bayes step), subject to a minimum support and a required
-//! improvement over the unconditional probability.
+//! blocks — pick combinations of up to `ctx_size` predictor blocks whose
+//! presence in the LBR raises the conditional probability of the miss (the
+//! paper's Bayes step), each subject to a minimum support and a required
+//! improvement over the unconditional probability. [`discover_multi`] is
+//! the one search: greedy rounds take the qualifying combination that
+//! covers the most target-reaching site executions, then the most probable.
 
 use ispy_profile::JointCounts;
 use ispy_trace::BlockId;
@@ -21,73 +23,6 @@ pub struct ContextChoice {
     pub support: u64,
     /// `P(miss follows | site executes)` — the unconditional baseline.
     pub baseline: f64,
-}
-
-/// Searches candidate subsets for the best miss context.
-///
-/// Returns `None` when no subset beats the unconditional probability by
-/// `gain_margin` with at least `min_support` observations — the §IV case
-/// where "conditionally prefetching a line based on the execution context
-/// may not improve the prefetch accuracy".
-///
-/// # Examples
-///
-/// ```
-/// use ispy_core::context::discover;
-/// use ispy_profile::JointCounts;
-/// use ispy_trace::BlockId;
-///
-/// // One candidate block: present at 10 site executions, all of which miss;
-/// // absent at 30 executions, none of which miss.
-/// let counts = JointCounts::from_dense(&[30, 10], &[0, 10]);
-/// let ctx = discover(&counts, &[BlockId(7)], 4, 5, 0.1).unwrap();
-/// assert_eq!(ctx.blocks, vec![BlockId(7)]);
-/// assert_eq!(ctx.probability, 1.0);
-/// ```
-pub fn discover(
-    counts: &JointCounts,
-    candidates: &[BlockId],
-    ctx_size: usize,
-    min_support: u64,
-    gain_margin: f64,
-) -> Option<ContextChoice> {
-    let n = candidates.len();
-    if n == 0 {
-        return None;
-    }
-    let baseline = counts.conditional_probability(0)?;
-    let mut best: Option<(f64, u64, u16)> = None;
-
-    for subset in 1u16..(1u16 << n) {
-        if subset.count_ones() > ctx_size as u32 {
-            continue;
-        }
-        let support = counts.occurrences_with(subset);
-        if support < min_support {
-            continue;
-        }
-        let p = counts.hits_with(subset) as f64 / support as f64;
-        let better = match best {
-            None => true,
-            Some((bp, bs, bmask)) => {
-                p > bp + 1e-12
-                    || ((p - bp).abs() <= 1e-12
-                        && (subset.count_ones() < bmask.count_ones()
-                            || (subset.count_ones() == bmask.count_ones() && support > bs)))
-            }
-        };
-        if better {
-            best = Some((p, support, subset));
-        }
-    }
-
-    let (p, support, mask) = best?;
-    if p < baseline + gain_margin {
-        return None;
-    }
-    let blocks: Vec<BlockId> =
-        (0..n).filter(|i| mask & (1 << i) != 0).map(|i| candidates[i]).collect();
-    Some(ContextChoice { blocks, probability: p, support, baseline })
 }
 
 /// What [`discover_multi`] found for one query.
@@ -155,7 +90,27 @@ impl ContextTally {
 /// executions.
 ///
 /// Returns the chosen contexts, the fraction of all target-reaching
-/// executions they jointly cover, and the subsets scored on the way.
+/// executions they jointly cover, and the subsets scored on the way. No
+/// context qualifies when none beats the unconditional probability by
+/// `gain_margin` with `min_support` observations — the §IV case where
+/// "conditionally prefetching a line based on the execution context may
+/// not improve the prefetch accuracy".
+///
+/// # Examples
+///
+/// ```
+/// use ispy_core::context::discover_multi;
+/// use ispy_profile::JointCounts;
+/// use ispy_trace::BlockId;
+///
+/// // One candidate block: present at 10 site executions, all of which miss;
+/// // absent at 30 executions, none of which miss.
+/// let counts = JointCounts::from_dense(&[30, 10], &[0, 10]);
+/// let found = discover_multi(&counts, &[BlockId(7)], 4, 5, 0.1, 0.0, 1);
+/// assert_eq!(found.contexts[0].blocks, vec![BlockId(7)]);
+/// assert_eq!(found.contexts[0].probability, 1.0);
+/// assert_eq!(found.coverage, 1.0);
+/// ```
 pub fn discover_multi(
     counts: &JointCounts,
     candidates: &[BlockId],
@@ -268,10 +223,22 @@ mod tests {
         JointCounts::from_dense(&[40, 10, 40, 10], &[4, 10, 4, 10])
     }
 
+    /// The single best context `discover_multi` takes under `ctx_size`,
+    /// `min_support` and `gain_margin`, with no probability floor.
+    fn best(
+        c: &JointCounts,
+        candidates: &[BlockId],
+        ctx_size: usize,
+        min_support: u64,
+        gain_margin: f64,
+    ) -> Option<ContextChoice> {
+        discover_multi(c, candidates, ctx_size, min_support, gain_margin, 0.0, 1).contexts.pop()
+    }
+
     #[test]
     fn picks_the_predictive_candidate() {
         let c = correlated_counts();
-        let ctx = discover(&c, &[b(1), b(2)], 4, 5, 0.1).unwrap();
+        let ctx = best(&c, &[b(1), b(2)], 4, 5, 0.1).unwrap();
         assert_eq!(ctx.blocks, vec![b(1)]);
         assert!((ctx.probability - 1.0).abs() < 1e-12);
         assert_eq!(ctx.support, 20);
@@ -279,30 +246,23 @@ mod tests {
     }
 
     #[test]
-    fn prefers_smaller_subset_on_tie() {
-        // {0} and {0,1} both give probability 1.0; {0} wins.
-        let c = correlated_counts();
-        let ctx = discover(&c, &[b(1), b(2)], 2, 5, 0.1).unwrap();
-        assert_eq!(ctx.blocks.len(), 1);
-    }
-
-    #[test]
     fn respects_ctx_size_cap() {
-        // Only the pair {0,1} is perfectly predictive.
+        // Only the pair {0,1} is predictive enough: each single reaches
+        // 0.55, under the 0.34 baseline plus the 0.25 margin.
         //                                00  01  10  11
         let c = JointCounts::from_dense(&[30, 30, 30, 10], &[0, 12, 12, 10]);
-        let pair = discover(&c, &[b(1), b(2)], 2, 5, 0.1).unwrap();
+        let pair = best(&c, &[b(1), b(2)], 2, 5, 0.25).unwrap();
         assert_eq!(pair.blocks, vec![b(1), b(2)]);
-        let single = discover(&c, &[b(1), b(2)], 1, 5, 0.1).unwrap();
-        assert_eq!(single.blocks.len(), 1);
-        assert!(single.probability < pair.probability);
+        assert!((pair.probability - 1.0).abs() < 1e-12);
+        assert!(best(&c, &[b(1), b(2)], 1, 5, 0.25).is_none());
     }
 
     #[test]
     fn insufficient_support_rejected() {
         let c = JointCounts::from_dense(&[100, 2], &[10, 2]);
         // Perfect but only 2 observations; min_support 5 rejects it.
-        assert!(discover(&c, &[b(1)], 4, 5, 0.1).is_none());
+        assert!(best(&c, &[b(1)], 4, 5, 0.1).is_none());
+        assert!(best(&c, &[b(1)], 4, 2, 0.1).is_some());
     }
 
     #[test]
@@ -310,19 +270,19 @@ mod tests {
         // Candidate present half the time, misses uniform: conditioning
         // gains nothing.
         let c = JointCounts::from_dense(&[50, 50], &[30, 30]);
-        assert!(discover(&c, &[b(1)], 4, 5, 0.05).is_none());
+        assert!(best(&c, &[b(1)], 4, 5, 0.05).is_none());
     }
 
     #[test]
     fn empty_candidates_yield_none() {
         let c = JointCounts::from_dense(&[10], &[10]);
-        assert!(discover(&c, &[], 4, 1, 0.0).is_none());
+        assert_eq!(discover_multi(&c, &[], 4, 1, 0.0, 0.0, 1), MultiContext::none());
     }
 
     #[test]
     fn no_site_occurrences_yield_none() {
         let c = JointCounts::from_dense(&[0, 0], &[0, 0]);
-        assert!(discover(&c, &[b(1)], 4, 1, 0.0).is_none());
+        assert_eq!(discover_multi(&c, &[b(1)], 4, 1, 0.0, 0.0, 1), MultiContext::none());
     }
 
     #[test]
@@ -384,8 +344,9 @@ mod tests {
         // Occurrences: B&E together on 2 paths (both miss); B alone 1,
         // E alone 1, neither 2 (none miss).
         //                             00 01(B) 10(E) 11(BE)
+        // Every subset covers both reaches; {B, E} wins on probability.
         let c = JointCounts::from_dense(&[2, 1, 1, 2], &[0, 0, 0, 2]);
-        let ctx = discover(&c, &[b(100), b(200)], 4, 1, 0.05).unwrap();
+        let ctx = best(&c, &[b(100), b(200)], 4, 1, 0.05).unwrap();
         assert_eq!(ctx.blocks, vec![b(100), b(200)]);
         assert!((ctx.probability - 1.0).abs() < 1e-12);
         assert!((ctx.baseline - 2.0 / 6.0).abs() < 1e-12);

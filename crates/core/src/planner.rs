@@ -473,8 +473,6 @@ struct MemoEntry {
 /// byte for byte.
 #[derive(Debug)]
 enum LineOutcome {
-    /// The line's misses had no dominant block: uncovered.
-    NoDominant,
     /// Site selection produced nothing: uncovered, with the
     /// no-candidates/no-sites distinction for the stats.
     NoSites { had_candidates: bool },
@@ -654,11 +652,7 @@ impl<'a> Planner<'a> {
                 }
                 memo_misses += 1;
             }
-            let Some(target_block) = target.dominant else {
-                outcomes.push((target, LineOutcome::NoDominant, line_digest));
-                continue;
-            };
-            let candidates = windows.candidates(target_block);
+            let candidates = windows.candidates(target.dominant);
             // Coverage- and precision-driven multi-site selection: a miss
             // reached over several paths gets one prefetch per covering
             // path; imprecise sites are admitted only because the run-time
@@ -689,7 +683,7 @@ impl<'a> Planner<'a> {
                 target,
                 line_digest,
                 rank_key,
-                target_block,
+                target_block: target.dominant,
                 ranked: OnceCell::new(),
                 candidates,
                 entries: Vec::with_capacity(sites.len()),
@@ -1085,10 +1079,6 @@ impl<'a> Planner<'a> {
         stats.target_lines += 1;
         let (entries, ctxs) = match outcome {
             LineOutcome::Covered { entries, ctxs } => (entries, ctxs),
-            LineOutcome::NoDominant => {
-                stats.uncovered_lines += 1;
-                return;
-            }
             LineOutcome::NoSites { had_candidates } => {
                 stats.uncovered_lines += 1;
                 if *had_candidates {
@@ -1101,7 +1091,7 @@ impl<'a> Planner<'a> {
         };
         stats.covered_lines += 1;
         let (line, line_stats) = (target.line, target.stats);
-        let target_block = target.dominant.expect("a covered line has a dominant block");
+        let target_block = target.dominant;
         let candidates = windows.candidates(target_block).unfiltered();
         let mut ctxs = &ctxs[..];
         for entry in entries.iter() {

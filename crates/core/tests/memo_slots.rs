@@ -10,9 +10,9 @@
 //! window candidates, two flags, the adopted contexts), and pass 3 rebuilds
 //! every estimate from it. At every grid point of Figs. 17, 18 and 19 on
 //! two apps, a plan served wholly from the memo must encode to the same
-//! bytes as `plan()`, over slots of every kind: no dominant block, no
-//! sites with and without window candidates, and dropped, unconditional,
-//! retried and multi-context entries.
+//! bytes as `plan()`, over slots of every kind: no sites with and without
+//! window candidates, and dropped, unconditional, retried and
+//! multi-context entries.
 //!
 //! The memo's hit and miss counts are read from the process-wide telemetry
 //! registry, so this file holds a single test: no other test in the binary
@@ -21,7 +21,7 @@
 use ispy_core::artifact::plan_to_bytes;
 use ispy_core::{IspyConfig, Plan, Planner, PlannerBaseline};
 use ispy_isa::HashConfig;
-use ispy_profile::{profile, LineMissStats, SampleRate};
+use ispy_profile::{profile, SampleRate};
 use ispy_sim::SimConfig;
 use ispy_telemetry::Telemetry;
 use ispy_trace::{apps, BlockId, Line};
@@ -108,7 +108,6 @@ fn sweep_grid() -> Vec<IspyConfig> {
 /// How often each slot kind occurred across the plans checked.
 #[derive(Debug, Default)]
 struct Kinds {
-    no_dominant: usize,
     no_candidates: usize,
     no_sites: usize,
     dropped: usize,
@@ -123,7 +122,6 @@ impl Kinds {
     /// contexts. `retried` is whether pass 2.5 retried a site.
     fn add(&mut self, plan: &Plan, retried: bool) {
         let s = &plan.stats;
-        self.no_dominant += s.uncovered_lines - s.lines_no_sites - s.lines_no_candidates;
         self.no_candidates += s.lines_no_candidates;
         self.no_sites += s.lines_no_sites;
         self.dropped += s.entries_dropped;
@@ -152,13 +150,7 @@ fn sweep_points_replay_from_the_memo_byte_for_byte() {
         let name = model.name().to_string();
         let program = model.generate();
         let trace = program.record_trace(model.default_input(), 20_000);
-        let mut prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
-        // Every profiled miss is recorded at a block, so a line without a
-        // dominant block is made by hand.
-        let blockless = Line::new(1 << 40);
-        assert!(prof.misses.line(blockless).is_none());
-        let stats = LineMissStats { count: 100, positions: vec![1, 2, 3], ..Default::default() };
-        prof.misses.insert_line(blockless, stats);
+        let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
         let baseline = PlannerBaseline::new();
         for cfg in sweep_grid() {
             let planner = Planner::new(&program, &trace, &prof, cfg.clone());
@@ -182,17 +174,8 @@ fn sweep_points_replay_from_the_memo_byte_for_byte() {
             kinds.add(&fresh, retried);
         }
     }
-    let Kinds {
-        no_dominant,
-        no_candidates,
-        no_sites,
-        dropped,
-        unconditional,
-        retried,
-        multi_context,
-    } = kinds;
+    let Kinds { no_candidates, no_sites, dropped, unconditional, retried, multi_context } = kinds;
     for (kind, n) in [
-        ("no dominant block", no_dominant),
         ("no window candidates", no_candidates),
         ("no sites", no_sites),
         ("dropped", dropped),

@@ -13,10 +13,10 @@
 //! 2. **Merge** — [`ConsensusBuilder`] folds member profiles into one
 //!    consensus profile per app: weighted sums of every integer statistic,
 //!    exec-weighted mean cycle costs, and per-line/per-context *vote
-//!    thresholds* ([`FleetConfig`]) that drop misses and predictor blocks
-//!    only a minority of machines observed. Folding follows the manifest's
-//!    canonical order, so the result is invariant to ingest order — down
-//!    to the output bytes.
+//!    thresholds* ([`LINE_VOTE`], [`CTX_VOTE`]) that drop misses and
+//!    predictor blocks only a minority of machines observed. Folding follows
+//!    the manifest's canonical order, so the result is invariant to ingest
+//!    order — down to the output bytes.
 //! 3. **Plan** — [`plan_consensus`] runs the existing planner over the
 //!    aggregate through a shared [`ispy_core::PlannerBaseline`], so a serve
 //!    path can replan cheaply as new profiles arrive.
@@ -32,8 +32,8 @@
 //! consensus:
 //!
 //! ```
-//! use ispy_core::{IspyConfig, PlannerBaseline};
-//! use ispy_fleet::{plan_consensus, ConsensusBuilder, FleetConfig};
+//! use ispy_core::PlannerBaseline;
+//! use ispy_fleet::{plan_consensus, ConsensusBuilder};
 //! use ispy_profile::{profile, SampleRate};
 //! use ispy_sim::SimConfig;
 //! use ispy_trace::apps;
@@ -42,7 +42,7 @@
 //! let program = model.generate();
 //! let trace = program.record_trace(model.default_input(), 3_000);
 //!
-//! let mut builder = ConsensusBuilder::new("drupal", FleetConfig::default());
+//! let mut builder = ConsensusBuilder::new("drupal");
 //! for machine in 0..2 {
 //!     let t = program.record_trace(model.input_variant(machine), 3_000);
 //!     builder.fold(&profile(&program, &t, &SimConfig::default(), SampleRate::EXACT), 1).unwrap();
@@ -51,7 +51,7 @@
 //! assert_eq!(stats.members, 2);
 //!
 //! let baseline = PlannerBaseline::new();
-//! let plan = plan_consensus(&program, &trace, &consensus, IspyConfig::default(), &baseline);
+//! let plan = plan_consensus(&program, &trace, &consensus, &baseline);
 //! assert!(plan.stats.ops_total() > 0);
 //! ```
 
@@ -66,34 +66,12 @@ pub use error::FleetError;
 pub use merge::{merge_all, merge_app, plan_consensus, ConsensusBuilder, MergeStats};
 pub use store::{digest_bytes, Digest, FleetManifest, ProfileEntry, TraceEntry};
 
-/// Consensus thresholds for the merge.
-///
-/// Both are fractions in `0.0..=1.0`; the vote counts they demand clamp to
-/// at least one, so a single-member fleet always passes through verbatim.
-///
-/// # Examples
-///
-/// ```
-/// use ispy_fleet::FleetConfig;
-///
-/// let cfg = FleetConfig::default();
-/// assert_eq!(cfg.line_vote, 0.5);
-/// assert_eq!(cfg.ctx_vote, 0.5);
-/// let strict = FleetConfig { line_vote: 1.0, ..FleetConfig::default() };
-/// assert!(strict.line_vote > cfg.line_vote);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetConfig {
-    /// Fraction of member profiles that must observe a missing line for it
-    /// to enter the consensus.
-    pub line_vote: f64,
-    /// Fraction of a line's voters that must see a predictor block in
-    /// their history windows for it to stay in the consensus.
-    pub ctx_vote: f64,
-}
+/// Fraction of member profiles that must observe a missing line for it to
+/// enter the consensus. The vote count it demands clamps to at least one,
+/// so a single-member fleet always passes through verbatim.
+pub const LINE_VOTE: f64 = 0.5;
 
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig { line_vote: 0.5, ctx_vote: 0.5 }
-    }
-}
+/// Fraction of a line's voters that must see a predictor block in their
+/// history windows for it to stay in the consensus. Like [`LINE_VOTE`], its
+/// vote count clamps to at least one.
+pub const CTX_VOTE: f64 = 0.5;

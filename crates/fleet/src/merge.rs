@@ -14,9 +14,9 @@
 //! Two *vote thresholds* implement the consensus part:
 //!
 //! * a missing line enters the aggregate only if at least
-//!   `ceil(line_vote · members)` member profiles observed it, and
+//!   `ceil(LINE_VOTE · members)` member profiles observed it, and
 //! * a predictor block stays in a surviving line's history-presence map
-//!   only if at least `ceil(ctx_vote · line_voters)` of the members that
+//!   only if at least `ceil(CTX_VOTE · line_voters)` of the members that
 //!   voted for the line saw it in their history windows.
 //!
 //! Both thresholds clamp to at least one vote, so a fleet of one machine is
@@ -26,7 +26,7 @@
 
 use crate::error::FleetError;
 use crate::store::FleetManifest;
-use crate::FleetConfig;
+use crate::{CTX_VOTE, LINE_VOTE};
 use ispy_core::planner::Plan;
 use ispy_core::{IspyConfig, Planner, PlannerBaseline};
 use ispy_profile::{DynCfg, LineMissStats, MissProfile, Profile};
@@ -72,14 +72,14 @@ struct LineAccum {
 /// # Examples
 ///
 /// ```
-/// use ispy_fleet::{ConsensusBuilder, FleetConfig};
+/// use ispy_fleet::ConsensusBuilder;
 /// use ispy_profile::{profile, SampleRate};
 /// use ispy_sim::SimConfig;
 /// use ispy_trace::apps;
 ///
 /// let model = apps::kafka().scaled_down(60);
 /// let program = model.generate();
-/// let mut builder = ConsensusBuilder::new("kafka", FleetConfig::default());
+/// let mut builder = ConsensusBuilder::new("kafka");
 /// for machine in 0..3 {
 ///     let trace = program.record_trace(model.input_variant(machine), 3_000);
 ///     let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
@@ -93,7 +93,6 @@ struct LineAccum {
 #[derive(Debug)]
 pub struct ConsensusBuilder {
     app: String,
-    cfg: FleetConfig,
     members: u64,
     num_blocks: usize,
     lbr_depth: usize,
@@ -109,11 +108,10 @@ pub struct ConsensusBuilder {
 }
 
 impl ConsensusBuilder {
-    /// Starts an empty merge for `app` under `cfg`.
-    pub fn new(app: impl Into<String>, cfg: FleetConfig) -> Self {
+    /// Starts an empty merge for `app`.
+    pub fn new(app: impl Into<String>) -> Self {
         ConsensusBuilder {
             app: app.into(),
-            cfg,
             members: 0,
             num_blocks: 0,
             lbr_depth: 0,
@@ -218,7 +216,7 @@ impl ConsensusBuilder {
         };
         let cfg = DynCfg::new(self.exec, avg_cycles, self.edges);
 
-        let line_needed = votes_needed(self.cfg.line_vote, self.members);
+        let line_needed = votes_needed(LINE_VOTE, self.members);
         let mut misses = MissProfile::new();
         let mut stats = MergeStats { members: self.members, ..Default::default() };
         for (raw, mut la) in self.lines {
@@ -228,7 +226,7 @@ impl ConsensusBuilder {
             }
             stats.lines_kept += 1;
             stats.total_misses += la.count;
-            let ctx_needed = votes_needed(self.cfg.ctx_vote, la.votes);
+            let ctx_needed = votes_needed(CTX_VOTE, la.votes);
             la.positions.sort_unstable();
             let mut line = LineMissStats {
                 count: la.count,
@@ -274,14 +272,10 @@ fn votes_needed(frac: f64, total: u64) -> u64 {
 ///
 /// [`FleetError::NoProfiles`] if the manifest has no `.iprof` members for
 /// `app`; otherwise as [`ConsensusBuilder::fold`] or the artifact decoders.
-pub fn merge_app(
-    manifest: &FleetManifest,
-    app: &str,
-    cfg: FleetConfig,
-) -> Result<(Profile, MergeStats), FleetError> {
+pub fn merge_app(manifest: &FleetManifest, app: &str) -> Result<(Profile, MergeStats), FleetError> {
     let tele = ispy_telemetry::global();
     let _span = tele.span("fleet.merge");
-    let mut builder = ConsensusBuilder::new(app, cfg);
+    let mut builder = ConsensusBuilder::new(app);
     for entry in manifest.profiles_for(app) {
         let (_label, member) = ispy_profile::artifact::read_profile(&entry.path)?;
         builder.fold(&member, entry.weight)?;
@@ -298,11 +292,10 @@ pub fn merge_app(
 /// The first failing app's error, in app order.
 pub fn merge_all(
     manifest: &FleetManifest,
-    cfg: FleetConfig,
 ) -> Result<Vec<(String, Profile, MergeStats)>, FleetError> {
     let apps: Vec<String> =
         manifest.apps().into_iter().filter(|a| !manifest.profiles_for(a).is_empty()).collect();
-    let merged = ispy_parallel::par_collect(apps.len(), |i| merge_app(manifest, &apps[i], cfg));
+    let merged = ispy_parallel::par_collect(apps.len(), |i| merge_app(manifest, &apps[i]));
     let mut out = Vec::with_capacity(apps.len());
     for (app, result) in apps.into_iter().zip(merged) {
         let (profile, stats) = result?;
@@ -316,18 +309,17 @@ pub fn merge_all(
 /// path's tier 2) share the config-independent trace scans.
 ///
 /// This is a thin, instrumented wrapper over [`Planner::plan_with_baseline`]
-/// — planning from a fleet of one is byte-identical to planning from that
-/// member directly.
+/// under the default [`IspyConfig`] — planning from a fleet of one is
+/// byte-identical to planning from that member directly.
 pub fn plan_consensus(
     program: &Program,
     trace: &Trace,
     consensus: &Profile,
-    cfg: IspyConfig,
     baseline: &PlannerBaseline,
 ) -> Plan {
     let tele = ispy_telemetry::global();
     let _span = tele.span("fleet.plan");
-    Planner::new(program, trace, consensus, cfg).plan_with_baseline(baseline)
+    Planner::new(program, trace, consensus, IspyConfig::default()).plan_with_baseline(baseline)
 }
 
 #[cfg(test)]
@@ -374,7 +366,7 @@ mod tests {
 
     #[test]
     fn empty_merge_is_a_typed_error() {
-        let b = ConsensusBuilder::new("ghost", FleetConfig::default());
+        let b = ConsensusBuilder::new("ghost");
         assert!(matches!(b.finish(), Err(FleetError::NoProfiles { .. })));
     }
 
@@ -401,7 +393,7 @@ mod tests {
     /// times, preserving `positions.len() == count` through the merge.
     #[test]
     fn weight_replication_preserves_positions_invariant() {
-        let mut builder = ConsensusBuilder::new("toy", FleetConfig::default());
+        let mut builder = ConsensusBuilder::new("toy");
         builder.fold(&one_line_member(3), 4).unwrap();
         builder.fold(&one_line_member(2), 1).unwrap();
         let (consensus, stats) = builder.finish().unwrap();
@@ -418,7 +410,7 @@ mod tests {
         assert_eq!(line.positions, sorted, "finish() emits positions sorted");
 
         // Weight 0 clamps to 1 — a machine that is present counts once.
-        let mut clamped = ConsensusBuilder::new("toy", FleetConfig::default());
+        let mut clamped = ConsensusBuilder::new("toy");
         clamped.fold(&one_line_member(5), 0).unwrap();
         let (solo, _) = clamped.finish().unwrap();
         let (_, line) = solo.misses.iter().next().unwrap();

@@ -28,7 +28,6 @@
 //! repro fleet serve kafka         # three-tier plan service (warm/replan/cold)
 //! ```
 
-use ispy_fleet::FleetConfig;
 use ispy_harness::cache::{ArtifactCache, DEFAULT_CACHE_DIR};
 use ispy_harness::{explain, figures, metrics, Scale, Session};
 use ispy_telemetry::Telemetry;
@@ -97,11 +96,11 @@ const COMMANDS: &[Command] = &[
         run: fleet_gen,
     },
     Command { name: "fleet ingest", flags: "--dir --jobs", run: fleet_ingest },
-    Command { name: "fleet merge", flags: "--dir --line-vote --ctx-vote --jobs", run: fleet_merge },
+    Command { name: "fleet merge", flags: "--dir --jobs", run: fleet_merge },
     Command { name: "fleet plan", flags: "--dir --apps --jobs", run: fleet_plan },
     Command {
         name: "fleet serve",
-        flags: "--quick --test-scale --dir --cache --line-vote --ctx-vote --jobs",
+        flags: "--quick --test-scale --dir --cache --jobs",
         run: fleet_serve,
     },
 ];
@@ -136,7 +135,6 @@ struct Args {
     drift: bool,
     dir: Option<PathBuf>,
     machines: Option<usize>,
-    fleet_cfg: FleetConfig,
 }
 
 impl Args {
@@ -185,9 +183,8 @@ fn value<T: FromStr>(
     it.next().and_then(|v| v.parse().ok()).filter(ok).ok_or(format!("{flag} needs {what}"))
 }
 
-/// The checks [`value`] applies: a count >= 1, a fraction, any path.
+/// The checks [`value`] applies: a count >= 1, any path.
 const POSITIVE: fn(&usize) -> bool = |n| *n >= 1;
-const FRACTION: fn(&f64) -> bool = |f| (0.0..=1.0).contains(f);
 const ANY: fn(&PathBuf) -> bool = |_| true;
 
 /// Parses a command line: the subcommand first (`fleet` and its verb are
@@ -242,12 +239,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             "--window" => args.window = Some(value(it, arg, "an event count >= 1", POSITIVE)?),
             "--epochs" => args.epochs = Some(value(it, arg, "a round count >= 1", POSITIVE)?),
             "--machines" => args.machines = Some(value(it, arg, "a count >= 1", POSITIVE)?),
-            "--line-vote" => {
-                args.fleet_cfg.line_vote = value(it, arg, "a fraction in 0.0..=1.0", FRACTION)?
-            }
-            "--ctx-vote" => {
-                args.fleet_cfg.ctx_vote = value(it, arg, "a fraction in 0.0..=1.0", FRACTION)?
-            }
             "--apps" => {
                 let known = format!("a comma-separated list; known: {}", apps::NAMES.join(","));
                 let list = value(it, arg, &known, |_: &String| true)?;
@@ -576,10 +567,10 @@ fn usage() {
     eprintln!("       repro fleet gen [--quick | --test-scale] [--machines N] [--events N]");
     eprintln!("                   [--apps a,b,c] [--dir DIR]");
     eprintln!("       repro fleet ingest [--dir DIR]");
-    eprintln!("       repro fleet merge [--dir DIR] [--line-vote F] [--ctx-vote F]");
+    eprintln!("       repro fleet merge [--dir DIR]");
     eprintln!("       repro fleet plan [--dir DIR] [--apps a,b,c]");
     eprintln!("       repro fleet serve <app>... [--quick | --test-scale] [--dir DIR]");
-    eprintln!("                   [--cache[=DIR]] [--line-vote F] [--ctx-vote F]");
+    eprintln!("                   [--cache[=DIR]]");
     eprintln!("       (every fleet command also takes --jobs N; --cache defaults to");
     eprintln!("       {DEFAULT_CACHE_DIR}/, --dir to {DEFAULT_FLEET_DIR}/)");
 }
@@ -768,7 +759,7 @@ fn fleet_ingest(args: &Args) -> Result<(), String> {
 fn fleet_merge(args: &Args) -> Result<(), String> {
     let manifest = scan_fleet(args.dir())?;
     let t0 = Instant::now();
-    let merged = ispy_fleet::merge_all(&manifest, args.fleet_cfg).map_err(|e| e.to_string())?;
+    let merged = ispy_fleet::merge_all(&manifest).map_err(|e| e.to_string())?;
     if merged.is_empty() {
         return Err(format!("no profile artifacts in {}", args.dir().display()));
     }
@@ -810,13 +801,7 @@ fn fleet_plan(args: &Args) -> Result<(), String> {
         let (program, trace) =
             ispy_trace::artifact::read_recording(&trace_entry.path).map_err(|e| e.to_string())?;
         let baseline = ispy_core::PlannerBaseline::new();
-        let plan = ispy_fleet::plan_consensus(
-            &program,
-            &trace,
-            &consensus,
-            ispy_core::IspyConfig::default(),
-            &baseline,
-        );
+        let plan = ispy_fleet::plan_consensus(&program, &trace, &consensus, &baseline);
         let path = ispy_fleet::store::consensus_plan_path(args.dir(), app);
         ispy_core::artifact::write_plan(app, &plan, &path).map_err(|e| e.to_string())?;
         println!(
@@ -841,12 +826,7 @@ fn fleet_serve(args: &Args) -> Result<(), String> {
         return Err(format!("{} needs at least one app name; known: {known}", args.cmd));
     }
     let cache_dir = args.cache.clone().unwrap_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR));
-    let service = ispy_harness::fleet::PlanService::with_config(
-        args.dir(),
-        &cache_dir,
-        args.scale,
-        args.fleet_cfg,
-    );
+    let service = ispy_harness::fleet::PlanService::new(args.dir(), &cache_dir, args.scale);
     for app in &args.positional {
         let outcome = service.serve(app)?;
         println!(
@@ -903,9 +883,6 @@ mod tests {
         let path =
             |flag: &str, p: &Option<PathBuf>| p.as_ref().map(|p| format!("{flag}{}", p.display()));
         let count = |flag: &str, n: Option<usize>| n.map(|n| format!("{flag} {n}"));
-        let votes = (a.fleet_cfg != FleetConfig::default()).then(|| {
-            format!("--line-vote {} --ctx-vote {}", a.fleet_cfg.line_vote, a.fleet_cfg.ctx_vote)
-        });
         words.extend(
             [
                 count("--machines", a.machines),
@@ -924,7 +901,6 @@ mod tests {
                 a.drift.then(|| "--drift".to_string()),
                 count("--window", a.window),
                 count("--epochs", a.epochs),
-                votes,
             ]
             .into_iter()
             .flatten(),
@@ -980,7 +956,7 @@ mod tests {
             ("record kafka -o", "-o needs a file path"),
             ("scenario burst --jobs", "--jobs needs a thread count >= 1"),
             ("replay f --plan", "--plan needs a .iplan file"),
-            ("fleet merge --line-vote 2", "--line-vote needs a fraction in 0.0..=1.0"),
+            ("fleet gen --machines 0", "--machines needs a count >= 1"),
             ("adapt kafka --window x", "--window needs an event count >= 1"),
             ("fleet", "fleet needs a subcommand: gen|ingest|merge|plan|serve"),
         ] {

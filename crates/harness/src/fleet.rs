@@ -24,8 +24,8 @@
 use crate::cache::ArtifactCache;
 use crate::session::{AppContext, Scale};
 use ispy_core::planner::Plan;
-use ispy_core::{IspyConfig, PlannerBaseline};
-use ispy_fleet::{store, FleetConfig, FleetManifest};
+use ispy_core::PlannerBaseline;
+use ispy_fleet::{store, FleetManifest, CTX_VOTE, LINE_VOTE};
 use ispy_trace::apps;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -69,7 +69,6 @@ pub struct ServeOutcome {
 pub struct PlanService {
     fleet_dir: PathBuf,
     scale: Scale,
-    fleet_cfg: FleetConfig,
     cache: ArtifactCache,
     manifest: Mutex<Option<Arc<FleetManifest>>>,
 }
@@ -78,20 +77,9 @@ impl PlanService {
     /// Opens a service over `fleet_dir`, memoizing plans in a cache at
     /// `cache_dir` keyed by `scale` and the default configs.
     pub fn new(fleet_dir: impl Into<PathBuf>, cache_dir: impl AsRef<Path>, scale: Scale) -> Self {
-        Self::with_config(fleet_dir, cache_dir, scale, FleetConfig::default())
-    }
-
-    /// [`PlanService::new`] with explicit consensus thresholds.
-    pub fn with_config(
-        fleet_dir: impl Into<PathBuf>,
-        cache_dir: impl AsRef<Path>,
-        scale: Scale,
-        fleet_cfg: FleetConfig,
-    ) -> Self {
         PlanService {
             fleet_dir: fleet_dir.into(),
             scale,
-            fleet_cfg,
             cache: ArtifactCache::new(cache_dir.as_ref(), scale),
             manifest: Mutex::new(None),
         }
@@ -102,8 +90,8 @@ impl PlanService {
     fn algo(&self) -> String {
         format!(
             "fleet-lv{:03}-cv{:03}",
-            (self.fleet_cfg.line_vote * 100.0).round() as u32,
-            (self.fleet_cfg.ctx_vote * 100.0).round() as u32,
+            (LINE_VOTE * 100.0).round() as u32,
+            (CTX_VOTE * 100.0).round() as u32,
         )
     }
 
@@ -157,7 +145,6 @@ impl PlanService {
             &ctx.program,
             &ctx.trace,
             &ctx.profile,
-            IspyConfig::default(),
             &PlannerBaseline::new(),
         );
         self.cache.store_plan(app, &self.algo(), &plan);
@@ -188,13 +175,8 @@ impl PlanService {
             .map_err(|e| format!("damaged consensus profile {}: {e}", consensus_path.display()))?;
         let (program, trace) = ispy_trace::artifact::read_recording(&trace_entry.path)
             .map_err(|e| format!("damaged recording {}: {e}", trace_entry.path.display()))?;
-        let plan = ispy_fleet::plan_consensus(
-            &program,
-            &trace,
-            &consensus,
-            IspyConfig::default(),
-            &PlannerBaseline::new(),
-        );
+        let plan =
+            ispy_fleet::plan_consensus(&program, &trace, &consensus, &PlannerBaseline::new());
         self.cache.store_plan(app, &self.algo(), &plan);
         tele.incr("fleet.serve.replan");
         Ok(Some(plan))

@@ -266,6 +266,10 @@ pub fn profile_from_bytes(bytes: &[u8]) -> Result<(String, Profile), ArtifactErr
         if n_pos as u64 != count {
             return Err(ArtifactError::malformed("miss positions", "count/positions mismatch"));
         }
+        let at_sum = stats.at_blocks.values().try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if count == 0 || at_sum != Some(count) {
+            return Err(ArtifactError::malformed("miss blocks", "count/at-block counts mismatch"));
+        }
         let mut prev = 0u64;
         stats.positions.reserve(n_pos.min(1 << 24));
         for _ in 0..n_pos {
@@ -374,6 +378,61 @@ mod tests {
             profile_from_bytes(&bytes),
             Err(ArtifactError::Malformed { context: "edge target", .. })
         ));
+    }
+
+    /// A one-block profile whose single miss line has `count` misses, the
+    /// given `(block, count)` miss blocks and `count` positions.
+    fn one_line_profile(count: u64, at_blocks: &[(u64, u64)]) -> Vec<u8> {
+        let mut meta = SectionWriter::new(SEC_META);
+        meta.put_str("small");
+        meta.put_varint(64);
+        meta.put_varint(32);
+        meta.put_varint(1);
+        let mut exec = SectionWriter::new(SEC_CFG_EXEC);
+        exec.put_varint(1);
+        let mut cycles = SectionWriter::new(SEC_CFG_CYCLES);
+        cycles.put_f64(1.0);
+        let mut e = SectionWriter::new(SEC_CFG_EDGES);
+        e.put_varint(0);
+        let mut m = SectionWriter::new(SEC_MISSES);
+        m.put_varint(1);
+        m.put_delta(7);
+        m.put_varint(count);
+        m.put_varint(at_blocks.len() as u64);
+        for &(b, c) in at_blocks {
+            m.put_varint(b);
+            m.put_varint(c);
+        }
+        m.put_varint(0); // no history blocks
+        m.put_varint(count);
+        for _ in 0..count {
+            m.put_varint(1);
+        }
+        encode_to_vec(ArtifactKind::Profile, [meta, exec, cycles, e, m])
+    }
+
+    #[test]
+    fn miss_blocks_that_miss_the_count_are_malformed_not_panic() {
+        let (_, ok) = profile_from_bytes(&one_line_profile(3, &[(0, 3)])).unwrap();
+        assert_eq!(ok.misses.plan_order(0).next().unwrap().dominant, BlockId(0));
+        // Empty, short, long and overflowing miss blocks, and a line with
+        // no misses: each would leave a line without a dominant block or
+        // break `insert_line`'s invariant.
+        for (count, at) in [
+            (3, &[][..]),
+            (3, &[(0, 2)][..]),
+            (3, &[(0, 2), (0, 2)][..]),
+            (3, &[(0, u64::MAX)][..]),
+            (0, &[][..]),
+        ] {
+            assert!(
+                matches!(
+                    profile_from_bytes(&one_line_profile(count, at)),
+                    Err(ArtifactError::Malformed { context: "miss blocks", .. })
+                ),
+                "count {count}, at-blocks {at:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@ pub struct LineMissStats {
     pub count: u64,
     /// Blocks that were executing when the line missed, with counts.
     /// (A line can miss from several blocks when blocks share a line.)
+    /// In a [`MissProfile`] they sum to `count`, so every line has a
+    /// dominant block.
     pub at_blocks: FxHashMap<BlockId, u64>,
     /// For each block, how many sampled misses had it in the 32-deep
     /// history window — the raw material for predictor-block mining.
@@ -22,7 +24,9 @@ pub struct LineMissStats {
 }
 
 impl LineMissStats {
-    /// The block that most often triggers this miss.
+    /// The block that most often triggers this miss (ties to the lowest
+    /// id); `None` only for stats with no miss blocks, which a
+    /// [`MissProfile`] never holds.
     pub fn dominant_block(&self) -> Option<BlockId> {
         self.at_blocks.iter().max_by_key(|&(b, &c)| (c, std::cmp::Reverse(b.0))).map(|(&b, _)| b)
     }
@@ -90,7 +94,7 @@ pub struct OrderedLine<'a> {
     /// Its stats.
     pub stats: &'a LineMissStats,
     /// [`LineMissStats::dominant_block`] of `stats`.
-    pub dominant: Option<BlockId>,
+    pub dominant: BlockId,
     entry: &'a LineEntry,
 }
 
@@ -109,7 +113,7 @@ pub struct MissProfile {
     /// The lines heaviest first (ties by ascending line), each with its
     /// dominant block: built on first use, dropped by every mutation, so
     /// every plan over an unchanged profile shares one sort.
-    order: OnceLock<Vec<(Line, Option<BlockId>)>>,
+    order: OnceLock<Vec<(Line, BlockId)>>,
 }
 
 impl MissProfile {
@@ -122,18 +126,35 @@ impl MissProfile {
     /// — the exact-reconstruction entry point used by the artifact decoder,
     /// the fleet consensus merge and the profiling pass's collector.
     ///
+    /// # Panics
+    ///
+    /// Panics unless `stats.count` is positive and its `at_blocks` counts
+    /// sum to it: every sampled miss was recorded at a block, so a missing
+    /// line always has a dominant block.
+    ///
     /// # Examples
     ///
     /// ```
     /// use ispy_profile::{LineMissStats, MissProfile};
-    /// use ispy_trace::Line;
+    /// use ispy_trace::{BlockId, Line};
     ///
     /// let mut mp = MissProfile::new();
-    /// let stats = LineMissStats { count: 3, positions: vec![1, 5, 9], ..Default::default() };
+    /// let stats = LineMissStats {
+    ///     count: 3,
+    ///     at_blocks: [(BlockId(4), 2), (BlockId(7), 1)].into_iter().collect(),
+    ///     positions: vec![1, 5, 9],
+    ///     ..Default::default()
+    /// };
     /// mp.insert_line(Line::new(64), stats);
     /// assert_eq!(mp.total_misses(), 3);
+    /// assert_eq!(mp.plan_order(0).next().unwrap().dominant, BlockId(4));
     /// ```
     pub fn insert_line(&mut self, line: Line, stats: LineMissStats) {
+        assert!(
+            stats.count > 0 && stats.at_blocks.values().sum::<u64>() == stats.count,
+            "line {line}: at-block counts must sum to its miss count {}",
+            stats.count
+        );
         self.total += stats.count;
         self.order.take();
         if let Some(old) =
@@ -151,11 +172,16 @@ impl MissProfile {
     ///
     /// ```
     /// use ispy_profile::{LineMissStats, MissProfile};
-    /// use ispy_trace::Line;
+    /// use ispy_trace::{BlockId, Line};
     ///
     /// let one = |pos: u32| {
     ///     let mut mp = MissProfile::new();
-    ///     let stats = LineMissStats { count: 1, positions: vec![pos], ..Default::default() };
+    ///     let stats = LineMissStats {
+    ///         count: 1,
+    ///         at_blocks: [(BlockId(2), 1)].into_iter().collect(),
+    ///         positions: vec![pos],
+    ///         ..Default::default()
+    ///     };
     ///     mp.insert_line(Line::new(64), stats);
     ///     mp
     /// };
@@ -276,10 +302,13 @@ impl MissProfile {
     /// mutation of the profile and shared by every plan in between.
     pub fn plan_order(&self, min_count: u64) -> impl Iterator<Item = OrderedLine<'_>> {
         let order = self.order.get_or_init(|| {
-            let mut order: Vec<(u64, Line, Option<BlockId>)> = self
+            let mut order: Vec<(u64, Line, BlockId)> = self
                 .by_line
                 .iter()
-                .map(|(&raw, e)| (e.stats.count, Line::new(raw), e.stats.dominant_block()))
+                .map(|(&raw, e)| {
+                    let dominant = e.stats.dominant_block().expect("a missing line has a block");
+                    (e.stats.count, Line::new(raw), dominant)
+                })
                 .collect();
             order.sort_unstable_by_key(|&(count, line, _)| (std::cmp::Reverse(count), line));
             order.into_iter().map(|(_, line, dominant)| (line, dominant)).collect()
@@ -552,16 +581,16 @@ mod tests {
         // Fills the cached order, then checks it against a fresh sort of
         // the stats, at every miss-count floor the lines straddle.
         fn check(mp: &MissProfile) {
-            let mut fresh: Vec<(u64, Line, Option<BlockId>)> =
-                mp.iter().map(|(l, s)| (s.count, l, s.dominant_block())).collect();
+            let mut fresh: Vec<(u64, Line, BlockId)> =
+                mp.iter().map(|(l, s)| (s.count, l, s.dominant_block().unwrap())).collect();
             fresh.sort_by_key(|&(count, line, _)| (std::cmp::Reverse(count), line));
             for min_count in 0..=4 {
-                let want: Vec<(Line, Option<BlockId>)> = fresh
+                let want: Vec<(Line, BlockId)> = fresh
                     .iter()
                     .filter(|&&(count, ..)| count >= min_count)
                     .map(|&(_, line, dominant)| (line, dominant))
                     .collect();
-                let got: Vec<(Line, Option<BlockId>)> =
+                let got: Vec<(Line, BlockId)> =
                     mp.plan_order(min_count).map(|l| (l.line, l.dominant)).collect();
                 assert_eq!(got, want, "min count {min_count}");
             }
@@ -592,7 +621,13 @@ mod tests {
         mp.insert_line(z, installed);
         check(&mp);
         // Replacing a line's stats reorders it too.
-        mp.insert_line(z, LineMissStats { count: 1, positions: vec![9], ..Default::default() });
+        let replaced = LineMissStats {
+            count: 1,
+            at_blocks: [(b(8), 1)].into_iter().collect(),
+            positions: vec![9],
+            ..Default::default()
+        };
+        mp.insert_line(z, replaced);
         check(&mp);
         mp.subtract(&one(y, b(4), 1, &[]));
         check(&mp);

@@ -53,10 +53,12 @@
 //!   words issues bit-parallel: `mask & !l1i_shadow & !in_flight` per word
 //!   is the set of lines to request, and the steady state (everything
 //!   already resident) is two `u64` AND-NOTs instead of a per-line walk.
-//! * **Arena in-flight state** — in-flight prefetches and prefetch-line
-//!   owners are dense arrays indexed by line id (code lines are small and
-//!   bounded), so the steady state never hashes; only lines beyond the
-//!   arena limit fall back to a hash map.
+//! * **Arena in-flight state** — one table indexed by line id holds each
+//!   line's in-flight completion and the owner of its latest prefetch, from
+//!   issue until the line is settled (demanded or evicted). One line limit,
+//!   the code lines plus a shadow word, sizes it, the presence shadows and
+//!   the bit-parallel issue, so the steady state never hashes; only lines
+//!   beyond the limit fall back to a hash map.
 //! * **Fills that skip proven scans** — where a miss or a presence shadow
 //!   already shows a line absent from a level, its fill skips the scan
 //!   for an existing copy.
@@ -64,7 +66,7 @@
 use crate::config::{SimConfig, MACHINE};
 use crate::fxhash::FxHashMap;
 use crate::hierarchy::Hierarchy;
-use crate::l1d::{DataFilter, DATA_LINE_BASE};
+use crate::l1d::DataFilter;
 use crate::lbr::HashFilter;
 use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
@@ -124,27 +126,35 @@ pub struct RunOptions<'a> {
 /// never reach it (it would overflow the cycle counter first).
 const EMPTY_SLOT: u64 = u64::MAX;
 
-/// Untagged sentinel in the arena's provenance column.
+/// No-owner sentinel in the arena's owner column.
 const NO_TAG: u32 = u32::MAX;
 
-/// Upper bound on arena-indexed line ids (24 MiB of dense state). Generated
-/// programs stay far below this; pathological hand-built plans spill to the
-/// hash-map side.
-const ARENA_LINE_CAP: u64 = 1 << 21;
+/// Upper bound on the line ids every line-indexed structure covers densely:
+/// the presence shadows, the in-flight arena and the bit-parallel issue
+/// (24 MiB of dense state). Generated programs stay far below it; lines
+/// beyond it (pathological hand-built plans) take the scan and hash-map
+/// paths.
+const LINE_CAP: u64 = 1 << 21;
 
 /// Compact the completion queue once it holds at least this many entries and
 /// stale ones are the majority. Small enough to bound memory on pathological
 /// traces, large enough that compaction is rare in healthy ones.
 const INFLIGHT_COMPACT_MIN: usize = 64;
 
-/// In-flight prefetch bookkeeping, slab-style: lines below `limit` (all code
-/// lines, in practice) live in a dense completion array indexed by line id —
-/// insert, probe, and remove are array reads with no hashing — while far-out
-/// lines (hand-built plans prefetching garbage addresses) spill to a hash
-/// map. Each entry remembers the provenance id of the injection that issued
-/// it, so completions and late demand hits can be attributed; throughput
-/// runs carry no provenance, so their arenas skip the tag array entirely —
-/// halving the dense footprint the hot path's scattered probes touch.
+/// In-flight prefetch bookkeeping and prefetch ownership, slab-style: lines
+/// below `limit` (all code lines, in practice) live in dense columns indexed
+/// by line id — insert, probe, and remove are array reads with no hashing —
+/// while far-out lines (hand-built plans prefetching garbage addresses)
+/// spill to a hash map.
+///
+/// The owner column holds the provenance id of the injection that issued a
+/// line's latest prefetch, from issue until the line is *settled*: demanded
+/// while in flight ([`InflightArena::remove`]), or, once filled, demanded
+/// or evicted untouched ([`InflightArena::settle`]). So completions, late
+/// demands and the fate of the filled line are all charged to their issuer.
+/// Throughput runs carry no provenance, so their arenas skip the column
+/// entirely — halving the dense footprint the hot path's scattered probes
+/// touch.
 ///
 /// Pending completions are kept in a handful of FIFO *lanes* instead of a
 /// binary heap: a completion is `cycle + latency` with latency drawn from
@@ -163,10 +173,11 @@ struct InflightArena {
     /// touches this (a few KB, cache-resident) instead of the slot array
     /// (hundreds of KB, a guaranteed scattered read per probe).
     present: Vec<u64>,
-    /// Provenance tag per line id ([`NO_TAG`] = untagged), parallel to
-    /// `completion` — empty in untagged arenas, which never consult it.
-    tags: Vec<u32>,
-    /// Lines at/above `limit`.
+    /// Owner per line id ([`NO_TAG`] = none), parallel to `completion` —
+    /// empty in untagged arenas, which never consult it.
+    owners: Vec<u32>,
+    /// Lines at/above `limit`: completion ([`EMPTY_SLOT`] once drained) and
+    /// owner. An entry lives while its line is in flight or owned.
     far: FxHashMap<u64, (u64, Option<ProvenanceId>)>,
     /// `(completion, line)` FIFOs, nondecreasing completion within each.
     lanes: Vec<std::collections::VecDeque<(u64, u64)>>,
@@ -188,14 +199,14 @@ struct InflightArena {
 }
 
 impl InflightArena {
-    /// `tagged` arenas (attributed runs) keep a provenance tag per dense
-    /// slot; untagged ones only track completions.
+    /// `tagged` arenas (attributed runs) keep an owner per dense slot;
+    /// untagged ones only track completions.
     fn new(limit: u64, tagged: bool) -> Self {
         InflightArena {
             limit,
             completion: vec![EMPTY_SLOT; limit as usize],
             present: vec![0u64; (limit as usize).div_ceil(64)],
-            tags: if tagged { vec![NO_TAG; limit as usize] } else { Vec::new() },
+            owners: if tagged { vec![NO_TAG; limit as usize] } else { Vec::new() },
             far: FxHashMap::default(),
             lanes: Vec::new(),
             next_completion: u64::MAX,
@@ -206,25 +217,27 @@ impl InflightArena {
         }
     }
 
+    /// Puts `line` in flight until `completion`, owned by `tag` (replacing
+    /// any earlier owner).
     fn insert(&mut self, line: Line, completion: u64, tag: Option<ProvenanceId>) {
         debug_assert_ne!(completion, EMPTY_SLOT);
         debug_assert!(tag.is_none_or(|t| t.0 != NO_TAG), "provenance id collides with sentinel");
         let raw = line.raw();
         let replaced = if raw < self.limit {
             debug_assert!(
-                tag.is_none() || !self.tags.is_empty(),
+                tag.is_none() || !self.owners.is_empty(),
                 "tag inserted into untagged arena"
             );
             let slot = &mut self.completion[raw as usize];
             let replaced = *slot != EMPTY_SLOT;
             *slot = completion;
             self.present[(raw >> 6) as usize] |= 1 << (raw & 63);
-            if !self.tags.is_empty() {
-                self.tags[raw as usize] = tag.map_or(NO_TAG, |t| t.0);
+            if !self.owners.is_empty() {
+                self.owners[raw as usize] = tag.map_or(NO_TAG, |t| t.0);
             }
             replaced
         } else {
-            self.far.insert(raw, (completion, tag)).is_some()
+            self.far.insert(raw, (completion, tag)).is_some_and(|(c, _)| c != EMPTY_SLOT)
         };
         self.enqueue(completion, raw);
         if replaced {
@@ -269,63 +282,72 @@ impl InflightArena {
         if raw < self.limit {
             self.present[(raw >> 6) as usize] & (1 << (raw & 63)) != 0
         } else {
-            self.far.contains_key(&raw)
+            self.far.get(&raw).is_some_and(|&(c, _)| c != EMPTY_SLOT)
         }
     }
 
+    /// The completion cycle of `line`'s prefetch, if it is in flight.
     #[inline]
     fn get(&self, line: Line) -> Option<u64> {
         if self.live == 0 {
             return None;
         }
         let raw = line.raw();
-        if raw < self.limit {
-            let c = self.completion[raw as usize];
-            if c == EMPTY_SLOT {
-                None
-            } else {
-                Some(c)
-            }
+        let c = if raw < self.limit {
+            self.completion[raw as usize]
         } else {
-            self.far.get(&raw).map(|&(c, _)| c)
+            self.far.get(&raw).map_or(EMPTY_SLOT, |&(c, _)| c)
+        };
+        (c != EMPTY_SLOT).then_some(c)
+    }
+
+    /// Forgets an in-flight line (demanded before completion) and returns
+    /// its owner. The lane entry becomes stale and is skipped when drained.
+    /// A line not in flight is left as it is.
+    fn remove(&mut self, line: Line) -> Option<ProvenanceId> {
+        let raw = line.raw();
+        let owner = if raw < self.limit {
+            let slot = &mut self.completion[raw as usize];
+            if *slot == EMPTY_SLOT {
+                return None;
+            }
+            *slot = EMPTY_SLOT;
+            self.present[(raw >> 6) as usize] &= !(1 << (raw & 63));
+            self.take_dense_owner(raw)
+        } else {
+            match self.far.get(&raw) {
+                Some(&(c, _)) if c != EMPTY_SLOT => self.far.remove(&raw).and_then(|(_, t)| t),
+                _ => return None,
+            }
+        };
+        self.live -= 1;
+        self.note_stale();
+        owner
+    }
+
+    /// The filled prefetch of `line` reached its end state untouched (a
+    /// demand hit, or an eviction by a fill or a switch): returns and
+    /// forgets its owner.
+    #[inline]
+    fn settle(&mut self, line: Line) -> Option<ProvenanceId> {
+        let raw = line.raw();
+        if raw < self.limit {
+            return self.take_dense_owner(raw);
         }
+        let std::collections::hash_map::Entry::Occupied(mut entry) = self.far.entry(raw) else {
+            return None;
+        };
+        let owner = entry.get_mut().1.take();
+        if entry.get().0 == EMPTY_SLOT {
+            entry.remove();
+        }
+        owner
     }
 
     #[inline]
-    fn tag(&self, line: Line) -> Option<ProvenanceId> {
-        let raw = line.raw();
-        if raw < self.limit {
-            let t = if self.tags.is_empty() { NO_TAG } else { self.tags[raw as usize] };
-            if t == NO_TAG {
-                None
-            } else {
-                Some(ProvenanceId(t))
-            }
-        } else {
-            self.far.get(&raw).and_then(|&(_, tag)| tag)
-        }
-    }
-
-    /// Forgets an in-flight line (demanded before completion). The lane
-    /// entry becomes stale and is skipped when drained.
-    fn remove(&mut self, line: Line) {
-        let raw = line.raw();
-        let removed = if raw < self.limit {
-            let slot = &mut self.completion[raw as usize];
-            let removed = *slot != EMPTY_SLOT;
-            *slot = EMPTY_SLOT;
-            self.present[(raw >> 6) as usize] &= !(1 << (raw & 63));
-            if !self.tags.is_empty() {
-                self.tags[raw as usize] = NO_TAG;
-            }
-            removed
-        } else {
-            self.far.remove(&raw).is_some()
-        };
-        if removed {
-            self.live -= 1;
-            self.note_stale();
-        }
+    fn take_dense_owner(&mut self, raw: u64) -> Option<ProvenanceId> {
+        let t = self.owners.get_mut(raw as usize).map_or(NO_TAG, |t| std::mem::replace(t, NO_TAG));
+        (t != NO_TAG).then_some(ProvenanceId(t))
     }
 
     fn note_stale(&mut self) {
@@ -335,27 +357,13 @@ impl InflightArena {
         }
     }
 
-    /// What's in flight for `raw`, if anything (compaction's liveness probe).
-    fn lookup(&self, raw: u64) -> Option<u64> {
-        if raw < self.limit {
-            let c = self.completion[raw as usize];
-            if c == EMPTY_SLOT {
-                None
-            } else {
-                Some(c)
-            }
-        } else {
-            self.far.get(&raw).map(|&(c, _)| c)
-        }
-    }
-
     /// Drops stale lane entries. Retaining in place preserves each lane's
     /// completion order, so drain order is unchanged. O(entries) — never
     /// scans the dense slot array.
     fn compact(&mut self) {
         let mut lanes = std::mem::take(&mut self.lanes);
         for lane in &mut lanes {
-            lane.retain(|&(completion, raw)| self.lookup(raw) == Some(completion));
+            lane.retain(|&(completion, raw)| self.get(Line::new(raw)) == Some(completion));
         }
         lanes.retain(|lane| !lane.is_empty());
         self.lanes = lanes;
@@ -371,8 +379,9 @@ impl InflightArena {
     }
 
     /// Pops lines whose prefetch has completed by `now`, in `(completion,
-    /// line)` order.
-    fn drain_completed(&mut self, now: u64, mut f: impl FnMut(Line, Option<ProvenanceId>)) {
+    /// line)` order, handing each to `f` with the arena; a drained line
+    /// keeps its owner until it is settled.
+    fn drain_completed(&mut self, now: u64, mut f: impl FnMut(&mut Self, Line)) {
         if self.next_completion > now {
             return;
         }
@@ -397,32 +406,29 @@ impl InflightArena {
                 // Skip stale entries (line demanded or re-issued meanwhile).
                 let fired = if raw < self.limit {
                     let slot = &mut self.completion[raw as usize];
-                    if *slot == completion {
+                    let fired = *slot == completion;
+                    if fired {
                         *slot = EMPTY_SLOT;
                         self.present[(raw >> 6) as usize] &= !(1 << (raw & 63));
-                        let t = if self.tags.is_empty() {
-                            NO_TAG
-                        } else {
-                            std::mem::replace(&mut self.tags[raw as usize], NO_TAG)
-                        };
-                        self.live -= 1;
-                        Some(if t == NO_TAG { None } else { Some(ProvenanceId(t)) })
-                    } else {
-                        None
                     }
+                    fired
                 } else {
-                    match self.far.get(&raw) {
-                        Some(&(stored, tag)) if stored == completion => {
-                            self.far.remove(&raw);
-                            self.live -= 1;
-                            Some(tag)
+                    match self.far.get_mut(&raw) {
+                        Some(entry) if entry.0 == completion => {
+                            entry.0 = EMPTY_SLOT;
+                            if entry.1.is_none() {
+                                self.far.remove(&raw);
+                            }
+                            true
                         }
-                        _ => None,
+                        _ => false,
                     }
                 };
-                match fired {
-                    Some(tag) => f(Line::new(raw), tag),
-                    None => self.stale = self.stale.saturating_sub(1),
+                if fired {
+                    self.live -= 1;
+                    f(self, Line::new(raw));
+                } else {
+                    self.stale = self.stale.saturating_sub(1);
                 }
             }
         }
@@ -431,67 +437,9 @@ impl InflightArena {
     }
 }
 
-/// Owner map from filled-but-untouched prefetch lines to the injection that
-/// fetched them, arena-indexed like [`InflightArena`]. Stays empty (and
-/// zero-sized) when no ledger is attached.
-struct OwnerArena {
-    limit: u64,
-    dense: Vec<u32>,
-    far: FxHashMap<u64, ProvenanceId>,
-    live: usize,
-}
-
-impl OwnerArena {
-    fn new(limit: u64) -> Self {
-        OwnerArena {
-            limit,
-            dense: vec![NO_TAG; limit as usize],
-            far: FxHashMap::default(),
-            live: 0,
-        }
-    }
-
-    fn insert(&mut self, line: Line, id: ProvenanceId) {
-        debug_assert_ne!(id.0, NO_TAG, "provenance id collides with sentinel");
-        let raw = line.raw();
-        let replaced = if raw < self.limit {
-            std::mem::replace(&mut self.dense[raw as usize], id.0) != NO_TAG
-        } else {
-            self.far.insert(raw, id).is_some()
-        };
-        if !replaced {
-            self.live += 1;
-        }
-    }
-
-    fn take(&mut self, line: Line) -> Option<ProvenanceId> {
-        if self.live == 0 {
-            return None;
-        }
-        let raw = line.raw();
-        let owner = if raw < self.limit {
-            let t = std::mem::replace(&mut self.dense[raw as usize], NO_TAG);
-            if t == NO_TAG {
-                None
-            } else {
-                Some(ProvenanceId(t))
-            }
-        } else {
-            self.far.remove(&raw)
-        };
-        if owner.is_some() {
-            self.live -= 1;
-        }
-        owner
-    }
-}
-
-/// Attribution state threaded through a run: the ledger (if requested) and
-/// the owner arena for filled-but-untouched prefetch lines. Both stay inert
-/// when no ledger is attached.
+/// The ledger threaded through a run, if one is attached.
 struct Attribution<'a> {
     ledger: Option<&'a mut OutcomeLedger>,
-    owner: OwnerArena,
 }
 
 impl Attribution<'_> {
@@ -510,22 +458,6 @@ impl Attribution<'_> {
             f(ledger.outcome_mut(id));
         }
     }
-
-    /// A prefetch of `line` issued by `tag` completed and filled L1I.
-    fn filled(&mut self, line: Line, tag: Option<ProvenanceId>) {
-        if self.enabled() {
-            if let Some(id) = tag {
-                self.owner.insert(line, id);
-            }
-        }
-    }
-
-    /// The untouched prefetch of `line` reached its end state (demanded or
-    /// evicted); returns and forgets its owner.
-    #[inline]
-    fn settle(&mut self, line: Line) -> Option<ProvenanceId> {
-        self.owner.take(line)
-    }
 }
 
 /// `words` sentinel in [`HotOp`]: take the per-line path instead of the
@@ -533,12 +465,11 @@ impl Attribution<'_> {
 const NO_BATCH: u32 = u32::MAX;
 
 /// Run-specialized lowered op, rebuilt per engine from
-/// [`CompiledOp`](ispy_isa::CompiledOp)s once the run's shadow and arena
-/// limits are known: exactly 32 bytes (two ops per cache line, half a
+/// [`CompiledOp`](ispy_isa::CompiledOp)s once the run's line limit is
+/// known: exactly 32 bytes (two ops per cache line, half a
 /// [`CompiledOp`](ispy_isa::CompiledOp)), with the batchability decision
-/// pre-folded
-/// into the `words` sentinel so the steady-state execution reads nothing
-/// else. Line counts come back out of the masks by popcount; provenance ids
+/// pre-folded into the `words` sentinel so the steady-state execution reads
+/// nothing else. Line counts come back out of the masks by popcount; provenance ids
 /// and flattened line lists stay in the compiled plan, which only the cold
 /// paths consult.
 #[derive(Clone, Copy)]
@@ -553,8 +484,8 @@ struct HotOp {
 }
 
 /// The hot-op table of `injections` for a run whose L1I shadow and
-/// in-flight arena both cover lines below `batch_limit`: an op whose lines
-/// all fall in two shadow words below it takes the bit-parallel issue.
+/// in-flight arena cover lines below `batch_limit`: an op whose lines all
+/// fall in two shadow words below it takes the bit-parallel issue.
 fn hot_ops(injections: &CompiledInjections, batch_limit: u64) -> Vec<HotOp> {
     injections
         .compiled_ops()
@@ -728,9 +659,7 @@ pub(crate) struct Engine<'o> {
 
 impl<'o> Engine<'o> {
     /// `adaptive` engines may [swap](Engine::swap_plan) plans mid-run: their
-    /// in-flight/owner arenas are sized even when the initial plan is empty
-    /// (the arena limits are fixed at construction; an undersized arena is
-    /// still *correct*: lines spill to the hash-map side, just slower), and
+    /// in-flight arena is sized even when the initial plan is empty, and
     /// they track the runtime hash whatever the initial plan. `whole` is
     /// the materialized trace the replay calls walk, whose memo supplies
     /// the per-trace records; without it the engine filters each replayed
@@ -744,32 +673,30 @@ impl<'o> Engine<'o> {
         adaptive: bool,
         whole: Option<&Trace>,
     ) -> Self {
-        let mut hier = Hierarchy::new(cfg);
-        // Shadow the code-line range plus one shadow word of slack past the
-        // last block; prefetches of lines beyond it use the scan path.
+        // One line limit for every dense line-indexed structure: the code
+        // lines plus one shadow word of slack past the last block. Lines
+        // beyond it take the scan and hash-map paths.
         let max_code_line = program
             .blocks()
             .iter()
             .map(|b| b.first_line().raw() + b.line_count() - 1)
             .max()
             .unwrap_or(0);
-        hier.enable_l1i_shadow(max_code_line + 65);
-        hier.enable_data_shadow(DATA_LINE_BASE, program.data_footprint_lines());
+        let limit = (max_code_line + 65).min(LINE_CAP);
+        let hier = Hierarchy::new(cfg, limit, program.data_footprint_lines().min(LINE_CAP));
         // Prefetches only exist with an injection plan; plain baseline runs
         // skip the arena allocations.
         let want_arena = adaptive || !injections.is_empty();
-        let arena_limit = if want_arena { (max_code_line + 65).min(ARENA_LINE_CAP) } else { 0 };
-        let owner_limit = if want_arena && ledger.is_some() { arena_limit } else { 0 };
-        let tagged = ledger.is_some();
-        let hot_ops = hot_ops(&injections, hier.l1i_shadow_limit().min(arena_limit));
+        let inflight = InflightArena::new(if want_arena { limit } else { 0 }, ledger.is_some());
+        let hot_ops = hot_ops(&injections, limit);
         let metas = block_metas(program);
         let needs_hash = adaptive || injections.compiled_ops().iter().any(|op| op.ctx_bits != 0);
         let sched = cfg.schedule.clone();
         let next_boundary = sched.as_deref().map_or(u64::MAX, |s| Self::pending_boundary(s, 0, 0));
         Engine {
             hier,
-            inflight: InflightArena::new(arena_limit, tagged),
-            attr: Attribution { ledger, owner: OwnerArena::new(owner_limit) },
+            inflight,
+            attr: Attribution { ledger },
             m: SimResult::default(),
             cycle: 0,
             l1d: Records::new(program, cfg, whole),
@@ -859,11 +786,11 @@ impl<'o> Engine<'o> {
         let Some((l1i_pct, l2_pct)) = effect.fractions() else {
             return;
         };
-        let Self { hier, m, attr, .. } = self;
+        let Self { hier, m, inflight, attr, .. } = self;
         hier.context_switch(l1i_pct, l2_pct, |line, untouched| {
             if untouched {
                 m.pf_evicted_unused += 1;
-                let owner = attr.settle(line);
+                let owner = inflight.settle(line);
                 attr.note(owner, |o| o.evicted_unused += 1);
             }
         });
@@ -897,7 +824,8 @@ impl<'o> Engine<'o> {
     /// in after unconditional ones sees the LBR the whole run built.
     pub(crate) fn swap_plan(&mut self, injections: Arc<CompiledInjections>) {
         debug_assert!(self.hashes.is_some(), "only adaptive engines swap plans");
-        self.hot_ops = hot_ops(&injections, self.hier.l1i_shadow_limit().min(self.inflight.limit));
+        // An adaptive engine's arena is sized at the run's line limit.
+        self.hot_ops = hot_ops(&injections, self.inflight.limit);
         self.injections = Plan::Shared(injections);
     }
 
@@ -935,7 +863,7 @@ impl<'o> Engine<'o> {
                 if let Some(was_untouched) = self.hier.fetch_instr_hit(line) {
                     if was_untouched {
                         self.m.pf_useful += 1;
-                        let owner = self.attr.settle(line);
+                        let owner = self.inflight.settle(line);
                         self.attr.note(owner, |o| o.useful += 1);
                     }
                     continue;
@@ -947,8 +875,7 @@ impl<'o> Engine<'o> {
                 }
                 let stall = if let Some(completion) = self.inflight.get(line) {
                     // Late prefetch: wait only the remaining time.
-                    let tag = self.inflight.tag(line);
-                    self.inflight.remove(line);
+                    let tag = self.inflight.remove(line);
                     self.m.pf_late += 1;
                     self.m.pf_useful += 1;
                     self.attr.note(tag, |o| {
@@ -962,7 +889,7 @@ impl<'o> Engine<'o> {
                     let out = self.hier.fetch_instr_miss(line);
                     if let Some(evicted) = out.evicted_untouched {
                         self.m.pf_evicted_unused += 1;
-                        let owner = self.attr.settle(evicted);
+                        let owner = self.inflight.settle(evicted);
                         self.attr.note(owner, |o| o.evicted_unused += 1);
                     }
                     u64::from(out.extra_cycles)
@@ -986,11 +913,10 @@ impl<'o> Engine<'o> {
     /// Drains prefetches that completed by the current cycle into L1I.
     fn drain_completed(&mut self) {
         let Self { inflight, hier, m, attr, cycle, .. } = self;
-        inflight.drain_completed(*cycle, |line, tag| {
-            attr.filled(line, tag);
+        inflight.drain_completed(*cycle, |inflight, line| {
             if let Some(evicted) = hier.prefetch_fill(line) {
                 m.pf_evicted_unused += 1;
-                let owner = attr.settle(evicted);
+                let owner = inflight.settle(evicted);
                 attr.note(owner, |o| o.evicted_unused += 1);
             }
         });
@@ -1112,10 +1038,10 @@ impl<'o> Engine<'o> {
         let misses = l1d.misses_in(*d_next, n);
         *d_next += n;
         for j in *d_next_miss..*d_next_miss + misses {
-            let out = hier.load_data_miss(l1d.miss_line(j));
-            if out.extra_cycles > 0 {
+            let extra_cycles = hier.load_data_miss(l1d.miss_line(j));
+            if extra_cycles > 0 {
                 m.d_misses += 1;
-                let stall = (f64::from(out.extra_cycles) * MACHINE.d_stall_factor) as u64;
+                let stall = (f64::from(extra_cycles) * MACHINE.d_stall_factor) as u64;
                 m.d_stall_cycles += stall;
                 *cycle += stall;
             }
@@ -1234,6 +1160,19 @@ mod tests {
     use super::*;
     use ispy_isa::PrefetchOp;
     use ispy_trace::apps;
+
+    impl InflightArena {
+        /// The owner of `line`, without settling it.
+        fn owner(&self, line: Line) -> Option<ProvenanceId> {
+            let raw = line.raw();
+            let t = if raw < self.limit {
+                self.owners.get(raw as usize).copied().unwrap_or(NO_TAG)
+            } else {
+                self.far.get(&raw).and_then(|&(_, tag)| tag).map_or(NO_TAG, |t| t.0)
+            };
+            (t != NO_TAG).then_some(ProvenanceId(t))
+        }
+    }
 
     impl Engine<'_> {
         /// The L1D record and the runtime-hash record the engine reads.
@@ -1629,7 +1568,7 @@ mod tests {
             inf.remove(Line::new(i));
         }
         let mut drained = Vec::new();
-        inf.drain_completed(u64::MAX, |line, _| drained.push(line.raw()));
+        inf.drain_completed(u64::MAX, |_, line| drained.push(line.raw()));
         let expected: Vec<u64> = (0..200u64).filter(|i| i % 2 == 1).rev().collect();
         assert_eq!(drained, expected, "completion order must survive compaction");
         assert_eq!(inf.live, 0);
@@ -1638,7 +1577,9 @@ mod tests {
     #[test]
     fn inflight_arena_and_far_sides_agree() {
         // Same operation sequence against a dense-arena instance and a
-        // limit-0 (all-far) instance: every probe must answer identically.
+        // limit-0 (all-far) instance: every probe must answer identically,
+        // owners included, while a line is in flight, once it has drained
+        // and after it is settled.
         let mut dense = InflightArena::new(64, true);
         let mut far = InflightArena::new(0, true);
         let mut state = 0xDEADBEEFu64;
@@ -1648,29 +1589,107 @@ mod tests {
             state ^= state << 17;
             let line = Line::new(state % 48);
             let tag = (state >> 33 & 1 == 0).then_some(ProvenanceId((state >> 34) as u32 & 0xFFFF));
-            match state >> 60 & 3 {
-                0 => {
+            match state >> 59 & 7 {
+                0 | 1 => {
                     if dense.get(line).is_none() {
                         dense.insert(line, step + 3 + state % 100, tag);
                         far.insert(line, step + 3 + state % 100, tag);
                     }
                 }
-                1 => {
-                    dense.remove(line);
-                    far.remove(line);
+                2 => assert_eq!(dense.remove(line), far.remove(line), "remove at step {step}"),
+                3 | 4 => {
+                    // Only a line that is not in flight is ever settled.
+                    if dense.get(line).is_none() {
+                        assert_eq!(dense.settle(line), far.settle(line), "settle at step {step}");
+                    }
                 }
                 _ => {
                     let mut a = Vec::new();
                     let mut b = Vec::new();
-                    dense.drain_completed(step, |l, t| a.push((l.raw(), t)));
-                    far.drain_completed(step, |l, t| b.push((l.raw(), t)));
+                    dense.drain_completed(step, |inf, l| a.push((l.raw(), inf.owner(l))));
+                    far.drain_completed(step, |inf, l| b.push((l.raw(), inf.owner(l))));
                     assert_eq!(a, b, "drain diverged at step {step}");
+                    for (raw, _) in a {
+                        let l = Line::new(raw);
+                        assert_eq!(dense.owner(l), far.owner(l), "drained owner at step {step}");
+                    }
                 }
             }
             assert_eq!(dense.get(line), far.get(line));
-            assert_eq!(dense.tag(line), far.tag(line));
+            assert_eq!(dense.owner(line), far.owner(line));
             assert_eq!(dense.live, far.live);
         }
+        // Settling every line empties both owner columns.
+        for raw in 0..48 {
+            let l = Line::new(raw);
+            if dense.get(l).is_none() {
+                assert_eq!(dense.settle(l), far.settle(l));
+                assert_eq!((dense.owner(l), far.owner(l)), (None, None));
+            }
+        }
+        assert!(far.far.values().all(|&(c, _)| c != EMPTY_SLOT), "settled far entries are freed");
+    }
+
+    #[test]
+    fn prefetch_owner_settles_on_hit_fill_eviction_and_switch() {
+        use crate::outcome::{InjectionOutcome, OutcomeLedger};
+        use crate::switch::{SwitchEffect, SwitchSchedule};
+        use ispy_trace::program::{BlockExit, FuncId, Function};
+        use ispy_trace::{Addr, BasicBlock};
+        // Block 0 issues three tagged prefetches: id 0 of line 2, which
+        // block 2 then demands untouched; id 1 of line 100, which the demand
+        // fills of lines 164, 228, ... (its L1I set) evict untouched; id 2 of
+        // line 300, which a flush switch evicts untouched. Blocks 1 and the
+        // conflict blocks miss to memory, so each prefetch has long landed
+        // before the demand, the evictions and the switch.
+        let (hit, evicted, switched) = (2u64, 100u64, 300u64);
+        let mut lines = vec![0, 1, hit];
+        lines.extend((1..=8).map(|k| evicted + 64 * k));
+        let blocks: Vec<BasicBlock> =
+            lines.iter().map(|&l| BasicBlock::new(Addr::new(l * 64), 64, 4, 0)).collect();
+        let n = blocks.len();
+        let exits = vec![BlockExit::Return; n];
+        let funcs = vec![Function::new(BlockId(0), 0, n as u32)];
+        let program =
+            Program::new("owners", blocks, exits, funcs, vec![FuncId(0); n], vec![vec![FuncId(0)]]);
+        // Every block once, then block 1 again after the switch.
+        let mut order: Vec<BlockId> = (0..n as u32).map(BlockId).collect();
+        order.push(BlockId(1));
+        let trace = Trace::new("owners", order);
+        let mut map = InjectionMap::new();
+        for (id, target) in [hit, evicted, switched].into_iter().enumerate() {
+            let op = PrefetchOp::Plain { target: Line::new(target) };
+            map.push_traced(BlockId(0), op, ProvenanceId(id as u32));
+        }
+        let cfg = SimConfig {
+            schedule: Some(Arc::new(SwitchSchedule::new(
+                vec![(n as u64, 1)],
+                vec![],
+                SwitchEffect::Flush,
+            ))),
+            ..SimConfig::default()
+        };
+        let mut ledger = OutcomeLedger::default();
+        let r = run(
+            &program,
+            &trace,
+            &cfg,
+            RunOptions {
+                injections: Some(&map),
+                outcomes: Some(&mut ledger),
+                ..Default::default()
+            },
+        );
+        assert_eq!((r.pf_lines_issued, r.pf_late), (3, 0));
+        assert_eq!((r.pf_useful, r.pf_evicted_unused), (1, 2));
+        let row = |id: usize| {
+            let o = ledger.per_injection[id];
+            (o.lines_issued, o.useful, o.evicted_unused)
+        };
+        assert_eq!(row(0), (1, 1, 0), "the demand hit settles its issuer");
+        assert_eq!(row(1), (1, 0, 1), "the fill eviction settles its issuer");
+        assert_eq!(row(2), (1, 0, 1), "the switch eviction settles its issuer");
+        assert_eq!(ledger.untracked, InjectionOutcome::default());
     }
 
     #[test]
@@ -1729,10 +1748,10 @@ mod tests {
         use ispy_isa::CoalesceMask;
         use ispy_trace::program::{BlockExit, FuncId, Function};
         use ispy_trace::{Addr, BasicBlock};
-        // The second block's lines sit past the in-flight arena's limit but
-        // below the shadow's, so an op there has shadow words and no arena
-        // words and must take the per-line path.
-        let far = ARENA_LINE_CAP + 1_024;
+        // The second block's lines sit past the run's line limit, so an op
+        // there has no shadow or arena words and must take the per-line
+        // path.
+        let far = LINE_CAP + 1_024;
         let blocks = vec![
             BasicBlock::new(Addr::new(0), 64, 16, 0),
             BasicBlock::new(Addr::new((far + 200) * 64), 64, 16, 0),
@@ -1776,7 +1795,7 @@ mod tests {
                 eng.hot_ops[0].words[1], NO_BATCH,
                 "the near op takes the bit-parallel issue"
             );
-            assert_eq!(eng.hot_ops[1].words, [NO_BATCH; 2], "the far op is beyond the arena");
+            assert_eq!(eng.hot_ops[1].words, [NO_BATCH; 2], "the far op is beyond the limit");
             if force_per_line {
                 eng.hot_ops[0].words = [NO_BATCH; 2];
             }
@@ -1791,7 +1810,7 @@ mod tests {
             assert_eq!(eng.exec_ops(BlockId(0), 0), 2);
             let m = eng.m;
             let mut drained = Vec::new();
-            eng.inflight.drain_completed(u64::MAX, |l, tag| drained.push((l.raw(), tag)));
+            eng.inflight.drain_completed(u64::MAX, |inf, l| drained.push((l.raw(), inf.owner(l))));
             drop(eng);
             (m, drained, ledger)
         };

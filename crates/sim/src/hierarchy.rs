@@ -7,32 +7,18 @@
 
 use crate::cache::{Cache, InsertPriority};
 use crate::config::{SimConfig, MACHINE};
+use crate::l1d::DATA_LINE_BASE;
 use ispy_trace::Line;
 
-/// Where a line was found on a demand access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ResidencyLevel {
-    /// Hit in the accessed L1.
-    L1,
-    /// Found in the unified L2.
-    L2,
-    /// Found in the unified L3.
-    L3,
-    /// Served from memory.
-    Memory,
-}
-
-/// Outcome of a demand fetch/load.
+/// Outcome of a demand instruction fetch that missed L1I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessOutcome {
-    /// Level that served the access.
-    pub level: ResidencyLevel,
-    /// Extra stall cycles beyond the L1 hit latency.
-    pub extra_cycles: u32,
+pub(crate) struct AccessOutcome {
+    /// Extra stall cycles beyond the L1I hit latency.
+    pub(crate) extra_cycles: u32,
     /// The untouched prefetched line evicted from L1I to make room, if any.
     /// Carrying the identity (not just a flag) lets the engine attribute the
     /// wasted prefetch back to the injection that issued it.
-    pub evicted_untouched: Option<Line>,
+    pub(crate) evicted_untouched: Option<Line>,
 }
 
 /// The simulated cache hierarchy below the L1D.
@@ -42,7 +28,7 @@ pub struct AccessOutcome {
 /// data misses are served from, as in a real part). Code lines and data
 /// lines live in disjoint address ranges, which the engine guarantees.
 #[derive(Debug, Clone)]
-pub struct Hierarchy {
+pub(crate) struct Hierarchy {
     l1i: Cache,
     l2: Cache,
     l3: Cache,
@@ -50,17 +36,15 @@ pub struct Hierarchy {
     /// Exact presence bitmap mirroring L1I contents for lines below
     /// `ranges.code_limit`, maintained at the (rare) fill/evict points so the
     /// (frequent) [`Hierarchy::in_l1i`] probes are a bit test instead of a
-    /// set scan. Empty when disabled; lines at/above the limit fall back to
-    /// scanning the cache, so the shadow is never a correctness question —
-    /// only a fast path.
+    /// set scan. Lines at/above the limit fall back to scanning the cache,
+    /// so the shadow is never a correctness question — only a fast path.
     l1i_shadow: Vec<u64>,
     /// Same exact-mirror bitmaps for the shared L2/L3, over the code-line
-    /// range plus (after [`Hierarchy::enable_data_shadow`]) the data-line
-    /// range, whose words are appended after the code words. The injected
-    /// hot path asks "where would this prefetch be served from?" for every
-    /// issued line, and every data load asks "which shared level holds this
-    /// line?"; with the shadows, known misses skip the scans over the
-    /// (large, cache-hostile) L2/L3 slot arrays entirely.
+    /// range plus the data-line range, whose words are appended after the
+    /// code words. The injected hot path asks "where would this prefetch be
+    /// served from?" for every issued line, and every data load asks "which
+    /// shared level holds this line?"; with the shadows, known misses skip
+    /// the scans over the (large, cache-hostile) L2/L3 slot arrays entirely.
     l2_shadow: Vec<u64>,
     l3_shadow: Vec<u64>,
     ranges: ShadowRanges,
@@ -71,11 +55,10 @@ pub struct Hierarchy {
 /// bits while a cache is mutably borrowed.
 #[derive(Debug, Clone, Copy)]
 struct ShadowRanges {
-    /// One past the last shadowed code line id (0 = disabled).
+    /// One past the last shadowed code line id.
     code_limit: u64,
-    /// First line id of the shadowed data range (`u64::MAX` = disabled).
-    data_base: u64,
-    /// One past the last shadowed data line id.
+    /// One past the last shadowed data line id (the range starts at
+    /// [`DATA_LINE_BASE`]).
     data_limit: u64,
     /// Word index where the data range's shadow words start.
     data_words: usize,
@@ -88,8 +71,8 @@ impl ShadowRanges {
     fn shared_pos(self, raw: u64) -> Option<(usize, u64)> {
         if raw < self.code_limit {
             Some(((raw >> 6) as usize, 1u64 << (raw & 63)))
-        } else if raw >= self.data_base && raw < self.data_limit {
-            let off = raw - self.data_base;
+        } else if (DATA_LINE_BASE..self.data_limit).contains(&raw) {
+            let off = raw - DATA_LINE_BASE;
             Some((self.data_words + (off >> 6) as usize, 1u64 << (off & 63)))
         } else {
             None
@@ -97,73 +80,33 @@ impl ShadowRanges {
     }
 }
 
-/// Upper bound on shadowed line ids (8 MiB of bitmap). Programs the
-/// generator produces stay far below this; pathological hand-built plans
-/// simply fall back to the scan path.
-const SHADOW_LINE_CAP: u64 = 1 << 26;
-
 impl Hierarchy {
     /// Builds an empty [`MACHINE`] hierarchy that inserts prefetches at
-    /// `cfg`'s priority.
-    pub fn new(cfg: &SimConfig) -> Self {
+    /// `cfg`'s priority, with L1I/L2/L3 presence shadows over code lines
+    /// `0..code_lines` and L2/L3 shadows over the `data_lines` data lines
+    /// from [`DATA_LINE_BASE`] (rounded up to whole shadow words). L1I has
+    /// no data shadow: only code lines are ever fetched or prefetched into
+    /// it.
+    pub(crate) fn new(cfg: &SimConfig, code_lines: u64, data_lines: u64) -> Self {
+        debug_assert!(code_lines <= DATA_LINE_BASE, "data range overlaps code range");
+        let code_words = (code_lines as usize).div_ceil(64);
+        let data_words = (data_lines as usize).div_ceil(64);
         Hierarchy {
             l1i: Cache::new(MACHINE.l1i),
             l2: Cache::new(MACHINE.l2),
             l3: Cache::new(MACHINE.l3),
             prefetch_insert: cfg.prefetch_insert,
-            l1i_shadow: Vec::new(),
-            l2_shadow: Vec::new(),
-            l3_shadow: Vec::new(),
+            l1i_shadow: vec![0u64; code_words],
+            l2_shadow: vec![0u64; code_words + data_words],
+            l3_shadow: vec![0u64; code_words + data_words],
             ranges: ShadowRanges {
-                code_limit: 0,
-                data_base: u64::MAX,
-                data_limit: 0,
-                data_words: 0,
+                code_limit: code_lines,
+                // Whole trailing words are covered exactly: any line in them
+                // is tracked at the same fill/evict points as the rest.
+                data_limit: DATA_LINE_BASE + data_words as u64 * 64,
+                data_words: code_words,
             },
         }
-    }
-
-    /// Enables the L1I/L2/L3 presence shadows for lines `0..line_limit`
-    /// (clamped to an 8 MiB bitmap each). Must be called while the hierarchy
-    /// is still empty — i.e. before any fetch or prefetch — which is when
-    /// the engine calls it.
-    pub fn enable_l1i_shadow(&mut self, line_limit: u64) {
-        debug_assert_eq!(self.l1i.occupancy(), 0, "shadow must start from an empty L1I");
-        debug_assert_eq!(
-            self.l2.occupancy() + self.l3.occupancy(),
-            0,
-            "shadow must start from empty shared levels"
-        );
-        let limit = line_limit.min(SHADOW_LINE_CAP);
-        let words = (limit as usize).div_ceil(64);
-        self.l1i_shadow = vec![0u64; words];
-        self.l2_shadow = vec![0u64; words];
-        self.l3_shadow = vec![0u64; words];
-        self.ranges.code_limit = limit;
-    }
-
-    /// Extends the L2/L3 presence shadows over the `data_lines`-line data
-    /// range starting at `data_base` (clamped to an 8 MiB bitmap), so data
-    /// loads answer "which shared level?" by bit test too. Requires the code
-    /// shadows to be enabled first and, like them, must be called while the
-    /// shared levels are still empty. L1I is never extended: only code lines
-    /// are ever fetched or prefetched into it.
-    pub fn enable_data_shadow(&mut self, data_base: u64, data_lines: u64) {
-        debug_assert!(self.ranges.code_limit > 0, "enable the code-range shadows first");
-        debug_assert_eq!(
-            self.l2.occupancy() + self.l3.occupancy(),
-            0,
-            "shadow must start from empty shared levels"
-        );
-        debug_assert!(data_base >= self.ranges.code_limit, "data range overlaps code range");
-        let words = (data_lines.min(SHADOW_LINE_CAP) as usize).div_ceil(64);
-        self.ranges.data_words = self.l2_shadow.len();
-        self.l2_shadow.resize(self.ranges.data_words + words, 0);
-        self.l3_shadow.resize(self.ranges.data_words + words, 0);
-        self.ranges.data_base = data_base;
-        // Whole trailing words are covered exactly: any line in them is
-        // tracked at the same fill/evict points as the rest of the range.
-        self.ranges.data_limit = data_base + (words as u64) * 64;
     }
 
     #[inline]
@@ -184,26 +127,19 @@ impl Hierarchy {
         }
     }
 
-    /// The line-id limit of the enabled L1I presence shadow (0 = disabled).
-    /// Lines below it answer [`Hierarchy::in_l1i`] from the shadow bitmap.
-    #[inline]
-    pub fn l1i_shadow_limit(&self) -> u64 {
-        self.ranges.code_limit
-    }
-
     /// Word `w` of the L1I presence shadow: bit `b` is set iff line
     /// `64 w + b` is resident — what the engine's bit-parallel prefetch
     /// issue reads for an op's target lines. The caller keeps every line
-    /// the word covers below [`Hierarchy::l1i_shadow_limit`] (compiled
+    /// the word covers below the shadow's code-line limit (compiled
     /// injection plans carry `max_line` for exactly this check).
     #[inline]
-    pub fn l1i_shadow_word(&self, w: usize) -> u64 {
+    pub(crate) fn l1i_shadow_word(&self, w: usize) -> u64 {
         self.l1i_shadow[w]
     }
 
     /// Whether `line` is resident in the L1 I-cache.
     #[inline]
-    pub fn in_l1i(&self, line: Line) -> bool {
+    pub(crate) fn in_l1i(&self, line: Line) -> bool {
         let raw = line.raw();
         if raw < self.ranges.code_limit {
             self.l1i_shadow[(raw >> 6) as usize] & (1 << (raw & 63)) != 0
@@ -217,30 +153,28 @@ impl Hierarchy {
     /// residency check, usefulness accounting, and recency update in one set
     /// scan. Returns `None` on a miss without touching any state.
     #[inline]
-    pub fn fetch_instr_hit(&mut self, line: Line) -> Option<bool> {
+    pub(crate) fn fetch_instr_hit(&mut self, line: Line) -> Option<bool> {
         self.l1i.demand(line)
     }
 
     /// L1I demand-fetch slow path; the caller has established (via
     /// [`Hierarchy::fetch_instr_hit`]) that `line` is not in L1I.
-    pub fn fetch_instr_miss(&mut self, line: Line) -> AccessOutcome {
-        let (level, total_lat) = self.lookup_fill_shared(line);
+    pub(crate) fn fetch_instr_miss(&mut self, line: Line) -> AccessOutcome {
+        let total_lat = self.lookup_fill_shared(line);
         let fill = self.l1i.fill_absent(line, InsertPriority::Mru, false);
         self.shadow_set(line);
         self.shadow_clear(fill.evicted);
         AccessOutcome {
-            level,
             extra_cycles: total_lat - MACHINE.lat.l1i,
             evicted_untouched: if fill.evicted_untouched_prefetch { fill.evicted } else { None },
         }
     }
 
     /// Demand data load of `line`, which the caller has established (from
-    /// its L1D record) missed L1D: served by the shared levels, with the
-    /// stall counted beyond the L1D hit latency.
-    pub fn load_data_miss(&mut self, line: Line) -> AccessOutcome {
-        let (level, total_lat) = self.lookup_fill_shared(line);
-        AccessOutcome { level, extra_cycles: total_lat - MACHINE.lat.l1d, evicted_untouched: None }
+    /// its L1D record) missed L1D: served by the shared levels. Returns the
+    /// stall cycles beyond the L1D hit latency.
+    pub(crate) fn load_data_miss(&mut self, line: Line) -> u32 {
+        self.lookup_fill_shared(line) - MACHINE.lat.l1d
     }
 
     /// Completes a prefetch: fills L1I (and L2) at the configured prefetch
@@ -249,7 +183,7 @@ impl Hierarchy {
     ///
     /// Where a presence shadow shows the line absent from a level, that
     /// level's fill skips the scan for an existing copy.
-    pub fn prefetch_fill(&mut self, line: Line) -> Option<Line> {
+    pub(crate) fn prefetch_fill(&mut self, line: Line) -> Option<Line> {
         let raw = line.raw();
         let l2_absent =
             self.ranges.shared_pos(raw).is_some_and(|(w, b)| self.l2_shadow[w] & b == 0);
@@ -279,7 +213,7 @@ impl Hierarchy {
     /// a generated plan's targets are never in L1D; a hand-built plan whose
     /// target aliases a data line gets the shared level's latency.
     #[inline]
-    pub fn prefetch_latency_missing_l1i(&self, line: Line) -> u32 {
+    pub(crate) fn prefetch_latency_missing_l1i(&self, line: Line) -> u32 {
         let raw = line.raw();
         if raw < self.ranges.code_limit {
             let (word, bit) = ((raw >> 6) as usize, 1u64 << (raw & 63));
@@ -334,39 +268,40 @@ impl Hierarchy {
         }
     }
 
-    /// Serves a miss from the shared levels, filling them on the way.
+    /// Serves a miss from the shared levels, filling them on the way, and
+    /// returns the serving level's latency.
     ///
     /// For shadowed lines the presence bits decide which level serves the
     /// access before any set is scanned: a demand [`Cache::access`] mutates
     /// state only when it hits (recency promotion), so skipping it on a
     /// shadow-proven miss is invisible, and the one access that does run is
     /// the one that hits.
-    fn lookup_fill_shared(&mut self, line: Line) -> (ResidencyLevel, u32) {
+    fn lookup_fill_shared(&mut self, line: Line) -> u32 {
         if let Some((w, b)) = self.ranges.shared_pos(line.raw()) {
             return if self.l2_shadow[w] & b != 0 {
                 let hit = self.l2.access(line);
                 debug_assert!(hit, "L2 shadow bit set for absent line {line:?}");
-                (ResidencyLevel::L2, MACHINE.lat.l2)
+                MACHINE.lat.l2
             } else if self.l3_shadow[w] & b != 0 {
                 let hit = self.l3.access(line);
                 debug_assert!(hit, "L3 shadow bit set for absent line {line:?}");
                 self.fill_l2(line, InsertPriority::Mru, false, true);
-                (ResidencyLevel::L3, MACHINE.lat.l3)
+                MACHINE.lat.l3
             } else {
                 self.fill_l3_absent(line);
                 self.fill_l2(line, InsertPriority::Mru, false, true);
-                (ResidencyLevel::Memory, MACHINE.lat.mem)
+                MACHINE.lat.mem
             };
         }
         if self.l2.access(line) {
-            (ResidencyLevel::L2, MACHINE.lat.l2)
+            MACHINE.lat.l2
         } else if self.l3.access(line) {
             self.fill_l2(line, InsertPriority::Mru, false, true);
-            (ResidencyLevel::L3, MACHINE.lat.l3)
+            MACHINE.lat.l3
         } else {
             self.fill_l3_absent(line);
             self.fill_l2(line, InsertPriority::Mru, false, true);
-            (ResidencyLevel::Memory, MACHINE.lat.mem)
+            MACHINE.lat.mem
         }
     }
 
@@ -378,7 +313,7 @@ impl Hierarchy {
     /// victims carry no per-injection accounting (matching the `fill_l2`
     /// eviction handling). L3 is deliberately untouched — it is large and
     /// per-socket, so tenant slices on one core barely move it.
-    pub fn context_switch(
+    pub(crate) fn context_switch(
         &mut self,
         l1i_pct: u8,
         l2_pct: u8,
@@ -406,18 +341,19 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
 
+    /// A hierarchy without presence shadows: every probe scans the caches.
     fn h() -> Hierarchy {
-        Hierarchy::new(&SimConfig::default())
+        shadowed(0, 0)
+    }
+
+    fn shadowed(code_lines: u64, data_lines: u64) -> Hierarchy {
+        Hierarchy::new(&SimConfig::default(), code_lines, data_lines)
     }
 
     /// A demand fetch: the engine's hit probe, then its miss path.
     fn fetch(hier: &mut Hierarchy, line: Line) -> AccessOutcome {
         match hier.fetch_instr_hit(line) {
-            Some(_) => AccessOutcome {
-                level: ResidencyLevel::L1,
-                extra_cycles: 0,
-                evicted_untouched: None,
-            },
+            Some(_) => AccessOutcome { extra_cycles: 0, evicted_untouched: None },
             None => hier.fetch_instr_miss(line),
         }
     }
@@ -438,8 +374,7 @@ mod tests {
     fn cold_fetch_comes_from_memory() {
         let mut hier = h();
         let out = fetch(&mut hier, Line::new(100));
-        assert_eq!(out.level, ResidencyLevel::Memory);
-        assert_eq!(out.extra_cycles, 260 - 3);
+        assert_eq!(out.extra_cycles, MACHINE.lat.mem - 3);
     }
 
     #[test]
@@ -458,8 +393,7 @@ mod tests {
             fetch(&mut hier, Line::new(i * 64));
         }
         let out = fetch(&mut hier, Line::new(0));
-        assert_eq!(out.level, ResidencyLevel::L2);
-        assert_eq!(out.extra_cycles, 12 - 3);
+        assert_eq!(out.extra_cycles, MACHINE.lat.l2 - 3);
     }
 
     #[test]
@@ -495,7 +429,7 @@ mod tests {
         hier.load_data_miss(l);
         // Same line fetched as an instruction must miss L1I but hit L2.
         let out = fetch(&mut hier, l);
-        assert_eq!(out.level, ResidencyLevel::L2);
+        assert_eq!(out.extra_cycles, MACHINE.lat.l2 - 3);
     }
 
     #[test]
@@ -504,16 +438,16 @@ mod tests {
         // side's L1D lives outside the hierarchy, so such a prefetch is
         // priced by the shared level holding the line — L2 right after a
         // data miss brought it in — never at the L1 latency.
-        for shadowed in [false, true] {
-            let mut hier = h();
-            let data_line = Line::new((1 << 40) + 5);
-            if shadowed {
-                hier.enable_l1i_shadow(512);
-                hier.enable_data_shadow(1 << 40, 300);
-            }
+        for with_shadows in [false, true] {
+            let mut hier = if with_shadows { shadowed(512, 300) } else { h() };
+            let data_line = Line::new(DATA_LINE_BASE + 5);
             assert_eq!(hier.prefetch_latency_missing_l1i(data_line), 260);
             hier.load_data_miss(data_line);
-            assert_eq!(hier.prefetch_latency_missing_l1i(data_line), 12, "shadowed: {shadowed}");
+            assert_eq!(
+                hier.prefetch_latency_missing_l1i(data_line),
+                12,
+                "shadowed: {with_shadows}"
+            );
         }
     }
 
@@ -522,8 +456,7 @@ mod tests {
         // Drive fills and evictions through both fetch and prefetch paths and
         // check the presence shadow never diverges from the authoritative
         // cache contents, including for lines outside the shadowed range.
-        let mut hier = h();
-        hier.enable_l1i_shadow(512);
+        let mut hier = shadowed(512, 0);
         let mut state = 0x243F6A8885A308D3u64;
         for _ in 0..20_000 {
             state ^= state << 13;
@@ -559,9 +492,7 @@ mod tests {
 
     #[test]
     fn shadow_covers_matches_per_line_probes() {
-        let mut hier = h();
-        hier.enable_l1i_shadow(256);
-        assert_eq!(hier.l1i_shadow_limit(), 256);
+        let mut hier = shadowed(256, 0);
         for l in [3u64, 62, 63, 64, 65, 130] {
             hier.prefetch_fill(Line::new(l));
         }
@@ -579,11 +510,9 @@ mod tests {
     fn data_shadow_matches_shadowless_twin() {
         // Drive one shadowed and one shadowless hierarchy through an
         // identical interleaved code/data access sequence; every outcome
-        // (level, latency, eviction identity) must match, or the
+        // (latency, eviction identity) must match, or the
         // shadow-guided lookup_fill_shared diverged from the scan path.
-        let mut fast = h();
-        fast.enable_l1i_shadow(512);
-        fast.enable_data_shadow(1 << 40, 300); // clamps to whole words
+        let mut fast = shadowed(512, 300); // data shadow rounds up to whole words
         let mut slow = h();
         let mut state = 0x9E3779B97F4A7C15u64;
         for _ in 0..30_000 {
@@ -601,7 +530,7 @@ mod tests {
                 }
                 _ => {
                     // Data range churns L2/L3 against the code lines.
-                    let line = Line::new((1 << 40) + state % 300);
+                    let line = Line::new(DATA_LINE_BASE + state % 300);
                     assert_eq!(fast.load_data_miss(line), slow.load_data_miss(line));
                 }
             }
@@ -610,21 +539,19 @@ mod tests {
 
     #[test]
     fn context_switch_keeps_shadows_exact() {
-        let mut hier = h();
-        hier.enable_l1i_shadow(512);
-        hier.enable_data_shadow(1 << 40, 300);
+        let mut hier = shadowed(512, 300);
         for l in 0..200u64 {
             fetch(&mut hier, Line::new(l));
         }
         for l in 0..100u64 {
-            hier.load_data_miss(Line::new((1 << 40) + l));
+            hier.load_data_miss(Line::new(DATA_LINE_BASE + l));
         }
         hier.prefetch_fill(Line::new(300));
         let mut evicted = 0usize;
         hier.context_switch(50, 30, |_, _| evicted += 1);
         assert!(evicted > 0, "a half-thrash of a warm L1I must evict something");
         // The L1I and shared-L2 shadows must still agree with the caches.
-        for probe in (0..520u64).chain((1 << 40)..(1 << 40) + 320) {
+        for probe in (0..520u64).chain(DATA_LINE_BASE..DATA_LINE_BASE + 320) {
             let line = Line::new(probe);
             assert_eq!(hier.in_l1i(line), hier.l1i.contains(line), "line {line:?}");
             if !hier.l1i.contains(line) {
@@ -646,9 +573,7 @@ mod tests {
     #[test]
     fn data_load_latency() {
         let mut hier = h();
-        let out = hier.load_data_miss(Line::new(1000));
-        assert_eq!((out.level, out.extra_cycles), (ResidencyLevel::Memory, 260 - 4));
-        let again = hier.load_data_miss(Line::new(1000));
-        assert_eq!((again.level, again.extra_cycles), (ResidencyLevel::L2, 12 - 4));
+        assert_eq!(hier.load_data_miss(Line::new(1000)), MACHINE.lat.mem - 4);
+        assert_eq!(hier.load_data_miss(Line::new(1000)), MACHINE.lat.l2 - 4);
     }
 }

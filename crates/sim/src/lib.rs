@@ -32,7 +32,7 @@ pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod fxhash;
-pub mod hierarchy;
+mod hierarchy;
 mod l1d;
 pub mod lbr;
 pub mod metrics;
@@ -44,7 +44,6 @@ pub use cache::{Cache, CacheParams, InsertPriority};
 pub use config::SimConfig;
 pub use engine::{run, run_streaming, RunOptions, SimObserver};
 pub use fxhash::{FxBuildHasher, FxHashMap};
-pub use hierarchy::{Hierarchy, ResidencyLevel};
 pub use lbr::{BloomSig, CountingBloom, Lbr};
 pub use metrics::SimResult;
 pub use outcome::{InjectionOutcome, OutcomeLedger};

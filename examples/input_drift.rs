@@ -13,7 +13,7 @@
 use ispy_baselines::asmdb::{AsmDbConfig, AsmDbPlanner};
 use ispy_core::planner::Plan;
 use ispy_core::{IspyConfig, Planner, PlannerBaseline};
-use ispy_fleet::{plan_consensus, ConsensusBuilder, FleetConfig};
+use ispy_fleet::{plan_consensus, ConsensusBuilder};
 use ispy_profile::{profile, SampleRate};
 use ispy_sim::{run, RunOptions, SimConfig, SimObserver, SimResult};
 use ispy_trace::{apps, BlockId, Program, Trace};
@@ -171,7 +171,7 @@ fn main() {
     // automates), plan from the aggregate, and replay against the held-out
     // variants `trained..=4` that no member profiled.
     let trained = trained_from_args();
-    let mut builder = ConsensusBuilder::new(model.name(), FleetConfig::default());
+    let mut builder = ConsensusBuilder::new(model.name());
     for k in 0..trained {
         let t = program.record_trace(model.input_variant(k), events);
         builder
@@ -180,8 +180,7 @@ fn main() {
     }
     let (consensus, stats) = builder.finish().expect("at least one member folded");
     let baseline = PlannerBaseline::new();
-    let fleet_plan =
-        plan_consensus(&program, &profiled_trace, &consensus, IspyConfig::default(), &baseline);
+    let fleet_plan = plan_consensus(&program, &profiled_trace, &consensus, &baseline);
 
     println!(
         "\nfleet consensus: {} members (variants 0-{}), {} lines kept, held out variants {}-4\n",

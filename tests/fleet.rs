@@ -4,7 +4,7 @@
 //! path's tier progression.
 
 use ispy_core::{IspyConfig, Planner, PlannerBaseline};
-use ispy_fleet::{merge_app, plan_consensus, ConsensusBuilder, FleetConfig, FleetManifest};
+use ispy_fleet::{merge_app, plan_consensus, ConsensusBuilder, FleetManifest, CTX_VOTE, LINE_VOTE};
 use ispy_harness::fleet::ServeTier;
 use ispy_harness::{PlanService, Scale};
 use ispy_profile::{profile, DynCfg, LineMissStats, MissProfile, Profile, SampleRate};
@@ -53,7 +53,7 @@ fn consensus_merge_is_ingest_order_invariant() {
     for sub in ["a", "b"] {
         let manifest = FleetManifest::scan(&root.join(sub)).unwrap();
         assert_eq!(manifest.profiles.len(), 4);
-        let (consensus, stats) = merge_app(&manifest, "kafka", FleetConfig::default()).unwrap();
+        let (consensus, stats) = merge_app(&manifest, "kafka").unwrap();
         assert_eq!(stats.members, 4);
         // Publish the consensus into the fleet dir the way `repro fleet
         // merge` does: a re-scan must skip it, so a second merge sees the
@@ -81,7 +81,7 @@ fn single_profile_fleet_is_byte_identical_to_direct_plan() {
     let (program, trace, members) = member_profiles(1);
     let member = &members[0];
 
-    let mut builder = ConsensusBuilder::new("kafka", FleetConfig::default());
+    let mut builder = ConsensusBuilder::new("kafka");
     builder.fold(member, 1).unwrap();
     let (consensus, stats) = builder.finish().unwrap();
     assert_eq!(stats.members, 1);
@@ -94,7 +94,7 @@ fn single_profile_fleet_is_byte_identical_to_direct_plan() {
     );
 
     let baseline = PlannerBaseline::new();
-    let fleet_plan = plan_consensus(&program, &trace, &consensus, IspyConfig::default(), &baseline);
+    let fleet_plan = plan_consensus(&program, &trace, &consensus, &baseline);
     let direct = Planner::new(&program, &trace, member, IspyConfig::default()).plan();
     assert_eq!(
         ispy_core::artifact::plan_to_bytes("kafka", &fleet_plan),
@@ -126,26 +126,28 @@ fn synthetic_member(lines: &[(u64, &[u32])]) -> Profile {
 /// kept line's predictor blocks are voted on among the *line's* voters.
 #[test]
 fn vote_thresholds_drop_minority_lines_and_contexts() {
-    // Three members; line 0x40 seen by two (majority), line 0x80 by one.
-    // For 0x40, predictor block 0 is seen by both voters, block 1 by one.
+    // Four members; line 0x40 seen by three, line 0x80 by one. For 0x40,
+    // predictor block 0 is seen by all three voters, block 1 by one.
     let a = synthetic_member(&[(0x40, &[0, 1]), (0x80, &[0])]);
     let b = synthetic_member(&[(0x40, &[0])]);
-    let c = synthetic_member(&[]);
+    let c = synthetic_member(&[(0x40, &[0])]);
+    let d = synthetic_member(&[]);
 
-    let mut builder = ConsensusBuilder::new("toy", FleetConfig { line_vote: 0.5, ctx_vote: 1.0 });
-    for m in [&a, &b, &c] {
+    let mut builder = ConsensusBuilder::new("toy");
+    for m in [&a, &b, &c, &d] {
         builder.fold(m, 1).unwrap();
     }
     let (consensus, stats) = builder.finish().unwrap();
+    assert_eq!((LINE_VOTE, CTX_VOTE), (0.5, 0.5));
     assert_eq!(stats.lines_seen, 2);
-    assert_eq!(stats.lines_kept, 1, "0x80 had 1 of 3 votes and 0.5 needs 2");
-    assert_eq!(stats.predictors_dropped, 1, "block 1 had 1 of 2 context votes");
+    assert_eq!(stats.lines_kept, 1, "0x80 had 1 of 4 votes and 0.5 needs 2");
+    assert_eq!(stats.predictors_dropped, 1, "block 1 had 1 of 3 context votes and 0.5 needs 2");
 
     let mut kept: Vec<u64> = consensus.misses.iter().map(|(l, _)| l.raw()).collect();
     kept.sort_unstable();
     assert_eq!(kept, vec![0x40]);
     let (_, line) = consensus.misses.iter().find(|(l, _)| l.raw() == 0x40).unwrap();
-    assert_eq!(line.count, 4, "weighted sum of both voters");
+    assert_eq!(line.count, 6, "weighted sum of the three voters");
     assert!(line.history_presence.contains_key(&BlockId(0)));
     assert!(!line.history_presence.contains_key(&BlockId(1)));
     assert_eq!(line.positions.len() as u64, line.count, "codec invariant");
@@ -156,10 +158,10 @@ fn vote_thresholds_drop_minority_lines_and_contexts() {
 #[test]
 fn weights_are_replication_counts() {
     let m = synthetic_member(&[(0x40, &[0])]);
-    let mut weighted = ConsensusBuilder::new("toy", FleetConfig::default());
+    let mut weighted = ConsensusBuilder::new("toy");
     weighted.fold(&m, 3).unwrap();
     weighted.fold(&m, 1).unwrap();
-    let mut replicated = ConsensusBuilder::new("toy", FleetConfig::default());
+    let mut replicated = ConsensusBuilder::new("toy");
     for _ in 0..2 {
         replicated.fold(&m, 1).unwrap();
     }
@@ -191,7 +193,7 @@ fn incompatible_members_are_a_typed_error() {
     ispy_profile::artifact::write_profile("kafka", &foreign, &dir.join("kafka-m9999.iprof"))
         .unwrap();
     let manifest = FleetManifest::scan(&dir).unwrap();
-    match merge_app(&manifest, "kafka", FleetConfig::default()) {
+    match merge_app(&manifest, "kafka") {
         Err(ispy_fleet::FleetError::Incompatible { app, .. }) => assert_eq!(app, "kafka"),
         other => panic!("expected Incompatible, got {other:?}"),
     }
@@ -237,7 +239,7 @@ fn serve_tiers_progress_and_count() {
     ispy_trace::artifact::write_recording(&program, &trace, &fleet_dir.join("kafka.itrace"))
         .unwrap();
     let manifest = FleetManifest::scan(&fleet_dir).unwrap();
-    let (consensus, _) = merge_app(&manifest, "kafka", FleetConfig::default()).unwrap();
+    let (consensus, _) = merge_app(&manifest, "kafka").unwrap();
     ispy_profile::artifact::write_profile(
         "kafka",
         &consensus,
